@@ -7,7 +7,8 @@
 # Usage: ./ci.sh [stage]
 #   fmt | clippy | tier1 | fault-smoke | bench-smoke | explain-smoke |
 #   serve-smoke | metrics-smoke | events-smoke | store-scale | batch-smoke |
-#   server-smoke | recovery-smoke | nightly-chaos | bench-diff | smokes | all
+#   server-smoke | recovery-smoke | benchmark-smoke | nightly-chaos |
+#   bench-diff | smokes | all
 # With no argument, `all` runs every stage in order — exactly what the
 # staged GitHub workflow (.github/workflows/ci.yml) runs job by job.
 # (`nightly-chaos` is not part of `all`; the scheduled workflow runs it.)
@@ -43,9 +44,9 @@ fault_smoke() {
 }
 
 bench_smoke() {
-    echo "== bench smoke: hotpath determinism + JSONL shape =="
-    # Tiny-scale run of the hot-path bench (includes the parallel-vs-serial
-    # determinism check), dumping JSONL which is then validated for shape.
+    echo "== bench smoke: hotpath sqr + dp at smoke scale, JSONL shape =="
+    # Tiny-scale run of the hot-path bench, dumping JSONL which is then
+    # validated for shape.
     # The bench binary's CWD is the package dir, so the dump path is absolute.
     SMOKE_JSON="$PWD/target/hotpath-smoke.jsonl"
     rm -f "$SMOKE_JSON"
@@ -67,8 +68,9 @@ explain_smoke() {
 
 serve_smoke() {
     echo "== serve smoke: concurrent serving vs serial replay, clean and under chaos =="
-    # Replay the same pinned multi-client mix serially (1 thread — the
-    # oracle) and concurrently (4 threads, single-flight coalescing on),
+    # Replay the same pinned multi-client mix serially (1 worker — the
+    # oracle) and concurrently (4 workers, single-flight coalescing on;
+    # PAYLESS_THREADS is the bench's own worker-count knob, one query each),
     # then reconcile the two dumps: identical answers query by query, each
     # run's spend ledger equal to its billing meter, and the coalesced run
     # delivering no more pages than the serial one. Repeated with a
@@ -367,6 +369,23 @@ recovery_smoke() {
         "$REC_DIR/store-kill-recovered.json" "$REC_DIR/store-kill-final.json"
 }
 
+benchmark_smoke() {
+    echo "== benchmark smoke: benchmark/run.sh --smoke (tiny sizes, shape + correctness) =="
+    # The benchmark harness is a package outside the workspace that compiles
+    # against the crates' public APIs, so tier-1 never builds it: this stage
+    # is where an API change that breaks it fails, instead of in the
+    # benchmark pipeline. Building without --locked lets cargo rewrite
+    # benchmark/Cargo.lock on disk when the crate graph changed; the
+    # committed copy is put back so the stage leaves the tree clean.
+    _lock="$PWD/target/benchmark-Cargo.lock.orig"
+    mkdir -p "$PWD/target"
+    cp benchmark/Cargo.lock "$_lock"
+    _rc=0
+    benchmark/run.sh --smoke >"$PWD/target/benchmark-smoke.json" || _rc=$?
+    cp "$_lock" benchmark/Cargo.lock
+    return "$_rc"
+}
+
 nightly_chaos() {
     echo "== nightly chaos: server + recovery smokes at extra seeds =="
     # The scheduled (non-blocking) sweep: re-run the network e2e smoke with
@@ -403,6 +422,7 @@ smokes() {
     batch_smoke
     server_smoke
     recovery_smoke
+    benchmark_smoke
 }
 
 all() {
@@ -428,12 +448,13 @@ case "$stage" in
     batch-smoke) batch_smoke ;;
     server-smoke) server_smoke ;;
     recovery-smoke) recovery_smoke ;;
+    benchmark-smoke) benchmark_smoke ;;
     nightly-chaos) nightly_chaos ;;
     bench-diff) bench_diff ;;
     smokes) smokes ;;
     all) all ;;
     *)
-        echo "ci.sh: unknown stage \`$stage\` (fmt|clippy|tier1|fault-smoke|bench-smoke|explain-smoke|serve-smoke|metrics-smoke|events-smoke|store-scale|batch-smoke|server-smoke|recovery-smoke|nightly-chaos|bench-diff|smokes|all)" >&2
+        echo "ci.sh: unknown stage \`$stage\` (fmt|clippy|tier1|fault-smoke|bench-smoke|explain-smoke|serve-smoke|metrics-smoke|events-smoke|store-scale|batch-smoke|server-smoke|recovery-smoke|benchmark-smoke|nightly-chaos|bench-diff|smokes|all)" >&2
         exit 2
         ;;
 esac

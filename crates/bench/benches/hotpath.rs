@@ -1,19 +1,19 @@
-//! Hot-path benchmark for the parallel plan search and the indexed
-//! semantic store: before/after numbers for the SQR rewrite fan-out, the
-//! store's grid-index probe, and the DP wavefront.
+//! Hot-path benchmark for the plan search and the indexed semantic store:
+//! the store's index probe, the SQR rewrite (cached remainder vs scratch
+//! subtraction), and both DP engines.
 //!
 //! Modes (positional args; cargo's own `--bench` flag is ignored):
 //!
-//! * `sqr`      — store probe + Algorithm 1 rewrite, sequential vs parallel
+//! * `sqr`      — store probe + Algorithm 1 rewrite
 //! * `store-scale` — probe + rewrite at 1k and 10k stored views; exits
 //!   non-zero when the 10k-view rewrite median exceeds the *old* 225-view
 //!   rewrite time (the scaling cap CI smokes)
-//! * `dp`       — left-deep and bushy DP, sequential vs parallel
-//! * `check`    — assert parallel output is identical to single-threaded
-//! * `smoke`    — tiny versions of all of the above (CI)
-//! * `validate <file>` — check that a `PAYLESS_JSON` dump is well-formed
-//!   JSONL (one object per line with `figure` and `runs`); exits non-zero
-//!   otherwise
+//! * `dp`       — left-deep and bushy DP
+//! * `smoke`    — tiny versions of `sqr` and `dp` (CI)
+//! * `validate <file>...` — check that each `PAYLESS_JSON` dump or committed
+//!   baseline is well-formed JSONL (one object per line with `figure` and a
+//!   `runs` array of named medians, at least one run per file); exits
+//!   non-zero otherwise
 //! * `diff <baseline.json>...` — re-run the full-scale benches and compare
 //!   each median against the committed `BENCH_*.json` baselines; exits
 //!   non-zero when any run regressed by more than 25%. When
@@ -25,8 +25,8 @@
 //!   and an `actual` object, plus a `q_error` section
 //! * `serve <out.json>` — replay a deterministic multi-client mix through
 //!   the concurrent serving layer and dump the reconciled
-//!   [`payless_serve::ServeReport`]. Knobs: `PAYLESS_THREADS` (workers),
-//!   `PAYLESS_CLIENTS`, `PAYLESS_SERVE_QUERIES`, `PAYLESS_SERVE_SEED`,
+//!   [`payless_serve::ServeReport`]. Knobs: the worker count (see
+//!   [`serve`]), `PAYLESS_CLIENTS`, `PAYLESS_SERVE_QUERIES`, `PAYLESS_SERVE_SEED`,
 //!   `PAYLESS_COALESCE=0` (disable single flight), `PAYLESS_FAULT_SEED`
 //!   (chaos-inject the market; retries become unlimited),
 //!   `PAYLESS_STORE_MAX_VIEWS` / `PAYLESS_STORE_COMPACT=0` (shared-store
@@ -77,11 +77,9 @@
 //!   no greater than unbatched, and the batched run must actually have
 //!   parked remainders in batches
 //!
-//! With no mode, `check`, `sqr`, and `dp` all run at full scale. Emit JSONL
-//! by setting `PAYLESS_JSON` (the `BENCH_sqr.json` / `BENCH_dp.json`
-//! baselines at the repo root are produced this way). The parallel side uses
-//! the ambient thread cap (`PAYLESS_THREADS` or the core count), recorded in
-//! the `threads` field — on a single-core host the two sides coincide.
+//! With no mode, `sqr` and `dp` both run at full scale. Emit JSONL by
+//! setting `PAYLESS_JSON` (the `BENCH_sqr.json` / `BENCH_dp.json` baselines
+//! at the repo root are produced this way).
 
 use std::collections::HashMap;
 use std::hint::black_box;
@@ -94,7 +92,6 @@ use payless_core::{
 use payless_geometry::{region, QuerySpace, Region};
 use payless_json::{FromJson, Json, ToJson};
 use payless_optimizer::{optimize, OptimizerConfig};
-use payless_par::{max_threads, with_max_threads};
 use payless_semantic::{
     rewrite, rewrite_cached, Consistency, Rewrite, RewriteConfig, SemanticStore, StoreConfig,
 };
@@ -210,7 +207,6 @@ fn bench_sqr(s: &Scale) -> Runner {
     let stored = store.views("R", Consistency::Weak, 0).len();
     let mut r = Runner::new("hotpath_sqr");
     r.note("stored_views", stored as f64);
-    r.note("threads", max_threads() as f64);
 
     // The store layer, before vs after: the old pipeline linearly scanned
     // and deep-cloned every stored view on each probe; the new one walks
@@ -230,52 +226,31 @@ fn bench_sqr(s: &Scale) -> Runner {
         black_box(store.views_overlapping("R", &q, Consistency::Weak, 0));
     });
 
-    // Algorithm 1 end to end (probe + rewrite), single-threaded vs the
-    // ambient thread cap, on the production path (cached remainder pieces).
+    // Algorithm 1 end to end (probe + rewrite) on the production path
+    // (cached remainder pieces).
     let cfg = rewrite_cfg();
-    let seq_name = format!("sqr/rewrite/{stored}v/seq");
-    r.bench(&seq_name, || {
-        with_max_threads(1, || {
-            black_box(store_rewrite(&stats, &store, &q, &cfg));
-        })
-    });
-    r.run_field(
-        &seq_name,
-        "threads_used",
-        with_max_threads(1, || store_rewrite(&stats, &store, &q, &cfg)).threads_used as f64,
-    );
-    let par_name = format!("sqr/rewrite/{stored}v/par");
-    r.bench(&par_name, || {
+    let rewrite_name = format!("sqr/rewrite/{stored}v");
+    r.bench(&rewrite_name, || {
         black_box(store_rewrite(&stats, &store, &q, &cfg));
     });
-    r.run_field(
-        &par_name,
-        "threads_used",
-        store_rewrite(&stats, &store, &q, &cfg).threads_used as f64,
-    );
     // The pre-cache pipeline for comparison: subtraction sweep from raw
     // views on every call.
-    let scratch_name = format!("sqr/rewrite_scratch/{stored}v/seq");
+    let scratch_name = format!("sqr/rewrite_scratch/{stored}v");
     r.bench(&scratch_name, || {
-        with_max_threads(1, || {
-            let views = store.views_overlapping("R", &q, Consistency::Weak, 0);
-            black_box(rewrite(&stats, 100, &q, &views, &cfg));
-        })
+        let views = store.views_overlapping("R", &q, Consistency::Weak, 0);
+        black_box(rewrite(&stats, 100, &q, &views, &cfg));
     });
 
     if let (Some(a), Some(b)) = (r.median_of(&scan_name), r.median_of(&idx_name)) {
         r.note("speedup/store_probe", a / b);
     }
-    if let (Some(a), Some(b)) = (r.median_of(&seq_name), r.median_of(&par_name)) {
-        r.note("speedup/sqr_rewrite", a / b);
-    }
-    if let (Some(a), Some(b)) = (r.median_of(&scratch_name), r.median_of(&seq_name)) {
+    if let (Some(a), Some(b)) = (r.median_of(&scratch_name), r.median_of(&rewrite_name)) {
         r.note("speedup/remainder_cache", a / b);
     }
     r
 }
 
-/// The old committed `sqr/rewrite/225v/seq` median (PR 6's BENCH_sqr.json):
+/// The old committed 225-view rewrite median (PR 6's BENCH_sqr.json):
 /// the wall-clock cap the 10k-view rewrite must beat, and the yardstick for
 /// the ≥5x claim at 225 views.
 const OLD_225V_SEQ_MEDIAN_NS: f64 = 434_558_876.0;
@@ -286,7 +261,6 @@ const OLD_225V_SEQ_MEDIAN_NS: f64 = 434_558_876.0;
 /// with the remainder cache and R-tree probes should be barely at all.
 fn bench_store_scale() -> Runner {
     let mut r = Runner::new("hotpath_store_scale");
-    r.note("threads", max_threads() as f64);
     for grid in [32usize, 100] {
         let s = Scale {
             grid,
@@ -304,29 +278,9 @@ fn bench_store_scale() -> Runner {
             black_box(store.views_overlapping("R", &q, Consistency::Weak, 0));
         });
         let cfg = rewrite_cfg();
-        let seq_name = format!("sqr/rewrite/{stored}v/seq");
-        r.bench(&seq_name, || {
-            with_max_threads(1, || {
-                black_box(store_rewrite(&stats, &store, &q, &cfg));
-            })
-        });
-        r.run_field(
-            &seq_name,
-            "threads_used",
-            with_max_threads(1, || store_rewrite(&stats, &store, &q, &cfg)).threads_used as f64,
-        );
-        let par_name = format!("sqr/rewrite/{stored}v/par");
-        r.bench(&par_name, || {
+        r.bench(&format!("sqr/rewrite/{stored}v"), || {
             black_box(store_rewrite(&stats, &store, &q, &cfg));
         });
-        r.run_field(
-            &par_name,
-            "threads_used",
-            store_rewrite(&stats, &store, &q, &cfg).threads_used as f64,
-        );
-        if let (Some(a), Some(b)) = (r.median_of(&seq_name), r.median_of(&par_name)) {
-            r.note(&format!("speedup/sqr_rewrite/{stored}v"), a / b);
-        }
     }
     r.note("cap/old_225v_seq_median_ns", OLD_225V_SEQ_MEDIAN_NS);
     r
@@ -337,7 +291,7 @@ fn bench_store_scale() -> Runner {
 /// Exits non-zero past the cap.
 fn store_scale() {
     let r = bench_store_scale();
-    let name = "sqr/rewrite/10000v/seq";
+    let name = "sqr/rewrite/10000v";
     let Some(median) = r.median_of(name) else {
         eprintln!("store-scale: `{name}` did not run");
         std::process::exit(1);
@@ -415,123 +369,15 @@ fn bench_dp(s: &Scale) -> Runner {
     let (q, stats, store, meta) = chain_query(n, s.dp_feedbacks);
     let mut r = Runner::new("hotpath_dp");
     r.note("tables", n as f64);
-    r.note("threads", max_threads() as f64);
     for (strategy, cfg) in [
         ("left_deep", OptimizerConfig::payless_no_sqr()),
         ("bushy", OptimizerConfig::disable_all()),
     ] {
-        let seq_name = format!("dp/{strategy}/{n}t/seq");
-        r.bench(&seq_name, || {
-            with_max_threads(1, || {
-                black_box(optimize(&q, &stats, &store, &meta, &cfg, 0).unwrap());
-            })
-        });
-        let par_name = format!("dp/{strategy}/{n}t/par");
-        r.bench(&par_name, || {
+        r.bench(&format!("dp/{strategy}/{n}t"), || {
             black_box(optimize(&q, &stats, &store, &meta, &cfg, 0).unwrap());
         });
-        if let (Some(a), Some(b)) = (r.median_of(&seq_name), r.median_of(&par_name)) {
-            r.note(&format!("speedup/{strategy}"), a / b);
-        }
     }
     r
-}
-
-/// Byte-identical-output check: every parallel path must match the
-/// single-threaded one exactly — plans, costs, remainders.
-fn check_determinism(s: &Scale) {
-    let mut failures = 0;
-
-    // SQR rewrite — both the production path (store probe + cached
-    // remainder pieces) and the from-scratch subtraction path.
-    let (stats, store, q) = sqr_fixture(s);
-    let cfg = rewrite_cfg();
-    let views = store.views_overlapping("R", &q, Consistency::Weak, 0);
-    let seq = with_max_threads(1, || rewrite(&stats, 100, &q, &views, &cfg));
-    let seq_cached = with_max_threads(1, || store_rewrite(&stats, &store, &q, &cfg));
-    for threads in [2usize, 4, 8] {
-        let par = with_max_threads(threads, || rewrite(&stats, 100, &q, &views, &cfg));
-        if par.remainders != seq.remainders
-            || par.est_transactions.to_bits() != seq.est_transactions.to_bits()
-        {
-            eprintln!("FAIL: rewrite differs at {threads} threads");
-            failures += 1;
-        }
-        let par_cached = with_max_threads(threads, || store_rewrite(&stats, &store, &q, &cfg));
-        if par_cached.remainders != seq_cached.remainders
-            || par_cached.est_transactions.to_bits() != seq_cached.est_transactions.to_bits()
-        {
-            eprintln!("FAIL: cached rewrite differs at {threads} threads");
-            failures += 1;
-        }
-    }
-
-    // DP, both engines.
-    let (q, stats, store, meta) = chain_query(s.dp_tables.min(7), 16);
-    for (strategy, cfg) in [
-        ("left_deep", OptimizerConfig::payless_no_sqr()),
-        ("bushy", OptimizerConfig::disable_all()),
-    ] {
-        let seq = with_max_threads(1, || optimize(&q, &stats, &store, &meta, &cfg, 0).unwrap());
-        for threads in [2usize, 4, 8] {
-            let par = with_max_threads(threads, || {
-                optimize(&q, &stats, &store, &meta, &cfg, 0).unwrap()
-            });
-            if par.plan.to_string() != seq.plan.to_string()
-                || par.cost.primary.to_bits() != seq.cost.primary.to_bits()
-                || par.cost.secondary.to_bits() != seq.cost.secondary.to_bits()
-            {
-                eprintln!("FAIL: {strategy} plan differs at {threads} threads");
-                failures += 1;
-            }
-        }
-    }
-
-    if failures > 0 {
-        eprintln!("determinism check: {failures} failure(s)");
-        std::process::exit(1);
-    }
-    println!("determinism check: parallel output identical to single-threaded");
-}
-
-/// Validate a `PAYLESS_JSON` dump: every non-empty line must parse as a
-/// JSON object with a string `figure` and an array `runs`.
-fn validate(path: &str) {
-    let data = match std::fs::read_to_string(path) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("validate: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mut lines = 0;
-    for (i, line) in data.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let parsed = match payless_json::parse(line) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("validate: {path}:{}: malformed JSON: {e}", i + 1);
-                std::process::exit(1);
-            }
-        };
-        let figure = parsed.get_opt("figure").and_then(|f| f.as_str().ok());
-        let runs = parsed.get_opt("runs").and_then(|r| r.as_arr().ok());
-        if figure.is_none() || runs.is_none() {
-            eprintln!(
-                "validate: {path}:{}: missing `figure` string or `runs` array",
-                i + 1
-            );
-            std::process::exit(1);
-        }
-        lines += 1;
-    }
-    if lines == 0 {
-        eprintln!("validate: {path}: no JSONL records");
-        std::process::exit(1);
-    }
-    println!("validate: {path}: {lines} well-formed JSONL record(s)");
 }
 
 /// Maximum tolerated fresh/baseline median ratio before `diff` fails.
@@ -594,20 +440,18 @@ fn load_baselines(paths: &[String]) -> HashMap<String, f64> {
     medians
 }
 
-/// Shape-check the committed baselines without re-running anything: every
-/// file must be non-empty JSONL where each record carries a `figure` string
-/// and a `runs` array, and the file as a whole yields at least one named
-/// median. This is cheap enough for the `fmt` stage, so a truncated or
-/// hand-mangled baseline fails CI in seconds instead of surfacing as a
-/// mysterious "no baseline runs" half an hour later in `bench-diff`.
-fn validate_baselines(paths: &[String]) {
+/// Shape-check `PAYLESS_JSON` dumps and committed baselines without
+/// re-running anything: every file must be non-empty JSONL where each record
+/// carries a `figure` string and a `runs` array of named medians, and the
+/// file as a whole yields at least one run. Cheap enough for the `fmt`
+/// stage, so a truncated or hand-mangled baseline fails CI in seconds
+/// instead of surfacing as a mysterious "no baseline runs" half an hour
+/// later in `bench-diff`.
+fn validate(paths: &[String]) {
     let fail = |msg: String| -> ! {
-        eprintln!("validate-baselines: {msg}");
+        eprintln!("validate: {msg}");
         std::process::exit(1);
     };
-    if paths.is_empty() {
-        fail("no baseline files given".into());
-    }
     for path in paths {
         let data = std::fs::read_to_string(path)
             .unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
@@ -652,12 +496,8 @@ fn validate_baselines(paths: &[String]) {
         if runs_seen == 0 {
             fail(format!("{path}: {records} record(s) but zero runs"));
         }
-        println!("validate-baselines: {path}: {records} record(s), {runs_seen} run(s)");
+        println!("validate: {path}: {records} record(s), {runs_seen} run(s)");
     }
-    println!(
-        "validate-baselines: {} baseline(s) well-formed",
-        paths.len()
-    );
 }
 
 /// One instrumentation-overhead gate (see the comment at its call sites):
@@ -740,16 +580,14 @@ fn diff(paths: &[String]) {
     }
 
     // Speedup advisories: a `speedup/*` note below 1.0 means the optimized
-    // arm ran no faster than its reference arm (parallel vs sequential, or
-    // cached vs from-scratch). On a single-core host parallel speedup is
-    // physics, not a regression, and sub-millisecond margins drown in
-    // scheduler noise — so warn, never fail.
+    // arm ran no faster than its reference arm (indexed vs scan-and-clone
+    // probe, cached vs from-scratch rewrite). Sub-millisecond margins drown
+    // in scheduler noise — so warn, never fail.
     for (key, value) in &notes {
         if key.starts_with("speedup/") && *value < 1.0 {
             eprintln!(
                 "diff: warning: {key} = {value:.2}x — no speedup over the reference arm \
-                 (threads available: {}; advisory only)",
-                max_threads()
+                 (advisory only)"
             );
         }
     }
@@ -910,12 +748,6 @@ fn store_config_from_env() -> StoreConfig {
     cfg
 }
 
-/// The serving driver behind the CI serve-smoke: replay a deterministic
-/// multi-client WHW mix through [`payless_serve::Serve`] and dump the
-/// reconciled report. The market runs at page size 1, where delivered pages
-/// equal delivered records and are therefore independent of thread
-/// interleaving — what lets `validate-serve` compare dumps across thread
-/// counts.
 /// The pinned serve-smoke workload (shared with the metrics bench so the
 /// overhead numbers describe the same mix CI validates).
 fn smoke_workload() -> RealWorkload {
@@ -930,11 +762,21 @@ fn smoke_workload() -> RealWorkload {
     })
 }
 
-fn serve(out: &str) {
+/// The driver behind `serve` and `batch-serve`: replay one pinned
+/// multi-client WHW mix through [`payless_serve::Serve`] and dump the
+/// reconciled report. The market runs at page size 1, where delivered pages
+/// equal delivered records and are therefore independent of thread
+/// interleaving — what lets `validate-serve` / `validate-batch` compare
+/// dumps across worker counts. `serve` replays the random mix
+/// (`PAYLESS_SERVE_QUERIES` in total); `batch-serve` the overlapping
+/// hot-region mix (`PAYLESS_SERVE_QUERIES` *per client*, so client streams
+/// stay identical across client counts).
+fn serve(mode: &str, out: &str) {
+    let overlapping = mode == "batch-serve";
     let workload = smoke_workload();
     let page_size = 1;
     let clients = env_u64("PAYLESS_CLIENTS", 4) as usize;
-    let queries = env_u64("PAYLESS_SERVE_QUERIES", 24) as usize;
+    let queries = env_u64("PAYLESS_SERVE_QUERIES", if overlapping { 12 } else { 24 }) as usize;
     let seed = env_u64("PAYLESS_SERVE_SEED", 48879);
     let coalesce = std::env::var("PAYLESS_COALESCE")
         .map(|v| v != "0")
@@ -942,7 +784,6 @@ fn serve(out: &str) {
     let fault_seed = std::env::var("PAYLESS_FAULT_SEED")
         .ok()
         .and_then(|v| v.parse::<u64>().ok());
-    let threads = max_threads();
     let metrics_out = std::env::var("PAYLESS_METRICS_OUT").ok();
     let hub = metrics_out
         .as_ref()
@@ -953,10 +794,12 @@ fn serve(out: &str) {
         market.attach_fault_injector(FaultInjector::new(FaultPlan::chaos(fs)));
     }
     let cfg = ServeConfig {
-        threads,
+        // The bench's own worker-count knob (one query per worker); no
+        // library crate reads it.
+        threads: env_u64("PAYLESS_THREADS", 1) as usize,
         coalesce,
         // Chaos runs must still answer every query so dumps stay
-        // comparable across thread counts.
+        // comparable across worker counts.
         retry: if fault_seed.is_some() {
             RetryPolicy::unlimited()
         } else {
@@ -975,14 +818,18 @@ fn serve(out: &str) {
         .collect();
     // Both single-table WHW templates; see the serve-smoke rationale in
     // DESIGN.md for why bind-join templates stay out of the smoke mix.
-    let mix = serve_mix(&workload, &[0, 1], clients, queries, seed);
+    let mix = if overlapping {
+        overlapping_mix(&workload, &[0, 1], clients, queries, seed)
+    } else {
+        serve_mix(&workload, &[0, 1], clients, queries, seed)
+    };
     let mut report = run_mix(&layer, &mix, &templates).expect("serve mix succeeds");
     report.seed = seed;
     report.clients = clients as u64;
     report.page_size = page_size;
     report.fault_seed = fault_seed;
     if let Err(e) = std::fs::write(out, report.to_json().to_string_pretty()) {
-        eprintln!("serve: cannot write {out}: {e}");
+        eprintln!("{mode}: cannot write {out}: {e}");
         std::process::exit(1);
     }
     if let (Some(hub), Some(path)) = (&hub, &metrics_out) {
@@ -990,23 +837,27 @@ fn serve(out: &str) {
         if let Err(e) = std::fs::write(path, hub.exposition())
             .and_then(|()| std::fs::write(format!("{path}.jsonl"), hub.series_jsonl()))
         {
-            eprintln!("serve: cannot write metrics to {path}: {e}");
+            eprintln!("{mode}: cannot write metrics to {path}: {e}");
             std::process::exit(1);
         }
-        println!("serve: metrics -> {path} (+ {path}.jsonl)");
+        println!("{mode}: metrics -> {path} (+ {path}.jsonl)");
     }
     println!(
-        "serve: {} queries x {} clients on {} thread(s), coalesce={}, fault={:?}: \
-         {} pages ({} wasted), {} wait(s), ~{} page(s) saved -> {out}",
+        "{mode}: {} queries x {} clients on {} worker(s), coalesce={}, batch={}, fault={:?}: \
+         {} pages ({} wasted), {} wait(s), ~{} page(s) saved, {} batch join(s), \
+         {} shared page(s) -> {out}",
         report.queries,
         report.clients,
         report.threads,
         report.coalesce,
+        report.batch,
         report.fault_seed,
         report.total_pages,
         report.wasted_pages,
         report.coalesce_waits,
         report.saved_pages,
+        report.batch_joins,
+        report.shared_pages,
     );
 }
 
@@ -1705,68 +1556,6 @@ fn bench_batch(out: &str) {
     );
 }
 
-/// The `batch-serve` driver: one serve run of the overlapping mix, dumped
-/// as a report for `validate-batch`. Unlike `serve`, `PAYLESS_SERVE_QUERIES`
-/// counts queries per client, so client streams stay identical across
-/// client counts.
-fn batch_serve(out: &str) {
-    let workload = smoke_workload();
-    let page_size = 1;
-    let clients = env_u64("PAYLESS_CLIENTS", 4) as usize;
-    let per_client = env_u64("PAYLESS_SERVE_QUERIES", 12) as usize;
-    let seed = env_u64("PAYLESS_SERVE_SEED", 48879);
-    let fault_seed = std::env::var("PAYLESS_FAULT_SEED")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok());
-    let threads = max_threads();
-
-    let market = Arc::new(build_market(&workload, page_size));
-    if let Some(fs) = fault_seed {
-        market.attach_fault_injector(FaultInjector::new(FaultPlan::chaos(fs)));
-    }
-    let cfg = ServeConfig {
-        threads,
-        retry: if fault_seed.is_some() {
-            RetryPolicy::unlimited()
-        } else {
-            RetryPolicy::default()
-        },
-        strict_reconcile: MetricsConfig::strict_from_env(),
-        store: store_config_from_env(),
-        batch: BatchConfig::from_env(),
-        ..ServeConfig::default()
-    };
-    let batch_on = cfg.batch.is_some();
-    let layer = Serve::new(market, QueryWorkload::local_tables(&workload), cfg);
-    let templates: Vec<_> = QueryWorkload::templates(&workload)
-        .iter()
-        .map(|sql| layer.prepare(sql).expect("workload template parses"))
-        .collect();
-    let mix = overlapping_mix(&workload, &[0, 1], clients, per_client, seed);
-    let mut report = run_mix(&layer, &mix, &templates).expect("overlapping mix succeeds");
-    report.seed = seed;
-    report.clients = clients as u64;
-    report.page_size = page_size;
-    report.fault_seed = fault_seed;
-    if let Err(e) = std::fs::write(out, report.to_json().to_string_pretty()) {
-        eprintln!("batch-serve: cannot write {out}: {e}");
-        std::process::exit(1);
-    }
-    println!(
-        "batch-serve: {} queries x {} clients on {} thread(s), batch={}, fault={:?}: \
-         {} pages ({} wasted), {} batch join(s), {} shared page(s) -> {out}",
-        report.queries,
-        report.clients,
-        report.threads,
-        batch_on,
-        report.fault_seed,
-        report.total_pages,
-        report.wasted_pages,
-        report.batch_joins,
-        report.shared_pages,
-    );
-}
-
 /// Reconcile a batched replay of the overlapping mix against its unbatched
 /// twin: batching may change who pays, never what anyone sees or the total
 /// delivered bill.
@@ -1850,147 +1639,55 @@ fn validate_batch(unbatched_path: &str, batched_path: &str) {
     );
 }
 
+/// The argument-taking modes: name, how many positional arguments must
+/// follow it, their usage line, and the handler (handed everything after
+/// the mode name).
+type Mode = (&'static str, usize, &'static str, fn(&[String]));
+
+#[rustfmt::skip] // one row per mode
+const MODES: &[Mode] = &[
+    ("validate", 1, "<file.jsonl>...", validate),
+    ("validate-explain", 1, "<file>", |a| validate_explain(&a[0])),
+    ("serve", 1, "<out.json>", |a| serve("serve", &a[0])),
+    ("batch", 1, "<out.json>", |a| bench_batch(&a[0])),
+    ("batch-serve", 1, "<out.json>", |a| serve("batch-serve", &a[0])),
+    ("validate-batch", 2, "<unbatched.json> <batched.json>", |a| validate_batch(&a[0], &a[1])),
+    ("validate-events", 1, "<events.jsonl> [expect-violation]", |a| {
+        validate_events(&a[0], a.get(1).map(String::as_str) == Some("expect-violation"))
+    }),
+    ("events-abort", 1, "<blackbox.jsonl>", |a| events_abort(&a[0])),
+    ("validate-serve", 2, "<serial.json> <parallel.json>", |a| validate_serve(&a[0], &a[1])),
+    ("validate-recovery", 4, "<oracle.json> <run2.json> <recovered.json> <final.json>", |a| {
+        validate_recovery(&a[0], &a[1], &a[2], &a[3])
+    }),
+    ("validate-metrics", 2, "<metrics.txt> <serve.json>", |a| validate_metrics(&a[0], &a[1])),
+    ("diff", 1, "<baseline.json>...", diff),
+    ("store-scale", 0, "", |_| store_scale()),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args()
         .skip(1)
         .filter(|a| !a.starts_with('-'))
         .collect();
-    if let Some(pos) = args.iter().position(|a| a == "validate") {
-        match args.get(pos + 1) {
-            Some(path) => return validate(path),
-            None => {
-                eprintln!("validate: missing file argument");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(pos) = args.iter().position(|a| a == "validate-explain") {
-        match args.get(pos + 1) {
-            Some(path) => return validate_explain(path),
-            None => {
-                eprintln!("validate-explain: missing file argument");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(pos) = args.iter().position(|a| a == "serve") {
-        match args.get(pos + 1) {
-            Some(path) => return serve(path),
-            None => {
-                eprintln!("serve: missing output file argument");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(pos) = args.iter().position(|a| a == "batch") {
-        match args.get(pos + 1) {
-            Some(path) => return bench_batch(path),
-            None => {
-                eprintln!("batch: missing output file argument");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(pos) = args.iter().position(|a| a == "batch-serve") {
-        match args.get(pos + 1) {
-            Some(path) => return batch_serve(path),
-            None => {
-                eprintln!("batch-serve: missing output file argument");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(pos) = args.iter().position(|a| a == "validate-batch") {
-        match (args.get(pos + 1), args.get(pos + 2)) {
-            (Some(unbatched), Some(batched)) => return validate_batch(unbatched, batched),
-            _ => {
-                eprintln!("validate-batch: need <unbatched.json> <batched.json>");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(pos) = args.iter().position(|a| a == "validate-events") {
-        match args.get(pos + 1) {
-            Some(path) => {
-                let expect_violation =
-                    args.get(pos + 2).map(String::as_str) == Some("expect-violation");
-                return validate_events(path, expect_violation);
-            }
-            None => {
-                eprintln!("validate-events: need <events.jsonl> [expect-violation]");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(pos) = args.iter().position(|a| a == "events-abort") {
-        match args.get(pos + 1) {
-            Some(path) => return events_abort(path),
-            None => {
-                eprintln!("events-abort: missing black-box output file argument");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(pos) = args.iter().position(|a| a == "validate-serve") {
-        match (args.get(pos + 1), args.get(pos + 2)) {
-            (Some(serial), Some(parallel)) => return validate_serve(serial, parallel),
-            _ => {
-                eprintln!("validate-serve: need <serial.json> <parallel.json>");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(pos) = args.iter().position(|a| a == "validate-recovery") {
-        match (
-            args.get(pos + 1),
-            args.get(pos + 2),
-            args.get(pos + 3),
-            args.get(pos + 4),
-        ) {
-            (Some(oracle), Some(run2), Some(recovered), Some(fin)) => {
-                return validate_recovery(oracle, run2, recovered, fin)
-            }
-            _ => {
-                eprintln!(
-                    "validate-recovery: need <oracle.json> <run2.json> \
-                     <store-recovered.json> <store-final.json>"
-                );
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(pos) = args.iter().position(|a| a == "validate-baselines") {
-        let paths = args[pos + 1..].to_vec();
-        return validate_baselines(&paths);
-    }
-    if let Some(pos) = args.iter().position(|a| a == "validate-metrics") {
-        match (args.get(pos + 1), args.get(pos + 2)) {
-            (Some(metrics), Some(report)) => return validate_metrics(metrics, report),
-            _ => {
-                eprintln!("validate-metrics: need <metrics.txt> <serve.json>");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(pos) = args.iter().position(|a| a == "diff") {
-        let paths = &args[pos + 1..];
-        if paths.is_empty() {
-            eprintln!("diff: missing baseline file argument(s)");
+    let hit = args
+        .iter()
+        .enumerate()
+        .find_map(|(pos, a)| MODES.iter().find(|m| m.0 == a).map(|m| (pos, m)));
+    if let Some((pos, &(mode, arity, usage, handler))) = hit {
+        let rest = &args[pos + 1..];
+        if rest.len() < arity {
+            eprintln!("{mode}: need {usage}");
             std::process::exit(1);
         }
-        return diff(paths);
+        return handler(rest);
     }
-    if args.iter().any(|a| a == "store-scale") {
-        return store_scale();
-    }
+
     let smoke = args.iter().any(|a| a == "smoke");
     let scale = if smoke { &SMOKE } else { &FULL };
     let all = smoke || args.is_empty();
     let wants = |m: &str| all || args.iter().any(|a| a == m);
 
-    if wants("check") {
-        check_determinism(scale);
-    }
     if wants("sqr") {
         bench_sqr(scale).finish();
     }

@@ -63,9 +63,6 @@ pub struct Runner {
     figure: String,
     results: Vec<(String, f64, f64, f64)>,
     extras: Vec<(String, f64)>,
-    /// Extra numeric fields attached to individual runs (run name, key,
-    /// value) — e.g. `threads_used` — serialized inside the run object.
-    run_extras: Vec<(String, String, f64)>,
 }
 
 impl Runner {
@@ -79,7 +76,6 @@ impl Runner {
             figure: figure.to_string(),
             results: Vec::new(),
             extras: Vec::new(),
-            run_extras: Vec::new(),
         }
     }
 
@@ -121,13 +117,6 @@ impl Runner {
         &self.extras
     }
 
-    /// Attach an extra numeric field to a previously recorded run — it is
-    /// serialized inside that run's JSON object (e.g. `threads_used`).
-    pub fn run_field(&mut self, run: &str, key: &str, value: f64) {
-        self.run_extras
-            .push((run.to_string(), key.to_string(), value));
-    }
-
     /// Print/emit and consume the runner.
     pub fn finish(self) {
         let Ok(dest) = std::env::var("PAYLESS_JSON") else {
@@ -137,18 +126,12 @@ impl Runner {
             .results
             .iter()
             .map(|(name, min, median, mean)| {
-                let mut fields = vec![
+                Json::Obj(vec![
                     ("name".to_string(), name.to_json()),
                     ("min_nanos".to_string(), min.to_json()),
                     ("median_nanos".to_string(), median.to_json()),
                     ("mean_nanos".to_string(), mean.to_json()),
-                ];
-                for (run, key, value) in &self.run_extras {
-                    if run == name {
-                        fields.push((key.clone(), value.to_json()));
-                    }
-                }
-                Json::Obj(fields)
+                ])
             })
             .collect();
         let mut fields = vec![

@@ -136,13 +136,6 @@ pub fn render_report(report: &QueryReport) -> String {
         c.boxes_enumerated,
         c.boxes_kept,
     ));
-    if c.threads_used > 1 {
-        s.push_str(&format!(
-            "parallelism: {} worker threads
-",
-            c.threads_used,
-        ));
-    }
     // Semantic-store index effectiveness (absent unless the store recorded
     // probes this query). These counters belong to the *store's* recorder,
     // not the query's: when several sessions share one store (serve mode),
@@ -368,7 +361,6 @@ mod tests {
                 boxes_kept: 4,
                 theorem2_hoisted: 2,
                 theorem3_composed: 3,
-                threads_used: 4,
             },
             telemetry: TelemetrySnapshot {
                 counters: vec![("store.index_full_scans", 2), ("store.index_hits", 31)],
@@ -404,7 +396,6 @@ mod tests {
         assert!(s.contains("$7.00 for 7 pages / 612 records"), "{s}");
         assert!(s.contains("WHW"), "{s}");
         assert!(s.contains("remainder"), "{s}");
-        assert!(s.contains("parallelism: 4 worker threads"), "{s}");
         assert!(
             s.contains(
                 "store index (store-level, shared across sessions): \

@@ -6,10 +6,9 @@
 //! along one axis; this tree narrows it along all of them, which is what
 //! makes 10k-view stores probeable in microseconds.
 //!
-//! Determinism is a hard requirement (parallel runs must be bit-identical
-//! to `PAYLESS_THREADS=1`, and serve-layer spend must reproduce across
-//! interleavings), so every choice the tree makes is a pure function of the
-//! insertion sequence: choose-subtree ties break on (enlargement, volume,
+//! Determinism is a hard requirement (serve-layer spend must reproduce
+//! across interleavings), so every choice the tree makes is a pure function
+//! of the insertion sequence: choose-subtree ties break on (enlargement, volume,
 //! child position), splits sort by center along the node's widest dimension
 //! with the entry's arena order as the final tie-break, and queries return
 //! item ids **sorted ascending** so callers iterate payloads in exactly the

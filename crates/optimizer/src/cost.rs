@@ -61,9 +61,6 @@ pub struct PlanCounters {
     /// Subproblems composed from join-disconnected components (Theorem 3)
     /// instead of being enumerated as full left-deep extensions.
     pub theorem3_composed: u64,
-    /// Worker threads the parallel plan search actually used (the high-water
-    /// mark across all parallel sections; 1 for a single-threaded run).
-    pub threads_used: u64,
 }
 
 impl std::ops::AddAssign for PlanCounters {
@@ -73,15 +70,11 @@ impl std::ops::AddAssign for PlanCounters {
         self.boxes_kept += o.boxes_kept;
         self.theorem2_hoisted += o.theorem2_hoisted;
         self.theorem3_composed += o.theorem3_composed;
-        // A high-water mark, not a sum: combining two searches reports the
-        // widest fan-out either of them reached.
-        self.threads_used = self.threads_used.max(o.threads_used);
     }
 }
 
-/// [`PlanCounters`] as lock-free atomics so cost estimation can run from the
-/// DP's scoped worker threads. All fields are order-independent sums (or a
-/// max), so relaxed ordering cannot change the totals.
+/// [`PlanCounters`] as atomics, so counting works through the shared
+/// `&CostCtx` the DP hands to every cost call. All fields are sums.
 #[derive(Debug, Default)]
 struct AtomicPlanCounters {
     plans_considered: AtomicU64,
@@ -89,7 +82,6 @@ struct AtomicPlanCounters {
     boxes_kept: AtomicU64,
     theorem2_hoisted: AtomicU64,
     theorem3_composed: AtomicU64,
-    threads_used: AtomicU64,
 }
 
 impl AtomicPlanCounters {
@@ -100,7 +92,6 @@ impl AtomicPlanCounters {
             boxes_kept: self.boxes_kept.load(Ordering::Relaxed),
             theorem2_hoisted: self.theorem2_hoisted.load(Ordering::Relaxed),
             theorem3_composed: self.theorem3_composed.load(Ordering::Relaxed),
-            threads_used: self.threads_used.load(Ordering::Relaxed).max(1),
         }
     }
 }
@@ -179,9 +170,7 @@ pub struct CostCtx<'a> {
     /// Per-table cache of the uncovered fraction of the required regions
     /// (the SQR adjustment in `bind_cost`); computing it involves region
     /// subtraction against every stored view, so it must not run once per
-    /// DP candidate. `OnceLock` so concurrent DP workers can share the
-    /// cache: the value is deterministic, so a racy double-compute is
-    /// harmless — first writer wins, everyone reads the same number.
+    /// DP candidate. `OnceLock` so it fills through `&self`.
     uncovered_frac: Vec<OnceLock<f64>>,
 }
 
@@ -264,13 +253,6 @@ impl<'a> CostCtx<'a> {
         self.counters
             .theorem3_composed
             .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Report the width of a parallel section (high-water mark).
-    pub fn note_threads(&self, n: usize) {
-        self.counters
-            .threads_used
-            .fetch_max(n as u64, Ordering::Relaxed);
     }
 
     /// Snapshot of the counters.

@@ -12,7 +12,6 @@
 
 use std::sync::Arc;
 
-use payless_par::{par_map, par_map_range, planned_workers};
 use payless_semantic::{Consistency, RewriteConfig, SemanticStore};
 use payless_sql::AnalyzedQuery;
 use payless_stats::StatsRegistry;
@@ -179,8 +178,7 @@ enum Step {
 
 /// A persistent (shared-tail) list of steps, newest first. The 2^m DP
 /// entries mostly share spine prefixes, so extending a spine is one `Arc`
-/// allocation instead of cloning the whole step vector per candidate — and
-/// the cheap clones are what make handing entries to worker threads free.
+/// allocation instead of cloning the whole step vector per candidate.
 #[derive(Debug)]
 struct StepNode {
     step: Step,
@@ -214,9 +212,6 @@ struct LdEntry {
     steps: StepChain,
 }
 
-/// Smallest number of subset masks worth sending to one worker thread.
-const LD_MASK_CHUNK: usize = 8;
-
 fn left_deep(ctx: &CostCtx<'_>, cfg: &OptimizerConfig) -> Result<Optimized> {
     let n = ctx.query.tables.len();
     // Theorem 2: zero-price relations form the leftmost prefix (the
@@ -231,8 +226,7 @@ fn left_deep(ctx: &CostCtx<'_>, cfg: &OptimizerConfig) -> Result<Optimized> {
     let m = market.len();
 
     // Pre-memoize per-table fetch costs (one SemanticRewrite per table, as
-    // in Algorithm 2's size-1 loop). Sequential on purpose: each rewrite
-    // already fans out internally, and nesting scopes would oversubscribe.
+    // in Algorithm 2's size-1 loop).
     let fetch_costs: Vec<Option<Cost>> = market
         .iter()
         .map(|&t| {
@@ -247,28 +241,11 @@ fn left_deep(ctx: &CostCtx<'_>, cfg: &OptimizerConfig) -> Result<Optimized> {
         steps: None,
     });
 
-    // Wavefront by subset size: a mask of k bits only reads strictly
-    // smaller masks (its one-table-removed predecessors and Theorem 3's
-    // component masks), so within a level every mask is independent and the
-    // level can be scored in parallel against the frozen lower levels.
-    // Each mask's candidate loop keeps the sequential iteration order with
-    // strictly-better updates, and write-back runs in ascending mask order,
-    // so the chosen plan is byte-identical to a single-threaded run.
-    let mut levels: Vec<Vec<usize>> = vec![Vec::new(); m + 1];
+    // Ascending mask order: a mask only reads proper sub-masks (its
+    // one-table-removed predecessors and Theorem 3's component masks), and
+    // every proper sub-mask is numerically smaller, so it is already solved.
     for mask in 1usize..(1 << m) {
-        levels[mask.count_ones() as usize].push(mask);
-    }
-    for level in &levels {
-        if level.is_empty() {
-            continue;
-        }
-        ctx.note_threads(planned_workers(level.len(), LD_MASK_CHUNK));
-        let entries = par_map(level, LD_MASK_CHUNK, |_, &mask| {
-            ld_entry(ctx, cfg, &zero, &market, &fetch_costs, &best, mask)
-        });
-        for (&mask, entry) in level.iter().zip(entries) {
-            best[mask] = entry;
-        }
+        best[mask] = ld_entry(ctx, cfg, &zero, &market, &fetch_costs, &best, mask);
     }
 
     let full = (1usize << m) - 1;
@@ -285,8 +262,7 @@ fn left_deep(ctx: &CostCtx<'_>, cfg: &OptimizerConfig) -> Result<Optimized> {
 }
 
 /// Score one subset mask against the already-solved smaller subsets.
-/// Pure except for the (order-independent, atomic) search counters, so the
-/// wavefront can evaluate masks of one level on any thread in any order.
+/// Pure except for the search counters.
 fn ld_entry(
     ctx: &CostCtx<'_>,
     cfg: &OptimizerConfig,
@@ -508,19 +484,15 @@ struct BushyEntry {
     choice: BushyChoice,
 }
 
-/// Smallest number of bushy masks worth sending to one worker thread (each
-/// mask enumerates up to 2^|mask| splits, so chunks are small).
-const BUSHY_MASK_CHUNK: usize = 4;
-
 fn bushy(ctx: &CostCtx<'_>) -> Result<Optimized> {
     let n = ctx.query.tables.len();
     let mut best: Vec<Option<BushyEntry>> = vec![None; 1usize << n];
     // Connectivity memo per mask (for Cartesian-product avoidance: every
     // cut of a connected join graph has a crossing edge, so edge-less
-    // splits of connected masks are never needed). Independent per mask.
-    let connected: Vec<bool> = par_map_range(1usize << n, 512, |mask| {
-        tables_connected(ctx, &tables_of(mask, n))
-    });
+    // splits of connected masks are never needed).
+    let connected: Vec<bool> = (0..1usize << n)
+        .map(|mask| tables_connected(ctx, &tables_of(mask, n)))
+        .collect();
 
     for t in 0..n {
         ctx.count_plan();
@@ -537,25 +509,12 @@ fn bushy(ctx: &CostCtx<'_>) -> Result<Optimized> {
         }
     }
 
-    // Same wavefront argument as the left-deep engine: a mask's splits are
-    // all strictly smaller masks, so levels parallelize and each mask keeps
-    // the sequential descending-split order internally.
-    let mut levels: Vec<Vec<usize>> = vec![Vec::new(); n + 1];
+    // Ascending mask order, as in the left-deep engine: both sides of every
+    // split are proper sub-masks, hence smaller and already solved. Single
+    // tables keep the leaf entries seeded above.
     for mask in 1usize..(1 << n) {
         if mask.count_ones() >= 2 {
-            levels[mask.count_ones() as usize].push(mask);
-        }
-    }
-    for level in &levels {
-        if level.is_empty() {
-            continue;
-        }
-        ctx.note_threads(planned_workers(level.len(), BUSHY_MASK_CHUNK));
-        let entries = par_map(level, BUSHY_MASK_CHUNK, |_, &mask| {
-            bushy_entry(ctx, &connected, &best, n, mask)
-        });
-        for (&mask, entry) in level.iter().zip(entries) {
-            best[mask] = entry;
+            best[mask] = bushy_entry(ctx, &connected, &best, n, mask);
         }
     }
 
@@ -1183,7 +1142,7 @@ mod tests {
     }
 
     /// An n-table chain query (C0 ⋈ C1 ⋈ ... on b = a) with trained
-    /// per-table histograms, big enough that the DP wavefront chunks.
+    /// per-table histograms.
     fn chain_fixture(
         n: usize,
     ) -> (
@@ -1231,30 +1190,42 @@ mod tests {
         (q, stats, store, meta)
     }
 
-    /// The wavefront parallelization must be invisible: the same plan string
-    /// and bit-identical costs at every thread count, for both engines.
+    /// Plans, cost bits and search effort pinned from commit bd3e241 (the
+    /// popcount-level DP). A reordering of the mask walk that changes a plan,
+    /// flips a tie-break (every table of the chain costs the same, so the
+    /// join order below is decided by ties alone) or costs a different number
+    /// of candidates fails here.
     #[test]
-    fn parallel_dp_matches_single_threaded() {
-        let (q, stats, store, meta) = chain_fixture(6);
-        for cfg in [
-            OptimizerConfig::payless_no_sqr(),
-            OptimizerConfig::disable_all(),
-        ] {
-            let seq = payless_par::with_max_threads(1, || {
-                optimize(&q, &stats, &store, &meta, &cfg, 0).unwrap()
-            });
-            for threads in [2usize, 4] {
-                let par = payless_par::with_max_threads(threads, || {
-                    optimize(&q, &stats, &store, &meta, &cfg, 0).unwrap()
-                });
-                assert_eq!(
-                    par.plan.to_string(),
-                    seq.plan.to_string(),
-                    "{threads} threads"
-                );
-                assert_eq!(par.cost.primary.to_bits(), seq.cost.primary.to_bits());
-                assert_eq!(par.cost.secondary.to_bits(), seq.cost.secondary.to_bits());
-            }
+    fn golden_plans_are_unchanged() {
+        // (tables, config, plan, (primary, secondary) cost bits, plans considered)
+        type Row = (usize, &'static str, &'static str, (u64, u64), u64);
+        const PLAN_6: &str = "(((((T5 ⋈ T4) ⋈ T3) ⋈ T2) ⋈ T1) ⋈ T0)";
+        const PLAN_8: &str = "(((((((T7 ⋈ T6) ⋈ T5) ⋈ T4) ⋈ T3) ⋈ T2) ⋈ T1) ⋈ T0)";
+        const COST_6: (u64, u64) = (0x4082_c000_0000_0000, 0x40ed_4c00_0000_0000);
+        const COST_8: (u64, u64) = (0x4089_0000_0000_0000, 0x40f3_8800_0000_0000);
+        const GOLDEN: &[Row] = &[
+            (6, "payless", PLAN_6, COST_6, 194),
+            (6, "payless_no_sqr", PLAN_6, COST_6, 194),
+            (6, "disable_all", PLAN_6, COST_6, 800),
+            (8, "payless", PLAN_8, COST_8, 571),
+            (8, "payless_no_sqr", PLAN_8, COST_8, 571),
+            (8, "disable_all", PLAN_8, COST_8, 7146),
+        ];
+        for &(n, name, plan, cost, plans_considered) in GOLDEN {
+            let cfg = match name {
+                "payless" => OptimizerConfig::payless(),
+                "payless_no_sqr" => OptimizerConfig::payless_no_sqr(),
+                _ => OptimizerConfig::disable_all(),
+            };
+            let (q, stats, store, meta) = chain_fixture(n);
+            let out = optimize(&q, &stats, &store, &meta, &cfg, 0).unwrap();
+            let got = (out.cost.primary.to_bits(), out.cost.secondary.to_bits());
+            assert_eq!(out.plan.to_string(), plan, "{n} tables, {name}");
+            assert_eq!(got, cost, "{n} tables, {name}");
+            assert_eq!(
+                out.counters.plans_considered, plans_considered,
+                "{n} tables, {name}"
+            );
         }
     }
 }

@@ -71,22 +71,21 @@ pub fn greedy_cover(n_elements: usize, sets: &[CoverSet]) -> Option<Vec<usize>> 
             .count()
     };
 
-    // The initial weight of every set is computed before any pick, so the
-    // evaluations are independent — chunk them across scoped threads for
-    // large candidate pools. The heap's total order (ratio, then coverage,
-    // then set index) fully determines pop order, so heap-internal layout
-    // differences cannot change which sets get chosen.
-    let mut heap: std::collections::BinaryHeap<Entry> = payless_par::par_map(sets, 128, |i, s| {
-        let new = fresh_new(&covered, s);
-        (new > 0).then(|| Entry {
-            ratio: s.cost / new as f64,
-            new,
-            set: i,
+    // The heap's total order (ratio, then coverage, then set index) fully
+    // determines pop order, so heap-internal layout cannot change which sets
+    // get chosen.
+    let mut heap: std::collections::BinaryHeap<Entry> = sets
+        .iter()
+        .enumerate()
+        .filter_map(|(i, s)| {
+            let new = fresh_new(&covered, s);
+            (new > 0).then(|| Entry {
+                ratio: s.cost / new as f64,
+                new,
+                set: i,
+            })
         })
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+        .collect();
 
     while n_covered < n_elements {
         let top = heap.pop()?;

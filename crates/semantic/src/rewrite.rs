@@ -18,17 +18,11 @@
 use std::borrow::Borrow;
 
 use payless_geometry::{decompose_pieces, Interval, QuerySpace, Region};
-use payless_par::{par_map, planned_workers};
 use payless_stats::CardinalityModel;
 #[cfg(test)]
 use payless_stats::TableStats;
 
 use crate::cover::{greedy_cover, CoverSet};
-
-/// Smallest number of candidate scorings worth a worker thread: one
-/// statistics probe walks every histogram bucket, so chunks of this size
-/// dominate thread spawn cost.
-const SCORE_CHUNK: usize = 16;
 
 /// Tuning knobs of the rewriter (the defaults match the paper's setup; the
 /// flags exist for the Figure 15 ablation).
@@ -106,9 +100,6 @@ pub struct Rewrite {
     pub cover_sets: u64,
     /// Sets the greedy cover actually chose.
     pub cover_chosen: u64,
-    /// Worker threads the candidate scoring fan-out used (1 when the input
-    /// was too small to chunk or a fast path bypassed scoring).
-    pub threads_used: u64,
 }
 
 /// Disjoint union of several queries' remainder sets — the batched
@@ -144,12 +135,9 @@ pub fn est_transactions(est: f64, page_size: u64) -> f64 {
 /// given stored `views`.
 ///
 /// Views may be passed by value or as `Arc<Region>` handles straight out of
-/// the semantic store's index. Candidate scoring fans out over scoped
-/// threads (capped by `PAYLESS_THREADS`); results are byte-identical to a
-/// single-threaded run because scores come back positionally and all
-/// selection logic stays sequential.
-pub fn rewrite<V: Borrow<Region> + Sync>(
-    stats: &(dyn CardinalityModel + Sync),
+/// the semantic store's index.
+pub fn rewrite<V: Borrow<Region>>(
+    stats: &dyn CardinalityModel,
     page_size: u64,
     query: &Region,
     views: &[V],
@@ -174,7 +162,7 @@ pub fn rewrite<V: Borrow<Region> + Sync>(
 /// set, so covers remain feasible and exact-mode spend at `page_size == 1`
 /// is unchanged.
 pub fn rewrite_cached(
-    stats: &(dyn CardinalityModel + Sync),
+    stats: &dyn CardinalityModel,
     page_size: u64,
     query: &Region,
     pieces: &[Region],
@@ -190,7 +178,6 @@ pub fn rewrite_cached(
             boxes_kept: 0,
             cover_sets: 0,
             cover_chosen: 0,
-            threads_used: 1,
         };
     }
 
@@ -218,7 +205,6 @@ pub fn rewrite_cached(
             boxes_kept: n,
             cover_sets: 0,
             cover_chosen: 0,
-            threads_used: 1,
         };
     }
 
@@ -266,7 +252,6 @@ pub fn rewrite_cached(
                 boxes_kept: 1,
                 cover_sets: 0,
                 cover_chosen: 0,
-                threads_used: 1,
             };
         }
         return Rewrite {
@@ -277,7 +262,6 @@ pub fn rewrite_cached(
             boxes_kept: n,
             cover_sets: 0,
             cover_chosen: 0,
-            threads_used: 1,
         };
     }
 
@@ -367,7 +351,6 @@ pub fn rewrite_cached(
             boxes_kept: n,
             cover_sets: 0,
             cover_chosen: 0,
-            threads_used: 1,
         };
     }
 
@@ -393,9 +376,9 @@ pub fn rewrite_cached(
 
     // --- Pruning (Algorithm 1) ---
     // Rule 1 (minimality) is pure geometry — no statistics probe — so it
-    // runs *before* the parallel fan-out: worker threads only ever score
-    // rule-1 survivors. Rule 2 compares a box's price against the sum of
-    // its parts, so it necessarily runs after scoring, on one thread.
+    // runs *before* scoring: only rule-1 survivors are ever priced. Rule 2
+    // compares a box's price against the sum of its parts, so it
+    // necessarily runs after scoring.
     let mut survivors: Vec<(Region, Vec<usize>)> = Vec::new();
     for b in candidates {
         let mut contained = Vec::new();
@@ -419,21 +402,14 @@ pub fn rewrite_cached(
     }
 
     // Price scoring: one statistics probe per cell and per surviving
-    // candidate, each independent — the rewriter's dominant cost at high
-    // view counts. Scores come back positionally, so the downstream
-    // selection is oblivious to the thread count.
-    let threads_used = planned_workers(cells.len(), SCORE_CHUNK)
-        .max(planned_workers(survivors.len(), SCORE_CHUNK)) as u64;
-    let cell_prices: Vec<f64> = par_map(&cells, SCORE_CHUNK, |_, c| {
-        est_transactions(stats.estimate(c), page_size)
-    });
-    let prices: Vec<f64> = par_map(&survivors, SCORE_CHUNK, |_, (b, _)| {
-        est_transactions(stats.estimate(b), page_size)
-    });
+    // candidate — the rewriter's dominant cost at high view counts.
+    let price_of = |r: &Region| est_transactions(stats.estimate(r), page_size);
+    let cell_prices: Vec<f64> = cells.iter().map(price_of).collect();
 
     let mut sets: Vec<CoverSet> = Vec::new();
     let mut regions: Vec<Region> = Vec::new();
-    for ((b, contained), price) in survivors.into_iter().zip(prices) {
+    for (b, contained) in survivors {
+        let price = price_of(&b);
         // Pruning rule 2: a multi-cell box must beat the sum of its parts.
         // Per-cell boxes are always kept so the cover stays feasible.
         if cfg.price_pruning && contained.len() > 1 {
@@ -463,7 +439,6 @@ pub fn rewrite_cached(
         boxes_kept,
         cover_sets: boxes_kept,
         cover_chosen,
-        threads_used,
     }
 }
 
@@ -890,51 +865,104 @@ mod tests {
         }
     }
 
-    /// The parallel scoring fan-out must be invisible: identical remainders
-    /// and bit-identical cost estimates at any thread count.
+    /// Algorithm 1's output on the hot-path bench's 225-view store (15x15
+    /// disjoint views, query window 6x6), pinned from commit bd3e241.
+    /// Greedy-cover order is price- and index-sensitive, so a scoring or
+    /// tie-break change shows up as a reordered or different remainder list.
+    /// The histogram is trained to the bench's smoke depth (256 buckets):
+    /// the full 4096 take over a minute to train in a debug build.
     #[test]
-    fn parallel_rewrite_matches_single_threaded() {
+    fn golden_rewrite_is_unchanged() {
+        use crate::{Consistency, SemanticStore, StoreConfig};
+        const GOLDEN_EST_BITS: u64 = 0x40b7_9900_0000_0000;
+        const GOLDEN_BOXES: (u64, u64, u64) = (6084, 534, 108);
+        const GOLDEN_REMAINDERS: &str = "\
+            ⟨[0, 99] × [500, 799]⟩ ⟨[0, 99] × [900, 1199]⟩ ⟨[0, 99] × [1300, 1599]⟩ \
+            ⟨[0, 99] × [1700, 1999]⟩ ⟨[0, 99] × [2100, 2399]⟩ ⟨[100, 399] × [0, 99]⟩ \
+            ⟨[100, 399] × [800, 899]⟩ ⟨[100, 399] × [1200, 1299]⟩ ⟨[100, 399] × [1600, 1699]⟩ \
+            ⟨[100, 399] × [2000, 2099]⟩ ⟨[400, 499] × [100, 399]⟩ ⟨[400, 499] × [1300, 1599]⟩ \
+            ⟨[400, 499] × [1700, 1999]⟩ ⟨[400, 499] × [2100, 2399]⟩ ⟨[500, 799] × [1600, 1699]⟩ \
+            ⟨[500, 799] × [2000, 2099]⟩ ⟨[800, 899] × [100, 399]⟩ ⟨[800, 899] × [900, 1199]⟩ \
+            ⟨[800, 899] × [1700, 1999]⟩ ⟨[800, 899] × [2100, 2399]⟩ ⟨[900, 1199] × [0, 99]⟩ \
+            ⟨[900, 1199] × [400, 499]⟩ ⟨[900, 1199] × [1200, 1299]⟩ ⟨[1200, 1299] × [100, 399]⟩ \
+            ⟨[1200, 1299] × [500, 799]⟩ ⟨[1200, 1299] × [1700, 1999]⟩ ⟨[1300, 1599] × [0, 99]⟩ \
+            ⟨[1300, 1599] × [400, 499]⟩ ⟨[1300, 1599] × [800, 899]⟩ ⟨[1300, 1599] × [1200, 1299]⟩ \
+            ⟨[1300, 1599] × [2000, 2099]⟩ ⟨[1600, 1699] × [100, 399]⟩ ⟨[1600, 1699] × [500, 799]⟩ \
+            ⟨[1600, 1699] × [900, 1199]⟩ ⟨[1600, 1699] × [1300, 1599]⟩ ⟨[1700, 1999] × [0, 99]⟩ \
+            ⟨[1700, 1999] × [400, 499]⟩ ⟨[1700, 1999] × [800, 899]⟩ ⟨[1700, 1999] × [1200, 1299]⟩ \
+            ⟨[1700, 1999] × [1600, 1699]⟩ ⟨[2000, 2099] × [100, 399]⟩ ⟨[2000, 2099] × [500, 799]⟩ \
+            ⟨[2000, 2099] × [900, 1199]⟩ ⟨[2000, 2099] × [1300, 1599]⟩ ⟨[2000, 2099] × [1700, 1999]⟩ \
+            ⟨[2000, 2099] × [2100, 2399]⟩ ⟨[2100, 2399] × [0, 99]⟩ ⟨[2100, 2399] × [400, 499]⟩ \
+            ⟨[2100, 2399] × [800, 899]⟩ ⟨[2100, 2399] × [1200, 1299]⟩ ⟨[2100, 2399] × [1600, 1699]⟩ \
+            ⟨[2100, 2399] × [2000, 2099]⟩ ⟨[400, 499] × [900, 1199]⟩ ⟨[500, 799] × [400, 499]⟩ \
+            ⟨[500, 799] × [800, 899]⟩ ⟨[1200, 1299] × [900, 1199]⟩ ⟨[1200, 1299] × [1300, 1599]⟩ \
+            ⟨[1600, 1699] × [2100, 2399]⟩ ⟨[1700, 1999] × [2000, 2099]⟩ ⟨[0, 99] × [100, 399]⟩ \
+            ⟨[400, 499] × [500, 799]⟩ ⟨[500, 799] × [0, 99]⟩ ⟨[800, 899] × [500, 799]⟩ \
+            ⟨[900, 1199] × [800, 899]⟩ ⟨[900, 1199] × [1600, 1699]⟩ ⟨[900, 1199] × [2000, 2099]⟩ \
+            ⟨[1300, 1599] × [1600, 1699]⟩ ⟨[1600, 1699] × [1700, 1999]⟩ ⟨[100, 399] × [400, 499]⟩ \
+            ⟨[500, 799] × [1200, 1299]⟩ ⟨[800, 899] × [1300, 1599]⟩ ⟨[1200, 1299] × [2100, 2399]⟩ \
+            ⟨[100, 399] × [900, 1199]⟩ ⟨[100, 399] × [1300, 1599]⟩ ⟨[100, 399] × [1700, 1999]⟩ \
+            ⟨[100, 399] × [2100, 2399]⟩ ⟨[500, 799] × [500, 799]⟩ ⟨[500, 799] × [1700, 1999]⟩ \
+            ⟨[500, 799] × [2100, 2399]⟩ ⟨[900, 1199] × [100, 399]⟩ ⟨[900, 1199] × [1300, 1599]⟩ \
+            ⟨[1300, 1599] × [100, 399]⟩ ⟨[1300, 1599] × [500, 799]⟩ ⟨[1300, 1599] × [900, 1199]⟩ \
+            ⟨[1700, 1999] × [100, 399]⟩ ⟨[1700, 1999] × [500, 799]⟩ ⟨[1700, 1999] × [900, 1199]⟩ \
+            ⟨[1700, 1999] × [1300, 1599]⟩ ⟨[1700, 1999] × [1700, 1999]⟩ ⟨[2100, 2399] × [100, 399]⟩ \
+            ⟨[2100, 2399] × [500, 799]⟩ ⟨[2100, 2399] × [900, 1199]⟩ ⟨[2100, 2399] × [1300, 1599]⟩ \
+            ⟨[2100, 2399] × [1700, 1999]⟩ ⟨[2100, 2399] × [2100, 2399]⟩ ⟨[900, 1199] × [2100, 2399]⟩ \
+            ⟨[1300, 1599] × [2100, 2399]⟩ ⟨[500, 799] × [1300, 1599]⟩ ⟨[900, 1199] × [500, 799]⟩ \
+            ⟨[100, 399] × [100, 399]⟩ ⟨[100, 399] × [500, 799]⟩ ⟨[1300, 1599] × [1300, 1599]⟩ \
+            ⟨[1300, 1599] × [1700, 1999]⟩ ⟨[500, 799] × [900, 1199]⟩ ⟨[900, 1199] × [900, 1199]⟩ \
+            ⟨[500, 799] × [100, 399]⟩ ⟨[900, 1199] × [1700, 1999]⟩ ⟨[1700, 1999] × [2100, 2399]⟩";
+
+        const SPACING: i64 = 400;
+        let hi = 15 * SPACING - 1;
         let schema = Schema::new(
             "R",
             vec![
-                Column::free("A", Domain::int(0, 1999)),
-                Column::free("B", Domain::int(0, 1999)),
+                Column::free("A1", Domain::int(0, hi)),
+                Column::free("A2", Domain::int(0, hi)),
             ],
         );
-        let mut stats = TableStats::new(QuerySpace::of(&schema), 500_000);
-        for k in 0..64i64 {
-            let lo0 = (k * 53) % 1900;
-            let lo1 = (k * 97) % 1900;
-            stats.feedback(&region![(lo0, lo0 + 49), (lo1, lo1 + 49)], 300);
+        let mut stats = TableStats::new(QuerySpace::of(&schema), 4_000_000).with_max_buckets(256);
+        for k in 0..240i64 {
+            let lo0 = (k * 53) % (hi - 60);
+            let lo1 = (k * 97) % (hi - 60);
+            stats.feedback(&region![(lo0, lo0 + 59), (lo1, lo1 + 59)], 600);
         }
-        // A 6x6 grid of disjoint stored views: enough candidate boxes and
-        // uncovered cells that the scoring stage actually chunks.
-        let views: Vec<Region> = (0..6i64)
-            .flat_map(|gx| {
-                (0..6i64)
-                    .map(move |gy| region![(gx * 300, gx * 300 + 99), (gy * 300, gy * 300 + 99)])
-            })
-            .collect();
-        let q = region![(0, 1799), (0, 1799)];
+        let mut store = SemanticStore::new();
+        store.set_config(StoreConfig {
+            max_views: 512,
+            compaction: true,
+        });
+        store.register(QuerySpace::of(&schema));
+        for gx in 0..15 {
+            for gy in 0..15 {
+                let (x, y) = (gx * SPACING, gy * SPACING);
+                store.record("R", region![(x, x + 99), (y, y + 99)], 0);
+            }
+        }
+        let q = region![(0, 6 * SPACING - 1), (0, 6 * SPACING - 1)];
         let cfg = RewriteConfig {
             max_candidates: 8192,
             ..RewriteConfig::default()
         };
-        let seq = payless_par::with_max_threads(1, || rewrite(&stats, 100, &q, &views, &cfg));
-        assert!(!seq.fully_covered);
-        assert!(!seq.remainders.is_empty());
-        for threads in [2usize, 3, 8] {
-            let par =
-                payless_par::with_max_threads(threads, || rewrite(&stats, 100, &q, &views, &cfg));
-            assert_eq!(par.remainders, seq.remainders, "{threads} threads");
+
+        // Both production entry points: the store's cached remainder pieces
+        // and the from-scratch subtraction sweep.
+        let (views, pieces) = store.probe_rewrite("R", &q, Consistency::Weak, 0);
+        let pieces = pieces.expect("the gap cache answers a fresh store");
+        for (path, out) in [
+            ("cached", rewrite_cached(&stats, 100, &q, &pieces, &cfg)),
+            ("scratch", rewrite(&stats, 100, &q, &views, &cfg)),
+        ] {
+            let remainders: Vec<String> = out.remainders.iter().map(Region::to_string).collect();
+            assert_eq!(remainders.join(" "), GOLDEN_REMAINDERS, "{path}");
+            assert_eq!(out.est_transactions.to_bits(), GOLDEN_EST_BITS, "{path}");
             assert_eq!(
-                par.est_transactions.to_bits(),
-                seq.est_transactions.to_bits(),
-                "{threads} threads"
+                (out.boxes_enumerated, out.boxes_kept, out.cover_chosen),
+                GOLDEN_BOXES,
+                "{path}"
             );
-            assert_eq!(par.boxes_enumerated, seq.boxes_enumerated);
-            assert_eq!(par.boxes_kept, seq.boxes_kept);
-            assert_eq!(par.cover_chosen, seq.cover_chosen);
         }
     }
 

@@ -464,13 +464,6 @@ pub fn run_mix(serve: &Serve, mix: &[MixItem], templates: &[SelectStmt]) -> Resu
                 });
                 match outcome {
                     Ok((result, snap)) => {
-                        let counter = |name: &str| {
-                            snap.counters
-                                .iter()
-                                .find(|(k, _)| *k == name)
-                                .map(|(_, v)| *v)
-                                .unwrap_or(0)
-                        };
                         let row = QueryRow {
                             query_id,
                             client: item.client as u64,
@@ -481,10 +474,10 @@ pub fn run_mix(serve: &Serve, mix: &[MixItem], templates: &[SelectStmt]) -> Resu
                             wasted_pages: snap.wasted_pages(),
                             records: snap.total_records(),
                             price: snap.total_price(),
-                            coalesce_waits: counter("coalesce.waits"),
-                            saved_pages: counter("coalesce.saved_pages"),
-                            batch_joins: counter("batch.joins"),
-                            shared_pages: counter("batch.shared_pages"),
+                            coalesce_waits: snap.counter("coalesce.waits"),
+                            saved_pages: snap.counter("coalesce.saved_pages"),
+                            batch_joins: snap.counter("batch.joins"),
+                            shared_pages: snap.counter("batch.shared_pages"),
                             wall_nanos: t0.elapsed().as_nanos() as u64,
                         };
                         slots.lock().unwrap_or_else(|e| e.into_inner())[idx] = Some(row);

@@ -196,12 +196,7 @@ impl<'a> Watchdog<'a> {
         // on the tolerance side (drift ≤ deferred stays safe), never
         // missing from both.
         if let Some(deferred) = &self.deferred {
-            let settled = snap
-                .counters
-                .iter()
-                .find(|(k, _)| *k == "batch.settled_pages")
-                .map(|(_, v)| *v)
-                .unwrap_or(0);
+            let settled = snap.counter("batch.settled_pages");
             if settled > 0 {
                 let _ = deferred.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |d| {
                     Some(d.saturating_sub(settled))

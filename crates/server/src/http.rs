@@ -27,6 +27,8 @@ pub enum HttpError {
     TooLarge(String),
     /// A body past `MAX_BODY_BYTES` (413).
     BodyTooLarge(usize),
+    /// A body framing this codec does not implement (501).
+    Unsupported(String),
 }
 
 impl std::fmt::Display for HttpError {
@@ -36,6 +38,7 @@ impl std::fmt::Display for HttpError {
             HttpError::Malformed(m) => write!(f, "malformed request: {m}"),
             HttpError::TooLarge(m) => write!(f, "request too large: {m}"),
             HttpError::BodyTooLarge(n) => write!(f, "body of {n} bytes exceeds limit"),
+            HttpError::Unsupported(m) => write!(f, "not implemented: {m}"),
         }
     }
 }
@@ -48,6 +51,7 @@ impl HttpError {
             HttpError::Malformed(_) => (400, "Bad Request"),
             HttpError::TooLarge(_) => (431, "Request Header Fields Too Large"),
             HttpError::BodyTooLarge(_) => (413, "Payload Too Large"),
+            HttpError::Unsupported(_) => (501, "Not Implemented"),
         }
     }
 }
@@ -231,7 +235,24 @@ pub fn read_request(r: &mut impl BufRead) -> Result<Option<Request>, HttpError> 
         headers,
         body: Vec::new(),
     };
-    if let Some(len) = req.header("content-length") {
+    // A body this codec cannot frame must fail the request: left unread, its
+    // bytes would be parsed as the next request line on a kept-alive socket.
+    if req.header("transfer-encoding").is_some() {
+        return Err(HttpError::Unsupported(
+            "Transfer-Encoding bodies; send Content-Length".into(),
+        ));
+    }
+    let mut lengths = req
+        .headers
+        .iter()
+        .filter(|(k, _)| k == "content-length")
+        .map(|(_, v)| v.as_str());
+    if let Some(len) = lengths.next() {
+        if lengths.any(|other| other != len) {
+            return Err(HttpError::Malformed(
+                "conflicting content-length headers".into(),
+            ));
+        }
         let len: usize = len
             .parse()
             .map_err(|_| HttpError::Malformed(format!("bad content-length {len:?}")))?;
@@ -329,6 +350,31 @@ mod tests {
         .unwrap();
         assert_eq!(req.body, b"hello world");
         assert!(!req.keep_alive());
+    }
+
+    #[test]
+    fn transfer_encoding_is_answered_501_not_parsed_as_the_next_request() {
+        let err = parse(
+            "POST /v1/query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+             5\r\nhello\r\n0\r\n\r\n",
+        )
+        .unwrap_err();
+        assert!(matches!(err, HttpError::Unsupported(_)), "{err:?}");
+        assert_eq!(err.status().0, 501);
+    }
+
+    #[test]
+    fn differing_content_lengths_are_rejected_identical_ones_accepted() {
+        let err =
+            parse("POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 11\r\n\r\nhello world")
+                .unwrap_err();
+        assert!(matches!(err, HttpError::Malformed(_)), "{err:?}");
+        assert_eq!(err.status().0, 400);
+
+        let req = parse("POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello")
+            .unwrap()
+            .unwrap();
+        assert_eq!(req.body, b"hello");
     }
 
     #[test]

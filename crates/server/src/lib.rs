@@ -408,13 +408,6 @@ fn run_query(shared: &Arc<Shared>, req: &Request) -> Response {
         Err(e) => return Response::text(500, "Internal Server Error", format!("query: {e}\n")),
     };
     shared.queries_served.fetch_add(1, Ordering::SeqCst);
-    let counter = |name: &str| {
-        snap.counters
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    };
     let headers = vec![
         ("X-Payless-Query-Id".to_string(), query_id.to_string()),
         (
@@ -435,19 +428,19 @@ fn run_query(shared: &Arc<Shared>, req: &Request) -> Response {
         ),
         (
             "X-Payless-Coalesce-Waits".to_string(),
-            counter("coalesce.waits").to_string(),
+            snap.counter("coalesce.waits").to_string(),
         ),
         (
             "X-Payless-Saved-Pages".to_string(),
-            counter("coalesce.saved_pages").to_string(),
+            snap.counter("coalesce.saved_pages").to_string(),
         ),
         (
             "X-Payless-Batch-Joins".to_string(),
-            counter("batch.joins").to_string(),
+            snap.counter("batch.joins").to_string(),
         ),
         (
             "X-Payless-Shared-Pages".to_string(),
-            counter("batch.shared_pages").to_string(),
+            snap.counter("batch.shared_pages").to_string(),
         ),
         ("X-Payless-Rows".to_string(), result.rows.len().to_string()),
         ("X-Payless-Columns".to_string(), result.columns.join(",")),

@@ -351,6 +351,14 @@ impl TelemetrySnapshot {
         self.ledger.iter().map(|t| t.records).sum()
     }
 
+    /// Value of the monotonic counter `name`; 0 when it never fired.
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters
+            .iter()
+            .find(|(k, _)| *k == name)
+            .map_or(0, |(_, v)| *v)
+    }
+
     /// Calls billed without a usable delivery (truncated/corrupt payloads).
     pub fn wasted_calls(&self) -> u64 {
         self.ledger.iter().filter(|t| t.wasted).count() as u64

@@ -9,6 +9,6 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-exec cargo bench -q --bench hotpath -- validate-baselines \
+exec cargo bench -q --bench hotpath -- validate \
     "$PWD/BENCH_sqr.json" "$PWD/BENCH_dp.json" "$PWD/BENCH_metrics.json" \
     "$PWD/BENCH_batch.json" "$PWD/BENCH_events.json"
