@@ -7,8 +7,8 @@
 # Usage: ./ci.sh [stage]
 #   fmt | clippy | tier1 | fault-smoke | bench-smoke | explain-smoke |
 #   serve-smoke | metrics-smoke | events-smoke | store-scale | batch-smoke |
-#   server-smoke | recovery-smoke | benchmark-smoke | nightly-chaos |
-#   bench-diff | smokes | all
+#   server-smoke | recovery-smoke | benchmark-smoke | results-check |
+#   nightly-chaos | bench-diff | smokes | all
 # With no argument, `all` runs every stage in order — exactly what the
 # staged GitHub workflow (.github/workflows/ci.yml) runs job by job.
 # (`nightly-chaos` is not part of `all`; the scheduled workflow runs it.)
@@ -386,6 +386,25 @@ benchmark_smoke() {
     return "$_rc"
 }
 
+results_check() {
+    echo "== results check: planspace, ablation and fig10 reproduce results/ byte for byte =="
+    # The figure binaries print transaction counts and plan counts, never
+    # wall-clock time, so a `PayLess` session that plans or pays differently
+    # in any of the four paper modes shows up as a diff here. planspace and
+    # ablation take 0.1 s each, fig10 about a minute; fig11-15 ride the same
+    # session code and are regenerated by hand (EXPERIMENTS.md). The knobs
+    # that rescale the figures are cleared so the committed defaults run.
+    RES_DIR="$PWD/target/results-check"
+    mkdir -p "$RES_DIR"
+    cargo build -q --release -p payless-bench --bin planspace --bin ablation --bin fig10
+    for _fig in planspace ablation fig10; do
+        env -u PAYLESS_REPS -u PAYLESS_JSON -u PAYLESS_Q_REAL -u PAYLESS_Q_TPCH \
+            -u PAYLESS_SCALE_REAL -u PAYLESS_SCALE_TPCH \
+            "./target/release/$_fig" >"$RES_DIR/$_fig.txt"
+        diff -u "results/$_fig.txt" "$RES_DIR/$_fig.txt"
+    done
+}
+
 nightly_chaos() {
     echo "== nightly chaos: server + recovery smokes at extra seeds =="
     # The scheduled (non-blocking) sweep: re-run the network e2e smoke with
@@ -423,6 +442,7 @@ smokes() {
     server_smoke
     recovery_smoke
     benchmark_smoke
+    results_check
 }
 
 all() {
@@ -449,12 +469,13 @@ case "$stage" in
     server-smoke) server_smoke ;;
     recovery-smoke) recovery_smoke ;;
     benchmark-smoke) benchmark_smoke ;;
+    results-check) results_check ;;
     nightly-chaos) nightly_chaos ;;
     bench-diff) bench_diff ;;
     smokes) smokes ;;
     all) all ;;
     *)
-        echo "ci.sh: unknown stage \`$stage\` (fmt|clippy|tier1|fault-smoke|bench-smoke|explain-smoke|serve-smoke|metrics-smoke|events-smoke|store-scale|batch-smoke|server-smoke|recovery-smoke|benchmark-smoke|nightly-chaos|bench-diff|smokes|all)" >&2
+        echo "ci.sh: unknown stage \`$stage\` (fmt|clippy|tier1|fault-smoke|bench-smoke|explain-smoke|serve-smoke|metrics-smoke|events-smoke|store-scale|batch-smoke|server-smoke|recovery-smoke|benchmark-smoke|results-check|nightly-chaos|bench-diff|smokes|all)" >&2
         exit 2
         ;;
 esac

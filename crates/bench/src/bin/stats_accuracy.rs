@@ -52,7 +52,11 @@ fn run_backend(workload: &RealWorkload, backend: StatsBackend, q: usize) {
         .iter()
         .find(|t| &*t.schema.table == "Weather")
         .expect("weather table");
-    let space = pl.stats().table("Weather").unwrap().space().clone();
+    let space = pl
+        .state()
+        .store()
+        .space("Weather")
+        .expect("weather is a market table");
     let truth = |region: &Region| -> u64 {
         weather
             .rows()
@@ -107,7 +111,8 @@ fn run_backend(workload: &RealWorkload, backend: StatsBackend, q: usize) {
     }
 
     let mean_error = |pl: &PayLess, probes: &[Region]| -> f64 {
-        let stats = pl.stats().table("Weather").unwrap();
+        let registry = pl.state().stats_snapshot();
+        let stats = registry.table("Weather").unwrap();
         let mut total = 0.0;
         for p in probes {
             let est = stats.estimate(p);

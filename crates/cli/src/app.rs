@@ -362,8 +362,8 @@ impl App {
                         s.push_str(&format!(
                             "  {:<10} {:>6.1}%  ({} stored view boxes)\n",
                             name,
-                            self.session.store().coverage_fraction(&name) * 100.0,
-                            self.session.store().view_count(&name),
+                            self.session.state().store().coverage_fraction(&name) * 100.0,
+                            self.session.state().store().view_count(&name),
                         ));
                     }
                     Reply::Text(s)

@@ -49,7 +49,7 @@ pub use payless_events::{
     Provenance, Severity,
 };
 pub use payless_exec::{
-    CallBudget, CallCoalescer, CallOutcome, ExecState, QueryResult, RetryPolicy, SharedState,
+    CallBudget, CallCoalescer, CallOutcome, QueryResult, RetryPolicy, SharedState,
 };
 pub use payless_market::{BillingReport, DataMarket, Dataset, FaultInjector, FaultKind, FaultPlan};
 pub use payless_metrics::{enabled_from_env, MetricsConfig, MetricsHub};
@@ -64,6 +64,5 @@ pub use payless_telemetry::{
 };
 pub use report::QueryReport;
 pub use session::{
-    build_market, BatchOutcome, HistoryEntry, Mode, PayLess, PayLessConfig, QueryOutcome,
-    SessionSnapshot,
+    build_market, HistoryEntry, Mode, PayLess, PayLessConfig, QueryOutcome, SessionSnapshot,
 };

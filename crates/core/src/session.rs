@@ -4,13 +4,16 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use payless_exec::{ensure_downloaded, ExecConfig, Executor, QueryResult, RetryPolicy};
-use payless_geometry::QuerySpace;
+use payless_exec::{
+    ensure_downloaded, ExecConfig, Executor, QueryResult, RetryPolicy, SharedState,
+};
 use payless_json::{FromJson, Json, ToJson};
 use payless_market::DataMarket;
 use payless_metrics::MetricsHub;
-use payless_optimizer::{optimize, OptimizerConfig, PlanCounters, PlanNode};
-use payless_semantic::{Consistency, RewriteConfig, SemanticStore, StoreConfig};
+use payless_optimizer::{optimize, Optimized, OptimizerConfig, PlanCounters, PlanNode};
+use payless_semantic::{
+    Consistency, RewriteConfig, SemanticStore, SharedSemanticStore, StoreConfig,
+};
 use payless_sql::{analyze, parse, AnalyzedQuery, Catalog, MapCatalog, SelectStmt, TableLocation};
 use payless_stats::{StatsBackend, StatsRegistry};
 use payless_storage::{Database, LocalTable};
@@ -103,16 +106,6 @@ pub struct QueryOutcome {
     pub report: Option<QueryReport>,
 }
 
-/// The result of a batch run: per-query outcomes (original order) plus the
-/// execution order the scheduler chose.
-#[derive(Debug, Clone)]
-pub struct BatchOutcome {
-    /// One outcome per submitted query, in submission order.
-    pub outcomes: Vec<QueryOutcome>,
-    /// The order the queries were actually executed in.
-    pub execution_order: Vec<usize>,
-}
-
 /// One line of the session's query log.
 #[derive(Debug, Clone)]
 pub struct HistoryEntry {
@@ -169,9 +162,10 @@ impl FromJson for SessionSnapshot {
 pub struct PayLess {
     market: Arc<DataMarket>,
     catalog: MapCatalog,
-    db: Database,
-    store: SemanticStore,
-    stats: StatsRegistry,
+    /// The buyer side of Figure 3 — local DBMS, semantic store, statistics —
+    /// in the same shape the serving layer shares between clients; here its
+    /// locks are simply never contended.
+    state: SharedState,
     cfg: PayLessConfig,
     /// Logical clock: advanced once per executed query; drives X-week
     /// consistency windows.
@@ -191,26 +185,21 @@ impl PayLess {
     /// Install PayLess over a market: registers every hosted table's schema,
     /// cardinality and query space (the "basic statistics" of Section 2.1).
     pub fn new(market: Arc<DataMarket>, cfg: PayLessConfig) -> Self {
-        let mut catalog = MapCatalog::new();
-        let mut stats = StatsRegistry::new().with_backend(cfg.stats_backend);
-        let mut store = SemanticStore::new();
-        store.set_config(cfg.store);
-        for name in market.table_names() {
-            let schema = market.schema(&name).expect("listed table").clone();
-            let cardinality = market.cardinality(&name).expect("listed table");
-            catalog.add(schema.clone(), TableLocation::Market);
-            stats.register(&schema, cardinality);
-            store.register(QuerySpace::of(&schema));
-        }
         let recorder = Arc::new(Recorder::default());
         market.attach_recorder(recorder.clone());
+        let mut store = SemanticStore::new();
+        store.set_config(cfg.store);
         store.attach_recorder(recorder.clone());
+        let (catalog, state) = SharedState::for_market(
+            &market,
+            &[],
+            store,
+            StatsRegistry::new().with_backend(cfg.stats_backend),
+        );
         PayLess {
             market,
             catalog,
-            db: Database::new(),
-            store,
-            stats,
+            state,
             cfg,
             now: 0,
             history: Vec::new(),
@@ -234,7 +223,7 @@ impl PayLess {
     /// maps the `PAYLESS_EVENTS*` knobs onto this; the library itself
     /// never reads the environment.
     pub fn attach_events(&mut self, journal: Arc<payless_events::EventJournal>) {
-        self.store.attach_events(journal.clone());
+        self.state.store().attach_events(journal.clone());
         self.events = Some(journal);
     }
 
@@ -265,8 +254,7 @@ impl PayLess {
     /// Register a table in the buyer's local DBMS.
     pub fn register_local(&mut self, table: LocalTable) {
         self.catalog.add(table.schema.clone(), TableLocation::Local);
-        self.stats.register(&table.schema, table.len() as u64);
-        self.db.register(table);
+        self.state.register_local(table);
     }
 
     /// The market this session fronts.
@@ -284,15 +272,10 @@ impl PayLess {
         self.now
     }
 
-    /// Read-only view of the refined statistics (for tooling and
-    /// experiments).
-    pub fn stats(&self) -> &StatsRegistry {
-        &self.stats
-    }
-
-    /// Read-only view of the semantic store.
-    pub fn store(&self) -> &SemanticStore {
-        &self.store
+    /// The buyer-side state: local mirror, semantic store and refined
+    /// statistics (for tooling and experiments).
+    pub fn state(&self) -> &SharedState {
+        &self.state
     }
 
     /// The session's query log, oldest first.
@@ -327,16 +310,27 @@ impl PayLess {
         if query.unsatisfiable {
             return Ok(("<unsatisfiable: empty result, no plan needed>".into(), 0.0));
         }
-        let optimized = optimize(
-            &query,
-            &self.stats,
-            &self.store,
-            self.market.as_ref(),
-            &self.optimizer_config(),
-            self.now,
-        )?;
+        let optimized = self.plan(&query, &self.optimizer_config())?;
         let names = |t: usize| query.tables[t].name.to_string();
         Ok((optimized.plan.render(&names), optimized.cost.primary))
+    }
+
+    /// Plan `query` the way the serving layer does: against point-in-time
+    /// copies of the store and the statistics (the executor re-rewrites
+    /// against live state anyway). The store copy arrives with no recorder
+    /// attached, so the session attaches its own — plan-search probes keep
+    /// counting into `\report`'s `store.*` lines.
+    fn plan(&self, query: &AnalyzedQuery, cfg: &OptimizerConfig) -> Result<Optimized> {
+        let mut store = self.state.store().snapshot();
+        store.attach_recorder(self.recorder.clone());
+        optimize(
+            query,
+            &self.state.stats_snapshot(),
+            &store,
+            self.market.as_ref(),
+            cfg,
+            self.now,
+        )
     }
 
     /// `EXPLAIN ANALYZE`: run `sql` with tracing forced on and return the
@@ -364,16 +358,7 @@ impl PayLess {
         }
         cfg.sqr = false;
         cfg.introspect = false;
-        optimize(
-            query,
-            &self.stats,
-            &self.store,
-            self.market.as_ref(),
-            &cfg,
-            self.now,
-        )
-        .ok()
-        .map(|o| o.cost.primary)
+        self.plan(query, &cfg).ok().map(|o| o.cost.primary)
     }
 
     /// The ideal Download-All price for `query`: one full scan of every
@@ -470,15 +455,8 @@ impl PayLess {
 
         // Unsatisfiable queries cost nothing.
         if query.unsatisfiable {
-            let executor = Executor::new(
-                query,
-                &self.market,
-                &mut self.db,
-                &mut self.store,
-                &mut self.stats,
-                &exec_cfg,
-                self.now,
-            );
+            let executor =
+                Executor::shared(query, &self.market, &self.state, &exec_cfg, self.now, None);
             return Ok(QueryOutcome {
                 result: executor.empty_result()?,
                 plan: None,
@@ -497,24 +475,9 @@ impl PayLess {
         // first; the optimizer then finds a zero-cost plan.
         if self.cfg.mode == Mode::DownloadAll {
             let _span = self.recorder.span("phase.download-all", || None);
-            let scope = self
-                .events
-                .as_deref()
-                .map(|j| payless_events::EventScope::new(j, self.now));
             for t in &query.tables {
                 if t.location == TableLocation::Market {
-                    ensure_downloaded(
-                        &t.schema,
-                        &self.market,
-                        &mut self.db,
-                        &mut self.store,
-                        &mut self.stats,
-                        self.now,
-                        Some(self.recorder.as_ref()),
-                        &self.cfg.retry,
-                        self.metrics.as_deref(),
-                        scope.as_ref(),
-                    )?;
+                    ensure_downloaded(&t.schema, &self.market, &self.state, &exec_cfg, self.now)?;
                 }
             }
         }
@@ -522,26 +485,12 @@ impl PayLess {
         let mut opt_cfg = self.optimizer_config();
         opt_cfg.introspect = tracing;
         let t0 = Instant::now();
-        let optimized = optimize(
-            query,
-            &self.stats,
-            &self.store,
-            self.market.as_ref(),
-            &opt_cfg,
-            self.now,
-        )?;
+        let optimized = self.plan(query, &opt_cfg)?;
         let optimize_nanos = t0.elapsed().as_nanos() as u64;
 
         let t1 = Instant::now();
-        let mut executor = Executor::new(
-            query,
-            &self.market,
-            &mut self.db,
-            &mut self.store,
-            &mut self.stats,
-            &exec_cfg,
-            self.now,
-        );
+        let mut executor =
+            Executor::shared(query, &self.market, &self.state, &exec_cfg, self.now, None);
         let result = executor.execute(&optimized.plan)?;
         let execute_nanos = t1.elapsed().as_nanos() as u64;
         let actuals = executor.op_actuals().to_vec();
@@ -581,64 +530,6 @@ impl PayLess {
     }
 
     // ------------------------------------------------------------------
-    // Multi-query (batch) optimization — the paper's future work
-    // ------------------------------------------------------------------
-
-    /// Execute a batch of queries in a cost-aware order.
-    ///
-    /// The paper's conclusion sketches this: "we will incorporate
-    /// multi-query optimization in PayLess if users are willing to defer
-    /// theirs to become a batch". The total money for a batch is the price
-    /// of the *union* of regions fetched plus per-call page-rounding
-    /// overhead; fetching large regions first lets smaller overlapping
-    /// queries ride for free instead of pre-fragmenting the space into many
-    /// partially-filled transactions. The scheduler therefore runs queries
-    /// in descending order of estimated retrieval volume (estimated cost as
-    /// tiebreak), re-using everything earlier queries stored.
-    ///
-    /// Results are returned in the *original* batch order, along with the
-    /// execution order chosen.
-    pub fn query_batch(&mut self, batch: &[(&SelectStmt, Vec<Value>)]) -> Result<BatchOutcome> {
-        // Estimate each query against the current store: (idx, records, cost).
-        let mut keyed: Vec<(usize, f64, f64)> = Vec::with_capacity(batch.len());
-        for (i, (stmt, params)) in batch.iter().enumerate() {
-            let bound = stmt.bind(params)?;
-            let query = analyze(&bound, &self.catalog)?;
-            if query.unsatisfiable {
-                keyed.push((i, 0.0, 0.0));
-                continue;
-            }
-            let opt = optimize(
-                &query,
-                &self.stats,
-                &self.store,
-                self.market.as_ref(),
-                &self.optimizer_config(),
-                self.now,
-            )?;
-            keyed.push((i, opt.cost.secondary, opt.cost.primary));
-        }
-        // Descending volume, then descending cost, then original order.
-        keyed.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal))
-                .then(a.0.cmp(&b.0))
-        });
-        let execution_order: Vec<usize> = keyed.iter().map(|(i, _, _)| *i).collect();
-
-        let mut outcomes: Vec<Option<QueryOutcome>> = (0..batch.len()).map(|_| None).collect();
-        for &i in &execution_order {
-            let (stmt, params) = &batch[i];
-            outcomes[i] = Some(self.execute_template(stmt, params)?);
-        }
-        Ok(BatchOutcome {
-            outcomes: outcomes.into_iter().map(|o| o.expect("all ran")).collect(),
-            execution_order,
-        })
-    }
-
-    // ------------------------------------------------------------------
     // Session persistence
     // ------------------------------------------------------------------
 
@@ -652,9 +543,9 @@ impl PayLess {
     pub fn snapshot(&self) -> SessionSnapshot {
         SessionSnapshot {
             now: self.now,
-            db: self.db.clone(),
-            store: self.store.clone(),
-            stats: self.stats.clone(),
+            db: self.state.with_db(Database::clone),
+            store: self.state.store().snapshot(),
+            stats: self.state.stats_snapshot(),
         }
     }
 
@@ -666,16 +557,14 @@ impl PayLess {
             if pl.catalog.schema(&name).is_none() {
                 let table = snapshot.db.table(&name).expect("listed table");
                 pl.catalog.add(table.schema.clone(), TableLocation::Local);
-                pl.stats.register(&table.schema, table.len() as u64);
             }
         }
-        pl.db = snapshot.db;
-        pl.store = snapshot.store;
         // The snapshot carries neither config nor recorder — both belong to
         // the session, not the persisted coverage. Re-apply this session's.
-        pl.store.set_config(pl.cfg.store);
-        pl.store.attach_recorder(pl.recorder.clone());
-        pl.stats = snapshot.stats;
+        let mut store = snapshot.store;
+        store.set_config(pl.cfg.store);
+        store.attach_recorder(pl.recorder.clone());
+        pl.state = SharedState::new(snapshot.db, SharedSemanticStore::new(store), snapshot.stats);
         pl.now = snapshot.now;
         pl
     }
@@ -914,51 +803,6 @@ mod tests {
         let first = market.bill().transactions();
         pl.query(sql).unwrap();
         assert_eq!(market.bill().transactions(), 2 * first);
-    }
-
-    #[test]
-    fn batch_runs_big_queries_first_and_saves_transactions() {
-        // Small ⊂ big with page rounding: small-first costs two partially
-        // filled transactions; big-first costs one full call, and the small
-        // query rides for free.
-        use payless_market::MarketTable;
-        use payless_types::{row, Column, Domain, Row, Schema};
-        let schema = Schema::new(
-            "R",
-            vec![
-                Column::free("a", Domain::int(0, 99)),
-                Column::output("v", Domain::int(0, 10_000)),
-            ],
-        );
-        let rows: Vec<Row> = (0..100).map(|i| row!(i as i64, i as i64)).collect();
-        let build = || {
-            Arc::new(DataMarket::new(vec![payless_market::Dataset::new("DS")
-                .with_page_size(100)
-                .with_table(MarketTable::new(schema.clone(), rows.clone()))]))
-        };
-        let small = "SELECT * FROM R WHERE a >= 0 AND a <= 49";
-        let big = "SELECT * FROM R WHERE a >= 0 AND a <= 99";
-
-        // Sequential in submission order (small first): 1 + 1 transactions.
-        let market_seq = build();
-        let mut seq = PayLess::new(market_seq.clone(), PayLessConfig::default());
-        seq.query(small).unwrap();
-        seq.query(big).unwrap();
-        assert_eq!(market_seq.bill().transactions(), 2);
-
-        // Batched: the scheduler runs `big` first; total is 1 transaction.
-        let market_batch = build();
-        let mut batch = PayLess::new(market_batch.clone(), PayLessConfig::default());
-        let s_small = batch.prepare(small).unwrap();
-        let s_big = batch.prepare(big).unwrap();
-        let out = batch
-            .query_batch(&[(&s_small, vec![]), (&s_big, vec![])])
-            .unwrap();
-        assert_eq!(out.execution_order, vec![1, 0]);
-        assert_eq!(market_batch.bill().transactions(), 1);
-        // Results come back in submission order.
-        assert_eq!(out.outcomes[0].result.rows.len(), 50);
-        assert_eq!(out.outcomes[1].result.rows.len(), 100);
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! The "Download All" baseline: fetch whole tables up front, answer locally.
 
+use payless_events::EventScope;
 use payless_geometry::{Interval, QuerySpace, Region};
 use payless_market::{DataMarket, Request};
-use payless_metrics::MetricsHub;
-use payless_semantic::SemanticStore;
-use payless_stats::StatsRegistry;
-use payless_storage::Database;
-use payless_telemetry::{CallKind, Recorder};
+use payless_semantic::Consistency;
+use payless_telemetry::{CallKind, QErrorRecord};
 use payless_types::{PaylessError, Result, Schema};
 
-use crate::call::{resilient_get, CallBudget, RetryPolicy};
+use crate::call::{resilient_get, CallBudget};
+use crate::engine::ExecConfig;
+use crate::state::SharedState;
 
 /// Ensure `table` is fully downloaded into the local mirror.
 ///
@@ -22,32 +22,29 @@ use crate::call::{resilient_get, CallBudget, RetryPolicy};
 /// covers is skipped outright, and a multi-piece download that previously
 /// failed partway resumes from the first piece the store does not cover —
 /// pieces paid for before the failure are never bought again.
-#[allow(clippy::too_many_arguments)]
+///
+/// Of `cfg`, the recorder, retry policy, metrics hub and journal apply.
 pub fn ensure_downloaded(
     table: &Schema,
     market: &DataMarket,
-    db: &mut Database,
-    store: &mut SemanticStore,
-    stats: &mut StatsRegistry,
+    state: &SharedState,
+    cfg: &ExecConfig,
     now: u64,
-    recorder: Option<&Recorder>,
-    policy: &RetryPolicy,
-    metrics: Option<&MetricsHub>,
-    events: Option<&payless_events::EventScope>,
 ) -> Result<()> {
     let name = &table.table;
-    let space = stats
-        .table(name)
-        .map(|s| s.space().clone())
+    let space = state
+        .with_table_model(name, |s| s.space().clone())
         .ok_or_else(|| PaylessError::Internal(format!("no stats for `{name}`")))?;
     let full = space.full_region();
-    if store.covers(name, &full, payless_semantic::Consistency::Weak, now) {
+    if state.store().covers(name, &full, Consistency::Weak, now) {
         return Ok(()); // already complete
     }
 
+    let recorder = cfg.recorder.as_deref();
     if let Some(rec) = recorder {
         rec.set_call_kind(CallKind::Download);
     }
+    let scope = cfg.events.as_deref().map(|j| EventScope::new(j, now));
     // One call per combination of mandatory-bound attribute values.
     let mandatory: Vec<usize> = table.mandatory_bindings().collect();
     let pieces = enumerate_bound(&space, &full, &mandatory)?;
@@ -55,7 +52,7 @@ pub fn ensure_downloaded(
     for piece in pieces {
         // Resume support: pieces bought by an earlier, partially-failed
         // download are already covered — skip them instead of re-buying.
-        if store.covers(name, &piece, payless_semantic::Consistency::Weak, now) {
+        if state.store().covers(name, &piece, Consistency::Weak, now) {
             continue;
         }
         let mut req = Request::to(name.clone());
@@ -76,18 +73,26 @@ pub fn ensure_downloaded(
                 );
             }
         }
-        let resp = resilient_get(market, &req, policy, &mut budget, recorder, metrics, events)
-            .into_result()?;
+        let resp = resilient_get(
+            market,
+            &req,
+            &cfg.retry,
+            &mut budget,
+            recorder,
+            cfg.metrics.as_deref(),
+            scope.as_ref(),
+        )
+        .into_result()?;
         let records = resp.records();
         let pages = resp.transactions;
-        db.table_or_create(table).insert_all(resp.rows);
-        if let Some(ts) = stats.table_mut(name) {
+        state.insert_rows(table, resp.rows);
+        state.with_table_model_mut(name, |ts| {
             // Score the pre-feedback estimate, as the engine does for
             // remainders and probes.
             if let Some(rec) = recorder {
                 let estimate = ts.estimate(&piece);
                 let estimator = ts.estimator_label();
-                rec.q_error(|| payless_telemetry::QErrorRecord {
+                rec.q_error(|| QErrorRecord {
                     table: table.table.clone(),
                     estimator,
                     estimate,
@@ -96,8 +101,8 @@ pub fn ensure_downloaded(
                 });
             }
             ts.feedback(&piece, records);
-        }
-        store.record_spend(name, piece, now, pages);
+        });
+        state.store().record_spend(name, piece, now, pages);
     }
     Ok(())
 }
@@ -144,17 +149,13 @@ fn enumerate_bound(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::call::RetryPolicy;
     use payless_market::{Dataset, MarketTable};
+    use payless_semantic::SemanticStore;
+    use payless_stats::StatsRegistry;
     use payless_types::{row, Column, Domain};
 
-    fn setup() -> (
-        DataMarket,
-        Database,
-        SemanticStore,
-        StatsRegistry,
-        Schema,
-        Schema,
-    ) {
+    fn setup() -> (DataMarket, SharedState, Schema, Schema) {
         let free_schema = Schema::new(
             "Free",
             vec![
@@ -179,112 +180,84 @@ mod tests {
                 bound_schema.clone(),
                 vec![row!("x", 1), row!("y", 2), row!("y", 3), row!("z", 4)],
             ))]);
-        let db = Database::new();
-        let mut store = SemanticStore::new();
-        let mut stats = StatsRegistry::new();
-        for s in [&free_schema, &bound_schema] {
-            store.register(QuerySpace::of(s));
-            stats.register(s, market.cardinality(&s.table).unwrap());
-        }
-        (market, db, store, stats, free_schema, bound_schema)
+        let (_, state) =
+            SharedState::for_market(&market, &[], SemanticStore::new(), StatsRegistry::new());
+        (market, state, free_schema, bound_schema)
     }
 
     fn download(
         schema: &Schema,
         market: &DataMarket,
-        db: &mut Database,
-        store: &mut SemanticStore,
-        stats: &mut StatsRegistry,
+        state: &SharedState,
         now: u64,
-        policy: &RetryPolicy,
+        retry: RetryPolicy,
     ) -> Result<()> {
-        ensure_downloaded(
-            schema, market, db, store, stats, now, None, policy, None, None,
-        )
+        let cfg = ExecConfig {
+            retry,
+            ..Default::default()
+        };
+        ensure_downloaded(schema, market, state, &cfg, now)
+    }
+
+    fn mirrored(state: &SharedState, table: &str) -> usize {
+        state.with_db(|db| db.table(table).unwrap().len())
+    }
+
+    fn fully_covered(state: &SharedState, table: &str) -> bool {
+        let full = state.store().space(table).unwrap().full_region();
+        state.store().covers(table, &full, Consistency::Weak, 1)
     }
 
     #[test]
     fn downloads_free_table_in_one_call() {
-        let (market, mut db, mut store, mut stats, free, _) = setup();
-        let p = RetryPolicy::default();
-        download(&free, &market, &mut db, &mut store, &mut stats, 0, &p).unwrap();
+        let (market, state, free, _) = setup();
+        download(&free, &market, &state, 0, RetryPolicy::default()).unwrap();
         let bill = market.bill();
         assert_eq!(bill.calls(), 1);
         assert_eq!(bill.transactions(), 3); // 30 rows / page 10
-        assert_eq!(db.table("Free").unwrap().len(), 30);
+        assert_eq!(mirrored(&state, "Free"), 30);
     }
 
     #[test]
     fn download_is_idempotent() {
-        let (market, mut db, mut store, mut stats, free, _) = setup();
-        let p = RetryPolicy::default();
+        let (market, state, free, _) = setup();
         for t in 0..3 {
-            download(&free, &market, &mut db, &mut store, &mut stats, t, &p).unwrap();
+            download(&free, &market, &state, t, RetryPolicy::default()).unwrap();
         }
         assert_eq!(market.bill().calls(), 1);
     }
 
     #[test]
     fn bound_categorical_table_downloads_per_value() {
-        let (market, mut db, mut store, mut stats, _, bound) = setup();
-        let p = RetryPolicy::default();
-        download(&bound, &market, &mut db, &mut store, &mut stats, 0, &p).unwrap();
+        let (market, state, _, bound) = setup();
+        download(&bound, &market, &state, 0, RetryPolicy::default()).unwrap();
         let bill = market.bill();
         assert_eq!(bill.calls(), 3); // one per category
-        assert_eq!(db.table("Bound").unwrap().len(), 4);
+        assert_eq!(mirrored(&state, "Bound"), 4);
         // Store records full coverage.
-        let space = store.space("Bound").unwrap().clone();
-        assert!(store.covers(
-            "Bound",
-            &space.full_region(),
-            payless_semantic::Consistency::Weak,
-            1
-        ));
+        assert!(fully_covered(&state, "Bound"));
     }
 
     #[test]
     fn failed_download_resumes_from_first_uncovered_piece() {
         use payless_market::{FaultInjector, FaultKind, FaultPlan};
 
-        let (market, mut db, mut store, mut stats, _, bound) = setup();
+        let (market, state, _, bound) = setup();
         // Kill the second piece ("y") with no retries: the download fails
         // after paying for piece "x".
         market.attach_fault_injector(FaultInjector::new(
             FaultPlan::none().at(1, FaultKind::Unavailable),
         ));
-        let err = download(
-            &bound,
-            &market,
-            &mut db,
-            &mut store,
-            &mut stats,
-            0,
-            &RetryPolicy::no_retries(),
-        );
+        let err = download(&bound, &market, &state, 0, RetryPolicy::no_retries());
         assert!(err.is_err());
         assert_eq!(market.bill().calls(), 1); // "x" bought, "y" failed free
-        assert_eq!(db.table("Bound").unwrap().len(), 1);
+        assert_eq!(mirrored(&state, "Bound"), 1);
 
         // The retry must resume at "y": pieces already covered are skipped,
         // so the whole table costs exactly one call per category overall.
-        download(
-            &bound,
-            &market,
-            &mut db,
-            &mut store,
-            &mut stats,
-            0,
-            &RetryPolicy::no_retries(),
-        )
-        .unwrap();
+        download(&bound, &market, &state, 0, RetryPolicy::no_retries()).unwrap();
         assert_eq!(market.bill().calls(), 3);
-        assert_eq!(db.table("Bound").unwrap().len(), 4);
-        let space = store.space("Bound").unwrap().clone();
-        assert!(store.covers(
-            "Bound",
-            &space.full_region(),
-            payless_semantic::Consistency::Weak,
-            1
-        ));
+        assert_eq!(mirrored(&state, "Bound"), 4);
+        assert!(fully_covered(&state, "Bound"));
     }
 }

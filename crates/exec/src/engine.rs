@@ -9,19 +9,16 @@ use payless_market::{DataMarket, Request};
 use payless_metrics::MetricsHub;
 use payless_optimizer::cost::required_regions;
 use payless_optimizer::plan::{AccessMethod, PlanNode};
-use payless_semantic::{
-    rewrite, rewrite_cached, Consistency, CoverClass, RewriteConfig, SemanticStore,
-};
+use payless_semantic::{rewrite, rewrite_cached, Consistency, CoverClass, RewriteConfig};
 use payless_sql::{AccessConstraint, AnalyzedQuery, OutputItem, ResidualPred, TableLocation};
-use payless_stats::StatsRegistry;
-use payless_storage::{aggregate, distinct, hash_join, project, sort_by, AggSpec, Database};
+use payless_storage::{aggregate, distinct, hash_join, project, sort_by, AggSpec};
 use payless_telemetry::{CallKind, OperatorActual, QErrorRecord, Recorder, TransactionRecord};
 use payless_types::{PaylessError, Result, Row, Value};
 
 use crate::batch::{split_pages, BatchPlanner, BatchRole, MemberShare, SealedBatch};
 use crate::call::{resilient_get, CallBudget, CallOutcome, RetryPolicy};
 use crate::coalesce::{CallCoalescer, Claim};
-use crate::state::{ExecState, SharedState};
+use crate::state::SharedState;
 
 /// Execution-time configuration (mirrors the optimizer's).
 #[derive(Debug, Clone)]
@@ -82,7 +79,7 @@ pub struct QueryResult {
 pub struct Executor<'a> {
     query: &'a AnalyzedQuery,
     market: &'a DataMarket,
-    state: ExecState<'a>,
+    state: &'a SharedState,
     cfg: &'a ExecConfig,
     now: u64,
     /// Single-flight rendezvous shared with concurrently executing queries;
@@ -103,36 +100,12 @@ pub struct Executor<'a> {
 }
 
 impl<'a> Executor<'a> {
-    /// Assemble an executor. The same `db`/`store`/`stats` should be reused
-    /// across queries — that accumulation is what makes PayLess pay less.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        query: &'a AnalyzedQuery,
-        market: &'a DataMarket,
-        db: &'a mut Database,
-        store: &'a mut SemanticStore,
-        stats: &'a mut StatsRegistry,
-        cfg: &'a ExecConfig,
-        now: u64,
-    ) -> Self {
-        Executor {
-            query,
-            market,
-            state: ExecState::Exclusive { db, store, stats },
-            cfg,
-            now,
-            coalescer: None,
-            batcher: None,
-            budget: CallBudget::default(),
-            ops: Vec::new(),
-            cur_op: 0,
-        }
-    }
-
-    /// Assemble an executor over a serving layer's [`SharedState`]. Passing
-    /// a [`CallCoalescer`] turns on single-flight coalescing of overlapping
-    /// market calls; `None` disables it (the `PAYLESS_COALESCE=0` escape
-    /// hatch).
+    /// Assemble an executor over the buyer's [`SharedState`]. The same
+    /// state should be reused across queries — that accumulation is what
+    /// makes PayLess pay less. Passing a [`CallCoalescer`] turns on
+    /// single-flight coalescing of overlapping market calls; `None`
+    /// disables it (a single-tenant session, and the `PAYLESS_COALESCE=0`
+    /// escape hatch).
     pub fn shared(
         query: &'a AnalyzedQuery,
         market: &'a DataMarket,
@@ -144,7 +117,7 @@ impl<'a> Executor<'a> {
         Executor {
             query,
             market,
-            state: ExecState::Shared(state),
+            state,
             cfg,
             now,
             coalescer,
@@ -317,10 +290,12 @@ impl<'a> Executor<'a> {
                 // hits identically.
                 if waits == 0 {
                     if let Some(rec) = &self.cfg.recorder {
-                        match self
-                            .state
-                            .classify(&t.name, region, self.cfg.consistency, self.now)
-                        {
+                        match self.state.store().classify(
+                            &t.name,
+                            region,
+                            self.cfg.consistency,
+                            self.now,
+                        ) {
                             CoverClass::Full => rec.sqr_full_hit(),
                             CoverClass::Partial => rec.sqr_partial_hit(),
                             CoverClass::Miss => rec.sqr_miss(),
@@ -331,9 +306,12 @@ impl<'a> Executor<'a> {
                 // so probe the store's R-tree instead of scanning every
                 // view — and when the store's incremental remainder cache
                 // can answer, skip the subtraction sweep entirely.
-                let (views, pieces) =
-                    self.state
-                        .probe_rewrite(&t.name, region, self.cfg.consistency, self.now);
+                let (views, pieces) = self.state.store().probe_rewrite(
+                    &t.name,
+                    region,
+                    self.cfg.consistency,
+                    self.now,
+                );
                 let rw = self
                     .state
                     .with_table_model(&t.name, |ts| match &pieces {
@@ -409,9 +387,12 @@ impl<'a> Executor<'a> {
             // twice.
             let remainders = if guard.is_some() && self.cfg.sqr {
                 let pre_guard_est = final_est;
-                let (views, pieces) =
-                    self.state
-                        .probe_rewrite(&t.name, region, self.cfg.consistency, self.now);
+                let (views, pieces) = self.state.store().probe_rewrite(
+                    &t.name,
+                    region,
+                    self.cfg.consistency,
+                    self.now,
+                );
                 let rw = self
                     .state
                     .with_table_model(&t.name, |ts| match &pieces {
@@ -562,7 +543,9 @@ impl<'a> Executor<'a> {
             if self.cfg.sqr {
                 // The pages billed become the view's eviction weight: under
                 // cap pressure the store keeps what was expensive to buy.
-                self.state.store_record_spend(&t.name, rem, self.now, pages);
+                self.state
+                    .store()
+                    .record_spend(&t.name, rem, self.now, pages);
             }
         }
         Ok(())
@@ -661,9 +644,12 @@ impl<'a> Executor<'a> {
         // Re-validate the merged pieces under the guard: one multi-probe,
         // one shard lock, one consistent store state across all of them.
         let final_rems: Vec<Region> = if self.cfg.sqr {
-            let probes =
-                self.state
-                    .probe_rewrite_multi(&t.name, &merged, self.cfg.consistency, self.now);
+            let probes = self.state.store().probe_rewrite_multi(
+                &t.name,
+                &merged,
+                self.cfg.consistency,
+                self.now,
+            );
             let mut rems = Vec::new();
             for (piece, (views, pieces)) in merged.iter().zip(&probes) {
                 let rw = self
@@ -746,7 +732,9 @@ impl<'a> Executor<'a> {
                         ts.feedback(&rem, recs);
                     });
                     if self.cfg.sqr {
-                        self.state.store_record_spend(&t.name, rem, self.now, pages);
+                        self.state
+                            .store()
+                            .record_spend(&t.name, rem, self.now, pages);
                     }
                 }
                 CallOutcome::BilledAndFailed {
@@ -1287,15 +1275,16 @@ mod tests {
     use super::*;
     use payless_market::{Dataset, MarketTable};
     use payless_optimizer::plan::BindPair;
+    use payless_semantic::SemanticStore;
     use payless_sql::{analyze, parse, MapCatalog};
+    use payless_stats::StatsRegistry;
+    use payless_storage::LocalTable;
     use payless_types::{row, Column, Domain, Schema};
 
     /// A two-table market: Users (local) and Events (market, page 10).
     struct Fixture {
         market: DataMarket,
-        db: Database,
-        store: SemanticStore,
-        stats: StatsRegistry,
+        state: SharedState,
         catalog: MapCatalog,
     }
 
@@ -1326,25 +1315,16 @@ mod tests {
         }
         let market = DataMarket::new(vec![Dataset::new("DS")
             .with_page_size(10)
-            .with_table(MarketTable::new(events_schema.clone(), events))]);
-        let mut db = Database::new();
-        db.register(payless_storage::LocalTable::with_rows(
-            users_schema.clone(),
-            users,
-        ));
-        let mut store = SemanticStore::new();
-        store.register(QuerySpace::of(&events_schema));
-        let mut stats = StatsRegistry::new();
-        stats.register(&users_schema, 20);
-        stats.register(&events_schema, 200);
-        let catalog = MapCatalog::new()
-            .with(users_schema, TableLocation::Local)
-            .with(events_schema, TableLocation::Market);
+            .with_table(MarketTable::new(events_schema, events))]);
+        let (catalog, state) = SharedState::for_market(
+            &market,
+            &[LocalTable::with_rows(users_schema, users)],
+            SemanticStore::new(),
+            StatsRegistry::new(),
+        );
         Fixture {
             market,
-            db,
-            store,
-            stats,
+            state,
             catalog,
         }
     }
@@ -1353,66 +1333,63 @@ mod tests {
         analyze(&parse(sql).unwrap(), &f.catalog).unwrap()
     }
 
-    fn exec(f: &mut Fixture, query: &AnalyzedQuery, plan: &PlanNode, sqr: bool) -> QueryResult {
+    fn exec(f: &Fixture, query: &AnalyzedQuery, plan: &PlanNode, sqr: bool) -> QueryResult {
         let cfg = ExecConfig {
             sqr,
             ..Default::default()
         };
-        let mut ex = Executor::new(
-            query,
-            &f.market,
-            &mut f.db,
-            &mut f.store,
-            &mut f.stats,
-            &cfg,
-            1,
-        );
-        ex.execute(plan).unwrap()
+        Executor::shared(query, &f.market, &f.state, &cfg, 1, None)
+            .execute(plan)
+            .unwrap()
+    }
+
+    fn mirrored(f: &Fixture, table: &str) -> usize {
+        f.state.with_db(|db| db.table(table).unwrap().len())
     }
 
     #[test]
     fn local_access_applies_constraints() {
-        let mut f = fixture();
+        let f = fixture();
         let q = analyzed(&f, "SELECT uid FROM Users WHERE city = 'A'");
         let plan = PlanNode::access(0, AccessMethod::Local);
-        let out = exec(&mut f, &q, &plan, true);
+        let out = exec(&f, &q, &plan, true);
         assert_eq!(out.rows.len(), 10);
         assert_eq!(f.market.bill().calls(), 0);
     }
 
     #[test]
     fn fetch_pulls_remainder_and_mirrors() {
-        let mut f = fixture();
+        let f = fixture();
         let q = analyzed(&f, "SELECT * FROM Events WHERE day >= 3 AND day <= 4");
         let plan = PlanNode::access(0, AccessMethod::Fetch);
-        let out = exec(&mut f, &q, &plan, true);
+        let out = exec(&f, &q, &plan, true);
         assert_eq!(out.rows.len(), 40);
         // Mirrored and covered.
-        assert_eq!(f.db.table("Events").unwrap().len(), 40);
+        assert_eq!(mirrored(&f, "Events"), 40);
         assert_eq!(f.market.bill().records(), 40);
         // A second executor run over the same region issues no new calls.
         let calls_before = f.market.bill().calls();
-        let out2 = exec(&mut f, &q, &plan, true);
+        let out2 = exec(&f, &q, &plan, true);
         assert_eq!(out2.rows.len(), 40);
         assert_eq!(f.market.bill().calls(), calls_before);
     }
 
     #[test]
     fn fetch_without_sqr_refetches() {
-        let mut f = fixture();
+        let f = fixture();
         let q = analyzed(&f, "SELECT * FROM Events WHERE day >= 3 AND day <= 4");
         let plan = PlanNode::access(0, AccessMethod::Fetch);
-        exec(&mut f, &q, &plan, false);
-        exec(&mut f, &q, &plan, false);
+        exec(&f, &q, &plan, false);
+        exec(&f, &q, &plan, false);
         assert_eq!(f.market.bill().calls(), 2);
         assert_eq!(f.market.bill().records(), 80);
         // The mirror deduplicates, though.
-        assert_eq!(f.db.table("Events").unwrap().len(), 40);
+        assert_eq!(mirrored(&f, "Events"), 40);
     }
 
     #[test]
     fn bind_join_probes_distinct_values_only() {
-        let mut f = fixture();
+        let f = fixture();
         let q = analyzed(
             &f,
             "SELECT * FROM Users, Events WHERE city = 'A' AND \
@@ -1426,7 +1403,7 @@ mod tests {
                 right_col: 0,
             }],
         );
-        let out = exec(&mut f, &q, &plan, true);
+        let out = exec(&f, &q, &plan, true);
         // 10 even uids x 2 days.
         assert_eq!(out.rows.len(), 20);
         // One probe per distinct uid.
@@ -1440,8 +1417,7 @@ mod tests {
         // A local table with uids beyond Events' domain.
         let wide_schema = Schema::new("Wide", vec![Column::free("uid", Domain::int(1, 100))]);
         f.catalog.add(wide_schema.clone(), TableLocation::Local);
-        f.stats.register(&wide_schema, 3);
-        f.db.register(payless_storage::LocalTable::with_rows(
+        f.state.register_local(LocalTable::with_rows(
             wide_schema,
             vec![row!(5), row!(50), row!(99)],
         ));
@@ -1457,7 +1433,7 @@ mod tests {
                 right_col: 0,
             }],
         );
-        let out = exec(&mut f, &q, &plan, true);
+        let out = exec(&f, &q, &plan, true);
         // Only uid 5 matches; uids 50 and 99 are outside Events' domain and
         // must not generate calls.
         assert_eq!(out.rows.len(), 1);
@@ -1466,15 +1442,10 @@ mod tests {
 
     #[test]
     fn bind_join_probes_covered_regions_for_free() {
-        let mut f = fixture();
+        let f = fixture();
         // Cover all of Events first.
         let full_q = analyzed(&f, "SELECT * FROM Events");
-        exec(
-            &mut f,
-            &full_q,
-            &PlanNode::access(0, AccessMethod::Fetch),
-            true,
-        );
+        exec(&f, &full_q, &PlanNode::access(0, AccessMethod::Fetch), true);
         let calls_after_download = f.market.bill().calls();
         let q = analyzed(
             &f,
@@ -1489,14 +1460,14 @@ mod tests {
                 right_col: 0,
             }],
         );
-        let out = exec(&mut f, &q, &plan, true);
+        let out = exec(&f, &q, &plan, true);
         assert_eq!(out.rows.len(), 10 * 10);
         assert_eq!(f.market.bill().calls(), calls_after_download);
     }
 
     #[test]
     fn cross_join_plan_when_no_edges() {
-        let mut f = fixture();
+        let f = fixture();
         let q = analyzed(
             &f,
             "SELECT * FROM Users, Events WHERE city = 'A' AND day >= 1 AND day <= 1 AND uid >= 1 AND uid <= 2",
@@ -1507,7 +1478,7 @@ mod tests {
             PlanNode::access(0, AccessMethod::Local),
             PlanNode::access(1, AccessMethod::Fetch),
         );
-        let out = exec(&mut f, &q, &plan, true);
+        let out = exec(&f, &q, &plan, true);
         // Users: uid in {1,2} and city A -> uid 2 only. Events: uids {1,2},
         // day 1 -> 2 rows. Cross product: 2.
         assert_eq!(out.rows.len(), 2);
@@ -1516,22 +1487,13 @@ mod tests {
     #[test]
     fn empty_result_shapes_columns() {
         let f = fixture();
-        let mut f = f;
         let q = analyzed(
             &f,
             "SELECT COUNT(*) FROM Events WHERE day >= 9 AND day <= 2",
         );
         assert!(q.unsatisfiable);
         let cfg = ExecConfig::default();
-        let ex = Executor::new(
-            &q,
-            &f.market,
-            &mut f.db,
-            &mut f.store,
-            &mut f.stats,
-            &cfg,
-            1,
-        );
+        let ex = Executor::shared(&q, &f.market, &f.state, &cfg, 1, None);
         let out = ex.empty_result().unwrap();
         assert_eq!(out.columns, vec!["COUNT(*)".to_string()]);
         // Global COUNT over the empty set is 0.
@@ -1540,13 +1502,13 @@ mod tests {
 
     #[test]
     fn order_by_sorts_output() {
-        let mut f = fixture();
+        let f = fixture();
         let q = analyzed(
             &f,
             "SELECT uid, day FROM Events WHERE day >= 1 AND day <= 2 ORDER BY day, uid",
         );
         let plan = PlanNode::access(0, AccessMethod::Fetch);
-        let out = exec(&mut f, &q, &plan, true);
+        let out = exec(&f, &q, &plan, true);
         assert_eq!(out.rows.len(), 40);
         assert_eq!(out.rows[0], row!(1, 1));
         assert_eq!(out.rows[19], row!(20, 1));
@@ -1556,7 +1518,7 @@ mod tests {
 
     #[test]
     fn op_actuals_attribute_pages_in_preorder() {
-        let mut f = fixture();
+        let f = fixture();
         let q = analyzed(
             &f,
             "SELECT * FROM Users, Events WHERE city = 'A' AND \
@@ -1571,15 +1533,7 @@ mod tests {
             }],
         );
         let cfg = ExecConfig::default();
-        let mut ex = Executor::new(
-            &q,
-            &f.market,
-            &mut f.db,
-            &mut f.store,
-            &mut f.stats,
-            &cfg,
-            1,
-        );
+        let mut ex = Executor::shared(&q, &f.market, &f.state, &cfg, 1, None);
         let out = ex.execute(&plan).unwrap();
         assert_eq!(out.rows.len(), 20);
         let ops = ex.op_actuals();
@@ -1598,13 +1552,13 @@ mod tests {
 
     #[test]
     fn residual_on_output_column_filters_locally() {
-        let mut f = fixture();
+        let f = fixture();
         let q = analyzed(
             &f,
             "SELECT * FROM Events WHERE day >= 1 AND day <= 1 AND amount >= 100",
         );
         let plan = PlanNode::access(0, AccessMethod::Fetch);
-        let out = exec(&mut f, &q, &plan, true);
+        let out = exec(&f, &q, &plan, true);
         // amount = uid*10 + day; day 1 -> uid >= 10.
         assert_eq!(out.rows.len(), 11);
         // But the market returned the full day slice (residuals are local).

@@ -18,6 +18,11 @@
 //! The crate also implements the **Download All** baseline
 //! ([`download::ensure_downloaded`]): fetch whole tables up front, then
 //! answer everything locally.
+//!
+//! Both run against one [`SharedState`] — local mirror, semantic store and
+//! statistics behind locks — whoever the caller is: a single-tenant
+//! session (uncontended, no coalescer, no batcher), the in-process mix or
+//! the socket server. [`state`] states the lock discipline.
 
 #![warn(missing_docs)]
 
@@ -33,4 +38,4 @@ pub use call::{resilient_get, CallBudget, CallOutcome, RetryPolicy};
 pub use coalesce::{CallCoalescer, Claim, FlightGuard};
 pub use download::ensure_downloaded;
 pub use engine::{ExecConfig, Executor, QueryResult};
-pub use state::{ExecState, RowObserver, SharedState};
+pub use state::{RowObserver, SharedState};

@@ -1,12 +1,12 @@
-//! Buyer-side state the executor runs against, in two ownerships.
+//! Buyer-side state the executor runs against.
 //!
-//! A single-tenant session hands the executor exclusive `&mut` references
-//! (the original design). A serving layer instead shares one
-//! [`SharedState`] across many concurrent queries: the local mirror and the
-//! statistics registry each sit behind one reader-writer lock, and the
-//! semantic store is sharded per table
-//! ([`payless_semantic::SharedSemanticStore`]). [`ExecState`] abstracts
-//! over the two so the plan interpreter is written once.
+//! One [`SharedState`] is the buyer side of the paper's Figure 3 — the
+//! local DBMS mirror, the semantic store and the statistics registry — for
+//! every caller: the single-tenant session, the in-process mix and the
+//! socket server. The local mirror and the statistics registry each sit
+//! behind one reader-writer lock, and the semantic store is sharded per
+//! table ([`payless_semantic::SharedSemanticStore`]). A session is the
+//! uncontended case: one query at a time, no coalescer, no batcher.
 //!
 //! Lock discipline: every helper here acquires **at most one lock** and
 //! releases it before returning — no method calls back into another locked
@@ -16,10 +16,12 @@
 
 use std::sync::{Arc, OnceLock, RwLock};
 
-use payless_geometry::Region;
-use payless_semantic::{Consistency, CoverClass, RewriteProbe, SemanticStore, SharedSemanticStore};
+use payless_geometry::QuerySpace;
+use payless_market::DataMarket;
+use payless_semantic::{SemanticStore, SharedSemanticStore};
+use payless_sql::{MapCatalog, TableLocation};
 use payless_stats::{StatsRegistry, TableModel};
-use payless_storage::Database;
+use payless_storage::{Database, LocalTable};
 use payless_types::{Result, Row, Schema};
 
 /// Observer invoked after a market delivery lands in the shared mirror:
@@ -28,7 +30,7 @@ use payless_types::{Result, Row, Schema};
 /// concurrent queries.
 pub type RowObserver = dyn Fn(&str, &[Row]) + Send + Sync;
 
-/// Buyer-side state shared by every in-flight query of a serving layer.
+/// Buyer-side state shared by every in-flight query.
 pub struct SharedState {
     db: RwLock<Database>,
     store: SharedSemanticStore,
@@ -56,7 +58,7 @@ fn wr<T>(l: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
 }
 
 impl SharedState {
-    /// Wrap a session's state for concurrent use.
+    /// Wrap already-populated state.
     pub fn new(db: Database, store: SharedSemanticStore, stats: StatsRegistry) -> Self {
         SharedState {
             db: RwLock::new(db),
@@ -64,6 +66,40 @@ impl SharedState {
             stats: RwLock::new(stats),
             row_observer: OnceLock::new(),
         }
+    }
+
+    /// Install the buyer side over `market`: every hosted table's schema,
+    /// cardinality and query space (the "basic statistics" of Section 2.1)
+    /// goes into the returned catalog, `stats` and `store`; `locals` are
+    /// registered as the buyer's own tables. `store` may arrive warm
+    /// (recovered coverage is kept; market tables it lacks are added).
+    pub fn for_market(
+        market: &DataMarket,
+        locals: &[LocalTable],
+        mut store: SemanticStore,
+        mut stats: StatsRegistry,
+    ) -> (MapCatalog, Self) {
+        let mut catalog = MapCatalog::new();
+        for name in market.table_names() {
+            let schema = market.schema(&name).expect("listed table").clone();
+            let cardinality = market.cardinality(&name).expect("listed table");
+            stats.register(&schema, cardinality);
+            store.register(QuerySpace::of(&schema));
+            catalog.add(schema, TableLocation::Market);
+        }
+        let state = SharedState::new(Database::new(), SharedSemanticStore::new(store), stats);
+        for t in locals {
+            catalog.add(t.schema.clone(), TableLocation::Local);
+            state.register_local(t.clone());
+        }
+        (catalog, state)
+    }
+
+    /// Register a table of the buyer's own DBMS: its rows in the mirror,
+    /// its cardinality in the statistics.
+    pub fn register_local(&self, table: LocalTable) {
+        wr(&self.stats).register(&table.schema, table.len() as u64);
+        wr(&self.db).register(table);
     }
 
     /// Attach the delivered-rows observer. First caller wins; later calls
@@ -86,7 +122,7 @@ impl SharedState {
     }
 
     /// A point-in-time copy of the statistics registry (what the optimizer
-    /// plans against in serve mode).
+    /// plans against).
     pub fn stats_snapshot(&self) -> StatsRegistry {
         rd(&self.stats).clone()
     }
@@ -95,183 +131,64 @@ impl SharedState {
     pub fn with_db<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
         f(&rd(&self.db))
     }
-}
 
-/// The executor's view of buyer-side state: exclusive borrows from a
-/// single-tenant session, or one [`SharedState`] under locks.
-pub enum ExecState<'a> {
-    /// The single-tenant shape: the session owns everything.
-    Exclusive {
-        /// The buyer's local DBMS mirror.
-        db: &'a mut Database,
-        /// Coverage of past market purchases.
-        store: &'a mut SemanticStore,
-        /// Updatable cardinality statistics.
-        stats: &'a mut StatsRegistry,
-    },
-    /// The serving shape: state shared with other in-flight queries.
-    Shared(&'a SharedState),
-}
-
-impl ExecState<'_> {
     /// Rows of `table` passing `pred` (cloned out). Errors if the table is
     /// unknown to the local mirror.
-    pub fn filtered_rows(&self, table: &str, pred: impl Fn(&Row) -> bool) -> Result<Vec<Row>> {
-        match self {
-            ExecState::Exclusive { db, .. } => Ok(db
+    pub(crate) fn filtered_rows(
+        &self,
+        table: &str,
+        pred: impl Fn(&Row) -> bool,
+    ) -> Result<Vec<Row>> {
+        self.with_db(|db| {
+            Ok(db
                 .table(table)?
                 .rows()
                 .iter()
                 .filter(|r| pred(r))
                 .cloned()
-                .collect()),
-            ExecState::Shared(s) => s.with_db(|db| {
-                Ok(db
-                    .table(table)?
-                    .rows()
-                    .iter()
-                    .filter(|r| pred(r))
-                    .cloned()
-                    .collect())
-            }),
-        }
+                .collect())
+        })
     }
 
     /// Rows of `table` passing `pred`; empty if the table has no mirror yet
     /// (e.g. every remainder was empty).
-    pub fn mirror_rows(&self, table: &str, pred: impl Fn(&Row) -> bool) -> Vec<Row> {
+    pub(crate) fn mirror_rows(&self, table: &str, pred: impl Fn(&Row) -> bool) -> Vec<Row> {
         self.filtered_rows(table, pred).unwrap_or_default()
     }
 
     /// Insert `rows` into `schema`'s mirror table, creating it if needed.
-    /// In shared mode an attached [`RowObserver`] sees the delivery after
-    /// the insert, outside the mirror lock — insert-before-notify is what
-    /// lets a durability layer treat its row log as always trailing the
-    /// mirror (never ahead of it).
-    pub fn insert_rows(&mut self, schema: &Schema, rows: Vec<Row>) {
-        match self {
-            ExecState::Exclusive { db, .. } => {
-                db.table_or_create(schema).insert_all(rows);
-            }
-            ExecState::Shared(s) => {
-                let observed = s
-                    .row_observer
-                    .get()
-                    .map(|obs| (Arc::clone(obs), rows.clone()));
-                wr(&s.db).table_or_create(schema).insert_all(rows);
-                if let Some((obs, rows)) = observed {
-                    obs(&schema.table, &rows);
-                }
-            }
+    /// An attached [`RowObserver`] sees the delivery after the insert,
+    /// outside the mirror lock — insert-before-notify is what lets a
+    /// durability layer treat its row log as always trailing the mirror
+    /// (never ahead of it).
+    pub(crate) fn insert_rows(&self, schema: &Schema, rows: Vec<Row>) {
+        let observed = self
+            .row_observer
+            .get()
+            .map(|obs| (Arc::clone(obs), rows.clone()));
+        wr(&self.db).table_or_create(schema).insert_all(rows);
+        if let Some((obs, rows)) = observed {
+            obs(&schema.table, &rows);
         }
     }
 
-    /// Classify how much of `region` the store's usable views cover.
-    pub fn classify(
+    /// Run `f` against `table`'s statistics model under the read lock. `f`
+    /// must be a pure computation.
+    pub(crate) fn with_table_model<R>(
         &self,
         table: &str,
-        region: &Region,
-        consistency: Consistency,
-        now: u64,
-    ) -> CoverClass {
-        match self {
-            ExecState::Exclusive { store, .. } => store.classify(table, region, consistency, now),
-            ExecState::Shared(s) => s.store.classify(table, region, consistency, now),
-        }
+        f: impl FnOnce(&TableModel) -> R,
+    ) -> Option<R> {
+        rd(&self.stats).table(table).map(f)
     }
 
-    /// Usable views overlapping `region` (R-tree probe).
-    pub fn views_overlapping(
+    /// Run `f` against `table`'s mutable statistics model under the write
+    /// lock. Same purity requirement as [`SharedState::with_table_model`].
+    pub(crate) fn with_table_model_mut<R>(
         &self,
-        table: &str,
-        region: &Region,
-        consistency: Consistency,
-        now: u64,
-    ) -> Vec<Arc<Region>> {
-        match self {
-            ExecState::Exclusive { store, .. } => {
-                store.views_overlapping(table, region, consistency, now)
-            }
-            ExecState::Shared(s) => s.store.views_overlapping(table, region, consistency, now),
-        }
-    }
-
-    /// One consistent read of the overlapping usable views and, when the
-    /// store's remainder cache can answer, the precomputed remainder pieces
-    /// of `region` — in shared mode both come from a single shard lock
-    /// acquisition, so they can never straddle an in-flight insert.
-    pub fn probe_rewrite(
-        &self,
-        table: &str,
-        region: &Region,
-        consistency: Consistency,
-        now: u64,
-    ) -> (Vec<Arc<Region>>, Option<Vec<Region>>) {
-        match self {
-            ExecState::Exclusive { store, .. } => {
-                store.probe_rewrite(table, region, consistency, now)
-            }
-            ExecState::Shared(s) => s.store.probe_rewrite(table, region, consistency, now),
-        }
-    }
-
-    /// [`ExecState::probe_rewrite`] over several regions of one table. In
-    /// shared mode all probes run under a **single** shard lock
-    /// acquisition ([`SharedSemanticStore::probe_rewrite_multi`]), so a
-    /// batch leader re-validating its members' merged pieces sees one
-    /// store state across all of them.
-    pub fn probe_rewrite_multi(
-        &self,
-        table: &str,
-        regions: &[Region],
-        consistency: Consistency,
-        now: u64,
-    ) -> Vec<RewriteProbe> {
-        match self {
-            ExecState::Exclusive { store, .. } => regions
-                .iter()
-                .map(|r| store.probe_rewrite(table, r, consistency, now))
-                .collect(),
-            ExecState::Shared(s) => s
-                .store
-                .probe_rewrite_multi(table, regions, consistency, now),
-        }
-    }
-
-    /// Record delivered coverage in the semantic store.
-    pub fn store_record(&mut self, table: &str, region: Region, now: u64) {
-        self.store_record_spend(table, region, now, 0);
-    }
-
-    /// Record delivered coverage with the pages billed to retrieve it — the
-    /// weight the store's spend-aware eviction policy uses.
-    pub fn store_record_spend(&mut self, table: &str, region: Region, now: u64, spend: u64) {
-        match self {
-            ExecState::Exclusive { store, .. } => store.record_spend(table, region, now, spend),
-            ExecState::Shared(s) => s.store.record_spend(table, region, now, spend),
-        }
-    }
-
-    /// Run `f` against `table`'s statistics model (read-locked in shared
-    /// mode). `f` must be a pure computation — it runs under the lock.
-    pub fn with_table_model<R>(&self, table: &str, f: impl FnOnce(&TableModel) -> R) -> Option<R> {
-        match self {
-            ExecState::Exclusive { stats, .. } => stats.table(table).map(f),
-            ExecState::Shared(s) => rd(&s.stats).table(table).map(f),
-        }
-    }
-
-    /// Run `f` against `table`'s mutable statistics model (write-locked in
-    /// shared mode). Same purity requirement as
-    /// [`ExecState::with_table_model`].
-    pub fn with_table_model_mut<R>(
-        &mut self,
         table: &str,
         f: impl FnOnce(&mut TableModel) -> R,
     ) -> Option<R> {
-        match self {
-            ExecState::Exclusive { stats, .. } => stats.table_mut(table).map(f),
-            ExecState::Shared(s) => wr(&s.stats).table_mut(table).map(f),
-        }
+        wr(&self.stats).table_mut(table).map(f)
     }
 }

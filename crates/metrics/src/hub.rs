@@ -42,12 +42,19 @@ impl MetricsConfig {
 
     /// Read the `PAYLESS_METRICS_STRICT` knob (watchdog fail-fast mode).
     pub fn strict_from_env() -> bool {
-        std::env::var("PAYLESS_METRICS_STRICT")
-            .map(|v| {
-                let v = v.trim();
-                !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("false")
-            })
-            .unwrap_or(false)
+        parse_switch(
+            std::env::var("PAYLESS_METRICS_STRICT").ok().as_deref(),
+            false,
+        )
+    }
+}
+
+/// The value of an on/off knob: unset or blank keeps `default`, `0` and
+/// `false` (any case) are off, anything else is on.
+fn parse_switch(value: Option<&str>, default: bool) -> bool {
+    match value.map(str::trim) {
+        None | Some("") => default,
+        Some(v) => v != "0" && !v.eq_ignore_ascii_case("false"),
     }
 }
 
@@ -55,12 +62,7 @@ impl MetricsConfig {
 /// unless it is set to `0`/`false` (front-end convenience, like
 /// [`MetricsConfig::from_env`]).
 pub fn enabled_from_env() -> bool {
-    std::env::var("PAYLESS_METRICS")
-        .map(|v| {
-            let v = v.trim();
-            v != "0" && !v.eq_ignore_ascii_case("false")
-        })
-        .unwrap_or(true)
+    parse_switch(std::env::var("PAYLESS_METRICS").ok().as_deref(), true)
 }
 
 /// Point-in-time digest of every registered metric (names sorted).
@@ -562,10 +564,19 @@ mod tests {
 
     #[test]
     fn env_knob_parsing() {
-        // Uses explicit strings rather than set_var: from_env is only a
-        // parser around the environment, and mutating the process env in
-        // tests races with other tests.
-        assert!(MetricsConfig::default().window_ms == 1000);
-        assert!(!MetricsConfig::strict_from_env() || MetricsConfig::strict_from_env());
+        // Explicit strings rather than set_var: mutating the process env
+        // in tests races with other tests.
+        assert_eq!(MetricsConfig::default().window_ms, 1000);
+        for default in [false, true] {
+            assert_eq!(parse_switch(None, default), default);
+            assert_eq!(parse_switch(Some(""), default), default);
+            assert_eq!(parse_switch(Some("  "), default), default);
+            assert!(!parse_switch(Some("0"), default));
+            assert!(!parse_switch(Some("false"), default));
+            assert!(!parse_switch(Some("FALSE"), default));
+            assert!(!parse_switch(Some(" 0 "), default));
+            assert!(parse_switch(Some(" 1 "), default));
+            assert!(parse_switch(Some("yes"), default));
+        }
     }
 }

@@ -56,9 +56,6 @@ pub struct SharedSemanticStore {
     observer: OnceLock<Arc<SpendObserver>>,
 }
 
-/// Read a poisoned lock anyway: shard state is only ever mutated through
-/// `SemanticStore` methods that keep it structurally consistent, so a
-/// panicking reader elsewhere cannot leave torn data behind.
 impl std::fmt::Debug for SharedSemanticStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedSemanticStore")
@@ -70,6 +67,9 @@ impl std::fmt::Debug for SharedSemanticStore {
     }
 }
 
+/// Read a poisoned lock anyway: shard state is only ever mutated through
+/// `SemanticStore` methods that keep it structurally consistent, so a
+/// panicking reader elsewhere cannot leave torn data behind.
 fn read(l: &RwLock<SemanticStore>) -> RwLockReadGuard<'_, SemanticStore> {
     l.read().unwrap_or_else(|e| e.into_inner())
 }
@@ -79,8 +79,8 @@ fn write(l: &RwLock<SemanticStore>) -> RwLockWriteGuard<'_, SemanticStore> {
 }
 
 impl SharedSemanticStore {
-    /// Shard `store` per table. Typically called once at serve start with
-    /// the store of a warmed (or fresh) single-tenant session.
+    /// Shard `store` per table — a fresh store, or a warm one recovered
+    /// from a snapshot.
     pub fn new(store: SemanticStore) -> Self {
         let cfg = store.config();
         SharedSemanticStore {
@@ -366,9 +366,10 @@ impl SharedSemanticStore {
             .unwrap_or(0.0)
     }
 
-    /// A point-in-time single-tenant copy: per-table consistent (each shard
-    /// is cloned under its read lock), cheap (views are `Arc<Region>`
-    /// handles). This is what the optimizer plans against in serve mode.
+    /// A point-in-time unshared copy: per-table consistent (each shard is
+    /// cloned under its read lock), cheap (views are `Arc<Region>` handles),
+    /// with no recorder or journal attached. This is what the optimizer
+    /// plans against.
     pub fn snapshot(&self) -> SemanticStore {
         let mut out = SemanticStore::new();
         for shard in self.shards.values() {

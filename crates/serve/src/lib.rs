@@ -26,16 +26,15 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use payless_exec::{BatchPlanner, CallCoalescer, ExecConfig, Executor, RetryPolicy, SharedState};
-use payless_geometry::QuerySpace;
 use payless_market::DataMarket;
 use payless_metrics::MetricsHub;
 use payless_optimizer::{optimize, OptimizerConfig};
 use payless_semantic::{
     Consistency, RewriteConfig, SemanticStore, SharedSemanticStore, StoreConfig,
 };
-use payless_sql::{analyze, parse, MapCatalog, SelectStmt, TableLocation};
+use payless_sql::{analyze, parse, MapCatalog, SelectStmt};
 use payless_stats::StatsRegistry;
-use payless_storage::{Database, LocalTable};
+use payless_storage::LocalTable;
 use payless_telemetry::Recorder;
 use payless_types::{PaylessError, Result};
 use payless_workload::MixItem;
@@ -148,23 +147,9 @@ impl Serve {
         cfg: ServeConfig,
         mut store: SemanticStore,
     ) -> Self {
-        let mut catalog = MapCatalog::new();
-        let mut stats = StatsRegistry::new();
         store.set_config(cfg.store);
-        let mut db = Database::new();
-        for name in market.table_names() {
-            let schema = market.schema(&name).expect("listed table").clone();
-            let cardinality = market.cardinality(&name).expect("listed table");
-            catalog.add(schema.clone(), TableLocation::Market);
-            stats.register(&schema, cardinality);
-            store.register(QuerySpace::of(&schema));
-        }
-        for t in locals {
-            catalog.add(t.schema.clone(), TableLocation::Local);
-            stats.register(&t.schema, t.len() as u64);
-            db.register(t.clone());
-        }
-        let state = SharedState::new(db, SharedSemanticStore::new(store), stats);
+        let (catalog, state) =
+            SharedState::for_market(&market, locals, store, StatsRegistry::new());
         let coalescer = match &cfg.metrics {
             Some(hub) => {
                 state.store().attach_metrics(Arc::clone(hub));

@@ -16,13 +16,17 @@
 //! * a failed batch call reverts every member's share to wasted-spend
 //!   accounting that still sums exactly to the billed pages.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{assert_same_answers, build_market, prepared, tiny_workload};
+
 use payless_exec::RetryPolicy;
-use payless_market::{DataMarket, Dataset, FaultInjector, FaultKind, FaultPlan};
+use payless_market::{FaultInjector, FaultKind, FaultPlan};
 use payless_metrics::{MetricsConfig, MetricsHub};
 use payless_serve::{run_mix, BatchConfig, Serve, ServeConfig, ServeReport};
-use payless_workload::{overlapping_mix, MixItem, QueryWorkload, RealWorkload, WhwConfig};
+use payless_workload::{overlapping_mix, MixItem, QueryWorkload, RealWorkload};
 
 /// Both single-table WHW templates (the interleaving-independence
 /// rationale is the same as the serve-concurrency suite's).
@@ -30,27 +34,6 @@ const TEMPLATES: [usize; 2] = [0, 1];
 
 /// The chaos seed CI pins (0xBEEF).
 const CHAOS_SEED: u64 = 48879;
-
-fn tiny_workload() -> RealWorkload {
-    RealWorkload::generate(&WhwConfig {
-        stations: 24,
-        countries: 4,
-        cities_per_country: 3,
-        days: 20,
-        zips: 40,
-        ranks: 100,
-        seed: 3,
-    })
-}
-
-/// A fresh market at page size 1 (pages == records for every delivery).
-fn build_market(w: &RealWorkload) -> Arc<DataMarket> {
-    let mut dataset = Dataset::new("market").with_page_size(1);
-    for t in QueryWorkload::market_tables(w) {
-        dataset = dataset.with_table(t.clone());
-    }
-    Arc::new(DataMarket::new(vec![dataset]))
-}
 
 /// Replay `mix` on a fresh serving layer, batched or not, with the strict
 /// watchdog on (any mid-run reconciliation violation fails the mix).
@@ -61,7 +44,7 @@ fn run(
     batch: Option<BatchConfig>,
     fault_seed: Option<u64>,
 ) -> ServeReport {
-    let market = build_market(w);
+    let market = build_market(w, 1);
     if let Some(seed) = fault_seed {
         market.attach_fault_injector(FaultInjector::new(FaultPlan::chaos(seed)));
     }
@@ -78,30 +61,13 @@ fn run(
         ..ServeConfig::default()
     };
     let serve = Serve::new(market, QueryWorkload::local_tables(w), cfg);
-    let templates: Vec<_> = QueryWorkload::templates(w)
-        .iter()
-        .map(|sql| serve.prepare(sql).expect("workload templates parse"))
-        .collect();
+    let templates = prepared(&serve, w);
     run_mix(&serve, mix, &templates).expect("serve mix succeeds")
-}
-
-fn assert_same_answers(run: &ServeReport, oracle: &ServeReport) {
-    assert_eq!(run.per_query.len(), oracle.per_query.len());
-    for (i, (b, s)) in run.per_query.iter().zip(&oracle.per_query).enumerate() {
-        assert_eq!(b.client, s.client, "query {i}: client mismatch");
-        assert_eq!(b.template, s.template, "query {i}: template mismatch");
-        assert_eq!(
-            b.digest, s.digest,
-            "query {i}: result digest diverged from the unbatched oracle"
-        );
-        assert_eq!(b.rows, s.rows, "query {i}: row count mismatch");
-    }
-    assert_eq!(run.total_rows, oracle.total_rows);
 }
 
 #[test]
 fn batched_runs_match_the_unbatched_oracle_and_never_cost_more() {
-    let w = tiny_workload();
+    let w = tiny_workload(3);
     let mix = overlapping_mix(&w, &TEMPLATES, 4, 8, 48879);
     let oracle = run(&w, &mix, 1, None, None);
     assert!(!oracle.batch);
@@ -141,7 +107,7 @@ fn batched_runs_match_the_unbatched_oracle_and_never_cost_more() {
 
 #[test]
 fn spend_per_query_falls_as_clients_share_the_hot_pool() {
-    let w = tiny_workload();
+    let w = tiny_workload(3);
     let per_client = 8;
     let spend_per_query = |clients: usize| {
         let mix = overlapping_mix(&w, &TEMPLATES, clients, per_client, 48879);
@@ -159,7 +125,7 @@ fn spend_per_query_falls_as_clients_share_the_hot_pool() {
 
 #[test]
 fn chaos_batched_runs_survive_the_strict_watchdog() {
-    let w = tiny_workload();
+    let w = tiny_workload(3);
     let mix = overlapping_mix(&w, &TEMPLATES, 4, 6, CHAOS_SEED);
     let clean_oracle = run(&w, &mix, 1, None, None);
 
@@ -191,8 +157,8 @@ fn chaos_batched_runs_survive_the_strict_watchdog() {
 #[test]
 fn failed_batch_share_reverts_to_wasted_spend() {
     for kind in [FaultKind::Truncate, FaultKind::Corrupt] {
-        let w = tiny_workload();
-        let market = build_market(&w);
+        let w = tiny_workload(3);
+        let market = build_market(&w, 1);
         // The very first market call is billed then fails; no retries, so
         // the failure is final and its billed pages are pure waste.
         market.attach_fault_injector(FaultInjector::new(FaultPlan::none().at(0, kind)));
@@ -205,10 +171,7 @@ fn failed_batch_share_reverts_to_wasted_spend() {
             ..ServeConfig::default()
         };
         let serve = Serve::new(market, QueryWorkload::local_tables(&w), cfg);
-        let templates: Vec<_> = QueryWorkload::templates(&w)
-            .iter()
-            .map(|sql| serve.prepare(sql).expect("workload templates parse"))
-            .collect();
+        let templates = prepared(&serve, &w);
         let item = &overlapping_mix(&w, &TEMPLATES, 1, 1, 48879)[0];
 
         let err = serve
@@ -235,8 +198,8 @@ fn failed_batch_share_reverts_to_wasted_spend() {
 /// `run_mix` asserts the meter identity and the strict watchdog internally.
 #[test]
 fn retried_batch_waste_splits_and_reconciles() {
-    let w = tiny_workload();
-    let market = build_market(&w);
+    let w = tiny_workload(3);
+    let market = build_market(&w, 1);
     // Truncate the first eight call indices: a truncated call that billed
     // zero pages is a no-op, so spanning several indices guarantees at
     // least one lands on a billable purchase regardless of which early
@@ -255,10 +218,7 @@ fn retried_batch_waste_splits_and_reconciles() {
         ..ServeConfig::default()
     };
     let serve = Serve::new(market, QueryWorkload::local_tables(&w), cfg);
-    let templates: Vec<_> = QueryWorkload::templates(&w)
-        .iter()
-        .map(|sql| serve.prepare(sql).expect("workload templates parse"))
-        .collect();
+    let templates = prepared(&serve, &w);
     let mix = overlapping_mix(&w, &TEMPLATES, 2, 6, 48879);
     let report = run_mix(&serve, &mix, &templates).expect("serve mix succeeds");
     assert!(report.batch_joins > 0);
@@ -285,7 +245,7 @@ mod random_schedules {
         /// `run` on every replay).
         #[test]
         fn any_batched_schedule_matches_its_unbatched_oracle(seed in any::<u64>()) {
-            let w = tiny_workload();
+            let w = tiny_workload(3);
             let clients = 2 + (seed % 3) as usize; // 2..=4
             let threads = 1 + ((seed >> 2) % 4) as usize; // 1..=4
             let per_client = 3 + (seed % 4) as usize; // 3..=6

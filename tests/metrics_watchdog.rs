@@ -17,13 +17,17 @@
 //! * the registry stays exact under concurrent hammering from many
 //!   threads (no lost increments, histogram count == total records).
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{build_market, prepared, tiny_workload};
+
 use payless_exec::RetryPolicy;
-use payless_market::{DataMarket, Dataset, FaultInjector, FaultKind, FaultPlan};
+use payless_market::{FaultInjector, FaultKind, FaultPlan};
 use payless_metrics::{MetricsConfig, MetricsHub, Registry};
 use payless_serve::{run_mix, Serve, ServeConfig, ServeReport};
-use payless_workload::{serve_mix, MixItem, QueryWorkload, RealWorkload, WhwConfig};
+use payless_workload::{serve_mix, MixItem, QueryWorkload, RealWorkload};
 
 /// Single-table WHW templates only: at `page_size = 1` their delivered
 /// pages are interleaving-independent (same rationale as the concurrency
@@ -31,26 +35,6 @@ use payless_workload::{serve_mix, MixItem, QueryWorkload, RealWorkload, WhwConfi
 const TEMPLATES: [usize; 2] = [0, 1];
 
 const CHAOS_SEED: u64 = 48879;
-
-fn tiny_workload() -> RealWorkload {
-    RealWorkload::generate(&WhwConfig {
-        stations: 24,
-        countries: 4,
-        cities_per_country: 3,
-        days: 20,
-        zips: 40,
-        ranks: 100,
-        seed: 3,
-    })
-}
-
-fn build_market(w: &RealWorkload) -> Arc<DataMarket> {
-    let mut dataset = Dataset::new("market").with_page_size(1);
-    for t in QueryWorkload::market_tables(w) {
-        dataset = dataset.with_table(t.clone());
-    }
-    Arc::new(DataMarket::new(vec![dataset]))
-}
 
 /// Replay `mix` with a fresh hub attached, the watchdog sampling every
 /// `every` completions, and strict reconciliation on (any mid-run
@@ -62,7 +46,7 @@ fn run_with_hub(
     every: u64,
     faults: Option<FaultPlan>,
 ) -> (ServeReport, Arc<MetricsHub>, u64) {
-    let market = build_market(w);
+    let market = build_market(w, 1);
     let faulted = faults.is_some();
     if let Some(plan) = faults {
         market.attach_fault_injector(FaultInjector::new(plan));
@@ -83,10 +67,7 @@ fn run_with_hub(
     };
     let meter_before = market.bill().transactions();
     let serve = Serve::new(Arc::clone(&market), QueryWorkload::local_tables(w), cfg);
-    let templates: Vec<_> = QueryWorkload::templates(w)
-        .iter()
-        .map(|sql| serve.prepare(sql).expect("workload templates parse"))
-        .collect();
+    let templates = prepared(&serve, w);
     let report =
         run_mix(&serve, mix, &templates).expect("serve mix succeeds under strict watchdog");
     let meter_delta = market.bill().transactions() - meter_before;
@@ -152,7 +133,7 @@ fn assert_latencies(report: &ServeReport) {
 
 #[test]
 fn clean_serial_mix_reconciles_with_zero_drift() {
-    let w = tiny_workload();
+    let w = tiny_workload(3);
     let mix = serve_mix(&w, &TEMPLATES, 4, 18, CHAOS_SEED);
     let (report, hub, meter_delta) = run_with_hub(&w, &mix, 1, 4, None);
 
@@ -168,7 +149,7 @@ fn clean_serial_mix_reconciles_with_zero_drift() {
 
 #[test]
 fn clean_parallel_mix_reconciles_with_zero_final_drift() {
-    let w = tiny_workload();
+    let w = tiny_workload(3);
     let mix = serve_mix(&w, &TEMPLATES, 4, 18, 7);
     let (report, hub, meter_delta) = run_with_hub(&w, &mix, 4, 2, None);
     assert_hub_reconciles(&report, &hub, meter_delta);
@@ -177,7 +158,7 @@ fn clean_parallel_mix_reconciles_with_zero_final_drift() {
 
 #[test]
 fn chaos_serial_mix_keeps_the_watchdog_clean() {
-    let w = tiny_workload();
+    let w = tiny_workload(3);
     let mix = serve_mix(&w, &TEMPLATES, 4, 16, CHAOS_SEED);
     // Chaos alone may roll no faults on a mix this small, so pin one
     // guaranteed outage onto the first market call: at least one retry is
@@ -202,7 +183,7 @@ fn chaos_serial_mix_keeps_the_watchdog_clean() {
 
 #[test]
 fn chaos_parallel_mix_keeps_the_watchdog_clean() {
-    let w = tiny_workload();
+    let w = tiny_workload(3);
     let mix = serve_mix(&w, &TEMPLATES, 4, 16, CHAOS_SEED);
     let plan = FaultPlan::chaos(CHAOS_SEED).at(0, FaultKind::Unavailable);
     let (report, hub, meter_delta) = run_with_hub(&w, &mix, 4, 3, Some(plan));
@@ -212,7 +193,7 @@ fn chaos_parallel_mix_keeps_the_watchdog_clean() {
 
 #[test]
 fn windowed_series_deltas_sum_to_the_cumulative_counters() {
-    let w = tiny_workload();
+    let w = tiny_workload(3);
     let mix = serve_mix(&w, &TEMPLATES, 3, 15, 11);
     let (report, hub, meter_delta) = run_with_hub(&w, &mix, 2, 4, None);
     hub.roll();

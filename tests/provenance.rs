@@ -13,13 +13,17 @@
 //! an explicit fault event (`call_fault` / `call_truncated`) through its
 //! call or batch id. No page of waste appears out of thin air.
 
+mod common;
+
 use std::sync::Arc;
+
+use common::{build_market, prepared, tiny_workload};
 
 use payless_events::{provenance, render_provenance, Event, EventJournal, EventKind};
 use payless_exec::RetryPolicy;
-use payless_market::{DataMarket, Dataset, FaultInjector, FaultPlan};
+use payless_market::{FaultInjector, FaultPlan};
 use payless_serve::{run_mix, BatchConfig, Serve, ServeConfig, ServeReport};
-use payless_workload::{serve_mix, MixItem, QueryWorkload, RealWorkload, WhwConfig};
+use payless_workload::{serve_mix, MixItem, QueryWorkload, RealWorkload};
 
 /// Single-table WHW templates (see `serve_concurrency.rs`): at
 /// `page_size = 1` their delivered pages are interleaving-independent.
@@ -27,26 +31,6 @@ const TEMPLATES: [usize; 2] = [0, 1];
 
 /// The CI events-smoke's pinned chaos seed.
 const CHAOS_SEED: u64 = 48879;
-
-fn tiny_workload() -> RealWorkload {
-    RealWorkload::generate(&WhwConfig {
-        stations: 24,
-        countries: 4,
-        cities_per_country: 3,
-        days: 20,
-        zips: 40,
-        ranks: 100,
-        seed: 3,
-    })
-}
-
-fn build_market(w: &RealWorkload) -> Arc<DataMarket> {
-    let mut dataset = Dataset::new("market").with_page_size(1);
-    for t in QueryWorkload::market_tables(w) {
-        dataset = dataset.with_table(t.clone());
-    }
-    Arc::new(DataMarket::new(vec![dataset]))
-}
 
 /// Replay `mix` with a journal attached; return the report (or the error)
 /// plus the journal's merged snapshot.
@@ -59,7 +43,7 @@ fn run_journaled(
     fault_seed: Option<u64>,
     retry: RetryPolicy,
 ) -> (Result<ServeReport, payless_types::PaylessError>, Vec<Event>) {
-    let market = build_market(w);
+    let market = build_market(w, 1);
     if let Some(seed) = fault_seed {
         market.attach_fault_injector(FaultInjector::new(FaultPlan::chaos(seed)));
     }
@@ -73,10 +57,7 @@ fn run_journaled(
         ..ServeConfig::default()
     };
     let serve = Serve::new(market, QueryWorkload::local_tables(w), cfg);
-    let templates: Vec<_> = QueryWorkload::templates(w)
-        .iter()
-        .map(|sql| serve.prepare(sql).expect("workload templates parse"))
-        .collect();
+    let templates = prepared(&serve, w);
     let out = run_mix(&serve, mix, &templates);
     assert_eq!(journal.dropped(), 0, "ring too small for the run");
     (out, journal.snapshot())
@@ -180,7 +161,7 @@ fn assert_waste_reachable_from_faults(events: &[Event]) {
 
 #[test]
 fn provenance_is_exact_clean_and_chaos_serial_and_parallel() {
-    let w = tiny_workload();
+    let w = tiny_workload(3);
     let mix = serve_mix(&w, &TEMPLATES, 4, 16, CHAOS_SEED);
     for threads in [1usize, 4] {
         for batch in [None, Some(BatchConfig::default())] {
@@ -207,7 +188,7 @@ fn provenance_is_exact_clean_and_chaos_serial_and_parallel() {
 
 #[test]
 fn every_query_row_has_a_journaled_lifecycle() {
-    let w = tiny_workload();
+    let w = tiny_workload(3);
     let mix = serve_mix(&w, &TEMPLATES, 3, 12, 7);
     let (out, events) = run_journaled(&w, &mix, 4, None, None, RetryPolicy::default());
     let report = out.expect("clean mix succeeds");
@@ -235,7 +216,7 @@ mod random_schedules {
         /// when the mix completes its provenance is exact.
         #[test]
         fn any_schedule_keeps_waste_causally_closed(seed in any::<u64>()) {
-            let w = tiny_workload();
+            let w = tiny_workload(3);
             let clients = 2 + (seed % 3) as usize; // 2..=4
             let threads = 1 + ((seed >> 2) % 4) as usize; // 1..=4
             let batch = (seed & 1 == 0).then(BatchConfig::default);

@@ -18,38 +18,19 @@
 //! * `coalesce.saved_pages` is only ever credited to queries that actually
 //!   waited on another query's flight.
 
-use std::sync::Arc;
+mod common;
+
+use common::{assert_same_answers, build_market, prepared, tiny_workload};
 
 use payless_exec::RetryPolicy;
-use payless_market::{DataMarket, Dataset, FaultInjector, FaultPlan};
+use payless_market::{FaultInjector, FaultPlan};
 use payless_serve::{run_mix, Serve, ServeConfig, ServeReport};
-use payless_workload::{serve_mix, MixItem, QueryWorkload, RealWorkload, WhwConfig};
+use payless_workload::{serve_mix, MixItem, QueryWorkload, RealWorkload};
 
 /// Both single-table WHW templates: Weather country + date range, and the
 /// Pollution rank count. Bind-join templates are excluded on purpose — at
 /// `page_size = 1` these two make delivered pages interleaving-independent.
 const TEMPLATES: [usize; 2] = [0, 1];
-
-fn tiny_workload() -> RealWorkload {
-    RealWorkload::generate(&WhwConfig {
-        stations: 24,
-        countries: 4,
-        cities_per_country: 3,
-        days: 20,
-        zips: 40,
-        ranks: 100,
-        seed: 3,
-    })
-}
-
-/// A fresh market at page size 1 (pages == records for every delivery).
-fn build_market(w: &RealWorkload) -> Arc<DataMarket> {
-    let mut dataset = Dataset::new("market").with_page_size(1);
-    for t in QueryWorkload::market_tables(w) {
-        dataset = dataset.with_table(t.clone());
-    }
-    Arc::new(DataMarket::new(vec![dataset]))
-}
 
 /// Replay `mix` on a fresh serving layer. Fault-injected runs retry without
 /// limit so every query answers and stays comparable to the clean oracle.
@@ -60,7 +41,7 @@ fn run(
     coalesce: bool,
     fault_seed: Option<u64>,
 ) -> ServeReport {
-    let market = build_market(w);
+    let market = build_market(w, 1);
     if let Some(seed) = fault_seed {
         market.attach_fault_injector(FaultInjector::new(FaultPlan::chaos(seed)));
     }
@@ -75,27 +56,8 @@ fn run(
         ..ServeConfig::default()
     };
     let serve = Serve::new(market, QueryWorkload::local_tables(w), cfg);
-    let templates: Vec<_> = QueryWorkload::templates(w)
-        .iter()
-        .map(|sql| serve.prepare(sql).expect("workload templates parse"))
-        .collect();
+    let templates = prepared(&serve, w);
     run_mix(&serve, mix, &templates).expect("serve mix succeeds")
-}
-
-/// Answers must match the serial oracle elementwise; structural fields of
-/// each row (client, template) must too, since submission order is shared.
-fn assert_same_answers(run: &ServeReport, oracle: &ServeReport) {
-    assert_eq!(run.per_query.len(), oracle.per_query.len());
-    for (i, (p, s)) in run.per_query.iter().zip(&oracle.per_query).enumerate() {
-        assert_eq!(p.client, s.client, "query {i}: client mismatch");
-        assert_eq!(p.template, s.template, "query {i}: template mismatch");
-        assert_eq!(
-            p.digest, s.digest,
-            "query {i}: result digest diverged from the serial oracle"
-        );
-        assert_eq!(p.rows, s.rows, "query {i}: row count mismatch");
-    }
-    assert_eq!(run.total_rows, oracle.total_rows);
 }
 
 /// Savings are estimates credited at wait time — a query that never waited
@@ -111,7 +73,7 @@ fn assert_savings_imply_waits(report: &ServeReport) {
 
 #[test]
 fn parallel_run_matches_serial_oracle() {
-    let w = tiny_workload();
+    let w = tiny_workload(3);
     let mix = serve_mix(&w, &TEMPLATES, 4, 18, 48879);
     let serial = run(&w, &mix, 1, true, None);
     let parallel = run(&w, &mix, 4, true, None);
@@ -133,7 +95,7 @@ fn parallel_run_matches_serial_oracle() {
 
 #[test]
 fn coalescing_off_still_matches_answers_and_reconciles() {
-    let w = tiny_workload();
+    let w = tiny_workload(3);
     let mix = serve_mix(&w, &TEMPLATES, 3, 15, 7);
     let serial = run(&w, &mix, 1, true, None);
     // Without single flight, concurrent overlapping purchases may double-buy
@@ -148,7 +110,7 @@ fn coalescing_off_still_matches_answers_and_reconciles() {
 
 #[test]
 fn identical_queries_bill_a_coalesced_region_at_most_once() {
-    let w = tiny_workload();
+    let w = tiny_workload(3);
     // Eight copies of one instance across four clients: the sharpest
     // double-billing probe. Serial: first query buys, seven store hits.
     let base = serve_mix(&w, &TEMPLATES, 1, 1, 5).remove(0);
@@ -174,7 +136,7 @@ fn identical_queries_bill_a_coalesced_region_at_most_once() {
 
 #[test]
 fn chaos_runs_match_the_clean_serial_oracle() {
-    let w = tiny_workload();
+    let w = tiny_workload(3);
     let mix = serve_mix(&w, &TEMPLATES, 4, 16, 48879);
     let clean_serial = run(&w, &mix, 1, true, None);
 
@@ -216,7 +178,7 @@ mod random_schedules {
         /// equal to the serial oracle.
         #[test]
         fn any_schedule_matches_its_serial_oracle(seed in any::<u64>()) {
-            let w = tiny_workload();
+            let w = tiny_workload(3);
             let clients = 2 + (seed % 3) as usize; // 2..=4
             let threads = 2 + ((seed >> 2) % 3) as usize; // 2..=4
             let coalesce = seed & 1 == 0;

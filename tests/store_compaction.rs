@@ -17,37 +17,19 @@
 //!   Σ per-query ledger == billing meter ([`run_mix`] asserts this on every
 //!   run) and still match the clean oracle's answers.
 
-use std::sync::Arc;
+mod common;
+
+use common::{assert_same_answers, build_market, prepared, tiny_workload};
 
 use payless_exec::RetryPolicy;
-use payless_market::{DataMarket, Dataset, FaultInjector, FaultPlan};
+use payless_market::{FaultInjector, FaultPlan};
 use payless_semantic::StoreConfig;
 use payless_serve::{run_mix, Serve, ServeConfig, ServeReport};
-use payless_workload::{serve_mix, MixItem, QueryWorkload, RealWorkload, WhwConfig};
+use payless_workload::{serve_mix, MixItem, QueryWorkload, RealWorkload};
 
 /// Both single-table WHW templates (see `serve_concurrency.rs` for why the
 /// bind-join templates stay out at `page_size = 1`).
 const TEMPLATES: [usize; 2] = [0, 1];
-
-fn tiny_workload() -> RealWorkload {
-    RealWorkload::generate(&WhwConfig {
-        stations: 24,
-        countries: 4,
-        cities_per_country: 3,
-        days: 20,
-        zips: 40,
-        ranks: 100,
-        seed: 11,
-    })
-}
-
-fn build_market(w: &RealWorkload) -> Arc<DataMarket> {
-    let mut dataset = Dataset::new("market").with_page_size(1);
-    for t in QueryWorkload::market_tables(w) {
-        dataset = dataset.with_table(t.clone());
-    }
-    Arc::new(DataMarket::new(vec![dataset]))
-}
 
 /// Serial replay of `mix` with the given store tuning; chaos runs retry
 /// without limit so every query answers and stays comparable.
@@ -57,7 +39,7 @@ fn run(
     store: StoreConfig,
     fault_seed: Option<u64>,
 ) -> ServeReport {
-    let market = build_market(w);
+    let market = build_market(w, 1);
     if let Some(seed) = fault_seed {
         market.attach_fault_injector(FaultInjector::new(FaultPlan::chaos(seed)));
     }
@@ -72,10 +54,7 @@ fn run(
         ..ServeConfig::default()
     };
     let serve = Serve::new(market, QueryWorkload::local_tables(w), cfg);
-    let templates: Vec<_> = QueryWorkload::templates(w)
-        .iter()
-        .map(|sql| serve.prepare(sql).expect("workload templates parse"))
-        .collect();
+    let templates = prepared(&serve, w);
     run_mix(&serve, mix, &templates).expect("serve mix succeeds")
 }
 
@@ -87,21 +66,9 @@ fn oracle_config() -> StoreConfig {
     }
 }
 
-fn assert_same_answers(run: &ServeReport, oracle: &ServeReport) {
-    assert_eq!(run.per_query.len(), oracle.per_query.len());
-    for (i, (p, s)) in run.per_query.iter().zip(&oracle.per_query).enumerate() {
-        assert_eq!(
-            p.digest, s.digest,
-            "query {i}: answers diverged from the uncompacted oracle"
-        );
-        assert_eq!(p.rows, s.rows, "query {i}: row count mismatch");
-    }
-    assert_eq!(run.total_rows, oracle.total_rows);
-}
-
 #[test]
 fn compaction_preserves_answers_and_delivered_spend() {
-    let w = tiny_workload();
+    let w = tiny_workload(11);
     let mix = serve_mix(&w, &TEMPLATES, 3, 20, 42);
     let oracle = run(&w, &mix, oracle_config(), None);
     // Same cap, compaction on: merged boxes cover exactly the union of the
@@ -129,7 +96,7 @@ fn compaction_preserves_answers_and_delivered_spend() {
 
 #[test]
 fn eviction_under_cap_pressure_keeps_answers_correct() {
-    let w = tiny_workload();
+    let w = tiny_workload(11);
     let mix = serve_mix(&w, &TEMPLATES, 3, 24, 7);
     let oracle = run(&w, &mix, oracle_config(), None);
     // A cap this tight guarantees evictions on this mix; the store shrinks
@@ -159,7 +126,7 @@ fn eviction_under_cap_pressure_keeps_answers_correct() {
 
 #[test]
 fn chaos_with_compaction_and_eviction_still_reconciles() {
-    let w = tiny_workload();
+    let w = tiny_workload(11);
     let mix = serve_mix(&w, &TEMPLATES, 4, 18, 48879);
     let clean_oracle = run(&w, &mix, oracle_config(), None);
     // Σ per-query ledger == billing meter is asserted inside `run_mix` on
