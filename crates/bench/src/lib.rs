@@ -8,8 +8,6 @@
 
 #![warn(missing_docs)]
 
-pub mod micro;
-
 use std::sync::Arc;
 
 use payless_core::{build_market, Mode, PayLess, PayLessConfig};

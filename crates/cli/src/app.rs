@@ -900,11 +900,21 @@ mod tests {
         let dump = std::fs::read_to_string(&path).unwrap();
         assert!(!dump.trim().is_empty());
         let mut saw_query_start = false;
+        let mut last_seq = None;
         for line in dump.lines() {
             let json = payless_json::parse(line).expect("every journal line is JSON");
             if json.get("kind").unwrap().as_str().unwrap() == "query_start" {
                 saw_query_start = true;
             }
+            let seq = json.get("seq").unwrap().as_u64().unwrap();
+            assert!(last_seq < Some(seq), "seq must strictly increase: {line}");
+            last_seq = Some(seq);
+            json.get("at_nanos").unwrap().as_u64().unwrap();
+            let severity = json.get("severity").unwrap().as_str().unwrap();
+            assert!(
+                matches!(severity, "debug" | "info" | "warn" | "error"),
+                "{line}"
+            );
         }
         assert!(saw_query_start, "journal covers the query lifecycle");
         std::fs::remove_dir_all(&dir).ok();

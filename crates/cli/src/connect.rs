@@ -1,8 +1,8 @@
 //! `--connect`: drive the deterministic serve mix against a running
 //! `payless-server` over real sockets, then build the same reconciled
-//! [`ServeReport`] the in-process driver builds — so the existing
-//! `validate-serve` oracle comparison works unchanged on a true
-//! client/server run.
+//! [`ServeReport`] the in-process driver builds — so a `--serve-out` dump
+//! of a true client/server run compares field for field with an
+//! in-process one.
 //!
 //! The client regenerates the workload locally (same scale → same market
 //! data and mix parameters), replays the pinned mix with K client threads
@@ -234,7 +234,6 @@ pub fn run_connect(args: &CliArgs) -> Result<String, String> {
         shutdown(addr)?;
         let _ = writeln!(out, "  server at {addr} asked to shut down");
     }
-    // Smoke scripts grep this exact token.
     let _ = writeln!(out, "connect: ok");
     Ok(out.trim_end().to_string())
 }
@@ -242,6 +241,7 @@ pub fn run_connect(args: &CliArgs) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use payless_server::{Server, ServerConfig};
     use payless_workload::client::request;
 
     #[test]
@@ -256,5 +256,49 @@ mod tests {
         let err = request("127.0.0.1:1", "GET", "/v1/health", None).unwrap_err();
         assert!(err.contains("connect"), "{err}");
         let _ = args;
+    }
+
+    #[test]
+    fn drive_reconciles_against_a_live_server_and_shuts_it_down() {
+        let server = Server::start(ServerConfig::default()).expect("server boots");
+        let addr = server.addr().to_string();
+        let accept_loop = std::thread::spawn(move || server.run());
+
+        let dir = std::env::temp_dir().join(format!("payless-connect-test-{}", std::process::id()));
+        let serve_out = dir.join("remote.json");
+        let store_out = dir.join("store.json");
+        let out = run_connect(&CliArgs {
+            connect: Some(addr.clone()),
+            // `ServerConfig::default` generates WHW at this scale too; the
+            // client regenerates the data to draw the same mix parameters.
+            scale: 0.02,
+            serve_threads: Some(4),
+            serve_out: Some(serve_out.to_string_lossy().into_owned()),
+            store_out: Some(store_out.to_string_lossy().into_owned()),
+            shutdown_after: true,
+            ..CliArgs::default()
+        })
+        .expect("drive reconciles");
+        assert!(out.contains("24 queries x 4 clients"), "{out}");
+        assert!(out.contains("reconciled: "), "{out}");
+        assert!(out.ends_with("connect: ok"), "{out}");
+
+        let report =
+            payless_json::parse(&std::fs::read_to_string(&serve_out).unwrap()).expect("report");
+        let field = |name: &str| report.get(name).unwrap().as_u64().unwrap();
+        assert_eq!(field("queries"), 24);
+        assert_eq!(field("threads"), 4);
+        assert!(field("total_pages") > 0, "a fresh store has to buy");
+        assert_eq!(field("total_pages"), field("meter_transactions"));
+        let store =
+            payless_json::parse(&std::fs::read_to_string(&store_out).unwrap()).expect("store");
+        assert!(!store.get("durable").unwrap().as_bool().unwrap());
+
+        // `--shutdown-after` must have stopped the accept loop.
+        accept_loop
+            .join()
+            .expect("server thread")
+            .expect("clean exit");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,33 +1,16 @@
-//! The serving driver's JSON report — what the CI serve-smoke dumps at
-//! each thread count and reconciles across runs.
+//! The serving driver's reconciled report and its JSON shape — what
+//! `payless --serve-out` dumps and `/v1/report` clients rebuild.
 
-use payless_json::{FromJson, Json, JsonError, ToJson};
+use payless_json::{Json, ToJson};
 
 use crate::watchdog::TableDrift;
 
-/// Read an integer field that older report dumps predate, defaulting to 0.
-fn u64_or_zero(j: &Json, key: &str) -> Result<u64, JsonError> {
-    match j.get_opt(key) {
-        Some(v) => u64::from_json(v),
-        None => Ok(0),
-    }
-}
-
-/// Read a flag field that older report dumps predate, defaulting to false.
-fn bool_or_false(j: &Json, key: &str) -> Result<bool, JsonError> {
-    match j.get_opt(key) {
-        Some(v) => v.as_bool(),
-        None => Ok(false),
-    }
-}
-
 /// One query of the mix, in global submission order. Submission order is
-//  identical across thread counts, so validators compare rows pairwise.
+/// identical across thread counts, so tests compare rows pairwise.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryRow {
     /// The query's causal id (the serving layer's logical-clock tick) —
-    /// the id its flight-recorder events carry and `\why` takes. Zero in
-    /// dumps written before the flight recorder existed.
+    /// the id its flight-recorder events carry and `\why` takes.
     pub query_id: u64,
     /// Client session that issued the query.
     pub client: u64,
@@ -80,27 +63,6 @@ impl ToJson for QueryRow {
     }
 }
 
-impl FromJson for QueryRow {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(QueryRow {
-            query_id: u64_or_zero(j, "query_id")?,
-            client: u64::from_json(j.get("client")?)?,
-            template: u64::from_json(j.get("template")?)?,
-            digest: u64::from_json(j.get("digest")?)?,
-            rows: u64::from_json(j.get("rows")?)?,
-            pages: u64::from_json(j.get("pages")?)?,
-            wasted_pages: u64::from_json(j.get("wasted_pages")?)?,
-            records: u64::from_json(j.get("records")?)?,
-            price: f64::from_json(j.get("price")?)?,
-            coalesce_waits: u64::from_json(j.get("coalesce_waits")?)?,
-            saved_pages: u64::from_json(j.get("saved_pages")?)?,
-            batch_joins: u64_or_zero(j, "batch_joins")?,
-            shared_pages: u64_or_zero(j, "shared_pages")?,
-            wall_nanos: u64_or_zero(j, "wall_nanos")?,
-        })
-    }
-}
-
 impl ToJson for TableDrift {
     fn to_json(&self) -> Json {
         Json::obj([
@@ -108,16 +70,6 @@ impl ToJson for TableDrift {
             ("attributed_pages", self.attributed_pages.to_json()),
             ("meter_pages", self.meter_pages.to_json()),
         ])
-    }
-}
-
-impl FromJson for TableDrift {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(TableDrift {
-            table: String::from_json(j.get("table")?)?,
-            attributed_pages: u64::from_json(j.get("attributed_pages")?)?,
-            meter_pages: u64::from_json(j.get("meter_pages")?)?,
-        })
     }
 }
 
@@ -189,20 +141,6 @@ impl ToJson for ClientSpend {
             ("p95_nanos", self.p95_nanos.to_json()),
             ("p99_nanos", self.p99_nanos.to_json()),
         ])
-    }
-}
-
-impl FromJson for ClientSpend {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(ClientSpend {
-            client: u64::from_json(j.get("client")?)?,
-            queries: u64::from_json(j.get("queries")?)?,
-            pages: u64::from_json(j.get("pages")?)?,
-            price: f64::from_json(j.get("price")?)?,
-            p50_nanos: u64_or_zero(j, "p50_nanos")?,
-            p95_nanos: u64_or_zero(j, "p95_nanos")?,
-            p99_nanos: u64_or_zero(j, "p99_nanos")?,
-        })
     }
 }
 
@@ -327,65 +265,21 @@ impl ToJson for ServeReport {
     }
 }
 
-impl FromJson for ServeReport {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let fault_seed = match j.get("fault_seed")? {
-            Json::Null => None,
-            other => Some(u64::from_json(other)?),
-        };
-        Ok(ServeReport {
-            seed: u64::from_json(j.get("seed")?)?,
-            clients: u64::from_json(j.get("clients")?)?,
-            threads: u64::from_json(j.get("threads")?)?,
-            queries: u64::from_json(j.get("queries")?)?,
-            page_size: u64::from_json(j.get("page_size")?)?,
-            coalesce: j.get("coalesce")?.as_bool()?,
-            batch: bool_or_false(j, "batch")?,
-            fault_seed,
-            total_rows: u64::from_json(j.get("total_rows")?)?,
-            total_pages: u64::from_json(j.get("total_pages")?)?,
-            wasted_pages: u64::from_json(j.get("wasted_pages")?)?,
-            total_records: u64::from_json(j.get("total_records")?)?,
-            total_price: f64::from_json(j.get("total_price")?)?,
-            coalesce_waits: u64::from_json(j.get("coalesce_waits")?)?,
-            saved_pages: u64::from_json(j.get("saved_pages")?)?,
-            batch_joins: u64_or_zero(j, "batch_joins")?,
-            shared_pages: u64_or_zero(j, "shared_pages")?,
-            meter_calls: u64::from_json(j.get("meter_calls")?)?,
-            meter_transactions: u64::from_json(j.get("meter_transactions")?)?,
-            meter_records: u64::from_json(j.get("meter_records")?)?,
-            watchdog_samples: u64_or_zero(j, "watchdog_samples")?,
-            watchdog_max_drift_pages: u64_or_zero(j, "watchdog_max_drift_pages")?,
-            watchdog_tables: match j.get_opt("watchdog_tables") {
-                Some(v) => v
-                    .as_arr()?
-                    .iter()
-                    .map(TableDrift::from_json)
-                    .collect::<Result<_, _>>()?,
-                None => Vec::new(),
-            },
-            per_client: j
-                .get("per_client")?
-                .as_arr()?
-                .iter()
-                .map(ClientSpend::from_json)
-                .collect::<Result<_, _>>()?,
-            per_query: j
-                .get("per_query")?
-                .as_arr()?
-                .iter()
-                .map(QueryRow::from_json)
-                .collect::<Result<_, _>>()?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Keys of a JSON object, in emission order.
+    fn keys(j: &Json) -> Vec<&str> {
+        j.as_obj()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect()
+    }
+
     #[test]
-    fn report_round_trips_through_json() {
+    fn serve_out_json_key_set_is_pinned() {
         let report = ServeReport {
             seed: 48879,
             clients: 4,
@@ -440,70 +334,81 @@ mod tests {
                 wall_nanos: 5_500,
             }],
         };
-        let text = report.to_json().to_string_pretty();
-        let parsed = ServeReport::from_json(&payless_json::parse(&text).unwrap()).unwrap();
-        assert_eq!(parsed, report);
-        assert_eq!(parsed.delivered_pages(), 10);
-    }
-
-    #[test]
-    fn pre_metrics_dumps_still_parse() {
-        // Reports written before latency/watchdog fields existed must load
-        // with those fields zeroed, not fail.
-        let mut j = ServeReport::default().to_json();
-        if let Json::Obj(fields) = &mut j {
-            fields.retain(|(k, _)| {
-                !matches!(
-                    k.as_str(),
-                    "watchdog_samples"
-                        | "watchdog_max_drift_pages"
-                        | "watchdog_tables"
-                        | "batch"
-                        | "batch_joins"
-                        | "shared_pages"
-                )
-            });
-        }
-        let parsed = ServeReport::from_json(&j).unwrap();
-        assert_eq!(parsed.watchdog_samples, 0);
-        assert_eq!(parsed.watchdog_max_drift_pages, 0);
-        assert!(parsed.watchdog_tables.is_empty());
-        assert!(!parsed.batch);
-        assert_eq!(parsed.batch_joins, 0);
-        assert_eq!(parsed.shared_pages, 0);
-
-        // Per-query rows from before the flight recorder lack query_id.
-        let mut j = ServeReport {
-            per_query: vec![QueryRow {
-                query_id: 7,
-                client: 0,
-                template: 0,
-                digest: 0,
-                rows: 0,
-                pages: 0,
-                wasted_pages: 0,
-                records: 0,
-                price: 0.0,
-                coalesce_waits: 0,
-                saved_pages: 0,
-                batch_joins: 0,
-                shared_pages: 0,
-                wall_nanos: 0,
-            }],
-            ..Default::default()
-        }
-        .to_json();
-        if let Json::Obj(fields) = &mut j {
-            if let Some((_, Json::Arr(rows))) = fields.iter_mut().find(|(k, _)| k == "per_query") {
-                for row in rows {
-                    if let Json::Obj(row_fields) = row {
-                        row_fields.retain(|(k, _)| k != "query_id");
-                    }
-                }
-            }
-        }
-        let parsed = ServeReport::from_json(&j).unwrap();
-        assert_eq!(parsed.per_query[0].query_id, 0);
+        assert_eq!(report.delivered_pages(), 10);
+        let j = report.to_json();
+        assert_eq!(
+            keys(&j),
+            [
+                "seed",
+                "clients",
+                "threads",
+                "queries",
+                "page_size",
+                "coalesce",
+                "batch",
+                "fault_seed",
+                "total_rows",
+                "total_pages",
+                "wasted_pages",
+                "total_records",
+                "total_price",
+                "coalesce_waits",
+                "saved_pages",
+                "batch_joins",
+                "shared_pages",
+                "meter_calls",
+                "meter_transactions",
+                "meter_records",
+                "watchdog_samples",
+                "watchdog_max_drift_pages",
+                "watchdog_tables",
+                "per_client",
+                "per_query",
+            ]
+        );
+        let first = |key: &str| &j.get(key).unwrap().as_arr().unwrap()[0];
+        assert_eq!(
+            keys(first("watchdog_tables")),
+            ["table", "attributed_pages", "meter_pages"]
+        );
+        assert_eq!(
+            keys(first("per_client")),
+            [
+                "client",
+                "queries",
+                "pages",
+                "price",
+                "p50_nanos",
+                "p95_nanos",
+                "p99_nanos"
+            ]
+        );
+        assert_eq!(
+            keys(first("per_query")),
+            [
+                "query_id",
+                "client",
+                "template",
+                "digest",
+                "rows",
+                "pages",
+                "wasted_pages",
+                "records",
+                "price",
+                "coalesce_waits",
+                "saved_pages",
+                "batch_joins",
+                "shared_pages",
+                "wall_nanos",
+            ]
+        );
+        assert_eq!(j.get("fault_seed").unwrap().as_u64().unwrap(), 7);
+        assert_eq!(
+            first("per_query").get("digest").unwrap(),
+            &Json::Str((u64::MAX - 3).to_string())
+        );
+        let clean = ServeReport::default().to_json();
+        assert_eq!(clean.get("fault_seed").unwrap(), &Json::Null);
     }
 
     #[test]
@@ -522,16 +427,5 @@ mod tests {
         let mut empty = ClientSpend::new(2);
         empty.set_latencies(&mut Vec::new());
         assert_eq!(empty.p50_nanos, 0);
-    }
-
-    #[test]
-    fn missing_fault_seed_is_none() {
-        let report = ServeReport {
-            fault_seed: None,
-            ..Default::default()
-        };
-        let text = report.to_json().to_string_compact();
-        let parsed = ServeReport::from_json(&payless_json::parse(&text).unwrap()).unwrap();
-        assert_eq!(parsed.fault_seed, None);
     }
 }

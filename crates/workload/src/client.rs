@@ -11,15 +11,21 @@
 //! slot-for-slot with the in-process oracle's.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use payless_json::{Json, ToJson};
 use payless_types::{Row, Value};
 
 use crate::mix::MixItem;
+
+/// Longest the driver waits to connect, and for any single read or write
+/// to make progress. A server that died or wedged mid-mix then fails the
+/// request with an error instead of hanging the caller forever. Far above
+/// any real query's latency: this is a hang guard, not a latency bound.
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// One query's remote outcome: decoded rows plus the spend telemetry the
 /// server reported in its `X-Payless-*` headers.
@@ -49,6 +55,27 @@ pub struct RemoteOutcome {
     pub wall_nanos: u64,
 }
 
+impl RemoteOutcome {
+    /// Decode a 200 reply from `/v1/query`, sent at `t0`: the binary rows
+    /// plus every spend header, each of which must be present and numeric.
+    fn from_reply(reply: &HttpReply, t0: Instant) -> Result<Self, String> {
+        Ok(RemoteOutcome {
+            rows: payless_market::decode_rows(&reply.body)
+                .map_err(|e| format!("decode rows: {e}"))?,
+            query_id: reply.header_num("x-payless-query-id")?,
+            pages: reply.header_num("x-payless-pages")?,
+            wasted_pages: reply.header_num("x-payless-wasted-pages")?,
+            records: reply.header_num("x-payless-records")?,
+            price: reply.header_num("x-payless-price")?,
+            coalesce_waits: reply.header_num("x-payless-coalesce-waits")?,
+            saved_pages: reply.header_num("x-payless-saved-pages")?,
+            batch_joins: reply.header_num("x-payless-batch-joins")?,
+            shared_pages: reply.header_num("x-payless-shared-pages")?,
+            wall_nanos: t0.elapsed().as_nanos() as u64,
+        })
+    }
+}
+
 /// A minimal HTTP/1.1 response: status, headers (names lowercased), body.
 #[derive(Debug)]
 pub struct HttpReply {
@@ -69,8 +96,15 @@ impl HttpReply {
             .map(|(_, v)| v.as_str())
     }
 
-    fn header_u64(&self, name: &str) -> u64 {
-        self.header(name).and_then(|v| v.parse().ok()).unwrap_or(0)
+    /// Header `name` parsed as a number. Missing or malformed is an error
+    /// naming the header: spend telemetry read as 0 would book a paid query
+    /// as free and only surface later as Σ pages != meter.
+    fn header_num<T: std::str::FromStr>(&self, name: &str) -> Result<T, String> {
+        let raw = self
+            .header(name)
+            .ok_or_else(|| format!("response lacks the `{name}` header"))?;
+        raw.parse()
+            .map_err(|_| format!("response header `{name}` is not a number: {raw:?}"))
     }
 
     /// Body as UTF-8 (lossy — for error messages and text endpoints).
@@ -117,14 +151,36 @@ fn read_reply(stream: TcpStream) -> Result<HttpReply, String> {
     })
 }
 
-/// One HTTP request over a fresh connection (`Connection: close`).
+/// Connect to `addr` and arm both I/O timeouts, each [`IO_TIMEOUT`].
+fn connect(addr: &str) -> Result<TcpStream, String> {
+    let addrs = addr
+        .to_socket_addrs()
+        .map_err(|e| format!("connect {addr}: {e}"))?;
+    let mut last = format!("connect {addr}: resolves to no address");
+    for sock in addrs {
+        match TcpStream::connect_timeout(&sock, IO_TIMEOUT) {
+            Ok(stream) => {
+                stream
+                    .set_read_timeout(Some(IO_TIMEOUT))
+                    .and_then(|_| stream.set_write_timeout(Some(IO_TIMEOUT)))
+                    .map_err(|e| format!("connect {addr}: set timeouts: {e}"))?;
+                return Ok(stream);
+            }
+            Err(e) => last = format!("connect {addr}: {e}"),
+        }
+    }
+    Err(last)
+}
+
+/// One HTTP request over a fresh connection (`Connection: close`). No step
+/// blocks longer than [`IO_TIMEOUT`]; every error names the request.
 pub fn request(
     addr: &str,
     method: &str,
     path: &str,
     body: Option<&[u8]>,
 ) -> Result<HttpReply, String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    let mut stream = connect(addr)?;
     let body = body.unwrap_or(&[]);
     let head = format!(
         "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\nContent-Length: {}\r\n\r\n",
@@ -135,7 +191,7 @@ pub fn request(
         .and_then(|_| stream.write_all(body))
         .and_then(|_| stream.flush())
         .map_err(|e| format!("send {method} {path}: {e}"))?;
-    read_reply(stream)
+    read_reply(stream).map_err(|e| format!("{method} {path}: {e}"))
 }
 
 /// GET a text endpoint, failing on any non-200.
@@ -171,23 +227,7 @@ pub fn submit(addr: &str, template: usize, params: &[Value]) -> Result<RemoteOut
             reply.text().trim()
         ));
     }
-    let rows = payless_market::decode_rows(&reply.body).map_err(|e| format!("decode rows: {e}"))?;
-    Ok(RemoteOutcome {
-        query_id: reply.header_u64("x-payless-query-id"),
-        pages: reply.header_u64("x-payless-pages"),
-        wasted_pages: reply.header_u64("x-payless-wasted-pages"),
-        records: reply.header_u64("x-payless-records"),
-        price: reply
-            .header("x-payless-price")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.0),
-        coalesce_waits: reply.header_u64("x-payless-coalesce-waits"),
-        saved_pages: reply.header_u64("x-payless-saved-pages"),
-        batch_joins: reply.header_u64("x-payless-batch-joins"),
-        shared_pages: reply.header_u64("x-payless-shared-pages"),
-        wall_nanos: t0.elapsed().as_nanos() as u64,
-        rows,
-    })
+    RemoteOutcome::from_reply(&reply, t0).map_err(|e| format!("query template {template}: {e}"))
 }
 
 /// Ask the server to drain and shut down gracefully.
@@ -244,4 +284,94 @@ pub fn drive_mix(
         .into_iter()
         .map(|o| o.expect("no failure, so every slot filled"))
         .collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use std::net::TcpListener;
+
+    use super::*;
+
+    /// The spend headers `payless-server` puts on every `/v1/query` answer.
+    const SPEND_HEADERS: [(&str, &str); 9] = [
+        ("X-Payless-Query-Id", "3"),
+        ("X-Payless-Pages", "5"),
+        ("X-Payless-Wasted-Pages", "1"),
+        ("X-Payless-Records", "4"),
+        ("X-Payless-Price", "0.25"),
+        ("X-Payless-Coalesce-Waits", "0"),
+        ("X-Payless-Saved-Pages", "0"),
+        ("X-Payless-Batch-Joins", "0"),
+        ("X-Payless-Shared-Pages", "0"),
+    ];
+
+    /// `submit` template 1 to a local listener that answers with a 200
+    /// carrying `headers` and an empty row set.
+    fn submit_to_canned_reply(headers: &[(&str, &str)]) -> Result<RemoteOutcome, String> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let body = payless_market::encode_rows(&[]);
+        let mut reply = format!("HTTP/1.1 200 OK\r\nContent-Length: {}\r\n", body.len());
+        for (k, v) in headers {
+            reply.push_str(&format!("{k}: {v}\r\n"));
+        }
+        reply.push_str("\r\n");
+        let (done, client_done) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let (mut conn, _) = listener.accept().unwrap();
+                conn.write_all(reply.as_bytes()).unwrap();
+                conn.write_all(&body).unwrap();
+                // Closing with the request still unread would reset the
+                // socket under the client: hold it until the client is done.
+                let _ = client_done.recv();
+            });
+            let outcome = submit(&addr, 1, &[]);
+            drop(done);
+            outcome
+        })
+    }
+
+    #[test]
+    fn missing_or_malformed_spend_header_is_an_error_naming_it() {
+        for name in [
+            "X-Payless-Pages",
+            "X-Payless-Wasted-Pages",
+            "X-Payless-Records",
+        ] {
+            let lower = name.to_ascii_lowercase();
+            let without: Vec<_> = SPEND_HEADERS
+                .into_iter()
+                .filter(|(k, _)| *k != name)
+                .collect();
+            let err = submit_to_canned_reply(&without).unwrap_err();
+            assert!(err.contains(&lower) && err.contains("template 1"), "{err}");
+
+            let garbled = SPEND_HEADERS.map(|(k, v)| if k == name { (k, "many") } else { (k, v) });
+            let err = submit_to_canned_reply(&garbled).unwrap_err();
+            assert!(err.contains(&lower) && err.contains("many"), "{err}");
+        }
+    }
+
+    #[test]
+    fn silent_server_times_out_with_an_error_naming_the_request() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        // Accept, then hold the connection open without ever answering.
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        let server = std::thread::spawn(move || {
+            let _conn = listener.accept().unwrap();
+            let _ = held.recv();
+        });
+        let t0 = Instant::now();
+        let err = request(&addr, "GET", "/v1/health", None).unwrap_err();
+        let waited = t0.elapsed();
+        assert!(err.contains("GET /v1/health"), "{err}");
+        assert!(
+            waited >= IO_TIMEOUT && waited < IO_TIMEOUT + Duration::from_secs(5),
+            "gave up after {waited:?}, expected about {IO_TIMEOUT:?}"
+        );
+        drop(release);
+        server.join().unwrap();
+    }
 }

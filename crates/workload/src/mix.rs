@@ -2,8 +2,9 @@
 //!
 //! A serve mix is a deterministic function of `(workload, templates,
 //! clients, queries, seed)`: the same inputs yield the same schedule on
-//! every machine and at every thread count, which is what lets the CI
-//! serve-smoke compare a parallel run against its serial replay.
+//! every machine and at every thread count, which is what lets
+//! `tests/serve_concurrency.rs` compare a parallel run against its serial
+//! replay.
 //!
 //! Parameters are drawn from a deliberately small pool and reused across
 //! items — repetition is what makes sharing (and thus call coalescing)
@@ -78,7 +79,8 @@ pub fn serve_mix(
 /// * every client draws from the same pool, so the union of regions the
 ///   mix touches saturates while total queries grow linearly with the
 ///   client count. Spend per query therefore falls as clients are added —
-///   the curve `BENCH_batch.json` pins.
+///   the curve `tests/batch_purchasing.rs` pins
+///   (`spend_per_query_falls_as_clients_share_the_hot_pool`).
 ///
 /// Items are round-robin interleaved into global submission order, so
 /// neighbouring queries belong to different clients and a batching window

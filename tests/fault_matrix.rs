@@ -15,8 +15,7 @@
 //! * an attached injector with an empty plan is invisible: outputs and
 //!   billing are byte-identical to a session with no injector at all.
 //!
-//! The pinned chaos seed can be overridden with `PAYLESS_FAULT_SEED` (used
-//! by the CI fault-smoke step).
+//! The pinned chaos seed can be overridden with `PAYLESS_FAULT_SEED`.
 
 use std::sync::Arc;
 
@@ -373,7 +372,7 @@ fn empty_fault_plan_is_bit_identical_to_no_injector() {
 }
 
 // ----------------------------------------------------------------------
-// Seeded chaos smoke (CI runs this at a pinned PAYLESS_FAULT_SEED)
+// Seeded chaos run (seed from PAYLESS_FAULT_SEED, default 0xBEEF)
 // ----------------------------------------------------------------------
 
 fn fault_seed() -> u64 {

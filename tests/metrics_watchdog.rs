@@ -15,7 +15,9 @@
 //! * per-query wall-clock latencies surface as non-zero row timings and
 //!   monotone per-client percentiles;
 //! * the registry stays exact under concurrent hammering from many
-//!   threads (no lost increments, histogram count == total records).
+//!   threads (no lost increments, histogram count == total records);
+//! * a charge on the meter that no query's ledger explains aborts a strict
+//!   mix and leaves a well-formed black-box dump naming the violation.
 
 mod common;
 
@@ -23,6 +25,7 @@ use std::sync::Arc;
 
 use common::{build_market, prepared, tiny_workload};
 
+use payless_events::EventJournal;
 use payless_exec::RetryPolicy;
 use payless_market::{FaultInjector, FaultKind, FaultPlan};
 use payless_metrics::{MetricsConfig, MetricsHub, Registry};
@@ -291,4 +294,92 @@ fn hub_counters_are_exact_under_concurrent_hammering() {
     // The exposition must agree with the snapshot it was rendered from.
     let expo = hub.exposition();
     assert!(expo.contains(&format!("payless_market_calls_total {expect}")));
+}
+
+/// Check the shape every flight-recorder JSONL line must have — strictly
+/// increasing `seq`, an `at_nanos` timestamp, a known `severity`, a `kind`
+/// — and return the kinds in order.
+fn journal_kinds(dump: &str) -> Vec<String> {
+    let mut last_seq = None;
+    let mut kinds = Vec::new();
+    for (i, line) in dump.lines().enumerate() {
+        let event = payless_json::parse(line).expect("every journal line is JSON");
+        let seq = event.get("seq").and_then(|v| v.as_u64()).expect("seq");
+        assert!(
+            last_seq < Some(seq),
+            "line {i}: seq {seq} follows {last_seq:?}"
+        );
+        last_seq = Some(seq);
+        event
+            .get("at_nanos")
+            .and_then(|v| v.as_u64())
+            .expect("at_nanos");
+        let severity = event.get("severity").unwrap().as_str().unwrap().to_string();
+        assert!(
+            matches!(severity.as_str(), "debug" | "info" | "warn" | "error"),
+            "line {i}: unknown severity `{severity}`"
+        );
+        kinds.push(event.get("kind").unwrap().as_str().unwrap().to_string());
+    }
+    kinds
+}
+
+/// The post-mortem path: one unattributed charge lands on the billing meter
+/// mid-run — spend no query's ledger can account for. Under the strict
+/// watchdog sampling after every query the mix must abort, and the
+/// journal's black box must land with the violation in it.
+#[test]
+fn strict_watchdog_aborts_a_sabotaged_meter_and_dumps_the_black_box() {
+    let dir = std::env::temp_dir().join(format!("payless-blackbox-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let blackbox = dir.join("blackbox.jsonl");
+
+    let w = tiny_workload(3);
+    let market = build_market(&w, 1);
+    market.attach_fault_injector(FaultInjector::new(FaultPlan::chaos(CHAOS_SEED)));
+    let journal = Arc::new(EventJournal::new(1 << 14));
+    journal.set_blackbox(Some(blackbox.to_string_lossy().into_owned()));
+    let cfg = ServeConfig {
+        threads: 1,
+        retry: RetryPolicy::unlimited(),
+        strict_reconcile: true,
+        watchdog_every: 1,
+        events: Some(Arc::clone(&journal)),
+        ..ServeConfig::default()
+    };
+    let serve = Serve::new(Arc::clone(&market), QueryWorkload::local_tables(&w), cfg);
+    let templates = prepared(&serve, &w);
+    let mix = serve_mix(&w, &TEMPLATES, 4, 24, CHAOS_SEED);
+
+    // The saboteur waits for the first real purchase (necessarily after the
+    // watchdog's base snapshot), then charges the meter directly.
+    let table = market.table_names()[0].clone();
+    let base = market.bill().transactions();
+    let result = std::thread::scope(|s| {
+        s.spawn(|| {
+            while market.bill().transactions() <= base {
+                std::thread::yield_now();
+            }
+            market.meter().charge(&table, 97, 97);
+        });
+        // The violation normally surfaces as a mid-run strict `Err`; if the
+        // charge lands after the last sample, the finish-time
+        // reconciliation panics instead. Both dump the black box first.
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_mix(&serve, &mix, &templates)
+        }))
+    });
+    if let Ok(Ok(_)) = result {
+        panic!("the sabotaged run reconciled: no violation was detected");
+    }
+
+    let dump = std::fs::read_to_string(&blackbox).expect("black box was written");
+    let kinds = journal_kinds(&dump);
+    for expected in ["watchdog_violation", "blackbox"] {
+        assert!(
+            kinds.iter().any(|k| k == expected),
+            "black box must hold a `{expected}` event: {kinds:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

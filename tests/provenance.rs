@@ -29,7 +29,7 @@ use payless_workload::{serve_mix, MixItem, QueryWorkload, RealWorkload};
 /// `page_size = 1` their delivered pages are interleaving-independent.
 const TEMPLATES: [usize; 2] = [0, 1];
 
-/// The CI events-smoke's pinned chaos seed.
+/// The pinned chaos seed (0xBEEF).
 const CHAOS_SEED: u64 = 48879;
 
 /// Replay `mix` with a journal attached; return the report (or the error)

@@ -10,13 +10,26 @@
 //! * every remote query returns the same rows as the serial oracle;
 //! * Σ client-observed pages == the server's billing-meter delta == the
 //!   oracle's total spend;
+//! * the same holds with the server's market chaos-injected: answers equal
+//!   the *clean* oracle and delivered (billed minus wasted) pages equal its
+//!   total spend;
 //! * after a graceful shutdown, a restart on the same data directory
 //!   recovers a reconciling store (ledger == meter per table) **with** its
 //!   mirror rows, and re-running the identical mix buys zero pages while
-//!   still answering exactly like the oracle.
+//!   still answering exactly like the oracle;
+//! * after a *crash* of the real `payless-server` binary — torn WAL frame,
+//!   either side of the snapshot rename, or SIGKILL — pages that survived
+//!   plus pages re-bought equal what one uninterrupted run buys.
+//!
+//! The chaos seed, and the mix seed of the crash legs, come from
+//! `PAYLESS_FAULT_SEED` (default 48879, as in tests/fault_matrix.rs); the
+//! nightly CI job re-runs this suite at other seeds.
 
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use payless_core::build_market;
 use payless_json::Json;
@@ -36,7 +49,7 @@ const TEMPLATES: [usize; 2] = [0, 1];
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
 
-fn tmpdir(tag: &str) -> std::path::PathBuf {
+fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
         "payless-e2e-{tag}-{}-{}",
         std::process::id(),
@@ -61,6 +74,30 @@ fn meter_transactions(addr: &str) -> u64 {
 fn store_json(addr: &str) -> Json {
     let text = get_text(addr, "/v1/store").expect("GET /v1/store");
     payless_json::parse(&text).expect("store status is JSON")
+}
+
+/// Σ per-table ledger pages of a durable server, after checking that every
+/// table reconciles: its ledger equals the meter the WAL recorded.
+fn reconciled_ledger_pages(status: &Json) -> u64 {
+    assert!(status.get("durable").and_then(|v| v.as_bool()).unwrap());
+    let mut total = 0;
+    for t in status.get("tables").and_then(|v| v.as_arr()).unwrap() {
+        let ledger = t.get("ledger_pages").and_then(|v| v.as_u64()).unwrap();
+        let meter = t.get("meter_pages").and_then(|v| v.as_u64()).unwrap();
+        assert_eq!(
+            ledger, meter,
+            "a table's ledger and meter differ: a page was double-counted or lost"
+        );
+        total += ledger;
+    }
+    total
+}
+
+fn fault_seed() -> u64 {
+    std::env::var("PAYLESS_FAULT_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0xBEEF)
 }
 
 /// Boot a server and hand back its address plus the join handle running
@@ -125,29 +162,45 @@ fn assert_matches_oracle(outcomes: &[RemoteOutcome], oracle: &Oracle) {
 
 #[test]
 fn concurrent_remote_mix_matches_serial_oracle_and_reconciles() {
-    let (addr, handle) = boot(ServerConfig::default());
     let mix = seeded_mix(3, 12, 7);
-
-    let before = meter_transactions(&addr);
-    assert_eq!(before, 0, "fresh server has an untouched meter");
-    let outcomes = drive_mix(&addr, &mix, 4).expect("remote drive succeeds");
-    let delta = meter_transactions(&addr) - before;
-
-    let client_pages: u64 = outcomes.iter().map(|o| o.pages + o.wasted_pages).sum();
-    assert_eq!(
-        client_pages, delta,
-        "Σ client-observed pages must equal the server's meter delta"
-    );
-
     let oracle = serial_oracle(&mix);
-    assert_matches_oracle(&outcomes, &oracle);
-    assert_eq!(
-        delta, oracle.total_pages,
-        "remote total spend must equal the serial oracle's"
-    );
 
-    shutdown(&addr).expect("graceful shutdown");
-    handle.join().expect("server thread").expect("clean exit");
+    // Clean, then with the market chaos-injected (the server then retries
+    // without limit): faults may add wasted spend, never change an answer
+    // or what is delivered.
+    for chaos in [None, Some(fault_seed())] {
+        let (addr, handle) = boot(ServerConfig {
+            fault_seed: chaos,
+            ..ServerConfig::default()
+        });
+        let before = meter_transactions(&addr);
+        assert_eq!(before, 0, "fresh server has an untouched meter");
+        let outcomes = drive_mix(&addr, &mix, 4).expect("remote drive succeeds");
+        let delta = meter_transactions(&addr) - before;
+
+        // `X-Payless-Pages` is everything billed to the query, wasted
+        // pages included.
+        let billed: u64 = outcomes.iter().map(|o| o.pages).sum();
+        let wasted: u64 = outcomes.iter().map(|o| o.wasted_pages).sum();
+        assert_eq!(
+            billed, delta,
+            "Σ client-observed pages must equal the server's meter delta \
+             (fault seed {chaos:?})"
+        );
+        if chaos.is_none() {
+            assert_eq!(wasted, 0, "a clean run wastes nothing");
+        }
+        assert_matches_oracle(&outcomes, &oracle);
+        assert_eq!(
+            billed - wasted,
+            oracle.total_pages,
+            "remote delivered spend must equal the serial oracle's \
+             (fault seed {chaos:?})"
+        );
+
+        shutdown(&addr).expect("graceful shutdown");
+        handle.join().expect("server thread").expect("clean exit");
+    }
 }
 
 #[test]
@@ -179,18 +232,13 @@ fn durable_restart_recovers_store_and_rebuys_nothing() {
     // answer correctly from local state without buying a single page.
     let (addr, handle) = boot(durable_cfg());
     let status = store_json(&addr);
-    assert!(status.get("durable").and_then(|v| v.as_bool()).unwrap());
     let recovered_rows = status
         .get("recovery")
         .and_then(|r| r.get("mirror_rows"))
         .and_then(|v| v.as_u64())
         .expect("recovery.mirror_rows");
     assert!(recovered_rows > 0, "restart must recover the mirror rows");
-    for t in status.get("tables").and_then(|v| v.as_arr()).unwrap() {
-        let ledger = t.get("ledger_pages").and_then(|v| v.as_u64()).unwrap();
-        let meter = t.get("meter_pages").and_then(|v| v.as_u64()).unwrap();
-        assert_eq!(ledger, meter, "recovered table must reconcile");
-    }
+    assert_eq!(reconciled_ledger_pages(&status), oracle.total_pages);
 
     let again = drive_mix(&addr, &mix, 4).expect("re-drive succeeds");
     assert_matches_oracle(&again, &oracle);
@@ -202,4 +250,179 @@ fn durable_restart_recovers_store_and_rebuys_nothing() {
     shutdown(&addr).expect("graceful shutdown");
     handle.join().expect("server thread").expect("clean exit");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// How long a `payless-server` child gets to write its address, or to exit
+/// once it has been told (or rigged) to.
+const CHILD_DEADLINE: Duration = Duration::from_secs(20);
+
+/// A `payless-server` child process on port 0. Dropping it kills and reaps
+/// the process, so a failed assertion never leaks a server.
+struct ChildServer {
+    child: Child,
+    addr: String,
+}
+
+impl ChildServer {
+    /// Spawn the real binary, durable on `dir/data`, with `knobs` as extra
+    /// environment, and wait for the address it bound. Inherited
+    /// `PAYLESS_*` variables are dropped: the nightly sweep sets
+    /// `PAYLESS_FAULT_SEED` for this suite, not for the servers it boots.
+    fn spawn(dir: &Path, knobs: &[(&str, &str)]) -> ChildServer {
+        let addr_file = dir.join("addr");
+        let _ = std::fs::remove_file(&addr_file);
+        let log = std::fs::File::create(dir.join("server.log")).expect("create server log");
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_payless-server"));
+        for (key, _) in std::env::vars_os() {
+            if key.to_string_lossy().starts_with("PAYLESS_") {
+                cmd.env_remove(key);
+            }
+        }
+        let child = cmd
+            .env("PAYLESS_LISTEN", "127.0.0.1:0")
+            .env("PAYLESS_ADDR_FILE", &addr_file)
+            .env("PAYLESS_DATA_DIR", dir.join("data"))
+            .envs(knobs.iter().copied())
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(log)
+            .spawn()
+            .expect("spawn payless-server");
+        let mut server = ChildServer {
+            child,
+            addr: String::new(),
+        };
+        let deadline = Instant::now() + CHILD_DEADLINE;
+        while server.addr.is_empty() {
+            if let Some(status) = server.child.try_wait().expect("poll payless-server") {
+                panic!("payless-server exited before binding: {status}");
+            }
+            assert!(
+                Instant::now() < deadline,
+                "payless-server never wrote {addr_file:?}"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+            server.addr = std::fs::read_to_string(&addr_file).unwrap_or_default();
+        }
+        server
+    }
+
+    /// Wait for the process to exit on its own: a crash knob firing, or a
+    /// graceful shutdown draining.
+    fn wait_exit(&mut self) -> ExitStatus {
+        let deadline = Instant::now() + CHILD_DEADLINE;
+        loop {
+            if let Some(status) = self.child.try_wait().expect("poll payless-server") {
+                return status;
+            }
+            assert!(Instant::now() < deadline, "payless-server is still running");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+}
+
+impl Drop for ChildServer {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// Crash-injection environment for the `payless-server` binary.
+type CrashKnobs = &'static [(&'static str, &'static str)];
+
+/// Crash the durable server mid-mix, restart it on the same directory and
+/// re-drive the whole mix: what survived plus what is re-bought must be
+/// exactly what one uninterrupted run buys. Over-buy means a recovered page
+/// was billed twice; under-buy means the recovered store claims coverage it
+/// never paid for.
+#[test]
+fn crashed_server_recovers_and_rebuys_exactly_the_lost_pages() {
+    let mix = seeded_mix(4, 24, fault_seed());
+    let oracle = serial_oracle(&mix);
+
+    // An empty knob set means the test SIGKILLs the server from outside.
+    let legs: [(&str, CrashKnobs); 4] = [
+        // A WAL frame torn halfway: the tail must be cut, never counted.
+        ("mid-append", &[("PAYLESS_CRASH_AFTER", "5")]),
+        // Snapshot written, not yet renamed over the old one.
+        (
+            "pre-rename",
+            &[
+                ("PAYLESS_SNAPSHOT_EVERY", "4"),
+                ("PAYLESS_CRASH_IN_SNAPSHOT", "1"),
+            ],
+        ),
+        // Snapshot renamed, logs not yet truncated: every logged record is
+        // also in the snapshot and must not be applied twice.
+        (
+            "pre-truncate",
+            &[
+                ("PAYLESS_SNAPSHOT_EVERY", "4"),
+                ("PAYLESS_CRASH_IN_SNAPSHOT", "2"),
+            ],
+        ),
+        ("sigkill", &[]),
+    ];
+    for (leg, knobs) in legs {
+        let dir = tmpdir(leg);
+        std::fs::create_dir_all(&dir).expect("create leg directory");
+
+        let mut first = ChildServer::spawn(&dir, knobs);
+        std::thread::scope(|s| {
+            // Fails when the server dies under it; may finish first when
+            // the snapshotter is what dies.
+            s.spawn(|| drive_mix(&first.addr, &mix, 4));
+            if knobs.is_empty() {
+                // Kill as soon as anything durable has been written.
+                let wal = dir.join("data/wal.log");
+                let snapshot = dir.join("data/snapshot.json");
+                let deadline = Instant::now() + CHILD_DEADLINE;
+                while !(wal.metadata().is_ok_and(|m| m.len() > 0) || snapshot.exists()) {
+                    assert!(Instant::now() < deadline, "{leg}: nothing was ever logged");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                first.child.kill().expect("SIGKILL payless-server");
+            }
+        });
+        let crashed = first.wait_exit();
+        assert!(
+            !crashed.success(),
+            "{leg}: the first server was meant to crash, but exited with {crashed}"
+        );
+
+        let mut second = ChildServer::spawn(&dir, &[]);
+        let recovered = reconciled_ledger_pages(&store_json(&second.addr));
+        if !knobs.is_empty() {
+            assert!(
+                recovered > 0,
+                "{leg}: four whole appends were logged before the crash"
+            );
+        }
+        let outcomes = drive_mix(&second.addr, &mix, 4).expect("re-drive succeeds");
+        // The restarted process has a fresh market, so its meter is the
+        // re-drive's spend.
+        let rebought = meter_transactions(&second.addr);
+        assert_matches_oracle(&outcomes, &oracle);
+        assert_eq!(
+            outcomes.iter().map(|o| o.pages).sum::<u64>(),
+            rebought,
+            "{leg}: Σ client-observed pages must equal the meter"
+        );
+        assert_eq!(
+            recovered + rebought,
+            oracle.total_pages,
+            "{leg}: {recovered} page(s) survived the crash + {rebought} re-bought \
+             != what an uninterrupted run buys"
+        );
+        assert_eq!(
+            reconciled_ledger_pages(&store_json(&second.addr)),
+            oracle.total_pages,
+            "{leg}: final ledger"
+        );
+        shutdown(&second.addr).expect("graceful shutdown");
+        let drained = second.wait_exit();
+        assert!(drained.success(), "{leg}: graceful exit, got {drained}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
