@@ -6,16 +6,9 @@
 //! Defaults here use scaled-down real-data q values; override with
 //! `PAYLESS_Q_LIST_REAL="100,200,300"` to match the paper exactly.
 
-use payless_bench::{env_f64, env_usize, print_cumulative, run_mode, RunConfig};
+use payless_bench::{env_f64, env_usize, print_cumulative, q_list, run_mode, RunConfig};
 use payless_core::Mode;
 use payless_workload::{QueryWorkload, RealWorkload, Tpch, TpchConfig, WhwConfig};
-
-fn q_list(name: &str, default: &[usize]) -> Vec<usize> {
-    std::env::var(name)
-        .ok()
-        .map(|v| v.split(',').filter_map(|x| x.trim().parse().ok()).collect())
-        .unwrap_or_else(|| default.to_vec())
-}
 
 fn sweep(label: &str, workload: &(dyn QueryWorkload + Sync), qs: &[usize], reps: usize) {
     for &q in qs {

@@ -48,20 +48,29 @@ impl Default for RunConfig {
     }
 }
 
+// The figure binaries' one way to the environment: configuration enters at
+// the binary edge (DESIGN.md), and this file is that edge for `bench`.
+#[allow(clippy::disallowed_methods)]
+fn env(name: &str) -> Option<String> {
+    std::env::var(name).ok()
+}
+
 /// Read a `usize` override from the environment.
 pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    env(name).and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
 /// Read an `f64` override from the environment.
 pub fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    env(name).and_then(|v| v.parse().ok()).unwrap_or(default)
+}
+
+/// Read a comma-separated `q` sweep override from the environment
+/// (Figure 12); unparseable entries are skipped.
+pub fn q_list(name: &str, default: &[usize]) -> Vec<usize> {
+    env(name)
+        .map(|v| v.split(',').filter_map(|x| x.trim().parse().ok()).collect())
+        .unwrap_or_else(|| default.to_vec())
 }
 
 /// Aggregated measurements for one system variant.
@@ -117,7 +126,7 @@ pub fn figure_json(title: &str, runs: &[ModeRun]) -> Json {
 /// `PAYLESS_JSON=-` writes to stdout; any other value is treated as a file
 /// path to append to.
 pub fn emit_json(title: &str, runs: &[ModeRun]) {
-    let Ok(dest) = std::env::var("PAYLESS_JSON") else {
+    let Some(dest) = env("PAYLESS_JSON") else {
         return;
     };
     let line = figure_json(title, runs).to_string_compact();
@@ -283,15 +292,6 @@ pub fn print_cumulative(title: &str, runs: &[ModeRun]) {
             print!(" {:>18.1}", r.cumulative_tx[i]);
         }
         println!();
-    }
-}
-
-/// Print one summary metric per mode.
-pub fn print_metric(title: &str, runs: &[ModeRun], metric: impl Fn(&ModeRun) -> f64) {
-    emit_json(title, runs);
-    println!("\n== {title} ==");
-    for r in runs {
-        println!("{:<22} {:>14.2}", r.name, metric(r));
     }
 }
 

@@ -3,9 +3,8 @@
 use std::sync::Arc;
 
 use payless_core::{
-    build_market, enabled_from_env, known_queries, render_provenance, ChromeTraceBuilder,
-    DataMarket, EventJournal, EventsConfig, FaultInjector, FaultPlan, MetricsConfig, MetricsHub,
-    PayLess, PayLessConfig, QueryReport, RetryPolicy, SpendCell, StoreConfig,
+    build_market, known_queries, render_provenance, ChromeTraceBuilder, DataMarket, EventJournal,
+    EventsConfig, MetricsConfig, MetricsHub, PayLess, PayLessConfig, QueryReport, SpendCell,
 };
 use payless_json::{Json, ToJson};
 use payless_serve::{run_mix, Serve, ServeConfig};
@@ -44,13 +43,11 @@ pub struct App {
     sqr_savings_est: f64,
     /// Summed regret vs the ideal Download-All price (negative = we won).
     regret_da: f64,
-    /// Live metrics hub (`None` when `PAYLESS_METRICS=0` and no
-    /// `--metrics-out` was given).
-    metrics: Option<Arc<MetricsHub>>,
+    /// Live metrics hub (`\metrics`, `--metrics-out`).
+    metrics: Arc<MetricsHub>,
     /// Destination for the metrics exposition (+ `.jsonl` series) on exit.
     metrics_out: Option<String>,
-    /// Flight recorder (`None` unless `--events-out` or `PAYLESS_EVENTS`
-    /// asked for one).
+    /// Flight recorder (`None` unless `--events-out` asked for one).
     events: Option<Arc<EventJournal>>,
     /// Destination for the event journal's JSONL dump on exit.
     events_out: Option<String>,
@@ -69,30 +66,15 @@ pub(crate) fn write_artifact(path: &str, contents: &str) -> Result<(), String> {
     std::fs::write(path, contents).map_err(|e| format!("writing `{path}`: {e}"))
 }
 
-/// Build the session's flight recorder, honoring the `PAYLESS_EVENTS*`
-/// knobs. As with metrics, an explicit `--events-out` turns recording on
-/// even under `PAYLESS_EVENTS=0`, and the flag's path wins over
-/// `PAYLESS_EVENTS_OUT` as the dump / black-box destination.
-fn events_config(events_out: &Option<String>) -> Option<EventsConfig> {
-    let mut cfg = match EventsConfig::from_env() {
-        Some(cfg) => cfg,
-        None => {
-            events_out.as_ref()?;
-            EventsConfig::default()
-        }
-    };
-    if events_out.is_some() {
-        cfg.blackbox = events_out.clone();
-    }
-    Some(cfg)
-}
-
-/// Build the session's metrics hub, honoring the `PAYLESS_METRICS*` env
-/// knobs. An explicit `--metrics-out` turns metrics on even under
-/// `PAYLESS_METRICS=0` — asking for the file is asking for the data.
-fn build_hub(metrics_out: &Option<String>) -> Option<Arc<MetricsHub>> {
-    (enabled_from_env() || metrics_out.is_some())
-        .then(|| Arc::new(MetricsHub::new(MetricsConfig::from_env())))
+/// Build the flight recorder `--events-out` asks for: the flag's path is
+/// both the exit dump and the black-box destination.
+fn build_journal(events_out: &Option<String>) -> Option<Arc<EventJournal>> {
+    events_out.as_ref().map(|path| {
+        EventJournal::from_config(&EventsConfig {
+            blackbox: Some(path.clone()),
+            ..EventsConfig::default()
+        })
+    })
 }
 
 /// Write the exposition to `path` and the windowed series to
@@ -141,10 +123,7 @@ impl App {
                     )
                 }
             };
-        let cfg = PayLessConfig {
-            store: store_config_from_env(),
-            ..PayLessConfig::mode(args.mode)
-        };
+        let cfg = PayLessConfig::mode(args.mode);
         let mut session = match &args.session_file {
             Some(path) if std::path::Path::new(path).exists() => {
                 let json = std::fs::read_to_string(path)
@@ -158,13 +137,9 @@ impl App {
             session.register_local(t);
         }
         session.enable_tracing(args.trace);
-        let metrics = build_hub(&args.metrics_out);
-        if let Some(hub) = &metrics {
-            session.attach_metrics(Arc::clone(hub));
-        }
-        let events_cfg = events_config(&args.events_out);
-        let events = events_cfg.as_ref().map(EventJournal::from_config);
-        let events_out = events_cfg.and_then(|cfg| cfg.blackbox);
+        let metrics = Arc::new(MetricsHub::new(MetricsConfig::default()));
+        session.attach_metrics(Arc::clone(&metrics));
+        let events = build_journal(&args.events_out);
         if let Some(journal) = &events {
             session.attach_events(Arc::clone(journal));
         }
@@ -182,7 +157,7 @@ impl App {
             metrics,
             metrics_out: args.metrics_out.clone(),
             events,
-            events_out,
+            events_out: args.events_out.clone(),
         })
     }
 
@@ -215,8 +190,10 @@ impl App {
     /// journal). Returns a message to print, if anything was written.
     pub fn finish(&mut self) -> Option<String> {
         let mut messages: Vec<String> = Vec::new();
-        if let (Some(hub), Some(path)) = (&self.metrics, &self.metrics_out) {
-            messages.push(dump_metrics(hub, path).unwrap_or_else(|e| format!("warning: {e}")));
+        if let Some(path) = &self.metrics_out {
+            messages.push(
+                dump_metrics(&self.metrics, path).unwrap_or_else(|e| format!("warning: {e}")),
+            );
         }
         if let (Some(journal), Some(path)) = (&self.events, &self.events_out) {
             messages.push(match write_artifact(path, &journal.dump_jsonl()) {
@@ -431,17 +408,10 @@ impl App {
                         }
                     ))
                 }
-                "metrics" => match &self.metrics {
-                    Some(hub) => {
-                        hub.roll();
-                        Reply::Text(hub.exposition())
-                    }
-                    None => Reply::Text(
-                        "metrics are off (PAYLESS_METRICS=0); restart without it or pass \
-                         --metrics-out"
-                            .into(),
-                    ),
-                },
+                "metrics" => {
+                    self.metrics.roll();
+                    Reply::Text(self.metrics.exposition())
+                }
                 "why" => match &self.events {
                     Some(journal) => {
                         let events = journal.snapshot();
@@ -462,10 +432,7 @@ impl App {
                             None => Reply::Text("no journaled queries yet".into()),
                         }
                     }
-                    None => Reply::Text(
-                        "the flight recorder is off; pass --events-out or set PAYLESS_EVENTS=1"
-                            .into(),
-                    ),
+                    None => Reply::Text("the flight recorder is off; pass --events-out".into()),
                 },
                 "report" => match &self.last_report {
                     Some(r) => Reply::Text(r.to_json().to_string_pretty()),
@@ -512,76 +479,27 @@ fn truncate(s: &str, max: usize) -> String {
     }
 }
 
-/// A `u64` environment knob, if set and parseable.
-pub(crate) fn env_u64(key: &str) -> Option<u64> {
-    std::env::var(key).ok().and_then(|v| v.parse().ok())
-}
-
-/// Semantic-store tuning from the environment: `PAYLESS_STORE_MAX_VIEWS`
-/// caps the per-table view count (spend-weighted eviction past it),
-/// `PAYLESS_STORE_COMPACT=0` keeps every purchased box verbatim. Applied to
-/// both single-tenant sessions and the `--serve` layer.
-fn store_config_from_env() -> StoreConfig {
-    let mut cfg = StoreConfig::default();
-    if let Some(n) = env_u64("PAYLESS_STORE_MAX_VIEWS") {
-        cfg.max_views = n.max(1) as usize;
-    }
-    if let Ok(v) = std::env::var("PAYLESS_STORE_COMPACT") {
-        cfg.compaction = v != "0";
-    }
-    cfg
-}
-
 /// Run `--serve N`: replay a deterministic multi-client mix through the
 /// concurrent serving layer ([`payless_serve::Serve`]), reconcile every
 /// query's spend ledger against the billing meter, and render a summary.
-/// Knobs not covered by flags come from the environment: `PAYLESS_CLIENTS`
-/// (when `--clients` is absent), `PAYLESS_COALESCE=0` to disable single
-/// flight, `PAYLESS_FAULT_SEED` to chaos-inject the market,
-/// `PAYLESS_BATCH` / `PAYLESS_BATCH_WINDOW_MS` / `PAYLESS_BATCH_MAX` to
-/// batch cross-query purchases, `PAYLESS_STORE_MAX_VIEWS` /
-/// `PAYLESS_STORE_COMPACT` to tune the shared semantic store, and
-/// `PAYLESS_EVENTS` / `PAYLESS_EVENTS_CAP` / `PAYLESS_EVENTS_OUT` (or
-/// `--events-out`) to attach the flight recorder.
+/// Everything the flags do not set is [`ServeConfig::default`].
 pub fn run_serve(args: &CliArgs) -> Result<String, String> {
     if args.workload != WorkloadKind::Whw {
         return Err("--serve currently supports --workload whw only".into());
     }
     let threads = args.serve_threads.unwrap_or(1) as usize;
-    let clients = args
-        .clients
-        .or_else(|| env_u64("PAYLESS_CLIENTS"))
-        .unwrap_or(4) as usize;
+    let clients = args.clients.unwrap_or(4) as usize;
     let queries = args.queries.unwrap_or(24) as usize;
     let seed = args.seed.unwrap_or(48879);
-    let coalesce = std::env::var("PAYLESS_COALESCE")
-        .map(|v| v != "0")
-        .unwrap_or(true);
-    let fault_seed = env_u64("PAYLESS_FAULT_SEED");
 
     let w = RealWorkload::generate(&WhwConfig::scaled(args.scale));
     let market = Arc::new(build_market(&w, args.page_size));
-    if let Some(fs) = fault_seed {
-        market.attach_fault_injector(FaultInjector::new(FaultPlan::chaos(fs)));
-    }
-    let hub = build_hub(&args.metrics_out);
-    let events_cfg = events_config(&args.events_out);
-    let journal = events_cfg.as_ref().map(EventJournal::from_config);
-    let events_out = events_cfg.and_then(|cfg| cfg.blackbox);
+    let hub = Arc::new(MetricsHub::new(MetricsConfig::default()));
+    let journal = build_journal(&args.events_out);
     let cfg = ServeConfig {
         threads,
-        coalesce,
-        // Chaos runs must still answer every query.
-        retry: if fault_seed.is_some() {
-            RetryPolicy::unlimited()
-        } else {
-            RetryPolicy::default()
-        },
-        metrics: hub.clone(),
+        metrics: Some(Arc::clone(&hub)),
         events: journal.clone(),
-        strict_reconcile: MetricsConfig::strict_from_env(),
-        store: store_config_from_env(),
-        batch: payless_serve::BatchConfig::from_env(),
         ..ServeConfig::default()
     };
     let layer = Serve::new(market, w.local_tables(), cfg);
@@ -593,7 +511,7 @@ pub fn run_serve(args: &CliArgs) -> Result<String, String> {
         .map_err(|e| format!("workload template: {e}"))?;
     // The two single-table WHW templates (see DESIGN.md on the serve mix).
     let mix = serve_mix(&w, &[0, 1], clients, queries, seed);
-    let mut report = run_mix(&layer, &mix, &templates).map_err(|e| match &events_out {
+    let mut report = run_mix(&layer, &mix, &templates).map_err(|e| match &args.events_out {
         // run_mix dumps the journal's black box before surfacing the error.
         Some(path) => format!("serve: {e} (flight-recorder black box -> {path})"),
         None => format!("serve: {e}"),
@@ -601,15 +519,14 @@ pub fn run_serve(args: &CliArgs) -> Result<String, String> {
     report.seed = seed;
     report.clients = clients as u64;
     report.page_size = args.page_size;
-    report.fault_seed = fault_seed;
     if let Some(path) = &args.serve_out {
         write_artifact(path, &report.to_json().to_string_pretty())?;
     }
-    let metrics_note = match (&hub, &args.metrics_out) {
-        (Some(hub), Some(path)) => Some(dump_metrics(hub, path)?),
-        _ => None,
+    let metrics_note = match &args.metrics_out {
+        Some(path) => Some(dump_metrics(&hub, path)?),
+        None => None,
     };
-    let events_note = match (&journal, &events_out) {
+    let events_note = match (&journal, &args.events_out) {
         (Some(journal), Some(path)) => {
             write_artifact(path, &journal.dump_jsonl())?;
             Some(format!(
@@ -625,16 +542,8 @@ pub fn run_serve(args: &CliArgs) -> Result<String, String> {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "serve: {} queries x {} clients on {} thread(s), seed {}, coalesce={}{}",
-        report.queries,
-        report.clients,
-        report.threads,
-        report.seed,
-        report.coalesce,
-        match report.fault_seed {
-            Some(fs) => format!(", fault seed {fs}"),
-            None => String::new(),
-        },
+        "serve: {} queries x {} clients on {} thread(s), seed {}, coalesce={}",
+        report.queries, report.clients, report.threads, report.seed, report.coalesce,
     );
     let _ = writeln!(
         out,
@@ -646,13 +555,6 @@ pub fn run_serve(args: &CliArgs) -> Result<String, String> {
         "  coalescing: {} wait(s), ~{} page(s) saved",
         report.coalesce_waits, report.saved_pages
     );
-    if report.batch {
-        let _ = writeln!(
-            out,
-            "  batching: {} join(s), {} shared page(s) split across members",
-            report.batch_joins, report.shared_pages
-        );
-    }
     let _ = writeln!(
         out,
         "  reconciled: ledger == billing meter at {} transaction(s), {} call(s)",

@@ -39,8 +39,7 @@ pub struct CliArgs {
     /// Serve mode: replay a deterministic multi-client mix across this many
     /// worker threads instead of starting a shell. `None` = normal shell.
     pub serve_threads: Option<u64>,
-    /// Client sessions in the serve mix (`--clients`; falls back to the
-    /// `PAYLESS_CLIENTS` environment knob, then 4).
+    /// Client sessions in the serve mix (`--clients`, default 4).
     pub clients: Option<u64>,
     /// Queries in the serve mix (`--queries`, default 24).
     pub queries: Option<u64>,
@@ -60,12 +59,11 @@ pub struct CliArgs {
     /// Connect mode: POST `/v1/shutdown` after the drive (or probe).
     pub shutdown_after: bool,
     /// Write Prometheus-style metrics exposition to this file on exit
-    /// (plus a `<file>.jsonl` windowed time-series). Enables metrics even
-    /// if `PAYLESS_METRICS` is unset.
+    /// (plus a `<file>.jsonl` windowed time-series).
     pub metrics_out: Option<String>,
     /// Write the flight recorder's JSONL event journal to this file on
     /// exit (the same path doubles as the black-box dump target on abort
-    /// or panic). Enables the recorder even if `PAYLESS_EVENTS` is unset.
+    /// or panic). Asking for the file is what turns the recorder on.
     pub events_out: Option<String>,
     /// One-shot SQL; when `None` the shell goes interactive.
     pub sql: Option<String>,
@@ -126,13 +124,9 @@ OPTIONS:
                                       <threads> workers over one shared
                                       semantic store, reconcile spend
                                       against the billing meter, and exit
-                                      (whw workload only). Env knobs:
-                                      PAYLESS_CLIENTS, PAYLESS_COALESCE=0,
-                                      PAYLESS_FAULT_SEED, PAYLESS_BATCH=1,
-                                      PAYLESS_BATCH_WINDOW_MS,
-                                      PAYLESS_BATCH_MAX
+                                      (whw workload only)
     --clients <int>                   client sessions in the serve mix
-                                      (default: PAYLESS_CLIENTS or 4)
+                                      (default: 4)
     --queries <int>                   queries in the serve mix (default: 24)
     --seed <int>                      serve mix seed (default: 48879)
     --serve-out <file>                write the serve report as JSON
@@ -149,19 +143,11 @@ OPTIONS:
                                       server down afterwards
     --metrics-out <file>              write Prometheus-style metrics to
                                       <file> and the windowed time-series
-                                      to <file>.jsonl on exit. Env knobs:
-                                      PAYLESS_METRICS=0 (off),
-                                      PAYLESS_METRICS_WINDOW_MS,
-                                      PAYLESS_METRICS_STRICT=1
+                                      to <file>.jsonl on exit
     --events-out <file>               write the flight recorder's JSONL
                                       event journal to <file> on exit;
                                       black-box dumps on abort/panic land
-                                      at the same path. Env knobs:
-                                      PAYLESS_EVENTS=1 (record, no file),
-                                      PAYLESS_EVENTS=0 (force off),
-                                      PAYLESS_EVENTS_CAP (ring capacity,
-                                      default 8192),
-                                      PAYLESS_EVENTS_OUT (dump path)
+                                      at the same path
     -h, --help                        this text
 
 Without SQL, an interactive shell starts. Shell commands:

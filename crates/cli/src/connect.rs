@@ -15,7 +15,7 @@ use payless_serve::{digest_row_slice, ClientSpend, QueryRow, ServeReport};
 use payless_workload::client::{drive_mix, get_text, shutdown};
 use payless_workload::{serve_mix, RealWorkload, WhwConfig};
 
-use crate::app::{env_u64, write_artifact};
+use crate::app::write_artifact;
 use crate::args::{CliArgs, WorkloadKind};
 
 /// Billing-meter totals parsed off `/v1/report`.
@@ -73,10 +73,7 @@ pub fn run_connect(args: &CliArgs) -> Result<String, String> {
     let mut out = String::new();
 
     if !args.probe {
-        let clients = args
-            .clients
-            .or_else(|| env_u64("PAYLESS_CLIENTS"))
-            .unwrap_or(4) as usize;
+        let clients = args.clients.unwrap_or(4) as usize;
         let queries = args.queries.unwrap_or(24) as usize;
         let seed = args.seed.unwrap_or(48879);
         // Client threads: `--serve N` (the same flag that sets worker

@@ -52,7 +52,7 @@ pub use payless_exec::{
     CallBudget, CallCoalescer, CallOutcome, QueryResult, RetryPolicy, SharedState,
 };
 pub use payless_market::{BillingReport, DataMarket, Dataset, FaultInjector, FaultKind, FaultPlan};
-pub use payless_metrics::{enabled_from_env, MetricsConfig, MetricsHub};
+pub use payless_metrics::{MetricsConfig, MetricsHub};
 pub use payless_optimizer::PlanCounters;
 pub use payless_semantic::{Consistency, RewriteConfig, SharedSemanticStore, StoreConfig};
 pub use payless_sql::SelectStmt;

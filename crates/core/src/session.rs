@@ -54,12 +54,10 @@ pub struct PayLessConfig {
     pub stats_backend: StatsBackend,
     /// Retry/backoff/budget policy for market calls (the resilient call
     /// layer). The default retries transient failures a few times with
-    /// millisecond backoff; see [`RetryPolicy::from_env`] for the
-    /// environment knobs.
+    /// millisecond backoff.
     pub retry: RetryPolicy,
-    /// Semantic-store tuning: per-table view cap and compaction toggle
-    /// (the CLI maps `PAYLESS_STORE_MAX_VIEWS` / `PAYLESS_STORE_COMPACT`
-    /// here). Coverage is a cache — the cap bounds memory, never answers.
+    /// Semantic-store tuning: per-table view cap and compaction toggle.
+    /// Coverage is a cache — the cap bounds memory, never answers.
     pub store: StoreConfig,
 }
 
@@ -220,16 +218,10 @@ impl PayLess {
     /// Attach a flight-recorder journal: every query this session runs
     /// journals its lifecycle, call attempts/faults/retries, and store
     /// events with the query's causal id (its logical-clock tick). The CLI
-    /// maps the `PAYLESS_EVENTS*` knobs onto this; the library itself
-    /// never reads the environment.
+    /// attaches one under `--events-out`.
     pub fn attach_events(&mut self, journal: Arc<payless_events::EventJournal>) {
         self.state.store().attach_events(journal.clone());
         self.events = Some(journal);
-    }
-
-    /// The attached flight-recorder journal, if any (`\why` reads it).
-    pub fn events_journal(&self) -> Option<&Arc<payless_events::EventJournal>> {
-        self.events.as_ref()
     }
 
     /// Turn per-query tracing on or off. While on, every

@@ -32,9 +32,8 @@
 //!   load per emission site; event payloads are built lazily behind that
 //!   check, so no strings or ids are materialized.
 //!
-//! Libraries never read the environment: [`EventsConfig::from_env`] exists
-//! for the CLI and bench binaries, which map `PAYLESS_EVENTS` /
-//! `PAYLESS_EVENTS_CAP` / `PAYLESS_EVENTS_OUT` onto explicit config.
+//! Libraries never read the environment: front ends pass an explicit
+//! [`EventsConfig`].
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -532,8 +531,8 @@ impl Event {
 // Config
 // ---------------------------------------------------------------------------
 
-/// Flight-recorder configuration, mapped from env by the CLI/bench binaries
-/// only (`PAYLESS_EVENTS`, `PAYLESS_EVENTS_CAP`, `PAYLESS_EVENTS_OUT`).
+/// Flight-recorder configuration. The server runs the `Default`; the CLI
+/// sets `blackbox` from `--events-out`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventsConfig {
     /// Ring capacity: events retained per shard and the size of a
@@ -550,32 +549,6 @@ impl Default for EventsConfig {
             cap: DEFAULT_CAP,
             blackbox: None,
         }
-    }
-}
-
-impl EventsConfig {
-    /// Read the knob pair from the environment — for the CLI and bench
-    /// binaries only; libraries receive the config explicitly.
-    ///
-    /// Returns `None` (recorder off) unless `PAYLESS_EVENTS` is set to
-    /// something other than `0`/`off`, or `PAYLESS_EVENTS_OUT` names a dump
-    /// path. `PAYLESS_EVENTS=0` forces the recorder off even with a dump
-    /// path set. `PAYLESS_EVENTS_CAP` overrides the ring capacity.
-    pub fn from_env() -> Option<EventsConfig> {
-        let toggle = std::env::var("PAYLESS_EVENTS").ok();
-        if matches!(toggle.as_deref(), Some("0") | Some("off")) {
-            return None;
-        }
-        let blackbox = std::env::var("PAYLESS_EVENTS_OUT").ok();
-        if toggle.is_none() && blackbox.is_none() {
-            return None;
-        }
-        let cap = std::env::var("PAYLESS_EVENTS_CAP")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(DEFAULT_CAP);
-        Some(EventsConfig { cap, blackbox })
     }
 }
 
@@ -1302,24 +1275,5 @@ mod tests {
         let again = std::fs::read_to_string(&path).unwrap();
         assert_eq!(body, again);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn env_config_maps_the_knob_pair() {
-        // Serialized with a lock-free convention: tests in this crate are
-        // the only env readers, and cargo runs them in one process — touch
-        // distinct vars per test instead of racing on shared ones.
-        std::env::remove_var("PAYLESS_EVENTS");
-        std::env::remove_var("PAYLESS_EVENTS_CAP");
-        std::env::remove_var("PAYLESS_EVENTS_OUT");
-        assert!(EventsConfig::from_env().is_none());
-        std::env::set_var("PAYLESS_EVENTS", "1");
-        std::env::set_var("PAYLESS_EVENTS_CAP", "64");
-        let cfg = EventsConfig::from_env().unwrap();
-        assert_eq!(cfg.cap, 64);
-        std::env::set_var("PAYLESS_EVENTS", "0");
-        assert!(EventsConfig::from_env().is_none());
-        std::env::remove_var("PAYLESS_EVENTS");
-        std::env::remove_var("PAYLESS_EVENTS_CAP");
     }
 }

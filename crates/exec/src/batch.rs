@@ -43,17 +43,15 @@ use payless_events::{EventJournal, EventKind, Severity};
 use payless_geometry::Region;
 use payless_metrics::MetricsHub;
 
-/// Batching knobs. The library reads no environment variables; the CLI and
-/// bench map `PAYLESS_BATCH*` onto these fields (see
-/// [`BatchConfig::from_env`]).
+/// Batching knobs. `payless-server` runs the `Default` under
+/// `PAYLESS_BATCH=1`; tests set the fields directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
-    /// How long an open batch waits for more members before sealing
-    /// (`PAYLESS_BATCH_WINDOW_MS`). `0` seals every batch at its first
-    /// member — batching off in all but accounting.
+    /// How long an open batch waits for more members before sealing.
+    /// `0` seals every batch at its first member — batching off in all
+    /// but accounting.
     pub window_ms: u64,
-    /// Seal a batch as soon as it has this many members
-    /// (`PAYLESS_BATCH_MAX`).
+    /// Seal a batch as soon as it has this many members.
     pub max_members: usize,
 }
 
@@ -63,32 +61,6 @@ impl Default for BatchConfig {
             window_ms: 4,
             max_members: 8,
         }
-    }
-}
-
-impl BatchConfig {
-    /// Map the `PAYLESS_BATCH`, `PAYLESS_BATCH_WINDOW_MS`, and
-    /// `PAYLESS_BATCH_MAX` environment knobs onto a config. `None` (the
-    /// default) means batching stays off: it is on only when
-    /// `PAYLESS_BATCH` is set to anything but `0`, or when either tuning
-    /// knob is set explicitly.
-    pub fn from_env() -> Option<Self> {
-        let get = |k: &str| std::env::var(k).ok().and_then(|v| v.parse::<u64>().ok());
-        let master = std::env::var("PAYLESS_BATCH").ok();
-        let window = get("PAYLESS_BATCH_WINDOW_MS");
-        let max = get("PAYLESS_BATCH_MAX");
-        let on = match master.as_deref() {
-            Some("0") => false,
-            Some(_) => true,
-            None => window.is_some() || max.is_some(),
-        };
-        on.then(|| {
-            let d = BatchConfig::default();
-            BatchConfig {
-                window_ms: window.unwrap_or(d.window_ms),
-                max_members: max.unwrap_or(d.max_members as u64).max(1) as usize,
-            }
-        })
     }
 }
 

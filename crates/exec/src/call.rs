@@ -69,24 +69,6 @@ impl RetryPolicy {
         }
     }
 
-    /// Defaults overridden by environment knobs: `PAYLESS_RETRY_MAX`
-    /// (attempts per call), `PAYLESS_RETRY_BACKOFF_MS` (backoff base),
-    /// `PAYLESS_RETRY_BUDGET` (per-query retries) and
-    /// `PAYLESS_WASTE_BUDGET` (per-query wasted pages).
-    pub fn from_env() -> Self {
-        let var = |name: &str| std::env::var(name).ok().and_then(|s| s.parse::<u64>().ok());
-        let mut policy = RetryPolicy::default();
-        if let Some(v) = var("PAYLESS_RETRY_MAX") {
-            policy.max_attempts = (v.clamp(1, u32::MAX as u64)) as u32;
-        }
-        if let Some(v) = var("PAYLESS_RETRY_BACKOFF_MS") {
-            policy.backoff_base_millis = v;
-        }
-        policy.retry_budget = var("PAYLESS_RETRY_BUDGET").or(policy.retry_budget);
-        policy.waste_budget_pages = var("PAYLESS_WASTE_BUDGET").or(policy.waste_budget_pages);
-        policy
-    }
-
     /// Deterministic backoff before the `attempt`-th retry (1-based).
     pub fn backoff_millis(&self, attempt: u32) -> u64 {
         if self.backoff_base_millis == 0 {

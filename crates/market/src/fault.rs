@@ -106,7 +106,8 @@ impl FaultPlan {
     }
 
     /// A moderately hostile preset exercising all four fault kinds, used by
-    /// the `fault-smoke` CI step and reproducible from `seed` alone.
+    /// `tests/fault_matrix.rs` and the server's `PAYLESS_FAULT_SEED`, and
+    /// reproducible from `seed` alone.
     pub fn chaos(seed: u64) -> Self {
         FaultPlan::seeded(seed)
             .with_unavailable(0.12)

@@ -58,21 +58,11 @@ impl DataMarket {
         *self.recorder.lock().unwrap() = Some(recorder);
     }
 
-    /// Detach the telemetry recorder, if any.
-    pub fn detach_recorder(&self) {
-        *self.recorder.lock().unwrap() = None;
-    }
-
     /// Attach a fault injector. Subsequent [`DataMarket::get`] calls consult
     /// its plan; with no injector attached (or an empty plan) the call path
     /// is byte-identical to a fault-free market.
     pub fn attach_fault_injector(&self, injector: Arc<FaultInjector>) {
         *self.injector.lock().unwrap() = Some(injector);
-    }
-
-    /// Detach the fault injector, if any.
-    pub fn detach_fault_injector(&self) {
-        *self.injector.lock().unwrap() = None;
     }
 
     /// The attached fault injector, if any (tests read its accounting).

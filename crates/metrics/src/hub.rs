@@ -26,45 +26,6 @@ impl Default for MetricsConfig {
     }
 }
 
-impl MetricsConfig {
-    /// Read the `PAYLESS_METRICS_WINDOW_MS` knob. Libraries never call
-    /// this implicitly — only the CLI and bench front ends do, mirroring
-    /// `RetryPolicy::from_env` in `payless-exec`.
-    pub fn from_env() -> Self {
-        let mut cfg = MetricsConfig::default();
-        if let Ok(v) = std::env::var("PAYLESS_METRICS_WINDOW_MS") {
-            if let Ok(ms) = v.trim().parse::<u64>() {
-                cfg.window_ms = ms.max(1);
-            }
-        }
-        cfg
-    }
-
-    /// Read the `PAYLESS_METRICS_STRICT` knob (watchdog fail-fast mode).
-    pub fn strict_from_env() -> bool {
-        parse_switch(
-            std::env::var("PAYLESS_METRICS_STRICT").ok().as_deref(),
-            false,
-        )
-    }
-}
-
-/// The value of an on/off knob: unset or blank keeps `default`, `0` and
-/// `false` (any case) are off, anything else is on.
-fn parse_switch(value: Option<&str>, default: bool) -> bool {
-    match value.map(str::trim) {
-        None | Some("") => default,
-        Some(v) => v != "0" && !v.eq_ignore_ascii_case("false"),
-    }
-}
-
-/// Read the `PAYLESS_METRICS` master switch: metrics collection is on
-/// unless it is set to `0`/`false` (front-end convenience, like
-/// [`MetricsConfig::from_env`]).
-pub fn enabled_from_env() -> bool {
-    parse_switch(std::env::var("PAYLESS_METRICS").ok().as_deref(), true)
-}
-
 /// Point-in-time digest of every registered metric (names sorted).
 #[derive(Debug, Clone, Default)]
 pub struct CumSnapshot {
@@ -560,23 +521,5 @@ mod tests {
             .map(|h| h.count)
             .sum();
         assert_eq!(hist, total, "window histogram deltas lost updates");
-    }
-
-    #[test]
-    fn env_knob_parsing() {
-        // Explicit strings rather than set_var: mutating the process env
-        // in tests races with other tests.
-        assert_eq!(MetricsConfig::default().window_ms, 1000);
-        for default in [false, true] {
-            assert_eq!(parse_switch(None, default), default);
-            assert_eq!(parse_switch(Some(""), default), default);
-            assert_eq!(parse_switch(Some("  "), default), default);
-            assert!(!parse_switch(Some("0"), default));
-            assert!(!parse_switch(Some("false"), default));
-            assert!(!parse_switch(Some("FALSE"), default));
-            assert!(!parse_switch(Some(" 0 "), default));
-            assert!(parse_switch(Some(" 1 "), default));
-            assert!(parse_switch(Some("yes"), default));
-        }
     }
 }

@@ -22,10 +22,8 @@
 //! [`MetricsHub::series_jsonl`] dumps the window ring as JSON lines.
 //!
 //! Libraries take an `Option<&MetricsHub>`/`Option<Arc<MetricsHub>>` and
-//! never read the environment; the CLI and bench map the `PAYLESS_METRICS`,
-//! `PAYLESS_METRICS_WINDOW_MS`, and `PAYLESS_METRICS_STRICT` knobs onto
-//! [`MetricsConfig`] via the explicitly-invoked [`MetricsConfig::from_env`]
-//! (same pattern as `RetryPolicy::from_env` in `payless-exec`).
+//! never read the environment; every front end builds the hub from
+//! [`MetricsConfig::default`].
 
 #![warn(missing_docs)]
 
@@ -37,5 +35,5 @@ mod registry;
 
 pub use atomics::{Counter, Gauge, HistSnapshot, LogHistogram};
 pub use buckets::{bucket_index, bucket_le, BUCKETS};
-pub use hub::{enabled_from_env, CumSnapshot, MetricsConfig, MetricsHub, WindowSnapshot};
+pub use hub::{CumSnapshot, MetricsConfig, MetricsHub, WindowSnapshot};
 pub use registry::Registry;

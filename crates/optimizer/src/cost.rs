@@ -224,11 +224,6 @@ impl<'a> CostCtx<'a> {
         })
     }
 
-    /// Required regions of table `tid`.
-    pub fn regions_of(&self, tid: usize) -> &[Region] {
-        &self.regions[tid]
-    }
-
     /// Page size for table `tid`.
     pub fn page(&self, tid: usize) -> u64 {
         self.pages[tid]
@@ -258,15 +253,6 @@ impl<'a> CostCtx<'a> {
     /// Snapshot of the counters.
     pub fn counters(&self) -> PlanCounters {
         self.counters.snapshot()
-    }
-
-    /// Usable stored views of table `tid` under the context's consistency.
-    pub fn views_of(&self, tid: usize) -> Vec<Arc<Region>> {
-        if !self.sqr {
-            return Vec::new();
-        }
-        self.store
-            .views(&self.query.tables[tid].name, self.consistency, self.now)
     }
 
     /// Usable stored views of table `tid` overlapping `region`, served from

@@ -865,12 +865,11 @@ mod tests {
         }
     }
 
-    /// Algorithm 1's output on the hot-path bench's 225-view store (15x15
-    /// disjoint views, query window 6x6), pinned from commit bd3e241.
-    /// Greedy-cover order is price- and index-sensitive, so a scoring or
-    /// tie-break change shows up as a reordered or different remainder list.
-    /// The histogram is trained to the bench's smoke depth (256 buckets):
-    /// the full 4096 take over a minute to train in a debug build.
+    /// Algorithm 1's output on a 225-view store (15x15 disjoint views,
+    /// query window 6x6), pinned from commit bd3e241. Greedy-cover order is
+    /// price- and index-sensitive, so a scoring or tie-break change shows up
+    /// as a reordered or different remainder list. The histogram is trained
+    /// to 256 buckets: 4096 take over a minute to train in a debug build.
     #[test]
     fn golden_rewrite_is_unchanged() {
         use crate::{Consistency, SemanticStore, StoreConfig};

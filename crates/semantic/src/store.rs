@@ -765,16 +765,6 @@ impl SemanticStore {
         self.tables.get(table).map(|t| t.evictions).unwrap_or(0)
     }
 
-    /// Drain `table`'s not-yet-reported compaction/eviction event counts —
-    /// the shared layer forwards these into the metrics hub after each
-    /// record.
-    pub fn take_store_events(&mut self, table: &str) -> (u64, u64) {
-        self.tables
-            .get_mut(table)
-            .map(|t| t.take_pending_events())
-            .unwrap_or((0, 0))
-    }
-
     /// Fraction of `table`'s whole query space covered by stored views
     /// (freshness-agnostic), read from the remainder cache's running
     /// uncovered volume — no scan, no union sweep.

@@ -9,12 +9,12 @@
 //! its own telemetry recorder whose spend ledger is synthesized at the call
 //! layer, attributing every shared purchase to the query that triggered it.
 //!
-//! [`run_mix`] is the deterministic multi-client workload driver behind the
-//! CI serve-smoke: it replays a seeded query mix across K worker threads
-//! (K = 1 is the serial oracle), then reconciles total spend against the
-//! market's billing meter. See DESIGN.md "Concurrent serving & call
-//! coalescing" for the invariants, and [`report`] for the JSON dump the
-//! smoke compares across thread counts.
+//! [`run_mix`] is the deterministic multi-client workload driver behind
+//! `payless --serve` and `tests/serve_concurrency.rs`: it replays a seeded
+//! query mix across K worker threads (K = 1 is the serial oracle), then
+//! reconciles total spend against the market's billing meter. See DESIGN.md
+//! "Concurrent serving & call coalescing" for the invariants, and
+//! [`report`] for the JSON dump of one run.
 
 #![warn(missing_docs)]
 
@@ -46,8 +46,9 @@ pub use report::{ClientSpend, QueryRow, ServeReport};
 pub use watchdog::{TableDrift, Watchdog, WatchdogReport};
 
 /// Serving-layer options. Everything is explicit — the library reads no
-/// environment variables; the CLI and bench map `PAYLESS_*` knobs onto
-/// these fields.
+/// environment variables. `payless --serve` and `payless-server` run the
+/// `Default` (the server's `PAYLESS_COALESCE` / `PAYLESS_BATCH` aside);
+/// the other values are set by `tests/`.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker threads replaying the mix. `1` is the serial oracle.
@@ -60,9 +61,9 @@ pub struct ServeConfig {
     /// Rewrite knobs. Defaults to [`RewriteConfig::exact`]: raw subtraction
     /// remainders never overlap stored coverage, so no record is bought
     /// twice and delivered spend is reproducible across thread
-    /// interleavings — the property the serve-smoke's cross-thread
-    /// reconciliation asserts. Single-tenant sessions keep Algorithm 1
-    /// merging instead.
+    /// interleavings — the property
+    /// `serve_concurrency::parallel_run_matches_serial_oracle` asserts.
+    /// Single-tenant sessions keep Algorithm 1 merging instead.
     pub rewrite: RewriteConfig,
     /// Retry/backoff policy for market calls. Fault-injected runs should
     /// use [`RetryPolicy::unlimited`] so every query eventually answers
@@ -70,28 +71,26 @@ pub struct ServeConfig {
     pub retry: RetryPolicy,
     /// Live metrics hub shared by every client session. When set, the
     /// call layer, coalescer, shared store, and serving driver all report
-    /// into it (the CLI maps `PAYLESS_METRICS*` knobs onto this).
+    /// into it.
     pub metrics: Option<Arc<MetricsHub>>,
     /// The reconciliation watchdog samples the billing meter every this
     /// many completed queries while the mix runs.
     pub watchdog_every: u64,
     /// Fail a mix the moment the watchdog sees a violation instead of
-    /// waiting for the exit reconciliation (`PAYLESS_METRICS_STRICT=1`).
+    /// waiting for the exit reconciliation.
     pub strict_reconcile: bool,
-    /// Shared-store tuning: per-table view cap and compaction toggle
-    /// (`PAYLESS_STORE_MAX_VIEWS` / `PAYLESS_STORE_COMPACT` map here).
+    /// Shared-store tuning: per-table view cap and compaction toggle.
     /// Applied to every table shard before the mix starts.
     pub store: StoreConfig,
     /// Cross-query batched purchasing: queries arriving within the window
     /// park their uncovered remainders with a shared [`BatchPlanner`]; one
     /// leader buys the merged remainder and the cost splits exactly across
-    /// the members (`PAYLESS_BATCH_WINDOW_MS` / `PAYLESS_BATCH_MAX` map
-    /// here). `None` (the default) buys per query, as before.
+    /// the members. `None` (the default) buys per query.
     pub batch: Option<BatchConfig>,
     /// Flight recorder shared by every client session: query lifecycle,
     /// call attempts/faults, coalescer claims, batch shares, store
-    /// lifecycle, and watchdog samples all journal here (the CLI maps
-    /// `PAYLESS_EVENTS*` knobs onto this). `None` costs nothing.
+    /// lifecycle, and watchdog samples all journal here. `None` costs
+    /// nothing.
     pub events: Option<Arc<EventJournal>>,
 }
 
@@ -226,13 +225,6 @@ impl Serve {
                 })
                 .collect()
         })
-    }
-
-    /// Attach a store-level recorder for the shared store's index
-    /// counters. These are a property of the shared store, not of any one
-    /// client query — which is why per-query recorders never see them.
-    pub fn attach_store_recorder(&self, recorder: Arc<Recorder>) {
-        self.state.store().attach_recorder(recorder);
     }
 
     /// Parse a workload template (shared across clients).
@@ -403,7 +395,7 @@ impl Drop for BlackBoxOnPanic<'_> {
 /// queue, then reconcile: the sum of every query's synthesized ledger must
 /// equal the market meter's delta, page for page — clean and under
 /// injected faults. Panics on reconciliation failure (this is the driver
-/// the CI smoke trusts); query errors are returned.
+/// the serve tests trust); query errors are returned.
 ///
 /// Post-mortem: when the journal has a black-box path configured, a strict
 /// watchdog abort, a failed query, or a panicking reconciliation dumps the

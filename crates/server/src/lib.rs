@@ -46,8 +46,8 @@ use http::{read_request, write_response, Request};
 use persist::{DurableStore, PersistConfig};
 
 /// Everything the server needs to boot. Libraries never read the
-/// environment — `main.rs` maps `PAYLESS_*` knobs onto this struct.
-#[derive(Debug, Clone)]
+/// environment — `main.rs` hands its own to [`ServerConfig::from_lookup`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerConfig {
     /// Bind address; port `0` picks a free port (tests, CI).
     pub listen: String,
@@ -65,9 +65,10 @@ pub struct ServerConfig {
     pub data_dir: Option<PathBuf>,
     /// Durability tuning + crash injection (ignored without `data_dir`).
     pub persist: PersistConfig,
-    /// How often the background snapshotter polls the append count.
-    pub snapshot_poll: Duration,
 }
+
+/// How often the background snapshotter polls the append count.
+const SNAPSHOT_POLL: Duration = Duration::from_millis(25);
 
 impl Default for ServerConfig {
     fn default() -> Self {
@@ -80,8 +81,72 @@ impl Default for ServerConfig {
             batch: None,
             data_dir: None,
             persist: PersistConfig::default(),
-            snapshot_poll: Duration::from_millis(25),
         }
+    }
+}
+
+/// One `PAYLESS_*` value: `Ok(None)` when unset, `Err` naming the variable
+/// and the value when set to something `T` cannot parse or `ok` rejects.
+fn knob<T: std::str::FromStr>(
+    get: &impl Fn(&str) -> Option<String>,
+    name: &str,
+    want: &str,
+    ok: impl Fn(&T) -> bool,
+) -> Result<Option<T>, String> {
+    get(name)
+        .map(|raw| {
+            raw.parse()
+                .ok()
+                .filter(&ok)
+                .ok_or_else(|| format!("{name}={raw}: expected {want}"))
+        })
+        .transpose()
+}
+
+impl ServerConfig {
+    /// Map the `PAYLESS_*` names in `main.rs`'s header table onto a config;
+    /// `get` is the environment (a closure, so tests pass a table). Unset
+    /// names keep their [`Default`], except `listen`, which gets the fixed
+    /// port an operator expects. A value that is set but malformed is an
+    /// error, never a silent default: a crash test whose knob did not parse
+    /// would pass vacuously.
+    pub fn from_lookup(get: impl Fn(&str) -> Option<String>) -> Result<ServerConfig, String> {
+        let get = &get;
+        let int = |name: &str, min: u64| {
+            let want = format!("an integer >= {min}");
+            knob(get, name, &want, |v: &u64| *v >= min)
+        };
+        let switch = |name: &str| -> Result<Option<bool>, String> {
+            let v = knob(get, name, "0 or 1", |v: &String| v == "0" || v == "1")?;
+            Ok(v.map(|v| v == "1"))
+        };
+        let d = ServerConfig::default();
+        Ok(ServerConfig {
+            listen: get("PAYLESS_LISTEN").unwrap_or_else(|| "127.0.0.1:7878".into()),
+            page_size: int("PAYLESS_PAGE", 1)?.unwrap_or(d.page_size),
+            scale: knob(get, "PAYLESS_SCALE", "a finite number > 0", |s: &f64| {
+                s.is_finite() && *s > 0.0
+            })?
+            .unwrap_or(d.scale),
+            coalesce: switch("PAYLESS_COALESCE")?.unwrap_or(d.coalesce),
+            fault_seed: int("PAYLESS_FAULT_SEED", 0)?,
+            batch: switch("PAYLESS_BATCH")?
+                .unwrap_or(false)
+                .then(payless_serve::BatchConfig::default),
+            data_dir: get("PAYLESS_DATA_DIR").map(Into::into),
+            persist: PersistConfig {
+                snapshot_every: int("PAYLESS_SNAPSHOT_EVERY", 0)?
+                    .unwrap_or(d.persist.snapshot_every),
+                crash_after_appends: int("PAYLESS_CRASH_AFTER", 1)?,
+                crash_in_snapshot: knob(
+                    get,
+                    "PAYLESS_CRASH_IN_SNAPSHOT",
+                    "0, 1 or 2",
+                    |v: &u8| *v <= 2,
+                )?
+                .unwrap_or(d.persist.crash_in_snapshot),
+            },
+        })
     }
 }
 
@@ -199,7 +264,7 @@ impl Server {
                     if let Err(e) = durable.maybe_snapshot(shared.serve.shared_store(), &dump) {
                         eprintln!("payless-server: snapshot failed: {e}");
                     }
-                    std::thread::park_timeout(shared.cfg.snapshot_poll);
+                    std::thread::park_timeout(SNAPSHOT_POLL);
                 }
             })
         });
@@ -522,5 +587,105 @@ fn store_status(shared: &Arc<Shared>) -> Response {
     match &shared.durable {
         Some(d) => Response::json(&d.status().to_json()),
         None => Response::json(&Json::obj([("durable", Json::Bool(false))])),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn lookup(pairs: &[(&str, &str)]) -> Result<ServerConfig, String> {
+        ServerConfig::from_lookup(|k| {
+            pairs
+                .iter()
+                .find(|(name, _)| *name == k)
+                .map(|(_, v)| v.to_string())
+        })
+    }
+
+    #[test]
+    fn from_lookup_maps_every_name_and_rejects_malformed_values() {
+        let d = ServerConfig::default();
+        let fixed_port = ServerConfig {
+            listen: "127.0.0.1:7878".into(),
+            ..d.clone()
+        };
+        assert_eq!(lookup(&[]).unwrap(), fixed_port);
+
+        // What `benchmark/src/server.rs` sets (ADDR_FILE is `main.rs`'s).
+        let bench = lookup(&[
+            ("PAYLESS_LISTEN", "127.0.0.1:0"),
+            ("PAYLESS_ADDR_FILE", "/tmp/addr"),
+            ("PAYLESS_PAGE", "100"),
+            ("PAYLESS_SCALE", "0.05"),
+            ("PAYLESS_DATA_DIR", "/tmp/data"),
+        ]);
+        let want = ServerConfig {
+            page_size: 100,
+            scale: 0.05,
+            data_dir: Some("/tmp/data".into()),
+            ..d.clone()
+        };
+        assert_eq!(bench.unwrap(), want);
+
+        let with = |edit: fn(&mut ServerConfig)| {
+            let mut c = fixed_port.clone();
+            edit(&mut c);
+            c
+        };
+        for (name, value, want) in [
+            (
+                "PAYLESS_BATCH",
+                "1",
+                with(|c| c.batch = Some(payless_serve::BatchConfig::default())),
+            ),
+            ("PAYLESS_BATCH", "0", with(|_| ())),
+            ("PAYLESS_COALESCE", "0", with(|c| c.coalesce = false)),
+            ("PAYLESS_COALESCE", "1", with(|_| ())),
+            ("PAYLESS_FAULT_SEED", "0", with(|c| c.fault_seed = Some(0))),
+            (
+                "PAYLESS_SNAPSHOT_EVERY",
+                "0",
+                with(|c| c.persist.snapshot_every = 0),
+            ),
+            (
+                "PAYLESS_CRASH_AFTER",
+                "5",
+                with(|c| c.persist.crash_after_appends = Some(5)),
+            ),
+            (
+                "PAYLESS_CRASH_IN_SNAPSHOT",
+                "2",
+                with(|c| c.persist.crash_in_snapshot = 2),
+            ),
+            ("PAYLESS_CRASH_IN_SNAPSHOT", "0", with(|_| ())),
+        ] {
+            assert_eq!(lookup(&[(name, value)]).unwrap(), want, "{name}={value}");
+        }
+
+        for (name, value) in [
+            ("PAYLESS_PAGE", "abc"),
+            ("PAYLESS_PAGE", "0"),
+            ("PAYLESS_PAGE", ""),
+            ("PAYLESS_SCALE", "inf"),
+            ("PAYLESS_SCALE", "NaN"),
+            ("PAYLESS_SCALE", "0"),
+            ("PAYLESS_SCALE", "-1"),
+            ("PAYLESS_CRASH_AFTER", "x"),
+            ("PAYLESS_CRASH_AFTER", "0"),
+            ("PAYLESS_CRASH_IN_SNAPSHOT", "257"),
+            ("PAYLESS_CRASH_IN_SNAPSHOT", "3"),
+            ("PAYLESS_SNAPSHOT_EVERY", "-1"),
+            ("PAYLESS_FAULT_SEED", "seven"),
+            ("PAYLESS_COALESCE", "false"),
+            ("PAYLESS_COALESCE", "2"),
+            ("PAYLESS_BATCH", "on"),
+        ] {
+            let err = lookup(&[(name, value)]).expect_err(name);
+            assert!(
+                err.contains(name) && err.contains(&format!("={value}:")),
+                "{name}={value}: {err}"
+            );
+        }
     }
 }

@@ -1,51 +1,40 @@
 //! `payless-server`: boot the network front end from `PAYLESS_*` knobs.
 //!
+//! This table is the single definition of the server's knobs. A value that
+//! is set but malformed is a startup error (exit 2), never a silent
+//! default; switches take `0` or `1` only.
+//!
 //! | knob                        | meaning                                  | default        |
 //! |-----------------------------|------------------------------------------|----------------|
 //! | `PAYLESS_LISTEN`            | bind address (`host:port`, port 0 = any) | 127.0.0.1:7878 |
-//! | `PAYLESS_DATA_DIR`          | WAL + snapshot directory (unset = memory only) | unset    |
-//! | `PAYLESS_SNAPSHOT_EVERY`    | appends between log compactions (0 = never) | 64          |
-//! | `PAYLESS_PAGE`              | market page size in records              | 1              |
-//! | `PAYLESS_SCALE`             | WHW generator scale                      | 0.02           |
-//! | `PAYLESS_COALESCE`          | `0` disables single-flight coalescing    | on             |
-//! | `PAYLESS_FAULT_SEED`        | chaos-inject the market at this seed     | unset          |
-//! | `PAYLESS_BATCH`             | enable cross-query batch purchasing      | off            |
 //! | `PAYLESS_ADDR_FILE`         | write the bound address here after bind  | unset          |
-//! | `PAYLESS_CRASH_AFTER`       | abort on the N-th WAL append (tests)     | unset          |
-//! | `PAYLESS_CRASH_IN_SNAPSHOT` | abort mid-snapshot: 1 pre-rename, 2 pre-truncate | unset  |
+//! | `PAYLESS_DATA_DIR`          | WAL + snapshot directory (unset = memory only) | unset    |
+//! | `PAYLESS_PAGE`              | market page size in records (>= 1)       | 1              |
+//! | `PAYLESS_SCALE`             | WHW generator scale (finite, > 0)        | 0.02           |
+//! | `PAYLESS_SNAPSHOT_EVERY`    | appends between log compactions (0 = never) | 64          |
+//! | `PAYLESS_COALESCE`          | `0` disables single-flight coalescing    | 1              |
+//! | `PAYLESS_BATCH`             | `1` enables cross-query batch purchasing (`BatchConfig::default()`) | 0 |
+//! | `PAYLESS_FAULT_SEED`        | chaos-inject the market at this seed     | unset          |
+//! | `PAYLESS_CRASH_AFTER`       | abort on the N-th WAL append, N >= 1 (tests) | unset      |
+//! | `PAYLESS_CRASH_IN_SNAPSHOT` | abort mid-snapshot: 1 pre-rename, 2 pre-truncate | 0      |
 
-use std::time::Duration;
-
-use payless_server::persist::PersistConfig;
 use payless_server::{Server, ServerConfig};
 
-fn env_u64(key: &str) -> Option<u64> {
-    std::env::var(key).ok().and_then(|v| v.parse().ok())
-}
-
-fn env_f64(key: &str) -> Option<f64> {
-    std::env::var(key).ok().and_then(|v| v.parse().ok())
+// Configuration enters here and nowhere else in this binary — see
+// DESIGN.md; `clippy.toml` bans `std::env` reads everywhere they are not
+// allowed by name.
+#[allow(clippy::disallowed_methods)]
+fn env(key: &str) -> Option<String> {
+    std::env::var(key).ok()
 }
 
 fn main() {
-    let cfg = ServerConfig {
-        listen: std::env::var("PAYLESS_LISTEN").unwrap_or_else(|_| "127.0.0.1:7878".into()),
-        page_size: env_u64("PAYLESS_PAGE").unwrap_or(1).max(1),
-        scale: env_f64("PAYLESS_SCALE")
-            .filter(|s| *s > 0.0)
-            .unwrap_or(0.02),
-        coalesce: std::env::var("PAYLESS_COALESCE")
-            .map(|v| v != "0")
-            .unwrap_or(true),
-        fault_seed: env_u64("PAYLESS_FAULT_SEED"),
-        batch: payless_serve::BatchConfig::from_env(),
-        data_dir: std::env::var("PAYLESS_DATA_DIR").ok().map(Into::into),
-        persist: PersistConfig {
-            snapshot_every: env_u64("PAYLESS_SNAPSHOT_EVERY").unwrap_or(64),
-            crash_after_appends: env_u64("PAYLESS_CRASH_AFTER"),
-            crash_in_snapshot: env_u64("PAYLESS_CRASH_IN_SNAPSHOT").unwrap_or(0) as u8,
-        },
-        snapshot_poll: Duration::from_millis(25),
+    let cfg = match ServerConfig::from_lookup(env) {
+        Ok(cfg) => cfg,
+        Err(e) => {
+            eprintln!("payless-server: {e}");
+            std::process::exit(2);
+        }
     };
 
     let durable = cfg.data_dir.is_some();
@@ -58,7 +47,7 @@ fn main() {
     };
     let addr = server.addr();
     println!("payless-server listening on {addr} (durable: {durable})");
-    if let Ok(path) = std::env::var("PAYLESS_ADDR_FILE") {
+    if let Some(path) = env("PAYLESS_ADDR_FILE") {
         if let Err(e) = std::fs::write(&path, addr.to_string()) {
             eprintln!("payless-server: write {path}: {e}");
             std::process::exit(1);

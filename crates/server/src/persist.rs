@@ -103,7 +103,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 /// Durability tuning and deterministic crash injection.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PersistConfig {
     /// Snapshot (and truncate the log) after this many appends; `0`
     /// disables automatic snapshots (graceful shutdown still snapshots).
@@ -128,8 +128,9 @@ impl Default for PersistConfig {
     }
 }
 
-/// What recovery found on disk — surfaced via `/v1/store` so smokes can
-/// assert on it without groveling through server logs.
+/// What recovery found on disk — surfaced via `/v1/store` so
+/// `tests/server_e2e.rs` can assert on it without groveling through server
+/// logs.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryInfo {
     /// Sequence number the loaded snapshot covered (0 = no snapshot).
@@ -723,7 +724,7 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Current durability status (for `/v1/store` and the smokes).
+    /// Current durability status (for `/v1/store`).
     pub fn status(&self) -> PersistStatus {
         let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let tables = inner

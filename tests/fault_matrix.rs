@@ -375,6 +375,8 @@ fn empty_fault_plan_is_bit_identical_to_no_injector() {
 // Seeded chaos run (seed from PAYLESS_FAULT_SEED, default 0xBEEF)
 // ----------------------------------------------------------------------
 
+// A test seed is not configuration of the program under test.
+#[allow(clippy::disallowed_methods)]
 fn fault_seed() -> u64 {
     std::env::var("PAYLESS_FAULT_SEED")
         .ok()

@@ -93,6 +93,8 @@ fn reconciled_ledger_pages(status: &Json) -> u64 {
     total
 }
 
+// A test seed is not configuration of the program under test.
+#[allow(clippy::disallowed_methods)]
 fn fault_seed() -> u64 {
     std::env::var("PAYLESS_FAULT_SEED")
         .ok()
@@ -264,11 +266,13 @@ struct ChildServer {
 }
 
 impl ChildServer {
-    /// Spawn the real binary, durable on `dir/data`, with `knobs` as extra
-    /// environment, and wait for the address it bound. Inherited
-    /// `PAYLESS_*` variables are dropped: the nightly sweep sets
+    /// Start the real binary, durable on `dir/data`, with `knobs` as extra
+    /// environment and stderr in `dir/server.log`; `addr` is still empty.
+    /// Inherited `PAYLESS_*` variables are dropped: the nightly sweep sets
     /// `PAYLESS_FAULT_SEED` for this suite, not for the servers it boots.
-    fn spawn(dir: &Path, knobs: &[(&str, &str)]) -> ChildServer {
+    // Scrubbing the child's environment has to enumerate the parent's.
+    #[allow(clippy::disallowed_methods)]
+    fn launch(dir: &Path, knobs: &[(&str, &str)]) -> ChildServer {
         let addr_file = dir.join("addr");
         let _ = std::fs::remove_file(&addr_file);
         let log = std::fs::File::create(dir.join("server.log")).expect("create server log");
@@ -288,10 +292,16 @@ impl ChildServer {
             .stderr(log)
             .spawn()
             .expect("spawn payless-server");
-        let mut server = ChildServer {
+        ChildServer {
             child,
             addr: String::new(),
-        };
+        }
+    }
+
+    /// [`ChildServer::launch`], then wait for the address it bound.
+    fn spawn(dir: &Path, knobs: &[(&str, &str)]) -> ChildServer {
+        let mut server = ChildServer::launch(dir, knobs);
+        let addr_file = dir.join("addr");
         let deadline = Instant::now() + CHILD_DEADLINE;
         while server.addr.is_empty() {
             if let Some(status) = server.child.try_wait().expect("poll payless-server") {
@@ -326,6 +336,22 @@ impl Drop for ChildServer {
         let _ = self.child.kill();
         let _ = self.child.wait();
     }
+}
+
+/// A knob that is set but unparseable stops the binary before it binds
+/// (exit 2, the variable named on stderr) — a crash leg whose
+/// `PAYLESS_CRASH_AFTER` did not parse would otherwise pass vacuously.
+#[test]
+fn malformed_knob_is_a_startup_error() {
+    let dir = tmpdir("malformed-knob");
+    std::fs::create_dir_all(&dir).expect("create test directory");
+    let mut server = ChildServer::launch(&dir, &[("PAYLESS_PAGE", "abc")]);
+    let status = server.wait_exit();
+    let log = std::fs::read_to_string(dir.join("server.log")).expect("server log");
+    assert_eq!(status.code(), Some(2), "exit {status}, log: {log}");
+    assert!(log.contains("PAYLESS_PAGE=abc"), "log: {log}");
+    assert!(!dir.join("addr").exists(), "the server must not have bound");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Crash-injection environment for the `payless-server` binary.
