@@ -742,6 +742,13 @@ mod tests {
                 );
                 assert!(s.contains("payless_market_call_nanos_count"), "{s}");
                 assert!(s.contains("payless_market_pages_billed_total"), "{s}");
+                // The session's store reports into the same hub: the paid
+                // query recorded its coverage.
+                let records = s
+                    .lines()
+                    .find_map(|l| l.strip_prefix("payless_store_records_total "))
+                    .expect("store counter exported");
+                assert_ne!(records.trim(), "0", "{s}");
             }
             other => panic!("{other:?}"),
         }

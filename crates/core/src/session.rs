@@ -1,16 +1,18 @@
-//! The PayLess session: parser + optimizer + executor + stores, wired
-//! together exactly as in the paper's Figure 3.
+//! The PayLess session: one buyer's installation over one market. It
+//! parses and analyzes, maps its [`Mode`] to a pipeline configuration, and
+//! hands the query to [`payless_exec::pipeline`] — the paper's Figure 3 —
+//! then keeps the books: history, the query report, the journal bracket.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use payless_exec::{
-    ensure_downloaded, ExecConfig, Executor, QueryResult, RetryPolicy, SharedState,
+    pipeline, Env, ExecConfig, PipelineConfig, QueryResult, Ran, RetryPolicy, SharedState,
 };
 use payless_json::{FromJson, Json, ToJson};
 use payless_market::DataMarket;
 use payless_metrics::MetricsHub;
-use payless_optimizer::{optimize, Optimized, OptimizerConfig, PlanCounters, PlanNode};
+use payless_optimizer::{OptimizerConfig, PlanCounters};
 use payless_semantic::{
     Consistency, RewriteConfig, SemanticStore, SharedSemanticStore, StoreConfig,
 };
@@ -209,9 +211,11 @@ impl PayLess {
 
     /// Attach a live metrics hub: every market call this session makes
     /// reports latency, page, and retry metrics into it
-    /// (`payless_market_*`). The CLI attaches one hub to the session and
-    /// to any serve layer it starts, so `\metrics` shows both.
+    /// (`payless_market_*`), and its store reports hits, records and view
+    /// gauges (`payless_store_*`). The CLI attaches one hub to the session
+    /// and to any serve layer it starts, so `\metrics` shows both.
     pub fn attach_metrics(&mut self, hub: Arc<MetricsHub>) {
+        self.state.store().attach_metrics(Arc::clone(&hub));
         self.metrics = Some(hub);
     }
 
@@ -302,27 +306,26 @@ impl PayLess {
         if query.unsatisfiable {
             return Ok(("<unsatisfiable: empty result, no plan needed>".into(), 0.0));
         }
-        let optimized = self.plan(&query, &self.optimizer_config())?;
+        let optimized = pipeline::plan(
+            &self.env(),
+            &query,
+            &self.optimizer_config(),
+            Some(&self.recorder),
+            self.now,
+        )?;
         let names = |t: usize| query.tables[t].name.to_string();
         Ok((optimized.plan.render(&names), optimized.cost.primary))
     }
 
-    /// Plan `query` the way the serving layer does: against point-in-time
-    /// copies of the store and the statistics (the executor re-rewrites
-    /// against live state anyway). The store copy arrives with no recorder
-    /// attached, so the session attaches its own — plan-search probes keep
-    /// counting into `\report`'s `store.*` lines.
-    fn plan(&self, query: &AnalyzedQuery, cfg: &OptimizerConfig) -> Result<Optimized> {
-        let mut store = self.state.store().snapshot();
-        store.attach_recorder(self.recorder.clone());
-        optimize(
-            query,
-            &self.state.stats_snapshot(),
-            &store,
-            self.market.as_ref(),
-            cfg,
-            self.now,
-        )
+    /// What a session's queries run against: no coalescer and no batcher —
+    /// one query at a time has nobody to share a purchase with.
+    fn env(&self) -> Env<'_> {
+        Env {
+            market: &self.market,
+            state: &self.state,
+            coalescer: None,
+            batcher: None,
+        }
     }
 
     /// `EXPLAIN ANALYZE`: run `sql` with tracing forced on and return the
@@ -349,8 +352,9 @@ impl PayLess {
             return None;
         }
         cfg.sqr = false;
-        cfg.introspect = false;
-        self.plan(query, &cfg).ok().map(|o| o.cost.primary)
+        pipeline::plan(&self.env(), query, &cfg, Some(&self.recorder), self.now)
+            .ok()
+            .map(|o| o.cost.primary)
     }
 
     /// The ideal Download-All price for `query`: one full scan of every
@@ -405,13 +409,36 @@ impl PayLess {
                 payless_events::EventKind::QueryStart
             });
         }
-        let billed_before = self.market.bill().transactions();
-        let out = self.run_inner(query);
+        let tracing = self.recorder.is_enabled();
+        // Start a fresh per-query epoch *unconditionally*: a previous query
+        // that failed mid-flight, or ran while tracing was toggled, must not
+        // leak its ledger (wasted/delivered partition) into this one.
+        self.recorder.begin_epoch();
+        let paid_before = self.market.bill().transactions();
+        let mut optimizer = self.optimizer_config();
+        optimizer.introspect = tracing;
+        let cfg = PipelineConfig {
+            exec: ExecConfig {
+                sqr: optimizer.sqr,
+                rewrite: self.cfg.rewrite.clone(),
+                consistency: self.cfg.consistency,
+                recorder: Some(self.recorder.clone()),
+                retry: self.cfg.retry.clone(),
+                // The market's attached recorder writes this session's ledger.
+                synthesize_ledger: false,
+                metrics: self.metrics.clone(),
+                events: self.events.clone(),
+            },
+            optimizer,
+            download_all: self.cfg.mode == Mode::DownloadAll,
+            store_recorder: Some(self.recorder.clone()),
+        };
+        let (budget, ran) = pipeline::run_query(&self.env(), query, &cfg, qid);
+        // Billed pages from the meter delta: a session attributes every
+        // charge in this window to the one query it is running.
+        let paid = self.market.bill().transactions() - paid_before;
         if let Some(j) = &self.events {
-            let ok = out.is_ok();
-            // Billed pages from the meter delta: a session attributes every
-            // charge in this window to the one query it is running.
-            let pages = self.market.bill().transactions() - billed_before;
+            let ok = ran.is_ok();
             let sev = if ok {
                 payless_events::Severity::Info
             } else {
@@ -419,106 +446,66 @@ impl PayLess {
             };
             j.emit(Some(qid), sev, || payless_events::EventKind::QueryDone {
                 ok,
-                pages,
-                wasted_pages: 0,
+                pages: paid,
+                wasted_pages: budget.wasted_pages,
             });
         }
-        out
+        Ok(self.outcome(query, ran?, tracing, paid))
     }
 
-    fn run_inner(&mut self, query: &AnalyzedQuery) -> Result<QueryOutcome> {
-        let tracing = self.recorder.is_enabled();
-        // Start a fresh per-query epoch *unconditionally*: a previous query
-        // that failed mid-flight, or ran while tracing was toggled, must not
-        // leak its ledger (wasted/delivered partition) into this one.
-        self.recorder.begin_epoch();
-        let paid_before = self.market.bill().transactions();
-        let exec_cfg = ExecConfig {
-            sqr: matches!(self.cfg.mode, Mode::PayLess | Mode::DownloadAll),
-            rewrite: self.cfg.rewrite.clone(),
-            consistency: self.cfg.consistency,
-            recorder: Some(self.recorder.clone()),
-            retry: self.cfg.retry.clone(),
-            // The market's attached recorder writes this session's ledger.
-            synthesize_ledger: false,
-            metrics: self.metrics.clone(),
-            events: self.events.clone(),
-        };
-
-        // Unsatisfiable queries cost nothing.
-        if query.unsatisfiable {
-            let executor =
-                Executor::shared(query, &self.market, &self.state, &exec_cfg, self.now, None);
-            return Ok(QueryOutcome {
-                result: executor.empty_result()?,
-                plan: None,
-                est_cost: 0.0,
-                counters: PlanCounters::default(),
-                optimize_nanos: 0,
-                execute_nanos: 0,
-                report: tracing.then(|| QueryReport {
-                    telemetry: self.recorder.take(),
-                    ..Default::default()
-                }),
-            });
-        }
-
-        // Download All: make every referenced market table local-complete
-        // first; the optimizer then finds a zero-cost plan.
-        if self.cfg.mode == Mode::DownloadAll {
-            let _span = self.recorder.span("phase.download-all", || None);
-            for t in &query.tables {
-                if t.location == TableLocation::Market {
-                    ensure_downloaded(&t.schema, &self.market, &self.state, &exec_cfg, self.now)?;
-                }
-            }
-        }
-
-        let mut opt_cfg = self.optimizer_config();
-        opt_cfg.introspect = tracing;
-        let t0 = Instant::now();
-        let optimized = self.plan(query, &opt_cfg)?;
-        let optimize_nanos = t0.elapsed().as_nanos() as u64;
-
-        let t1 = Instant::now();
-        let mut executor =
-            Executor::shared(query, &self.market, &self.state, &exec_cfg, self.now, None);
-        let result = executor.execute(&optimized.plan)?;
-        let execute_nanos = t1.elapsed().as_nanos() as u64;
-        let actuals = executor.op_actuals().to_vec();
-
+    /// Shape a pipeline run into the session's [`QueryOutcome`]; when
+    /// tracing, drain the recorder into a [`QueryReport`] and price the two
+    /// counterfactuals next to it.
+    fn outcome(
+        &self,
+        query: &AnalyzedQuery,
+        ran: Ran,
+        tracing: bool,
+        paid_transactions: u64,
+    ) -> QueryOutcome {
         let names = |t: usize| query.tables[t].name.to_string();
-        let report = if tracing {
+        // An unsatisfiable query has no plan: no estimate, no search, no
+        // operators — and no counterfactual to price.
+        let (plan, est_cost, counters, mut ops) = match ran.optimized {
+            Some(o) => (
+                Some(o.plan.render(&names)),
+                o.cost.primary,
+                o.counters,
+                o.ops,
+            ),
+            None => Default::default(),
+        };
+        let planned = plan.is_some();
+        let report = tracing.then(|| {
             // Zip the optimizer's estimates with the executor's actuals:
             // both sides number operators in pre-order.
-            let mut ops = optimized.ops.clone();
-            for (trace, actual) in ops.iter_mut().zip(actuals) {
+            for (trace, actual) in ops.iter_mut().zip(ran.actuals) {
                 trace.actual = actual;
             }
-            Some(QueryReport {
+            QueryReport {
                 analyze_nanos: 0, // patched in by execute_template
-                optimize_nanos,
-                execute_nanos,
-                est_cost: optimized.cost.primary,
-                paid_transactions: self.market.bill().transactions() - paid_before,
-                counters: optimized.counters,
+                optimize_nanos: ran.optimize_nanos,
+                execute_nanos: ran.execute_nanos,
+                est_cost,
+                paid_transactions,
+                counters,
                 telemetry: self.recorder.take(),
                 ops,
-                est_no_sqr_cost: self.est_no_sqr_cost(query),
-                download_all_cost: self.query_download_all_cost(query),
-            })
-        } else {
-            None
-        };
-        Ok(QueryOutcome {
-            result,
-            plan: Some(render_plan(&optimized.plan, &names)),
-            est_cost: optimized.cost.primary,
-            counters: optimized.counters,
-            optimize_nanos,
-            execute_nanos,
+                est_no_sqr_cost: planned.then(|| self.est_no_sqr_cost(query)).flatten(),
+                download_all_cost: planned
+                    .then(|| self.query_download_all_cost(query))
+                    .flatten(),
+            }
+        });
+        QueryOutcome {
+            result: ran.result,
+            plan,
+            est_cost,
+            counters,
+            optimize_nanos: ran.optimize_nanos,
+            execute_nanos: ran.execute_nanos,
             report,
-        })
+        }
     }
 
     // ------------------------------------------------------------------
@@ -586,10 +573,6 @@ impl PayLess {
         cfg.consistency = self.cfg.consistency;
         cfg
     }
-}
-
-fn render_plan(plan: &PlanNode, names: &dyn Fn(usize) -> String) -> String {
-    plan.render(names)
 }
 
 /// Bundle a workload's market tables into a single-dataset [`DataMarket`]

@@ -139,6 +139,25 @@ impl CallOutcome {
             CallOutcome::FailedFree { .. } => 0,
         }
     }
+
+    /// `(pages, records)` of the clean delivery, if there was one.
+    pub fn delivered(&self) -> Option<(u64, u64)> {
+        match self {
+            CallOutcome::Delivered { response, .. } => {
+                Some((response.transactions, response.records()))
+            }
+            CallOutcome::BilledAndFailed { .. } | CallOutcome::FailedFree { .. } => None,
+        }
+    }
+
+    /// Attempts made beyond the first.
+    pub fn retries(&self) -> u64 {
+        match self {
+            CallOutcome::Delivered { attempts, .. }
+            | CallOutcome::BilledAndFailed { attempts, .. }
+            | CallOutcome::FailedFree { attempts, .. } => u64::from(attempts.saturating_sub(1)),
+        }
+    }
 }
 
 /// Issue `req` against `market`, retrying transient failures under
@@ -189,25 +208,15 @@ pub fn resilient_get(
                 batch: scope.batch(),
             }),
             CallOutcome::BilledAndFailed {
-                error,
-                attempts,
-                wasted_pages,
-            } => scope.emit(Severity::Error, || EventKind::CallFailed {
-                call,
-                table: req.table.to_string(),
-                wasted_pages: *wasted_pages,
-                attempts: u64::from(*attempts),
-                billed: true,
-                error: error.to_string(),
-                batch: scope.batch(),
-            }),
-            CallOutcome::FailedFree { error, attempts } => {
+                error, attempts, ..
+            }
+            | CallOutcome::FailedFree { error, attempts } => {
                 scope.emit(Severity::Error, || EventKind::CallFailed {
                     call,
                     table: req.table.to_string(),
-                    wasted_pages: 0,
+                    wasted_pages: out.wasted_pages(),
                     attempts: u64::from(*attempts),
-                    billed: false,
+                    billed: matches!(out, CallOutcome::BilledAndFailed { .. }),
                     error: error.to_string(),
                     batch: scope.batch(),
                 })
@@ -217,33 +226,11 @@ pub fn resilient_get(
     if let (Some(hub), Some(t0)) = (metrics, started) {
         hub.market_calls.inc(1);
         hub.market_call_nanos.record(t0.elapsed().as_nanos() as u64);
-        match &out {
-            CallOutcome::Delivered {
-                response,
-                attempts,
-                wasted_pages,
-            } => {
-                hub.market_retries
-                    .inc(u64::from(attempts.saturating_sub(1)));
-                hub.pages_billed.inc(response.transactions + wasted_pages);
-                hub.pages_wasted.inc(*wasted_pages);
-                hub.records_delivered.inc(response.records());
-            }
-            CallOutcome::BilledAndFailed {
-                attempts,
-                wasted_pages,
-                ..
-            } => {
-                hub.market_retries
-                    .inc(u64::from(attempts.saturating_sub(1)));
-                hub.pages_billed.inc(*wasted_pages);
-                hub.pages_wasted.inc(*wasted_pages);
-            }
-            CallOutcome::FailedFree { attempts, .. } => {
-                hub.market_retries
-                    .inc(u64::from(attempts.saturating_sub(1)));
-            }
-        }
+        let (pages, records) = out.delivered().unwrap_or_default();
+        hub.market_retries.inc(out.retries());
+        hub.pages_billed.inc(pages + out.wasted_pages());
+        hub.pages_wasted.inc(out.wasted_pages());
+        hub.records_delivered.inc(records);
     }
     out
 }

@@ -2,13 +2,13 @@
 
 use payless_events::EventScope;
 use payless_geometry::{Interval, QuerySpace, Region};
-use payless_market::{DataMarket, Request};
+use payless_market::DataMarket;
 use payless_semantic::Consistency;
-use payless_telemetry::{CallKind, QErrorRecord};
-use payless_types::{PaylessError, Result, Schema};
+use payless_telemetry::CallKind;
+use payless_types::{Constraint, PaylessError, Result, Schema};
 
 use crate::call::{resilient_get, CallBudget};
-use crate::engine::ExecConfig;
+use crate::engine::{ledger_charge, request_for, ExecConfig};
 use crate::state::SharedState;
 
 /// Ensure `table` is fully downloaded into the local mirror.
@@ -23,13 +23,16 @@ use crate::state::SharedState;
 /// failed partway resumes from the first piece the store does not cover —
 /// pieces paid for before the failure are never bought again.
 ///
-/// Of `cfg`, the recorder, retry policy, metrics hub and journal apply.
-pub fn ensure_downloaded(
+/// Retries and billed waste are charged to `budget`, the calling query's.
+/// Of `cfg`, everything but `sqr`, `rewrite` and `consistency` applies: a
+/// download always records its coverage.
+pub(crate) fn ensure_downloaded(
     table: &Schema,
     market: &DataMarket,
     state: &SharedState,
     cfg: &ExecConfig,
     now: u64,
+    budget: &mut CallBudget,
 ) -> Result<()> {
     let name = &table.table;
     let space = state
@@ -47,62 +50,40 @@ pub fn ensure_downloaded(
     let scope = cfg.events.as_deref().map(|j| EventScope::new(j, now));
     // One call per combination of mandatory-bound attribute values.
     let mandatory: Vec<usize> = table.mandatory_bindings().collect();
-    let pieces = enumerate_bound(&space, &full, &mandatory)?;
-    let mut budget = CallBudget::default();
-    for piece in pieces {
+    for piece in enumerate_bound(&space, &full, &mandatory)? {
         // Resume support: pieces bought by an earlier, partially-failed
         // download are already covered — skip them instead of re-buying.
         if state.store().covers(name, &piece, Consistency::Weak, now) {
             continue;
         }
-        let mut req = Request::to(name.clone());
-        let mut constrained: Vec<usize> = Vec::new();
-        for (col, c) in space.constraints_of(&piece) {
-            constrained.push(col);
-            req = req.with(table.columns[col].name.clone(), c);
-        }
+        let mut req = request_for(table, &space, &piece);
         // A numeric bound attribute spanning its whole domain still needs an
         // explicit range constraint — the binding pattern demands a value.
         for &col in &mandatory {
-            if !constrained.contains(&col) {
+            let attr = &table.columns[col].name;
+            if req.constraint_on(attr).is_none() {
                 let d = space.dim_of_col(col).expect("bound column has a dim");
                 let iv = piece.dim(d);
-                req = req.with(
-                    table.columns[col].name.clone(),
-                    payless_types::Constraint::range(iv.lo, iv.hi),
-                );
+                req = req.with(attr.clone(), Constraint::range(iv.lo, iv.hi));
             }
         }
-        let resp = resilient_get(
+        let outcome = resilient_get(
             market,
             &req,
             &cfg.retry,
-            &mut budget,
+            budget,
             recorder,
             cfg.metrics.as_deref(),
             scope.as_ref(),
-        )
-        .into_result()?;
-        let records = resp.records();
-        let pages = resp.transactions;
-        state.insert_rows(table, resp.rows);
-        state.with_table_model_mut(name, |ts| {
-            // Score the pre-feedback estimate, as the engine does for
-            // remainders and probes.
-            if let Some(rec) = recorder {
-                let estimate = ts.estimate(&piece);
-                let estimator = ts.estimator_label();
-                rec.q_error(|| QErrorRecord {
-                    table: table.table.clone(),
-                    estimator,
-                    estimate,
-                    actual: records,
-                    q: payless_stats::q_error(estimate, records as f64),
-                });
-            }
-            ts.feedback(&piece, records);
-        });
-        state.store().record_spend(name, piece, now, pages);
+        );
+        ledger_charge(
+            cfg,
+            market,
+            name,
+            outcome.wasted_pages(),
+            outcome.delivered(),
+        );
+        state.land_delivery(recorder, table, piece, outcome.into_result()?, true, now);
     }
     Ok(())
 }
@@ -196,7 +177,7 @@ mod tests {
             retry,
             ..Default::default()
         };
-        ensure_downloaded(schema, market, state, &cfg, now)
+        ensure_downloaded(schema, market, state, &cfg, now, &mut CallBudget::default())
     }
 
     fn mirrored(state: &SharedState, table: &str) -> usize {

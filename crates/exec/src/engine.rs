@@ -9,11 +9,11 @@ use payless_market::{DataMarket, Request};
 use payless_metrics::MetricsHub;
 use payless_optimizer::cost::required_regions;
 use payless_optimizer::plan::{AccessMethod, PlanNode};
-use payless_semantic::{rewrite, rewrite_cached, Consistency, CoverClass, RewriteConfig};
+use payless_semantic::{rewrite, rewrite_cached, Consistency, CoverClass, Rewrite, RewriteConfig};
 use payless_sql::{AccessConstraint, AnalyzedQuery, OutputItem, ResidualPred, TableLocation};
 use payless_storage::{aggregate, distinct, hash_join, project, sort_by, AggSpec};
-use payless_telemetry::{CallKind, OperatorActual, QErrorRecord, Recorder, TransactionRecord};
-use payless_types::{PaylessError, Result, Row, Value};
+use payless_telemetry::{CallKind, OperatorActual, Recorder, TransactionRecord};
+use payless_types::{PaylessError, Result, Row, Schema, Value};
 
 use crate::batch::{split_pages, BatchPlanner, BatchRole, MemberShare, SealedBatch};
 use crate::call::{resilient_get, CallBudget, CallOutcome, RetryPolicy};
@@ -87,10 +87,14 @@ pub struct Executor<'a> {
     coalescer: Option<&'a CallCoalescer>,
     /// Cross-query batching rendezvous: when attached, uncovered
     /// remainders park here for shared purchasing instead of buying
-    /// immediately. `None` outside serve mode and under `PAYLESS_BATCH=0`.
-    batcher: Option<&'a BatchPlanner>,
-    /// Per-query retry/waste accounting, shared by every call this plan makes.
-    budget: CallBudget,
+    /// immediately (see [`crate::batch`]). `None` outside serve mode and
+    /// under `PAYLESS_BATCH=0`. Whoever sets it must bracket the execution
+    /// with [`BatchPlanner::activity`] so the planner's quiescence seal
+    /// trigger sees the query.
+    pub(crate) batcher: Option<&'a BatchPlanner>,
+    /// Per-query retry/waste accounting, shared by every call this query
+    /// makes — the plan's and, before it, Download All's.
+    pub(crate) budget: CallBudget,
     /// Per-operator actuals, indexed by the plan's pre-order operator id —
     /// the same numbering `introspect::annotate` uses for estimates.
     ops: Vec<OperatorActual>,
@@ -128,17 +132,6 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Attach a cross-query batch planner: this executor's uncovered
-    /// remainders park with it for shared purchasing (see
-    /// [`crate::batch`]). Serve mode only — the caller must bracket the
-    /// query with [`BatchPlanner::begin_query`]/[`BatchPlanner::end_query`]
-    /// (or [`BatchPlanner::activity`]) so the planner's quiescence seal
-    /// trigger sees it.
-    pub fn with_batcher(mut self, planner: Option<&'a BatchPlanner>) -> Self {
-        self.batcher = planner;
-        self
-    }
-
     /// Flight-recorder scope for this query: every event it emits carries
     /// the query's causal id. `None` when no journal is attached. Borrowed
     /// from the config (not `self`) so it can live across `&mut self` calls.
@@ -154,11 +147,6 @@ impl<'a> Executor<'a> {
         self.ops = vec![OperatorActual::default(); plan.node_count()];
         let (rows, layout) = self.run(plan, 0)?;
         self.finish(rows, &layout)
-    }
-
-    /// Retry/waste accounting accumulated by this executor so far.
-    pub fn budget(&self) -> CallBudget {
-        self.budget
     }
 
     /// Per-operator actuals in pre-order, matching the optimizer's
@@ -302,28 +290,12 @@ impl<'a> Executor<'a> {
                         }
                     }
                 }
-                // Only views overlapping this region can shape its rewrite,
-                // so probe the store's R-tree instead of scanning every
-                // view — and when the store's incremental remainder cache
-                // can answer, skip the subtraction sweep entirely.
-                let (views, pieces) = self.state.store().probe_rewrite(
-                    &t.name,
-                    region,
-                    self.cfg.consistency,
-                    self.now,
-                );
-                let rw = self
-                    .state
-                    .with_table_model(&t.name, |ts| match &pieces {
-                        Some(p) => rewrite_cached(ts, page, region, p, &self.cfg.rewrite),
-                        None => rewrite(ts, page, region, &views, &self.cfg.rewrite),
-                    })
-                    .ok_or_else(|| PaylessError::Internal(format!("no stats for `{}`", t.name)))?;
+                let (rw, candidate_views) = self.rewrite_one(tid, page, region)?;
                 if waits == 0 {
                     if let Some(rec) = &self.cfg.recorder {
                         rec.count("sqr.cover_sets", rw.cover_sets);
                         rec.count("sqr.cover_chosen", rw.cover_chosen);
-                        rec.record_size("sqr.candidate_views", views.len() as u64);
+                        rec.record_size("sqr.candidate_views", candidate_views);
                     }
                     initial_est = Some(rw.est_transactions);
                 }
@@ -387,19 +359,7 @@ impl<'a> Executor<'a> {
             // twice.
             let remainders = if guard.is_some() && self.cfg.sqr {
                 let pre_guard_est = final_est;
-                let (views, pieces) = self.state.store().probe_rewrite(
-                    &t.name,
-                    region,
-                    self.cfg.consistency,
-                    self.now,
-                );
-                let rw = self
-                    .state
-                    .with_table_model(&t.name, |ts| match &pieces {
-                        Some(p) => rewrite_cached(ts, page, region, p, &self.cfg.rewrite),
-                        None => rewrite(ts, page, region, &views, &self.cfg.rewrite),
-                    })
-                    .ok_or_else(|| PaylessError::Internal(format!("no stats for `{}`", t.name)))?;
+                let (rw, _) = self.rewrite_one(tid, page, region)?;
                 // A shrunken estimate means a flight landed between the
                 // pre-wait rewrite and this claim: the recompute just
                 // averted re-buying what that flight delivered.
@@ -433,6 +393,50 @@ impl<'a> Executor<'a> {
         }
     }
 
+    /// Rewrite each of `regions` of table `tid` against the *live* store and
+    /// statistics, returning per region the rewrite and how many candidate
+    /// views shaped it. Only views overlapping a region can shape its
+    /// rewrite, so the store's R-tree is probed instead of scanning every
+    /// view — and where the store's incremental remainder cache can answer,
+    /// the subtraction sweep is skipped. All regions are probed under one
+    /// shard lock: a batch leader re-validating its members' merged pieces
+    /// sees one consistent store state across all of them.
+    fn rewrite_live(
+        &self,
+        tid: usize,
+        page: u64,
+        regions: &[Region],
+    ) -> Result<Vec<(Rewrite, u64)>> {
+        let t = &self.query.tables[tid];
+        let probes = self.state.store().probe_rewrite_multi(
+            &t.name,
+            regions,
+            self.cfg.consistency,
+            self.now,
+        );
+        self.state
+            .with_table_model(&t.name, |ts| {
+                regions
+                    .iter()
+                    .zip(&probes)
+                    .map(|(region, (views, pieces))| {
+                        let rw = match pieces {
+                            Some(p) => rewrite_cached(ts, page, region, p, &self.cfg.rewrite),
+                            None => rewrite(ts, page, region, views, &self.cfg.rewrite),
+                        };
+                        (rw, views.len() as u64)
+                    })
+                    .collect()
+            })
+            .ok_or_else(|| PaylessError::Internal(format!("no stats for `{}`", t.name)))
+    }
+
+    /// [`Executor::rewrite_live`] for the one region `ensure_region` works on.
+    fn rewrite_one(&self, tid: usize, page: u64, region: &Region) -> Result<(Rewrite, u64)> {
+        let mut rewrites = self.rewrite_live(tid, page, std::slice::from_ref(region))?;
+        Ok(rewrites.pop().expect("one region in, one rewrite out"))
+    }
+
     /// Book the pages a coalescing wait avoided: the estimated cost of the
     /// purchase this query arrived wanting, minus what it still had to buy
     /// after waiting. Estimates, not actuals — the avoided calls were never
@@ -458,10 +462,7 @@ impl<'a> Executor<'a> {
     ) -> Result<()> {
         let t = &self.query.tables[tid];
         for rem in remainders {
-            let mut req = Request::to(t.name.clone());
-            for (col, c) in space.constraints_of(&rem) {
-                req = req.with(t.schema.columns[col].name.clone(), c);
-            }
+            let req = request_for(&t.schema, space, &rem);
             // Resilient call: transient failures retry under the config's
             // policy, charged against this executor's per-query budget. Each
             // remainder is recorded in the store as soon as it is delivered,
@@ -477,76 +478,20 @@ impl<'a> Executor<'a> {
                 self.cfg.metrics.as_deref(),
                 scope.as_ref(),
             );
-            self.synthesize_ledger(&t.name, &outcome);
-            let slot = self.ops.get_mut(self.cur_op);
-            let resp = match outcome {
-                CallOutcome::Delivered {
-                    response,
-                    attempts,
-                    wasted_pages,
-                } => {
-                    if let Some(slot) = slot {
-                        slot.calls += 1;
-                        slot.retries += u64::from(attempts.saturating_sub(1));
-                        slot.pages += response.transactions;
-                        slot.wasted_pages += wasted_pages;
-                        slot.records += response.records();
-                    }
-                    response
-                }
-                CallOutcome::BilledAndFailed {
-                    error,
-                    attempts,
-                    wasted_pages,
-                } => {
-                    if let Some(slot) = slot {
-                        slot.calls += 1;
-                        slot.retries += u64::from(attempts.saturating_sub(1));
-                        slot.wasted_pages += wasted_pages;
-                    }
-                    return Err(error);
-                }
-                CallOutcome::FailedFree { error, attempts } => {
-                    if let Some(slot) = slot {
-                        slot.calls += 1;
-                        slot.retries += u64::from(attempts.saturating_sub(1));
-                    }
-                    return Err(error);
-                }
-            };
-            let records = resp.records();
-            let pages = resp.transactions;
-            if let Some(rec) = &self.cfg.recorder {
-                rec.record_size("market.records_per_call", records);
+            let (wasted_pages, delivered) = (outcome.wasted_pages(), outcome.delivered());
+            ledger_charge(self.cfg, self.market, &t.name, wasted_pages, delivered);
+            if let Some(slot) = self.ops.get_mut(self.cur_op) {
+                let (pages, records) = delivered.unwrap_or_default();
+                slot.calls += 1;
+                slot.retries += outcome.retries();
+                slot.pages += pages;
+                slot.wasted_pages += wasted_pages;
+                slot.records += records;
             }
-            self.state.insert_rows(&t.schema, resp.rows);
-            let recorder = self.cfg.recorder.clone();
-            self.state.with_table_model_mut(&t.name, |ts| {
-                // Score the estimate the optimizer planned with *before*
-                // feedback repairs it — afterwards it would always be exact.
-                if let Some(rec) = &recorder {
-                    let estimate = ts.estimate(&rem);
-                    let estimator = ts.estimator_label();
-                    rec.q_error(|| QErrorRecord {
-                        table: t.name.clone(),
-                        estimator,
-                        estimate,
-                        actual: records,
-                        q: payless_stats::q_error(estimate, records as f64),
-                    });
-                }
-                ts.feedback(&rem, records);
-            });
-            // Coverage is only ever *read* when rewriting is on; without SQR
-            // the store would grow unboundedly (one region per bind probe)
-            // for nothing.
-            if self.cfg.sqr {
-                // The pages billed become the view's eviction weight: under
-                // cap pressure the store keeps what was expensive to buy.
-                self.state
-                    .store()
-                    .record_spend(&t.name, rem, self.now, pages);
-            }
+            let resp = outcome.into_result()?;
+            let recorder = self.cfg.recorder.as_deref();
+            self.state
+                .land_delivery(recorder, &t.schema, rem, resp, self.cfg.sqr, self.now);
         }
         Ok(())
     }
@@ -644,24 +589,10 @@ impl<'a> Executor<'a> {
         // Re-validate the merged pieces under the guard: one multi-probe,
         // one shard lock, one consistent store state across all of them.
         let final_rems: Vec<Region> = if self.cfg.sqr {
-            let probes = self.state.store().probe_rewrite_multi(
-                &t.name,
-                &merged,
-                self.cfg.consistency,
-                self.now,
-            );
-            let mut rems = Vec::new();
-            for (piece, (views, pieces)) in merged.iter().zip(&probes) {
-                let rw = self
-                    .state
-                    .with_table_model(&t.name, |ts| match pieces {
-                        Some(p) => rewrite_cached(ts, page, piece, p, &self.cfg.rewrite),
-                        None => rewrite(ts, page, piece, views, &self.cfg.rewrite),
-                    })
-                    .ok_or_else(|| PaylessError::Internal(format!("no stats for `{}`", t.name)))?;
-                rems.extend(rw.remainders);
-            }
-            rems
+            self.rewrite_live(tid, page, &merged)?
+                .into_iter()
+                .flat_map(|(rw, _)| rw.remainders)
+                .collect()
         } else {
             merged
         };
@@ -671,10 +602,7 @@ impl<'a> Executor<'a> {
         let mut calls: u64 = 0;
         let mut failure: Option<PaylessError> = None;
         for rem in final_rems {
-            let mut req = Request::to(t.name.clone());
-            for (col, c) in space.constraints_of(&rem) {
-                req = req.with(t.schema.columns[col].name.clone(), c);
-            }
+            let req = request_for(&t.schema, space, &rem);
             let outcome = resilient_get(
                 self.market,
                 &req,
@@ -685,12 +613,9 @@ impl<'a> Executor<'a> {
                 scope.as_ref(),
             );
             calls += 1;
+            let billed_for_nothing = outcome.wasted_pages();
             match outcome {
-                CallOutcome::Delivered {
-                    response,
-                    wasted_pages,
-                    ..
-                } => {
+                CallOutcome::Delivered { response, .. } => {
                     // First-match partition in join order: each delivered
                     // row is attributed to exactly one member, so Σ member
                     // records == delivered records and the weights are the
@@ -706,51 +631,26 @@ impl<'a> Executor<'a> {
                         }
                     }
                     let dp = split_pages(response.transactions, &weights);
-                    let wp = split_pages(wasted_pages, &weights);
+                    let wp = split_pages(billed_for_nothing, &weights);
                     delivered.iter_mut().zip(&dp).for_each(|(d, x)| *d += x);
                     wasted.iter_mut().zip(&wp).for_each(|(w, x)| *w += x);
                     records.iter_mut().zip(&weights).for_each(|(r, x)| *r += x);
-                    let recs = response.records();
-                    let pages = response.transactions;
-                    if let Some(rec) = &self.cfg.recorder {
-                        rec.record_size("market.records_per_call", recs);
-                    }
-                    self.state.insert_rows(&t.schema, response.rows);
-                    let recorder = self.cfg.recorder.clone();
-                    self.state.with_table_model_mut(&t.name, |ts| {
-                        if let Some(rec) = &recorder {
-                            let estimate = ts.estimate(&rem);
-                            let estimator = ts.estimator_label();
-                            rec.q_error(|| QErrorRecord {
-                                table: t.name.clone(),
-                                estimator,
-                                estimate,
-                                actual: recs,
-                                q: payless_stats::q_error(estimate, recs as f64),
-                            });
-                        }
-                        ts.feedback(&rem, recs);
-                    });
-                    if self.cfg.sqr {
-                        self.state
-                            .store()
-                            .record_spend(&t.name, rem, self.now, pages);
-                    }
+                    let recorder = self.cfg.recorder.as_deref();
+                    self.state.land_delivery(
+                        recorder,
+                        &t.schema,
+                        rem,
+                        response,
+                        self.cfg.sqr,
+                        self.now,
+                    );
                 }
-                CallOutcome::BilledAndFailed {
-                    error,
-                    wasted_pages,
-                    ..
-                } => {
-                    // No delivered rows to weight the split: the billed
+                CallOutcome::BilledAndFailed { error, .. }
+                | CallOutcome::FailedFree { error, .. } => {
+                    // No delivered rows to weight the split: a billed
                     // failure's waste divides equally across the members.
-                    let zeros = vec![0u64; n];
-                    let wp = split_pages(wasted_pages, &zeros);
+                    let wp = split_pages(billed_for_nothing, &vec![0u64; n]);
                     wasted.iter_mut().zip(&wp).for_each(|(w, x)| *w += x);
-                    failure = Some(error);
-                    break;
-                }
-                CallOutcome::FailedFree { error, .. } => {
                     failure = Some(error);
                     break;
                 }
@@ -787,7 +687,7 @@ impl<'a> Executor<'a> {
     }
 
     /// Apply one settled batch share to this query's accounting: ledger
-    /// entries shaped exactly like [`Executor::synthesize_ledger`]'s (so Σ
+    /// entries shaped exactly like a solo call's ([`ledger_charge`]; so Σ
     /// per-query ledgers still reconcile with the meter after an N-way
     /// split), operator actuals, and the batch counters the serve report
     /// and watchdog consume. Errors when the batch's purchase failed.
@@ -809,38 +709,15 @@ impl<'a> Executor<'a> {
                 failed: share.error.is_some(),
             });
         }
-        if self.cfg.synthesize_ledger {
-            if let (Some(rec), Some(ds)) = (&self.cfg.recorder, self.market.dataset_of(&t.name)) {
-                if share.wasted_pages > 0 {
-                    rec.transaction(|| TransactionRecord {
-                        seq: 0,
-                        dataset: ds.name.clone(),
-                        table: t.name.clone(),
-                        kind: Default::default(),
-                        records: 0,
-                        page_size: ds.page_size,
-                        pages: share.wasted_pages,
-                        price: ds.price.total(share.wasted_pages),
-                        wasted: true,
-                        at_nanos: 0,
-                    });
-                }
-                if share.delivered_pages > 0 || share.records > 0 {
-                    rec.transaction(|| TransactionRecord {
-                        seq: 0,
-                        dataset: ds.name.clone(),
-                        table: t.name.clone(),
-                        kind: Default::default(),
-                        records: share.records,
-                        page_size: ds.page_size,
-                        pages: share.delivered_pages,
-                        price: ds.price.total(share.delivered_pages),
-                        wasted: false,
-                        at_nanos: 0,
-                    });
-                }
-            }
-        }
+        let delivered = (share.delivered_pages > 0 || share.records > 0)
+            .then_some((share.delivered_pages, share.records));
+        ledger_charge(
+            self.cfg,
+            self.market,
+            &t.name,
+            share.wasted_pages,
+            delivered,
+        );
         if let Some(slot) = self.ops.get_mut(self.cur_op) {
             slot.calls += share.calls;
             slot.pages += share.delivered_pages;
@@ -878,65 +755,6 @@ impl<'a> Executor<'a> {
                 "batch purchase failed: {msg}"
             ))),
             None => Ok(()),
-        }
-    }
-
-    /// Mirror one call's charge into the recorder's spend ledger (serve
-    /// mode; see [`ExecConfig::synthesize_ledger`]). Entries are shaped
-    /// exactly like the market's own: one clean entry per delivery, plus
-    /// one `wasted` entry when billed attempts produced no usable payload.
-    /// Pages and price always reconcile with the billing meter; wasted
-    /// entries carry zero records (the meter counts a truncated attempt's
-    /// full pre-truncation records, which the client never saw).
-    fn synthesize_ledger(&self, table: &Arc<str>, outcome: &CallOutcome) {
-        if !self.cfg.synthesize_ledger {
-            return;
-        }
-        let Some(rec) = &self.cfg.recorder else {
-            return;
-        };
-        let Some(ds) = self.market.dataset_of(table) else {
-            return;
-        };
-        let (delivered, wasted_pages) = match outcome {
-            CallOutcome::Delivered {
-                response,
-                wasted_pages,
-                ..
-            } => (
-                Some((response.transactions, response.records())),
-                *wasted_pages,
-            ),
-            CallOutcome::BilledAndFailed { wasted_pages, .. } => (None, *wasted_pages),
-            CallOutcome::FailedFree { .. } => (None, 0),
-        };
-        if wasted_pages > 0 {
-            rec.transaction(|| TransactionRecord {
-                seq: 0, // assigned by the recorder
-                dataset: ds.name.clone(),
-                table: table.clone(),
-                kind: Default::default(), // stamped from the recorder's call context
-                records: 0,
-                page_size: ds.page_size,
-                pages: wasted_pages,
-                price: ds.price.total(wasted_pages),
-                wasted: true,
-                at_nanos: 0, // stamped by the recorder
-            });
-        }
-        if let Some((pages, records)) = delivered {
-            rec.transaction(|| TransactionRecord {
-                seq: 0,
-                dataset: ds.name.clone(),
-                table: table.clone(),
-                kind: Default::default(),
-                records,
-                page_size: ds.page_size,
-                pages,
-                price: ds.price.total(pages),
-                wasted: false,
-                at_nanos: 0,
-            });
         }
     }
 
@@ -1227,6 +1045,57 @@ impl<'a> Executor<'a> {
                 },
             })
             .collect()
+    }
+}
+
+/// The market request for `region` of `schema`'s table: one constraint per
+/// dimension the region narrows.
+pub(crate) fn request_for(schema: &Schema, space: &QuerySpace, region: &Region) -> Request {
+    space
+        .constraints_of(region)
+        .into_iter()
+        .fold(Request::to(schema.table.clone()), |req, (col, c)| {
+            req.with(schema.columns[col].name.clone(), c)
+        })
+}
+
+/// Mirror one charge into the recorder's spend ledger when the call layer
+/// keeps it ([`ExecConfig::synthesize_ledger`]), in lines shaped exactly
+/// like the market's own: one `wasted` entry when billed attempts produced
+/// no usable payload, plus one clean entry for the `(pages, records)`
+/// delivered. Pages and price always reconcile with the billing meter;
+/// wasted entries carry zero records (the meter counts a truncated
+/// attempt's full pre-truncation records, which the client never saw).
+pub(crate) fn ledger_charge(
+    cfg: &ExecConfig,
+    market: &DataMarket,
+    table: &Arc<str>,
+    wasted_pages: u64,
+    delivered: Option<(u64, u64)>,
+) {
+    if !cfg.synthesize_ledger {
+        return;
+    }
+    let (Some(rec), Some(ds)) = (&cfg.recorder, market.dataset_of(table)) else {
+        return;
+    };
+    let ledger_entry = |pages, records, wasted| TransactionRecord {
+        seq: 0, // assigned by the recorder
+        dataset: ds.name.clone(),
+        table: table.clone(),
+        kind: Default::default(), // stamped from the recorder's call context
+        records,
+        page_size: ds.page_size,
+        pages,
+        price: ds.price.total(pages),
+        wasted,
+        at_nanos: 0, // stamped by the recorder
+    };
+    if wasted_pages > 0 {
+        rec.transaction(|| ledger_entry(wasted_pages, 0, true));
+    }
+    if let Some((pages, records)) = delivered {
+        rec.transaction(|| ledger_entry(pages, records, false));
     }
 }
 

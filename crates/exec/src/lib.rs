@@ -15,27 +15,30 @@
 //!   ([`payless_storage`]), because "joins cannot be done at the data
 //!   market".
 //!
-//! The crate also implements the **Download All** baseline
-//! ([`download::ensure_downloaded`]): fetch whole tables up front, then
-//! answer everything locally.
+//! [`pipeline`] is the one path a query takes to get there — copy the store
+//! and the statistics, plan, execute — and the only caller of the optimizer
+//! and of [`Executor`]; it also runs the **Download All** baseline (fetch
+//! whole tables up front, then answer everything locally) when asked to.
 //!
-//! Both run against one [`SharedState`] — local mirror, semantic store and
-//! statistics behind locks — whoever the caller is: a single-tenant
-//! session (uncontended, no coalescer, no batcher), the in-process mix or
-//! the socket server. [`state`] states the lock discipline.
+//! Everything runs against one [`SharedState`] — local mirror, semantic
+//! store and statistics behind locks — whoever the caller is: a
+//! single-tenant session (uncontended, no coalescer, no batcher), the
+//! in-process mix or the socket server. [`state`] states the lock
+//! discipline.
 
 #![warn(missing_docs)]
 
 pub mod batch;
 pub mod call;
 pub mod coalesce;
-pub mod download;
+mod download;
 pub mod engine;
+pub mod pipeline;
 pub mod state;
 
 pub use batch::{split_pages, BatchConfig, BatchPlanner, BatchRole, MemberShare, SealedBatch};
 pub use call::{resilient_get, CallBudget, CallOutcome, RetryPolicy};
 pub use coalesce::{CallCoalescer, Claim, FlightGuard};
-pub use download::ensure_downloaded;
 pub use engine::{ExecConfig, Executor, QueryResult};
+pub use pipeline::{Env, PipelineConfig, Ran};
 pub use state::{RowObserver, SharedState};

@@ -8,20 +8,23 @@
 //! table ([`payless_semantic::SharedSemanticStore`]). A session is the
 //! uncontended case: one query at a time, no coalescer, no batcher.
 //!
-//! Lock discipline: every helper here acquires **at most one lock** and
-//! releases it before returning — no method calls back into another locked
-//! structure — so no lock-order cycles exist by construction. The closures
-//! passed to the `with_*` helpers run under a lock; they are pure
-//! computations (rewriting, estimation) and must not touch shared state.
+//! Lock discipline: every helper here holds **at most one lock at a time**
+//! — `land_delivery` takes the mirror's, the statistics' and a store
+//! shard's one after another, never nested — and no method calls back into
+//! another locked structure, so no lock-order cycles exist by construction.
+//! The closures passed to the `with_*` helpers run under a lock; they are
+//! pure computations (rewriting, estimation) and must not touch shared
+//! state.
 
 use std::sync::{Arc, OnceLock, RwLock};
 
-use payless_geometry::QuerySpace;
-use payless_market::DataMarket;
+use payless_geometry::{QuerySpace, Region};
+use payless_market::{DataMarket, Response};
 use payless_semantic::{SemanticStore, SharedSemanticStore};
 use payless_sql::{MapCatalog, TableLocation};
 use payless_stats::{StatsRegistry, TableModel};
 use payless_storage::{Database, LocalTable};
+use payless_telemetry::{QErrorRecord, Recorder};
 use payless_types::{Result, Row, Schema};
 
 /// Observer invoked after a market delivery lands in the shared mirror:
@@ -156,12 +159,61 @@ impl SharedState {
         self.filtered_rows(table, pred).unwrap_or_default()
     }
 
+    /// Land one verified delivery of `region` — the only place a purchase
+    /// touches the buyer's state, whoever bought (a remainder fetch, a batch
+    /// leader, Download All). The order is load-bearing: the rows enter the
+    /// mirror (and reach the row observer) **before** the store records the
+    /// spend (and notifies the spend observer), so a durability layer's row
+    /// log never trails its spend log. In between, the statistics score the
+    /// estimate the optimizer planned with and only then repair it —
+    /// afterwards it would always be exact.
+    ///
+    /// `coverage` is off only when rewriting is: coverage is only ever
+    /// *read* by SQR, and without it the store would grow unboundedly (one
+    /// region per bind probe) for nothing. The pages billed become the
+    /// view's eviction weight: under cap pressure the store keeps what was
+    /// expensive to buy.
+    pub(crate) fn land_delivery(
+        &self,
+        recorder: Option<&Recorder>,
+        schema: &Schema,
+        region: Region,
+        response: Response,
+        coverage: bool,
+        now: u64,
+    ) {
+        let table = &schema.table;
+        let records = response.records();
+        if let Some(rec) = recorder {
+            rec.record_size("market.records_per_call", records);
+        }
+        self.insert_rows(schema, response.rows);
+        if let Some(ts) = wr(&self.stats).table_mut(table) {
+            if let Some(rec) = recorder {
+                let estimate = ts.estimate(&region);
+                let estimator = ts.estimator_label();
+                rec.q_error(|| QErrorRecord {
+                    table: table.clone(),
+                    estimator,
+                    estimate,
+                    actual: records,
+                    q: payless_stats::q_error(estimate, records as f64),
+                });
+            }
+            ts.feedback(&region, records);
+        }
+        if coverage {
+            self.store
+                .record_spend(table, region, now, response.transactions);
+        }
+    }
+
     /// Insert `rows` into `schema`'s mirror table, creating it if needed.
     /// An attached [`RowObserver`] sees the delivery after the insert,
     /// outside the mirror lock — insert-before-notify is what lets a
     /// durability layer treat its row log as always trailing the mirror
     /// (never ahead of it).
-    pub(crate) fn insert_rows(&self, schema: &Schema, rows: Vec<Row>) {
+    fn insert_rows(&self, schema: &Schema, rows: Vec<Row>) {
         let observed = self
             .row_observer
             .get()
@@ -180,15 +232,5 @@ impl SharedState {
         f: impl FnOnce(&TableModel) -> R,
     ) -> Option<R> {
         rd(&self.stats).table(table).map(f)
-    }
-
-    /// Run `f` against `table`'s mutable statistics model under the write
-    /// lock. Same purity requirement as [`SharedState::with_table_model`].
-    pub(crate) fn with_table_model_mut<R>(
-        &self,
-        table: &str,
-        f: impl FnOnce(&mut TableModel) -> R,
-    ) -> Option<R> {
-        wr(&self.stats).table_mut(table).map(f)
     }
 }

@@ -4,10 +4,11 @@
 //! N client sessions run queries in parallel against a single market, one
 //! shared local mirror, one shared statistics registry, and one shared
 //! (per-table sharded) semantic store — so every client benefits from every
-//! other client's purchases. Overlapping in-flight purchases are coalesced
-//! to a single flight ([`payless_exec::CallCoalescer`]); each query carries
-//! its own telemetry recorder whose spend ledger is synthesized at the call
-//! layer, attributing every shared purchase to the query that triggered it.
+//! other client's purchases. A query takes the same path a single-tenant
+//! session's does ([`payless_exec::pipeline`]), with overlapping in-flight
+//! purchases coalesced to a single flight ([`payless_exec::CallCoalescer`])
+//! and its own telemetry recorder, whose spend ledger the call layer
+//! writes — attributing every shared purchase to the query that triggered it.
 //!
 //! [`run_mix`] is the deterministic multi-client workload driver behind
 //! `payless --serve` and `tests/serve_concurrency.rs`: it replays a seeded
@@ -25,10 +26,13 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use payless_exec::{BatchPlanner, CallCoalescer, ExecConfig, Executor, RetryPolicy, SharedState};
+use payless_exec::{
+    pipeline, BatchPlanner, CallCoalescer, Env, ExecConfig, PipelineConfig, RetryPolicy,
+    SharedState,
+};
 use payless_market::DataMarket;
 use payless_metrics::MetricsHub;
-use payless_optimizer::{optimize, OptimizerConfig};
+use payless_optimizer::OptimizerConfig;
 use payless_semantic::{
     Consistency, RewriteConfig, SemanticStore, SharedSemanticStore, StoreConfig,
 };
@@ -232,9 +236,9 @@ impl Serve {
         parse(sql)
     }
 
-    /// Run one client query: bind, analyze, optimize against point-in-time
-    /// snapshots of the shared store and statistics, then execute against
-    /// the shared state. Returns the query's result rows together with the
+    /// Run one client query: bind, analyze, then the shared pipeline
+    /// ([`payless_exec::pipeline`]) with this layer's coalescer and batch
+    /// planner attached. Returns the query's result rows together with the
     /// telemetry snapshot of its private recorder (ledger, coalesce
     /// counters).
     pub fn run_query(
@@ -300,54 +304,34 @@ impl Serve {
         let recorder = Recorder::enabled();
         let bound = template.bind(params)?;
         let query = analyze(&bound, &self.catalog)?;
-        let exec_cfg = ExecConfig {
-            sqr: true,
-            rewrite: self.cfg.rewrite.clone(),
-            consistency: self.cfg.consistency,
-            recorder: Some(recorder.clone()),
-            retry: self.cfg.retry.clone(),
-            // No recorder is attached to the shared market, so the call
-            // layer writes this query's ledger itself.
-            synthesize_ledger: true,
-            metrics: self.cfg.metrics.clone(),
-            events: self.cfg.events.clone(),
+        let mut optimizer = OptimizerConfig::payless();
+        optimizer.rewrite = self.cfg.rewrite.clone();
+        optimizer.consistency = self.cfg.consistency;
+        let cfg = PipelineConfig {
+            optimizer,
+            exec: ExecConfig {
+                sqr: true,
+                rewrite: self.cfg.rewrite.clone(),
+                consistency: self.cfg.consistency,
+                recorder: Some(recorder.clone()),
+                retry: self.cfg.retry.clone(),
+                // No recorder is attached to the shared market, so the call
+                // layer writes this query's ledger itself.
+                synthesize_ledger: true,
+                metrics: self.cfg.metrics.clone(),
+                events: self.cfg.events.clone(),
+            },
+            download_all: false,
+            store_recorder: None,
         };
-        if query.unsatisfiable {
-            let executor =
-                Executor::shared(&query, &self.market, &self.state, &exec_cfg, now, None);
-            let result = executor.empty_result()?;
-            return Ok((result, recorder.take()));
-        }
-        let mut opt_cfg = OptimizerConfig::payless();
-        opt_cfg.rewrite = self.cfg.rewrite.clone();
-        opt_cfg.consistency = self.cfg.consistency;
-        // Plan against point-in-time snapshots: cheap (Arc'd views), and
-        // the executor re-rewrites against live state anyway.
-        let store_snap = self.state.store().snapshot();
-        let stats_snap = self.state.stats_snapshot();
-        let optimized = optimize(
-            &query,
-            &stats_snap,
-            &store_snap,
-            self.market.as_ref(),
-            &opt_cfg,
-            now,
-        )?;
-        // The activity bracket lets the planner's quiescence trigger see
-        // this query: when every active query is parked, batches seal
-        // immediately instead of waiting out the window.
-        let _activity = self.batcher.as_ref().map(|b| b.activity());
-        let mut executor = Executor::shared(
-            &query,
-            &self.market,
-            &self.state,
-            &exec_cfg,
-            now,
-            self.cfg.coalesce.then_some(&self.coalescer),
-        )
-        .with_batcher(self.batcher.as_ref());
-        let result = executor.execute(&optimized.plan)?;
-        Ok((result, recorder.take()))
+        let env = Env {
+            market: &self.market,
+            state: &self.state,
+            coalescer: self.cfg.coalesce.then_some(&self.coalescer),
+            batcher: self.batcher.as_ref(),
+        };
+        let (_, ran) = pipeline::run_query(&env, &query, &cfg, now);
+        Ok((ran?.result, recorder.take()))
     }
 }
 

@@ -151,18 +151,18 @@ fn read_reply(stream: TcpStream) -> Result<HttpReply, String> {
     })
 }
 
-/// Connect to `addr` and arm both I/O timeouts, each [`IO_TIMEOUT`].
-fn connect(addr: &str) -> Result<TcpStream, String> {
+/// Connect to `addr` within `timeout` and arm both I/O timeouts with it.
+fn connect(addr: &str, timeout: Duration) -> Result<TcpStream, String> {
     let addrs = addr
         .to_socket_addrs()
         .map_err(|e| format!("connect {addr}: {e}"))?;
     let mut last = format!("connect {addr}: resolves to no address");
     for sock in addrs {
-        match TcpStream::connect_timeout(&sock, IO_TIMEOUT) {
+        match TcpStream::connect_timeout(&sock, timeout) {
             Ok(stream) => {
                 stream
-                    .set_read_timeout(Some(IO_TIMEOUT))
-                    .and_then(|_| stream.set_write_timeout(Some(IO_TIMEOUT)))
+                    .set_read_timeout(Some(timeout))
+                    .and_then(|_| stream.set_write_timeout(Some(timeout)))
                     .map_err(|e| format!("connect {addr}: set timeouts: {e}"))?;
                 return Ok(stream);
             }
@@ -180,7 +180,19 @@ pub fn request(
     path: &str,
     body: Option<&[u8]>,
 ) -> Result<HttpReply, String> {
-    let mut stream = connect(addr)?;
+    request_within(addr, method, path, body, IO_TIMEOUT)
+}
+
+/// [`request`] with the hang guard as a parameter, so its test need not
+/// wait out the real one.
+fn request_within(
+    addr: &str,
+    method: &str,
+    path: &str,
+    body: Option<&[u8]>,
+    timeout: Duration,
+) -> Result<HttpReply, String> {
+    let mut stream = connect(addr, timeout)?;
     let body = body.unwrap_or(&[]);
     let head = format!(
         "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\nContent-Length: {}\r\n\r\n",
@@ -363,13 +375,14 @@ mod tests {
             let _conn = listener.accept().unwrap();
             let _ = held.recv();
         });
+        let timeout = Duration::from_millis(200);
         let t0 = Instant::now();
-        let err = request(&addr, "GET", "/v1/health", None).unwrap_err();
+        let err = request_within(&addr, "GET", "/v1/health", None, timeout).unwrap_err();
         let waited = t0.elapsed();
         assert!(err.contains("GET /v1/health"), "{err}");
         assert!(
-            waited >= IO_TIMEOUT && waited < IO_TIMEOUT + Duration::from_secs(5),
-            "gave up after {waited:?}, expected about {IO_TIMEOUT:?}"
+            waited >= timeout && waited < timeout + Duration::from_secs(5),
+            "gave up after {waited:?}, expected about {timeout:?}"
         );
         drop(release);
         server.join().unwrap();

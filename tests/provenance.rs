@@ -19,9 +19,10 @@ use std::sync::Arc;
 
 use common::{build_market, prepared, tiny_workload};
 
+use payless_core::{Mode, PayLess, PayLessConfig};
 use payless_events::{provenance, render_provenance, Event, EventJournal, EventKind};
 use payless_exec::RetryPolicy;
-use payless_market::{FaultInjector, FaultPlan};
+use payless_market::{FaultInjector, FaultKind, FaultPlan};
 use payless_serve::{run_mix, BatchConfig, Serve, ServeConfig, ServeReport};
 use payless_workload::{serve_mix, MixItem, QueryWorkload, RealWorkload};
 
@@ -89,6 +90,65 @@ fn assert_provenance_exact(report: &ServeReport, events: &[Event]) {
         total, report.meter_transactions,
         "Σ per-query provenance must equal the billing meter's delta"
     );
+}
+
+/// Replay `mix` through a single-tenant session with a journal attached;
+/// queries may fail (the retry policy is the default, four attempts).
+/// Returns the journal's snapshot and how many queries ran (ids `1..=n`).
+fn run_session_journaled(
+    w: &RealWorkload,
+    mix: &[MixItem],
+    mode: Mode,
+    faults: Option<FaultPlan>,
+) -> (Vec<Event>, u64) {
+    let market = build_market(w, 1);
+    if let Some(plan) = faults {
+        market.attach_fault_injector(FaultInjector::new(plan));
+    }
+    let journal = Arc::new(EventJournal::new(1 << 16));
+    let mut pl = PayLess::new(market, PayLessConfig::mode(mode));
+    for t in QueryWorkload::local_tables(w) {
+        pl.register_local(t.clone());
+    }
+    pl.attach_events(Arc::clone(&journal));
+    let templates: Vec<_> = QueryWorkload::templates(w)
+        .iter()
+        .map(|sql| pl.prepare(sql).expect("workload templates parse"))
+        .collect();
+    for item in mix {
+        let _ = pl.execute_template(&templates[item.template], &item.params);
+    }
+    assert_eq!(journal.dropped(), 0, "ring too small for the run");
+    (journal.snapshot(), pl.now())
+}
+
+/// A session's `query_done` must state what its call events sum to —
+/// pages and waste. Returns the waste journaled by answered and by failed
+/// queries.
+fn assert_query_done_matches_provenance(events: &[Event], queries: u64) -> (u64, u64) {
+    let (mut answered, mut failed) = (0, 0);
+    for qid in 1..=queries {
+        let (ok, pages, wasted_pages) = events
+            .iter()
+            .find_map(|e| match &e.kind {
+                EventKind::QueryDone {
+                    ok,
+                    pages,
+                    wasted_pages,
+                } if e.query == Some(qid) => Some((*ok, *pages, *wasted_pages)),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("query {qid} journaled no query_done"));
+        let p = provenance(events, qid);
+        assert_eq!(
+            (pages, wasted_pages),
+            (p.billed_pages(), p.wasted_pages),
+            "query {qid}: query_done (pages, wasted) diverges from its calls\n{}",
+            render_provenance(events, qid)
+        );
+        *(if ok { &mut answered } else { &mut failed }) += wasted_pages;
+    }
+    (answered, failed)
 }
 
 /// Causal closure of waste: every waste-carrying event must trace back to
@@ -183,6 +243,30 @@ fn provenance_is_exact_clean_and_chaos_serial_and_parallel() {
                 assert_waste_reachable_from_faults(&events);
             }
         }
+    }
+    // The single-tenant session runs the same pipeline, and Download All's
+    // calls count towards the query that triggered them. Pinned faults: the
+    // first market call is billed short once and then delivered (waste on
+    // an answered query); the next one is billed four times for nothing,
+    // which exhausts its attempts (waste on a failed query).
+    let pinned = FaultPlan::none()
+        .at(0, FaultKind::Truncate)
+        .at(2, FaultKind::Corrupt)
+        .at(3, FaultKind::Truncate)
+        .at(4, FaultKind::Corrupt)
+        .at(5, FaultKind::Truncate);
+    for mode in [Mode::PayLess, Mode::DownloadAll] {
+        let (events, queries) = run_session_journaled(&w, &mix, mode, None);
+        let wasted = assert_query_done_matches_provenance(&events, queries);
+        assert_eq!(wasted, (0, 0), "{mode:?}: a clean run wastes nothing");
+
+        let (events, queries) = run_session_journaled(&w, &mix, mode, Some(pinned.clone()));
+        let (answered, failed) = assert_query_done_matches_provenance(&events, queries);
+        assert!(
+            answered > 0 && failed > 0,
+            "{mode:?}: {answered} / {failed}"
+        );
+        assert_waste_reachable_from_faults(&events);
     }
 }
 
