@@ -11,7 +11,7 @@
 //! fetched from `/v1/report` before and after the drive.
 
 use payless_json::{Json, ToJson};
-use payless_serve::{digest_row_slice, ClientSpend, QueryRow, ServeReport};
+use payless_serve::{digest_row_slice, QueryRow, ServeReport};
 use payless_workload::client::{drive_mix, get_text, shutdown};
 use payless_workload::{serve_mix, RealWorkload, WhwConfig};
 
@@ -111,54 +111,27 @@ pub fn run_connect(args: &CliArgs) -> Result<String, String> {
                 template: item.template as u64,
                 digest: digest_row_slice(&o.rows),
                 rows: o.rows.len() as u64,
-                pages: o.pages,
-                wasted_pages: o.wasted_pages,
-                records: o.records,
-                price: o.price,
-                coalesce_waits: o.coalesce_waits,
-                saved_pages: o.saved_pages,
-                batch_joins: o.batch_joins,
-                shared_pages: o.shared_pages,
+                spend: o.spend,
                 wall_nanos: o.wall_nanos,
             })
             .collect();
-
-        let mut per_client: Vec<ClientSpend> = (0..clients as u64).map(ClientSpend::new).collect();
-        let mut latencies: Vec<Vec<u64>> = vec![Vec::new(); clients];
-        for q in &per_query {
-            per_client[q.client as usize].absorb(q);
-            latencies[q.client as usize].push(q.wall_nanos);
-        }
-        for (c, samples) in per_client.iter_mut().zip(&mut latencies) {
-            c.set_latencies(samples);
-        }
 
         let report = ServeReport {
             seed,
             clients: clients as u64,
             threads: threads as u64,
-            queries: per_query.len() as u64,
             page_size: server_page,
             coalesce,
             batch,
             fault_seed,
-            total_rows: per_query.iter().map(|q| q.rows).sum(),
-            total_pages: per_query.iter().map(|q| q.pages).sum(),
-            wasted_pages: per_query.iter().map(|q| q.wasted_pages).sum(),
-            total_records: per_query.iter().map(|q| q.records).sum(),
-            total_price: per_query.iter().map(|q| q.price).sum(),
-            coalesce_waits: per_query.iter().map(|q| q.coalesce_waits).sum(),
-            saved_pages: per_query.iter().map(|q| q.saved_pages).sum(),
-            batch_joins: per_query.iter().map(|q| q.batch_joins).sum(),
-            shared_pages: per_query.iter().map(|q| q.shared_pages).sum(),
-            meter_calls: meter_after.calls - meter_before.calls,
-            meter_transactions: meter_after.transactions - meter_before.transactions,
-            meter_records: meter_after.records - meter_before.records,
-            watchdog_samples: 0,
-            watchdog_max_drift_pages: 0,
-            watchdog_tables: Vec::new(),
-            per_client,
-            per_query,
+            ..ServeReport::from_rows(
+                per_query,
+                (
+                    meter_after.calls - meter_before.calls,
+                    meter_after.transactions - meter_before.transactions,
+                    meter_after.records - meter_before.records,
+                ),
+            )
         };
 
         // The invariant every PR defends, now across a socket: the sum of

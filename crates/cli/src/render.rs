@@ -197,30 +197,11 @@ pub fn render_report(report: &QueryReport) -> String {
             report.telemetry.delivered_pages(),
         ));
     }
-    // Fault-kind histogram and retry count (absent on clean runs).
-    let faults: Vec<(&str, u64)> = report
-        .telemetry
-        .counters
-        .iter()
-        .filter(|(n, _)| n.starts_with("fault."))
-        .map(|(n, v)| (n.trim_start_matches("fault."), *v))
-        .collect();
-    let retries = counter("resilience.retries");
-    if !faults.is_empty() || retries.is_some() {
-        let kinds = faults
-            .iter()
-            .map(|(n, v)| format!("{n} x{v}"))
-            .collect::<Vec<_>>()
-            .join(", ");
+    // Retry count (absent on clean runs).
+    if let Some(retries) = counter("resilience.retries") {
         s.push_str(&format!(
-            "faults: {}; {} retries
+            "retries: {retries}
 ",
-            if kinds.is_empty() {
-                "none".to_string()
-            } else {
-                kinds
-            },
-            retries.unwrap_or(0),
         ));
     }
     // Estimate accuracy: one line per estimator backend and per table.
@@ -403,9 +384,9 @@ mod tests {
             ),
             "{s}"
         );
-        // A clean run reports neither wasted spend nor faults.
+        // A clean run reports neither wasted spend nor retries.
         assert!(!s.contains("wasted spend"), "{s}");
-        assert!(!s.contains("faults:"), "{s}");
+        assert!(!s.contains("retries:"), "{s}");
         assert!(!s.contains("WASTED"), "{s}");
     }
 
@@ -427,11 +408,7 @@ mod tests {
         let report = QueryReport {
             paid_transactions: 9,
             telemetry: TelemetrySnapshot {
-                counters: vec![
-                    ("fault.corrupt", 1),
-                    ("fault.unavailable", 2),
-                    ("resilience.retries", 3),
-                ],
+                counters: vec![("resilience.retries", 3)],
                 ledger: vec![entry(0, 3, true), entry(1, 6, false)],
                 ..Default::default()
             },
@@ -443,10 +420,7 @@ mod tests {
             "{s}"
         );
         assert!(s.contains("(6 pages actually delivered)"), "{s}");
-        assert!(
-            s.contains("faults: corrupt x1, unavailable x2; 3 retries"),
-            "{s}"
-        );
+        assert!(s.contains("retries: 3\n"), "{s}");
         // Only the wasted entry carries the marker.
         let wasted_lines: Vec<&str> = s.lines().filter(|l| l.ends_with("WASTED")).collect();
         assert_eq!(wasted_lines.len(), 1, "{s}");

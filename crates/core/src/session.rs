@@ -172,8 +172,9 @@ pub struct PayLess {
     now: u64,
     /// Per-query log (not persisted in snapshots).
     history: Vec<HistoryEntry>,
-    /// Telemetry sink shared with the market and executor. Disabled by
-    /// default; [`PayLess::enable_tracing`] turns it on.
+    /// Telemetry sink shared by the store and the executor, whose call
+    /// layer writes the spend ledger into it. Disabled by default;
+    /// [`PayLess::enable_tracing`] turns it on.
     recorder: Arc<Recorder>,
     /// Live metrics hub, if one was attached ([`PayLess::attach_metrics`]).
     metrics: Option<Arc<MetricsHub>>,
@@ -186,7 +187,6 @@ impl PayLess {
     /// cardinality and query space (the "basic statistics" of Section 2.1).
     pub fn new(market: Arc<DataMarket>, cfg: PayLessConfig) -> Self {
         let recorder = Arc::new(Recorder::default());
-        market.attach_recorder(recorder.clone());
         let mut store = SemanticStore::new();
         store.set_config(cfg.store);
         store.attach_recorder(recorder.clone());
@@ -242,7 +242,8 @@ impl PayLess {
         self.recorder.is_enabled()
     }
 
-    /// The session's telemetry recorder (shared with the market).
+    /// The session's telemetry recorder: the store, the optimizer and the
+    /// executor report into it; the market never sees it.
     pub fn recorder(&self) -> &Arc<Recorder> {
         &self.recorder
     }
@@ -424,8 +425,7 @@ impl PayLess {
                 consistency: self.cfg.consistency,
                 recorder: Some(self.recorder.clone()),
                 retry: self.cfg.retry.clone(),
-                // The market's attached recorder writes this session's ledger.
-                synthesize_ledger: false,
+                synthesize_ledger: true,
                 metrics: self.metrics.clone(),
                 events: self.events.clone(),
             },

@@ -34,12 +34,11 @@ pub struct ExecConfig {
     pub recorder: Option<Arc<Recorder>>,
     /// Retry/backoff/budget policy for every market call the plan issues.
     pub retry: RetryPolicy,
-    /// Have the call layer mirror each charge into the recorder's spend
-    /// ledger itself. Single-tenant sessions leave this off — the market's
-    /// attached recorder already writes the ledger. A serving layer runs
-    /// many per-query recorders over one market, whose single recorder
-    /// slot cannot attribute spend to the query that caused it, so the
-    /// executor writes the entries at the call chokepoint instead.
+    /// Have the call layer write each charge into the recorder's spend
+    /// ledger (`book_charge`). It is the ledger's only writer, and every
+    /// non-test constructor — session, serving layer, `benchmark/` — passes
+    /// `true`; the field stays only because `benchmark/src/ledger.rs` names
+    /// it, and goes in ROADMAP item 3's benchmark PR.
     pub synthesize_ledger: bool,
     /// Optional live metrics hub: market-call latency/spend counters and
     /// the double-buy-averted recompute counters. Unlike `recorder` (one
@@ -478,16 +477,8 @@ impl<'a> Executor<'a> {
                 self.cfg.metrics.as_deref(),
                 scope.as_ref(),
             );
-            let (wasted_pages, delivered) = (outcome.wasted_pages(), outcome.delivered());
-            ledger_charge(self.cfg, self.market, &t.name, wasted_pages, delivered);
-            if let Some(slot) = self.ops.get_mut(self.cur_op) {
-                let (pages, records) = delivered.unwrap_or_default();
-                slot.calls += 1;
-                slot.retries += outcome.retries();
-                slot.pages += pages;
-                slot.wasted_pages += wasted_pages;
-                slot.records += records;
-            }
+            let slot = self.ops.get_mut(self.cur_op);
+            book_charge(self.cfg, self.market, &t.name, slot, Charge::of(&outcome));
             let resp = outcome.into_result()?;
             let recorder = self.cfg.recorder.as_deref();
             self.state
@@ -686,11 +677,11 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Apply one settled batch share to this query's accounting: ledger
-    /// entries shaped exactly like a solo call's ([`ledger_charge`]; so Σ
-    /// per-query ledgers still reconcile with the meter after an N-way
-    /// split), operator actuals, and the batch counters the serve report
-    /// and watchdog consume. Errors when the batch's purchase failed.
+    /// Apply one settled batch share to this query's accounting: booked
+    /// exactly like a solo call ([`book_charge`]; so Σ per-query ledgers
+    /// still reconcile with the meter after an N-way split), plus the batch
+    /// counters the serve report and watchdog consume. Errors when the
+    /// batch's purchase failed.
     fn apply_member_share(&mut self, tid: usize, share: MemberShare, leader: bool) -> Result<()> {
         let t = &self.query.tables[tid];
         // The provenance event the flight recorder sums for batched spend:
@@ -709,21 +700,15 @@ impl<'a> Executor<'a> {
                 failed: share.error.is_some(),
             });
         }
-        let delivered = (share.delivered_pages > 0 || share.records > 0)
-            .then_some((share.delivered_pages, share.records));
-        ledger_charge(
-            self.cfg,
-            self.market,
-            &t.name,
-            share.wasted_pages,
-            delivered,
-        );
-        if let Some(slot) = self.ops.get_mut(self.cur_op) {
-            slot.calls += share.calls;
-            slot.pages += share.delivered_pages;
-            slot.wasted_pages += share.wasted_pages;
-            slot.records += share.records;
-        }
+        let charge = Charge {
+            calls: share.calls,
+            retries: 0,
+            wasted_pages: share.wasted_pages,
+            delivered: (share.delivered_pages > 0 || share.records > 0)
+                .then_some((share.delivered_pages, share.records)),
+        };
+        let slot = self.ops.get_mut(self.cur_op);
+        book_charge(self.cfg, self.market, &t.name, slot, charge);
         if let Some(rec) = &self.cfg.recorder {
             rec.count("batch.joins", 1);
             if share.batch_members >= 2 && share.delivered_pages > 0 {
@@ -1059,20 +1044,56 @@ pub(crate) fn request_for(schema: &Schema, space: &QuerySpace, region: &Region) 
         })
 }
 
-/// Mirror one charge into the recorder's spend ledger when the call layer
-/// keeps it ([`ExecConfig::synthesize_ledger`]), in lines shaped exactly
-/// like the market's own: one `wasted` entry when billed attempts produced
-/// no usable payload, plus one clean entry for the `(pages, records)`
-/// delivered. Pages and price always reconcile with the billing meter;
-/// wasted entries carry zero records (the meter counts a truncated
-/// attempt's full pre-truncation records, which the client never saw).
-pub(crate) fn ledger_charge(
+/// What one settled purchase adds to a query's books: a solo call's
+/// [`CallOutcome`] or this query's share of a batch.
+pub(crate) struct Charge {
+    /// Market calls attributed to the query.
+    pub calls: u64,
+    /// Attempts beyond each call's first.
+    pub retries: u64,
+    /// Pages billed without a usable delivery.
+    pub wasted_pages: u64,
+    /// `(pages, records)` of the clean delivery, if there was one.
+    pub delivered: Option<(u64, u64)>,
+}
+
+impl Charge {
+    /// The charge of one resilient market call.
+    pub(crate) fn of(outcome: &CallOutcome) -> Charge {
+        Charge {
+            calls: 1,
+            retries: outcome.retries(),
+            wasted_pages: outcome.wasted_pages(),
+            delivered: outcome.delivered(),
+        }
+    }
+}
+
+/// Book one charge against `table`, for solo purchases, batch shares and
+/// Download All alike: into `slot`, the plan operator it ran under (Download
+/// All has none), and into the spend ledger, which has no other writer. The
+/// ledger gets one `wasted` entry when billed attempts produced no usable
+/// payload and one clean entry for the `(pages, records)` delivered. Pages
+/// and price always reconcile with the billing meter; wasted entries carry
+/// zero records (the meter counts a truncated attempt's full pre-truncation
+/// records, which the buyer never saw).
+// `clippy.toml` bans `Recorder::transaction` everywhere but here.
+#[allow(clippy::disallowed_methods)]
+pub(crate) fn book_charge(
     cfg: &ExecConfig,
     market: &DataMarket,
     table: &Arc<str>,
-    wasted_pages: u64,
-    delivered: Option<(u64, u64)>,
+    slot: Option<&mut OperatorActual>,
+    charge: Charge,
 ) {
+    let (pages, records) = charge.delivered.unwrap_or_default();
+    if let Some(slot) = slot {
+        slot.calls += charge.calls;
+        slot.retries += charge.retries;
+        slot.pages += pages;
+        slot.wasted_pages += charge.wasted_pages;
+        slot.records += records;
+    }
     if !cfg.synthesize_ledger {
         return;
     }
@@ -1091,10 +1112,10 @@ pub(crate) fn ledger_charge(
         wasted,
         at_nanos: 0, // stamped by the recorder
     };
-    if wasted_pages > 0 {
-        rec.transaction(|| ledger_entry(wasted_pages, 0, true));
+    if charge.wasted_pages > 0 {
+        rec.transaction(|| ledger_entry(charge.wasted_pages, 0, true));
     }
-    if let Some((pages, records)) = delivered {
+    if charge.delivered.is_some() {
         rec.transaction(|| ledger_entry(pages, records, false));
     }
 }

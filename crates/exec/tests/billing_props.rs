@@ -1,14 +1,21 @@
 //! Property tests tying the telemetry spend ledger to the billing meter.
 //!
-//! The ledger is the auditable record: for any sequence of market calls,
-//! its per-dataset totals must equal what the meter accrued, and every
-//! entry must obey the paper's Eq. (1): `pages = ceil(records / t)`.
+//! The ledger is the auditable record, written by the call layer and by
+//! nothing else: for any sequence of queries, its per-dataset totals must
+//! equal what the meter accrued, and every entry must obey the paper's
+//! Eq. (1): `pages = ceil(records / t)`. SQR is off, so every query is one
+//! market call however the queries overlap.
 
 use std::sync::Arc;
 
-use payless_market::{DataMarket, Dataset, MarketTable, Request};
+use payless_exec::{pipeline, Env, ExecConfig, PipelineConfig, SharedState};
+use payless_market::{DataMarket, Dataset, MarketTable};
+use payless_optimizer::OptimizerConfig;
+use payless_semantic::SemanticStore;
+use payless_sql::{analyze, parse};
+use payless_stats::StatsRegistry;
 use payless_telemetry::Recorder;
-use payless_types::{transactions, Column, Constraint, Domain, PricePerTransaction, Schema};
+use payless_types::{transactions, Column, Domain, PricePerTransaction, Schema};
 use proptest::prelude::*;
 
 /// Two datasets with different page sizes and prices, so per-dataset
@@ -39,7 +46,9 @@ fn market() -> DataMarket {
                 Column::output("Cost", Domain::int(0, 1000)),
             ],
         ),
+        // Even ids only: an odd point probe is an in-domain 0-record call.
         (0..100)
+            .step_by(2)
             .map(|p| payless_types::row!(p, p * 13 % 997))
             .collect(),
     );
@@ -55,7 +64,7 @@ fn market() -> DataMarket {
     ])
 }
 
-/// One random, always-valid request against the toy market.
+/// One random, always-valid single-table query against the toy market.
 #[derive(Clone, Debug)]
 enum Call {
     WeatherCountry(usize),
@@ -73,24 +82,55 @@ fn arb_call() -> impl Strategy<Value = Call> {
         (0i64..100)
             .prop_flat_map(|lo| (Just(lo), lo..100))
             .prop_map(|(lo, hi)| { Call::VisitRange(lo, hi) }),
-        // Point probes beyond the stored ids exercise the 0-record case.
-        (0i64..200).prop_map(Call::VisitPoint),
+        (0i64..100).prop_map(Call::VisitPoint),
     ]
 }
 
-fn to_request(call: &Call) -> Request {
+fn to_sql(call: &Call) -> String {
     match call {
-        Call::WeatherCountry(i) => {
-            Request::to("Weather").with("Country", Constraint::eq(["US", "CA", "MX"][*i]))
-        }
+        Call::WeatherCountry(i) => format!(
+            "SELECT Temp FROM Weather WHERE Country = '{}'",
+            ["US", "CA", "MX"][*i]
+        ),
         Call::WeatherDates(lo, hi) => {
-            Request::to("Weather").with("Date", Constraint::range(*lo, *hi))
+            format!("SELECT Temp FROM Weather WHERE Date >= {lo} AND Date <= {hi}")
         }
         Call::VisitRange(lo, hi) => {
-            Request::to("Visits").with("PatientID", Constraint::range(*lo, *hi))
+            format!("SELECT Cost FROM Visits WHERE PatientID >= {lo} AND PatientID <= {hi}")
         }
-        Call::VisitPoint(p) => Request::to("Visits").with("PatientID", Constraint::eq(*p)),
+        Call::VisitPoint(p) => format!("SELECT Cost FROM Visits WHERE PatientID = {p}"),
     }
+}
+
+/// Run `calls` through the pipeline on a fresh buyer, every query reporting
+/// into `recorder`; hands the market back for its meter.
+fn run(calls: &[Call], recorder: &Arc<Recorder>) -> DataMarket {
+    let market = market();
+    let (catalog, state) =
+        SharedState::for_market(&market, &[], SemanticStore::new(), StatsRegistry::new());
+    let env = Env {
+        market: &market,
+        state: &state,
+        coalescer: None,
+        batcher: None,
+    };
+    let cfg = PipelineConfig {
+        optimizer: OptimizerConfig::payless_no_sqr(),
+        exec: ExecConfig {
+            sqr: false,
+            recorder: Some(Arc::clone(recorder)),
+            synthesize_ledger: true,
+            ..ExecConfig::default()
+        },
+        download_all: false,
+        store_recorder: None,
+    };
+    for (i, call) in calls.iter().enumerate() {
+        let query = analyze(&parse(&to_sql(call)).unwrap(), &catalog).unwrap();
+        let (_, ran) = pipeline::run_query(&env, &query, &cfg, i as u64 + 1);
+        ran.unwrap();
+    }
+    market
 }
 
 proptest! {
@@ -98,12 +138,8 @@ proptest! {
     /// in the ledger as zero-page (free) entries rather than vanishing.
     #[test]
     fn ledger_entries_obey_eq1(calls in proptest::collection::vec(arb_call(), 0..24)) {
-        let market = market();
         let recorder = Recorder::enabled();
-        market.attach_recorder(recorder.clone());
-        for call in &calls {
-            market.get(&to_request(call)).unwrap();
-        }
+        run(&calls, &recorder);
         let snap = recorder.take();
         prop_assert_eq!(snap.ledger.len(), calls.len());
         for entry in &snap.ledger {
@@ -120,12 +156,8 @@ proptest! {
     /// meter: same calls, records, pages, and revenue.
     #[test]
     fn ledger_totals_match_meter(calls in proptest::collection::vec(arb_call(), 0..24)) {
-        let market = market();
         let recorder = Recorder::enabled();
-        market.attach_recorder(recorder.clone());
-        for call in &calls {
-            market.get(&to_request(call)).unwrap();
-        }
+        let market = run(&calls, &recorder);
         let snap = recorder.take();
         let bill = market.bill();
 
@@ -154,15 +186,11 @@ proptest! {
     }
 }
 
-/// A detached (or disabled) recorder must not change billing behaviour.
+/// A disabled recorder must not change billing behaviour.
 #[test]
 fn disabled_recorder_leaves_ledger_empty() {
-    let market = market();
-    let recorder = Arc::new(Recorder::default()); // attached but disabled
-    market.attach_recorder(recorder.clone());
-    market
-        .get(&Request::to("Visits").with("PatientID", Constraint::range(0, 49)))
-        .unwrap();
+    let recorder = Arc::new(Recorder::default()); // handed in but disabled
+    let market = run(&[Call::VisitRange(0, 98)], &recorder);
     assert_eq!(market.bill().transactions(), 2);
     assert!(recorder.take().ledger.is_empty());
 }

@@ -268,22 +268,6 @@ impl QuerySpace {
         }
         out
     }
-
-    /// Whether a row (projected onto this space's columns by the caller)
-    /// falls inside `region`. `coords` must have one entry per dimension.
-    pub fn point_of_row(&self, values: &[Value]) -> Option<Vec<i64>> {
-        debug_assert_eq!(values.len(), self.arity());
-        let mut point = Vec::with_capacity(self.arity());
-        for (d, v) in self.dims.iter().zip(values) {
-            let coord = match (&d.kind, v) {
-                (DimKind::Int { .. }, Value::Int(x)) => *x,
-                (DimKind::Cat { .. }, Value::Str(s)) => d.cat_index(s)?,
-                _ => return None,
-            };
-            point.push(coord);
-        }
-        Some(point)
-    }
 }
 
 #[cfg(test)]
@@ -390,18 +374,6 @@ mod tests {
     fn constraints_of_full_region_is_empty() {
         let s = space();
         assert!(s.constraints_of(&s.full_region()).is_empty());
-    }
-
-    #[test]
-    fn point_of_row_maps_values() {
-        let s = space();
-        let p = s
-            .point_of_row(&[Value::str("DE"), Value::int(7), Value::int(12)])
-            .unwrap();
-        assert_eq!(p, vec![2, 7, 12]);
-        assert!(s
-            .point_of_row(&[Value::str("FR"), Value::int(7), Value::int(12)])
-            .is_none());
     }
 
     #[test]

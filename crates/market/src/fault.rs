@@ -44,23 +44,13 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Stable label used for telemetry counters and histograms.
+    /// Stable label [`FaultInjector::injections`] counts fired faults under.
     pub fn label(self) -> &'static str {
         match self {
             FaultKind::Unavailable => "unavailable",
             FaultKind::Stall { .. } => "stall",
             FaultKind::Truncate => "truncate",
             FaultKind::Corrupt => "corrupt",
-        }
-    }
-
-    /// Telemetry counter name (`fault.<label>`).
-    pub fn counter(self) -> &'static str {
-        match self {
-            FaultKind::Unavailable => "fault.unavailable",
-            FaultKind::Stall { .. } => "fault.stall",
-            FaultKind::Truncate => "fault.truncate",
-            FaultKind::Corrupt => "fault.corrupt",
         }
     }
 }

@@ -3,8 +3,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use payless_telemetry::{Recorder, TransactionRecord};
-use payless_types::{transactions, PaylessError, Result, Schema, Transactions};
+use payless_types::{transactions, PaylessError, Result, Schema};
 
 use crate::billing::{BillingMeter, BillingReport};
 use crate::dataset::{Dataset, MarketTable};
@@ -23,9 +22,6 @@ pub struct DataMarket {
     /// table name → dataset index.
     directory: HashMap<Arc<str>, usize>,
     meter: BillingMeter,
-    /// Optional telemetry recorder; when attached (and enabled), every call
-    /// appends a [`TransactionRecord`] to the per-query spend ledger.
-    recorder: Mutex<Option<Arc<Recorder>>>,
     /// Optional fault injector; when attached, every validated call
     /// consults its [`crate::FaultPlan`] before (and while) serving.
     injector: Mutex<Option<Arc<FaultInjector>>>,
@@ -46,16 +42,8 @@ impl DataMarket {
             datasets,
             directory,
             meter: BillingMeter::new(),
-            recorder: Mutex::new(None),
             injector: Mutex::new(None),
         }
-    }
-
-    /// Attach a telemetry recorder. Subsequent calls mirror every charge
-    /// into the recorder's spend ledger, so a query report can be audited
-    /// against the [`BillingMeter`].
-    pub fn attach_recorder(&self, recorder: Arc<Recorder>) {
-        *self.recorder.lock().unwrap() = Some(recorder);
     }
 
     /// Attach a fault injector. Subsequent [`DataMarket::get`] calls consult
@@ -93,13 +81,6 @@ impl DataMarket {
     /// Page size `t` applying to calls against `table`.
     pub fn page_size(&self, table: &str) -> Option<u64> {
         self.dataset_of(table).map(|ds| ds.page_size)
-    }
-
-    /// Transactions needed to download the whole of `table` in one call.
-    pub fn download_cost(&self, table: &str) -> Option<Transactions> {
-        let t = self.table(table)?;
-        let page = self.page_size(table)?;
-        Some(transactions(t.cardinality(), page))
     }
 
     /// All hosted table names (sorted, for deterministic iteration).
@@ -186,9 +167,14 @@ impl DataMarket {
         // request never reaches the network in the first place.
         let injector = self.injector.lock().unwrap().clone();
         let fault = injector.as_ref().and_then(|i| i.decide());
+        let note = |kind, wasted_pages| {
+            if let Some(inj) = &injector {
+                inj.note(kind, wasted_pages);
+            }
+        };
         match fault {
             Some(FaultKind::Unavailable) => {
-                self.note_fault(injector.as_deref(), FaultKind::Unavailable, 0);
+                note(FaultKind::Unavailable, 0);
                 return Err(PaylessError::Unavailable {
                     table: request.table.clone(),
                     detail: "injected transient seller failure (503)".into(),
@@ -196,10 +182,7 @@ impl DataMarket {
             }
             Some(FaultKind::Stall { millis }) => {
                 std::thread::sleep(std::time::Duration::from_millis(millis));
-                self.note_fault(injector.as_deref(), FaultKind::Stall { millis }, 0);
-                if let Some(recorder) = self.recorder.lock().unwrap().as_ref() {
-                    recorder.record_size("market.stall_millis", millis);
-                }
+                note(FaultKind::Stall { millis }, 0);
                 // The call then delivers normally below.
             }
             _ => {}
@@ -213,10 +196,9 @@ impl DataMarket {
         // clean (free) delivery.
         let truncated = matches!(fault, Some(FaultKind::Truncate)) && charged > 0;
         let corrupted = matches!(fault, Some(FaultKind::Corrupt));
-        self.record_ledger(request, records, page, charged, truncated || corrupted);
 
         if truncated {
-            self.note_fault(injector.as_deref(), FaultKind::Truncate, charged);
+            note(FaultKind::Truncate, charged);
             // Withhold the final page's worth of rows: the client always
             // sees billed pages exceeding ceil(returned / t).
             rows.truncate(((charged - 1) * page) as usize);
@@ -226,7 +208,7 @@ impl DataMarket {
             });
         }
         if corrupted {
-            self.note_fault(injector.as_deref(), FaultKind::Corrupt, charged);
+            note(FaultKind::Corrupt, charged);
             // Round-trip the real payload through the wire codec with a
             // mangled frame, so the corruption is *detected*, not assumed.
             let body = corrupt_body(&encode_rows(&rows));
@@ -245,46 +227,6 @@ impl DataMarket {
             rows,
             transactions: charged,
         })
-    }
-
-    /// Mirror one charge into the telemetry spend ledger.
-    fn record_ledger(
-        &self,
-        request: &Request,
-        records: u64,
-        page: u64,
-        charged: u64,
-        wasted: bool,
-    ) {
-        if let Some(recorder) = self.recorder.lock().unwrap().as_ref() {
-            recorder.transaction(|| {
-                let ds = self
-                    .dataset_of(&request.table)
-                    .expect("dataset exists if table exists");
-                TransactionRecord {
-                    seq: 0, // assigned by the recorder
-                    dataset: ds.name.clone(),
-                    table: request.table.clone(),
-                    kind: Default::default(), // stamped from the recorder's call context
-                    records,
-                    page_size: page,
-                    pages: charged,
-                    price: ds.price.total(charged),
-                    wasted,
-                    at_nanos: 0, // stamped by the recorder
-                }
-            });
-        }
-    }
-
-    /// Book an injected fault with the injector and the fault-kind counters.
-    fn note_fault(&self, injector: Option<&FaultInjector>, kind: FaultKind, wasted_pages: u64) {
-        if let Some(inj) = injector {
-            inj.note(kind, wasted_pages);
-        }
-        if let Some(recorder) = self.recorder.lock().unwrap().as_ref() {
-            recorder.count(kind.counter(), 1);
-        }
     }
 }
 
@@ -358,7 +300,6 @@ mod tests {
         assert_eq!(m.cardinality("Weather"), Some(90));
         assert_eq!(m.page_size("Weather"), Some(10));
         assert_eq!(m.page_size("Bound"), Some(100));
-        assert_eq!(m.download_cost("Weather"), Some(9));
         assert!(m.schema("Nope").is_none());
         assert_eq!(m.table_names().len(), 3);
     }

@@ -2,32 +2,13 @@
 //!
 //! * **Minimizing Calls** — the limited-access-pattern optimizer of Florescu
 //!   et al. (SIGMOD'99): bushy plans, bind joins, objective = number of
-//!   RESTful calls. [`min_calls_optimize`] is a thin wrapper over the shared
-//!   DP engine with [`CostModel::Calls`].
+//!   RESTful calls. It is the shared DP engine run with
+//!   `OptimizerConfig::min_calls()`, i.e. `CostModel::Calls`.
 //! * **Download All** — download every referenced market table wholesale,
 //!   then answer all queries locally. [`download_all_cost`] computes the
 //!   upfront price; actual downloading is performed by the execution crate.
 
-use payless_semantic::SemanticStore;
-use payless_sql::AnalyzedQuery;
-use payless_stats::StatsRegistry;
-use payless_types::{transactions, Result, Transactions};
-
-use crate::cost::{CostModel, MarketMeta};
-use crate::dp::{optimize, Optimized, OptimizerConfig};
-
-/// Optimize with the calls-minimizing baseline model.
-pub fn min_calls_optimize(
-    query: &AnalyzedQuery,
-    stats: &StatsRegistry,
-    store: &SemanticStore,
-    meta: &dyn MarketMeta,
-    now: u64,
-) -> Result<Optimized> {
-    let cfg = OptimizerConfig::min_calls();
-    debug_assert_eq!(cfg.model, CostModel::Calls);
-    optimize(query, stats, store, meta, &cfg, now)
-}
+use payless_types::{transactions, Transactions};
 
 /// Transactions needed to download a whole table of `cardinality` rows at
 /// `page_size` tuples per transaction.

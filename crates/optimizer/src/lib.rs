@@ -33,7 +33,7 @@ pub mod plan;
 #[cfg(test)]
 mod tests_cost;
 
-pub use baselines::{download_all_cost, min_calls_optimize};
+pub use baselines::download_all_cost;
 pub use cost::{CostCtx, CostModel, EstBreakdown, MarketMeta, PlanCounters};
 pub use dp::{optimize, Optimized, OptimizerConfig, SearchStrategy};
 pub use plan::{AccessMethod, BindPair, PlanNode};

@@ -51,9 +51,12 @@ pub struct SharedSemanticStore {
     /// `OnceLock` load per operation.
     metrics: OnceLock<Arc<MetricsHub>>,
     /// Spend observer notified after every `record_spend`, outside the
-    /// shard write lock (so the store may momentarily be ahead of a
-    /// durability log — safe, because coverage re-insert is idempotent).
+    /// shard write lock — so the store is momentarily ahead of a durability
+    /// log, which is what `settling` lets a snapshotter rule out.
     observer: OnceLock<Arc<SpendObserver>>,
+    /// Held shared by `record_spend` from before its insert until its
+    /// observer has returned, exclusively by [`SharedSemanticStore::settled`].
+    settling: RwLock<()>,
 }
 
 impl std::fmt::Debug for SharedSemanticStore {
@@ -92,6 +95,7 @@ impl SharedSemanticStore {
             cfg,
             metrics: OnceLock::new(),
             observer: OnceLock::new(),
+            settling: RwLock::new(()),
         }
     }
 
@@ -118,6 +122,14 @@ impl SharedSemanticStore {
     /// thread that recorded the spend.
     pub fn attach_observer(&self, observer: Arc<SpendObserver>) {
         let _ = self.observer.set(observer);
+    }
+
+    /// Wait out every purchase that is in the store but not yet with the
+    /// observer, and admit no new one while the guard lives — so a copy of
+    /// the store taken under it matches the observer's own books. Take it
+    /// before any lock the observer takes.
+    pub fn settled(&self) -> RwLockWriteGuard<'_, ()> {
+        self.settling.write().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Take a shard's read lock, reporting the wait into the hub.
@@ -204,6 +216,7 @@ impl SharedSemanticStore {
             .observer
             .get()
             .map(|obs| (Arc::clone(obs), region.clone()));
+        let _settling = self.settling.read().unwrap_or_else(|e| e.into_inner());
         let mut guard = self.timed_write(shard);
         guard.record_spend(table, region, now, spend);
         if let Some(hub) = self.metrics.get() {
@@ -495,6 +508,38 @@ mod tests {
                 ("T".to_string(), 0)
             ]
         );
+    }
+
+    #[test]
+    fn settled_waits_for_a_purchase_still_with_its_observer() {
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+        let mut base = SemanticStore::new();
+        base.register(space());
+        let shared = SharedSemanticStore::new(base);
+        let (entered, in_observer) = channel::<()>();
+        let (release, released) = channel::<()>();
+        let released = std::sync::Mutex::new(released);
+        shared.attach_observer(Arc::new(move |_, _, _, _| {
+            entered.send(()).unwrap();
+            released.lock().unwrap().recv().unwrap();
+        }));
+        let (done, settled) = channel::<bool>();
+        std::thread::scope(|s| {
+            s.spawn(|| shared.record_spend("T", r(0, 9), 1, 10));
+            // The purchase is in the store, its observer has not returned.
+            in_observer.recv().unwrap();
+            s.spawn(|| {
+                let _gate = shared.settled();
+                done.send(shared.view_count("T") == 1).unwrap();
+            });
+            assert!(
+                settled.recv_timeout(Duration::from_millis(50)).is_err(),
+                "the gate opened with a purchase still on its way to the observer"
+            );
+            release.send(()).unwrap();
+            assert!(settled.recv().unwrap());
+        });
     }
 
     #[test]

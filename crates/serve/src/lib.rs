@@ -22,8 +22,8 @@
 pub mod report;
 pub mod watchdog;
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use payless_exec::{
@@ -40,13 +40,14 @@ use payless_sql::{analyze, parse, MapCatalog, SelectStmt};
 use payless_stats::StatsRegistry;
 use payless_storage::LocalTable;
 use payless_telemetry::Recorder;
-use payless_types::{PaylessError, Result};
-use payless_workload::MixItem;
+use payless_types::Result;
+use payless_workload::{drive, MixItem};
 
 use payless_events::{EventJournal, EventKind, Severity};
 
 pub use payless_exec::BatchConfig;
-pub use report::{ClientSpend, QueryRow, ServeReport};
+pub use payless_workload::QuerySpend;
+pub use report::{query_spend, ClientSpend, QueryRow, ServeReport};
 pub use watchdog::{TableDrift, Watchdog, WatchdogReport};
 
 /// Serving-layer options. Everything is explicit — the library reads no
@@ -315,8 +316,6 @@ impl Serve {
                 consistency: self.cfg.consistency,
                 recorder: Some(recorder.clone()),
                 retry: self.cfg.retry.clone(),
-                // No recorder is attached to the shared market, so the call
-                // layer writes this query's ledger itself.
                 synthesize_ledger: true,
                 metrics: self.cfg.metrics.clone(),
                 events: self.cfg.events.clone(),
@@ -376,7 +375,7 @@ impl Drop for BlackBoxOnPanic<'_> {
 }
 
 /// Replay `mix` across `serve.cfg.threads` workers pulling from one global
-/// queue, then reconcile: the sum of every query's synthesized ledger must
+/// queue, then reconcile: the sum of every query's spend ledger must
 /// equal the market meter's delta, page for page — clean and under
 /// injected faults. Panics on reconciliation failure (this is the driver
 /// the serve tests trust); query errors are returned.
@@ -388,9 +387,6 @@ pub fn run_mix(serve: &Serve, mix: &[MixItem], templates: &[SelectStmt]) -> Resu
     let threads = serve.cfg.threads.max(1);
     let _blackbox_guard = BlackBoxOnPanic(serve.cfg.events.as_deref());
     let meter_before = serve.market.bill();
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<QueryRow>>> = Mutex::new(vec![None; mix.len()]);
-    let failure: Mutex<Option<PaylessError>> = Mutex::new(None);
     let mut dog = Watchdog::new(
         &serve.market,
         serve.cfg.watchdog_every,
@@ -408,127 +404,54 @@ pub fn run_mix(serve: &Serve, mix: &[MixItem], templates: &[SelectStmt]) -> Resu
         dog = dog.with_events(Arc::clone(j));
     }
 
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(mix.len().max(1)) {
-            s.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::SeqCst);
-                if idx >= mix.len() {
-                    return;
-                }
-                let item = &mix[idx];
-                let t0 = Instant::now();
-                let (query_id, outcome) =
-                    serve.run_query_traced(&templates[item.template], &item.params);
-                let outcome = outcome.and_then(|(result, snap)| {
-                    dog.note_query(&snap)?;
-                    Ok((result, snap))
-                });
-                match outcome {
-                    Ok((result, snap)) => {
-                        let row = QueryRow {
-                            query_id,
-                            client: item.client as u64,
-                            template: item.template as u64,
-                            digest: digest_rows(&result),
-                            rows: result.rows.len() as u64,
-                            pages: snap.total_pages(),
-                            wasted_pages: snap.wasted_pages(),
-                            records: snap.total_records(),
-                            price: snap.total_price(),
-                            coalesce_waits: snap.counter("coalesce.waits"),
-                            saved_pages: snap.counter("coalesce.saved_pages"),
-                            batch_joins: snap.counter("batch.joins"),
-                            shared_pages: snap.counter("batch.shared_pages"),
-                            wall_nanos: t0.elapsed().as_nanos() as u64,
-                        };
-                        slots.lock().unwrap_or_else(|e| e.into_inner())[idx] = Some(row);
-                    }
-                    Err(e) => {
-                        let mut f = failure.lock().unwrap_or_else(|e| e.into_inner());
-                        if f.is_none() {
-                            *f = Some(e);
-                        }
-                        return;
-                    }
-                }
-            });
-        }
-    });
-
-    if let Some(e) = failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
+    let per_query = drive(mix, threads, |_, item| {
+        let t0 = Instant::now();
+        let (query_id, outcome) = serve.run_query_traced(&templates[item.template], &item.params);
+        let (result, snap) = outcome?;
+        dog.note_query(&snap)?;
+        Ok(QueryRow {
+            query_id,
+            client: item.client as u64,
+            template: item.template as u64,
+            digest: digest_rows(&result),
+            rows: result.rows.len() as u64,
+            spend: query_spend(&snap),
+            wall_nanos: t0.elapsed().as_nanos() as u64,
+        })
+    })
+    .inspect_err(|e| {
         // Post-mortem dump: a strict watchdog abort (or any failing query)
         // leaves the journal's last events on disk for `\why`-style
         // analysis. First dump wins; errors writing it never mask `e`.
         if let Some(j) = &serve.cfg.events {
             let _ = j.dump_blackbox(&format!("run_mix aborted: {e}"));
         }
-        return Err(e);
-    }
-    let per_query: Vec<QueryRow> = slots
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-        .into_iter()
-        .map(|s| s.expect("no failure recorded, so every slot is filled"))
-        .collect();
+    })?;
 
     // Final reconciliation at quiescence: global and per-table, exact.
     let dog_report = dog.finish();
 
     let meter_after = serve.market.bill();
-    let meter_calls = meter_after.calls() - meter_before.calls();
-    let meter_transactions = meter_after.transactions() - meter_before.transactions();
-    let meter_records = meter_after.records() - meter_before.records();
-
-    let ledger_pages: u64 = per_query.iter().map(|q| q.pages).sum();
-    assert_eq!(
-        ledger_pages, meter_transactions,
-        "spend ledger must reconcile with the billing meter: \
-         Σ per-query ledger pages = {ledger_pages}, meter delta = {meter_transactions}"
+    let report = ServeReport::from_rows(
+        per_query,
+        (
+            meter_after.calls() - meter_before.calls(),
+            meter_after.transactions() - meter_before.transactions(),
+            meter_after.records() - meter_before.records(),
+        ),
     );
-
-    let mut per_client: Vec<ClientSpend> = Vec::new();
-    for q in &per_query {
-        match per_client.iter_mut().find(|c| c.client == q.client) {
-            Some(c) => c.absorb(q),
-            None => {
-                let mut c = ClientSpend::new(q.client);
-                c.absorb(q);
-                per_client.push(c);
-            }
-        }
-    }
-    per_client.sort_by_key(|c| c.client);
-    for c in &mut per_client {
-        let mut samples: Vec<u64> = per_query
-            .iter()
-            .filter(|q| q.client == c.client)
-            .map(|q| q.wall_nanos)
-            .collect();
-        c.set_latencies(&mut samples);
-    }
-
+    assert_eq!(
+        report.total_pages, report.meter_transactions,
+        "spend ledger must reconcile with the billing meter: \
+         Σ per-query ledger pages != meter delta"
+    );
     Ok(ServeReport {
         threads: threads as u64,
-        queries: mix.len() as u64,
         coalesce: serve.cfg.coalesce,
-        total_rows: per_query.iter().map(|q| q.rows).sum(),
-        total_pages: ledger_pages,
-        wasted_pages: per_query.iter().map(|q| q.wasted_pages).sum(),
-        total_records: per_query.iter().map(|q| q.records).sum(),
-        total_price: per_query.iter().fold(0.0, |a, q| a + q.price),
-        coalesce_waits: per_query.iter().map(|q| q.coalesce_waits).sum(),
-        saved_pages: per_query.iter().map(|q| q.saved_pages).sum(),
         batch: serve.cfg.batch.is_some(),
-        batch_joins: per_query.iter().map(|q| q.batch_joins).sum(),
-        shared_pages: per_query.iter().map(|q| q.shared_pages).sum(),
-        meter_calls,
-        meter_transactions,
-        meter_records,
         watchdog_samples: dog_report.samples,
         watchdog_max_drift_pages: dog_report.max_drift_pages,
         watchdog_tables: dog_report.last_sample,
-        per_client,
-        per_query,
-        ..ServeReport::default()
+        ..report
     })
 }

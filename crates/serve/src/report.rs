@@ -1,13 +1,32 @@
 //! The serving driver's reconciled report and its JSON shape — what
 //! `payless --serve-out` dumps and `/v1/report` clients rebuild.
 
+use std::collections::BTreeMap;
+
 use payless_json::{Json, ToJson};
+use payless_telemetry::TelemetrySnapshot;
+use payless_workload::QuerySpend;
 
 use crate::watchdog::TableDrift;
 
+/// What a query's private recorder says it spent: the ledger totals the
+/// call layer booked plus the coalescing and batching counters.
+pub fn query_spend(snap: &TelemetrySnapshot) -> QuerySpend {
+    QuerySpend {
+        pages: snap.total_pages(),
+        wasted_pages: snap.wasted_pages(),
+        records: snap.total_records(),
+        price: snap.total_price(),
+        coalesce_waits: snap.counter("coalesce.waits"),
+        saved_pages: snap.counter("coalesce.saved_pages"),
+        batch_joins: snap.counter("batch.joins"),
+        shared_pages: snap.counter("batch.shared_pages"),
+    }
+}
+
 /// One query of the mix, in global submission order. Submission order is
 /// identical across thread counts, so tests compare rows pairwise.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryRow {
     /// The query's causal id (the serving layer's logical-clock tick) —
     /// the id its flight-recorder events carry and `\why` takes.
@@ -21,45 +40,24 @@ pub struct QueryRow {
     pub digest: u64,
     /// Result row count.
     pub rows: u64,
-    /// Pages billed to this query (its synthesized ledger total).
-    pub pages: u64,
-    /// Pages billed without a usable delivery (injected faults).
-    pub wasted_pages: u64,
-    /// Records delivered to this query.
-    pub records: u64,
-    /// Money billed to this query.
-    pub price: f64,
-    /// Times this query waited on another query's in-flight purchase.
-    pub coalesce_waits: u64,
-    /// Estimated pages those waits avoided buying.
-    pub saved_pages: u64,
-    /// Times this query parked a remainder in a purchase batch.
-    pub batch_joins: u64,
-    /// Pages of this query's spend that came from a shared (≥2-member)
-    /// batch purchase — its exact attribution share, not the batch total.
-    pub shared_pages: u64,
+    /// What the query spent; in JSON its facts are flat members of the row.
+    pub spend: QuerySpend,
     /// End-to-end wall-clock latency of the query, in nanoseconds.
     pub wall_nanos: u64,
 }
 
 impl ToJson for QueryRow {
     fn to_json(&self) -> Json {
-        Json::obj([
+        let mut members = vec![
             ("query_id", self.query_id.to_json()),
             ("client", self.client.to_json()),
             ("template", self.template.to_json()),
             ("digest", self.digest.to_json()),
             ("rows", self.rows.to_json()),
-            ("pages", self.pages.to_json()),
-            ("wasted_pages", self.wasted_pages.to_json()),
-            ("records", self.records.to_json()),
-            ("price", self.price.to_json()),
-            ("coalesce_waits", self.coalesce_waits.to_json()),
-            ("saved_pages", self.saved_pages.to_json()),
-            ("batch_joins", self.batch_joins.to_json()),
-            ("shared_pages", self.shared_pages.to_json()),
-            ("wall_nanos", self.wall_nanos.to_json()),
-        ])
+        ];
+        members.extend(self.spend.json_members());
+        members.push(("wall_nanos", self.wall_nanos.to_json()));
+        Json::obj(members)
     }
 }
 
@@ -93,40 +91,21 @@ pub struct ClientSpend {
 }
 
 impl ClientSpend {
-    /// A zeroed row for `client`.
-    pub fn new(client: u64) -> Self {
+    /// Client `client`'s totals over its (one or more) queries, with exact
+    /// nearest-rank latency percentiles.
+    fn of(client: u64, rows: &[&QueryRow]) -> ClientSpend {
+        let mut samples: Vec<u64> = rows.iter().map(|q| q.wall_nanos).collect();
+        samples.sort_unstable();
+        let rank = |p: f64| samples[((samples.len() - 1) as f64 * p).round() as usize];
         ClientSpend {
             client,
-            queries: 0,
-            pages: 0,
-            price: 0.0,
-            p50_nanos: 0,
-            p95_nanos: 0,
-            p99_nanos: 0,
+            queries: rows.len() as u64,
+            pages: rows.iter().map(|q| q.spend.pages).sum(),
+            price: rows.iter().fold(0.0, |a, q| a + q.spend.price),
+            p50_nanos: rank(0.50),
+            p95_nanos: rank(0.95),
+            p99_nanos: rank(0.99),
         }
-    }
-
-    /// Fold one query's spend into this client's totals.
-    pub fn absorb(&mut self, q: &QueryRow) {
-        self.queries += 1;
-        self.pages += q.pages;
-        self.price += q.price;
-    }
-
-    /// Fill the latency percentiles from this client's per-query
-    /// wall-clock samples (exact nearest-rank over the sorted samples).
-    pub fn set_latencies(&mut self, samples: &mut [u64]) {
-        if samples.is_empty() {
-            return;
-        }
-        samples.sort_unstable();
-        let rank = |p: f64| {
-            let idx = ((samples.len() - 1) as f64 * p).round() as usize;
-            samples[idx.min(samples.len() - 1)]
-        };
-        self.p50_nanos = rank(0.50);
-        self.p95_nanos = rank(0.95);
-        self.p99_nanos = rank(0.99);
     }
 }
 
@@ -206,6 +185,40 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
+    /// The part of a report that follows from its rows: totals, per-client
+    /// attribution with latency percentiles, and the meter delta
+    /// `(calls, transactions, records)` they are reconciled against. The
+    /// caller fills in what it alone knows (seed, threads, watchdog, ...).
+    pub fn from_rows(per_query: Vec<QueryRow>, meter_delta: (u64, u64, u64)) -> ServeReport {
+        let mut by_client: BTreeMap<u64, Vec<&QueryRow>> = BTreeMap::new();
+        for q in &per_query {
+            by_client.entry(q.client).or_default().push(q);
+        }
+        let per_client = by_client
+            .iter()
+            .map(|(client, rows)| ClientSpend::of(*client, rows))
+            .collect();
+        let sum = |fact: fn(&QuerySpend) -> u64| per_query.iter().map(|q| fact(&q.spend)).sum();
+        ServeReport {
+            queries: per_query.len() as u64,
+            total_rows: per_query.iter().map(|q| q.rows).sum(),
+            total_pages: sum(|s| s.pages),
+            wasted_pages: sum(|s| s.wasted_pages),
+            total_records: sum(|s| s.records),
+            total_price: per_query.iter().fold(0.0, |a, q| a + q.spend.price),
+            coalesce_waits: sum(|s| s.coalesce_waits),
+            saved_pages: sum(|s| s.saved_pages),
+            batch_joins: sum(|s| s.batch_joins),
+            shared_pages: sum(|s| s.shared_pages),
+            meter_calls: meter_delta.0,
+            meter_transactions: meter_delta.1,
+            meter_records: meter_delta.2,
+            per_client,
+            per_query,
+            ..ServeReport::default()
+        }
+    }
+
     /// Pages billed for usable deliveries (total minus wasted). This is
     /// the quantity that can only shrink when coalescing is on: wasted
     /// pages depend on where injected faults land, which differs across
@@ -323,14 +336,16 @@ mod tests {
                 template: 1,
                 digest: u64::MAX - 3, // exceeds i64: exercises the string fallback
                 rows: 5,
-                pages: 6,
-                wasted_pages: 1,
-                records: 6,
-                price: 0.3,
-                coalesce_waits: 1,
-                saved_pages: 3,
-                batch_joins: 2,
-                shared_pages: 4,
+                spend: QuerySpend {
+                    pages: 6,
+                    wasted_pages: 1,
+                    records: 6,
+                    price: 0.3,
+                    coalesce_waits: 1,
+                    saved_pages: 3,
+                    batch_joins: 2,
+                    shared_pages: 4,
+                },
                 wall_nanos: 5_500,
             }],
         };
@@ -413,19 +428,18 @@ mod tests {
 
     #[test]
     fn latency_percentiles_use_nearest_rank() {
-        let mut spend = ClientSpend::new(0);
-        let mut samples: Vec<u64> = (1..=100).rev().collect();
-        spend.set_latencies(&mut samples);
+        let row = |wall_nanos| QueryRow {
+            wall_nanos,
+            ..QueryRow::default()
+        };
+        let rows: Vec<QueryRow> = (1..=100).rev().map(row).collect();
+        let spend = ClientSpend::of(0, &rows.iter().collect::<Vec<_>>());
+        assert_eq!(spend.queries, 100);
         assert_eq!(spend.p50_nanos, 51); // round(99 * .5) = 50 → samples[50]
         assert_eq!(spend.p95_nanos, 95);
         assert_eq!(spend.p99_nanos, 99);
 
-        let mut single = ClientSpend::new(1);
-        single.set_latencies(&mut [42]);
+        let single = ClientSpend::of(1, &[&row(42)]);
         assert_eq!((single.p50_nanos, single.p99_nanos), (42, 42));
-
-        let mut empty = ClientSpend::new(2);
-        empty.set_latencies(&mut Vec::new());
-        assert_eq!(empty.p50_nanos, 0);
     }
 }

@@ -30,7 +30,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use payless_core::{
     build_market, known_queries, render_provenance, DataMarket, EventJournal, EventsConfig,
@@ -38,7 +37,7 @@ use payless_core::{
 };
 use payless_geometry::QuerySpace;
 use payless_json::{Json, ToJson};
-use payless_serve::{Serve, ServeConfig};
+use payless_serve::{query_spend, Serve, ServeConfig};
 use payless_types::Value;
 use payless_workload::{QueryWorkload, RealWorkload, WhwConfig};
 
@@ -66,9 +65,6 @@ pub struct ServerConfig {
     /// Durability tuning + crash injection (ignored without `data_dir`).
     pub persist: PersistConfig,
 }
-
-/// How often the background snapshotter polls the append count.
-const SNAPSHOT_POLL: Duration = Duration::from_millis(25);
 
 impl Default for ServerConfig {
     fn default() -> Self {
@@ -253,18 +249,20 @@ impl Server {
             active_conns: AtomicU64::new(0),
         });
 
-        // Background snapshotter: compacts the log whenever the append
-        // threshold is crossed, then one final snapshot at shutdown.
+        // Background snapshotter: parked until the append that crosses the
+        // threshold (or shutdown) unparks it, compacts the log, parks again;
+        // `run` takes one final snapshot at shutdown.
         let snapshotter = shared.durable.as_ref().map(|_| {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || {
                 let durable = shared.durable.as_ref().expect("spawned only when durable");
+                durable.wake_when_due(std::thread::current());
                 while !shared.shutdown.load(Ordering::SeqCst) {
                     let dump = || shared.serve.mirror_dump();
                     if let Err(e) = durable.maybe_snapshot(shared.serve.shared_store(), &dump) {
                         eprintln!("payless-server: snapshot failed: {e}");
                     }
-                    std::thread::park_timeout(SNAPSHOT_POLL);
+                    std::thread::park();
                 }
             })
         });
@@ -432,8 +430,9 @@ fn route(shared: &Arc<Shared>, req: &Request) -> Response {
 }
 
 /// `POST /v1/query`: body `{"template": N, "params": [...]}`, answer is
-/// the binary row codec plus per-query spend telemetry in headers — the
-/// same numbers the in-process driver reads off its recorder snapshot.
+/// the binary row codec plus the query's [`payless_serve::QuerySpend`] in
+/// headers — the same numbers the in-process driver reads off its recorder
+/// snapshot.
 fn run_query(shared: &Arc<Shared>, req: &Request) -> Response {
     let parsed = std::str::from_utf8(&req.body)
         .map_err(|e| format!("body not UTF-8: {e}"))
@@ -473,43 +472,10 @@ fn run_query(shared: &Arc<Shared>, req: &Request) -> Response {
         Err(e) => return Response::text(500, "Internal Server Error", format!("query: {e}\n")),
     };
     shared.queries_served.fetch_add(1, Ordering::SeqCst);
-    let headers = vec![
-        ("X-Payless-Query-Id".to_string(), query_id.to_string()),
-        (
-            "X-Payless-Pages".to_string(),
-            snap.total_pages().to_string(),
-        ),
-        (
-            "X-Payless-Wasted-Pages".to_string(),
-            snap.wasted_pages().to_string(),
-        ),
-        (
-            "X-Payless-Records".to_string(),
-            snap.total_records().to_string(),
-        ),
-        (
-            "X-Payless-Price".to_string(),
-            format!("{}", snap.total_price()),
-        ),
-        (
-            "X-Payless-Coalesce-Waits".to_string(),
-            snap.counter("coalesce.waits").to_string(),
-        ),
-        (
-            "X-Payless-Saved-Pages".to_string(),
-            snap.counter("coalesce.saved_pages").to_string(),
-        ),
-        (
-            "X-Payless-Batch-Joins".to_string(),
-            snap.counter("batch.joins").to_string(),
-        ),
-        (
-            "X-Payless-Shared-Pages".to_string(),
-            snap.counter("batch.shared_pages").to_string(),
-        ),
-        ("X-Payless-Rows".to_string(), result.rows.len().to_string()),
-        ("X-Payless-Columns".to_string(), result.columns.join(",")),
-    ];
+    let mut headers = vec![("X-Payless-Query-Id".to_string(), query_id.to_string())];
+    headers.extend(query_spend(&snap).to_headers());
+    headers.push(("X-Payless-Rows".to_string(), result.rows.len().to_string()));
+    headers.push(("X-Payless-Columns".to_string(), result.columns.join(",")));
     Response {
         status: 200,
         reason: "OK",

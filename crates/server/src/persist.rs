@@ -49,16 +49,17 @@
 //! [`payless_semantic::SharedSemanticStore::attach_observer`]), so the
 //! persist mutex never nests inside a shard guard. The snapshotter holds
 //! the persist mutex while reading the shards (read locks), which is the
-//! only nesting and always in that one direction. The in-memory store may
-//! momentarily be *ahead* of the log (insert settled, append pending) —
-//! harmless, because coverage re-insert is idempotent and spend accounting
-//! lives entirely in this layer; the log is never ahead of the store.
+//! only nesting and always in that one direction. The in-memory store is
+//! momentarily *ahead* of the log (insert settled, append pending); the
+//! snapshotter waits that out ([`SharedSemanticStore::settled`]) before it
+//! takes the mutex. The log is never ahead of the store.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
+use std::thread::Thread;
 
 use payless_geometry::Region;
 use payless_json::{FromJson, Json, ToJson};
@@ -207,6 +208,8 @@ pub struct DurableStore {
     cfg: PersistConfig,
     inner: Mutex<Inner>,
     recovery: RecoveryInfo,
+    /// See [`DurableStore::wake_when_due`].
+    snapshotter: OnceLock<Thread>,
 }
 
 fn wal_path(dir: &Path) -> PathBuf {
@@ -535,6 +538,7 @@ impl DurableStore {
                 snapshots: 0,
             }),
             recovery,
+            snapshotter: OnceLock::new(),
         };
         Ok((durable, store, recovered))
     }
@@ -542,6 +546,16 @@ impl DurableStore {
     /// What recovery found when this store was opened.
     pub fn recovery(&self) -> &RecoveryInfo {
         &self.recovery
+    }
+
+    /// Have every append that finds a snapshot due unpark `snapshotter`,
+    /// which then calls [`DurableStore::maybe_snapshot`]. First caller wins.
+    pub fn wake_when_due(&self, snapshotter: Thread) {
+        let _ = self.snapshotter.set(snapshotter);
+    }
+
+    fn snapshot_due(&self, inner: &Inner) -> bool {
+        self.cfg.snapshot_every != 0 && inner.appends_since_snapshot >= self.cfg.snapshot_every
     }
 
     /// Wire this store into `shared` as its spend observer: every settled
@@ -597,6 +611,11 @@ impl DurableStore {
             .flush()
             .unwrap_or_else(|e| panic!("wal flush failed: {e}"));
         inner.appends_since_snapshot += 1;
+        if self.snapshot_due(&inner) {
+            if let Some(t) = self.snapshotter.get() {
+                t.unpark();
+            }
+        }
     }
 
     /// Append one market delivery's rows to the mirror log. Called by the
@@ -631,13 +650,7 @@ impl DurableStore {
         shared: &SharedSemanticStore,
         mirror_dump: &dyn Fn() -> MirrorRows,
     ) -> Result<bool, String> {
-        if self.cfg.snapshot_every == 0 {
-            return Ok(false);
-        }
-        let due = {
-            let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            inner.appends_since_snapshot >= self.cfg.snapshot_every
-        };
+        let due = self.snapshot_due(&self.inner.lock().unwrap_or_else(|e| e.into_inner()));
         if due {
             self.snapshot(shared, mirror_dump)?;
         }
@@ -656,6 +669,10 @@ impl DurableStore {
         shared: &SharedSemanticStore,
         mirror_dump: &dyn Fn() -> MirrorRows,
     ) -> Result<(), String> {
+        // Gate first, then the mutex: a purchase inserted into the store but
+        // still waiting to append would otherwise be snapshotted as coverage
+        // the ledger below never paid for.
+        let settled = shared.settled();
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let applied_seq = inner.seq;
         let ledger_json = Json::Obj(
@@ -671,6 +688,7 @@ impl DurableStore {
         // are already in the dump (insert-before-notify); recovery dedupes
         // their leftover frames against the snapshot.
         let store = shared.snapshot();
+        drop(settled);
         let mirror_json = Json::Obj(
             mirror_dump()
                 .into_iter()

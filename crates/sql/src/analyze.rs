@@ -162,13 +162,6 @@ impl AnalyzedQuery {
     pub fn has_aggregates(&self) -> bool {
         self.output.iter().any(OutputItem::is_agg)
     }
-
-    /// Join edges incident to table `tid`.
-    pub fn joins_of(&self, tid: usize) -> impl Iterator<Item = &JoinEdge> + '_ {
-        self.joins
-            .iter()
-            .filter(move |e| e.left.0 == tid || e.right.0 == tid)
-    }
 }
 
 /// Per-column constraint accumulator (bounds are merged before the final
@@ -1003,15 +996,12 @@ mod tests {
     }
 
     #[test]
-    fn joins_of_helper() {
+    fn table_index_follows_from_order() {
         let q = analyze_sql(
             "SELECT * FROM Station, Weather, ZipMap \
              WHERE Station.StationID = Weather.StationID AND \
              ZipMap.City = Station.City",
         );
-        assert_eq!(q.joins_of(0).count(), 2);
-        assert_eq!(q.joins_of(1).count(), 1);
-        assert_eq!(q.joins_of(2).count(), 1);
         assert_eq!(q.table_index("Weather"), Some(1));
         assert_eq!(q.table_index("Nope"), None);
     }

@@ -262,6 +262,8 @@ impl Drop for SpanGuard {
 }
 
 #[cfg(test)]
+// The ledger's own tests write to it directly (`clippy.toml`).
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 

@@ -49,26 +49,6 @@ impl Constraint {
         }
     }
 
-    /// Number of distinct domain values the constraint admits, given the
-    /// attribute's domain (used by the uniformity estimator).
-    pub fn selectivity_width(&self, domain: &Domain) -> u64 {
-        match (self, domain) {
-            (Constraint::Eq(_), _) => 1,
-            (Constraint::IntRange { lo, hi }, Domain::Int { lo: dlo, hi: dhi }) => {
-                let lo = (*lo).max(*dlo);
-                let hi = (*hi).min(*dhi);
-                if lo > hi {
-                    0
-                } else {
-                    (hi - lo) as u64 + 1
-                }
-            }
-            // A range constraint over a categorical domain admits nothing; a
-            // well-typed query never produces this.
-            (Constraint::IntRange { .. }, Domain::Categorical(_)) => 0,
-        }
-    }
-
     /// `true` when the constraint is type-compatible with the domain.
     pub fn compatible_with(&self, domain: &Domain) -> bool {
         matches!(
@@ -142,15 +122,6 @@ mod tests {
     #[should_panic(expected = "empty range")]
     fn inverted_range_panics() {
         let _ = Constraint::range(5, 4);
-    }
-
-    #[test]
-    fn selectivity_width_clips_to_domain() {
-        let d = Domain::int(0, 99);
-        assert_eq!(Constraint::range(10, 19).selectivity_width(&d), 10);
-        assert_eq!(Constraint::range(90, 200).selectivity_width(&d), 10);
-        assert_eq!(Constraint::range(200, 300).selectivity_width(&d), 0);
-        assert_eq!(Constraint::eq(5).selectivity_width(&d), 1);
     }
 
     #[test]

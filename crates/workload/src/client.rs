@@ -12,14 +12,12 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use payless_json::{Json, ToJson};
 use payless_types::{Row, Value};
 
-use crate::mix::MixItem;
+use crate::mix::{drive, MixItem};
 
 /// Longest the driver waits to connect, and for any single read or write
 /// to make progress. A server that died or wedged mid-mix then fails the
@@ -27,50 +25,108 @@ use crate::mix::MixItem;
 /// any real query's latency: this is a hang guard, not a latency bound.
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// One query's remote outcome: decoded rows plus the spend telemetry the
-/// server reported in its `X-Payless-*` headers.
+/// What one query spent — the wire contract of `/v1/query`: the server
+/// writes these eight facts as `X-Payless-*` headers, the client parses
+/// them back, and the serve report carries them per query under the same
+/// names as flat JSON keys. `QuerySpend::facts` is the one list of them.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct QuerySpend {
+    /// Pages billed to this query (its spend-ledger total).
+    pub pages: u64,
+    /// Pages billed without a usable delivery (injected faults).
+    pub wasted_pages: u64,
+    /// Records delivered to this query.
+    pub records: u64,
+    /// Money billed to this query, in dollars.
+    pub price: f64,
+    /// Times this query waited on another query's in-flight purchase.
+    pub coalesce_waits: u64,
+    /// Estimated pages those waits avoided buying.
+    pub saved_pages: u64,
+    /// Times this query parked a remainder in a purchase batch.
+    pub batch_joins: u64,
+    /// Pages of this query's spend that came from a shared (≥2-member)
+    /// batch purchase — its exact attribution share, not the batch total.
+    pub shared_pages: u64,
+}
+
+/// A spend fact's number: `u64` counts and `f64` dollars alike go on the
+/// wire in their `Display` form and into JSON as themselves.
+trait Fact: ToString + ToJson {
+    fn read(&mut self, reply: &HttpReply, header: &str) -> Result<(), String>;
+}
+
+impl<T: ToString + ToJson + std::str::FromStr> Fact for T {
+    fn read(&mut self, reply: &HttpReply, header: &str) -> Result<(), String> {
+        *self = reply.header_num(header)?;
+        Ok(())
+    }
+}
+
+impl QuerySpend {
+    /// Every spend fact in wire order: header name, JSON key, the number.
+    #[rustfmt::skip]
+    fn facts(&mut self) -> [(&'static str, &'static str, &mut dyn Fact); 8] {
+        [
+            ("X-Payless-Pages",          "pages",          &mut self.pages),
+            ("X-Payless-Wasted-Pages",   "wasted_pages",   &mut self.wasted_pages),
+            ("X-Payless-Records",        "records",        &mut self.records),
+            ("X-Payless-Price",          "price",          &mut self.price),
+            ("X-Payless-Coalesce-Waits", "coalesce_waits", &mut self.coalesce_waits),
+            ("X-Payless-Saved-Pages",    "saved_pages",    &mut self.saved_pages),
+            ("X-Payless-Batch-Joins",    "batch_joins",    &mut self.batch_joins),
+            ("X-Payless-Shared-Pages",   "shared_pages",   &mut self.shared_pages),
+        ]
+    }
+
+    /// The `X-Payless-*` response headers carrying this spend.
+    pub fn to_headers(mut self) -> Vec<(String, String)> {
+        let headers = self
+            .facts()
+            .map(|(header, _, n)| (header.to_string(), n.to_string()));
+        headers.into()
+    }
+
+    /// Parse the spend back out of a reply's headers, each of which must be
+    /// present and numeric.
+    fn from_headers(reply: &HttpReply) -> Result<QuerySpend, String> {
+        let mut spend = QuerySpend::default();
+        for (header, _, n) in spend.facts() {
+            n.read(reply, &header.to_ascii_lowercase())?;
+        }
+        Ok(spend)
+    }
+
+    /// The spend as flat `(key, value)` JSON members, for an enclosing
+    /// object to splice in.
+    pub fn json_members(mut self) -> Vec<(&'static str, Json)> {
+        self.facts().map(|(_, key, n)| (key, n.to_json())).into()
+    }
+}
+
+/// One query's remote outcome: decoded rows plus the spend the server
+/// reported in its `X-Payless-*` headers.
 #[derive(Debug, Clone)]
 pub struct RemoteOutcome {
     /// Server-side causal id (the argument `/v1/why` takes).
     pub query_id: u64,
     /// Decoded result rows.
     pub rows: Vec<Row>,
-    /// Pages billed to this query.
-    pub pages: u64,
-    /// Pages bought but not delivered (fault retries).
-    pub wasted_pages: u64,
-    /// Records delivered.
-    pub records: u64,
-    /// Price paid, in dollars.
-    pub price: f64,
-    /// Times this query waited on another's in-flight market call.
-    pub coalesce_waits: u64,
-    /// Pages coalescing saved this query.
-    pub saved_pages: u64,
-    /// Batch rendezvous this query joined.
-    pub batch_joins: u64,
-    /// Pages attributed to this query from shared batch purchases.
-    pub shared_pages: u64,
+    /// What the server says the query spent.
+    pub spend: QuerySpend,
     /// Client-side wall clock for the whole round trip, in nanoseconds.
     pub wall_nanos: u64,
 }
 
 impl RemoteOutcome {
-    /// Decode a 200 reply from `/v1/query`, sent at `t0`: the binary rows
-    /// plus every spend header, each of which must be present and numeric.
+    /// Decode a 200 reply from `/v1/query`, sent at `t0`: the binary rows,
+    /// the query id and the spend headers.
     fn from_reply(reply: &HttpReply, t0: Instant) -> Result<Self, String> {
         Ok(RemoteOutcome {
             rows: payless_market::decode_rows(&reply.body)
                 .map_err(|e| format!("decode rows: {e}"))?,
             query_id: reply.header_num("x-payless-query-id")?,
-            pages: reply.header_num("x-payless-pages")?,
-            wasted_pages: reply.header_num("x-payless-wasted-pages")?,
-            records: reply.header_num("x-payless-records")?,
-            price: reply.header_num("x-payless-price")?,
-            coalesce_waits: reply.header_num("x-payless-coalesce-waits")?,
-            saved_pages: reply.header_num("x-payless-saved-pages")?,
-            batch_joins: reply.header_num("x-payless-batch-joins")?,
-            shared_pages: reply.header_num("x-payless-shared-pages")?,
+            spend: QuerySpend::from_headers(reply)?,
             wall_nanos: t0.elapsed().as_nanos() as u64,
         })
     }
@@ -252,50 +308,16 @@ pub fn shutdown(addr: &str) -> Result<(), String> {
 }
 
 /// Replay `mix` against a remote server with `threads` concurrent client
-/// workers pulling from one shared queue — the socket-level twin of the
-/// in-process `run_mix` driver. Outcomes come back in mix order; the
-/// first failed query aborts the drive.
+/// workers ([`drive`]). Outcomes come back in mix order; the first failed
+/// query aborts the drive.
 pub fn drive_mix(
     addr: &str,
     mix: &[MixItem],
     threads: usize,
 ) -> Result<Vec<RemoteOutcome>, String> {
-    let threads = threads.max(1);
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<RemoteOutcome>>> = Mutex::new(vec![None; mix.len()]);
-    let failure: Mutex<Option<String>> = Mutex::new(None);
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(mix.len().max(1)) {
-            s.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::SeqCst);
-                if idx >= mix.len() {
-                    return;
-                }
-                let item = &mix[idx];
-                match submit(addr, item.template, &item.params) {
-                    Ok(outcome) => {
-                        slots.lock().unwrap_or_else(|e| e.into_inner())[idx] = Some(outcome);
-                    }
-                    Err(e) => {
-                        let mut f = failure.lock().unwrap_or_else(|e| e.into_inner());
-                        if f.is_none() {
-                            *f = Some(format!("mix item {idx}: {e}"));
-                        }
-                        return;
-                    }
-                }
-            });
-        }
-    });
-    if let Some(e) = failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        return Err(e);
-    }
-    Ok(slots
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-        .into_iter()
-        .map(|o| o.expect("no failure, so every slot filled"))
-        .collect())
+    drive(mix, threads, |idx, item| {
+        submit(addr, item.template, &item.params).map_err(|e| format!("mix item {idx}: {e}"))
+    })
 }
 
 #[cfg(test)]
@@ -304,22 +326,28 @@ mod tests {
 
     use super::*;
 
-    /// The spend headers `payless-server` puts on every `/v1/query` answer.
-    const SPEND_HEADERS: [(&str, &str); 9] = [
-        ("X-Payless-Query-Id", "3"),
-        ("X-Payless-Pages", "5"),
-        ("X-Payless-Wasted-Pages", "1"),
-        ("X-Payless-Records", "4"),
-        ("X-Payless-Price", "0.25"),
-        ("X-Payless-Coalesce-Waits", "0"),
-        ("X-Payless-Saved-Pages", "0"),
-        ("X-Payless-Batch-Joins", "0"),
-        ("X-Payless-Shared-Pages", "0"),
-    ];
+    const SPEND: QuerySpend = QuerySpend {
+        pages: 5,
+        wasted_pages: 1,
+        records: 4,
+        price: 0.25,
+        coalesce_waits: 2,
+        saved_pages: 3,
+        batch_joins: 1,
+        shared_pages: 2,
+    };
+
+    /// What `payless-server` puts on a `/v1/query` answer that spent
+    /// [`SPEND`].
+    fn spend_headers() -> Vec<(String, String)> {
+        let mut headers = vec![("X-Payless-Query-Id".to_string(), "3".to_string())];
+        headers.extend(SPEND.to_headers());
+        headers
+    }
 
     /// `submit` template 1 to a local listener that answers with a 200
     /// carrying `headers` and an empty row set.
-    fn submit_to_canned_reply(headers: &[(&str, &str)]) -> Result<RemoteOutcome, String> {
+    fn submit_to_canned_reply(headers: &[(String, String)]) -> Result<RemoteOutcome, String> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let body = payless_market::encode_rows(&[]);
@@ -346,20 +374,22 @@ mod tests {
 
     #[test]
     fn missing_or_malformed_spend_header_is_an_error_naming_it() {
-        for name in [
-            "X-Payless-Pages",
-            "X-Payless-Wasted-Pages",
-            "X-Payless-Records",
-        ] {
+        let sent = submit_to_canned_reply(&spend_headers()).unwrap();
+        assert_eq!((sent.query_id, sent.spend), (3, SPEND));
+
+        for (name, _, _) in QuerySpend::default().facts() {
             let lower = name.to_ascii_lowercase();
-            let without: Vec<_> = SPEND_HEADERS
-                .into_iter()
-                .filter(|(k, _)| *k != name)
-                .collect();
+            let mut without = spend_headers();
+            without.retain(|(k, _)| k != name);
             let err = submit_to_canned_reply(&without).unwrap_err();
             assert!(err.contains(&lower) && err.contains("template 1"), "{err}");
 
-            let garbled = SPEND_HEADERS.map(|(k, v)| if k == name { (k, "many") } else { (k, v) });
+            let mut garbled = spend_headers();
+            for (k, v) in &mut garbled {
+                if k == name {
+                    *v = "many".into();
+                }
+            }
             let err = submit_to_canned_reply(&garbled).unwrap_err();
             assert!(err.contains(&lower) && err.contains("many"), "{err}");
         }

@@ -35,9 +35,9 @@ use payless_storage::LocalTable;
 use payless_types::Value;
 use rand::rngs::StdRng;
 
-pub use client::{drive_mix, submit, RemoteOutcome};
+pub use client::{drive_mix, submit, QuerySpend, RemoteOutcome};
 pub use finance::{Finance, FinanceConfig};
-pub use mix::{overlapping_mix, serve_mix, MixItem};
+pub use mix::{drive, overlapping_mix, serve_mix, MixItem};
 pub use tpch::{Tpch, TpchConfig};
 pub use whw::{RealWorkload, WhwConfig};
 pub use zipf::Zipf;

@@ -10,6 +10,9 @@
 //! items — repetition is what makes sharing (and thus call coalescing)
 //! possible, mirroring the hot-query skew of real serving workloads.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
 use payless_types::Value;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -129,6 +132,51 @@ pub fn overlapping_mix(
         .collect()
 }
 
+/// Replay `mix` on `threads` workers pulling from one global queue — the
+/// one driver behind the in-process mix and the socket client. `run` gets
+/// each item with its mix index; results come back in mix order whatever
+/// the interleaving. The first failure is the error returned, and stops
+/// the pull: items already running finish, no further item starts.
+pub fn drive<T: Send, E: Send>(
+    mix: &[MixItem],
+    threads: usize,
+    run: impl Fn(usize, &MixItem) -> Result<T, E> + Sync,
+) -> Result<Vec<T>, E> {
+    let next = AtomicUsize::new(0);
+    let slots: Mutex<Vec<Option<T>>> = Mutex::new(mix.iter().map(|_| None).collect());
+    let failure: Mutex<Option<E>> = Mutex::new(None);
+    std::thread::scope(|s| {
+        for _ in 0..threads.clamp(1, mix.len().max(1)) {
+            s.spawn(|| loop {
+                let idx = next.fetch_add(1, Ordering::SeqCst);
+                if idx >= mix.len() {
+                    return;
+                }
+                match run(idx, &mix[idx]) {
+                    Ok(out) => slots.lock().unwrap_or_else(|e| e.into_inner())[idx] = Some(out),
+                    Err(e) => {
+                        next.store(mix.len(), Ordering::SeqCst);
+                        failure
+                            .lock()
+                            .unwrap_or_else(|e| e.into_inner())
+                            .get_or_insert(e);
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    if let Some(e) = failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        return Err(e);
+    }
+    Ok(slots
+        .into_inner()
+        .unwrap_or_else(|e| e.into_inner())
+        .into_iter()
+        .map(|slot| slot.expect("no failure, so every slot is filled"))
+        .collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,5 +281,44 @@ mod tests {
                 .any(|(x, y)| x.params != y.params || x.template != y.template),
             "different seeds should produce different mixes"
         );
+    }
+
+    #[test]
+    fn drive_returns_results_in_mix_order_and_stops_at_the_first_failure() {
+        let mix = serve_mix(&tiny(), &[0, 1], 4, 24, 48879);
+        for threads in [1, 4] {
+            let ok: Result<Vec<usize>, ()> = drive(&mix, threads, |idx, item| {
+                assert_eq!(item.client, mix[idx].client);
+                Ok(idx)
+            });
+            assert_eq!(
+                ok.unwrap(),
+                (0..24).collect::<Vec<_>>(),
+                "{threads} threads"
+            );
+
+            // Every item from 8 on fails. A worker that fails pulls nothing
+            // more, so whichever of them records first, nothing past the
+            // `threads` items that could already be running ever starts.
+            let ran = Mutex::new(Vec::new());
+            let failed = drive(&mix, threads, |idx, _| {
+                ran.lock().unwrap().push(idx);
+                if idx >= 8 {
+                    Err(idx)
+                } else {
+                    Ok(())
+                }
+            });
+            let first = failed.unwrap_err();
+            let mut ran = ran.into_inner().unwrap();
+            ran.sort_unstable();
+            assert!((8..8 + threads).contains(&first), "{threads} threads");
+            assert_eq!(
+                ran[..9],
+                (0..=8).collect::<Vec<_>>()[..],
+                "{threads} threads"
+            );
+            assert!(ran.len() <= 8 + threads, "{threads} threads: ran {ran:?}");
+        }
     }
 }

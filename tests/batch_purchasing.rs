@@ -10,7 +10,7 @@
 //!
 //! * a batched run returns byte-identical answers to the serial unbatched
 //!   replay of the same mix, and never delivers (bills) more pages;
-//! * Σ per-query synthesized ledgers == the billing meter, clean and under
+//! * Σ per-query spend ledgers == the billing meter, clean and under
 //!   chaos, at every thread count ([`payless_serve::run_mix`] asserts this
 //!   internally; strict watchdog mode cross-checks it mid-run);
 //! * a failed batch call reverts every member's share to wasted-spend
@@ -93,11 +93,11 @@ fn batched_runs_match_the_unbatched_oracle_and_never_cost_more() {
         // was actually billed for.
         for (i, q) in batched.per_query.iter().enumerate() {
             assert!(
-                q.shared_pages <= q.pages,
+                q.spend.shared_pages <= q.spend.pages,
                 "query {i} reports more shared pages than it paid"
             );
             assert!(
-                q.batch_joins > 0 || q.shared_pages == 0,
+                q.spend.batch_joins > 0 || q.spend.shared_pages == 0,
                 "query {i} reports shared pages without ever joining a batch"
             );
         }
@@ -234,7 +234,7 @@ fn retried_batch_waste_splits_and_reconciles() {
     );
     assert_eq!(
         report.total_pages,
-        report.per_query.iter().map(|q| q.pages).sum::<u64>(),
+        report.per_query.iter().map(|q| q.spend.pages).sum::<u64>(),
         "report totals must equal the per-query ledger sums"
     );
 }
@@ -275,8 +275,8 @@ mod random_schedules {
                 oracle.delivered_pages()
             );
             for q in &batched.per_query {
-                prop_assert!(q.shared_pages <= q.pages);
-                prop_assert!(q.batch_joins > 0 || q.shared_pages == 0);
+                prop_assert!(q.spend.shared_pages <= q.spend.pages);
+                prop_assert!(q.spend.batch_joins > 0 || q.spend.shared_pages == 0);
             }
         }
     }

@@ -3,7 +3,7 @@
 //! The journal's per-query provenance must be *accounting-grade*: summing
 //! the billed pages over a query's reconstructed provenance tree
 //! (non-batch `call_delivered` + billed `call_failed` + `batch_share`
-//! events) must equal the query's synthesized ledger total, and Σ over all
+//! events) must equal the query's spend-ledger total, and Σ over all
 //! queries must equal the billing meter's delta — clean and under the
 //! pinned chaos seed, serial and 4-thread, batch purchasing on and off.
 //!
@@ -72,15 +72,15 @@ fn assert_provenance_exact(report: &ServeReport, events: &[Event]) {
         let p = provenance(events, row.query_id);
         assert_eq!(
             p.billed_pages(),
-            row.pages,
+            row.spend.pages,
             "query {}: provenance tree bills {} pages but the ledger says {}\n{}",
             row.query_id,
             p.billed_pages(),
-            row.pages,
+            row.spend.pages,
             render_provenance(events, row.query_id)
         );
         assert_eq!(
-            p.wasted_pages, row.wasted_pages,
+            p.wasted_pages, row.spend.wasted_pages,
             "query {}: provenance wasted pages diverge from the ledger",
             row.query_id
         );

@@ -12,7 +12,7 @@
 //!   global submission order);
 //! * with coalescing on, a parallel run never buys a delivered page the
 //!   serial replay did not — a coalesced region is billed at most once;
-//! * the sum of the per-query synthesized spend ledgers reconciles exactly
+//! * the sum of the per-query spend ledgers reconciles exactly
 //!   with the market's billing meter ([`payless_serve::run_mix`] asserts
 //!   this internally on every run, clean and faulted);
 //! * `coalesce.saved_pages` is only ever credited to queries that actually
@@ -65,7 +65,7 @@ fn run(
 fn assert_savings_imply_waits(report: &ServeReport) {
     for (i, q) in report.per_query.iter().enumerate() {
         assert!(
-            q.coalesce_waits > 0 || q.saved_pages == 0,
+            q.spend.coalesce_waits > 0 || q.spend.saved_pages == 0,
             "query {i} reports saved pages without ever waiting"
         );
     }
@@ -207,7 +207,7 @@ mod random_schedules {
                 prop_assert_eq!(parallel.coalesce_waits, 0);
             }
             for q in &parallel.per_query {
-                prop_assert!(q.coalesce_waits > 0 || q.saved_pages == 0);
+                prop_assert!(q.spend.coalesce_waits > 0 || q.spend.saved_pages == 0);
             }
         }
     }

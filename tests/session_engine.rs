@@ -15,15 +15,20 @@
 //!   test binary's scratch directory so it can be diffed.
 //! * `session_equals_one_client_serve` runs the same stream through a
 //!   session configured like `Serve` (exact rewrite) and through `Serve`
-//!   with one thread and coalescing off: equal answers, equal pages per
-//!   query, and both ledgers sum to their market's meter.
+//!   with one thread and coalescing off, clean and under one chaos seed:
+//!   equal answers, equal pages per query, equal spend ledgers entry for
+//!   entry, and both ledgers sum to their market's meter.
 
 mod common;
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use common::{build_market, prepared};
-use payless_core::{Mode, PayLess, PayLessConfig, QueryOutcome};
+use payless_core::{
+    CallKind, DataMarket, FaultInjector, FaultPlan, Mode, PayLess, PayLessConfig, QueryOutcome,
+    RetryPolicy, TelemetrySnapshot,
+};
 use payless_json::Json;
 use payless_semantic::RewriteConfig;
 use payless_serve::{digest_rows, Serve, ServeConfig};
@@ -59,7 +64,11 @@ fn stream(w: &RealWorkload) -> Vec<(usize, Vec<Value>)> {
 }
 
 fn session(w: &RealWorkload, cfg: PayLessConfig) -> PayLess {
-    let mut pl = PayLess::new(build_market(w, 100), cfg);
+    session_over(build_market(w, 100), w, cfg)
+}
+
+fn session_over(market: Arc<DataMarket>, w: &RealWorkload, cfg: PayLessConfig) -> PayLess {
+    let mut pl = PayLess::new(market, cfg);
     for t in QueryWorkload::local_tables(w) {
         pl.register_local(t.clone());
     }
@@ -176,48 +185,95 @@ fn session_stream_matches_golden() {
     }
 }
 
+/// What a ledger entry says, without the recorder's own stamps (`seq`,
+/// `at_nanos`).
+fn ledger_facts(snap: &TelemetrySnapshot) -> Vec<(&str, &str, CallKind, u64, u64, f64, bool)> {
+    snap.ledger
+        .iter()
+        .map(|e| {
+            (
+                &*e.dataset,
+                &*e.table,
+                e.kind,
+                e.pages,
+                e.records,
+                e.price,
+                e.wasted,
+            )
+        })
+        .collect()
+}
+
 #[test]
 fn session_equals_one_client_serve() {
     let w = workload();
-
-    let mut pl = session(
-        &w,
-        PayLessConfig {
-            rewrite: RewriteConfig::exact(),
-            ..PayLessConfig::default()
-        },
-    );
-    pl.enable_tracing(true);
-    let session_runs = replay(&mut pl, &w);
-    let session_ledger: u64 = session_runs
-        .iter()
-        .map(|(_, out, _)| out.report.as_ref().expect("tracing is on").total_pages())
-        .sum();
-    assert_eq!(session_ledger, pl.bill().transactions());
-
-    let market = build_market(&w, 100);
-    let serve = Serve::new(
-        market.clone(),
-        QueryWorkload::local_tables(&w),
-        ServeConfig {
-            threads: 1,
-            coalesce: false,
-            ..ServeConfig::default()
-        },
-    );
-    let templates = prepared(&serve, &w);
-    let mut serve_ledger = 0;
-    for (i, ((t, params), (_, out, pages))) in stream(&w).iter().zip(&session_runs).enumerate() {
-        let (result, snap) = serve
-            .run_query(&templates[*t], params)
-            .expect("stream query succeeds");
-        assert_eq!(
-            digest_rows(&result),
-            digest_rows(&out.result),
-            "query {i}: answers differ"
+    // Clean, then with both markets chaos-injected alike: one client makes
+    // the same calls in the same order, so the same faults fire.
+    for chaos in [None, Some(48879)] {
+        let faulty = |market: Arc<DataMarket>| {
+            if let Some(seed) = chaos {
+                market.attach_fault_injector(FaultInjector::new(FaultPlan::chaos(seed)));
+            }
+            market
+        };
+        let mut pl = session_over(
+            faulty(build_market(&w, 100)),
+            &w,
+            PayLessConfig {
+                rewrite: RewriteConfig::exact(),
+                retry: RetryPolicy::unlimited(),
+                ..PayLessConfig::default()
+            },
         );
-        assert_eq!(snap.total_pages(), *pages, "query {i}: pages differ");
-        serve_ledger += snap.total_pages();
+        pl.enable_tracing(true);
+        let session_runs = replay(&mut pl, &w);
+        let session_ledger: u64 = session_runs
+            .iter()
+            .map(|(_, out, _)| out.report.as_ref().expect("tracing is on").total_pages())
+            .sum();
+        assert_eq!(session_ledger, pl.bill().transactions());
+
+        let market = faulty(build_market(&w, 100));
+        let serve = Serve::new(
+            market.clone(),
+            QueryWorkload::local_tables(&w),
+            ServeConfig {
+                threads: 1,
+                coalesce: false,
+                retry: RetryPolicy::unlimited(),
+                ..ServeConfig::default()
+            },
+        );
+        let templates = prepared(&serve, &w);
+        let mut serve_ledger = 0;
+        for (i, ((t, params), (_, out, pages))) in stream(&w).iter().zip(&session_runs).enumerate()
+        {
+            let (result, snap) = serve
+                .run_query(&templates[*t], params)
+                .expect("stream query succeeds");
+            assert_eq!(
+                digest_rows(&result),
+                digest_rows(&out.result),
+                "query {i}, chaos {chaos:?}: answers differ"
+            );
+            assert_eq!(
+                snap.total_pages(),
+                *pages,
+                "query {i}, chaos {chaos:?}: pages differ"
+            );
+            // One writer: the two ledgers agree entry for entry.
+            let report = out.report.as_ref().expect("tracing is on");
+            assert_eq!(
+                ledger_facts(&snap),
+                ledger_facts(&report.telemetry),
+                "query {i}, chaos {chaos:?}: ledgers differ"
+            );
+            serve_ledger += snap.total_pages();
+        }
+        assert_eq!(serve_ledger, market.bill().transactions());
+        if chaos.is_some() {
+            let wasted = market.fault_injector().expect("attached").wasted_pages();
+            assert!(wasted > 0, "the chaos seed must waste some spend");
+        }
     }
-    assert_eq!(serve_ledger, market.bill().transactions());
 }
