@@ -118,7 +118,8 @@ pub fn encode_rows(rows: &[Row]) -> Vec<u8> {
 pub fn decode_rows(body: &[u8]) -> Result<Vec<Row>> {
     let mut cur = Cursor { body, pos: 0 };
     let n_rows = cur.u32()? as usize;
-    let mut rows = Vec::with_capacity(n_rows.min(1 << 20));
+    // Reserve no more rows than the body can hold: each takes ≥ 2 bytes.
+    let mut rows = Vec::with_capacity(n_rows.min((body.len() - cur.pos) / 2));
     for _ in 0..n_rows {
         let arity = cur.u16()? as usize;
         let mut values = Vec::with_capacity(arity);

@@ -216,9 +216,9 @@ impl Serve {
         Ok(())
     }
 
-    /// A point-in-time copy of every market table's mirror rows — what the
-    /// durability layer folds into its snapshot so recovered coverage
-    /// always has its data.
+    /// A point-in-time copy of every market table's mirror rows. No program
+    /// caller since `mirror.log` became the durable mirror; it stays for
+    /// `benchmark/src/ledger.rs` and goes with the next benchmark PR.
     pub fn mirror_dump(&self) -> Vec<(String, Vec<payless_types::Row>)> {
         self.state.with_db(|db| {
             self.market

@@ -60,7 +60,8 @@ pub struct ServerConfig {
     pub fault_seed: Option<u64>,
     /// Cross-query batch purchasing, if enabled.
     pub batch: Option<payless_serve::BatchConfig>,
-    /// Data directory for WAL + snapshot; `None` serves memory-only.
+    /// Data directory for the WAL, mirror log and snapshot; `None` serves
+    /// memory-only.
     pub data_dir: Option<PathBuf>,
     /// Durability tuning + crash injection (ignored without `data_dir`).
     pub persist: PersistConfig,
@@ -258,8 +259,7 @@ impl Server {
                 let durable = shared.durable.as_ref().expect("spawned only when durable");
                 durable.wake_when_due(std::thread::current());
                 while !shared.shutdown.load(Ordering::SeqCst) {
-                    let dump = || shared.serve.mirror_dump();
-                    if let Err(e) = durable.maybe_snapshot(shared.serve.shared_store(), &dump) {
+                    if let Err(e) = durable.maybe_snapshot(shared.serve.shared_store(), &Vec::new) {
                         eprintln!("payless-server: snapshot failed: {e}");
                     }
                     std::thread::park();
@@ -321,9 +321,7 @@ impl Server {
             let _ = h.join();
         }
         if let Some(d) = &self.shared.durable {
-            d.snapshot(self.shared.serve.shared_store(), &|| {
-                self.shared.serve.mirror_dump()
-            })?;
+            d.snapshot(self.shared.serve.shared_store())?;
         }
         Ok(())
     }

@@ -1,49 +1,38 @@
-//! Snapshot + append-log persistence of the shared semantic store.
+//! Durable purchases: three files in the data directory.
 //!
 //! At real market prices, losing the semantic store is losing money: every
 //! purchased region the store forgets is a region a restarted server buys
-//! again. This module makes settled purchases durable with the classic
-//! write-ahead pair:
+//! again. Both logs frame each record as `[u32 len LE][payload][u32 crc32 LE]`.
 //!
-//! - **Append log** (`wal.log`): every settled purchase appends one framed
-//!   record — `[u32 len LE][JSON payload][u32 crc32 LE]` — carrying the
-//!   table, region, logical time, pages spent, and the table's *absolute*
-//!   cumulative spend after this record (`meter`). Appends are serialized
-//!   under one mutex, so `meter` is exact.
-//! - **Mirror log** (`mirror.log`): coverage alone is not enough — the
-//!   rows behind it live in the serving layer's local mirror, and a
-//!   recovered store that claims coverage without data answers queries
-//!   wrong (worse than re-buying). Every market delivery appends one
-//!   framed `{table, rows}` record here, via the executor's
-//!   [`payless_exec::RowObserver`] hook. The executor inserts into the
-//!   mirror *before* notifying, and purchase frames are appended before
-//!   their spend records, so the mirror log always covers every spend
-//!   record that survives a crash.
-//! - **Snapshot** (`snapshot.json`): a background snapshotter periodically
-//!   writes the whole store (plus the ledger, the mirror rows, and the
-//!   sequence number it covers) to `snapshot.json.tmp`, atomically renames
-//!   it over `snapshot.json`, then truncates both logs. A crash between
-//!   those steps is safe: rename is atomic, and replay skips records the
+//! - **`wal.log`**: every settled purchase appends one JSON record carrying
+//!   the table, region, logical time, pages spent, and the table's
+//!   *absolute* cumulative spend after this record (`meter`). Appends are
+//!   serialized under one mutex, so `meter` is exact.
+//! - **`mirror.log`**: the rows behind the coverage — a recovered store that
+//!   claims coverage without data answers queries wrong. Every market
+//!   delivery appends `[u16 name len][table][payless_market::encode_rows]`
+//!   (split over as many frames as it needs) via the executor's
+//!   [`payless_exec::RowObserver`], before the purchase's spend record, so
+//!   every surviving spend record has its rows earlier in this log. The log
+//!   is **append-only**: nothing truncates it but recovery's torn-tail cut.
+//!   The mirror is a set that never deletes a row, so the whole log *is*
+//!   the durable mirror.
+//! - **`snapshot.json`**: coverage and money only — `applied_seq`, `ledger`
+//!   and `store`. The snapshotter writes it to `snapshot.json.tmp`,
+//!   atomically renames it, then truncates `wal.log`. A crash between those
+//!   steps is safe: rename is atomic, and replay skips WAL records the
 //!   snapshot already covers.
 //!
-//! **Recovery** loads the snapshot, then replays the log front to back,
-//! validating each frame (length bound, CRC, JSON shape, strictly
-//! increasing sequence). The first invalid frame — a torn tail from a
-//! crash mid-append — truncates the log there; everything before it is
-//! kept. Two independent spend paths cross-check each other: the ledger is
-//! re-derived by *summing* replayed spends, and each record also carries
-//! the *absolute* meter written at append time. Any divergence (a
-//! double-applied or skipped record) fails recovery loudly rather than
-//! silently corrupting the money math.
-//!
-//! Mirror recovery dedupes at **frame** granularity: each frame's rows
-//! were inserted by one atomic `insert_all` under the mirror's write lock,
-//! so a snapshot taken concurrently holds either all of a frame's rows or
-//! none of them. A leftover frame whose rows the snapshot already contains
-//! (crash after snapshot rename, before mirror-log truncation) is skipped
-//! whole; any other frame is replayed whole. Purchased regions are
-//! disjoint (remainders exclude prior coverage), so equal rows across
-//! *different* frames cannot occur and multiset matching is exact.
+//! **Recovery** loads the snapshot, replays the WAL front to back
+//! (length bound, CRC, JSON shape, strictly increasing sequence), and
+//! replays every mirror frame. The first invalid frame of either log — a
+//! torn tail from a crash mid-append — cuts that log there. Two independent
+//! spend paths cross-check each other: the ledger is re-derived by
+//! *summing* replayed spends, and each record also carries the *absolute*
+//! meter written at append time; any divergence fails recovery loudly. A
+//! mirror frame whose CRC holds but whose payload does not decode fails
+//! recovery too. Rows delivered twice come back twice; the mirror's set
+//! insert drops the copy.
 //!
 //! Lock order: the spend observer runs with **no shard lock held** (see
 //! [`payless_semantic::SharedSemanticStore::attach_observer`]), so the
@@ -54,7 +43,7 @@
 //! snapshotter waits that out ([`SharedSemanticStore::settled`]) before it
 //! takes the mutex. The log is never ahead of the store.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -70,7 +59,8 @@ use payless_types::Row;
 /// Rows recovered for the serving layer's local mirror, per table.
 pub type MirrorRows = Vec<(String, Vec<Row>)>;
 
-/// A frame larger than this is treated as log corruption, not a record.
+/// A frame larger than this is treated as log corruption, not a record;
+/// [`DurableStore::append_rows`] never writes one.
 const MAX_RECORD_BYTES: u32 = 1 << 20;
 
 /// IEEE CRC-32 (the zip/PNG polynomial), table-driven.
@@ -106,7 +96,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// Durability tuning and deterministic crash injection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PersistConfig {
-    /// Snapshot (and truncate the log) after this many appends; `0`
+    /// Snapshot (and truncate `wal.log`) after this many appends; `0`
     /// disables automatic snapshots (graceful shutdown still snapshots).
     pub snapshot_every: u64,
     /// Abort the process on the N-th append, leaving a deliberately torn
@@ -114,7 +104,7 @@ pub struct PersistConfig {
     /// crash the truncate-and-recover path must survive.
     pub crash_after_appends: Option<u64>,
     /// Abort mid-snapshot: `1` after writing `snapshot.json.tmp` but
-    /// before the atomic rename, `2` after the rename but before the log
+    /// before the atomic rename, `2` after the rename but before the WAL
     /// truncation. Both windows must recover exactly.
     pub crash_in_snapshot: u8,
 }
@@ -140,7 +130,7 @@ pub struct RecoveryInfo {
     pub replayed: u64,
     /// Bytes cut off the log tail (a torn frame from a crash mid-append).
     pub truncated_bytes: u64,
-    /// Mirror rows recovered (snapshot rows plus replayed mirror frames).
+    /// Rows replayed from `mirror.log`.
     pub mirror_rows: u64,
     /// Bytes cut off the mirror log's torn tail.
     pub mirror_truncated_bytes: u64,
@@ -212,16 +202,11 @@ pub struct DurableStore {
     snapshotter: OnceLock<Thread>,
 }
 
-fn wal_path(dir: &Path) -> PathBuf {
-    dir.join("wal.log")
-}
+const WAL: &str = "wal.log";
+const MIRROR: &str = "mirror.log";
 
 fn snapshot_path(dir: &Path) -> PathBuf {
     dir.join("snapshot.json")
-}
-
-fn mirror_path(dir: &Path) -> PathBuf {
-    dir.join("mirror.log")
 }
 
 fn io_err<T>(what: &str, e: impl std::fmt::Display) -> Result<T, String> {
@@ -262,38 +247,73 @@ impl WalRecord {
     }
 }
 
-/// One parsed mirror-log record: the rows one market delivery inserted.
-struct MirrorRecord {
-    table: String,
-    rows: Vec<Row>,
-}
-
-impl MirrorRecord {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("table", Json::Str(self.table.clone())),
-            (
-                "rows",
-                Json::Arr(self.rows.iter().map(|r| r.to_json()).collect()),
-            ),
-        ])
-    }
-
-    fn from_json(j: &Json) -> payless_json::Result<MirrorRecord> {
-        Ok(MirrorRecord {
-            table: j.get("table")?.as_str()?.to_string(),
-            rows: FromJson::from_json(j.get("rows")?)?,
-        })
-    }
-}
-
-/// Frame `payload` as `[u32 len][payload][u32 crc]`.
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 8);
+/// Append `payload` to `out` as `[u32 len][payload][u32 crc]`.
+fn frame_into(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
     out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out
+}
+
+/// Append `rows` to `out` as mirror frames `[u16 name len][table][rows]`,
+/// halving the rows until every frame fits under [`MAX_RECORD_BYTES`].
+fn mirror_frames_into(out: &mut Vec<u8>, table: &str, rows: &[Row]) {
+    let name_len = u16::try_from(table.len()).expect("table name fits a u16 length");
+    let mut payload = name_len.to_le_bytes().to_vec();
+    payload.extend_from_slice(table.as_bytes());
+    payload.extend_from_slice(&payless_market::encode_rows(rows));
+    if payload.len() <= MAX_RECORD_BYTES as usize {
+        frame_into(out, &payload);
+    } else {
+        assert!(
+            rows.len() > 1,
+            "one {table} row is over {MAX_RECORD_BYTES} bytes"
+        );
+        let (head, tail) = rows.split_at(rows.len() / 2);
+        mirror_frames_into(out, table, head);
+        mirror_frames_into(out, table, tail);
+    }
+}
+
+/// Decode one mirror frame payload; `Err` names `mirror.log`.
+fn decode_mirror_frame(payload: &[u8]) -> Result<(String, Vec<Row>), String> {
+    let bad = |what: String| format!("mirror.log frame despite valid CRC: {what}");
+    let name_len = match payload {
+        [lo, hi, ..] => u16::from_le_bytes([*lo, *hi]) as usize,
+        _ => return Err(bad("no table name length".into())),
+    };
+    let name = payload
+        .get(2..2 + name_len)
+        .ok_or_else(|| bad(format!("table name length {name_len} past the end")))?;
+    let table = std::str::from_utf8(name).map_err(|e| bad(format!("table name: {e}")))?;
+    let rows = payless_market::decode_rows(&payload[2 + name_len..])
+        .map_err(|e| bad(format!("{table} rows: {e}")))?;
+    Ok((table.to_string(), rows))
+}
+
+/// Open (creating if needed) the log `name` in `dir`, cut a torn tail off,
+/// and leave it positioned to append. Returns the file, its valid frame
+/// payloads, and the bytes cut.
+fn open_log(dir: &Path, name: &str) -> Result<(File, Vec<Vec<u8>>, u64), String> {
+    let mut file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(dir.join(name))
+        .or_else(|e| io_err(&format!("open {name}"), e))?;
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)
+        .or_else(|e| io_err(&format!("read {name}"), e))?;
+    let (payloads, valid_len) = scan_frames(&bytes);
+    if valid_len < bytes.len() {
+        // Torn tail from a crash mid-append: cut it off so the next
+        // append starts on a frame boundary.
+        file.set_len(valid_len as u64)
+            .or_else(|e| io_err(&format!("truncate {name} tail"), e))?;
+    }
+    file.seek(SeekFrom::Start(valid_len as u64))
+        .or_else(|e| io_err(&format!("seek {name}"), e))?;
+    Ok((file, payloads, (bytes.len() - valid_len) as u64))
 }
 
 /// Scan `bytes` front to back, yielding valid payloads and the byte offset
@@ -344,10 +364,6 @@ impl DurableStore {
         let mut store = SemanticStore::new();
         let mut ledger: BTreeMap<String, u64> = BTreeMap::new();
         let mut meter: BTreeMap<String, u64> = BTreeMap::new();
-        // Mirror rows in recovery order plus a per-table multiset of the
-        // same rows, used to recognize log frames the snapshot covers.
-        let mut mirror_rows: BTreeMap<String, Vec<Row>> = BTreeMap::new();
-        let mut mirror_seen: HashMap<String, HashMap<Row, usize>> = HashMap::new();
         let mut applied_seq = 0u64;
         let snap_path = snapshot_path(dir);
         if snap_path.exists() {
@@ -376,47 +392,12 @@ impl DurableStore {
                     .map_err(|e| format!("snapshot.json store: {e}"))?,
             )
             .map_err(|e| format!("snapshot.json store: {e}"))?;
-            // Mirror section is optional so pre-mirror snapshots still load.
-            if let Some(mirror) = j.get_opt("mirror") {
-                for (table, rows) in mirror
-                    .as_obj()
-                    .map_err(|e| format!("snapshot.json mirror: {e}"))?
-                {
-                    let rows: Vec<Row> = FromJson::from_json(rows)
-                        .map_err(|e| format!("snapshot.json mirror[{table}]: {e}"))?;
-                    let seen = mirror_seen.entry(table.clone()).or_default();
-                    for row in &rows {
-                        *seen.entry(row.clone()).or_insert(0) += 1;
-                    }
-                    mirror_rows.entry(table.clone()).or_default().extend(rows);
-                }
-            }
         }
         for space in spaces {
             store.register(space.clone());
         }
 
-        let mut wal = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(wal_path(dir))
-            .or_else(|e| io_err("open wal.log", e))?;
-        let mut bytes = Vec::new();
-        wal.read_to_end(&mut bytes)
-            .or_else(|e| io_err("read wal.log", e))?;
-        let (payloads, valid_len) = scan_frames(&bytes);
-        let truncated = bytes.len() - valid_len;
-        if truncated > 0 {
-            // Torn tail from a crash mid-append: cut it off so the next
-            // append starts on a frame boundary.
-            wal.set_len(valid_len as u64)
-                .or_else(|e| io_err("truncate wal.log tail", e))?;
-        }
-        wal.seek(SeekFrom::Start(valid_len as u64))
-            .or_else(|e| io_err("seek wal.log", e))?;
-
+        let (wal, payloads, truncated) = open_log(dir, WAL)?;
         let mut seq = applied_seq;
         let mut replayed = 0u64;
         for payload in &payloads {
@@ -458,70 +439,21 @@ impl DurableStore {
             replayed += 1;
         }
 
-        // Mirror log: same open/scan/truncate dance, then frame-level
-        // dedupe against the snapshot's multiset (see module docs).
-        let mut mirror = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(mirror_path(dir))
-            .or_else(|e| io_err("open mirror.log", e))?;
-        let mut mirror_bytes = Vec::new();
-        mirror
-            .read_to_end(&mut mirror_bytes)
-            .or_else(|e| io_err("read mirror.log", e))?;
-        let (mirror_payloads, mirror_valid) = scan_frames(&mirror_bytes);
-        let mirror_truncated = mirror_bytes.len() - mirror_valid;
-        if mirror_truncated > 0 {
-            mirror
-                .set_len(mirror_valid as u64)
-                .or_else(|e| io_err("truncate mirror.log tail", e))?;
-        }
-        mirror
-            .seek(SeekFrom::Start(mirror_valid as u64))
-            .or_else(|e| io_err("seek mirror.log", e))?;
+        // Every mirror frame replays: the log is the whole mirror.
+        let (mirror, mirror_payloads, mirror_truncated) = open_log(dir, MIRROR)?;
+        let mut mirror_rows: BTreeMap<String, Vec<Row>> = BTreeMap::new();
         for payload in &mirror_payloads {
-            let text = std::str::from_utf8(payload)
-                .map_err(|e| format!("mirror record not UTF-8 despite valid CRC: {e}"))?;
-            let j = payless_json::parse(text).map_err(|e| format!("mirror record JSON: {e}"))?;
-            let rec =
-                MirrorRecord::from_json(&j).map_err(|e| format!("mirror record shape: {e}"))?;
-            let seen = mirror_seen.entry(rec.table.clone()).or_default();
-            // A frame whose rows the snapshot already holds (with
-            // multiplicity) is a leftover the snapshot covered — skip it
-            // whole, consuming its rows so a genuinely re-delivered frame
-            // later in the log still replays.
-            let mut need: HashMap<&Row, usize> = HashMap::new();
-            for row in &rec.rows {
-                *need.entry(row).or_insert(0) += 1;
-            }
-            let covered = !rec.rows.is_empty()
-                && need
-                    .iter()
-                    .all(|(row, n)| seen.get(*row).copied().unwrap_or(0) >= *n);
-            if covered {
-                for (row, n) in need {
-                    if let Some(have) = seen.get_mut(row) {
-                        *have -= n;
-                        if *have == 0 {
-                            seen.remove(row);
-                        }
-                    }
-                }
-                continue;
-            }
-            drop(need);
-            mirror_rows.entry(rec.table).or_default().extend(rec.rows);
+            let (table, rows) = decode_mirror_frame(payload)?;
+            mirror_rows.entry(table).or_default().extend(rows);
         }
 
         let recovered: MirrorRows = mirror_rows.into_iter().collect();
         let recovery = RecoveryInfo {
             snapshot_seq: applied_seq,
             replayed,
-            truncated_bytes: truncated as u64,
+            truncated_bytes: truncated,
             mirror_rows: recovered.iter().map(|(_, rows)| rows.len() as u64).sum(),
-            mirror_truncated_bytes: mirror_truncated as u64,
+            mirror_truncated_bytes: mirror_truncated,
         };
         let durable = DurableStore {
             dir: dir.to_path_buf(),
@@ -588,7 +520,8 @@ impl DurableStore {
             region: region.clone(),
         };
         let payload = rec.to_json().to_string_compact().into_bytes();
-        let framed = frame(&payload);
+        let mut framed = Vec::with_capacity(payload.len() + 8);
+        frame_into(&mut framed, &payload);
         inner.appends_total += 1;
         if self.cfg.crash_after_appends == Some(inner.appends_total) {
             // Deterministic torn write: half a frame, then die. Recovery
@@ -627,12 +560,8 @@ impl DurableStore {
         if rows.is_empty() {
             return;
         }
-        let rec = MirrorRecord {
-            table: table.to_string(),
-            rows: rows.to_vec(),
-        };
-        let payload = rec.to_json().to_string_compact().into_bytes();
-        let framed = frame(&payload);
+        let mut framed = Vec::new();
+        mirror_frames_into(&mut framed, table, rows);
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner
             .mirror
@@ -645,30 +574,27 @@ impl DurableStore {
     }
 
     /// Snapshot now iff the append threshold has been reached.
+    /// `_mirror_dump` is never called (snapshots carry no rows); it stays
+    /// only for `benchmark/src/ledger.rs` and goes with the next benchmark PR.
     pub fn maybe_snapshot(
         &self,
         shared: &SharedSemanticStore,
-        mirror_dump: &dyn Fn() -> MirrorRows,
+        _mirror_dump: &dyn Fn() -> MirrorRows,
     ) -> Result<bool, String> {
         let due = self.snapshot_due(&self.inner.lock().unwrap_or_else(|e| e.into_inner()));
         if due {
-            self.snapshot(shared, mirror_dump)?;
+            self.snapshot(shared)?;
         }
         Ok(due)
     }
 
-    /// Write a full snapshot and truncate both logs. Holds the persist
-    /// mutex across the store and mirror reads, so the snapshot covers
-    /// exactly the appends with `seq <= applied_seq` — an insert racing
-    /// this snapshot has not yet taken a sequence number, and will land in
-    /// the fresh log. `mirror_dump` must read the serving layer's live
-    /// mirror (it runs under the persist mutex; see the lock-order note in
-    /// the module docs).
-    pub fn snapshot(
-        &self,
-        shared: &SharedSemanticStore,
-        mirror_dump: &dyn Fn() -> MirrorRows,
-    ) -> Result<(), String> {
+    /// Write the coverage and the money (`applied_seq`, `ledger`, `store`)
+    /// and truncate `wal.log`. Holds the persist mutex across the store
+    /// read, so the snapshot covers exactly the appends with
+    /// `seq <= applied_seq` — an insert racing this snapshot has not yet
+    /// taken a sequence number, and will land in the fresh log. Rows stay
+    /// in `mirror.log`.
+    pub fn snapshot(&self, shared: &SharedSemanticStore) -> Result<(), String> {
         // Gate first, then the mutex: a purchase inserted into the store but
         // still waiting to append would otherwise be snapshotted as coverage
         // the ledger below never paid for.
@@ -682,24 +608,14 @@ impl DurableStore {
                 .map(|(t, p)| (t.clone(), Json::Int(*p as i64)))
                 .collect(),
         );
-        // Shard/mirror read locks nest inside the persist mutex here;
-        // observers never hold either lock while appending, so this cannot
-        // cycle. Rows whose mirror frame is still waiting on this mutex
-        // are already in the dump (insert-before-notify); recovery dedupes
-        // their leftover frames against the snapshot.
+        // Shard read locks nest inside the persist mutex here; observers
+        // never hold one while appending, so this cannot cycle.
         let store = shared.snapshot();
         drop(settled);
-        let mirror_json = Json::Obj(
-            mirror_dump()
-                .into_iter()
-                .map(|(table, rows)| (table, Json::Arr(rows.iter().map(|r| r.to_json()).collect())))
-                .collect(),
-        );
         let snap = Json::obj([
             ("applied_seq", Json::Int(applied_seq as i64)),
             ("ledger", ledger_json),
             ("store", store.to_json()),
-            ("mirror", mirror_json),
         ]);
         let path = snapshot_path(&self.dir);
         let tmp = path.with_extension("json.tmp");
@@ -726,16 +642,6 @@ impl DurableStore {
             .wal
             .seek(SeekFrom::Start(0))
             .or_else(|e| io_err("rewind wal after snapshot", e))?;
-        // Mirror truncation comes last; a crash in between leaves frames
-        // the snapshot covers, which recovery's frame dedupe skips.
-        inner
-            .mirror
-            .set_len(0)
-            .or_else(|e| io_err("truncate mirror after snapshot", e))?;
-        inner
-            .mirror
-            .seek(SeekFrom::Start(0))
-            .or_else(|e| io_err("rewind mirror after snapshot", e))?;
         inner.applied_seq = applied_seq;
         inner.appends_since_snapshot = 0;
         inner.snapshots += 1;
@@ -881,7 +787,7 @@ mod tests {
             durable.append("T", &r(10, 19), 2, 7);
         }
         // Tear the last frame by chopping 5 bytes off the file.
-        let path = wal_path(&dir);
+        let path = dir.join(WAL);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
         let (durable, _store, _) = DurableStore::open(&dir, cfg, &[space()]).unwrap();
@@ -917,8 +823,8 @@ mod tests {
             durable.attach(&shared);
             shared.record_spend("T", r(0, 9), 1, 10);
             shared.record_spend("T", r(50, 59), 2, 10);
-            durable.snapshot(&shared, &|| Vec::new()).unwrap();
-            assert_eq!(std::fs::metadata(wal_path(&dir)).unwrap().len(), 0);
+            durable.snapshot(&shared).unwrap();
+            assert_eq!(std::fs::metadata(dir.join(WAL)).unwrap().len(), 0);
             // Post-snapshot appends land in the fresh log.
             shared.record_spend("T", r(100, 109), 3, 10);
         }
@@ -934,7 +840,7 @@ mod tests {
     }
 
     #[test]
-    fn mirror_rows_survive_restart_and_dedupe_snapshot_leftovers() {
+    fn mirror_rows_survive_restart_and_snapshot() {
         let dir = tmpdir("mirror");
         let cfg = PersistConfig {
             snapshot_every: 0,
@@ -952,22 +858,99 @@ mod tests {
             let (durable, _, recovered) = DurableStore::open(&dir, cfg, &[space()]).unwrap();
             assert_eq!(recovered, vec![("T".to_string(), frame_a.clone())]);
             assert_eq!(durable.recovery().mirror_rows, 2);
-            // Snapshot covering frame_a, then a leftover duplicate of
-            // frame_a (the crash window between snapshot rename and
-            // mirror-log truncation) plus a genuinely new frame.
+            // A snapshot carries coverage and money only and leaves
+            // mirror.log alone: the rows live there and nowhere else.
+            let mirror_len = std::fs::metadata(dir.join(MIRROR)).unwrap().len();
             let mut base = SemanticStore::new();
             base.register(space());
             let shared = SharedSemanticStore::new(base);
-            durable.snapshot(&shared, &|| recovered.clone()).unwrap();
-            assert_eq!(std::fs::metadata(mirror_path(&dir)).unwrap().len(), 0);
+            durable.snapshot(&shared).unwrap();
+            assert_eq!(
+                std::fs::metadata(dir.join(MIRROR)).unwrap().len(),
+                mirror_len
+            );
+            let snap = std::fs::read_to_string(snapshot_path(&dir)).unwrap();
+            let snap = payless_json::parse(&snap).unwrap();
+            let keys: Vec<&str> = snap
+                .as_obj()
+                .unwrap()
+                .iter()
+                .map(|(k, _)| k.as_str())
+                .collect();
+            assert_eq!(keys, ["applied_seq", "ledger", "store"]);
+            // A delivery that arrives twice replays twice; the mirror's set
+            // insert drops the copy.
             durable.append_rows("T", &frame_a);
             durable.append_rows("T", &frame_b);
         }
         let (durable, _, recovered) = DurableStore::open(&dir, cfg, &[space()]).unwrap();
         let rows: Vec<Row> = recovered.iter().flat_map(|(_, r)| r.clone()).collect();
-        assert_eq!(rows, [frame_a, frame_b].concat());
-        assert_eq!(durable.recovery().mirror_rows, 3, "duplicate frame deduped");
+        assert_eq!(rows, [frame_a.clone(), frame_a, frame_b].concat());
+        assert_eq!(durable.recovery().mirror_rows, 5);
+        assert_eq!(durable.recovery().mirror_truncated_bytes, 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A delivery larger than one frame may be is split across frames, so
+    /// recovery never mistakes it for a torn tail and cuts it (with every
+    /// later frame) off.
+    #[test]
+    fn oversized_delivery_recovers_every_row() {
+        let dir = tmpdir("oversized");
+        let cfg = PersistConfig {
+            snapshot_every: 0,
+            ..PersistConfig::default()
+        };
+        let big: Vec<Row> = (0..100_000i64).map(|i| payless_types::row!(i)).collect();
+        let last = vec![payless_types::row!(-1)];
+        {
+            let (durable, _, _) = DurableStore::open(&dir, cfg, &[space()]).unwrap();
+            durable.append_rows("T", &big);
+            durable.append_rows("T", &last);
+        }
+        let (durable, _, recovered) = DurableStore::open(&dir, cfg, &[space()]).unwrap();
+        assert_eq!(durable.recovery().mirror_truncated_bytes, 0);
+        assert_eq!(durable.recovery().mirror_rows, 100_001);
+        assert_eq!(recovered, vec![("T".to_string(), [big, last].concat())]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A mirror frame whose CRC holds but whose payload lies fails
+    /// recovery with an error naming `mirror.log` — no panic, and no
+    /// allocation sized by a count the bytes cannot back.
+    #[test]
+    fn hostile_mirror_frames_fail_recovery_naming_the_log() {
+        let rows = |body: &[u8]| [&[1, 0, b'T'][..], body].concat();
+        let cases: [(&str, Vec<u8>); 7] = [
+            ("no name length", vec![1]),
+            ("name length past the end", vec![9, 0, b'T']),
+            (
+                "non-UTF-8 name",
+                [&[2, 0, 0xff, 0xfe][..], &payless_market::encode_rows(&[])].concat(),
+            ),
+            ("row count past the body", rows(&[5, 0, 0, 0])),
+            (
+                "2^32 - 1 rows in a 4-byte body",
+                rows(&u32::MAX.to_le_bytes()),
+            ),
+            ("unknown value tag", rows(&[1, 0, 0, 0, 1, 0, 9])),
+            (
+                "trailing bytes",
+                [rows(&payless_market::encode_rows(&[])), vec![7]].concat(),
+            ),
+        ];
+        for (what, payload) in cases {
+            let dir = tmpdir("hostile");
+            std::fs::create_dir_all(&dir).unwrap();
+            let mut log = Vec::new();
+            frame_into(&mut log, &payload);
+            std::fs::write(dir.join(MIRROR), &log).unwrap();
+            let err = DurableStore::open(&dir, PersistConfig::default(), &[space()])
+                .map(|_| ())
+                .expect_err(what);
+            assert!(err.contains("mirror.log"), "{what}: {err}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -983,7 +966,7 @@ mod tests {
         }
         // Replay-splice attack / filesystem duplication: the same frame
         // twice must not silently double the ledger.
-        let path = wal_path(&dir);
+        let path = dir.join(WAL);
         let bytes = std::fs::read(&path).unwrap();
         let mut doubled = bytes.clone();
         doubled.extend_from_slice(&bytes);

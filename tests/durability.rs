@@ -1,13 +1,17 @@
-//! Durability suite for the server's snapshot + append-log pair.
+//! Durability suite for the server's three files: `wal.log` (spend
+//! records), `mirror.log` (the purchased rows, append-only) and
+//! `snapshot.json` (coverage and money only).
 //!
 //! The central property: **any byte-prefix truncation** of the write-ahead
 //! log — a crash can tear the tail anywhere, not just on a frame boundary —
 //! recovers to a store whose summed ledger reconciles with the recorded
 //! absolute meter, covering exactly the purchases whose frames survived.
-//! The same holds frame-wise for the mirror log that carries the purchased
-//! rows. A third test replays the nastiest snapshot crash window (renamed
-//! snapshot, logs not yet truncated) and proves nothing is counted or
-//! inserted twice.
+//! The same holds frame-wise for the mirror log. Across random snapshots
+//! and a crash torn anywhere inside the last purchase, every region the
+//! recovered store covers has all its rows — rows bought before a snapshot
+//! can only come back from `mirror.log`. A last test replays the snapshot
+//! crash window (renamed snapshot, WAL not yet truncated) and proves
+//! nothing is counted twice.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -132,20 +136,89 @@ mod props {
             prop_assert_eq!(durable.recovery().mirror_rows, 2 * surviving as u64);
             let _ = std::fs::remove_dir_all(&dir);
         }
+
+        /// Disjoint purchases written the way `land_delivery` writes them
+        /// (rows, then the spend through the attached store), a snapshot
+        /// after a random subset, and a crash torn at any byte of the last
+        /// purchase's writes: the ledger reconciles, every earlier purchase
+        /// is covered, the last one only if its spend record survived whole,
+        /// and every covered purchase has all its rows.
+        #[test]
+        fn covered_purchases_keep_their_rows_across_snapshots_and_crashes(
+            purchases in proptest::collection::vec((1usize..6, any::<bool>()), 1..8),
+            frac in 0.0f64..1.0,
+        ) {
+            let dir = tmpdir("coverage-rows");
+            let cfg = no_snapshots();
+            let wal = dir.join("wal.log");
+            let mirror = dir.join("mirror.log");
+            let len = |p: &std::path::Path| std::fs::metadata(p).unwrap().len();
+            let rows_of = |i: usize, n: usize| -> Vec<Row> {
+                (0..n).map(|j| row!(10 * i as i64 + j as i64)).collect()
+            };
+            let last = purchases.len() - 1;
+            let (before, after) = {
+                let (durable, _, _) = DurableStore::open(&dir, cfg, &[space()]).unwrap();
+                let durable = Arc::new(durable);
+                let mut base = SemanticStore::new();
+                base.register(space());
+                let shared = SharedSemanticStore::new(base);
+                durable.attach(&shared);
+                for (i, &(n, snapshot)) in purchases[..last].iter().enumerate() {
+                    durable.append_rows("T", &rows_of(i, n));
+                    shared.record_spend("T", r(i), i as u64 + 1, n as u64);
+                    if snapshot {
+                        durable.snapshot(&shared).unwrap();
+                    }
+                }
+                let before = (len(&mirror), len(&wal));
+                durable.append_rows("T", &rows_of(last, purchases[last].0));
+                shared.record_spend("T", r(last), last as u64 + 1, purchases[last].0 as u64);
+                (before, (len(&mirror), len(&wal)))
+            };
+            // The last purchase wrote its mirror frame, then its WAL frame;
+            // keep the first `cut` of those bytes (all of them included).
+            let (mirror_n, wal_n) = (after.0 - before.0, after.1 - before.1);
+            let cut = ((mirror_n + wal_n + 1) as f64 * frac) as u64;
+            let keep_mirror = before.0 + cut.min(mirror_n);
+            let keep_wal = before.1 + cut.saturating_sub(mirror_n);
+            for (path, keep) in [(&mirror, keep_mirror), (&wal, keep_wal)] {
+                let bytes = std::fs::read(path).unwrap();
+                std::fs::write(path, &bytes[..keep as usize]).unwrap();
+            }
+
+            let (durable, store, recovered) = DurableStore::open(&dir, cfg, &[space()]).unwrap();
+            prop_assert!(durable.status().reconciles());
+            let rows: std::collections::HashSet<Row> =
+                recovered.into_iter().flat_map(|(_, rows)| rows).collect();
+            let now = purchases.len() as u64 + 1;
+            for (i, &(n, _)) in purchases.iter().enumerate() {
+                let covered = store.covers("T", &r(i), Consistency::Weak, now);
+                prop_assert_eq!(covered, i < last || keep_wal == after.1, "purchase {}", i);
+                if covered {
+                    prop_assert!(
+                        rows_of(i, n).iter().all(|row| rows.contains(row)),
+                        "purchase {} is covered but lost rows",
+                        i
+                    );
+                }
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
 
-/// The crash window between the snapshot's atomic rename and the log
-/// truncations leaves both logs full of records the snapshot already
-/// covers. Recovery must skip every one of them: the ledger is not
-/// doubled, no WAL record replays, and the mirror dedupe drops the
-/// leftover row frames.
+/// The crash window between the snapshot's atomic rename and the WAL
+/// truncation leaves the WAL full of records the snapshot already covers.
+/// Recovery must skip every one of them: the ledger is not doubled and no
+/// WAL record replays. The rows come back once, from `mirror.log`, which
+/// the snapshot never touched.
 #[test]
 fn snapshot_crash_window_counts_nothing_twice() {
     let dir = tmpdir("crash-window");
     let cfg = no_snapshots();
     let mirror_frame = vec![row!(1), row!(2)];
-    let (wal_bytes, mirror_bytes) = {
+    let wal_bytes = {
         let (durable, _, _) = DurableStore::open(&dir, cfg, &[space()]).unwrap();
         let durable = Arc::new(durable);
         let mut base = SemanticStore::new();
@@ -156,15 +229,12 @@ fn snapshot_crash_window_counts_nothing_twice() {
         shared.record_spend("T", r(1), 2, 7);
         durable.append_rows("T", &mirror_frame);
         let wal_bytes = std::fs::read(dir.join("wal.log")).unwrap();
-        let mirror_bytes = std::fs::read(dir.join("mirror.log")).unwrap();
-        let dump = vec![("T".to_string(), mirror_frame.clone())];
-        durable.snapshot(&shared, &|| dump.clone()).unwrap();
-        (wal_bytes, mirror_bytes)
+        durable.snapshot(&shared).unwrap();
+        wal_bytes
     };
-    // Re-materialize the pre-snapshot logs, as if the process died after
-    // the rename with the truncations still pending.
+    // Re-materialize the pre-snapshot WAL, as if the process died after
+    // the rename with the truncation still pending.
     std::fs::write(dir.join("wal.log"), &wal_bytes).unwrap();
-    std::fs::write(dir.join("mirror.log"), &mirror_bytes).unwrap();
 
     let (durable, store, recovered) = DurableStore::open(&dir, cfg, &[space()]).unwrap();
     let status = durable.status();
@@ -178,7 +248,7 @@ fn snapshot_crash_window_counts_nothing_twice() {
     assert_eq!(
         recovered,
         vec![("T".to_string(), mirror_frame)],
-        "leftover mirror frame deduped against the snapshot"
+        "the rows come back once, from mirror.log"
     );
     assert!(store.covers("T", &r(0), Consistency::Weak, 3));
     assert!(store.covers("T", &r(1), Consistency::Weak, 3));

@@ -17,9 +17,10 @@
 //!   recovers a reconciling store (ledger == meter per table) **with** its
 //!   mirror rows, and re-running the identical mix buys zero pages while
 //!   still answering exactly like the oracle;
-//! * after a *crash* of the real `payless-server` binary — torn WAL frame,
-//!   either side of the snapshot rename, or SIGKILL — pages that survived
-//!   plus pages re-bought equal what one uninterrupted run buys.
+//! * after a *crash* of the real `payless-server` binary — torn WAL frame
+//!   (with and without a snapshot before it), either side of the snapshot
+//!   rename, or SIGKILL — pages that survived plus pages re-bought equal
+//!   what one uninterrupted run buys.
 //!
 //! The chaos seed, and the mix seed of the crash legs, come from
 //! `PAYLESS_FAULT_SEED` (default 48879, as in tests/fault_matrix.rs); the
@@ -368,9 +369,18 @@ fn crashed_server_recovers_and_rebuys_exactly_the_lost_pages() {
     let oracle = serial_oracle(&mix);
 
     // An empty knob set means the test SIGKILLs the server from outside.
-    let legs: [(&str, CrashKnobs); 4] = [
+    let legs: [(&str, CrashKnobs); 5] = [
         // A WAL frame torn halfway: the tail must be cut, never counted.
         ("mid-append", &[("PAYLESS_CRASH_AFTER", "5")]),
+        // The same tear after a snapshot: rows bought before it can only
+        // come back from mirror.log. (A 24-query mix makes 6-8 appends.)
+        (
+            "after-snapshot",
+            &[
+                ("PAYLESS_SNAPSHOT_EVERY", "2"),
+                ("PAYLESS_CRASH_AFTER", "5"),
+            ],
+        ),
         // Snapshot written, not yet renamed over the old one.
         (
             "pre-rename",
@@ -379,7 +389,7 @@ fn crashed_server_recovers_and_rebuys_exactly_the_lost_pages() {
                 ("PAYLESS_CRASH_IN_SNAPSHOT", "1"),
             ],
         ),
-        // Snapshot renamed, logs not yet truncated: every logged record is
+        // Snapshot renamed, WAL not yet truncated: every logged record is
         // also in the snapshot and must not be applied twice.
         (
             "pre-truncate",
@@ -415,6 +425,12 @@ fn crashed_server_recovers_and_rebuys_exactly_the_lost_pages() {
             !crashed.success(),
             "{leg}: the first server was meant to crash, but exited with {crashed}"
         );
+        if leg == "after-snapshot" {
+            assert!(
+                dir.join("data/snapshot.json").exists(),
+                "{leg}: no snapshot was taken before the crash"
+            );
+        }
         if !knobs.is_empty() {
             // A rigged crash is mid-mix: the fifth append belongs to a query
             // that never hears back, and the snapshotter is woken by the
