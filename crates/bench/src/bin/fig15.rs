@@ -4,7 +4,6 @@
 
 use payless_bench::{env_f64, env_usize, run_mode, RunConfig};
 use payless_core::Mode;
-use payless_semantic::RewriteConfig;
 use payless_workload::{QueryWorkload, RealWorkload, Tpch, TpchConfig, WhwConfig};
 
 fn sweep(label: &str, workload: &(dyn QueryWorkload + Sync), qs: &[usize], reps: usize) {
@@ -25,7 +24,6 @@ fn sweep(label: &str, workload: &(dyn QueryWorkload + Sync), qs: &[usize], reps:
             "{:>6} {:>14.2} {:>14.2}",
             q, run.avg_boxes_kept, run.avg_boxes_enumerated
         );
-        let _ = RewriteConfig::no_pruning(); // knob available for deeper ablations
     }
 }
 

@@ -12,7 +12,6 @@ use std::sync::Arc;
 
 use payless_core::{build_market, Mode, PayLess, PayLessConfig};
 use payless_json::{Json, ToJson};
-use payless_semantic::RewriteConfig;
 use payless_workload::QueryWorkload;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -31,8 +30,6 @@ pub struct RunConfig {
     pub seed: u64,
     /// Store-freshness policy.
     pub consistency: payless_core::Consistency,
-    /// Algorithm 1 knobs (lets Figure 15 disable pruning).
-    pub rewrite: RewriteConfig,
 }
 
 impl Default for RunConfig {
@@ -43,7 +40,6 @@ impl Default for RunConfig {
             repetitions: env_usize("PAYLESS_REPS", 5),
             seed: 42,
             consistency: payless_core::Consistency::Weak,
-            rewrite: RewriteConfig::default(),
         }
     }
 }
@@ -232,7 +228,6 @@ fn run_rep(workload: &dyn QueryWorkload, mode: Mode, cfg: &RunConfig, rep: usize
     let market = Arc::new(build_market(workload, cfg.page_size));
     let mut session_cfg = PayLessConfig::mode(mode);
     session_cfg.consistency = cfg.consistency;
-    session_cfg.rewrite = cfg.rewrite.clone();
     let mut pl = PayLess::new(market.clone(), session_cfg);
     for t in workload.local_tables() {
         pl.register_local(t.clone());

@@ -54,7 +54,7 @@ pub use payless_exec::{
 pub use payless_market::{BillingReport, DataMarket, Dataset, FaultInjector, FaultKind, FaultPlan};
 pub use payless_metrics::{MetricsConfig, MetricsHub};
 pub use payless_optimizer::PlanCounters;
-pub use payless_semantic::{Consistency, RewriteConfig, SharedSemanticStore, StoreConfig};
+pub use payless_semantic::{Consistency, SharedSemanticStore, StoreConfig};
 pub use payless_sql::SelectStmt;
 pub use payless_stats::StatsBackend;
 pub use payless_stats::{q_error, QErrorAccumulator, QErrorSummary};

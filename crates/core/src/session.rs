@@ -13,9 +13,7 @@ use payless_json::{FromJson, Json, ToJson};
 use payless_market::DataMarket;
 use payless_metrics::MetricsHub;
 use payless_optimizer::{OptimizerConfig, PlanCounters};
-use payless_semantic::{
-    Consistency, RewriteConfig, SemanticStore, SharedSemanticStore, StoreConfig,
-};
+use payless_semantic::{Consistency, SemanticStore, SharedSemanticStore, StoreConfig};
 use payless_sql::{analyze, parse, AnalyzedQuery, Catalog, MapCatalog, SelectStmt, TableLocation};
 use payless_stats::{StatsBackend, StatsRegistry};
 use payless_storage::{Database, LocalTable};
@@ -49,8 +47,6 @@ pub struct PayLessConfig {
     pub mode: Mode,
     /// Store-freshness policy (Section 4.3's consistency levels).
     pub consistency: Consistency,
-    /// Algorithm 1 knobs.
-    pub rewrite: RewriteConfig,
     /// Which updatable statistic backs cardinality estimation (the paper's
     /// "amenable for any updatable statistic" knob).
     pub stats_backend: StatsBackend,
@@ -68,7 +64,6 @@ impl Default for PayLessConfig {
         PayLessConfig {
             mode: Mode::PayLess,
             consistency: Consistency::Weak,
-            rewrite: RewriteConfig::default(),
             stats_backend: StatsBackend::default(),
             retry: RetryPolicy::default(),
             store: StoreConfig::default(),
@@ -421,13 +416,13 @@ impl PayLess {
         let cfg = PipelineConfig {
             exec: ExecConfig {
                 sqr: optimizer.sqr,
-                rewrite: self.cfg.rewrite.clone(),
                 consistency: self.cfg.consistency,
                 recorder: Some(self.recorder.clone()),
                 retry: self.cfg.retry.clone(),
                 synthesize_ledger: true,
                 metrics: self.metrics.clone(),
                 events: self.events.clone(),
+                ..ExecConfig::default()
             },
             optimizer,
             download_all: self.cfg.mode == Mode::DownloadAll,
@@ -569,7 +564,6 @@ impl PayLess {
             Mode::MinCalls => OptimizerConfig::min_calls(),
             Mode::DisableAll => OptimizerConfig::disable_all(),
         };
-        cfg.rewrite = self.cfg.rewrite.clone();
         cfg.consistency = self.cfg.consistency;
         cfg
     }

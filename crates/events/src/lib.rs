@@ -234,6 +234,7 @@ pub enum EventKind {
         attributed_pages: u64,
         meter_pages: u64,
         deferred_pages: u64,
+        /// The watchdog's serial check (zero drift at one thread) applied.
         exact: bool,
     },
     /// The watchdog flagged a reconciliation violation.

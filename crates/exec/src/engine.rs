@@ -25,7 +25,10 @@ use crate::state::SharedState;
 pub struct ExecConfig {
     /// Reuse stored results (semantic query rewriting)?
     pub sqr: bool,
-    /// Algorithm 1 knobs for execution-time rewriting.
+    /// Algorithm 1 knobs for execution-time rewriting. Every program
+    /// constructor leaves the default; the field stays only because
+    /// `benchmark/src/ledger.rs` names it, and goes in ROADMAP item 3's
+    /// benchmark PR.
     pub rewrite: RewriteConfig,
     /// Store-freshness policy.
     pub consistency: Consistency,

@@ -8,13 +8,14 @@
 //! table ([`payless_semantic::SharedSemanticStore`]). A session is the
 //! uncontended case: one query at a time, no coalescer, no batcher.
 //!
-//! Lock discipline: every helper here holds **at most one lock at a time**
-//! — `land_delivery` takes the mirror's, the statistics' and a store
-//! shard's one after another, never nested — and no method calls back into
-//! another locked structure, so no lock-order cycles exist by construction.
-//! The closures passed to the `with_*` helpers run under a lock; they are
-//! pure computations (rewriting, estimation) and must not touch shared
-//! state.
+//! Lock discipline: every helper here holds **at most one of its own locks
+//! at a time** — `land_delivery` takes the mirror's, the statistics' and a
+//! store shard's one after another, never nested — and no method calls back
+//! into another locked structure, so no lock-order cycles exist by
+//! construction. The one nesting is the [`RowObserver`], which runs under
+//! the mirror lock and may take its owner's lock inside it. The closures
+//! passed to the `with_*` helpers run under a lock; they are pure
+//! computations (rewriting, estimation) and must not touch shared state.
 
 use std::sync::{Arc, OnceLock, RwLock};
 
@@ -28,9 +29,9 @@ use payless_telemetry::{QErrorRecord, Recorder};
 use payless_types::{Result, Row, Schema};
 
 /// Observer invoked after a market delivery lands in the shared mirror:
-/// `(table, delivered rows)`. Runs with **no** lock held, so it may do I/O
-/// (a durability layer appending the rows to its log) without stalling
-/// concurrent queries.
+/// `(table, rows the delivery added)`. Runs under the mirror's write lock,
+/// so it must not touch this state; it may take its own lock and do I/O (a
+/// durability layer appending the rows to its log).
 pub type RowObserver = dyn Fn(&str, &[Row]) + Send + Sync;
 
 /// Buyer-side state shared by every in-flight query.
@@ -209,18 +210,19 @@ impl SharedState {
     }
 
     /// Insert `rows` into `schema`'s mirror table, creating it if needed.
-    /// An attached [`RowObserver`] sees the delivery after the insert,
-    /// outside the mirror lock — insert-before-notify is what lets a
-    /// durability layer treat its row log as always trailing the mirror
-    /// (never ahead of it).
+    /// An attached [`RowObserver`] then sees only the rows the set insert
+    /// appended (a re-bought row the mirror already holds is not new), so a
+    /// durability layer logs each distinct row once. It runs before the
+    /// mirror write lock is released: a concurrent delivery that finds a
+    /// row already present goes on to record its spend, and by then that
+    /// row's log frame is written.
     fn insert_rows(&self, schema: &Schema, rows: Vec<Row>) {
-        let observed = self
-            .row_observer
-            .get()
-            .map(|obs| (Arc::clone(obs), rows.clone()));
-        wr(&self.db).table_or_create(schema).insert_all(rows);
-        if let Some((obs, rows)) = observed {
-            obs(&schema.table, &rows);
+        let mut db = wr(&self.db);
+        let table = db.table_or_create(schema);
+        let before = table.len();
+        table.insert_all(rows);
+        if let Some(obs) = self.row_observer.get() {
+            obs(&schema.table, &table.rows()[before..]);
         }
     }
 
@@ -232,5 +234,43 @@ impl SharedState {
         f: impl FnOnce(&TableModel) -> R,
     ) -> Option<R> {
         rd(&self.stats).table(table).map(f)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Mutex;
+
+    use payless_geometry::Interval;
+    use payless_types::{row, Column, Domain};
+
+    use super::*;
+
+    /// A re-bought delivery (an eviction re-buy, or a remainder that
+    /// overlaps stored coverage on purpose) adds nothing to the mirror, so
+    /// the row observer — `mirror.log`'s writer — sees none of it again.
+    #[test]
+    fn row_observer_sees_each_distinct_row_once() {
+        let schema = Schema::new("T", vec![Column::free("a", Domain::int(0, 9))]);
+        let state = SharedState::new(
+            Database::new(),
+            SharedSemanticStore::new(SemanticStore::new()),
+            StatsRegistry::new(),
+        );
+        let seen: Arc<Mutex<Vec<usize>>> = Arc::default();
+        let log = Arc::clone(&seen);
+        state.attach_row_observer(Arc::new(move |_, rows| {
+            log.lock().unwrap().push(rows.len());
+        }));
+        let delivery = Response {
+            rows: (0..3i64).map(|a| row!(a)).collect(),
+            transactions: 1,
+        };
+        let region = Region::new(vec![Interval::new(0, 9)]);
+        for now in [1, 2] {
+            state.land_delivery(None, &schema, region.clone(), delivery.clone(), false, now);
+        }
+        assert_eq!(*seen.lock().unwrap(), [3, 0]);
+        assert_eq!(state.with_db(|db| db.table("T").unwrap().len()), 3);
     }
 }

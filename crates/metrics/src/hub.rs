@@ -176,7 +176,8 @@ pub struct MetricsHub {
     pub watchdog_drift_pages: Arc<Gauge>,
     /// Largest drift ever sampled.
     pub watchdog_max_drift_pages: Arc<Gauge>,
-    /// Reconciliation violations detected (over-attribution, exact-mode drift).
+    /// Reconciliation violations detected (over-attribution, drift at one
+    /// thread).
     pub watchdog_violations: Arc<Counter>,
 
     window: Duration,

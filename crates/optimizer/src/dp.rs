@@ -38,7 +38,9 @@ pub struct OptimizerConfig {
     pub strategy: SearchStrategy,
     /// Objective.
     pub model: CostModel,
-    /// Algorithm 1 knobs.
+    /// Algorithm 1 knobs. Every program caller leaves the default; the
+    /// field stays only because `benchmark/src/ledger.rs` names it, and
+    /// goes in ROADMAP item 3's benchmark PR.
     pub rewrite: RewriteConfig,
     /// Store-freshness policy.
     pub consistency: Consistency,

@@ -40,14 +40,6 @@ pub struct RewriteConfig {
     /// subtraction pieces as remainders (correct, possibly suboptimal) —
     /// keeping rewriting linear in the fragmentation.
     pub max_cells: usize,
-    /// Exact mode: always issue the raw subtraction pieces, never a merged
-    /// bounding box (Algorithm 1) or a consolidated whole-region call —
-    /// remainders are guaranteed disjoint from stored coverage, so no
-    /// covered record is ever re-bought. Single-tenant sessions leave this
-    /// off (merging trades a few re-bought records for fewer calls); the
-    /// concurrent serving layer turns it on so delivered spend is
-    /// reproducible across thread interleavings.
-    pub exact: bool,
 }
 
 impl Default for RewriteConfig {
@@ -57,7 +49,6 @@ impl Default for RewriteConfig {
             price_pruning: true,
             max_candidates: 2_048,
             max_cells: 256,
-            exact: false,
         }
     }
 }
@@ -72,12 +63,11 @@ impl RewriteConfig {
         }
     }
 
-    /// Exact subtraction remainders (see [`RewriteConfig::exact`]).
+    /// The default configuration under its former exact-mode name. No
+    /// program caller (`clippy.toml` forbids one); it stays only because
+    /// `benchmark/src/ledger.rs` names it, and goes with the benchmark PR.
     pub fn exact() -> Self {
-        RewriteConfig {
-            exact: true,
-            ..Self::default()
-        }
+        Self::default()
     }
 }
 
@@ -159,8 +149,7 @@ pub fn rewrite<V: Borrow<Region>>(
 ///
 /// The piece *boxes* may differ between a cached and a from-scratch call
 /// (decomposition order is not canonical), but they describe the same point
-/// set, so covers remain feasible and exact-mode spend at `page_size == 1`
-/// is unchanged.
+/// set, so covers remain feasible.
 pub fn rewrite_cached(
     stats: &dyn CardinalityModel,
     page_size: u64,
@@ -176,33 +165,6 @@ pub fn rewrite_cached(
             fully_covered: true,
             boxes_enumerated: 0,
             boxes_kept: 0,
-            cover_sets: 0,
-            cover_chosen: 0,
-        };
-    }
-
-    // --- Exact mode -------------------------------------------------------
-    // Raw subtraction pieces, nothing merged: every remainder is disjoint
-    // from stored coverage, so no covered record is re-bought regardless of
-    // what the store happens to contain. Spend becomes a function of the
-    // query set alone — the property the serving layer's cross-thread
-    // reconciliation relies on.
-    if cfg.exact {
-        let mut remainders = Vec::new();
-        for piece in pieces {
-            remainders.extend(space.expressible_cover(piece));
-        }
-        let est: f64 = remainders
-            .iter()
-            .map(|r| est_transactions(stats.estimate(r), page_size))
-            .sum();
-        let n = remainders.len() as u64;
-        return Rewrite {
-            remainders,
-            est_transactions: est,
-            fully_covered: false,
-            boxes_enumerated: n,
-            boxes_kept: n,
             cover_sets: 0,
             cover_chosen: 0,
         };
@@ -625,11 +587,7 @@ mod tests {
         let stats = figure6_stats();
         let views = [region![(10, 19)], region![(30, 59)]];
         let q = region![(0, 100)];
-        for cfg in [
-            RewriteConfig::default(),
-            RewriteConfig::no_pruning(),
-            RewriteConfig::exact(),
-        ] {
+        for cfg in [RewriteConfig::default(), RewriteConfig::no_pruning()] {
             let scratch = rewrite(&stats, 100, &q, &views, &cfg);
             let pieces = q.subtract_all(&views);
             let cached = rewrite_cached(&stats, 100, &q, &pieces, &cfg);
@@ -963,43 +921,5 @@ mod tests {
                 "{path}"
             );
         }
-    }
-
-    #[test]
-    fn exact_mode_never_overlaps_stored_coverage() {
-        let stats = figure6_stats();
-        let views = vec![region![(20, 40)], region![(60, 70)]];
-        let q = region![(0, 100)];
-        let out = rewrite(&stats, 10, &q, &views, &RewriteConfig::exact());
-        assert!(!out.fully_covered);
-        assert!(!out.remainders.is_empty());
-        for r in &out.remainders {
-            for v in &views {
-                assert!(
-                    !r.overlaps(v),
-                    "exact remainder {r:?} overlaps stored view {v:?}"
-                );
-            }
-        }
-        // Together with the stored views, the remainders still cover the
-        // whole query region.
-        let mut all = views.clone();
-        all.extend(out.remainders.iter().cloned());
-        assert!(q.subtract_all(&all).is_empty());
-    }
-
-    #[test]
-    fn exact_mode_is_fully_covered_aware() {
-        let stats = figure6_stats();
-        let views = vec![region![(0, 100)]];
-        let out = rewrite(
-            &stats,
-            10,
-            &region![(5, 50)],
-            &views,
-            &RewriteConfig::exact(),
-        );
-        assert!(out.fully_covered);
-        assert!(out.remainders.is_empty());
     }
 }

@@ -33,9 +33,7 @@ use payless_exec::{
 use payless_market::DataMarket;
 use payless_metrics::MetricsHub;
 use payless_optimizer::OptimizerConfig;
-use payless_semantic::{
-    Consistency, RewriteConfig, SemanticStore, SharedSemanticStore, StoreConfig,
-};
+use payless_semantic::{Consistency, SemanticStore, SharedSemanticStore, StoreConfig};
 use payless_sql::{analyze, parse, MapCatalog, SelectStmt};
 use payless_stats::StatsRegistry;
 use payless_storage::LocalTable;
@@ -63,13 +61,6 @@ pub struct ServeConfig {
     pub coalesce: bool,
     /// Store-freshness policy shared by every client.
     pub consistency: Consistency,
-    /// Rewrite knobs. Defaults to [`RewriteConfig::exact`]: raw subtraction
-    /// remainders never overlap stored coverage, so no record is bought
-    /// twice and delivered spend is reproducible across thread
-    /// interleavings — the property
-    /// `serve_concurrency::parallel_run_matches_serial_oracle` asserts.
-    /// Single-tenant sessions keep Algorithm 1 merging instead.
-    pub rewrite: RewriteConfig,
     /// Retry/backoff policy for market calls. Fault-injected runs should
     /// use [`RetryPolicy::unlimited`] so every query eventually answers
     /// and runs stay comparable across thread counts.
@@ -105,7 +96,6 @@ impl Default for ServeConfig {
             threads: 1,
             coalesce: true,
             consistency: Consistency::Weak,
-            rewrite: RewriteConfig::exact(),
             retry: RetryPolicy::default(),
             metrics: None,
             watchdog_every: 8,
@@ -306,19 +296,18 @@ impl Serve {
         let bound = template.bind(params)?;
         let query = analyze(&bound, &self.catalog)?;
         let mut optimizer = OptimizerConfig::payless();
-        optimizer.rewrite = self.cfg.rewrite.clone();
         optimizer.consistency = self.cfg.consistency;
         let cfg = PipelineConfig {
             optimizer,
             exec: ExecConfig {
                 sqr: true,
-                rewrite: self.cfg.rewrite.clone(),
                 consistency: self.cfg.consistency,
                 recorder: Some(recorder.clone()),
                 retry: self.cfg.retry.clone(),
                 synthesize_ledger: true,
                 metrics: self.cfg.metrics.clone(),
                 events: self.cfg.events.clone(),
+                ..ExecConfig::default()
             },
             download_all: false,
             store_recorder: None,

@@ -17,17 +17,17 @@
 //! Drift is recorded into the metrics hub (`payless_watchdog_*`); under
 //! strict mode a violation aborts the mix immediately instead of waiting
 //! for the exit reconciliation. With one worker thread there is no
-//! in-flight spend at sample time, so strict mode additionally requires
-//! exact zero drift at every sample.
+//! in-flight spend at sample time, so the *serial check* additionally
+//! requires zero drift at every sample.
 //!
 //! **Batched purchasing.** A batch leader charges the meter once and
 //! settles shares onto members whose queries have *not completed yet* —
 //! spend that is neither in flight nor attributed, and that would trip the
-//! exact-mode zero-drift check even single-threaded. The planner tracks
+//! serial check even single-threaded. The planner tracks
 //! exactly those pages in a deferred register
 //! ([`payless_exec::BatchPlanner::deferred_handle`], incremented *before*
 //! any member share becomes visible); [`Watchdog::with_deferred`] attaches
-//! it, the exact-mode check then permits `drift ≤ deferred`, and
+//! it, the serial check then permits `drift ≤ deferred`, and
 //! [`Watchdog::note_query`] drains each completed member's settled pages
 //! (`batch.settled_pages`) back off the register. The over-attribution
 //! checks are untouched: a share is distributed only after its meter
@@ -103,8 +103,8 @@ pub struct Watchdog<'a> {
     every: u64,
     strict: bool,
     /// One worker thread: no spend can be in flight at a sample, so any
-    /// nonzero drift is itself a violation.
-    exact: bool,
+    /// nonzero drift is itself a violation (the serial check).
+    serial: bool,
     base_pages: u64,
     base_by_table: HashMap<Arc<str>, u64>,
     attributed: AtomicU64,
@@ -113,7 +113,7 @@ pub struct Watchdog<'a> {
     samples: AtomicU64,
     max_drift: AtomicU64,
     /// Pages settled onto batch members that have not completed yet —
-    /// drift the exact-mode check must allow (see module docs).
+    /// drift the serial check must allow (see module docs).
     deferred: Option<Arc<AtomicU64>>,
     hub: Option<Arc<MetricsHub>>,
     /// Flight recorder: every sample is journaled, and a violation becomes
@@ -146,7 +146,7 @@ impl<'a> Watchdog<'a> {
             market,
             every: every.max(1),
             strict,
-            exact: threads <= 1,
+            serial: threads <= 1,
             base_pages: base.transactions(),
             base_by_table: table_pages(&base),
             attributed: AtomicU64::new(0),
@@ -162,7 +162,7 @@ impl<'a> Watchdog<'a> {
     }
 
     /// Attach a batch planner's deferred-pages register: spend settled
-    /// onto still-running batch members, which the exact-mode drift check
+    /// onto still-running batch members, which the serial drift check
     /// must tolerate and which each completing member drains via its
     /// `batch.settled_pages` counter.
     pub fn with_deferred(mut self, deferred: Arc<AtomicU64>) -> Self {
@@ -286,13 +286,13 @@ impl<'a> Watchdog<'a> {
         let drift = meter.saturating_sub(attributed);
         // Pages settled onto batch members whose queries are still running
         // are legitimately unattributed; only drift beyond that register is
-        // a violation in exact mode.
+        // a violation under the serial check.
         let deferred = self
             .deferred
             .as_ref()
             .map(|d| d.load(Ordering::SeqCst))
             .unwrap_or(0);
-        if violation.is_none() && self.exact && drift > deferred {
+        if violation.is_none() && self.serial && drift > deferred {
             violation = Some(format!(
                 "single-threaded run sampled drift beyond the batch-deferred register: \
                  meter delta {meter}, attributed {attributed}, deferred {deferred} \
@@ -307,7 +307,7 @@ impl<'a> Watchdog<'a> {
                 attributed_pages: attributed,
                 meter_pages: meter,
                 deferred_pages: deferred,
-                exact: self.exact,
+                exact: self.serial,
             });
             if let Some(v) = &violation {
                 j.emit(None, Severity::Error, || EventKind::WatchdogViolation {
@@ -423,7 +423,7 @@ mod tests {
 
     /// Regression (batched purchasing): a leader charges the meter for the
     /// whole batch but members' shares are attributed only when *their*
-    /// queries complete. Strict exact mode must tolerate exactly that much
+    /// queries complete. The strict serial check must tolerate exactly that much
     /// drift — no more — and the register must drain as members finish.
     #[test]
     fn deferred_share_pages_are_tolerated_then_drained() {
@@ -436,7 +436,7 @@ mod tests {
         market.meter().charge(&"T".into(), 10, 10);
         deferred.store(6, Ordering::SeqCst);
         dog.note_query(&snap(4, 0))
-            .expect("drift equal to the deferred register must pass exact mode");
+            .expect("drift equal to the deferred register must pass the serial check");
 
         // The sibling completes, attributing its 6-page share and draining
         // the register; drift returns to zero and the run reconciles.
@@ -456,12 +456,12 @@ mod tests {
         let err = dog.note_query(&snap(4, 0)).unwrap_err();
         assert!(
             err.to_string().contains("deferred"),
-            "exact mode must flag drift beyond the register: {err}"
+            "the serial check must flag drift beyond the register: {err}"
         );
     }
 
     #[test]
-    fn exact_mode_without_register_flags_any_drift() {
+    fn serial_check_without_register_flags_any_drift() {
         let market = market();
         let dog = Watchdog::new(&market, 1, true, 1, None);
         market.meter().charge(&"T".into(), 5, 5);

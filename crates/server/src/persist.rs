@@ -10,13 +10,15 @@
 //!   serialized under one mutex, so `meter` is exact.
 //! - **`mirror.log`**: the rows behind the coverage — a recovered store that
 //!   claims coverage without data answers queries wrong. Every market
-//!   delivery appends `[u16 name len][table][payless_market::encode_rows]`
-//!   (split over as many frames as it needs) via the executor's
+//!   delivery appends the rows it added to the mirror as
+//!   `[u16 name len][table][payless_market::encode_rows]` (split over as
+//!   many frames as it needs) via the executor's
 //!   [`payless_exec::RowObserver`], before the purchase's spend record, so
-//!   every surviving spend record has its rows earlier in this log. The log
-//!   is **append-only**: nothing truncates it but recovery's torn-tail cut.
-//!   The mirror is a set that never deletes a row, so the whole log *is*
-//!   the durable mirror.
+//!   every surviving spend record has its rows earlier in this log. A
+//!   re-bought row the mirror already holds is not appended again, so the
+//!   log holds each distinct row once. The log is **append-only**: nothing
+//!   truncates it but recovery's torn-tail cut. The mirror is a set that
+//!   never deletes a row, so the whole log *is* the durable mirror.
 //! - **`snapshot.json`**: coverage and money only — `applied_seq`, `ledger`
 //!   and `store`. The snapshotter writes it to `snapshot.json.tmp`,
 //!   atomically renames it, then truncates `wal.log`. A crash between those
@@ -31,14 +33,18 @@
 //! *summing* replayed spends, and each record also carries the *absolute*
 //! meter written at append time; any divergence fails recovery loudly. A
 //! mirror frame whose CRC holds but whose payload does not decode fails
-//! recovery too. Rows delivered twice come back twice; the mirror's set
-//! insert drops the copy.
+//! recovery too. The serving layer logs each row once; a log written any
+//! other way may repeat a row, and the mirror's set insert drops the copy.
 //!
 //! Lock order: the spend observer runs with **no shard lock held** (see
 //! [`payless_semantic::SharedSemanticStore::attach_observer`]), so the
 //! persist mutex never nests inside a shard guard. The snapshotter holds
-//! the persist mutex while reading the shards (read locks), which is the
-//! only nesting and always in that one direction. The in-memory store is
+//! the persist mutex while reading the shards (read locks). The row
+//! observer appends under the serving layer's mirror write lock, so the
+//! mirror lock nests outside the persist mutex. Nothing takes them the
+//! other way: snapshots carry no rows, and `Serve::mirror_dump`, which
+//! reads the mirror, has no program caller. Those are the only two
+//! nestings, each in one direction. The in-memory store is
 //! momentarily *ahead* of the log (insert settled, append pending); the
 //! snapshotter waits that out ([`SharedSemanticStore::settled`]) before it
 //! takes the mutex. The log is never ahead of the store.
@@ -551,11 +557,12 @@ impl DurableStore {
         }
     }
 
-    /// Append one market delivery's rows to the mirror log. Called by the
-    /// executor's row observer *after* the rows landed in the serving
-    /// layer's local mirror and *before* the purchase's spend record is
-    /// appended — so every spend record that survives a crash has its rows
-    /// earlier in this log. Panics on I/O failure, like [`DurableStore::append`].
+    /// Append the rows one market delivery added to the mirror log. Called
+    /// by the executor's row observer *after* the rows landed in the serving
+    /// layer's local mirror (still under its write lock) and *before* the
+    /// purchase's spend record is appended — so every spend record that
+    /// survives a crash has its rows earlier in this log. Panics on I/O
+    /// failure, like [`DurableStore::append`].
     pub fn append_rows(&self, table: &str, rows: &[Row]) {
         if rows.is_empty() {
             return;

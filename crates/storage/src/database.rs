@@ -50,7 +50,10 @@ impl LocalTable {
 
     /// Insert many rows; returns how many were new.
     pub fn insert_all(&mut self, rows: impl IntoIterator<Item = Row>) -> usize {
-        rows.into_iter().filter(|r| self.insert(r.clone())).count()
+        rows.into_iter()
+            .map(|r| self.insert(r))
+            .filter(|&new| new)
+            .count()
     }
 
     /// All rows, in insertion order.

@@ -3,10 +3,11 @@
 //! Queries arriving within the serve layer's batching window park their
 //! uncovered remainders; the window leader buys the merged remainder once
 //! and splits every purchased page's cost across the queries whose
-//! remainder it served. The market runs at `page_size = 1` under the serve
-//! layer's exact rewrite profile, so delivered pages are a function of the
-//! union of purchased regions alone — independent of interleaving *and* of
-//! whether purchases were batched. That gives a sharp oracle:
+//! remainder it served. The market runs at `page_size = 1`, so delivered
+//! pages equal delivered records. The serve layer runs Algorithm 1, which
+//! may re-buy stored records when that is cheaper, so the spend bound below
+//! holds by search (the random-schedule proptest), not by construction.
+//! The oracle:
 //!
 //! * a batched run returns byte-identical answers to the serial unbatched
 //!   replay of the same mix, and never delivers (bills) more pages;

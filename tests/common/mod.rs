@@ -23,7 +23,7 @@ pub fn tiny_workload(seed: u64) -> RealWorkload {
 }
 
 /// A fresh market over `w`. At `page_size = 1` pages == records for every
-/// delivery, which makes delivered spend interleaving-independent.
+/// delivery, so no per-call rounding blurs a spend comparison.
 pub fn build_market(w: &RealWorkload, page_size: u64) -> Arc<DataMarket> {
     Arc::new(payless_core::build_market(w, page_size))
 }

@@ -32,9 +32,7 @@ use payless_metrics::{MetricsConfig, MetricsHub, Registry};
 use payless_serve::{run_mix, Serve, ServeConfig, ServeReport};
 use payless_workload::{serve_mix, MixItem, QueryWorkload, RealWorkload};
 
-/// Single-table WHW templates only: at `page_size = 1` their delivered
-/// pages are interleaving-independent (same rationale as the concurrency
-/// suite).
+/// Single-table WHW templates only, as in the concurrency suite.
 const TEMPLATES: [usize; 2] = [0, 1];
 
 const CHAOS_SEED: u64 = 48879;

@@ -26,8 +26,7 @@ use payless_market::{FaultInjector, FaultKind, FaultPlan};
 use payless_serve::{run_mix, BatchConfig, Serve, ServeConfig, ServeReport};
 use payless_workload::{serve_mix, MixItem, QueryWorkload, RealWorkload};
 
-/// Single-table WHW templates (see `serve_concurrency.rs`): at
-/// `page_size = 1` their delivered pages are interleaving-independent.
+/// Single-table WHW templates, as in `serve_concurrency.rs`.
 const TEMPLATES: [usize; 2] = [0, 1];
 
 /// The pinned chaos seed (0xBEEF).

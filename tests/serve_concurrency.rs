@@ -3,8 +3,9 @@
 //! call coalescing, clean and under injected chaos.
 //!
 //! Invariants checked throughout (the market runs at `page_size = 1`, where
-//! delivered pages equal delivered records and are therefore independent of
-//! thread interleaving — see DESIGN.md "Concurrent serving & call
+//! delivered pages equal delivered records; Algorithm 1 may re-buy stored
+//! records when that is cheaper, so spend bounds below hold by search — the
+//! proptest — not by construction; see DESIGN.md "Concurrent serving & call
 //! coalescing"):
 //!
 //! * every run returns the same answers as the single-threaded serial
@@ -28,8 +29,8 @@ use payless_serve::{run_mix, Serve, ServeConfig, ServeReport};
 use payless_workload::{serve_mix, MixItem, QueryWorkload, RealWorkload};
 
 /// Both single-table WHW templates: Weather country + date range, and the
-/// Pollution rank count. Bind-join templates are excluded on purpose — at
-/// `page_size = 1` these two make delivered pages interleaving-independent.
+/// Pollution rank count. Bind-join templates are excluded on purpose: the
+/// suite's spend bounds compare single-table purchases only.
 const TEMPLATES: [usize; 2] = [0, 1];
 
 /// Replay `mix` on a fresh serving layer. Fault-injected runs retry without

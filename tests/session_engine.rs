@@ -14,8 +14,8 @@
 //!   moved onto `SharedState`; a mismatch writes the new text next to the
 //!   test binary's scratch directory so it can be diffed.
 //! * `session_equals_one_client_serve` runs the same stream through a
-//!   session configured like `Serve` (exact rewrite) and through `Serve`
-//!   with one thread and coalescing off, clean and under one chaos seed:
+//!   session at its defaults and through `Serve` with one thread and
+//!   coalescing off — both run Algorithm 1 — clean and under one chaos seed:
 //!   equal answers, equal pages per query, equal spend ledgers entry for
 //!   entry, and both ledgers sum to their market's meter.
 
@@ -30,7 +30,6 @@ use payless_core::{
     RetryPolicy, TelemetrySnapshot,
 };
 use payless_json::Json;
-use payless_semantic::RewriteConfig;
 use payless_serve::{digest_rows, Serve, ServeConfig};
 use payless_types::Value;
 use payless_workload::{QueryWorkload, RealWorkload, WhwConfig};
@@ -220,7 +219,6 @@ fn session_equals_one_client_serve() {
             faulty(build_market(&w, 100)),
             &w,
             PayLessConfig {
-                rewrite: RewriteConfig::exact(),
                 retry: RetryPolicy::unlimited(),
                 ..PayLessConfig::default()
             },
