@@ -1,5 +1,6 @@
 //! The shell's command dispatcher (testable, no I/O).
 
+use std::path::Path;
 use std::sync::Arc;
 
 use payless_core::{
@@ -8,6 +9,7 @@ use payless_core::{
 };
 use payless_json::{Json, ToJson};
 use payless_serve::{run_mix, Serve, ServeConfig};
+use payless_server::persist::{recover, PersistConfig};
 use payless_workload::{
     serve_mix, Finance, FinanceConfig, QueryWorkload, RealWorkload, Tpch, TpchConfig, WhwConfig,
 };
@@ -20,15 +22,14 @@ use crate::render::{render_explain, render_report, render_table};
 pub enum Reply {
     /// Print this text and continue.
     Text(String),
-    /// Print (maybe) and exit the loop.
-    Quit(String),
+    /// Exit the loop.
+    Quit,
 }
 
 /// One interactive session.
 pub struct App {
     market: Arc<DataMarket>,
     session: PayLess,
-    session_file: Option<String>,
     /// Report of the most recent traced query (for `\report`).
     last_report: Option<QueryReport>,
     /// Destination for the session's Chrome-trace document, if requested.
@@ -55,7 +56,7 @@ pub struct App {
 
 /// Write an artifact file, creating missing parent directories and turning
 /// I/O failures into a clean message instead of a panic. Every `--*-out`
-/// flag and `\save` funnels through here so they all behave the same way.
+/// flag funnels through here so they all behave the same way.
 pub(crate) fn write_artifact(path: &str, contents: &str) -> Result<(), String> {
     if let Some(parent) = std::path::Path::new(path).parent() {
         if !parent.as_os_str().is_empty() {
@@ -89,8 +90,8 @@ fn dump_metrics(hub: &MetricsHub, path: &str) -> Result<String, String> {
 
 impl App {
     /// Build a session from parsed arguments: generate the workload, stand
-    /// up the market, install PayLess, register local tables, and load a
-    /// saved session when present.
+    /// up the market, install PayLess — recovered from its `--session`
+    /// data directory when one is given — and register local tables.
     pub fn new(args: &CliArgs) -> Result<App, String> {
         let (market, local_tables): (Arc<DataMarket>, Vec<payless_storage::LocalTable>) =
             match args.workload {
@@ -124,14 +125,20 @@ impl App {
                 }
             };
         let cfg = PayLessConfig::mode(args.mode);
-        let mut session = match &args.session_file {
-            Some(path) if std::path::Path::new(path).exists() => {
-                let json = std::fs::read_to_string(path)
-                    .map_err(|e| format!("reading session `{path}`: {e}"))?;
-                PayLess::from_json(market.clone(), cfg, &json)
-                    .map_err(|e| format!("loading session `{path}`: {e}"))?
+        let mut session = match &args.session_dir {
+            Some(dir) => {
+                let build = |store| PayLess::with_store(Arc::clone(&market), cfg, store);
+                recover(
+                    Path::new(dir),
+                    PersistConfig::default(),
+                    &market,
+                    build,
+                    PayLess::state,
+                )
+                .map_err(|e| format!("opening session `{dir}`: {e}"))?
+                .0
             }
-            _ => PayLess::new(market.clone(), cfg),
+            None => PayLess::new(market.clone(), cfg),
         };
         for t in local_tables {
             session.register_local(t);
@@ -146,7 +153,6 @@ impl App {
         Ok(App {
             market,
             session,
-            session_file: args.session_file.clone(),
             last_report: None,
             trace_out: args.trace_out.clone(),
             explain_out: args.explain_out.clone(),
@@ -285,15 +291,6 @@ impl App {
         s
     }
 
-    fn save(&self, path: &str) -> Result<String, String> {
-        let json = self
-            .session
-            .to_json()
-            .map_err(|e| format!("serializing session: {e}"))?;
-        write_artifact(path, &json)?;
-        Ok(format!("session saved to {path} ({} bytes)", json.len()))
-    }
-
     /// Handle one input line; `Reply::Quit` ends the loop.
     pub fn handle(&mut self, line: &str) -> Reply {
         let line = line.trim();
@@ -306,13 +303,7 @@ impl App {
                 None => (cmd, ""),
             };
             return match head {
-                "q" | "quit" | "exit" => {
-                    let msg = match &self.session_file {
-                        Some(path) => self.save(path).unwrap_or_else(|e| format!("warning: {e}")),
-                        None => String::new(),
-                    };
-                    Reply::Quit(msg)
-                }
+                "q" | "quit" | "exit" => Reply::Quit,
                 "help" => Reply::Text(crate::args::USAGE.to_string()),
                 "tables" => Reply::Text(self.tables_text()),
                 "bill" => Reply::Text(self.bill_text()),
@@ -438,12 +429,6 @@ impl App {
                     Some(r) => Reply::Text(r.to_json().to_string_pretty()),
                     None => Reply::Text("no traced query yet (enable with \\trace)".into()),
                 },
-                "save" => {
-                    if rest.is_empty() {
-                        return Reply::Text("usage: \\save <file>".into());
-                    }
-                    Reply::Text(self.save(rest).unwrap_or_else(|e| format!("error: {e}")))
-                }
                 other => Reply::Text(format!("unknown command `\\{other}` (try \\help)")),
             };
         }
@@ -870,7 +855,7 @@ mod tests {
     fn unknown_command_and_quit() {
         let mut a = app();
         assert!(matches!(a.handle("\\frobnicate"), Reply::Text(_)));
-        assert!(matches!(a.handle("\\quit"), Reply::Quit(_)));
+        assert!(matches!(a.handle("\\quit"), Reply::Quit));
         assert!(matches!(a.handle("   "), Reply::Text(ref s) if s.is_empty()));
     }
 
@@ -910,36 +895,27 @@ mod tests {
     }
 
     #[test]
-    fn save_and_reload_session_file() {
+    fn session_dir_reopens_and_rebuys_nothing() {
         let dir = std::env::temp_dir().join(format!("payless-cli-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("session.json");
-        let path_str = path.to_str().unwrap().to_string();
-
-        let mut a = App::new(&CliArgs {
+        let _ = std::fs::remove_dir_all(&dir);
+        let args = CliArgs {
             scale: 0.01,
-            session_file: Some(path_str.clone()),
+            session_dir: Some(dir.to_str().unwrap().to_string()),
             ..CliArgs::default()
-        })
-        .unwrap();
-        a.handle("SELECT * FROM Weather WHERE Weather.Country = 'Country0' AND Weather.Date >= 1 AND Weather.Date <= 3");
-        let paid = a.market.bill().transactions();
-        assert!(paid > 0);
-        match a.handle("\\quit") {
-            Reply::Quit(msg) => assert!(msg.contains("session saved"), "{msg}"),
-            other => panic!("{other:?}"),
-        }
+        };
+        let sql = "SELECT * FROM Weather WHERE Weather.Country = 'Country0' \
+                   AND Weather.Date >= 1 AND Weather.Date <= 3";
+        let mut a = App::new(&args).unwrap();
+        a.handle(sql);
+        assert!(a.market.bill().transactions() > 0);
+        assert_eq!(a.handle("\\quit"), Reply::Quit);
+        drop(a);
 
-        // Reload: same query must be answered from the restored store.
-        let mut b = App::new(&CliArgs {
-            scale: 0.01,
-            session_file: Some(path_str),
-            ..CliArgs::default()
-        })
-        .unwrap();
-        let before = b.market.bill().transactions();
-        b.handle("SELECT * FROM Weather WHERE Weather.Country = 'Country0' AND Weather.Date >= 1 AND Weather.Date <= 3");
-        assert_eq!(b.market.bill().transactions(), before);
+        // Reopen: the purchase was logged as it happened, so the same query
+        // is answered from the recovered store on a fresh market's meter.
+        let mut b = App::new(&args).unwrap();
+        b.handle(sql);
+        assert_eq!(b.market.bill().transactions(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

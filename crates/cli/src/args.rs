@@ -26,8 +26,9 @@ pub struct CliArgs {
     pub page_size: u64,
     /// System variant.
     pub mode: Mode,
-    /// Session file to load on start (if it exists) and save on exit.
-    pub session_file: Option<String>,
+    /// Data directory the session lives in (`wal.log` + `mirror.log`):
+    /// replayed on start, appended to by every purchase.
+    pub session_dir: Option<String>,
     /// Per-query tracing: print an `EXPLAIN ANALYZE`-style report (spend
     /// ledger, SQR hits, plan-search effort, phase timings) after each query.
     pub trace: bool,
@@ -76,7 +77,7 @@ impl Default for CliArgs {
             scale: 0.02,
             page_size: 100,
             mode: Mode::PayLess,
-            session_file: None,
+            session_dir: None,
             trace: false,
             trace_out: None,
             explain_out: None,
@@ -110,7 +111,9 @@ OPTIONS:
     --page <int>                      tuples per transaction t (default: 100)
     --mode <payless|no-sqr|min-calls|download-all>
                                       system variant (default: payless)
-    --session <file>                  load/save session state as JSON
+    --session <dir>                   keep the session in a data directory:
+                                      every purchase is logged there, and a
+                                      restart replays it (nothing to save)
     --trace                           per-query report: spend ledger, SQR
                                       hits, plan search, phase timings
                                       (alias: --report)
@@ -162,8 +165,7 @@ Without SQL, an interactive shell starts. Shell commands:
     \\why [query-id]  spend provenance: the calls, retries, faults, and
                      batch shares that billed the query (default: the
                      most recent journaled query)
-    \\save <file>     persist the session
-    \\quit            exit (saving the session if --session was given)";
+    \\quit            exit";
 
 /// Parse argv (excluding the program name).
 pub fn parse_args(argv: &[String]) -> Result<CliArgs, String> {
@@ -214,7 +216,7 @@ pub fn parse_args(argv: &[String]) -> Result<CliArgs, String> {
                     other => return Err(format!("unknown mode `{other}`")),
                 };
             }
-            "--session" => out.session_file = Some(take_value(&mut i)?),
+            "--session" => out.session_dir = Some(take_value(&mut i)?),
             "--trace" | "--report" => out.trace = true,
             "--trace-out" => {
                 out.trace_out = Some(take_value(&mut i)?);
@@ -307,14 +309,14 @@ mod tests {
             "--mode",
             "min-calls",
             "--session",
-            "state.json",
+            "state",
         ]))
         .unwrap();
         assert_eq!(a.workload, WorkloadKind::TpchSkew);
         assert_eq!(a.scale, 0.5);
         assert_eq!(a.page_size, 50);
         assert_eq!(a.mode, Mode::MinCalls);
-        assert_eq!(a.session_file.as_deref(), Some("state.json"));
+        assert_eq!(a.session_dir.as_deref(), Some("state"));
         assert!(a.sql.is_none());
     }
 

@@ -52,8 +52,8 @@ fn main() {
 
     // One-shot mode.
     if let Some(sql) = &args.sql {
-        match app.handle(sql) {
-            Reply::Text(s) | Reply::Quit(s) => println!("{s}"),
+        if let Reply::Text(s) = app.handle(sql) {
+            println!("{s}");
         }
         if let Some(msg) = app.finish() {
             println!("{msg}");
@@ -77,12 +77,7 @@ fn main() {
                         println!("{s}");
                     }
                 }
-                Reply::Quit(s) => {
-                    if !s.is_empty() {
-                        println!("{s}");
-                    }
-                    break;
-                }
+                Reply::Quit => break,
             },
             Err(e) => {
                 eprintln!("stdin error: {e}");

@@ -63,6 +63,4 @@ pub use payless_telemetry::{
     QErrorRecord, Recorder, SpendCell, SqrStats, TelemetrySnapshot, TransactionRecord,
 };
 pub use report::QueryReport;
-pub use session::{
-    build_market, HistoryEntry, Mode, PayLess, PayLessConfig, QueryOutcome, SessionSnapshot,
-};
+pub use session::{build_market, HistoryEntry, Mode, PayLess, PayLessConfig, QueryOutcome};

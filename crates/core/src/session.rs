@@ -9,14 +9,13 @@ use std::time::Instant;
 use payless_exec::{
     pipeline, Env, ExecConfig, PipelineConfig, QueryResult, Ran, RetryPolicy, SharedState,
 };
-use payless_json::{FromJson, Json, ToJson};
 use payless_market::DataMarket;
 use payless_metrics::MetricsHub;
 use payless_optimizer::{OptimizerConfig, PlanCounters};
-use payless_semantic::{Consistency, SemanticStore, SharedSemanticStore, StoreConfig};
-use payless_sql::{analyze, parse, AnalyzedQuery, Catalog, MapCatalog, SelectStmt, TableLocation};
+use payless_semantic::{Consistency, SemanticStore, StoreConfig};
+use payless_sql::{analyze, parse, AnalyzedQuery, MapCatalog, SelectStmt, TableLocation};
 use payless_stats::{StatsBackend, StatsRegistry};
-use payless_storage::{Database, LocalTable};
+use payless_storage::LocalTable;
 use payless_telemetry::Recorder;
 use payless_types::{Result, Value};
 use payless_workload::QueryWorkload;
@@ -118,41 +117,6 @@ pub struct HistoryEntry {
     pub rows: usize,
 }
 
-/// Everything a session has learned, for persistence across restarts.
-#[derive(Debug, Clone)]
-pub struct SessionSnapshot {
-    /// Logical clock at capture time.
-    pub now: u64,
-    /// Local tables plus the mirror of every retrieved market tuple.
-    pub db: Database,
-    /// Semantic-store coverage (regions + freshness).
-    pub store: SemanticStore,
-    /// Refined statistics.
-    pub stats: StatsRegistry,
-}
-
-impl ToJson for SessionSnapshot {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("now", self.now.to_json()),
-            ("db", self.db.to_json()),
-            ("store", self.store.to_json()),
-            ("stats", self.stats.to_json()),
-        ])
-    }
-}
-
-impl FromJson for SessionSnapshot {
-    fn from_json(json: &Json) -> std::result::Result<Self, payless_json::JsonError> {
-        Ok(SessionSnapshot {
-            now: u64::from_json(json.get("now")?)?,
-            db: Database::from_json(json.get("db")?)?,
-            store: SemanticStore::from_json(json.get("store")?)?,
-            stats: StatsRegistry::from_json(json.get("stats")?)?,
-        })
-    }
-}
-
 /// A PayLess installation at one data buyer.
 pub struct PayLess {
     market: Arc<DataMarket>,
@@ -165,7 +129,7 @@ pub struct PayLess {
     /// Logical clock: advanced once per executed query; drives X-week
     /// consistency windows.
     now: u64,
-    /// Per-query log (not persisted in snapshots).
+    /// Per-query log (not persisted).
     history: Vec<HistoryEntry>,
     /// Telemetry sink shared by the store and the executor, whose call
     /// layer writes the spend ledger into it. Disabled by default;
@@ -181,8 +145,20 @@ impl PayLess {
     /// Install PayLess over a market: registers every hosted table's schema,
     /// cardinality and query space (the "basic statistics" of Section 2.1).
     pub fn new(market: Arc<DataMarket>, cfg: PayLessConfig) -> Self {
+        Self::with_store(market, cfg, SemanticStore::new())
+    }
+
+    /// As [`PayLess::new`], over a warm `store` replayed from a data
+    /// directory (`payless_server::persist::recover`, behind the CLI's
+    /// `--session`): its coverage is honoured, and the clock resumes after
+    /// its newest view, so no view is dated in the future.
+    pub fn with_store(
+        market: Arc<DataMarket>,
+        cfg: PayLessConfig,
+        mut store: SemanticStore,
+    ) -> Self {
         let recorder = Arc::new(Recorder::default());
-        let mut store = SemanticStore::new();
+        let now = store.newest_stored_at();
         store.set_config(cfg.store);
         store.attach_recorder(recorder.clone());
         let (catalog, state) = SharedState::for_market(
@@ -196,7 +172,7 @@ impl PayLess {
             catalog,
             state,
             cfg,
-            now: 0,
+            now,
             history: Vec::new(),
             recorder,
             metrics: None,
@@ -265,7 +241,7 @@ impl PayLess {
     }
 
     /// The buyer-side state: local mirror, semantic store and refined
-    /// statistics (for tooling and experiments).
+    /// statistics (for tooling, experiments and recovery).
     pub fn state(&self) -> &SharedState {
         &self.state
     }
@@ -501,60 +477,6 @@ impl PayLess {
             execute_nanos: ran.execute_nanos,
             report,
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Session persistence
-    // ------------------------------------------------------------------
-
-    /// Capture everything the session has learned and retrieved: the local
-    /// mirror (all rows ever fetched), the semantic-store coverage, the
-    /// refined statistics, and the logical clock.
-    ///
-    /// PayLess "deliberately uses cheap storage space to store all
-    /// intermediate results" (Section 3) — a real installation persists this
-    /// state across restarts so the organization keeps the data it paid for.
-    pub fn snapshot(&self) -> SessionSnapshot {
-        SessionSnapshot {
-            now: self.now,
-            db: self.state.with_db(Database::clone),
-            store: self.state.store().snapshot(),
-            stats: self.state.stats_snapshot(),
-        }
-    }
-
-    /// Rebuild a session from a snapshot. Tables present in the snapshot's
-    /// database but not hosted by the market are re-registered as local.
-    pub fn restore(market: Arc<DataMarket>, cfg: PayLessConfig, snapshot: SessionSnapshot) -> Self {
-        let mut pl = PayLess::new(market, cfg);
-        for name in snapshot.db.table_names() {
-            if pl.catalog.schema(&name).is_none() {
-                let table = snapshot.db.table(&name).expect("listed table");
-                pl.catalog.add(table.schema.clone(), TableLocation::Local);
-            }
-        }
-        // The snapshot carries neither config nor recorder — both belong to
-        // the session, not the persisted coverage. Re-apply this session's.
-        let mut store = snapshot.store;
-        store.set_config(pl.cfg.store);
-        store.attach_recorder(pl.recorder.clone());
-        pl.state = SharedState::new(snapshot.db, SharedSemanticStore::new(store), snapshot.stats);
-        pl.now = snapshot.now;
-        pl
-    }
-
-    /// Serialize the session state to JSON.
-    pub fn to_json(&self) -> Result<String> {
-        Ok(ToJson::to_json(&self.snapshot()).to_string_compact())
-    }
-
-    /// Restore a session from [`PayLess::to_json`] output.
-    pub fn from_json(market: Arc<DataMarket>, cfg: PayLessConfig, json: &str) -> Result<Self> {
-        let parsed = payless_json::parse(json)
-            .map_err(|e| payless_types::PaylessError::Internal(format!("deserialize: {e}")))?;
-        let snapshot = SessionSnapshot::from_json(&parsed)
-            .map_err(|e| payless_types::PaylessError::Internal(format!("deserialize: {e}")))?;
-        Ok(Self::restore(market, cfg, snapshot))
     }
 
     fn optimizer_config(&self) -> OptimizerConfig {
@@ -849,57 +771,29 @@ mod tests {
         assert_eq!(second.telemetry.ledger[0].seq, 0);
     }
 
+    /// A session reopened over a recovered store resumes its clock after
+    /// the newest view, so Window consistency keeps ageing that view: once
+    /// the window has passed, the query pays again.
     #[test]
-    fn session_round_trips_through_json() {
-        let (market, mut pl, workload) = session(Mode::PayLess);
-        let sql = "SELECT * FROM Weather WHERE Weather.Country = 'Country1' AND \
-                   Weather.Date >= 5 AND Weather.Date <= 9";
-        let first = pl.query(sql).unwrap();
-        let paid = market.bill().transactions();
-        let json = pl.to_json().unwrap();
-        drop(pl);
-
-        // A restored session reuses everything the old one paid for.
-        let mut restored =
-            PayLess::from_json(market.clone(), PayLessConfig::default(), &json).unwrap();
-        let again = restored.query(sql).unwrap();
-        assert_eq!(market.bill().transactions(), paid);
-        assert_eq!(first.result, again.result);
-        // Local tables survive too.
-        let zips = restored
-            .query("SELECT * FROM ZipMap WHERE City = 'City0'")
-            .unwrap();
-        let direct = workload.local_tables()[0]
-            .rows()
-            .iter()
-            .filter(|r| r.get(1).as_str() == Some("City0"))
-            .count();
-        assert_eq!(zips.result.rows.len(), direct);
-        assert_eq!(market.bill().transactions(), paid);
-    }
-
-    #[test]
-    fn snapshot_preserves_clock_for_window_consistency() {
-        let (market, _, workload) = session(Mode::PayLess);
+    fn reopened_session_resumes_its_clock_for_window_consistency() {
+        let (market, _, _) = session(Mode::PayLess);
         let cfg = PayLessConfig {
             consistency: Consistency::Window(3),
             ..Default::default()
         };
         let mut pl = PayLess::new(market.clone(), cfg.clone());
-        for t in QueryWorkload::local_tables(&workload) {
-            pl.register_local(t.clone());
-        }
         let sql = "SELECT * FROM Weather WHERE Weather.Country = 'Country2' AND \
                    Weather.Date >= 1 AND Weather.Date <= 5";
         pl.query(sql).unwrap();
-        pl.advance_clock(10);
-        let snap = pl.snapshot();
-        assert!(snap.now >= 10);
-        let mut restored = PayLess::restore(market.clone(), cfg, snap);
-        // The stored view is stale relative to the restored clock; the query
+        pl.query(sql).unwrap();
+        assert_eq!(pl.now(), 2);
+        let mut reopened = PayLess::with_store(market.clone(), cfg, pl.state().store().snapshot());
+        assert_eq!(reopened.now(), 1, "the only view was bought at tick 1");
+        reopened.advance_clock(10);
+        // The stored view is stale relative to the resumed clock; the query
         // must pay again.
         let before = market.bill().transactions();
-        restored.query(sql).unwrap();
+        reopened.query(sql).unwrap();
         assert!(market.bill().transactions() > before);
     }
 

@@ -1133,7 +1133,7 @@ fn satisfies_access(row: &Row, access: &payless_sql::TableAccess) -> bool {
 
 /// Allocation-free check: does a full-width mirror row fall inside `region`
 /// of the table's query space?
-fn row_in_region(space: &QuerySpace, row: &Row, region: &Region) -> bool {
+pub(crate) fn row_in_region(space: &QuerySpace, row: &Row, region: &Region) -> bool {
     space.dims().iter().enumerate().all(|(i, dim)| {
         let iv = region.dim(i);
         match row.get(dim.col) {

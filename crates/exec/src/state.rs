@@ -28,6 +28,8 @@ use payless_storage::{Database, LocalTable};
 use payless_telemetry::{QErrorRecord, Recorder};
 use payless_types::{Result, Row, Schema};
 
+use crate::engine::row_in_region;
+
 /// Observer invoked after a market delivery lands in the shared mirror:
 /// `(table, rows the delivery added)`. Runs under the mirror's write lock,
 /// so it must not touch this state; it may take its own lock and do I/O (a
@@ -209,6 +211,29 @@ impl SharedState {
         }
     }
 
+    /// Re-derive what one recovered purchase of `region` taught the
+    /// statistics: the `feedback(region, records)` call
+    /// [`SharedState::land_delivery`] made when it landed, with `records`
+    /// counted from the mirror rows inside `region`. A delivery carries
+    /// every row of its region, so once the recovered mirror is seeded that
+    /// count is the delivery's.
+    pub fn replay_feedback(&self, table: &str, region: &Region) {
+        let Some(space) = self.store.space(table) else {
+            return;
+        };
+        let records = self.with_db(|db| {
+            db.table(table).map_or(0, |t| {
+                t.rows()
+                    .iter()
+                    .filter(|row| row_in_region(&space, row, region))
+                    .count()
+            })
+        });
+        if let Some(ts) = wr(&self.stats).table_mut(table) {
+            ts.feedback(region, records as u64);
+        }
+    }
+
     /// Insert `rows` into `schema`'s mirror table, creating it if needed.
     /// An attached [`RowObserver`] then sees only the rows the set insert
     /// appended (a re-bought row the mirror already holds is not new), so a
@@ -272,5 +297,50 @@ mod tests {
         }
         assert_eq!(*seen.lock().unwrap(), [3, 0]);
         assert_eq!(state.with_db(|db| db.table("T").unwrap().len()), 3);
+    }
+
+    /// Recovery's `replay_feedback`, run over the recovered mirror in log
+    /// order, leaves the statistics exactly where the live deliveries left
+    /// them — overlapping deliveries included.
+    #[test]
+    fn replay_feedback_repeats_the_live_feedback() {
+        let schema = Schema::new("T", vec![Column::free("a", Domain::int(0, 99))]);
+        let fresh = || {
+            let mut store = SemanticStore::new();
+            store.register(QuerySpace::of(&schema));
+            let mut stats = StatsRegistry::new();
+            stats.register(&schema, 1_000);
+            SharedState::new(Database::new(), SharedSemanticStore::new(store), stats)
+        };
+        let region = |lo, hi| Region::new(vec![Interval::new(lo, hi)]);
+        // The market holds every multiple of 3; a delivery is all of them in
+        // its region.
+        let market = |lo: i64, hi: i64| -> Vec<Row> {
+            (lo..=hi).filter(|a| a % 3 == 0).map(|a| row!(a)).collect()
+        };
+        let purchases = [(0, 9), (20, 49), (5, 24)];
+        let live = fresh();
+        for (now, &(lo, hi)) in purchases.iter().enumerate() {
+            let delivery = Response {
+                rows: market(lo, hi),
+                transactions: 1,
+            };
+            live.land_delivery(None, &schema, region(lo, hi), delivery, true, now as u64);
+        }
+        let replayed = fresh();
+        replayed.seed_mirror(
+            &schema,
+            live.with_db(|db| db.table("T").unwrap().rows().to_vec()),
+        );
+        for &(lo, hi) in &purchases {
+            replayed.replay_feedback("T", &region(lo, hi));
+        }
+        for (lo, hi) in [(0, 99), (0, 9), (5, 24), (7, 30), (50, 99)] {
+            assert_eq!(
+                live.stats_snapshot().estimate("T", &region(lo, hi)),
+                replayed.stats_snapshot().estimate("T", &region(lo, hi)),
+                "estimate of [{lo}, {hi}]"
+            );
+        }
     }
 }

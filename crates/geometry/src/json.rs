@@ -1,10 +1,8 @@
-//! JSON conversions for geometry types, used by session snapshots.
+//! JSON conversions for geometry types, used by `wal.log` spend records.
 
 use crate::interval::Interval;
 use crate::region::Region;
-use crate::space::{DimKind, QuerySpace, SpaceDim};
 use payless_json::{err, FromJson, Json, Result, ToJson};
-use std::sync::Arc;
 
 impl ToJson for Interval {
     fn to_json(&self) -> Json {
@@ -35,76 +33,11 @@ impl ToJson for Region {
 
 impl FromJson for Region {
     fn from_json(j: &Json) -> Result<Self> {
-        Ok(Region::new(Vec::<Interval>::from_json(j)?))
-    }
-}
-
-impl ToJson for DimKind {
-    fn to_json(&self) -> Json {
-        match self {
-            DimKind::Int { lo, hi } => Json::obj([("lo", lo.to_json()), ("hi", hi.to_json())]),
-            DimKind::Cat { values } => Json::obj([(
-                "cats",
-                Json::Arr(values.iter().map(|v| v.to_json()).collect()),
-            )]),
+        let dims = Vec::<Interval>::from_json(j)?;
+        if dims.is_empty() {
+            return err("a region needs at least one dimension");
         }
-    }
-}
-
-impl FromJson for DimKind {
-    fn from_json(j: &Json) -> Result<Self> {
-        if let Some(cats) = j.get_opt("cats") {
-            let values: Vec<Arc<str>> = FromJson::from_json(cats)?;
-            if values.is_empty() {
-                return err("empty categorical dimension");
-            }
-            Ok(DimKind::Cat {
-                values: values.into(),
-            })
-        } else {
-            Ok(DimKind::Int {
-                lo: j.get("lo")?.as_i64()?,
-                hi: j.get("hi")?.as_i64()?,
-            })
-        }
-    }
-}
-
-impl ToJson for SpaceDim {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("col", self.col.to_json()),
-            ("name", self.name.to_json()),
-            ("kind", self.kind.to_json()),
-        ])
-    }
-}
-
-impl FromJson for SpaceDim {
-    fn from_json(j: &Json) -> Result<Self> {
-        Ok(SpaceDim::from_parts(
-            usize::from_json(j.get("col")?)?,
-            FromJson::from_json(j.get("name")?)?,
-            FromJson::from_json(j.get("kind")?)?,
-        ))
-    }
-}
-
-impl ToJson for QuerySpace {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("table", self.table.to_json()),
-            ("dims", self.dims().to_json()),
-        ])
-    }
-}
-
-impl FromJson for QuerySpace {
-    fn from_json(j: &Json) -> Result<Self> {
-        Ok(QuerySpace::from_parts(
-            FromJson::from_json(j.get("table")?)?,
-            FromJson::from_json(j.get("dims")?)?,
-        ))
+        Ok(Region::new(dims))
     }
 }
 
@@ -119,25 +52,6 @@ mod tests {
         let text = r.to_json().to_string_compact();
         assert_eq!(Region::from_json(&parse(&text).unwrap()).unwrap(), r);
         assert!(Interval::from_json(&parse("[3,1]").unwrap()).is_err());
-    }
-
-    #[test]
-    fn spaces_round_trip_and_rebuild_lookup() {
-        use payless_types::{Column, Domain, Schema};
-        let schema = Schema::new(
-            "T",
-            vec![
-                Column::bound("country", Domain::categorical(["ca", "us", "mx"])),
-                Column::free("day", Domain::int(1, 31)),
-            ],
-        );
-        let space = QuerySpace::of(&schema);
-        let text = space.to_json().to_string_compact();
-        let back = QuerySpace::from_json(&parse(&text).unwrap()).unwrap();
-        assert_eq!(back.table, space.table);
-        assert_eq!(back.arity(), space.arity());
-        // The lazily built categorical lookup must work after a reload.
-        assert_eq!(back.dims()[0].cat_index("us"), Some(1));
-        assert_eq!(back.dims()[1].full(), Interval::new(1, 31));
+        assert!(Region::from_json(&parse("[]").unwrap()).is_err());
     }
 }

@@ -31,8 +31,8 @@ pub struct SpaceDim {
     pub name: Arc<str>,
     /// Kind and domain of the dimension.
     pub kind: DimKind,
-    /// Lazily built value→index map for categorical dimensions (rebuilt on
-    /// demand after deserialization; not part of the logical state).
+    /// Lazily built value→index map for categorical dimensions (built on
+    /// first use; not part of the logical state).
     cat_lookup: std::sync::OnceLock<std::collections::HashMap<Arc<str>, i64>>,
 }
 
@@ -54,17 +54,6 @@ pub enum DimKind {
 }
 
 impl SpaceDim {
-    /// Reassemble a dimension (e.g. when loading a snapshot); the categorical
-    /// lookup is rebuilt lazily on first use.
-    pub(crate) fn from_parts(col: usize, name: Arc<str>, kind: DimKind) -> SpaceDim {
-        SpaceDim {
-            col,
-            name,
-            kind,
-            cat_lookup: std::sync::OnceLock::new(),
-        }
-    }
-
     /// The dimension's full extent.
     pub fn full(&self) -> Interval {
         match &self.kind {
@@ -115,11 +104,6 @@ pub struct QuerySpace {
 }
 
 impl QuerySpace {
-    /// Reassemble a space from its parts (e.g. when loading a snapshot).
-    pub(crate) fn from_parts(table: Arc<str>, dims: Vec<SpaceDim>) -> QuerySpace {
-        QuerySpace { table, dims }
-    }
-
     /// Build the space from a schema: one dimension per constrainable column,
     /// in schema order.
     pub fn of(schema: &Schema) -> QuerySpace {

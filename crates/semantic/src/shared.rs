@@ -52,11 +52,8 @@ pub struct SharedSemanticStore {
     metrics: OnceLock<Arc<MetricsHub>>,
     /// Spend observer notified after every `record_spend`, outside the
     /// shard write lock — so the store is momentarily ahead of a durability
-    /// log, which is what `settling` lets a snapshotter rule out.
+    /// log, never behind it.
     observer: OnceLock<Arc<SpendObserver>>,
-    /// Held shared by `record_spend` from before its insert until its
-    /// observer has returned, exclusively by [`SharedSemanticStore::settled`].
-    settling: RwLock<()>,
 }
 
 impl std::fmt::Debug for SharedSemanticStore {
@@ -82,8 +79,8 @@ fn write(l: &RwLock<SemanticStore>) -> RwLockWriteGuard<'_, SemanticStore> {
 }
 
 impl SharedSemanticStore {
-    /// Shard `store` per table — a fresh store, or a warm one recovered
-    /// from a snapshot.
+    /// Shard `store` per table — a fresh store, or a warm one replayed
+    /// from a durability log.
     pub fn new(store: SemanticStore) -> Self {
         let cfg = store.config();
         SharedSemanticStore {
@@ -95,7 +92,6 @@ impl SharedSemanticStore {
             cfg,
             metrics: OnceLock::new(),
             observer: OnceLock::new(),
-            settling: RwLock::new(()),
         }
     }
 
@@ -122,14 +118,6 @@ impl SharedSemanticStore {
     /// thread that recorded the spend.
     pub fn attach_observer(&self, observer: Arc<SpendObserver>) {
         let _ = self.observer.set(observer);
-    }
-
-    /// Wait out every purchase that is in the store but not yet with the
-    /// observer, and admit no new one while the guard lives — so a copy of
-    /// the store taken under it matches the observer's own books. Take it
-    /// before any lock the observer takes.
-    pub fn settled(&self) -> RwLockWriteGuard<'_, ()> {
-        self.settling.write().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Take a shard's read lock, reporting the wait into the hub.
@@ -216,7 +204,6 @@ impl SharedSemanticStore {
             .observer
             .get()
             .map(|obs| (Arc::clone(obs), region.clone()));
-        let _settling = self.settling.read().unwrap_or_else(|e| e.into_inner());
         let mut guard = self.timed_write(shard);
         guard.record_spend(table, region, now, spend);
         if let Some(hub) = self.metrics.get() {
@@ -231,8 +218,8 @@ impl SharedSemanticStore {
             hub.table_evictions_gauge(table).set(guard.evictions(table));
         }
         // Release the shard before notifying: the observer may take its own
-        // locks (e.g. a durability log mutex whose snapshotter reads shards),
-        // and holding the write guard across it would invert that order.
+        // locks (e.g. a durability log mutex), and holding the write guard
+        // across it would order them inside every shard lock.
         drop(guard);
         if let Some((obs, region)) = observed {
             obs(table, &region, now, spend);
@@ -508,38 +495,6 @@ mod tests {
                 ("T".to_string(), 0)
             ]
         );
-    }
-
-    #[test]
-    fn settled_waits_for_a_purchase_still_with_its_observer() {
-        use std::sync::mpsc::channel;
-        use std::time::Duration;
-        let mut base = SemanticStore::new();
-        base.register(space());
-        let shared = SharedSemanticStore::new(base);
-        let (entered, in_observer) = channel::<()>();
-        let (release, released) = channel::<()>();
-        let released = std::sync::Mutex::new(released);
-        shared.attach_observer(Arc::new(move |_, _, _, _| {
-            entered.send(()).unwrap();
-            released.lock().unwrap().recv().unwrap();
-        }));
-        let (done, settled) = channel::<bool>();
-        std::thread::scope(|s| {
-            s.spawn(|| shared.record_spend("T", r(0, 9), 1, 10));
-            // The purchase is in the store, its observer has not returned.
-            in_observer.recv().unwrap();
-            s.spawn(|| {
-                let _gate = shared.settled();
-                done.send(shared.view_count("T") == 1).unwrap();
-            });
-            assert!(
-                settled.recv_timeout(Duration::from_millis(50)).is_err(),
-                "the gate opened with a purchase still on its way to the observer"
-            );
-            release.send(()).unwrap();
-            assert!(settled.recv().unwrap());
-        });
     }
 
     #[test]

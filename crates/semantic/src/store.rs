@@ -556,6 +556,18 @@ impl SemanticStore {
         self.cfg
     }
 
+    /// The newest `stored_at` of any view, `0` when there is none. A clock
+    /// resumed over a recovered store starts after it, so no view is dated
+    /// in the future.
+    pub fn newest_stored_at(&self) -> u64 {
+        self.tables
+            .values()
+            .flat_map(|t| t.slots.iter().flatten())
+            .map(|v| v.stored_at)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Register a table's query space (idempotent).
     pub fn register(&mut self, space: QuerySpace) {
         let cfg = self.cfg;
@@ -843,123 +855,6 @@ impl SemanticStore {
     }
 }
 
-impl payless_json::ToJson for Consistency {
-    fn to_json(&self) -> payless_json::Json {
-        use payless_json::Json;
-        match self {
-            Consistency::Weak => Json::str("weak"),
-            Consistency::Strong => Json::str("strong"),
-            Consistency::Window(w) => Json::obj([("window", w.to_json())]),
-        }
-    }
-}
-
-impl payless_json::FromJson for Consistency {
-    fn from_json(j: &payless_json::Json) -> payless_json::Result<Self> {
-        use payless_json::Json;
-        match j {
-            Json::Str(s) if s == "weak" => Ok(Consistency::Weak),
-            Json::Str(s) if s == "strong" => Ok(Consistency::Strong),
-            _ => Ok(Consistency::Window(j.get("window")?.as_u64()?)),
-        }
-    }
-}
-
-impl payless_json::ToJson for StoredView {
-    fn to_json(&self) -> payless_json::Json {
-        use payless_json::Json;
-        Json::obj([
-            ("region", self.region.to_json()),
-            ("stored_at", self.stored_at.to_json()),
-            ("spend", self.spend.to_json()),
-        ])
-    }
-}
-
-impl payless_json::FromJson for StoredView {
-    fn from_json(j: &payless_json::Json) -> payless_json::Result<Self> {
-        use payless_json::FromJson;
-        Ok(StoredView {
-            region: Arc::new(FromJson::from_json(j.get("region")?)?),
-            stored_at: FromJson::from_json(j.get("stored_at")?)?,
-            // Absent in dumps from before spend tracking.
-            spend: match j.get_opt("spend") {
-                Some(v) => FromJson::from_json(v)?,
-                None => 0,
-            },
-        })
-    }
-}
-
-impl payless_json::ToJson for TableStore {
-    fn to_json(&self) -> payless_json::Json {
-        use payless_json::Json;
-        let views = Json::Arr(self.slots.iter().flatten().map(|v| v.to_json()).collect());
-        Json::obj([
-            ("space", self.space.to_json()),
-            ("views", views),
-            ("max_views", self.cfg.max_views.to_json()),
-            ("compaction", self.cfg.compaction.to_json()),
-            ("compactions", self.compactions.to_json()),
-            ("evictions", self.evictions.to_json()),
-        ])
-    }
-}
-
-impl payless_json::FromJson for TableStore {
-    fn from_json(j: &payless_json::Json) -> payless_json::Result<Self> {
-        use payless_json::FromJson;
-        let cfg = StoreConfig {
-            // Absent in dumps from before the config existed.
-            max_views: match j.get_opt("max_views") {
-                Some(v) => FromJson::from_json(v)?,
-                None => MAX_VIEWS_PER_TABLE,
-            },
-            compaction: match j.get_opt("compaction") {
-                Some(v) => FromJson::from_json(v)?,
-                None => true,
-            },
-        };
-        let mut t = TableStore::new(FromJson::from_json(j.get("space")?)?, cfg);
-        let views: Vec<StoredView> = FromJson::from_json(j.get("views")?)?;
-        // Rebuild slots, the view tree, and the gap cache by replaying the
-        // stored boxes; they are already compacted, so insert them raw.
-        for v in views {
-            t.cover_gap(&v.region);
-            t.oldest = t.oldest.min(v.stored_at);
-            t.add_view(v);
-        }
-        t.compactions = match j.get_opt("compactions") {
-            Some(v) => FromJson::from_json(v)?,
-            None => 0,
-        };
-        t.evictions = match j.get_opt("evictions") {
-            Some(v) => FromJson::from_json(v)?,
-            None => 0,
-        };
-        Ok(t)
-    }
-}
-
-impl payless_json::ToJson for SemanticStore {
-    fn to_json(&self) -> payless_json::Json {
-        use payless_json::Json;
-        Json::obj([("tables", self.tables.to_json())])
-    }
-}
-
-impl payless_json::FromJson for SemanticStore {
-    fn from_json(j: &payless_json::Json) -> payless_json::Result<Self> {
-        use payless_json::FromJson;
-        Ok(SemanticStore {
-            tables: FromJson::from_json(j.get("tables")?)?,
-            recorder: None,
-            events: None,
-            cfg: StoreConfig::default(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1223,27 +1118,6 @@ mod tests {
         assert_eq!(s.view_count("R"), 2, "no coalescing with compaction off");
         assert_eq!(s.compactions("R"), 0);
         assert!(s.covers("R", &region![(0, 19)], Consistency::Weak, 3));
-    }
-
-    #[test]
-    fn store_json_round_trip_preserves_cache_and_counters() {
-        let mut s = store_1d();
-        s.record("R", region![(0, 9)], 1);
-        s.record("R", region![(10, 19)], 2);
-        s.record_spend("R", region![(50, 59)], 3, 7);
-        let json = payless_json::ToJson::to_json(&s);
-        let restored: SemanticStore = payless_json::FromJson::from_json(&json).expect("round trip");
-        assert_eq!(restored.view_count("R"), s.view_count("R"));
-        assert_eq!(restored.compactions("R"), s.compactions("R"));
-        assert!((restored.coverage_fraction("R") - s.coverage_fraction("R")).abs() < 1e-12);
-        assert_eq!(
-            restored.remainder_pieces("R", &region![(0, 100)], Consistency::Weak, 4),
-            s.remainder_pieces("R", &region![(0, 100)], Consistency::Weak, 4)
-        );
-        assert_eq!(
-            restored.views("R", Consistency::Weak, 4),
-            s.views("R", Consistency::Weak, 4)
-        );
     }
 
     fn space_2d() -> QuerySpace {

@@ -134,13 +134,15 @@ impl Serve {
     /// As [`Serve::new`], but seeding the shared store from `store` — a
     /// warm store recovered from disk, whose coverage the serving layer
     /// keeps honoring so already-purchased regions are never re-bought.
-    /// Market tables missing from `store` are registered fresh.
+    /// Market tables missing from `store` are registered fresh, and the
+    /// clock resumes after the newest view, so none is dated in the future.
     pub fn with_store(
         market: Arc<DataMarket>,
         locals: &[LocalTable],
         cfg: ServeConfig,
         mut store: SemanticStore,
     ) -> Self {
+        let clock = AtomicU64::new(store.newest_stored_at());
         store.set_config(cfg.store);
         let (catalog, state) =
             SharedState::for_market(&market, locals, store, StatsRegistry::new());
@@ -170,7 +172,7 @@ impl Serve {
             state,
             coalescer,
             batcher,
-            clock: AtomicU64::new(0),
+            clock,
             cfg,
         }
     }
@@ -180,30 +182,25 @@ impl Serve {
         &self.market
     }
 
-    /// The shared semantic store behind this layer — what a durability
-    /// layer observes (spend log) and snapshots.
+    /// The buyer-side state every client shares: local mirror, semantic
+    /// store and statistics — what recovery seeds and observes.
+    pub fn state(&self) -> &SharedState {
+        &self.state
+    }
+
+    /// The shared semantic store behind this layer. No program caller since
+    /// recovery goes through [`Serve::state`]; it stays for
+    /// `benchmark/src/ledger.rs` and goes with the next benchmark PR.
     pub fn shared_store(&self) -> &SharedSemanticStore {
         self.state.store()
     }
 
     /// Attach an observer for market deliveries landing in the local
-    /// mirror ([`payless_exec::RowObserver`]) — the durability layer's row
-    /// log. First caller wins, like every other attach hook.
+    /// mirror ([`payless_exec::RowObserver`]). First caller wins, like every
+    /// other attach hook. No program caller since recovery goes through
+    /// [`Serve::state`]; it stays for `benchmark/src/ledger.rs`.
     pub fn attach_row_observer(&self, observer: Arc<payless_exec::RowObserver>) {
         self.state.attach_row_observer(observer);
-    }
-
-    /// Insert recovered market rows into the local mirror without
-    /// notifying the row observer (they are already durable). Unknown
-    /// tables are an error — recovered data must match the market.
-    pub fn seed_mirror(&self, table: &str, rows: Vec<payless_types::Row>) -> Result<()> {
-        let schema = self
-            .market
-            .schema(table)
-            .ok_or_else(|| payless_types::PaylessError::UnknownTable(table.into()))?
-            .clone();
-        self.state.seed_mirror(&schema, rows);
-        Ok(())
     }
 
     /// A point-in-time copy of every market table's mirror rows. No program

@@ -1,6 +1,6 @@
 //! Network serving front end: a std-only HTTP/1.1 listener over the
-//! concurrent serve layer, plus snapshot + append-log durability of the
-//! shared semantic store.
+//! concurrent serve layer, plus append-log durability of the shared
+//! semantic store.
 //!
 //! The REST surface mirrors the CLI's session commands:
 //!
@@ -12,7 +12,7 @@
 //! | `GET /v1/why?query=N` | `\why N` — flight-recorder provenance        |
 //! | `GET /v1/store`     | durability status (ledger vs meter, recovery)  |
 //! | `GET /v1/health`    | liveness probe                                 |
-//! | `POST /v1/shutdown` | graceful drain + final snapshot                |
+//! | `POST /v1/shutdown` | graceful drain                                 |
 //!
 //! Query results ride the existing market wire codec
 //! ([`payless_market::encode_rows`]); spend telemetry rides response
@@ -35,8 +35,8 @@ use payless_core::{
     build_market, known_queries, render_provenance, DataMarket, EventJournal, EventsConfig,
     FaultInjector, FaultPlan, MetricsConfig, MetricsHub, RetryPolicy, SelectStmt,
 };
-use payless_geometry::QuerySpace;
 use payless_json::{Json, ToJson};
+use payless_semantic::SemanticStore;
 use payless_serve::{query_spend, Serve, ServeConfig};
 use payless_types::Value;
 use payless_workload::{QueryWorkload, RealWorkload, WhwConfig};
@@ -60,10 +60,10 @@ pub struct ServerConfig {
     pub fault_seed: Option<u64>,
     /// Cross-query batch purchasing, if enabled.
     pub batch: Option<payless_serve::BatchConfig>,
-    /// Data directory for the WAL, mirror log and snapshot; `None` serves
+    /// Data directory for `wal.log` and `mirror.log`; `None` serves
     /// memory-only.
     pub data_dir: Option<PathBuf>,
-    /// Durability tuning + crash injection (ignored without `data_dir`).
+    /// Crash injection (ignored without `data_dir`).
     pub persist: PersistConfig,
 }
 
@@ -132,16 +132,7 @@ impl ServerConfig {
                 .then(payless_serve::BatchConfig::default),
             data_dir: get("PAYLESS_DATA_DIR").map(Into::into),
             persist: PersistConfig {
-                snapshot_every: int("PAYLESS_SNAPSHOT_EVERY", 0)?
-                    .unwrap_or(d.persist.snapshot_every),
                 crash_after_appends: int("PAYLESS_CRASH_AFTER", 1)?,
-                crash_in_snapshot: knob(
-                    get,
-                    "PAYLESS_CRASH_IN_SNAPSHOT",
-                    "0, 1 or 2",
-                    |v: &u8| *v <= 2,
-                )?
-                .unwrap_or(d.persist.crash_in_snapshot),
             },
         })
     }
@@ -160,19 +151,19 @@ struct Shared {
     active_conns: AtomicU64,
 }
 
-/// A running server: listener bound, store recovered, snapshotter armed.
+/// A running server: listener bound, store recovered.
 /// Call [`Server::run`] to serve until a graceful shutdown is requested.
 pub struct Server {
     listener: TcpListener,
     addr: SocketAddr,
     shared: Arc<Shared>,
-    snapshotter: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
-    /// Build the market + serve layer (recovering the semantic store from
-    /// `cfg.data_dir` when set) and bind the listener. Fails loudly on an
-    /// unrecoverable store — never serve from corrupt money math.
+    /// Build the market + serve layer (recovering it from `cfg.data_dir`
+    /// through [`persist::recover`] when set) and bind the listener. Fails
+    /// loudly on an unrecoverable store — never serve from corrupt money
+    /// math.
     pub fn start(cfg: ServerConfig) -> Result<Server, String> {
         let w = RealWorkload::generate(&WhwConfig::scaled(cfg.scale));
         let market = Arc::new(build_market(&w, cfg.page_size));
@@ -181,23 +172,6 @@ impl Server {
         }
         let hub = Arc::new(MetricsHub::new(MetricsConfig::default()));
         let journal = EventJournal::from_config(&EventsConfig::default());
-
-        let (durable, warm_store, warm_mirror) = match &cfg.data_dir {
-            Some(dir) => {
-                let spaces: Vec<QuerySpace> = market
-                    .table_names()
-                    .iter()
-                    .map(|name| QuerySpace::of(market.schema(name).expect("listed table")))
-                    .collect();
-                let (durable, store, mirror) = DurableStore::open(dir, cfg.persist, &spaces)?;
-                let status = durable.status();
-                if !status.reconciles() {
-                    return Err("recovered store does not reconcile".into());
-                }
-                (Some(Arc::new(durable)), store, mirror)
-            }
-            None => (None, payless_semantic::SemanticStore::new(), Vec::new()),
-        };
 
         let serve_cfg = ServeConfig {
             coalesce: cfg.coalesce,
@@ -211,19 +185,16 @@ impl Server {
             batch: cfg.batch,
             ..ServeConfig::default()
         };
-        let serve = Serve::with_store(Arc::clone(&market), w.local_tables(), serve_cfg, warm_store);
-        // Seed the recovered mirror rows before any traffic: a store that
-        // claims coverage must also have the data behind it.
-        for (table, rows) in warm_mirror {
-            serve
-                .seed_mirror(&table, rows)
-                .map_err(|e| format!("seed recovered mirror for {table}: {e}"))?;
-        }
-        if let Some(d) = &durable {
-            d.attach(serve.shared_store());
-            let me = Arc::clone(d);
-            serve.attach_row_observer(Arc::new(move |table, rows| me.append_rows(table, rows)));
-        }
+        let build =
+            |store| Serve::with_store(Arc::clone(&market), w.local_tables(), serve_cfg, store);
+        let (serve, durable) = match &cfg.data_dir {
+            Some(dir) => {
+                let (serve, durable) =
+                    persist::recover(dir, cfg.persist, &market, build, Serve::state)?;
+                (serve, Some(durable))
+            }
+            None => (build(SemanticStore::new()), None),
+        };
         let templates = w
             .templates()
             .iter()
@@ -249,29 +220,10 @@ impl Server {
             queries_served: AtomicU64::new(0),
             active_conns: AtomicU64::new(0),
         });
-
-        // Background snapshotter: parked until the append that crosses the
-        // threshold (or shutdown) unparks it, compacts the log, parks again;
-        // `run` takes one final snapshot at shutdown.
-        let snapshotter = shared.durable.as_ref().map(|_| {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                let durable = shared.durable.as_ref().expect("spawned only when durable");
-                durable.wake_when_due(std::thread::current());
-                while !shared.shutdown.load(Ordering::SeqCst) {
-                    if let Err(e) = durable.maybe_snapshot(shared.serve.shared_store(), &Vec::new) {
-                        eprintln!("payless-server: snapshot failed: {e}");
-                    }
-                    std::thread::park();
-                }
-            })
-        });
-
         Ok(Server {
             listener,
             addr,
             shared,
-            snapshotter,
         })
     }
 
@@ -282,8 +234,8 @@ impl Server {
 
     /// Accept and serve connections until `POST /v1/shutdown` (one thread
     /// per connection; the serve layer is built for exactly this kind of
-    /// concurrency). Drains in-flight connections, stops the snapshotter,
-    /// and takes a final snapshot before returning.
+    /// concurrency), then drain in-flight connections. Every purchase is
+    /// already in the logs, so there is nothing left to write.
     pub fn run(self) -> Result<(), String> {
         let mut workers = Vec::new();
         for conn in self.listener.incoming() {
@@ -315,13 +267,6 @@ impl Server {
         }
         for h in workers {
             let _ = h.join();
-        }
-        if let Some(h) = self.snapshotter {
-            h.thread().unpark();
-            let _ = h.join();
-        }
-        if let Some(d) = &self.shared.durable {
-            d.snapshot(self.shared.serve.shared_store())?;
         }
         Ok(())
     }
@@ -544,9 +489,8 @@ fn why(shared: &Arc<Shared>, req: &Request) -> Response {
     }
 }
 
-/// `GET /v1/store`: durability status — per-table ledger vs meter, what
-/// recovery found, snapshot progress. `{"durable": false}` without a data
-/// directory.
+/// `GET /v1/store`: durability status — per-table ledger vs meter and what
+/// recovery found. `{"durable": false}` without a data directory.
 fn store_status(shared: &Arc<Shared>) -> Response {
     match &shared.durable {
         Some(d) => Response::json(&d.status().to_json()),
@@ -608,21 +552,10 @@ mod tests {
             ("PAYLESS_COALESCE", "1", with(|_| ())),
             ("PAYLESS_FAULT_SEED", "0", with(|c| c.fault_seed = Some(0))),
             (
-                "PAYLESS_SNAPSHOT_EVERY",
-                "0",
-                with(|c| c.persist.snapshot_every = 0),
-            ),
-            (
                 "PAYLESS_CRASH_AFTER",
                 "5",
                 with(|c| c.persist.crash_after_appends = Some(5)),
             ),
-            (
-                "PAYLESS_CRASH_IN_SNAPSHOT",
-                "2",
-                with(|c| c.persist.crash_in_snapshot = 2),
-            ),
-            ("PAYLESS_CRASH_IN_SNAPSHOT", "0", with(|_| ())),
         ] {
             assert_eq!(lookup(&[(name, value)]).unwrap(), want, "{name}={value}");
         }
@@ -637,9 +570,6 @@ mod tests {
             ("PAYLESS_SCALE", "-1"),
             ("PAYLESS_CRASH_AFTER", "x"),
             ("PAYLESS_CRASH_AFTER", "0"),
-            ("PAYLESS_CRASH_IN_SNAPSHOT", "257"),
-            ("PAYLESS_CRASH_IN_SNAPSHOT", "3"),
-            ("PAYLESS_SNAPSHOT_EVERY", "-1"),
             ("PAYLESS_FAULT_SEED", "seven"),
             ("PAYLESS_COALESCE", "false"),
             ("PAYLESS_COALESCE", "2"),

@@ -8,15 +8,13 @@
 //! |-----------------------------|------------------------------------------|----------------|
 //! | `PAYLESS_LISTEN`            | bind address (`host:port`, port 0 = any) | 127.0.0.1:7878 |
 //! | `PAYLESS_ADDR_FILE`         | write the bound address here after bind  | unset          |
-//! | `PAYLESS_DATA_DIR`          | WAL, mirror log + snapshot directory (unset = memory only) | unset |
+//! | `PAYLESS_DATA_DIR`          | `wal.log` + `mirror.log` directory (unset = memory only) | unset |
 //! | `PAYLESS_PAGE`              | market page size in records (>= 1)       | 1              |
 //! | `PAYLESS_SCALE`             | WHW generator scale (finite, > 0)        | 0.02           |
-//! | `PAYLESS_SNAPSHOT_EVERY`    | appends between WAL compactions (0 = never) | 64          |
 //! | `PAYLESS_COALESCE`          | `0` disables single-flight coalescing    | 1              |
 //! | `PAYLESS_BATCH`             | `1` enables cross-query batch purchasing (`BatchConfig::default()`) | 0 |
 //! | `PAYLESS_FAULT_SEED`        | chaos-inject the market at this seed     | unset          |
 //! | `PAYLESS_CRASH_AFTER`       | abort on the N-th WAL append, N >= 1 (tests) | unset      |
-//! | `PAYLESS_CRASH_IN_SNAPSHOT` | abort mid-snapshot: 1 pre-rename, 2 pre-truncate | 0      |
 
 use payless_server::{Server, ServerConfig};
 

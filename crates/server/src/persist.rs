@@ -1,8 +1,13 @@
-//! Durable purchases: three files in the data directory.
+//! Durable purchases: two append-only logs in the data directory.
 //!
 //! At real market prices, losing the semantic store is losing money: every
 //! purchased region the store forgets is a region a restarted server buys
-//! again. Both logs frame each record as `[u32 len LE][payload][u32 crc32 LE]`.
+//! again. The semantic store keeps every market call and its result, and the
+//! statistics are refined from every retrieved result, so coverage, mirror
+//! and statistics are all functions of the purchase history: the two logs
+//! *are* the state. Both frame each record as
+//! `[u32 len LE][payload][u32 crc32 LE]`, and nothing shortens either but
+//! recovery's torn-tail cut.
 //!
 //! - **`wal.log`**: every settled purchase appends one JSON record carrying
 //!   the table, region, logical time, pages spent, and the table's
@@ -16,50 +21,52 @@
 //!   [`payless_exec::RowObserver`], before the purchase's spend record, so
 //!   every surviving spend record has its rows earlier in this log. A
 //!   re-bought row the mirror already holds is not appended again, so the
-//!   log holds each distinct row once. The log is **append-only**: nothing
-//!   truncates it but recovery's torn-tail cut. The mirror is a set that
-//!   never deletes a row, so the whole log *is* the durable mirror.
-//! - **`snapshot.json`**: coverage and money only — `applied_seq`, `ledger`
-//!   and `store`. The snapshotter writes it to `snapshot.json.tmp`,
-//!   atomically renames it, then truncates `wal.log`. A crash between those
-//!   steps is safe: rename is atomic, and replay skips WAL records the
-//!   snapshot already covers.
+//!   log holds each distinct row once. The mirror is a set that never
+//!   deletes a row, so the whole log *is* the durable mirror.
 //!
-//! **Recovery** loads the snapshot, replays the WAL front to back
-//! (length bound, CRC, JSON shape, strictly increasing sequence), and
-//! replays every mirror frame. The first invalid frame of either log — a
-//! torn tail from a crash mid-append — cuts that log there. Two independent
-//! spend paths cross-check each other: the ledger is re-derived by
-//! *summing* replayed spends, and each record also carries the *absolute*
-//! meter written at append time; any divergence fails recovery loudly. A
-//! mirror frame whose CRC holds but whose payload does not decode fails
-//! recovery too. The serving layer logs each row once; a log written any
-//! other way may repeat a row, and the mirror's set insert drops the copy.
+//! **Recovery** is [`recover`], for the server and the REPL alike.
+//! [`DurableStore::open`] replays the WAL front to back (length bound, CRC,
+//! JSON shape, strictly increasing sequence, a registered table, a region
+//! inside that table's query space) through `record_spend` into a warm
+//! [`SemanticStore`], and decodes every mirror frame. The first invalid
+//! frame of either log — a torn tail from a crash mid-append — cuts that log
+//! there; a frame whose CRC holds but whose payload lies fails recovery with
+//! an error naming its log. Two independent spend paths cross-check each
+//! other: the ledger is re-derived by *summing* replayed spends, and each
+//! record also carries the *absolute* meter written at append time; any
+//! divergence fails recovery loudly. [`recover`] then builds the serving
+//! state around the warm store and, in order, seeds the mirror, re-derives
+//! the statistics, and attaches both observers. Re-deriving repeats, for
+//! each replayed purchase in log order, the `feedback(region, records)` call
+//! the purchase made live, with `records` counted from the recovered mirror
+//! rows inside the region — a delivery carries every row of its region, so
+//! that count is the delivery's.
+//!
+//! Replay is exact for one client (the REPL, or a one-client server): the
+//! log order is the order purchases landed. With concurrent clients the log
+//! orders purchases by when their spend observer ran, which can differ from
+//! the order their statistics feedback ran in.
 //!
 //! Lock order: the spend observer runs with **no shard lock held** (see
 //! [`payless_semantic::SharedSemanticStore::attach_observer`]), so the
-//! persist mutex never nests inside a shard guard. The snapshotter holds
-//! the persist mutex while reading the shards (read locks). The row
-//! observer appends under the serving layer's mirror write lock, so the
-//! mirror lock nests outside the persist mutex. Nothing takes them the
-//! other way: snapshots carry no rows, and `Serve::mirror_dump`, which
-//! reads the mirror, has no program caller. Those are the only two
-//! nestings, each in one direction. The in-memory store is
-//! momentarily *ahead* of the log (insert settled, append pending); the
-//! snapshotter waits that out ([`SharedSemanticStore::settled`]) before it
-//! takes the mutex. The log is never ahead of the store.
+//! persist mutex never nests inside a shard guard. The row observer appends
+//! under the serving layer's mirror write lock, so the mirror lock nests
+//! outside the persist mutex; nothing takes them the other way. The
+//! in-memory store is momentarily *ahead* of the log (insert settled, append
+//! pending); nothing copies the store to disk, so a crash in that window
+//! only loses a purchase whose record was never written, which a restarted
+//! server buys again. The log is never ahead of the store.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock};
-use std::thread::Thread;
+use std::sync::{Arc, Mutex};
 
-use payless_geometry::Region;
+use payless_core::{DataMarket, SharedState};
+use payless_geometry::{QuerySpace, Region};
 use payless_json::{FromJson, Json, ToJson};
-use payless_semantic::SemanticStore;
-use payless_semantic::SharedSemanticStore;
+use payless_semantic::{SemanticStore, SharedSemanticStore};
 use payless_types::Row;
 
 /// Rows recovered for the serving layer's local mirror, per table.
@@ -99,30 +106,13 @@ pub fn crc32(data: &[u8]) -> u32 {
     })
 }
 
-/// Durability tuning and deterministic crash injection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Deterministic crash injection for the crash tests.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PersistConfig {
-    /// Snapshot (and truncate `wal.log`) after this many appends; `0`
-    /// disables automatic snapshots (graceful shutdown still snapshots).
-    pub snapshot_every: u64,
     /// Abort the process on the N-th append, leaving a deliberately torn
     /// frame (length header + half the payload) at the log's tail — the
     /// crash the truncate-and-recover path must survive.
     pub crash_after_appends: Option<u64>,
-    /// Abort mid-snapshot: `1` after writing `snapshot.json.tmp` but
-    /// before the atomic rename, `2` after the rename but before the WAL
-    /// truncation. Both windows must recover exactly.
-    pub crash_in_snapshot: u8,
-}
-
-impl Default for PersistConfig {
-    fn default() -> Self {
-        PersistConfig {
-            snapshot_every: 64,
-            crash_after_appends: None,
-            crash_in_snapshot: 0,
-        }
-    }
 }
 
 /// What recovery found on disk — surfaced via `/v1/store` so
@@ -130,9 +120,7 @@ impl Default for PersistConfig {
 /// logs.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryInfo {
-    /// Sequence number the loaded snapshot covered (0 = no snapshot).
-    pub snapshot_seq: u64,
-    /// Valid log records replayed on top of the snapshot.
+    /// Valid `wal.log` records replayed.
     pub replayed: u64,
     /// Bytes cut off the log tail (a torn frame from a crash mid-append).
     pub truncated_bytes: u64,
@@ -157,14 +145,11 @@ pub struct TableLedger {
 /// Point-in-time durability status for `/v1/store`.
 #[derive(Debug, Clone)]
 pub struct PersistStatus {
-    /// Last sequence number assigned to an append.
+    /// Last sequence number assigned to an append: the number of records in
+    /// `wal.log`.
     pub last_seq: u64,
-    /// Sequence number covered by the snapshot on disk.
-    pub applied_seq: u64,
     /// Appends since the server opened the log.
     pub appends: u64,
-    /// Snapshots taken since the server opened the log.
-    pub snapshots: u64,
     /// What recovery found at startup.
     pub recovery: RecoveryInfo,
     /// Per-table ledger/meter pairs (sorted by table name).
@@ -181,39 +166,31 @@ impl PersistStatus {
 struct Inner {
     wal: File,
     mirror: File,
-    /// Last sequence number assigned (snapshot-covered or logged).
+    /// Last sequence number assigned.
     seq: u64,
-    /// Sequence number the on-disk snapshot covers.
-    applied_seq: u64,
     /// Per-table cumulative pages, derived by summation.
     ledger: BTreeMap<String, u64>,
     /// Per-table absolute meter from the last record (== ledger always,
     /// kept separate so recovery can cross-check the two derivations).
     meter: BTreeMap<String, u64>,
-    appends_since_snapshot: u64,
     appends_total: u64,
-    snapshots: u64,
 }
 
 /// The durable store: owns the data directory and serializes every append
-/// and snapshot under one mutex. Construct with [`DurableStore::open`]
-/// (which recovers), then wire into the serving layer with
-/// [`DurableStore::attach`].
+/// under one mutex. Construct with [`DurableStore::open`] (which replays the
+/// logs); [`recover`] does that and wires the result into serving state.
 pub struct DurableStore {
     dir: PathBuf,
     cfg: PersistConfig,
     inner: Mutex<Inner>,
     recovery: RecoveryInfo,
-    /// See [`DurableStore::wake_when_due`].
-    snapshotter: OnceLock<Thread>,
+    /// The purchases [`DurableStore::open`] replayed, in log order, until
+    /// [`recover`] re-derives the statistics from them.
+    replayed: Mutex<Vec<(String, Region)>>,
 }
 
 const WAL: &str = "wal.log";
 const MIRROR: &str = "mirror.log";
-
-fn snapshot_path(dir: &Path) -> PathBuf {
-    dir.join("snapshot.json")
-}
 
 fn io_err<T>(what: &str, e: impl std::fmt::Display) -> Result<T, String> {
     Err(format!("{what}: {e}"))
@@ -251,6 +228,14 @@ impl WalRecord {
             region: Region::from_json(j.get("region")?)?,
         })
     }
+}
+
+/// Decode one WAL frame payload; `Err` names `wal.log`.
+fn decode_wal_record(payload: &[u8]) -> Result<WalRecord, String> {
+    let bad = |what: String| format!("wal.log record despite valid CRC: {what}");
+    let text = std::str::from_utf8(payload).map_err(|e| bad(format!("not UTF-8: {e}")))?;
+    let j = payless_json::parse(text).map_err(|e| bad(format!("JSON: {e}")))?;
+    WalRecord::from_json(&j).map_err(|e| bad(format!("shape: {e}")))
 }
 
 /// Append `payload` to `out` as `[u32 len][payload][u32 crc]`.
@@ -349,100 +334,72 @@ pub fn scan_frames(bytes: &[u8]) -> (Vec<Vec<u8>>, usize) {
     (payloads, off)
 }
 
+/// `true` iff `region` is a box of `space`: one interval per dimension,
+/// each inside that dimension's domain.
+fn fits(space: &QuerySpace, region: &Region) -> bool {
+    region.arity() == space.arity() && space.full_region().contains(region)
+}
+
 impl DurableStore {
-    /// Open (creating if needed) the data directory, recover
-    /// snapshot + logs into a warm [`SemanticStore`] plus the mirror rows
-    /// backing its coverage, and return the durable store positioned to
-    /// append. `spaces` pre-registers the market tables so log records can
-    /// replay even before the first snapshot. Fails loudly when the two
-    /// independently derived spend totals (summed ledger vs recorded
-    /// absolute meter) disagree — never serve from corrupt money math.
+    /// Open (creating if needed) the data directory, replay `wal.log` into a
+    /// warm [`SemanticStore`], decode the mirror rows backing its coverage
+    /// from `mirror.log`, and return the durable store positioned to
+    /// append. `spaces` registers the market tables records may name. Fails
+    /// loudly when the two independently derived spend totals (summed
+    /// ledger vs recorded absolute meter) disagree — never serve from
+    /// corrupt money math.
     pub fn open(
         dir: &Path,
         cfg: PersistConfig,
-        spaces: &[payless_geometry::QuerySpace],
+        spaces: &[QuerySpace],
     ) -> Result<(DurableStore, SemanticStore, MirrorRows), String> {
         std::fs::create_dir_all(dir)
             .or_else(|e| io_err(&format!("create data dir {}", dir.display()), e))?;
-        // A leftover .tmp is a snapshot that never committed; drop it.
-        let _ = std::fs::remove_file(snapshot_path(dir).with_extension("json.tmp"));
-
         let mut store = SemanticStore::new();
-        let mut ledger: BTreeMap<String, u64> = BTreeMap::new();
-        let mut meter: BTreeMap<String, u64> = BTreeMap::new();
-        let mut applied_seq = 0u64;
-        let snap_path = snapshot_path(dir);
-        if snap_path.exists() {
-            let text =
-                std::fs::read_to_string(&snap_path).or_else(|e| io_err("read snapshot.json", e))?;
-            let j = payless_json::parse(&text).map_err(|e| {
-                format!("snapshot.json corrupt (rename is atomic, so this is real corruption): {e}")
-            })?;
-            applied_seq = j
-                .get("applied_seq")
-                .and_then(|v| v.as_u64())
-                .map_err(|e| format!("snapshot.json applied_seq: {e}"))?;
-            for (table, pages) in j
-                .get("ledger")
-                .and_then(|v| v.as_obj())
-                .map_err(|e| format!("snapshot.json ledger: {e}"))?
-            {
-                let pages = pages
-                    .as_u64()
-                    .map_err(|e| format!("snapshot.json ledger[{table}]: {e}"))?;
-                ledger.insert(table.clone(), pages);
-                meter.insert(table.clone(), pages);
-            }
-            store = SemanticStore::from_json(
-                j.get("store")
-                    .map_err(|e| format!("snapshot.json store: {e}"))?,
-            )
-            .map_err(|e| format!("snapshot.json store: {e}"))?;
-        }
         for space in spaces {
             store.register(space.clone());
         }
 
         let (wal, payloads, truncated) = open_log(dir, WAL)?;
-        let mut seq = applied_seq;
-        let mut replayed = 0u64;
+        let mut ledger: BTreeMap<String, u64> = BTreeMap::new();
+        let mut meter: BTreeMap<String, u64> = BTreeMap::new();
+        let mut replayed = Vec::with_capacity(payloads.len());
         for payload in &payloads {
-            let text = std::str::from_utf8(payload)
-                .map_err(|e| format!("wal record not UTF-8 despite valid CRC: {e}"))?;
-            let j = payless_json::parse(text).map_err(|e| format!("wal record JSON: {e}"))?;
-            let rec = WalRecord::from_json(&j).map_err(|e| format!("wal record shape: {e}"))?;
-            if rec.seq <= applied_seq {
-                // Snapshot already covers it (crash between rename and
-                // truncation leaves such records behind) — skip, or we
-                // would double-count its spend.
-                continue;
-            }
+            let rec = decode_wal_record(payload)?;
+            let seq = replayed.len() as u64;
             if rec.seq != seq + 1 {
                 return Err(format!(
-                    "wal sequence gap: expected {}, found {} (log reordered or spliced)",
+                    "wal.log sequence gap: expected {}, found {} (log reordered or spliced)",
                     seq + 1,
                     rec.seq
                 ));
             }
-            if store.space(&rec.table).is_none() {
+            let Some(space) = store.space(&rec.table) else {
                 return Err(format!(
-                    "wal seq {} references unregistered table {}",
+                    "wal.log seq {} references unregistered table {}",
                     rec.seq, rec.table
                 ));
+            };
+            if !fits(space, &rec.region) {
+                return Err(format!(
+                    "wal.log seq {}: region {:?} is not a box of {}'s query space",
+                    rec.seq,
+                    rec.region.dims(),
+                    rec.table
+                ));
             }
-            seq = rec.seq;
             let entry = ledger.entry(rec.table.clone()).or_insert(0);
             *entry += rec.spend;
             if *entry != rec.meter {
                 return Err(format!(
-                    "spend mismatch replaying seq {} for table {}: summed ledger {} != recorded meter {} \
-                     (a record was double-applied or lost)",
+                    "wal.log spend mismatch replaying seq {} for table {}: summed ledger {} != \
+                     recorded meter {} (a record was double-applied or lost)",
                     rec.seq, rec.table, *entry, rec.meter
                 ));
             }
             meter.insert(rec.table.clone(), rec.meter);
-            store.record_spend(&rec.table, rec.region, rec.at, rec.spend);
-            replayed += 1;
+            store.record_spend(&rec.table, rec.region.clone(), rec.at, rec.spend);
+            replayed.push((rec.table, rec.region));
         }
 
         // Every mirror frame replays: the log is the whole mirror.
@@ -455,8 +412,7 @@ impl DurableStore {
 
         let recovered: MirrorRows = mirror_rows.into_iter().collect();
         let recovery = RecoveryInfo {
-            snapshot_seq: applied_seq,
-            replayed,
+            replayed: replayed.len() as u64,
             truncated_bytes: truncated,
             mirror_rows: recovered.iter().map(|(_, rows)| rows.len() as u64).sum(),
             mirror_truncated_bytes: mirror_truncated,
@@ -467,16 +423,13 @@ impl DurableStore {
             inner: Mutex::new(Inner {
                 wal,
                 mirror,
-                seq,
-                applied_seq,
+                seq: replayed.len() as u64,
                 ledger,
                 meter,
-                appends_since_snapshot: payloads.len() as u64,
                 appends_total: 0,
-                snapshots: 0,
             }),
             recovery,
-            snapshotter: OnceLock::new(),
+            replayed: Mutex::new(replayed),
         };
         Ok((durable, store, recovered))
     }
@@ -486,23 +439,11 @@ impl DurableStore {
         &self.recovery
     }
 
-    /// Have every append that finds a snapshot due unpark `snapshotter`,
-    /// which then calls [`DurableStore::maybe_snapshot`]. First caller wins.
-    pub fn wake_when_due(&self, snapshotter: Thread) {
-        let _ = self.snapshotter.set(snapshotter);
-    }
-
-    fn snapshot_due(&self, inner: &Inner) -> bool {
-        self.cfg.snapshot_every != 0 && inner.appends_since_snapshot >= self.cfg.snapshot_every
-    }
-
     /// Wire this store into `shared` as its spend observer: every settled
-    /// purchase appends one durable record. Call once, after
-    /// [`DurableStore::open`]'s warm store has been handed to the serving
-    /// layer.
-    pub fn attach(self: &std::sync::Arc<Self>, shared: &SharedSemanticStore) {
-        let me = std::sync::Arc::clone(self);
-        shared.attach_observer(std::sync::Arc::new(move |table, region, now, spend| {
+    /// purchase appends one durable record.
+    pub fn attach(self: &Arc<Self>, shared: &SharedSemanticStore) {
+        let me = Arc::clone(self);
+        shared.attach_observer(Arc::new(move |table, region, now, spend| {
             me.append(table, region, now, spend);
         }));
     }
@@ -549,12 +490,6 @@ impl DurableStore {
             .wal
             .flush()
             .unwrap_or_else(|e| panic!("wal flush failed: {e}"));
-        inner.appends_since_snapshot += 1;
-        if self.snapshot_due(&inner) {
-            if let Some(t) = self.snapshotter.get() {
-                t.unpark();
-            }
-        }
     }
 
     /// Append the rows one market delivery added to the mirror log. Called
@@ -580,79 +515,16 @@ impl DurableStore {
             .unwrap_or_else(|e| panic!("mirror flush failed: {e}"));
     }
 
-    /// Snapshot now iff the append threshold has been reached.
-    /// `_mirror_dump` is never called (snapshots carry no rows); it stays
-    /// only for `benchmark/src/ledger.rs` and goes with the next benchmark PR.
+    /// Always `Ok(false)`: the logs are the state, so there is never a
+    /// snapshot to take. Kept with its signature only for
+    /// `benchmark/src/ledger.rs`, which polls it after every query;
+    /// `clippy.toml` forbids workspace callers.
     pub fn maybe_snapshot(
         &self,
-        shared: &SharedSemanticStore,
+        _shared: &SharedSemanticStore,
         _mirror_dump: &dyn Fn() -> MirrorRows,
     ) -> Result<bool, String> {
-        let due = self.snapshot_due(&self.inner.lock().unwrap_or_else(|e| e.into_inner()));
-        if due {
-            self.snapshot(shared)?;
-        }
-        Ok(due)
-    }
-
-    /// Write the coverage and the money (`applied_seq`, `ledger`, `store`)
-    /// and truncate `wal.log`. Holds the persist mutex across the store
-    /// read, so the snapshot covers exactly the appends with
-    /// `seq <= applied_seq` — an insert racing this snapshot has not yet
-    /// taken a sequence number, and will land in the fresh log. Rows stay
-    /// in `mirror.log`.
-    pub fn snapshot(&self, shared: &SharedSemanticStore) -> Result<(), String> {
-        // Gate first, then the mutex: a purchase inserted into the store but
-        // still waiting to append would otherwise be snapshotted as coverage
-        // the ledger below never paid for.
-        let settled = shared.settled();
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let applied_seq = inner.seq;
-        let ledger_json = Json::Obj(
-            inner
-                .ledger
-                .iter()
-                .map(|(t, p)| (t.clone(), Json::Int(*p as i64)))
-                .collect(),
-        );
-        // Shard read locks nest inside the persist mutex here; observers
-        // never hold one while appending, so this cannot cycle.
-        let store = shared.snapshot();
-        drop(settled);
-        let snap = Json::obj([
-            ("applied_seq", Json::Int(applied_seq as i64)),
-            ("ledger", ledger_json),
-            ("store", store.to_json()),
-        ]);
-        let path = snapshot_path(&self.dir);
-        let tmp = path.with_extension("json.tmp");
-        {
-            let mut f = File::create(&tmp).or_else(|e| io_err("create snapshot tmp", e))?;
-            f.write_all(snap.to_string_compact().as_bytes())
-                .or_else(|e| io_err("write snapshot tmp", e))?;
-            f.flush().or_else(|e| io_err("flush snapshot tmp", e))?;
-        }
-        if self.cfg.crash_in_snapshot == 1 && inner.appends_total > 0 {
-            eprintln!("payless-server: injected crash before snapshot rename");
-            std::process::abort();
-        }
-        std::fs::rename(&tmp, &path).or_else(|e| io_err("rename snapshot", e))?;
-        if self.cfg.crash_in_snapshot == 2 && inner.appends_total > 0 {
-            eprintln!("payless-server: injected crash before wal truncation");
-            std::process::abort();
-        }
-        inner
-            .wal
-            .set_len(0)
-            .or_else(|e| io_err("truncate wal after snapshot", e))?;
-        inner
-            .wal
-            .seek(SeekFrom::Start(0))
-            .or_else(|e| io_err("rewind wal after snapshot", e))?;
-        inner.applied_seq = applied_seq;
-        inner.appends_since_snapshot = 0;
-        inner.snapshots += 1;
-        Ok(())
+        Ok(false)
     }
 
     /// Current durability status (for `/v1/store`).
@@ -669,13 +541,54 @@ impl DurableStore {
             .collect();
         PersistStatus {
             last_seq: inner.seq,
-            applied_seq: inner.applied_seq,
             appends: inner.appends_total,
-            snapshots: inner.snapshots,
             recovery: self.recovery.clone(),
             tables,
         }
     }
+}
+
+/// Recover the data directory `dir` into serving state — the one recovery
+/// routine, behind both `Server::start` and the REPL's `--session`. Opens
+/// and replays both logs ([`DurableStore::open`] over every table of
+/// `market`), hands the warm store to `build` (which resumes its clock after
+/// the newest view), then, in this order:
+///
+/// 1. seeds `state`'s mirror with the rows of `mirror.log`;
+/// 2. re-derives the statistics: for each replayed purchase, in log order,
+///    the `feedback(region, records)` its delivery made, with `records`
+///    counted from the recovered mirror rows inside the region;
+/// 3. attaches both observers, so every later purchase is logged.
+pub fn recover<T>(
+    dir: &Path,
+    cfg: PersistConfig,
+    market: &DataMarket,
+    build: impl FnOnce(SemanticStore) -> T,
+    state: impl FnOnce(&T) -> &SharedState,
+) -> Result<(T, Arc<DurableStore>), String> {
+    let spaces: Vec<QuerySpace> = market
+        .table_names()
+        .iter()
+        .map(|name| QuerySpace::of(market.schema(name).expect("listed table")))
+        .collect();
+    let (durable, store, mirror) = DurableStore::open(dir, cfg, &spaces)?;
+    let durable = Arc::new(durable);
+    let built = build(store);
+    let shared = state(&built);
+    for (table, rows) in mirror {
+        let schema = market
+            .schema(&table)
+            .ok_or_else(|| format!("mirror.log holds rows of unknown table {table}"))?;
+        shared.seed_mirror(schema, rows);
+    }
+    let replayed = std::mem::take(&mut *durable.replayed.lock().unwrap_or_else(|e| e.into_inner()));
+    for (table, region) in &replayed {
+        shared.replay_feedback(table, region);
+    }
+    durable.attach(shared.store());
+    let me = Arc::clone(&durable);
+    shared.attach_row_observer(Arc::new(move |table, rows| me.append_rows(table, rows)));
+    Ok((built, durable))
 }
 
 impl std::fmt::Debug for DurableStore {
@@ -693,13 +606,10 @@ impl payless_json::ToJson for PersistStatus {
         Json::obj([
             ("durable", Json::Bool(true)),
             ("last_seq", Json::Int(self.last_seq as i64)),
-            ("applied_seq", Json::Int(self.applied_seq as i64)),
             ("appends", Json::Int(self.appends as i64)),
-            ("snapshots", Json::Int(self.snapshots as i64)),
             (
                 "recovery",
                 Json::obj([
-                    ("snapshot_seq", Json::Int(self.recovery.snapshot_seq as i64)),
                     ("replayed", Json::Int(self.recovery.replayed as i64)),
                     (
                         "truncated_bytes",
@@ -758,10 +668,7 @@ mod tests {
     #[test]
     fn append_recover_roundtrip_reconciles() {
         let dir = tmpdir("roundtrip");
-        let cfg = PersistConfig {
-            snapshot_every: 0,
-            ..PersistConfig::default()
-        };
+        let cfg = PersistConfig::default();
         {
             let (durable, store, _) = DurableStore::open(&dir, cfg, &[space()]).unwrap();
             assert_eq!(store.view_count("T"), 0);
@@ -784,10 +691,7 @@ mod tests {
     #[test]
     fn torn_tail_truncates_and_loses_only_the_tail() {
         let dir = tmpdir("torn");
-        let cfg = PersistConfig {
-            snapshot_every: 0,
-            ..PersistConfig::default()
-        };
+        let cfg = PersistConfig::default();
         {
             let (durable, _, _) = DurableStore::open(&dir, cfg, &[space()]).unwrap();
             durable.append("T", &r(0, 9), 1, 10);
@@ -815,44 +719,9 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_truncates_log_and_replay_skips_covered_records() {
-        let dir = tmpdir("snapshot");
-        let cfg = PersistConfig {
-            snapshot_every: 0,
-            ..PersistConfig::default()
-        };
-        {
-            let (durable, _, _) = DurableStore::open(&dir, cfg, &[space()]).unwrap();
-            let mut base = SemanticStore::new();
-            base.register(space());
-            let shared = SharedSemanticStore::new(base);
-            let durable = std::sync::Arc::new(durable);
-            durable.attach(&shared);
-            shared.record_spend("T", r(0, 9), 1, 10);
-            shared.record_spend("T", r(50, 59), 2, 10);
-            durable.snapshot(&shared).unwrap();
-            assert_eq!(std::fs::metadata(dir.join(WAL)).unwrap().len(), 0);
-            // Post-snapshot appends land in the fresh log.
-            shared.record_spend("T", r(100, 109), 3, 10);
-        }
-        let (durable, store, _) = DurableStore::open(&dir, cfg, &[space()]).unwrap();
-        let status = durable.status();
-        assert!(status.reconciles());
-        assert_eq!(status.recovery.snapshot_seq, 2);
-        assert_eq!(status.recovery.replayed, 1);
-        assert_eq!(status.tables[0].ledger_pages, 30);
-        assert!(store.covers("T", &r(0, 9), payless_semantic::Consistency::Weak, 4));
-        assert!(store.covers("T", &r(100, 109), payless_semantic::Consistency::Weak, 4));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn mirror_rows_survive_restart_and_snapshot() {
+    fn mirror_rows_survive_restart() {
         let dir = tmpdir("mirror");
-        let cfg = PersistConfig {
-            snapshot_every: 0,
-            ..PersistConfig::default()
-        };
+        let cfg = PersistConfig::default();
         let frame_a = vec![payless_types::row!(0), payless_types::row!(1)];
         let frame_b = vec![payless_types::row!(10)];
         {
@@ -861,30 +730,16 @@ mod tests {
             durable.append_rows("T", &frame_a);
         }
         {
-            // Plain restart: logged rows come back.
+            // Plain restart: logged rows come back, and the log is left as
+            // it was — it is the only copy of the rows.
+            let mirror_len = std::fs::metadata(dir.join(MIRROR)).unwrap().len();
             let (durable, _, recovered) = DurableStore::open(&dir, cfg, &[space()]).unwrap();
             assert_eq!(recovered, vec![("T".to_string(), frame_a.clone())]);
             assert_eq!(durable.recovery().mirror_rows, 2);
-            // A snapshot carries coverage and money only and leaves
-            // mirror.log alone: the rows live there and nowhere else.
-            let mirror_len = std::fs::metadata(dir.join(MIRROR)).unwrap().len();
-            let mut base = SemanticStore::new();
-            base.register(space());
-            let shared = SharedSemanticStore::new(base);
-            durable.snapshot(&shared).unwrap();
             assert_eq!(
                 std::fs::metadata(dir.join(MIRROR)).unwrap().len(),
                 mirror_len
             );
-            let snap = std::fs::read_to_string(snapshot_path(&dir)).unwrap();
-            let snap = payless_json::parse(&snap).unwrap();
-            let keys: Vec<&str> = snap
-                .as_obj()
-                .unwrap()
-                .iter()
-                .map(|(k, _)| k.as_str())
-                .collect();
-            assert_eq!(keys, ["applied_seq", "ledger", "store"]);
             // A delivery that arrives twice replays twice; the mirror's set
             // insert drops the copy.
             durable.append_rows("T", &frame_a);
@@ -904,10 +759,7 @@ mod tests {
     #[test]
     fn oversized_delivery_recovers_every_row() {
         let dir = tmpdir("oversized");
-        let cfg = PersistConfig {
-            snapshot_every: 0,
-            ..PersistConfig::default()
-        };
+        let cfg = PersistConfig::default();
         let big: Vec<Row> = (0..100_000i64).map(|i| payless_types::row!(i)).collect();
         let last = vec![payless_types::row!(-1)];
         {
@@ -922,9 +774,23 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A mirror frame whose CRC holds but whose payload lies fails
-    /// recovery with an error naming `mirror.log` — no panic, and no
-    /// allocation sized by a count the bytes cannot back.
+    /// Recovery fails with an error naming `log` when that log holds one
+    /// frame with `payload` — no panic, and no allocation sized by a count
+    /// the bytes cannot back.
+    fn assert_hostile(log: &str, what: &str, payload: &[u8]) {
+        let dir = tmpdir(&format!("hostile-{log}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut framed = Vec::new();
+        frame_into(&mut framed, payload);
+        std::fs::write(dir.join(log), &framed).unwrap();
+        let err = DurableStore::open(&dir, PersistConfig::default(), &[space()])
+            .map(|_| ())
+            .expect_err(what);
+        assert!(err.contains(log), "{what}: {err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A mirror frame whose CRC holds but whose payload lies.
     #[test]
     fn hostile_mirror_frames_fail_recovery_naming_the_log() {
         let rows = |body: &[u8]| [&[1, 0, b'T'][..], body].concat();
@@ -947,26 +813,39 @@ mod tests {
             ),
         ];
         for (what, payload) in cases {
-            let dir = tmpdir("hostile");
-            std::fs::create_dir_all(&dir).unwrap();
-            let mut log = Vec::new();
-            frame_into(&mut log, &payload);
-            std::fs::write(dir.join(MIRROR), &log).unwrap();
-            let err = DurableStore::open(&dir, PersistConfig::default(), &[space()])
-                .map(|_| ())
-                .expect_err(what);
-            assert!(err.contains("mirror.log"), "{what}: {err}");
-            let _ = std::fs::remove_dir_all(&dir);
+            assert_hostile(MIRROR, what, &payload);
+        }
+    }
+
+    /// A spend record whose CRC holds but whose payload lies — including a
+    /// region of the wrong arity or outside its table's domain, which would
+    /// otherwise panic in a debug build and be stored as a malformed view in
+    /// a release build.
+    #[test]
+    fn hostile_wal_records_fail_recovery_naming_the_log() {
+        let rec = |table: &str, region: &str| {
+            format!(r#"{{"seq":1,"table":"{table}","at":1,"spend":1,"meter":1,"region":{region}}}"#)
+                .into_bytes()
+        };
+        let cases: [(&str, Vec<u8>); 8] = [
+            ("not UTF-8", vec![0xff, 0xfe]),
+            ("not JSON", b"{\"seq\":".to_vec()),
+            ("a field missing", br#"{"seq":1,"table":"T"}"#.to_vec()),
+            ("unregistered table", rec("U", "[[0,9]]")),
+            ("no dimensions", rec("T", "[]")),
+            ("one dimension too many", rec("T", "[[0,9],[0,9]]")),
+            ("upper bound past the domain", rec("T", "[[0,1000]]")),
+            ("lower bound before the domain", rec("T", "[[-1,9]]")),
+        ];
+        for (what, payload) in cases {
+            assert_hostile(WAL, what, &payload);
         }
     }
 
     #[test]
     fn duplicated_frame_fails_recovery_loudly() {
         let dir = tmpdir("dup");
-        let cfg = PersistConfig {
-            snapshot_every: 0,
-            ..PersistConfig::default()
-        };
+        let cfg = PersistConfig::default();
         {
             let (durable, _, _) = DurableStore::open(&dir, cfg, &[space()]).unwrap();
             durable.append("T", &r(0, 9), 1, 10);

@@ -114,28 +114,6 @@ impl PerDimStats {
     }
 }
 
-impl payless_json::ToJson for PerDimStats {
-    fn to_json(&self) -> payless_json::Json {
-        use payless_json::Json;
-        Json::obj([
-            ("space", self.space.to_json()),
-            ("cardinality", self.cardinality.to_json()),
-            ("dims", self.dims.to_json()),
-        ])
-    }
-}
-
-impl payless_json::FromJson for PerDimStats {
-    fn from_json(j: &payless_json::Json) -> payless_json::Result<Self> {
-        use payless_json::FromJson;
-        Ok(PerDimStats {
-            space: FromJson::from_json(j.get("space")?)?,
-            cardinality: FromJson::from_json(j.get("cardinality")?)?,
-            dims: FromJson::from_json(j.get("dims")?)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -111,32 +111,6 @@ impl IsomerStats {
     }
 }
 
-impl payless_json::ToJson for IsomerStats {
-    fn to_json(&self) -> payless_json::Json {
-        use payless_json::Json;
-        Json::obj([
-            ("space", self.space.to_json()),
-            ("cardinality", self.cardinality.to_json()),
-            ("constraints", self.constraints.to_json()),
-            ("max_constraints", self.max_constraints.to_json()),
-            ("model", self.model.to_json()),
-        ])
-    }
-}
-
-impl payless_json::FromJson for IsomerStats {
-    fn from_json(j: &payless_json::Json) -> payless_json::Result<Self> {
-        use payless_json::FromJson;
-        Ok(IsomerStats {
-            space: FromJson::from_json(j.get("space")?)?,
-            cardinality: FromJson::from_json(j.get("cardinality")?)?,
-            constraints: FromJson::from_json(j.get("constraints")?)?,
-            max_constraints: FromJson::from_json(j.get("max_constraints")?)?,
-            model: FromJson::from_json(j.get("model")?)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

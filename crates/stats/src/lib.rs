@@ -31,7 +31,6 @@
 
 pub mod independence;
 pub mod isomer;
-mod json;
 pub mod qerror;
 pub mod registry;
 pub mod table_stats;

@@ -173,70 +173,6 @@ impl StatsRegistry {
     }
 }
 
-impl payless_json::ToJson for StatsBackend {
-    fn to_json(&self) -> payless_json::Json {
-        payless_json::Json::str(match self {
-            StatsBackend::MultiDim => "multi",
-            StatsBackend::PerDimension => "per-dim",
-            StatsBackend::Isomer => "isomer",
-        })
-    }
-}
-
-impl payless_json::FromJson for StatsBackend {
-    fn from_json(j: &payless_json::Json) -> payless_json::Result<Self> {
-        match j.as_str()? {
-            "multi" => Ok(StatsBackend::MultiDim),
-            "per-dim" => Ok(StatsBackend::PerDimension),
-            "isomer" => Ok(StatsBackend::Isomer),
-            other => payless_json::err(format!("bad stats backend {other:?}")),
-        }
-    }
-}
-
-impl payless_json::ToJson for TableModel {
-    fn to_json(&self) -> payless_json::Json {
-        use payless_json::Json;
-        match self {
-            TableModel::Multi(m) => Json::obj([("multi", m.to_json())]),
-            TableModel::PerDim(m) => Json::obj([("per_dim", m.to_json())]),
-            TableModel::Isomer(m) => Json::obj([("isomer", m.to_json())]),
-        }
-    }
-}
-
-impl payless_json::FromJson for TableModel {
-    fn from_json(j: &payless_json::Json) -> payless_json::Result<Self> {
-        use payless_json::FromJson;
-        match j.as_obj()? {
-            [(k, v)] if k == "multi" => Ok(TableModel::Multi(FromJson::from_json(v)?)),
-            [(k, v)] if k == "per_dim" => Ok(TableModel::PerDim(FromJson::from_json(v)?)),
-            [(k, v)] if k == "isomer" => Ok(TableModel::Isomer(FromJson::from_json(v)?)),
-            _ => payless_json::err(format!("bad table model encoding: {j}")),
-        }
-    }
-}
-
-impl payless_json::ToJson for StatsRegistry {
-    fn to_json(&self) -> payless_json::Json {
-        use payless_json::Json;
-        Json::obj([
-            ("tables", self.tables.to_json()),
-            ("backend", self.backend.to_json()),
-        ])
-    }
-}
-
-impl payless_json::FromJson for StatsRegistry {
-    fn from_json(j: &payless_json::Json) -> payless_json::Result<Self> {
-        use payless_json::FromJson;
-        Ok(StatsRegistry {
-            tables: FromJson::from_json(j.get("tables")?)?,
-            backend: FromJson::from_json(j.get("backend")?)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

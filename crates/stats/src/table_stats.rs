@@ -275,65 +275,6 @@ impl TableStats {
     }
 }
 
-impl payless_json::ToJson for Bucket {
-    fn to_json(&self) -> payless_json::Json {
-        use payless_json::Json;
-        Json::obj([
-            ("region", self.region.to_json()),
-            ("count", self.count.to_json()),
-            ("volume", self.volume.to_json()),
-            ("touched", self.touched.to_json()),
-        ])
-    }
-}
-
-impl payless_json::FromJson for Bucket {
-    fn from_json(j: &payless_json::Json) -> payless_json::Result<Self> {
-        use payless_json::FromJson;
-        Ok(Bucket {
-            region: FromJson::from_json(j.get("region")?)?,
-            count: FromJson::from_json(j.get("count")?)?,
-            volume: FromJson::from_json(j.get("volume")?)?,
-            touched: FromJson::from_json(j.get("touched")?)?,
-        })
-    }
-}
-
-impl payless_json::ToJson for TableStats {
-    fn to_json(&self) -> payless_json::Json {
-        use payless_json::Json;
-        Json::obj([
-            ("space", self.space.to_json()),
-            ("cardinality", self.cardinality.to_json()),
-            ("full_volume", self.full_volume.to_json()),
-            ("buckets", self.buckets.to_json()),
-            ("known_count", self.known_count.to_json()),
-            ("known_volume", self.known_volume.to_json()),
-            ("max_buckets", self.max_buckets.to_json()),
-            ("tick", self.tick.to_json()),
-        ])
-    }
-}
-
-impl payless_json::FromJson for TableStats {
-    fn from_json(j: &payless_json::Json) -> payless_json::Result<Self> {
-        use payless_json::FromJson;
-        let mut s = TableStats {
-            space: FromJson::from_json(j.get("space")?)?,
-            cardinality: FromJson::from_json(j.get("cardinality")?)?,
-            full_volume: FromJson::from_json(j.get("full_volume")?)?,
-            buckets: FromJson::from_json(j.get("buckets")?)?,
-            index: RTree::new(),
-            known_count: FromJson::from_json(j.get("known_count")?)?,
-            known_volume: FromJson::from_json(j.get("known_volume")?)?,
-            max_buckets: FromJson::from_json(j.get("max_buckets")?)?,
-            tick: FromJson::from_json(j.get("tick")?)?,
-        };
-        s.rebuild_index();
-        Ok(s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

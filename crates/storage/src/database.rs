@@ -3,7 +3,6 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use payless_json::{FromJson, Json, ToJson};
 use payless_types::{PaylessError, Result, Row, Schema};
 
 /// A local table: schema plus rows, with set-semantics ingestion.
@@ -72,25 +71,6 @@ impl LocalTable {
     }
 }
 
-// Snapshots keep schema + rows; the dedup set is rebuilt on load.
-impl ToJson for LocalTable {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("schema", self.schema.to_json()),
-            ("rows", self.rows.to_json()),
-        ])
-    }
-}
-
-impl FromJson for LocalTable {
-    fn from_json(j: &Json) -> payless_json::Result<Self> {
-        Ok(LocalTable::with_rows(
-            FromJson::from_json(j.get("schema")?)?,
-            FromJson::from_json(j.get("rows")?)?,
-        ))
-    }
-}
-
 /// The buyer's local database: named tables.
 #[derive(Debug, Default, Clone)]
 pub struct Database {
@@ -132,20 +112,6 @@ impl Database {
         let mut names: Vec<Arc<str>> = self.tables.keys().cloned().collect();
         names.sort();
         names
-    }
-}
-
-impl ToJson for Database {
-    fn to_json(&self) -> Json {
-        Json::obj([("tables", self.tables.to_json())])
-    }
-}
-
-impl FromJson for Database {
-    fn from_json(j: &Json) -> payless_json::Result<Self> {
-        Ok(Database {
-            tables: FromJson::from_json(j.get("tables")?)?,
-        })
     }
 }
 

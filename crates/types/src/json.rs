@@ -1,11 +1,9 @@
-//! JSON conversions for the fundamental types, used by session snapshots.
+//! JSON conversions for the fundamental types.
 
 use crate::constraint::{AttrConstraint, Constraint};
-use crate::domain::Domain;
 use crate::row::Row;
-use crate::schema::{BindingKind, Column, Schema};
 use crate::value::Value;
-use payless_json::{err, FromJson, Json, JsonError, Result, ToJson};
+use payless_json::{err, FromJson, Json, Result, ToJson};
 
 impl ToJson for Value {
     fn to_json(&self) -> Json {
@@ -37,112 +35,6 @@ impl ToJson for Row {
 impl FromJson for Row {
     fn from_json(j: &Json) -> Result<Self> {
         Ok(Row::new(Vec::<Value>::from_json(j)?))
-    }
-}
-
-impl ToJson for Domain {
-    fn to_json(&self) -> Json {
-        match self {
-            Domain::Int { lo, hi } => Json::obj([("lo", lo.to_json()), ("hi", hi.to_json())]),
-            Domain::Categorical(values) => Json::obj([(
-                "cats",
-                Json::Arr(values.iter().map(|v| v.to_json()).collect()),
-            )]),
-        }
-    }
-}
-
-impl FromJson for Domain {
-    fn from_json(j: &Json) -> Result<Self> {
-        if let Some(cats) = j.get_opt("cats") {
-            let values: Vec<std::sync::Arc<str>> = FromJson::from_json(cats)?;
-            if values.is_empty() {
-                return err("empty categorical domain");
-            }
-            Ok(Domain::Categorical(values.into()))
-        } else {
-            let lo = j.get("lo")?.as_i64()?;
-            let hi = j.get("hi")?.as_i64()?;
-            if lo > hi {
-                return err(format!("empty integer domain [{lo}, {hi}]"));
-            }
-            Ok(Domain::Int { lo, hi })
-        }
-    }
-}
-
-impl ToJson for BindingKind {
-    fn to_json(&self) -> Json {
-        Json::str(match self {
-            BindingKind::Bound => "bound",
-            BindingKind::Free => "free",
-            BindingKind::Output => "output",
-        })
-    }
-}
-
-impl FromJson for BindingKind {
-    fn from_json(j: &Json) -> Result<Self> {
-        match j.as_str()? {
-            "bound" => Ok(BindingKind::Bound),
-            "free" => Ok(BindingKind::Free),
-            "output" => Ok(BindingKind::Output),
-            other => err(format!("bad binding kind {other:?}")),
-        }
-    }
-}
-
-impl ToJson for Column {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", self.name.to_json()),
-            ("domain", self.domain.to_json()),
-            ("binding", self.binding.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Column {
-    fn from_json(j: &Json) -> Result<Self> {
-        Ok(Column {
-            name: FromJson::from_json(j.get("name")?)?,
-            domain: FromJson::from_json(j.get("domain")?)?,
-            binding: FromJson::from_json(j.get("binding")?)?,
-        })
-    }
-}
-
-impl ToJson for Schema {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("table", self.table.to_json()),
-            (
-                "columns",
-                Json::Arr(self.columns.iter().map(|c| c.to_json()).collect()),
-            ),
-        ])
-    }
-}
-
-impl FromJson for Schema {
-    fn from_json(j: &Json) -> Result<Self> {
-        let table: std::sync::Arc<str> = FromJson::from_json(j.get("table")?)?;
-        let columns: Vec<Column> = FromJson::from_json(j.get("columns")?)?;
-        // Re-validate the duplicate-name invariant on load.
-        for (i, a) in columns.iter().enumerate() {
-            for b in &columns[i + 1..] {
-                if a.name == b.name {
-                    return Err(JsonError(format!(
-                        "duplicate column `{}` in schema for `{table}`",
-                        a.name
-                    )));
-                }
-            }
-        }
-        Ok(Schema {
-            table,
-            columns: columns.into(),
-        })
     }
 }
 
@@ -209,31 +101,8 @@ mod tests {
     }
 
     #[test]
-    fn schemas_round_trip() {
-        round_trip(Schema::new(
-            "T",
-            vec![
-                Column::bound("a", Domain::int(-5, 9)),
-                Column::free("b", Domain::categorical(["x", "y"])),
-                Column::output("c", Domain::int(0, 1)),
-            ],
-        ));
-    }
-
-    #[test]
     fn constraints_round_trip() {
         round_trip(Constraint::Eq(Value::str("v")));
         round_trip(Constraint::IntRange { lo: -3, hi: 7 });
-    }
-
-    #[test]
-    fn loading_rejects_corrupt_schema() {
-        let j = Schema::new("T", vec![Column::free("a", Domain::int(0, 1))]).to_json();
-        let mut text = j.to_string_compact();
-        text = text.replace(
-            "\"columns\":[",
-            "\"columns\":[{\"name\":\"a\",\"domain\":{\"lo\":0,\"hi\":1},\"binding\":\"free\"},",
-        );
-        assert!(Schema::from_json(&parse(&text).unwrap()).is_err());
     }
 }

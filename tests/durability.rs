@@ -1,25 +1,27 @@
-//! Durability suite for the server's three files: `wal.log` (spend
-//! records), `mirror.log` (the purchased rows, append-only) and
-//! `snapshot.json` (coverage and money only).
+//! Durability suite for the server's two append-only logs: `wal.log`
+//! (spend records) and `mirror.log` (the purchased rows).
 //!
 //! The central property: **any byte-prefix truncation** of the write-ahead
 //! log — a crash can tear the tail anywhere, not just on a frame boundary —
 //! recovers to a store whose summed ledger reconciles with the recorded
 //! absolute meter, covering exactly the purchases whose frames survived.
-//! The same holds frame-wise for the mirror log. Across random snapshots
-//! and a crash torn anywhere inside the last purchase, every region the
-//! recovered store covers has all its rows — rows bought before a snapshot
-//! can only come back from `mirror.log`. A last test replays the snapshot
-//! crash window (renamed snapshot, WAL not yet truncated) and proves
-//! nothing is counted twice.
+//! The same holds frame-wise for the mirror log. Across a crash torn
+//! anywhere inside the last purchase, every region the recovered store
+//! covers has all its rows. And since neither log is ever compacted, both
+//! stay bounded by what was bought: under evictions and forced re-buys
+//! `mirror.log` holds each distinct row once and `wal.log` one frame per
+//! spend record.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use payless_geometry::{Interval, QuerySpace, Region};
-use payless_semantic::{Consistency, SemanticStore, SharedSemanticStore};
-use payless_server::persist::{scan_frames, DurableStore, PersistConfig};
+use payless_semantic::{Consistency, SemanticStore, SharedSemanticStore, StoreConfig};
+use payless_serve::{Serve, ServeConfig};
+use payless_server::persist::{recover, scan_frames, DurableStore, PersistConfig};
 use payless_types::{row, Column, Domain, Row, Schema};
+use payless_workload::{QueryWorkload, RealWorkload, WhwConfig};
 
 fn space() -> QuerySpace {
     QuerySpace::of(&Schema::new(
@@ -48,13 +50,6 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-fn no_snapshots() -> PersistConfig {
-    PersistConfig {
-        snapshot_every: 0,
-        ..PersistConfig::default()
-    }
-}
-
 mod props {
     use super::*;
     use proptest::prelude::*;
@@ -69,7 +64,7 @@ mod props {
             frac in 0.0f64..1.0,
         ) {
             let dir = tmpdir("wal-prefix");
-            let cfg = no_snapshots();
+            let cfg = PersistConfig::default();
             let mut spends = Vec::new();
             {
                 let (durable, _, _) = DurableStore::open(&dir, cfg, &[space()]).unwrap();
@@ -113,7 +108,7 @@ mod props {
             frac in 0.0f64..1.0,
         ) {
             let dir = tmpdir("mirror-prefix");
-            let cfg = no_snapshots();
+            let cfg = PersistConfig::default();
             let frame_rows: Vec<Vec<Row>> = (0..frames)
                 .map(|i| vec![row!(10 * i as i64), row!(10 * i as i64 + 1)])
                 .collect();
@@ -138,18 +133,18 @@ mod props {
         }
 
         /// Disjoint purchases written the way `land_delivery` writes them
-        /// (rows, then the spend through the attached store), a snapshot
-        /// after a random subset, and a crash torn at any byte of the last
-        /// purchase's writes: the ledger reconciles, every earlier purchase
-        /// is covered, the last one only if its spend record survived whole,
-        /// and every covered purchase has all its rows.
+        /// (rows, then the spend through the attached store) and a crash torn
+        /// at any byte of the last purchase's writes: the ledger reconciles,
+        /// every earlier purchase is covered, the last one only if its spend
+        /// record survived whole, and every covered purchase has all its
+        /// rows.
         #[test]
-        fn covered_purchases_keep_their_rows_across_snapshots_and_crashes(
-            purchases in proptest::collection::vec((1usize..6, any::<bool>()), 1..8),
+        fn covered_purchases_keep_their_rows_across_crashes(
+            purchases in proptest::collection::vec(1usize..6, 1..8),
             frac in 0.0f64..1.0,
         ) {
             let dir = tmpdir("coverage-rows");
-            let cfg = no_snapshots();
+            let cfg = PersistConfig::default();
             let wal = dir.join("wal.log");
             let mirror = dir.join("mirror.log");
             let len = |p: &std::path::Path| std::fs::metadata(p).unwrap().len();
@@ -164,16 +159,13 @@ mod props {
                 base.register(space());
                 let shared = SharedSemanticStore::new(base);
                 durable.attach(&shared);
-                for (i, &(n, snapshot)) in purchases[..last].iter().enumerate() {
+                for (i, &n) in purchases[..last].iter().enumerate() {
                     durable.append_rows("T", &rows_of(i, n));
                     shared.record_spend("T", r(i), i as u64 + 1, n as u64);
-                    if snapshot {
-                        durable.snapshot(&shared).unwrap();
-                    }
                 }
                 let before = (len(&mirror), len(&wal));
-                durable.append_rows("T", &rows_of(last, purchases[last].0));
-                shared.record_spend("T", r(last), last as u64 + 1, purchases[last].0 as u64);
+                durable.append_rows("T", &rows_of(last, purchases[last]));
+                shared.record_spend("T", r(last), last as u64 + 1, purchases[last] as u64);
                 (before, (len(&mirror), len(&wal)))
             };
             // The last purchase wrote its mirror frame, then its WAL frame;
@@ -189,10 +181,9 @@ mod props {
 
             let (durable, store, recovered) = DurableStore::open(&dir, cfg, &[space()]).unwrap();
             prop_assert!(durable.status().reconciles());
-            let rows: std::collections::HashSet<Row> =
-                recovered.into_iter().flat_map(|(_, rows)| rows).collect();
+            let rows: HashSet<Row> = recovered.into_iter().flat_map(|(_, rows)| rows).collect();
             let now = purchases.len() as u64 + 1;
-            for (i, &(n, _)) in purchases.iter().enumerate() {
+            for (i, &n) in purchases.iter().enumerate() {
                 let covered = store.covers("T", &r(i), Consistency::Weak, now);
                 prop_assert_eq!(covered, i < last || keep_wal == after.1, "purchase {}", i);
                 if covered {
@@ -205,52 +196,83 @@ mod props {
             }
             let _ = std::fs::remove_dir_all(&dir);
         }
+
+        /// Random Weather purchases through a durable `Serve` whose store
+        /// keeps at most 4 views, run twice over so evicted regions are
+        /// bought again: `mirror.log` holds each distinct row once — at most
+        /// Σ distinct rows × the largest encoded row, plus one frame's
+        /// overhead per delivery that added rows — and `wal.log` holds
+        /// exactly `last_seq` frames.
+        #[test]
+        fn logs_stay_bounded_under_evictions_and_rebuys(
+            queries in proptest::collection::vec((0usize..4, 1i64..20, 0i64..6), 1..12),
+        ) {
+            let dir = tmpdir("bounded");
+            let w = RealWorkload::generate(&WhwConfig {
+                stations: 24,
+                countries: 4,
+                cities_per_country: 3,
+                days: 20,
+                zips: 40,
+                ranks: 100,
+                seed: 5,
+            });
+            let market = Arc::new(payless_core::build_market(&w, 1));
+            let cfg = ServeConfig {
+                store: StoreConfig {
+                    max_views: 4,
+                    compaction: true,
+                },
+                ..ServeConfig::default()
+            };
+            let build = |store| Serve::with_store(market.clone(), w.local_tables(), cfg, store);
+            let (serve, durable) =
+                recover(&dir, PersistConfig::default(), &market, build, Serve::state).unwrap();
+            for _ in 0..2 {
+                for &(country, lo, width) in &queries {
+                    let sql = format!(
+                        "SELECT * FROM Weather WHERE Weather.Country = 'Country{country}' \
+                         AND Weather.Date >= {lo} AND Weather.Date <= {}",
+                        lo + width
+                    );
+                    let stmt = serve.prepare(&sql).unwrap();
+                    serve.run_query(&stmt, &[]).unwrap();
+                }
+            }
+
+            let wal = std::fs::read(dir.join("wal.log")).unwrap();
+            let (wal_frames, _) = scan_frames(&wal);
+            prop_assert_eq!(wal_frames.len() as u64, durable.status().last_seq);
+
+            drop((serve, durable));
+            let mirror = std::fs::read(dir.join("mirror.log")).unwrap();
+            let (mirror_frames, _) = scan_frames(&mirror);
+            let spaces: Vec<QuerySpace> = market
+                .table_names()
+                .iter()
+                .map(|name| QuerySpace::of(market.schema(name).unwrap()))
+                .collect();
+            let (_, _, recovered) =
+                DurableStore::open(&dir, PersistConfig::default(), &spaces).unwrap();
+            let rows: Vec<Row> = recovered.into_iter().flat_map(|(_, rows)| rows).collect();
+            let distinct: HashSet<&Row> = rows.iter().collect();
+            prop_assert_eq!(distinct.len(), rows.len(), "a row was logged twice");
+            let empty = payless_market::encode_rows(&[]).len();
+            let widest = rows
+                .iter()
+                .map(|row| payless_market::encode_rows(std::slice::from_ref(row)).len() - empty)
+                .max()
+                .unwrap_or(0);
+            let frame_overhead = 8 + 2 + "Weather".len() + empty;
+            prop_assert!(mirror_frames.len() <= wal_frames.len());
+            prop_assert!(
+                mirror.len() <= distinct.len() * widest + mirror_frames.len() * frame_overhead,
+                "mirror.log is {} bytes for {} distinct rows in {} frames",
+                mirror.len(),
+                distinct.len(),
+                mirror_frames.len()
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
-}
-
-/// The crash window between the snapshot's atomic rename and the WAL
-/// truncation leaves the WAL full of records the snapshot already covers.
-/// Recovery must skip every one of them: the ledger is not doubled and no
-/// WAL record replays. The rows come back once, from `mirror.log`, which
-/// the snapshot never touched.
-#[test]
-fn snapshot_crash_window_counts_nothing_twice() {
-    let dir = tmpdir("crash-window");
-    let cfg = no_snapshots();
-    let mirror_frame = vec![row!(1), row!(2)];
-    let wal_bytes = {
-        let (durable, _, _) = DurableStore::open(&dir, cfg, &[space()]).unwrap();
-        let durable = Arc::new(durable);
-        let mut base = SemanticStore::new();
-        base.register(space());
-        let shared = SharedSemanticStore::new(base);
-        durable.attach(&shared);
-        shared.record_spend("T", r(0), 1, 5);
-        shared.record_spend("T", r(1), 2, 7);
-        durable.append_rows("T", &mirror_frame);
-        let wal_bytes = std::fs::read(dir.join("wal.log")).unwrap();
-        durable.snapshot(&shared).unwrap();
-        wal_bytes
-    };
-    // Re-materialize the pre-snapshot WAL, as if the process died after
-    // the rename with the truncation still pending.
-    std::fs::write(dir.join("wal.log"), &wal_bytes).unwrap();
-
-    let (durable, store, recovered) = DurableStore::open(&dir, cfg, &[space()]).unwrap();
-    let status = durable.status();
-    assert!(status.reconciles());
-    assert_eq!(
-        status.recovery.replayed, 0,
-        "stale WAL records must be skipped"
-    );
-    assert_eq!(status.tables.len(), 1);
-    assert_eq!(status.tables[0].ledger_pages, 12, "5 + 7, not doubled");
-    assert_eq!(
-        recovered,
-        vec![("T".to_string(), mirror_frame)],
-        "the rows come back once, from mirror.log"
-    );
-    assert!(store.covers("T", &r(0), Consistency::Weak, 3));
-    assert!(store.covers("T", &r(1), Consistency::Weak, 3));
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -15,14 +15,21 @@
 //! * an attached injector with an empty plan is invisible: outputs and
 //!   billing are byte-identical to a session with no injector at all.
 //!
+//! Where two sessions must end in the same *state*, both run durable and
+//! their `wal.log` and `mirror.log` are compared byte for byte: coverage,
+//! mirror and refined statistics are functions of those two logs.
+//!
 //! The pinned chaos seed can be overridden with `PAYLESS_FAULT_SEED`.
 
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use payless_core::{
     build_market, DataMarket, FaultInjector, FaultKind, FaultPlan, Mode, PayLess, PayLessConfig,
     RetryPolicy,
 };
+use payless_server::persist::{recover, PersistConfig};
 use payless_types::{PaylessError, Row};
 use payless_workload::{QueryWorkload, RealWorkload, WhwConfig};
 
@@ -39,6 +46,11 @@ const QUERIES: [&str; 3] = [
 ];
 
 fn session(mode: Mode, retry: RetryPolicy) -> (Arc<DataMarket>, PayLess) {
+    session_in(None, mode, retry)
+}
+
+/// [`session`], kept in the data directory `dir` when one is given.
+fn session_in(dir: Option<&Path>, mode: Mode, retry: RetryPolicy) -> (Arc<DataMarket>, PayLess) {
     let workload = RealWorkload::generate(&WhwConfig {
         stations: 48,
         countries: 4,
@@ -54,12 +66,49 @@ fn session(mode: Mode, retry: RetryPolicy) -> (Arc<DataMarket>, PayLess) {
         retry,
         ..Default::default()
     };
-    let mut pl = PayLess::new(market.clone(), cfg);
+    let mut pl = match dir {
+        Some(dir) => {
+            let build = |store| PayLess::with_store(market.clone(), cfg, store);
+            let opened = recover(
+                dir,
+                PersistConfig::default(),
+                &market,
+                build,
+                PayLess::state,
+            );
+            opened.expect("session directory opens").0
+        }
+        None => PayLess::new(market.clone(), cfg),
+    };
     for t in QueryWorkload::local_tables(&workload) {
         pl.register_local(t.clone());
     }
     pl.enable_tracing(true);
     (market, pl)
+}
+
+static CASE: AtomicUsize = AtomicUsize::new(0);
+
+/// A fresh data directory for one durable session.
+fn tmpdir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "payless-fault-matrix-{tag}-{}-{}",
+        std::process::id(),
+        CASE.fetch_add(1, Ordering::SeqCst)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A durable session's whole state: its two logs, byte for byte.
+fn logs(dir: &Path) -> (Vec<u8>, Vec<u8>) {
+    let read = |name: &str| std::fs::read(dir.join(name)).expect("log exists");
+    let state = (read("wal.log"), read("mirror.log"));
+    assert!(
+        !state.0.is_empty() && !state.1.is_empty(),
+        "the session bought nothing, so comparing its logs proves nothing"
+    );
+    state
 }
 
 fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
@@ -353,8 +402,11 @@ fn retry_budget_caps_free_retries() {
 
 #[test]
 fn empty_fault_plan_is_bit_identical_to_no_injector() {
-    let (plain_market, mut plain) = session(Mode::PayLess, RetryPolicy::default());
-    let (injected_market, mut injected) = session(Mode::PayLess, RetryPolicy::default());
+    let (plain_dir, injected_dir) = (tmpdir("plain"), tmpdir("injected"));
+    let (plain_market, mut plain) =
+        session_in(Some(&plain_dir), Mode::PayLess, RetryPolicy::default());
+    let (injected_market, mut injected) =
+        session_in(Some(&injected_dir), Mode::PayLess, RetryPolicy::default());
     injected_market.attach_fault_injector(FaultInjector::new(FaultPlan::none()));
     for sql in QUERIES {
         let a = plain.query(sql).unwrap();
@@ -362,13 +414,16 @@ fn empty_fault_plan_is_bit_identical_to_no_injector() {
         assert_eq!(a.result, b.result);
     }
     assert_eq!(plain_market.bill(), injected_market.bill());
-    // Entire session state (mirror, store coverage, refined stats, clock)
-    // is byte-identical.
-    assert_eq!(plain.to_json().unwrap(), injected.to_json().unwrap());
+    // Entire session state (mirror, store coverage, refined stats) is
+    // byte-identical.
+    assert_eq!(logs(&plain_dir), logs(&injected_dir));
     assert_eq!(
         injected_market.fault_injector().unwrap().injections_total(),
         0
     );
+    for dir in [plain_dir, injected_dir] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -431,21 +486,26 @@ mod property {
 
     proptest! {
         /// For any fault seed, a session with unlimited retries ends in
-        /// *exactly* the state a fault-free session reaches: same mirror,
-        /// same store coverage, same refined statistics — SQR is fault-
-        /// transparent.
+        /// *exactly* the state a fault-free session reaches: the same spend
+        /// records and the same purchased rows, so the same store coverage
+        /// and the same refined statistics — SQR is fault-transparent.
         #[test]
         fn chaos_session_state_equals_clean_session_state(seed in any::<u64>()) {
-            let (_, mut clean) = session(Mode::PayLess, RetryPolicy::default());
+            let (clean_dir, chaos_dir) = (tmpdir("clean"), tmpdir("chaos"));
+            let (_, mut clean) = session_in(Some(&clean_dir), Mode::PayLess, RetryPolicy::default());
             for sql in QUERIES {
                 clean.query(sql).unwrap();
             }
-            let (market, mut pl) = session(Mode::PayLess, RetryPolicy::unlimited());
+            let (market, mut pl) =
+                session_in(Some(&chaos_dir), Mode::PayLess, RetryPolicy::unlimited());
             market.attach_fault_injector(FaultInjector::new(FaultPlan::chaos(seed)));
             for sql in QUERIES {
                 pl.query(sql).unwrap();
             }
-            prop_assert_eq!(clean.to_json().unwrap(), pl.to_json().unwrap());
+            prop_assert_eq!(logs(&clean_dir), logs(&chaos_dir));
+            for dir in [clean_dir, chaos_dir] {
+                let _ = std::fs::remove_dir_all(dir);
+            }
         }
     }
 }

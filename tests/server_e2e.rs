@@ -18,10 +18,12 @@
 //!   recovers a reconciling store (ledger == meter per table) **with** its
 //!   mirror rows, and re-running the identical mix buys zero pages while
 //!   still answering exactly like the oracle;
-//! * after a *crash* of the real `payless-server` binary — torn WAL frame
-//!   (with and without a snapshot before it), either side of the snapshot
-//!   rename, or SIGKILL — pages that survived plus pages re-bought equal
-//!   what one uninterrupted run buys.
+//! * one client, restarted halfway through a mix, pays and answers query
+//!   for query what an uninterrupted server does — the server twin of
+//!   `session_restarted_after_any_query_matches_golden`;
+//! * after a *crash* of the real `payless-server` binary — a torn WAL frame
+//!   or SIGKILL — pages that survived plus pages re-bought equal what one
+//!   uninterrupted run buys.
 //!
 //! The chaos seed, and the mix seed of the crash legs, come from
 //! `PAYLESS_FAULT_SEED` (default 48879, as in tests/fault_matrix.rs); the
@@ -36,7 +38,6 @@ use std::time::{Duration, Instant};
 use payless_core::build_market;
 use payless_json::Json;
 use payless_serve::{digest_row_slice, Serve, ServeConfig};
-use payless_server::persist::PersistConfig;
 use payless_server::{Server, ServerConfig};
 use payless_workload::client::{drive_mix, get_text, shutdown, RemoteOutcome};
 use payless_workload::{serve_mix, MixItem, QueryWorkload, RealWorkload, WhwConfig};
@@ -211,12 +212,6 @@ fn durable_restart_recovers_store_and_rebuys_nothing() {
     let dir = tmpdir("restart");
     let durable_cfg = || ServerConfig {
         data_dir: Some(dir.clone()),
-        persist: PersistConfig {
-            // Force mid-run snapshots so the restart exercises
-            // snapshot + log replay together, not just one of them.
-            snapshot_every: 4,
-            ..PersistConfig::default()
-        },
         ..ServerConfig::default()
     };
     let mix = seeded_mix(3, 12, 11);
@@ -252,6 +247,47 @@ fn durable_restart_recovers_store_and_rebuys_nothing() {
     );
     shutdown(&addr).expect("graceful shutdown");
     handle.join().expect("server thread").expect("clean exit");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One client at page size 100 runs a seeded mix of all five templates:
+/// once on an uninterrupted server, and once on a durable server that shuts
+/// down gracefully halfway and restarts on its data directory. The restart
+/// replays `wal.log` and `mirror.log` into coverage, mirror and statistics,
+/// so every query pays the same pages (`X-Payless-Pages`) and returns the
+/// same rows as without it.
+#[test]
+fn restarted_server_pays_and_answers_like_an_uninterrupted_one() {
+    let w = RealWorkload::generate(&WhwConfig::scaled(SCALE));
+    let mix = serve_mix(&w, &[0, 1, 2, 3, 4], 1, 40, fault_seed());
+    let run = |data_dir: Option<PathBuf>, items: &[MixItem]| -> Vec<(u64, u64)> {
+        let (addr, handle) = boot(ServerConfig {
+            page_size: 100,
+            data_dir,
+            ..ServerConfig::default()
+        });
+        let outcomes = drive_mix(&addr, items, 1).expect("drive succeeds");
+        shutdown(&addr).expect("graceful shutdown");
+        handle.join().expect("server thread").expect("clean exit");
+        outcomes
+            .iter()
+            .map(|o| (o.spend.pages, digest_row_slice(&o.rows)))
+            .collect()
+    };
+    let uninterrupted = run(None, &mix);
+    let dir = tmpdir("restart-halfway");
+    let (first, second) = mix.split_at(mix.len() / 2);
+    let mut restarted = run(Some(dir.clone()), first);
+    restarted.extend(run(Some(dir.clone()), second));
+    assert!(uninterrupted.iter().any(|&(pages, _)| pages > 0));
+    for (i, (want, got)) in uninterrupted.iter().zip(&restarted).enumerate() {
+        assert_eq!(
+            got,
+            want,
+            "query {i} ({} after the restart): (pages, digest) differ",
+            if i < first.len() { "before" } else { "after" }
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -369,35 +405,10 @@ fn crashed_server_recovers_and_rebuys_exactly_the_lost_pages() {
     let oracle = serial_oracle(&mix);
 
     // An empty knob set means the test SIGKILLs the server from outside.
-    let legs: [(&str, CrashKnobs); 5] = [
+    let legs: [(&str, CrashKnobs); 2] = [
         // A WAL frame torn halfway: the tail must be cut, never counted.
+        // (A 24-query mix makes 6-8 appends.)
         ("mid-append", &[("PAYLESS_CRASH_AFTER", "5")]),
-        // The same tear after a snapshot: rows bought before it can only
-        // come back from mirror.log. (A 24-query mix makes 6-8 appends.)
-        (
-            "after-snapshot",
-            &[
-                ("PAYLESS_SNAPSHOT_EVERY", "2"),
-                ("PAYLESS_CRASH_AFTER", "5"),
-            ],
-        ),
-        // Snapshot written, not yet renamed over the old one.
-        (
-            "pre-rename",
-            &[
-                ("PAYLESS_SNAPSHOT_EVERY", "4"),
-                ("PAYLESS_CRASH_IN_SNAPSHOT", "1"),
-            ],
-        ),
-        // Snapshot renamed, WAL not yet truncated: every logged record is
-        // also in the snapshot and must not be applied twice.
-        (
-            "pre-truncate",
-            &[
-                ("PAYLESS_SNAPSHOT_EVERY", "4"),
-                ("PAYLESS_CRASH_IN_SNAPSHOT", "2"),
-            ],
-        ),
         ("sigkill", &[]),
     ];
     for (leg, knobs) in legs {
@@ -410,9 +421,8 @@ fn crashed_server_recovers_and_rebuys_exactly_the_lost_pages() {
             if knobs.is_empty() {
                 // Kill as soon as anything durable has been written.
                 let wal = dir.join("data/wal.log");
-                let snapshot = dir.join("data/snapshot.json");
                 let deadline = Instant::now() + CHILD_DEADLINE;
-                while !(wal.metadata().is_ok_and(|m| m.len() > 0) || snapshot.exists()) {
+                while !wal.metadata().is_ok_and(|m| m.len() > 0) {
                     assert!(Instant::now() < deadline, "{leg}: nothing was ever logged");
                     std::thread::sleep(Duration::from_millis(1));
                 }
@@ -425,18 +435,10 @@ fn crashed_server_recovers_and_rebuys_exactly_the_lost_pages() {
             !crashed.success(),
             "{leg}: the first server was meant to crash, but exited with {crashed}"
         );
-        if leg == "after-snapshot" {
-            assert!(
-                dir.join("data/snapshot.json").exists(),
-                "{leg}: no snapshot was taken before the crash"
-            );
-        }
         if !knobs.is_empty() {
             // A rigged crash is mid-mix: the fifth append belongs to a query
-            // that never hears back, and the snapshotter is woken by the
-            // fourth append and dies holding the lock every later purchase
-            // needs. A drive that got all 24 answers raced past the crash
-            // and left nothing torn to recover.
+            // that never hears back. A drive that got all 24 answers raced
+            // past the crash and left nothing torn to recover.
             assert!(
                 drive.is_err(),
                 "{leg}: the server was meant to die under the drive, but it finished"

@@ -13,6 +13,11 @@
 //!   actuals). The file was recorded at commit 598c77d, before the session
 //!   moved onto `SharedState`; a mismatch writes the new text next to the
 //!   test binary's scratch directory so it can be diffed.
+//! * `session_restarted_after_any_query_matches_golden`: the session's
+//!   data directory (`wal.log` + `mirror.log`) is its whole state. For
+//!   every k, a durable session that runs the first k queries, is dropped
+//!   and is reopened from its directory renders the golden `payless` lines
+//!   byte for byte.
 //! * `session_equals_one_client_serve` runs the same stream through a
 //!   session at its defaults and through `Serve` with one thread and
 //!   coalescing off — both run Algorithm 1 — clean and under one chaos seed:
@@ -22,6 +27,8 @@
 mod common;
 
 use std::fmt::Write as _;
+use std::ops::Range;
+use std::path::Path;
 use std::sync::Arc;
 
 use common::{build_market, prepared};
@@ -31,6 +38,7 @@ use payless_core::{
 };
 use payless_json::Json;
 use payless_serve::{digest_rows, Serve, ServeConfig};
+use payless_server::persist::{recover, PersistConfig};
 use payless_types::Value;
 use payless_workload::{QueryWorkload, RealWorkload, WhwConfig};
 use rand::rngs::StdRng;
@@ -74,14 +82,35 @@ fn session_over(market: Arc<DataMarket>, w: &RealWorkload, cfg: PayLessConfig) -
     pl
 }
 
-/// Run the stream through `pl`, one outcome (and pages paid) per query.
-fn replay(pl: &mut PayLess, w: &RealWorkload) -> Vec<(usize, QueryOutcome, u64)> {
+/// A session at its defaults, kept in (and recovered from) `dir`.
+fn durable_session(market: &Arc<DataMarket>, w: &RealWorkload, dir: &Path) -> PayLess {
+    let build = |store| PayLess::with_store(Arc::clone(market), PayLessConfig::default(), store);
+    let (mut pl, _) = recover(dir, PersistConfig::default(), market, build, PayLess::state)
+        .expect("session directory opens");
+    for t in QueryWorkload::local_tables(w) {
+        pl.register_local(t.clone());
+    }
+    pl
+}
+
+/// The whole stream.
+const ALL: Range<usize> = 0..usize::MAX;
+
+/// Run the stream's `queries` through `pl`, one outcome (and pages paid)
+/// per query.
+fn replay(
+    pl: &mut PayLess,
+    w: &RealWorkload,
+    queries: Range<usize>,
+) -> Vec<(usize, QueryOutcome, u64)> {
     let templates: Vec<_> = QueryWorkload::templates(w)
         .iter()
         .map(|sql| pl.prepare(sql).expect("workload templates parse"))
         .collect();
     stream(w)
         .into_iter()
+        .skip(queries.start)
+        .take(queries.len())
         .map(|(t, params)| {
             let before = pl.bill().transactions();
             let out = pl
@@ -146,12 +175,12 @@ fn session_stream_matches_golden() {
         ("disable-all", Mode::DisableAll),
     ] {
         let mut pl = session(&w, PayLessConfig::mode(mode));
-        render(name, &replay(&mut pl, &w), &mut actual);
+        render(name, &replay(&mut pl, &w, ALL), &mut actual);
     }
 
     let mut pl = session(&w, PayLessConfig::default());
     pl.enable_tracing(true);
-    let traced = replay(&mut pl, &w);
+    let traced = replay(&mut pl, &w, ALL);
     render("payless-traced", &traced, &mut actual);
     let (i, report) = traced
         .iter()
@@ -181,6 +210,34 @@ fn session_stream_matches_golden() {
             GOLDEN.lines().nth(line).unwrap_or("<end>"),
             dump.display()
         );
+    }
+}
+
+#[test]
+fn session_restarted_after_any_query_matches_golden() {
+    let w = workload();
+    let golden: Vec<&str> = GOLDEN
+        .lines()
+        .filter(|l| l.starts_with("payless q"))
+        .collect();
+    let n = stream(&w).len();
+    assert_eq!(golden.len(), n);
+    for k in 1..n {
+        let dir = std::env::temp_dir().join(format!(
+            "payless-session-restart-{}-{k}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let market = build_market(&w, 100);
+        let mut runs = replay(&mut durable_session(&market, &w, &dir), &w, 0..k);
+        runs.extend(replay(&mut durable_session(&market, &w, &dir), &w, k..n));
+        let mut actual = String::new();
+        render("payless", &runs, &mut actual);
+        for (i, (got, want)) in actual.lines().zip(&golden).enumerate() {
+            assert_eq!(got, *want, "restarted after query {k}: q{i:02} diverges");
+        }
+        assert_eq!(actual.lines().count(), n);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -224,7 +281,7 @@ fn session_equals_one_client_serve() {
             },
         );
         pl.enable_tracing(true);
-        let session_runs = replay(&mut pl, &w);
+        let session_runs = replay(&mut pl, &w, ALL);
         let session_ledger: u64 = session_runs
             .iter()
             .map(|(_, out, _)| out.report.as_ref().expect("tracing is on").total_pages())
