@@ -10,10 +10,10 @@
 use std::sync::Arc;
 
 use payless_bench::{env_f64, env_usize};
-use payless_core::{build_market, PayLess, PayLessConfig, StatsBackend};
+use payless_core::{Mode, PayLess, Serve, ServeConfig, StatsBackend};
 use payless_geometry::Region;
 use payless_types::Value;
-use payless_workload::{QueryWorkload, RealWorkload, WhwConfig};
+use payless_workload::{build_market, QueryWorkload, RealWorkload, WhwConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -32,14 +32,12 @@ fn main() {
 
 fn run_backend(workload: &RealWorkload, backend: StatsBackend, q: usize) {
     let market = Arc::new(build_market(workload, 100));
-    let cfg = PayLessConfig {
+    let cfg = ServeConfig {
         stats_backend: backend,
-        ..Default::default()
+        ..ServeConfig::one_client()
     };
-    let mut pl = PayLess::new(market.clone(), cfg);
-    for t in workload.local_tables() {
-        pl.register_local(t.clone());
-    }
+    let serve = Serve::new(market.clone(), workload.local_tables(), cfg);
+    let mut pl = PayLess::over(serve, Mode::PayLess);
     let templates: Vec<_> = workload
         .templates()
         .iter()

@@ -10,9 +10,9 @@
 
 use std::sync::Arc;
 
-use payless_core::{build_market, Mode, PayLess, PayLessConfig};
+use payless_core::{Mode, PayLess, Serve, ServeConfig};
 use payless_json::{Json, ToJson};
-use payless_workload::QueryWorkload;
+use payless_workload::{build_market, QueryWorkload};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -226,12 +226,12 @@ struct RepResult {
 
 fn run_rep(workload: &dyn QueryWorkload, mode: Mode, cfg: &RunConfig, rep: usize) -> RepResult {
     let market = Arc::new(build_market(workload, cfg.page_size));
-    let mut session_cfg = PayLessConfig::mode(mode);
-    session_cfg.consistency = cfg.consistency;
-    let mut pl = PayLess::new(market.clone(), session_cfg);
-    for t in workload.local_tables() {
-        pl.register_local(t.clone());
-    }
+    let serve_cfg = ServeConfig {
+        consistency: cfg.consistency,
+        ..ServeConfig::one_client()
+    };
+    let serve = Serve::new(market.clone(), workload.local_tables(), serve_cfg);
+    let mut pl = PayLess::over(serve, mode);
     let templates: Vec<_> = workload
         .templates()
         .iter()

@@ -4,14 +4,15 @@ use std::path::Path;
 use std::sync::Arc;
 
 use payless_core::{
-    build_market, known_queries, render_provenance, ChromeTraceBuilder, DataMarket, EventJournal,
-    EventsConfig, MetricsConfig, MetricsHub, PayLess, PayLessConfig, QueryReport, SpendCell,
+    known_queries, render_provenance, ChromeTraceBuilder, DataMarket, EventJournal, EventsConfig,
+    MetricsConfig, MetricsHub, PayLess, QueryReport, SpendCell,
 };
 use payless_json::{Json, ToJson};
 use payless_serve::{run_mix, Serve, ServeConfig};
 use payless_server::persist::{recover, PersistConfig};
 use payless_workload::{
-    serve_mix, Finance, FinanceConfig, QueryWorkload, RealWorkload, Tpch, TpchConfig, WhwConfig,
+    build_market, serve_mix, Finance, FinanceConfig, QueryWorkload, RealWorkload, Tpch, TpchConfig,
+    WhwConfig,
 };
 
 use crate::args::{CliArgs, WorkloadKind};
@@ -90,66 +91,35 @@ fn dump_metrics(hub: &MetricsHub, path: &str) -> Result<String, String> {
 
 impl App {
     /// Build a session from parsed arguments: generate the workload, stand
-    /// up the market, install PayLess — recovered from its `--session`
-    /// data directory when one is given — and register local tables.
+    /// up the market, and install PayLess — a one-client serving layer,
+    /// recovered from its `--session` data directory when one is given.
     pub fn new(args: &CliArgs) -> Result<App, String> {
-        let (market, local_tables): (Arc<DataMarket>, Vec<payless_storage::LocalTable>) =
-            match args.workload {
-                WorkloadKind::Whw => {
-                    let w = RealWorkload::generate(&WhwConfig::scaled(args.scale));
-                    (
-                        Arc::new(build_market(&w, args.page_size)),
-                        w.local_tables().to_vec(),
-                    )
-                }
-                WorkloadKind::Tpch => {
-                    let w = Tpch::generate(&TpchConfig::uniform(args.scale));
-                    (
-                        Arc::new(build_market(&w, args.page_size)),
-                        w.local_tables().to_vec(),
-                    )
-                }
-                WorkloadKind::TpchSkew => {
-                    let w = Tpch::generate(&TpchConfig::skewed(args.scale));
-                    (
-                        Arc::new(build_market(&w, args.page_size)),
-                        w.local_tables().to_vec(),
-                    )
-                }
-                WorkloadKind::Finance => {
-                    let w = Finance::generate(&FinanceConfig::default());
-                    (
-                        Arc::new(build_market(&w, args.page_size)),
-                        w.local_tables().to_vec(),
-                    )
-                }
-            };
-        let cfg = PayLessConfig::mode(args.mode);
-        let mut session = match &args.session_dir {
-            Some(dir) => {
-                let build = |store| PayLess::with_store(Arc::clone(&market), cfg, store);
-                recover(
-                    Path::new(dir),
-                    PersistConfig::default(),
-                    &market,
-                    build,
-                    PayLess::state,
-                )
-                .map_err(|e| format!("opening session `{dir}`: {e}"))?
-                .0
-            }
-            None => PayLess::new(market.clone(), cfg),
+        let workload: Box<dyn QueryWorkload> = match args.workload {
+            WorkloadKind::Whw => Box::new(RealWorkload::generate(&WhwConfig::scaled(args.scale))),
+            WorkloadKind::Tpch => Box::new(Tpch::generate(&TpchConfig::uniform(args.scale))),
+            WorkloadKind::TpchSkew => Box::new(Tpch::generate(&TpchConfig::skewed(args.scale))),
+            WorkloadKind::Finance => Box::new(Finance::generate(&FinanceConfig::default())),
         };
-        for t in local_tables {
-            session.register_local(t);
-        }
-        session.enable_tracing(args.trace);
+        let market = Arc::new(build_market(&*workload, args.page_size));
+        let locals = workload.local_tables();
         let metrics = Arc::new(MetricsHub::new(MetricsConfig::default()));
-        session.attach_metrics(Arc::clone(&metrics));
         let events = build_journal(&args.events_out);
-        if let Some(journal) = &events {
-            session.attach_events(Arc::clone(journal));
-        }
+        let cfg = ServeConfig {
+            metrics: Some(Arc::clone(&metrics)),
+            events: events.clone(),
+            ..ServeConfig::one_client()
+        };
+        let serve = match &args.session_dir {
+            Some(dir) => {
+                let build = |store| Serve::with_store(Arc::clone(&market), locals, cfg, store);
+                recover(Path::new(dir), PersistConfig::default(), &market, build)
+                    .map_err(|e| format!("opening session `{dir}`: {e}"))?
+                    .0
+            }
+            None => Serve::new(Arc::clone(&market), locals, cfg),
+        };
+        let mut session = PayLess::over(serve, args.mode);
+        session.enable_tracing(args.trace);
         Ok(App {
             market,
             session,

@@ -4,7 +4,8 @@
 //! over Cloud Data Market* (Li, Lo, Yiu, Xu — EDBT 2015).
 //!
 //! A [`PayLess`] session fronts a [`payless_market::DataMarket`] with a SQL
-//! interface. Queries may mix local tables with market tables; PayLess
+//! interface; it is a one-client [`payless_serve::Serve`], the front end
+//! the in-process mix and the socket server run through too. Queries may mix local tables with market tables; PayLess
 //! optimizes each query to minimize the **money paid to data sellers**
 //! (market *transactions*, not calls or latency), by combining:
 //!
@@ -15,14 +16,14 @@
 //! * feedback-driven statistics that refine with every retrieval.
 //!
 //! ```
-//! use payless_core::{PayLess, PayLessConfig};
-//! use payless_workload::{QueryWorkload, RealWorkload, WhwConfig};
+//! use payless_core::{Mode, PayLess};
+//! use payless_workload::{build_market, QueryWorkload, RealWorkload, WhwConfig};
 //! use std::sync::Arc;
 //!
 //! // A synthetic weather data market (the paper's running example).
 //! let workload = RealWorkload::generate(&WhwConfig::scaled(0.01));
-//! let market = Arc::new(payless_core::build_market(&workload, 100));
-//! let mut payless = PayLess::new(market.clone(), PayLessConfig::default());
+//! let market = Arc::new(build_market(&workload, 100));
+//! let mut payless = PayLess::new(market.clone(), Mode::PayLess);
 //! for t in workload.local_tables() {
 //!     payless.register_local(t.clone());
 //! }
@@ -55,6 +56,7 @@ pub use payless_market::{BillingReport, DataMarket, Dataset, FaultInjector, Faul
 pub use payless_metrics::{MetricsConfig, MetricsHub};
 pub use payless_optimizer::PlanCounters;
 pub use payless_semantic::{Consistency, SharedSemanticStore, StoreConfig};
+pub use payless_serve::{Mode, Serve, ServeConfig};
 pub use payless_sql::SelectStmt;
 pub use payless_stats::StatsBackend;
 pub use payless_stats::{q_error, QErrorAccumulator, QErrorSummary};
@@ -63,4 +65,8 @@ pub use payless_telemetry::{
     QErrorRecord, Recorder, SpendCell, SqrStats, TelemetrySnapshot, TransactionRecord,
 };
 pub use report::QueryReport;
-pub use session::{build_market, HistoryEntry, Mode, PayLess, PayLessConfig, QueryOutcome};
+pub use session::{HistoryEntry, PayLess, QueryOutcome};
+
+/// Re-exported from [`payless_workload`]. It stays here only for
+/// `benchmark/src/{socket,ledger}.rs`, which import it from this crate.
+pub use payless_workload::build_market;

@@ -1,91 +1,29 @@
-//! The PayLess session: one buyer's installation over one market. It
-//! parses and analyzes, maps its [`Mode`] to a pipeline configuration, and
-//! hands the query to [`payless_exec::pipeline`] — the paper's Figure 3 —
-//! then keeps the books: history, the query report, the journal bracket.
+//! The PayLess session: one buyer's installation over one market, as a
+//! one-client [`Serve`]. It binds and analyzes against the serving layer's
+//! catalog, runs every query through [`Serve::run`] in its [`Mode`] — the
+//! path the in-process mix and the socket server take — and keeps the books
+//! a REPL shows: the history, and per traced query the [`QueryReport`].
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use payless_exec::{
-    pipeline, Env, ExecConfig, PipelineConfig, QueryResult, Ran, RetryPolicy, SharedState,
-};
+use payless_exec::{QueryResult, Ran, SharedState};
 use payless_market::DataMarket;
-use payless_metrics::MetricsHub;
-use payless_optimizer::{OptimizerConfig, PlanCounters};
-use payless_semantic::{Consistency, SemanticStore, StoreConfig};
-use payless_sql::{analyze, parse, AnalyzedQuery, MapCatalog, SelectStmt, TableLocation};
-use payless_stats::{StatsBackend, StatsRegistry};
+use payless_optimizer::PlanCounters;
+use payless_serve::{Mode, Serve, ServeConfig};
+use payless_sql::{parse, AnalyzedQuery, SelectStmt, TableLocation};
 use payless_storage::LocalTable;
-use payless_telemetry::Recorder;
+use payless_telemetry::{Recorder, TelemetrySnapshot};
 use payless_types::{Result, Value};
-use payless_workload::QueryWorkload;
 
 use crate::report::QueryReport;
-
-/// Which system variant a session runs — the four lines of the paper's
-/// Figure 10.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Full PayLess: theorems + semantic query rewriting.
-    PayLess,
-    /// PayLess with semantic query rewriting disabled.
-    PayLessNoSqr,
-    /// The calls-minimizing optimizer of prior work (bushy plans, no SQR).
-    MinCalls,
-    /// Download every referenced market table up front, answer locally.
-    DownloadAll,
-    /// Ablation for Figure 14: SQR off *and* search-space pruning off
-    /// (exhaustive bushy enumeration).
-    DisableAll,
-}
-
-/// Session configuration.
-#[derive(Debug, Clone)]
-pub struct PayLessConfig {
-    /// System variant.
-    pub mode: Mode,
-    /// Store-freshness policy (Section 4.3's consistency levels).
-    pub consistency: Consistency,
-    /// Which updatable statistic backs cardinality estimation (the paper's
-    /// "amenable for any updatable statistic" knob).
-    pub stats_backend: StatsBackend,
-    /// Retry/backoff/budget policy for market calls (the resilient call
-    /// layer). The default retries transient failures a few times with
-    /// millisecond backoff.
-    pub retry: RetryPolicy,
-    /// Semantic-store tuning: per-table view cap and compaction toggle.
-    /// Coverage is a cache — the cap bounds memory, never answers.
-    pub store: StoreConfig,
-}
-
-impl Default for PayLessConfig {
-    fn default() -> Self {
-        PayLessConfig {
-            mode: Mode::PayLess,
-            consistency: Consistency::Weak,
-            stats_backend: StatsBackend::default(),
-            retry: RetryPolicy::default(),
-            store: StoreConfig::default(),
-        }
-    }
-}
-
-impl PayLessConfig {
-    /// Configuration for a given mode with defaults elsewhere.
-    pub fn mode(mode: Mode) -> Self {
-        PayLessConfig {
-            mode,
-            ..Default::default()
-        }
-    }
-}
 
 /// Everything a query run reports besides its rows.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
     /// The result relation.
     pub result: QueryResult,
-    /// Rendered plan (`None` for unsatisfiable queries and Download All).
+    /// Rendered plan (`None` for unsatisfiable queries).
     pub plan: Option<String>,
     /// The optimizer's estimated cost (transactions or calls by mode).
     pub est_cost: f64,
@@ -117,133 +55,81 @@ pub struct HistoryEntry {
     pub rows: usize,
 }
 
-/// A PayLess installation at one data buyer.
+/// A PayLess installation at one data buyer: a one-client [`Serve`] plus
+/// the mode it runs, its history and whether it traces.
 pub struct PayLess {
-    market: Arc<DataMarket>,
-    catalog: MapCatalog,
-    /// The buyer side of Figure 3 — local DBMS, semantic store, statistics —
-    /// in the same shape the serving layer shares between clients; here its
-    /// locks are simply never contended.
-    state: SharedState,
-    cfg: PayLessConfig,
-    /// Logical clock: advanced once per executed query; drives X-week
-    /// consistency windows.
-    now: u64,
+    serve: Serve,
+    mode: Mode,
+    /// Telemetry sink of the live store and of every query. Always on, so
+    /// what each query spent is known (and journaled) whether or not it is
+    /// traced.
+    recorder: Arc<Recorder>,
+    /// Introspect plans and build a [`QueryReport`] per query.
+    tracing: bool,
     /// Per-query log (not persisted).
     history: Vec<HistoryEntry>,
-    /// Telemetry sink shared by the store and the executor, whose call
-    /// layer writes the spend ledger into it. Disabled by default;
-    /// [`PayLess::enable_tracing`] turns it on.
-    recorder: Arc<Recorder>,
-    /// Live metrics hub, if one was attached ([`PayLess::attach_metrics`]).
-    metrics: Option<Arc<MetricsHub>>,
-    /// Flight recorder, if one was attached ([`PayLess::attach_events`]).
-    events: Option<Arc<payless_events::EventJournal>>,
 }
 
 impl PayLess {
-    /// Install PayLess over a market: registers every hosted table's schema,
-    /// cardinality and query space (the "basic statistics" of Section 2.1).
-    pub fn new(market: Arc<DataMarket>, cfg: PayLessConfig) -> Self {
-        Self::with_store(market, cfg, SemanticStore::new())
+    /// Install PayLess over a market: a one-client [`Serve`] at its
+    /// defaults ([`ServeConfig::one_client`]), running `mode`.
+    pub fn new(market: Arc<DataMarket>, mode: Mode) -> Self {
+        Self::over(Serve::new(market, &[], ServeConfig::one_client()), mode)
     }
 
-    /// As [`PayLess::new`], over a warm `store` replayed from a data
+    /// A session running `mode` over `serve` — one built with a
+    /// [`ServeConfig::one_client`] variant, or one recovered from a data
     /// directory (`payless_server::persist::recover`, behind the CLI's
-    /// `--session`): its coverage is honoured, and the clock resumes after
-    /// its newest view, so no view is dated in the future.
-    pub fn with_store(
-        market: Arc<DataMarket>,
-        cfg: PayLessConfig,
-        mut store: SemanticStore,
-    ) -> Self {
-        let recorder = Arc::new(Recorder::default());
-        let now = store.newest_stored_at();
-        store.set_config(cfg.store);
-        store.attach_recorder(recorder.clone());
-        let (catalog, state) = SharedState::for_market(
-            &market,
-            &[],
-            store,
-            StatsRegistry::new().with_backend(cfg.stats_backend),
-        );
+    /// `--session`).
+    pub fn over(serve: Serve, mode: Mode) -> Self {
+        let recorder = Recorder::enabled();
+        serve.state().store().attach_recorder(Arc::clone(&recorder));
         PayLess {
-            market,
-            catalog,
-            state,
-            cfg,
-            now,
-            history: Vec::new(),
+            serve,
+            mode,
             recorder,
-            metrics: None,
-            events: None,
+            tracing: false,
+            history: Vec::new(),
         }
     }
 
-    /// Attach a live metrics hub: every market call this session makes
-    /// reports latency, page, and retry metrics into it
-    /// (`payless_market_*`), and its store reports hits, records and view
-    /// gauges (`payless_store_*`). The CLI attaches one hub to the session
-    /// and to any serve layer it starts, so `\metrics` shows both.
-    pub fn attach_metrics(&mut self, hub: Arc<MetricsHub>) {
-        self.state.store().attach_metrics(Arc::clone(&hub));
-        self.metrics = Some(hub);
-    }
-
-    /// Attach a flight-recorder journal: every query this session runs
-    /// journals its lifecycle, call attempts/faults/retries, and store
-    /// events with the query's causal id (its logical-clock tick). The CLI
-    /// attaches one under `--events-out`.
-    pub fn attach_events(&mut self, journal: Arc<payless_events::EventJournal>) {
-        self.state.store().attach_events(journal.clone());
-        self.events = Some(journal);
-    }
-
-    /// Turn per-query tracing on or off. While on, every
-    /// [`QueryOutcome`] carries a [`QueryReport`] with the spend ledger,
-    /// SQR statistics, plan-search counters, and phase timings. While off,
-    /// the telemetry path costs one atomic load per event and allocates
-    /// nothing.
+    /// Turn per-query tracing on or off. While on, every [`QueryOutcome`]
+    /// carries a [`QueryReport`] with the spend ledger, SQR statistics,
+    /// plan-search counters, per-operator estimates and actuals, and phase
+    /// timings.
     pub fn enable_tracing(&mut self, on: bool) {
-        self.recorder.set_enabled(on);
+        self.tracing = on;
     }
 
     /// Is per-query tracing currently on?
     pub fn tracing_enabled(&self) -> bool {
-        self.recorder.is_enabled()
-    }
-
-    /// The session's telemetry recorder: the store, the optimizer and the
-    /// executor report into it; the market never sees it.
-    pub fn recorder(&self) -> &Arc<Recorder> {
-        &self.recorder
+        self.tracing
     }
 
     /// Register a table in the buyer's local DBMS.
     pub fn register_local(&mut self, table: LocalTable) {
-        self.catalog.add(table.schema.clone(), TableLocation::Local);
-        self.state.register_local(table);
+        self.serve.register_local(table);
     }
 
     /// The market this session fronts.
     pub fn market(&self) -> &DataMarket {
-        &self.market
+        self.serve.market()
     }
 
     /// Cumulative bill so far (the paper's headline metric).
     pub fn bill(&self) -> payless_market::BillingReport {
-        self.market.bill()
+        self.market().bill()
     }
 
     /// The session's logical clock.
     pub fn now(&self) -> u64 {
-        self.now
+        self.serve.now()
     }
 
     /// The buyer-side state: local mirror, semantic store and refined
-    /// statistics (for tooling, experiments and recovery).
+    /// statistics (for tooling and experiments).
     pub fn state(&self) -> &SharedState {
-        &self.state
+        self.serve.state()
     }
 
     /// The session's query log, oldest first.
@@ -253,8 +139,8 @@ impl PayLess {
 
     /// Advance the logical clock by `ticks` (e.g. to simulate weeks passing
     /// for X-week consistency experiments).
-    pub fn advance_clock(&mut self, ticks: u64) {
-        self.now += ticks;
+    pub fn advance_clock(&self, ticks: u64) {
+        self.serve.advance_clock(ticks);
     }
 
     /// Parse a (possibly parameterized) statement into a reusable template.
@@ -272,32 +158,13 @@ impl PayLess {
     /// the rendered plan and its estimated cost (transactions, or calls in
     /// MinCalls mode). Nothing is fetched and nothing is charged.
     pub fn explain(&self, sql: &str) -> Result<(String, f64)> {
-        let stmt = self.prepare(sql)?;
-        let bound = stmt.bind(&[])?;
-        let query = analyze(&bound, &self.catalog)?;
+        let query = self.serve.analyze(&self.prepare(sql)?.bind(&[])?)?;
         if query.unsatisfiable {
             return Ok(("<unsatisfiable: empty result, no plan needed>".into(), 0.0));
         }
-        let optimized = pipeline::plan(
-            &self.env(),
-            &query,
-            &self.optimizer_config(),
-            Some(&self.recorder),
-            self.now,
-        )?;
+        let optimized = self.serve.plan(&query, self.mode)?;
         let names = |t: usize| query.tables[t].name.to_string();
         Ok((optimized.plan.render(&names), optimized.cost.primary))
-    }
-
-    /// What a session's queries run against: no coalescer and no batcher —
-    /// one query at a time has nobody to share a purchase with.
-    fn env(&self) -> Env<'_> {
-        Env {
-            market: &self.market,
-            state: &self.state,
-            coalescer: None,
-            batcher: None,
-        }
     }
 
     /// `EXPLAIN ANALYZE`: run `sql` with tracing forced on and return the
@@ -308,46 +175,13 @@ impl PayLess {
     /// is called and money is spent — actuals cannot exist otherwise. The
     /// session's tracing flag is restored afterwards.
     pub fn explain_analyze(&mut self, sql: &str) -> Result<QueryOutcome> {
-        let was_on = self.recorder.is_enabled();
-        self.recorder.set_enabled(true);
+        let was_on = std::mem::replace(&mut self.tracing, true);
         let out = self.query(sql);
-        self.recorder.set_enabled(was_on);
+        self.tracing = was_on;
         out
     }
 
-    /// The optimizer's estimate for `query` with semantic rewriting
-    /// disabled: the counterfactual "what would this cost if the store's
-    /// coverage didn't exist". Skipped (None) for modes that never rewrite.
-    fn est_no_sqr_cost(&self, query: &AnalyzedQuery) -> Option<f64> {
-        let mut cfg = self.optimizer_config();
-        if !cfg.sqr {
-            return None;
-        }
-        cfg.sqr = false;
-        pipeline::plan(&self.env(), query, &cfg, Some(&self.recorder), self.now)
-            .ok()
-            .map(|o| o.cost.primary)
-    }
-
-    /// The ideal Download-All price for `query`: one full scan of every
-    /// referenced market table at its page size (Eq. (1)), ignoring what the
-    /// session has already downloaded.
-    fn query_download_all_cost(&self, query: &AnalyzedQuery) -> Option<f64> {
-        let mut total = 0u64;
-        let mut any = false;
-        for t in &query.tables {
-            if t.location != TableLocation::Market {
-                continue;
-            }
-            any = true;
-            let cardinality = self.market.cardinality(&t.name)?;
-            let page = self.market.page_size(&t.name)?;
-            total += payless_optimizer::download_all_cost(cardinality, page);
-        }
-        any.then_some(total as f64)
-    }
-
-    /// Bind `params` into a template, then optimize and execute it.
+    /// Bind `params` into a template, then run it through [`Serve::run`].
     pub fn execute_template(
         &mut self,
         template: &SelectStmt,
@@ -355,84 +189,37 @@ impl PayLess {
     ) -> Result<QueryOutcome> {
         let t_analyze = Instant::now();
         let bound = template.bind(params)?;
-        let query = analyze(&bound, &self.catalog)?;
+        let query = self.serve.analyze(&bound)?;
         let analyze_nanos = t_analyze.elapsed().as_nanos() as u64;
-        let paid_before = self.market.bill().transactions();
-        let mut out = self.run(&query)?;
-        if let Some(report) = out.report.as_mut() {
-            report.analyze_nanos = analyze_nanos;
-        }
+        // Billed pages from the meter delta, which the report's ledger must
+        // reconcile with: nothing else charges this session's market.
+        let paid_before = self.bill().transactions();
+        let (at, ran, telemetry) = self
+            .serve
+            .run(&query, self.mode, &self.recorder, self.tracing);
+        let paid = self.bill().transactions() - paid_before;
+        let out = self.outcome(&query, ran?, telemetry, paid, analyze_nanos);
         self.history.push(HistoryEntry {
-            at: self.now,
+            at,
             summary: bound.to_string(),
             plan: out.plan.clone(),
             est_cost: out.est_cost,
-            paid: self.market.bill().transactions() - paid_before,
+            paid,
             rows: out.result.rows.len(),
         });
         Ok(out)
     }
 
-    fn run(&mut self, query: &AnalyzedQuery) -> Result<QueryOutcome> {
-        self.now += 1;
-        let qid = self.now;
-        if let Some(j) = &self.events {
-            j.emit(Some(qid), payless_events::Severity::Info, || {
-                payless_events::EventKind::QueryStart
-            });
-        }
-        let tracing = self.recorder.is_enabled();
-        // Start a fresh per-query epoch *unconditionally*: a previous query
-        // that failed mid-flight, or ran while tracing was toggled, must not
-        // leak its ledger (wasted/delivered partition) into this one.
-        self.recorder.begin_epoch();
-        let paid_before = self.market.bill().transactions();
-        let mut optimizer = self.optimizer_config();
-        optimizer.introspect = tracing;
-        let cfg = PipelineConfig {
-            exec: ExecConfig {
-                sqr: optimizer.sqr,
-                consistency: self.cfg.consistency,
-                recorder: Some(self.recorder.clone()),
-                retry: self.cfg.retry.clone(),
-                synthesize_ledger: true,
-                metrics: self.metrics.clone(),
-                events: self.events.clone(),
-                ..ExecConfig::default()
-            },
-            optimizer,
-            download_all: self.cfg.mode == Mode::DownloadAll,
-            store_recorder: Some(self.recorder.clone()),
-        };
-        let (budget, ran) = pipeline::run_query(&self.env(), query, &cfg, qid);
-        // Billed pages from the meter delta: a session attributes every
-        // charge in this window to the one query it is running.
-        let paid = self.market.bill().transactions() - paid_before;
-        if let Some(j) = &self.events {
-            let ok = ran.is_ok();
-            let sev = if ok {
-                payless_events::Severity::Info
-            } else {
-                payless_events::Severity::Warn
-            };
-            j.emit(Some(qid), sev, || payless_events::EventKind::QueryDone {
-                ok,
-                pages: paid,
-                wasted_pages: budget.wasted_pages,
-            });
-        }
-        Ok(self.outcome(query, ran?, tracing, paid))
-    }
-
-    /// Shape a pipeline run into the session's [`QueryOutcome`]; when
-    /// tracing, drain the recorder into a [`QueryReport`] and price the two
-    /// counterfactuals next to it.
+    /// Shape a run into the session's [`QueryOutcome`]; when tracing, wrap
+    /// its telemetry in a [`QueryReport`] and price the two counterfactuals
+    /// next to it.
     fn outcome(
         &self,
         query: &AnalyzedQuery,
         ran: Ran,
-        tracing: bool,
+        telemetry: TelemetrySnapshot,
         paid_transactions: u64,
+        analyze_nanos: u64,
     ) -> QueryOutcome {
         let names = |t: usize| query.tables[t].name.to_string();
         // An unsatisfiable query has no plan: no estimate, no search, no
@@ -447,20 +234,20 @@ impl PayLess {
             None => Default::default(),
         };
         let planned = plan.is_some();
-        let report = tracing.then(|| {
+        let report = self.tracing.then(|| {
             // Zip the optimizer's estimates with the executor's actuals:
             // both sides number operators in pre-order.
             for (trace, actual) in ops.iter_mut().zip(ran.actuals) {
                 trace.actual = actual;
             }
             QueryReport {
-                analyze_nanos: 0, // patched in by execute_template
+                analyze_nanos,
                 optimize_nanos: ran.optimize_nanos,
                 execute_nanos: ran.execute_nanos,
                 est_cost,
                 paid_transactions,
                 counters,
-                telemetry: self.recorder.take(),
+                telemetry,
                 ops,
                 est_no_sqr_cost: planned.then(|| self.est_no_sqr_cost(query)).flatten(),
                 download_all_cost: planned
@@ -479,32 +266,44 @@ impl PayLess {
         }
     }
 
-    fn optimizer_config(&self) -> OptimizerConfig {
-        let mut cfg = match self.cfg.mode {
-            Mode::PayLess | Mode::DownloadAll => OptimizerConfig::payless(),
-            Mode::PayLessNoSqr => OptimizerConfig::payless_no_sqr(),
-            Mode::MinCalls => OptimizerConfig::min_calls(),
-            Mode::DisableAll => OptimizerConfig::disable_all(),
-        };
-        cfg.consistency = self.cfg.consistency;
-        cfg
+    /// The optimizer's estimate for `query` with semantic rewriting
+    /// disabled: the counterfactual "what would this cost if the store's
+    /// coverage didn't exist". Skipped (None) for modes that never rewrite.
+    fn est_no_sqr_cost(&self, query: &AnalyzedQuery) -> Option<f64> {
+        if !self.mode.preset().0.sqr {
+            return None;
+        }
+        self.serve
+            .plan(query, Mode::PayLessNoSqr)
+            .ok()
+            .map(|o| o.cost.primary)
     }
-}
 
-/// Bundle a workload's market tables into a single-dataset [`DataMarket`]
-/// with the given page size `t` (tuples per transaction).
-pub fn build_market(workload: &(dyn QueryWorkload + '_), page_size: u64) -> DataMarket {
-    let mut dataset = payless_market::Dataset::new("market").with_page_size(page_size);
-    for t in workload.market_tables() {
-        dataset = dataset.with_table(t.clone());
+    /// The ideal Download-All price for `query`: one full scan of every
+    /// referenced market table at its page size (Eq. (1)), ignoring what the
+    /// session has already downloaded.
+    fn query_download_all_cost(&self, query: &AnalyzedQuery) -> Option<f64> {
+        let market = self.market();
+        let mut total = 0u64;
+        let mut any = false;
+        for t in &query.tables {
+            if t.location != TableLocation::Market {
+                continue;
+            }
+            any = true;
+            let cardinality = market.cardinality(&t.name)?;
+            let page = market.page_size(&t.name)?;
+            total += payless_optimizer::download_all_cost(cardinality, page);
+        }
+        any.then_some(total as f64)
     }
-    DataMarket::new(vec![dataset])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use payless_workload::{RealWorkload, WhwConfig};
+    use payless_semantic::Consistency;
+    use payless_workload::{build_market, QueryWorkload, RealWorkload, WhwConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -519,11 +318,20 @@ mod tests {
             seed: 3,
         });
         let market = Arc::new(build_market(&workload, 100));
-        let mut pl = PayLess::new(market.clone(), PayLessConfig::mode(mode));
+        let mut pl = PayLess::new(market.clone(), mode);
         for t in QueryWorkload::local_tables(&workload) {
             pl.register_local(t.clone());
         }
         (market, pl, workload)
+    }
+
+    /// A default-mode session over `market` at `consistency`.
+    fn session_with(market: &Arc<DataMarket>, consistency: Consistency) -> PayLess {
+        let cfg = ServeConfig {
+            consistency,
+            ..ServeConfig::one_client()
+        };
+        PayLess::over(Serve::new(Arc::clone(market), &[], cfg), Mode::PayLess)
     }
 
     #[test]
@@ -683,11 +491,7 @@ mod tests {
             seed: 3,
         });
         let market = Arc::new(build_market(&workload, 100));
-        let cfg = PayLessConfig {
-            consistency: Consistency::Strong,
-            ..Default::default()
-        };
-        let mut pl = PayLess::new(market.clone(), cfg);
+        let mut pl = session_with(&market, Consistency::Strong);
         let sql = "SELECT * FROM Weather WHERE Weather.Country = 'Country0' AND \
                    Weather.Date >= 1 AND Weather.Date <= 5";
         pl.query(sql).unwrap();
@@ -777,17 +581,19 @@ mod tests {
     #[test]
     fn reopened_session_resumes_its_clock_for_window_consistency() {
         let (market, _, _) = session(Mode::PayLess);
-        let cfg = PayLessConfig {
-            consistency: Consistency::Window(3),
-            ..Default::default()
-        };
-        let mut pl = PayLess::new(market.clone(), cfg.clone());
+        let mut pl = session_with(&market, Consistency::Window(3));
         let sql = "SELECT * FROM Weather WHERE Weather.Country = 'Country2' AND \
                    Weather.Date >= 1 AND Weather.Date <= 5";
         pl.query(sql).unwrap();
         pl.query(sql).unwrap();
         assert_eq!(pl.now(), 2);
-        let mut reopened = PayLess::with_store(market.clone(), cfg, pl.state().store().snapshot());
+        let cfg = ServeConfig {
+            consistency: Consistency::Window(3),
+            ..ServeConfig::one_client()
+        };
+        let warm = pl.state().store().snapshot();
+        let reopened = Serve::with_store(market.clone(), &[], cfg, warm);
+        let mut reopened = PayLess::over(reopened, Mode::PayLess);
         assert_eq!(reopened.now(), 1, "the only view was bought at tick 1");
         reopened.advance_clock(10);
         // The stored view is stale relative to the resumed clock; the query
@@ -809,11 +615,7 @@ mod tests {
             seed: 3,
         });
         let market = Arc::new(build_market(&workload, 100));
-        let cfg = PayLessConfig {
-            consistency: Consistency::Window(5),
-            ..Default::default()
-        };
-        let mut pl = PayLess::new(market.clone(), cfg);
+        let mut pl = session_with(&market, Consistency::Window(5));
         let sql = "SELECT * FROM Weather WHERE Weather.Country = 'Country0' AND \
                    Weather.Date >= 1 AND Weather.Date <= 5";
         pl.query(sql).unwrap();

@@ -156,7 +156,7 @@ mod tests {
                 vec![row!("x", 1), row!("y", 2), row!("y", 3), row!("z", 4)],
             ))]);
         let (_, state) =
-            SharedState::for_market(&market, &[], SemanticStore::new(), StatsRegistry::new());
+            SharedState::for_market(&market, SemanticStore::new(), StatsRegistry::new());
         (market, state, free_schema, bound_schema)
     }
 

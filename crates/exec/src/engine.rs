@@ -1209,12 +1209,10 @@ mod tests {
         let market = DataMarket::new(vec![Dataset::new("DS")
             .with_page_size(10)
             .with_table(MarketTable::new(events_schema, events))]);
-        let (catalog, state) = SharedState::for_market(
-            &market,
-            &[LocalTable::with_rows(users_schema, users)],
-            SemanticStore::new(),
-            StatsRegistry::new(),
-        );
+        let (mut catalog, state) =
+            SharedState::for_market(&market, SemanticStore::new(), StatsRegistry::new());
+        catalog.add(users_schema.clone(), TableLocation::Local);
+        state.register_local(LocalTable::with_rows(users_schema, users));
         Fixture {
             market,
             state,

@@ -21,9 +21,9 @@
 //! whole tables up front, then answer everything locally) when asked to.
 //!
 //! Everything runs against one [`SharedState`] — local mirror, semantic
-//! store and statistics behind locks — whoever the caller is: a
-//! single-tenant session (uncontended, no coalescer, no batcher), the
-//! in-process mix or the socket server. [`state`] states the lock
+//! store and statistics behind locks — whoever the caller is: the REPL
+//! session (a one-client serving layer: uncontended, no coalescer, no
+//! batcher), the in-process mix or the socket server. [`state`] states the lock
 //! discipline.
 
 #![warn(missing_docs)]
@@ -40,5 +40,5 @@ pub use batch::{split_pages, BatchConfig, BatchPlanner, BatchRole, MemberShare, 
 pub use call::{resilient_get, CallBudget, CallOutcome, RetryPolicy};
 pub use coalesce::{CallCoalescer, Claim, FlightGuard};
 pub use engine::{ExecConfig, Executor, QueryResult};
-pub use pipeline::{Env, PipelineConfig, Ran};
+pub use pipeline::{Env, Mode, PipelineConfig, Ran};
 pub use state::{RowObserver, SharedState};

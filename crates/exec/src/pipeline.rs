@@ -3,12 +3,12 @@
 //! execute the plan against the live [`SharedState`] — buying remainders,
 //! storing what arrives, refining the statistics, answering locally.
 //!
-//! Every caller runs [`run_query`] and differs only in the
-//! [`PipelineConfig`] it passes and in whether its [`Env`] carries a
-//! coalescer and a batch planner: a single-tenant session in any of the
-//! five paper modes, the in-process serving layer and, through it, the
-//! socket server. [`plan`] is the same pipeline stopped before execution
-//! (`EXPLAIN`, the no-SQR counterfactual): it charges nothing.
+//! Its one caller is `payless_serve::Serve::run`, behind the REPL session
+//! (a one-client `Serve`), the in-process mix and the socket server; they
+//! differ only in the [`Mode`] preset and in whether the [`Env`] carries a
+//! coalescer and a batch planner. [`plan`] is the same pipeline stopped
+//! before execution (`EXPLAIN`, the no-SQR counterfactual): it charges
+//! nothing.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -20,7 +20,6 @@ use payless_telemetry::{OperatorActual, Recorder};
 use payless_types::Result;
 
 use crate::batch::BatchPlanner;
-use crate::call::CallBudget;
 use crate::coalesce::CallCoalescer;
 use crate::download::ensure_downloaded;
 use crate::engine::{ExecConfig, Executor, QueryResult};
@@ -41,10 +40,43 @@ pub struct Env<'a> {
     pub batcher: Option<&'a BatchPlanner>,
 }
 
+/// Which system variant a query runs — the four lines of the paper's
+/// Figure 10, plus Figure 14's ablation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    /// Full PayLess: theorems + semantic query rewriting.
+    PayLess,
+    /// PayLess with semantic query rewriting disabled.
+    PayLessNoSqr,
+    /// The calls-minimizing optimizer of prior work (bushy plans, no SQR).
+    MinCalls,
+    /// Download every referenced market table up front, answer locally.
+    DownloadAll,
+    /// Ablation for Figure 14: SQR off *and* search-space pruning off
+    /// (exhaustive bushy enumeration).
+    DisableAll,
+}
+
+impl Mode {
+    /// The mode as a preset: its plan-search configuration, and whether it
+    /// downloads every referenced market table before planning.
+    pub fn preset(self) -> (OptimizerConfig, bool) {
+        match self {
+            Mode::PayLess => (OptimizerConfig::payless(), false),
+            Mode::PayLessNoSqr => (OptimizerConfig::payless_no_sqr(), false),
+            Mode::MinCalls => (OptimizerConfig::min_calls(), false),
+            Mode::DownloadAll => (OptimizerConfig::payless(), true),
+            Mode::DisableAll => (OptimizerConfig::disable_all(), false),
+        }
+    }
+}
+
 /// How one query is planned and executed.
 #[derive(Debug)]
 pub struct PipelineConfig {
-    /// Plan-search configuration (a session derives it from its `Mode`).
+    /// Plan-search configuration (a [`Mode`] preset). With `introspect`
+    /// set, the plan-time store copy reports its probe counters (`store.*`)
+    /// into `exec.recorder` too.
     pub optimizer: OptimizerConfig,
     /// Execution-time configuration.
     pub exec: ExecConfig,
@@ -52,12 +84,6 @@ pub struct PipelineConfig {
     /// local-complete before planning; the optimizer then finds a
     /// zero-cost plan.
     pub download_all: bool,
-    /// Recorder the plan-time store copy reports its probe counters
-    /// (`store.*`) into. The copy arrives with none attached; a session
-    /// attaches its own so plan search keeps feeding `\report`, the serving
-    /// layer — whose recorders are per query, and these counters are a
-    /// property of the store — attaches none.
-    pub store_recorder: Option<Arc<Recorder>>,
 }
 
 /// What one run produced besides the money it spent.
@@ -97,30 +123,19 @@ pub fn plan(
     optimize(query, &stats, &store, env.market, cfg, now)
 }
 
-/// Run `query` at logical time `now`. The [`CallBudget`] — retries used
-/// and pages billed without a delivery, Download-All calls included —
-/// comes back on the error path too: a query that fails has usually spent
+/// Run `query` at logical time `now`. What it spent — delivered and
+/// wasted, Download-All calls included — is in `cfg.exec.recorder`'s
+/// ledger, on the error path too: a query that fails has usually spent
 /// money first.
 pub fn run_query(
     env: &Env<'_>,
     query: &AnalyzedQuery,
     cfg: &PipelineConfig,
     now: u64,
-) -> (CallBudget, Result<Ran>) {
+) -> Result<Ran> {
     let mut executor =
         Executor::shared(query, env.market, env.state, &cfg.exec, now, env.coalescer);
     executor.batcher = env.batcher;
-    let ran = run(env, query, cfg, now, &mut executor);
-    (executor.budget, ran)
-}
-
-fn run(
-    env: &Env<'_>,
-    query: &AnalyzedQuery,
-    cfg: &PipelineConfig,
-    now: u64,
-    executor: &mut Executor<'_>,
-) -> Result<Ran> {
     // Unsatisfiable queries cost nothing and need no plan.
     if query.unsatisfiable {
         return Ok(Ran {
@@ -151,7 +166,12 @@ fn run(
         }
     }
     let t0 = Instant::now();
-    let optimized = plan(env, query, &cfg.optimizer, cfg.store_recorder.as_ref(), now)?;
+    let store_recorder = cfg
+        .exec
+        .recorder
+        .as_ref()
+        .filter(|_| cfg.optimizer.introspect);
+    let optimized = plan(env, query, &cfg.optimizer, store_recorder, now)?;
     let optimize_nanos = t0.elapsed().as_nanos() as u64;
     // The activity bracket lets the planner's quiescence trigger see this
     // query: when every active query is parked, batches seal immediately
@@ -182,6 +202,7 @@ mod tests {
     use payless_types::{row, Column, Domain, Schema};
 
     use crate::batch::BatchConfig;
+    use crate::call::CallBudget;
 
     /// One market table `T(k, d, v)`, page size 2, skewed on its bound
     /// categorical `k` — x: 1 row, y: 4 rows, z: 1 row — so the uniform
@@ -216,7 +237,7 @@ mod tests {
             .with_page_size(2)
             .with_table(MarketTable::new(schema.clone(), rows))]);
         let (catalog, state) =
-            SharedState::for_market(&market, &[], SemanticStore::new(), StatsRegistry::new());
+            SharedState::for_market(&market, SemanticStore::new(), StatsRegistry::new());
         Fixture {
             market,
             state,
@@ -389,16 +410,14 @@ mod tests {
                     ..ExecConfig::default()
                 },
                 download_all: true,
-                store_recorder: None,
             };
-            let (budget, ran) = run_query(&f.env(), &f.analyzed(Y_SLICE), &cfg, 1);
+            let ran = run_query(&f.env(), &f.analyzed(Y_SLICE), &cfg, 1);
             assert_eq!(ran.unwrap().result.rows.len(), 4);
             let ledger = recorder.take();
             let billed = f.market.bill().transactions();
             assert_eq!(billed, if fault.is_some() { 6 } else { 4 });
             assert_eq!(ledger.total_pages(), billed, "fault {fault:?}");
-            assert_eq!(ledger.wasted_pages(), budget.wasted_pages);
-            assert_eq!(budget.wasted_pages, if fault.is_some() { 2 } else { 0 });
+            assert_eq!(ledger.wasted_pages(), if fault.is_some() { 2 } else { 0 });
         }
     }
 
@@ -412,14 +431,11 @@ mod tests {
             exec: ExecConfig::default(),
             // Even Download All buys nothing for a query with no answer.
             download_all: true,
-            store_recorder: None,
         };
-        let (budget, ran) = run_query(&f.env(), &query, &cfg, 1);
-        let ran = ran.unwrap();
+        let ran = run_query(&f.env(), &query, &cfg, 1).unwrap();
         assert_eq!(ran.result.columns, vec!["v".to_string()]);
         assert!(ran.result.rows.is_empty());
         assert!(ran.optimized.is_none());
-        assert_eq!(budget, CallBudget::default());
         assert_eq!(f.market.bill().calls(), 0);
         assert_eq!(f.state.store().view_count("T"), 0);
         assert_eq!(f.mirrored(), 0);

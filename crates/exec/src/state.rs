@@ -76,12 +76,11 @@ impl SharedState {
 
     /// Install the buyer side over `market`: every hosted table's schema,
     /// cardinality and query space (the "basic statistics" of Section 2.1)
-    /// goes into the returned catalog, `stats` and `store`; `locals` are
-    /// registered as the buyer's own tables. `store` may arrive warm
-    /// (recovered coverage is kept; market tables it lacks are added).
+    /// goes into the returned catalog, `stats` and `store`. `store` may
+    /// arrive warm (recovered coverage is kept; market tables it lacks are
+    /// added).
     pub fn for_market(
         market: &DataMarket,
-        locals: &[LocalTable],
         mut store: SemanticStore,
         mut stats: StatsRegistry,
     ) -> (MapCatalog, Self) {
@@ -94,10 +93,6 @@ impl SharedState {
             catalog.add(schema, TableLocation::Market);
         }
         let state = SharedState::new(Database::new(), SharedSemanticStore::new(store), stats);
-        for t in locals {
-            catalog.add(t.schema.clone(), TableLocation::Local);
-            state.register_local(t.clone());
-        }
         (catalog, state)
     }
 

@@ -107,7 +107,7 @@ fn to_sql(call: &Call) -> String {
 fn run(calls: &[Call], recorder: &Arc<Recorder>) -> DataMarket {
     let market = market();
     let (catalog, state) =
-        SharedState::for_market(&market, &[], SemanticStore::new(), StatsRegistry::new());
+        SharedState::for_market(&market, SemanticStore::new(), StatsRegistry::new());
     let env = Env {
         market: &market,
         state: &state,
@@ -123,12 +123,10 @@ fn run(calls: &[Call], recorder: &Arc<Recorder>) -> DataMarket {
             ..ExecConfig::default()
         },
         download_all: false,
-        store_recorder: None,
     };
     for (i, call) in calls.iter().enumerate() {
         let query = analyze(&parse(&to_sql(call)).unwrap(), &catalog).unwrap();
-        let (_, ran) = pipeline::run_query(&env, &query, &cfg, i as u64 + 1);
-        ran.unwrap();
+        pipeline::run_query(&env, &query, &cfg, i as u64 + 1).unwrap();
     }
     market
 }

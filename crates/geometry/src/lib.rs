@@ -27,7 +27,6 @@
 pub mod decompose;
 pub mod enumerate;
 pub mod interval;
-mod json;
 pub mod region;
 pub mod rtree;
 pub mod space;

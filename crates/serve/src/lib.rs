@@ -1,14 +1,18 @@
-//! Concurrent multi-session serving over one shared semantic store.
+//! Serving over one shared semantic store: the one front end every query
+//! runs through.
 //!
-//! [`Serve`] is the middleware shape the ROADMAP's "many users" goal needs:
-//! N client sessions run queries in parallel against a single market, one
+//! [`Serve`] is the middleware of the paper's Figure 3 with any number of
+//! clients: they run queries in parallel against a single market, one
 //! shared local mirror, one shared statistics registry, and one shared
 //! (per-table sharded) semantic store — so every client benefits from every
-//! other client's purchases. A query takes the same path a single-tenant
-//! session's does ([`payless_exec::pipeline`]), with overlapping in-flight
-//! purchases coalesced to a single flight ([`payless_exec::CallCoalescer`])
-//! and its own telemetry recorder, whose spend ledger the call layer
-//! writes — attributing every shared purchase to the query that triggered it.
+//! other client's purchases. [`Serve::run`] is the one place a query runs:
+//! the REPL session (`payless_core::PayLess`, a one-client `Serve`), the
+//! in-process mix and the socket server all go through it, differing only in
+//! the [`Mode`] preset, the recorder and whether plan introspection is on.
+//! Overlapping in-flight purchases coalesce to a single flight
+//! ([`payless_exec::CallCoalescer`]), and each query's recorder gets the
+//! spend ledger the call layer writes — attributing every shared purchase to
+//! the query that triggered it.
 //!
 //! [`run_mix`] is the deterministic multi-client workload driver behind
 //! `payless --serve` and `tests/serve_concurrency.rs`: it replays a seeded
@@ -27,31 +31,32 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use payless_exec::{
-    pipeline, BatchPlanner, CallCoalescer, Env, ExecConfig, PipelineConfig, RetryPolicy,
-    SharedState,
+    pipeline, BatchPlanner, CallCoalescer, Env, ExecConfig, PipelineConfig, QueryResult, Ran,
+    RetryPolicy, SharedState,
 };
 use payless_market::DataMarket;
 use payless_metrics::MetricsHub;
-use payless_optimizer::OptimizerConfig;
+use payless_optimizer::{Optimized, OptimizerConfig};
 use payless_semantic::{Consistency, SemanticStore, SharedSemanticStore, StoreConfig};
-use payless_sql::{analyze, parse, MapCatalog, SelectStmt};
-use payless_stats::StatsRegistry;
+use payless_sql::{analyze, parse, AnalyzedQuery, MapCatalog, SelectStmt, TableLocation};
+use payless_stats::{StatsBackend, StatsRegistry};
 use payless_storage::LocalTable;
-use payless_telemetry::Recorder;
-use payless_types::Result;
+use payless_telemetry::{Recorder, TelemetrySnapshot};
+use payless_types::{Result, Value};
 use payless_workload::{drive, MixItem};
 
 use payless_events::{EventJournal, EventKind, Severity};
 
-pub use payless_exec::BatchConfig;
+pub use payless_exec::{BatchConfig, Mode};
 pub use payless_workload::QuerySpend;
 pub use report::{query_spend, ClientSpend, QueryRow, ServeReport};
 pub use watchdog::{TableDrift, Watchdog, WatchdogReport};
 
 /// Serving-layer options. Everything is explicit — the library reads no
 /// environment variables. `payless --serve` and `payless-server` run the
-/// `Default` (the server's `PAYLESS_COALESCE` / `PAYLESS_BATCH` aside);
-/// the other values are set by `tests/`.
+/// `Default` (the server's `PAYLESS_COALESCE` / `PAYLESS_BATCH` aside), the
+/// REPL session [`ServeConfig::one_client`]; the other values are set by
+/// `tests/`.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker threads replaying the mix. `1` is the serial oracle.
@@ -61,6 +66,9 @@ pub struct ServeConfig {
     pub coalesce: bool,
     /// Store-freshness policy shared by every client.
     pub consistency: Consistency,
+    /// Which updatable statistic backs cardinality estimation (the paper's
+    /// "amenable for any updatable statistic" knob).
+    pub stats_backend: StatsBackend,
     /// Retry/backoff policy for market calls. Fault-injected runs should
     /// use [`RetryPolicy::unlimited`] so every query eventually answers
     /// and runs stay comparable across thread counts.
@@ -96,6 +104,7 @@ impl Default for ServeConfig {
             threads: 1,
             coalesce: true,
             consistency: Consistency::Weak,
+            stats_backend: StatsBackend::default(),
             retry: RetryPolicy::default(),
             metrics: None,
             watchdog_every: 8,
@@ -107,9 +116,20 @@ impl Default for ServeConfig {
     }
 }
 
+impl ServeConfig {
+    /// One client, so nobody to coalesce a purchase with: the REPL
+    /// session's configuration.
+    pub fn one_client() -> Self {
+        ServeConfig {
+            coalesce: false,
+            ..ServeConfig::default()
+        }
+    }
+}
+
 /// A serving layer fronting one market: shared buyer-side state plus the
-/// coalescing rendezvous. All methods take `&self`; wrap in an `Arc` to
-/// share with worker threads.
+/// coalescing rendezvous. Every query method takes `&self`; wrap in an
+/// `Arc` to share with worker threads.
 pub struct Serve {
     market: Arc<DataMarket>,
     catalog: MapCatalog,
@@ -117,16 +137,16 @@ pub struct Serve {
     coalescer: CallCoalescer,
     /// Cross-query batching rendezvous; `Some` iff `cfg.batch` is set.
     batcher: Option<BatchPlanner>,
-    /// Logical clock: each query gets a distinct `now`, like a session's
-    /// per-query increment but shared across clients.
+    /// Logical clock: each query gets a distinct tick, which is also its
+    /// causal id; X-week consistency windows are measured in ticks.
     clock: AtomicU64,
     cfg: ServeConfig,
 }
 
 impl Serve {
     /// Assemble a serving layer over `market`, registering every market
-    /// table (like a single-tenant session does) plus the given local
-    /// tables.
+    /// table's schema, cardinality and query space (the "basic statistics"
+    /// of Section 2.1) plus the given local tables.
     pub fn new(market: Arc<DataMarket>, locals: &[LocalTable], cfg: ServeConfig) -> Self {
         Self::with_store(market, locals, cfg, SemanticStore::new())
     }
@@ -144,8 +164,8 @@ impl Serve {
     ) -> Self {
         let clock = AtomicU64::new(store.newest_stored_at());
         store.set_config(cfg.store);
-        let (catalog, state) =
-            SharedState::for_market(&market, locals, store, StatsRegistry::new());
+        let stats = StatsRegistry::new().with_backend(cfg.stats_backend);
+        let (catalog, state) = SharedState::for_market(&market, store, stats);
         let coalescer = match &cfg.metrics {
             Some(hub) => {
                 state.store().attach_metrics(Arc::clone(hub));
@@ -166,7 +186,7 @@ impl Serve {
                 None => planner,
             }
         });
-        Serve {
+        let mut serve = Serve {
             market,
             catalog,
             state,
@@ -174,7 +194,17 @@ impl Serve {
             batcher,
             clock,
             cfg,
+        };
+        for t in locals {
+            serve.register_local(t.clone());
         }
+        serve
+    }
+
+    /// Register a table in the buyer's local DBMS.
+    pub fn register_local(&mut self, table: LocalTable) {
+        self.catalog.add(table.schema.clone(), TableLocation::Local);
+        self.state.register_local(table);
     }
 
     /// The market this layer fronts.
@@ -186,6 +216,17 @@ impl Serve {
     /// store and statistics — what recovery seeds and observes.
     pub fn state(&self) -> &SharedState {
         &self.state
+    }
+
+    /// The logical clock: the tick of the latest query.
+    pub fn now(&self) -> u64 {
+        self.clock.load(Ordering::SeqCst)
+    }
+
+    /// Advance the logical clock by `ticks` (e.g. to let weeks pass for
+    /// X-week consistency experiments).
+    pub fn advance_clock(&self, ticks: u64) {
+        self.clock.fetch_add(ticks, Ordering::SeqCst);
     }
 
     /// The shared semantic store behind this layer. No program caller since
@@ -224,52 +265,84 @@ impl Serve {
         parse(sql)
     }
 
-    /// Run one client query: bind, analyze, then the shared pipeline
-    /// ([`payless_exec::pipeline`]) with this layer's coalescer and batch
-    /// planner attached. Returns the query's result rows together with the
-    /// telemetry snapshot of its private recorder (ledger, coalesce
-    /// counters).
-    pub fn run_query(
-        &self,
-        template: &SelectStmt,
-        params: &[payless_types::Value],
-    ) -> Result<(
-        payless_exec::QueryResult,
-        payless_telemetry::TelemetrySnapshot,
-    )> {
-        self.run_query_traced(template, params).1
+    /// Analyze a bound statement against this layer's catalog.
+    pub fn analyze(&self, bound: &SelectStmt) -> Result<AnalyzedQuery> {
+        analyze(bound, &self.catalog)
     }
 
-    /// As [`Serve::run_query`], also returning the query's causal id (its
-    /// logical-clock tick) — the id every flight-recorder event for this
-    /// query carries, and the argument `\why` takes.
-    pub fn run_query_traced(
+    /// `mode`'s plan search under this layer's consistency policy, and
+    /// whether the mode downloads first.
+    fn preset(&self, mode: Mode) -> (OptimizerConfig, bool) {
+        let (mut optimizer, download_all) = mode.preset();
+        optimizer.consistency = self.cfg.consistency;
+        (optimizer, download_all)
+    }
+
+    fn env(&self) -> Env<'_> {
+        Env {
+            market: &self.market,
+            state: &self.state,
+            coalescer: self.cfg.coalesce.then_some(&self.coalescer),
+            batcher: self.batcher.as_ref(),
+        }
+    }
+
+    /// Plan `query` as `mode` would at the current tick, without executing
+    /// it: `EXPLAIN`, and the no-SQR counterfactual. Charges nothing.
+    pub fn plan(&self, query: &AnalyzedQuery, mode: Mode) -> Result<Optimized> {
+        let (optimizer, _) = self.preset(mode);
+        pipeline::plan(&self.env(), query, &optimizer, None, self.now())
+    }
+
+    /// Run one analyzed query through the paper's Figure 3
+    /// ([`payless_exec::pipeline`]) with this layer's coalescer and batch
+    /// planner attached: tick the clock, journal the query's start, run,
+    /// drain `recorder`, journal what the query spent — on the error path
+    /// too — and time it into the metrics hub. `trace` turns on the
+    /// optimizer's per-operator introspection, and with it the plan-time
+    /// store copy's probe counters. Returns the query's causal id (its
+    /// tick), the run, and the telemetry `recorder` held for it.
+    pub fn run(
         &self,
-        template: &SelectStmt,
-        params: &[payless_types::Value],
-    ) -> (
-        u64,
-        Result<(
-            payless_exec::QueryResult,
-            payless_telemetry::TelemetrySnapshot,
-        )>,
-    ) {
+        query: &AnalyzedQuery,
+        mode: Mode,
+        recorder: &Arc<Recorder>,
+        trace: bool,
+    ) -> (u64, Result<Ran>, TelemetrySnapshot) {
         let started = self.cfg.metrics.as_ref().map(|_| Instant::now());
         let now = self.clock.fetch_add(1, Ordering::SeqCst) + 1;
         if let Some(j) = &self.cfg.events {
             j.emit(Some(now), Severity::Info, || EventKind::QueryStart);
         }
-        let out = self.run_query_inner(template, params, now);
+        // A recorder may outlive the query (the session's does): start its
+        // timestamps here, and keep anything recorded between queries out
+        // of this query's snapshot.
+        recorder.begin_epoch();
+        let (mut optimizer, download_all) = self.preset(mode);
+        optimizer.introspect = trace;
+        let cfg = PipelineConfig {
+            exec: ExecConfig {
+                sqr: optimizer.sqr,
+                consistency: self.cfg.consistency,
+                recorder: Some(Arc::clone(recorder)),
+                retry: self.cfg.retry.clone(),
+                synthesize_ledger: true,
+                metrics: self.cfg.metrics.clone(),
+                events: self.cfg.events.clone(),
+                ..ExecConfig::default()
+            },
+            optimizer,
+            download_all,
+        };
+        let ran = pipeline::run_query(&self.env(), query, &cfg, now);
+        let snap = recorder.take();
         if let Some(j) = &self.cfg.events {
-            let (ok, pages, wasted_pages) = match &out {
-                Ok((_, snap)) => (true, snap.total_pages(), snap.wasted_pages()),
-                Err(_) => (false, 0, 0),
-            };
+            let ok = ran.is_ok();
             let sev = if ok { Severity::Info } else { Severity::Warn };
             j.emit(Some(now), sev, || EventKind::QueryDone {
                 ok,
-                pages,
-                wasted_pages,
+                pages: snap.total_pages(),
+                wasted_pages: snap.wasted_pages(),
             });
         }
         if let (Some(hub), Some(t0)) = (&self.cfg.metrics, started) {
@@ -277,46 +350,35 @@ impl Serve {
             hub.serve_query_nanos.record(t0.elapsed().as_nanos() as u64);
             hub.maybe_roll();
         }
-        (now, out)
+        (now, ran, snap)
     }
 
-    fn run_query_inner(
+    /// Run one client query: bind, analyze, then [`Serve::run`] as full
+    /// PayLess with a private recorder. Returns the query's result rows
+    /// together with that recorder's telemetry (ledger, coalesce counters).
+    pub fn run_query(
         &self,
         template: &SelectStmt,
-        params: &[payless_types::Value],
-        now: u64,
-    ) -> Result<(
-        payless_exec::QueryResult,
-        payless_telemetry::TelemetrySnapshot,
-    )> {
-        let recorder = Recorder::enabled();
-        let bound = template.bind(params)?;
-        let query = analyze(&bound, &self.catalog)?;
-        let mut optimizer = OptimizerConfig::payless();
-        optimizer.consistency = self.cfg.consistency;
-        let cfg = PipelineConfig {
-            optimizer,
-            exec: ExecConfig {
-                sqr: true,
-                consistency: self.cfg.consistency,
-                recorder: Some(recorder.clone()),
-                retry: self.cfg.retry.clone(),
-                synthesize_ledger: true,
-                metrics: self.cfg.metrics.clone(),
-                events: self.cfg.events.clone(),
-                ..ExecConfig::default()
-            },
-            download_all: false,
-            store_recorder: None,
+        params: &[Value],
+    ) -> Result<(QueryResult, TelemetrySnapshot)> {
+        self.run_query_traced(template, params).1
+    }
+
+    /// As [`Serve::run_query`], also returning the query's causal id (its
+    /// logical-clock tick) — the id every flight-recorder event for this
+    /// query carries, and the argument `\why` takes. A statement that does
+    /// not bind or analyze never runs and gets id 0.
+    pub fn run_query_traced(
+        &self,
+        template: &SelectStmt,
+        params: &[Value],
+    ) -> (u64, Result<(QueryResult, TelemetrySnapshot)>) {
+        let query = match template.bind(params).and_then(|b| self.analyze(&b)) {
+            Ok(query) => query,
+            Err(e) => return (0, Err(e)),
         };
-        let env = Env {
-            market: &self.market,
-            state: &self.state,
-            coalescer: self.cfg.coalesce.then_some(&self.coalescer),
-            batcher: self.batcher.as_ref(),
-        };
-        let (_, ran) = pipeline::run_query(&env, &query, &cfg, now);
-        Ok((ran?.result, recorder.take()))
+        let (id, ran, snap) = self.run(&query, Mode::PayLess, &Recorder::enabled(), false);
+        (id, ran.map(|ran| (ran.result, snap)))
     }
 }
 

@@ -31,15 +31,16 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use payless_core::{
-    build_market, known_queries, render_provenance, DataMarket, EventJournal, EventsConfig,
-    FaultInjector, FaultPlan, MetricsConfig, MetricsHub, RetryPolicy, SelectStmt,
-};
+use payless_events::{known_queries, render_provenance, EventJournal, EventsConfig};
+use payless_exec::RetryPolicy;
 use payless_json::{Json, ToJson};
+use payless_market::{DataMarket, FaultInjector, FaultPlan};
+use payless_metrics::{MetricsConfig, MetricsHub};
 use payless_semantic::SemanticStore;
 use payless_serve::{query_spend, Serve, ServeConfig};
+use payless_sql::SelectStmt;
 use payless_types::Value;
-use payless_workload::{QueryWorkload, RealWorkload, WhwConfig};
+use payless_workload::{build_market, QueryWorkload, RealWorkload, WhwConfig};
 
 use http::{read_request, write_response, Request};
 use persist::{DurableStore, PersistConfig};
@@ -189,8 +190,7 @@ impl Server {
             |store| Serve::with_store(Arc::clone(&market), w.local_tables(), serve_cfg, store);
         let (serve, durable) = match &cfg.data_dir {
             Some(dir) => {
-                let (serve, durable) =
-                    persist::recover(dir, cfg.persist, &market, build, Serve::state)?;
+                let (serve, durable) = persist::recover(dir, cfg.persist, &market, build)?;
                 (serve, Some(durable))
             }
             None => (build(SemanticStore::new()), None),

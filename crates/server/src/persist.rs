@@ -9,10 +9,12 @@
 //! `[u32 len LE][payload][u32 crc32 LE]`, and nothing shortens either but
 //! recovery's torn-tail cut.
 //!
-//! - **`wal.log`**: every settled purchase appends one JSON record carrying
-//!   the table, region, logical time, pages spent, and the table's
-//!   *absolute* cumulative spend after this record (`meter`). Appends are
-//!   serialized under one mutex, so `meter` is exact.
+//! - **`wal.log`**: every settled purchase appends one fixed little-endian
+//!   record: `seq` (u64), the table (`[u16 len][name]`), logical time `at`,
+//!   pages spent, and the table's *absolute* cumulative spend after this
+//!   record (`meter`, all u64), then the region as `[u16 dims]` and one
+//!   `(lo, hi)` i64 pair per dimension. Appends are serialized under one
+//!   mutex, so `meter` is exact.
 //! - **`mirror.log`**: the rows behind the coverage — a recovered store that
 //!   claims coverage without data answers queries wrong. Every market
 //!   delivery appends the rows it added to the mirror as
@@ -26,7 +28,7 @@
 //!
 //! **Recovery** is [`recover`], for the server and the REPL alike.
 //! [`DurableStore::open`] replays the WAL front to back (length bound, CRC,
-//! JSON shape, strictly increasing sequence, a registered table, a region
+//! record shape, strictly increasing sequence, a registered table, a region
 //! inside that table's query space) through `record_spend` into a warm
 //! [`SemanticStore`], and decodes every mirror frame. The first invalid
 //! frame of either log — a torn tail from a crash mid-append — cuts that log
@@ -63,10 +65,11 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use payless_core::{DataMarket, SharedState};
-use payless_geometry::{QuerySpace, Region};
-use payless_json::{FromJson, Json, ToJson};
+use payless_geometry::{Interval, QuerySpace, Region};
+use payless_json::Json;
+use payless_market::DataMarket;
 use payless_semantic::{SemanticStore, SharedSemanticStore};
+use payless_serve::Serve;
 use payless_types::Row;
 
 /// Rows recovered for the serving layer's local mirror, per table.
@@ -196,7 +199,8 @@ fn io_err<T>(what: &str, e: impl std::fmt::Display) -> Result<T, String> {
     Err(format!("{what}: {e}"))
 }
 
-/// One parsed log record.
+/// One `wal.log` record: a settled purchase.
+#[derive(Debug, PartialEq)]
 struct WalRecord {
     seq: u64,
     table: String,
@@ -207,35 +211,97 @@ struct WalRecord {
 }
 
 impl WalRecord {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("seq", Json::Int(self.seq as i64)),
-            ("table", Json::Str(self.table.clone())),
-            ("at", Json::Int(self.at as i64)),
-            ("spend", Json::Int(self.spend as i64)),
-            ("meter", Json::Int(self.meter as i64)),
-            ("region", self.region.to_json()),
-        ])
+    /// The frame payload: `seq`, `[u16 len][table]`, `at`, `spend`,
+    /// `meter`, `[u16 dims]`, then `(lo, hi)` per dimension.
+    fn encode(&self) -> Vec<u8> {
+        let name_len = u16::try_from(self.table.len()).expect("table name fits a u16 length");
+        let dims = self.region.dims();
+        let arity = u16::try_from(dims.len()).expect("region arity fits a u16");
+        let mut out = Vec::with_capacity(8 + 2 + self.table.len() + 3 * 8 + 2 + 16 * dims.len());
+        out.extend_from_slice(&self.seq.to_le_bytes());
+        out.extend_from_slice(&name_len.to_le_bytes());
+        out.extend_from_slice(self.table.as_bytes());
+        for v in [self.at, self.spend, self.meter] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        out.extend_from_slice(&arity.to_le_bytes());
+        for iv in dims {
+            out.extend_from_slice(&iv.lo.to_le_bytes());
+            out.extend_from_slice(&iv.hi.to_le_bytes());
+        }
+        out
     }
 
-    fn from_json(j: &Json) -> payless_json::Result<WalRecord> {
+    /// Decode one frame payload; `Err` names `wal.log`.
+    fn decode(payload: &[u8]) -> Result<WalRecord, String> {
+        Self::read(&mut Cursor(payload))
+            .map_err(|what| format!("wal.log record despite valid CRC: {what}"))
+    }
+
+    fn read(c: &mut Cursor<'_>) -> Result<WalRecord, String> {
+        let seq = c.u64()?;
+        let name_len = c.u16()? as usize;
+        let table = std::str::from_utf8(c.take(name_len)?)
+            .map_err(|e| format!("table name: {e}"))?
+            .to_string();
+        let (at, spend, meter) = (c.u64()?, c.u64()?, c.u64()?);
+        let arity = c.u16()?;
+        if arity == 0 {
+            return Err("a region needs at least one dimension".into());
+        }
+        let dims = (0..arity)
+            .map(|_| match (c.i64()?, c.i64()?) {
+                (lo, hi) if lo > hi => Err(format!("empty interval [{lo}, {hi}]")),
+                (lo, hi) => Ok(Interval::new(lo, hi)),
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        if !c.0.is_empty() {
+            return Err(format!("{} trailing bytes", c.0.len()));
+        }
         Ok(WalRecord {
-            seq: j.get("seq")?.as_u64()?,
-            table: j.get("table")?.as_str()?.to_string(),
-            at: j.get("at")?.as_u64()?,
-            spend: j.get("spend")?.as_u64()?,
-            meter: j.get("meter")?.as_u64()?,
-            region: Region::from_json(j.get("region")?)?,
+            seq,
+            table,
+            at,
+            spend,
+            meter,
+            region: Region::new(dims),
         })
     }
 }
 
-/// Decode one WAL frame payload; `Err` names `wal.log`.
-fn decode_wal_record(payload: &[u8]) -> Result<WalRecord, String> {
-    let bad = |what: String| format!("wal.log record despite valid CRC: {what}");
-    let text = std::str::from_utf8(payload).map_err(|e| bad(format!("not UTF-8: {e}")))?;
-    let j = payless_json::parse(text).map_err(|e| bad(format!("JSON: {e}")))?;
-    WalRecord::from_json(&j).map_err(|e| bad(format!("shape: {e}")))
+/// The unread rest of a record payload.
+struct Cursor<'a>(&'a [u8]);
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+        if self.0.len() < n {
+            return Err(format!(
+                "short payload: {n} bytes wanted, {} left",
+                self.0.len()
+            ));
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn u16(&mut self) -> Result<u16, String> {
+        Ok(u16::from_le_bytes(
+            self.take(2)?.try_into().expect("2 bytes"),
+        ))
+    }
+
+    fn u64(&mut self) -> Result<u64, String> {
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
+    }
+
+    fn i64(&mut self) -> Result<i64, String> {
+        Ok(i64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
+    }
 }
 
 /// Append `payload` to `out` as `[u32 len][payload][u32 crc]`.
@@ -365,7 +431,7 @@ impl DurableStore {
         let mut meter: BTreeMap<String, u64> = BTreeMap::new();
         let mut replayed = Vec::with_capacity(payloads.len());
         for payload in &payloads {
-            let rec = decode_wal_record(payload)?;
+            let rec = WalRecord::decode(payload)?;
             let seq = replayed.len() as u64;
             if rec.seq != seq + 1 {
                 return Err(format!(
@@ -466,7 +532,7 @@ impl DurableStore {
             meter: meter_after,
             region: region.clone(),
         };
-        let payload = rec.to_json().to_string_compact().into_bytes();
+        let payload = rec.encode();
         let mut framed = Vec::with_capacity(payload.len() + 8);
         frame_into(&mut framed, &payload);
         inner.appends_total += 1;
@@ -548,24 +614,23 @@ impl DurableStore {
     }
 }
 
-/// Recover the data directory `dir` into serving state — the one recovery
+/// Recover the data directory `dir` into a [`Serve`] — the one recovery
 /// routine, behind both `Server::start` and the REPL's `--session`. Opens
 /// and replays both logs ([`DurableStore::open`] over every table of
-/// `market`), hands the warm store to `build` (which resumes its clock after
-/// the newest view), then, in this order:
+/// `market`), hands the warm store to `build` (whose [`Serve::with_store`]
+/// resumes the clock after the newest view), then, in this order:
 ///
-/// 1. seeds `state`'s mirror with the rows of `mirror.log`;
+/// 1. seeds the serving state's mirror with the rows of `mirror.log`;
 /// 2. re-derives the statistics: for each replayed purchase, in log order,
 ///    the `feedback(region, records)` its delivery made, with `records`
 ///    counted from the recovered mirror rows inside the region;
 /// 3. attaches both observers, so every later purchase is logged.
-pub fn recover<T>(
+pub fn recover(
     dir: &Path,
     cfg: PersistConfig,
     market: &DataMarket,
-    build: impl FnOnce(SemanticStore) -> T,
-    state: impl FnOnce(&T) -> &SharedState,
-) -> Result<(T, Arc<DurableStore>), String> {
+    build: impl FnOnce(SemanticStore) -> Serve,
+) -> Result<(Serve, Arc<DurableStore>), String> {
     let spaces: Vec<QuerySpace> = market
         .table_names()
         .iter()
@@ -573,8 +638,8 @@ pub fn recover<T>(
         .collect();
     let (durable, store, mirror) = DurableStore::open(dir, cfg, &spaces)?;
     let durable = Arc::new(durable);
-    let built = build(store);
-    let shared = state(&built);
+    let serve = build(store);
+    let shared = serve.state();
     for (table, rows) in mirror {
         let schema = market
             .schema(&table)
@@ -588,7 +653,7 @@ pub fn recover<T>(
     durable.attach(shared.store());
     let me = Arc::clone(&durable);
     shared.attach_row_observer(Arc::new(move |table, rows| me.append_rows(table, rows)));
-    Ok((built, durable))
+    Ok((serve, durable))
 }
 
 impl std::fmt::Debug for DurableStore {
@@ -644,7 +709,6 @@ impl payless_json::ToJson for PersistStatus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use payless_geometry::{Interval, QuerySpace};
     use payless_types::{Column, Domain, Schema};
 
     fn space() -> QuerySpace {
@@ -817,25 +881,81 @@ mod tests {
         }
     }
 
+    /// A WAL payload with every field but the table name and the region at 1.
+    fn wal_payload(name: &[u8], dims: &[(i64, i64)]) -> Vec<u8> {
+        let mut out = 1u64.to_le_bytes().to_vec();
+        out.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        out.extend_from_slice(name);
+        for _ in 0..3 {
+            out.extend_from_slice(&1u64.to_le_bytes());
+        }
+        out.extend_from_slice(&(dims.len() as u16).to_le_bytes());
+        for (lo, hi) in dims {
+            out.extend_from_slice(&lo.to_le_bytes());
+            out.extend_from_slice(&hi.to_le_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn wal_records_round_trip() {
+        let rec = WalRecord {
+            seq: 7,
+            table: "Weather".into(),
+            at: 3,
+            spend: 12,
+            meter: 40,
+            region: Region::new(vec![Interval::new(-5, 9), Interval::new(0, 0)]),
+        };
+        let payload = rec.encode();
+        assert_eq!(payload.len(), 8 + (2 + 7) + 3 * 8 + 2 + 2 * 16);
+        assert_eq!(WalRecord::decode(&payload), Ok(rec));
+        // The hostile cases below are edits of this valid record.
+        let valid = WalRecord {
+            seq: 1,
+            table: "T".into(),
+            at: 1,
+            spend: 1,
+            meter: 1,
+            region: r(0, 9),
+        };
+        assert_eq!(WalRecord::decode(&wal_payload(b"T", &[(0, 9)])), Ok(valid));
+    }
+
     /// A spend record whose CRC holds but whose payload lies — including a
     /// region of the wrong arity or outside its table's domain, which would
     /// otherwise panic in a debug build and be stored as a malformed view in
     /// a release build.
     #[test]
     fn hostile_wal_records_fail_recovery_naming_the_log() {
-        let rec = |table: &str, region: &str| {
-            format!(r#"{{"seq":1,"table":"{table}","at":1,"spend":1,"meter":1,"region":{region}}}"#)
-                .into_bytes()
-        };
-        let cases: [(&str, Vec<u8>); 8] = [
-            ("not UTF-8", vec![0xff, 0xfe]),
-            ("not JSON", b"{\"seq\":".to_vec()),
-            ("a field missing", br#"{"seq":1,"table":"T"}"#.to_vec()),
-            ("unregistered table", rec("U", "[[0,9]]")),
-            ("no dimensions", rec("T", "[]")),
-            ("one dimension too many", rec("T", "[[0,9],[0,9]]")),
-            ("upper bound past the domain", rec("T", "[[0,1000]]")),
-            ("lower bound before the domain", rec("T", "[[-1,9]]")),
+        let valid = wal_payload(b"T", &[(0, 9)]);
+        let cases: [(&str, Vec<u8>); 11] = [
+            ("empty payload", Vec::new()),
+            ("short payload", valid[..valid.len() - 1].to_vec()),
+            ("trailing bytes", [&valid[..], &[7]].concat()),
+            (
+                "name length past the end",
+                [&1u64.to_le_bytes()[..], &[9, 0, b'T']].concat(),
+            ),
+            (
+                "non-UTF-8 table name",
+                wal_payload(&[0xff, 0xfe], &[(0, 9)]),
+            ),
+            ("unregistered table", wal_payload(b"U", &[(0, 9)])),
+            ("no dimensions", wal_payload(b"T", &[])),
+            (
+                "one dimension too many",
+                wal_payload(b"T", &[(0, 9), (0, 9)]),
+            ),
+            ("lower bound above the upper", wal_payload(b"T", &[(9, 0)])),
+            (
+                "upper bound past the domain",
+                wal_payload(b"T", &[(0, 1000)]),
+            ),
+            (
+                "lower bound before the domain",
+                wal_payload(b"T", &[(-1, 9)]),
+            ),
         ];
         for (what, payload) in cases {
             assert_hostile(WAL, what, &payload);

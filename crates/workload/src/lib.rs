@@ -30,7 +30,7 @@ pub mod tpch;
 pub mod whw;
 pub mod zipf;
 
-use payless_market::MarketTable;
+use payless_market::{DataMarket, Dataset, MarketTable};
 use payless_storage::LocalTable;
 use payless_types::Value;
 use rand::rngs::StdRng;
@@ -53,4 +53,14 @@ pub trait QueryWorkload {
     /// Sample parameter values for template `t` such that the instance is
     /// valid (returns non-empty results).
     fn sample_params(&self, t: usize, rng: &mut StdRng) -> Vec<Value>;
+}
+
+/// Bundle a workload's market tables into a single-dataset [`DataMarket`]
+/// with the given page size `t` (tuples per transaction).
+pub fn build_market(workload: &(dyn QueryWorkload + '_), page_size: u64) -> DataMarket {
+    let mut dataset = Dataset::new("market").with_page_size(page_size);
+    for t in workload.market_tables() {
+        dataset = dataset.with_table(t.clone());
+    }
+    DataMarket::new(vec![dataset])
 }

@@ -7,8 +7,8 @@
 
 use std::sync::Arc;
 
-use payless_core::{build_market, Consistency, PayLess, PayLessConfig};
-use payless_workload::{QueryWorkload, RealWorkload, WhwConfig};
+use payless_core::{Consistency, Mode, PayLess, Serve, ServeConfig};
+use payless_workload::{build_market, QueryWorkload, RealWorkload, WhwConfig};
 
 fn main() {
     let workload = RealWorkload::generate(&WhwConfig::scaled(0.02));
@@ -25,14 +25,12 @@ fn main() {
         ("strong", Consistency::Strong),
     ] {
         let market = Arc::new(build_market(&workload, 100));
-        let cfg = PayLessConfig {
+        let cfg = ServeConfig {
             consistency,
-            ..Default::default()
+            ..ServeConfig::one_client()
         };
-        let mut payless = PayLess::new(market.clone(), cfg);
-        for t in workload.local_tables() {
-            payless.register_local(t.clone());
-        }
+        let serve = Serve::new(market.clone(), workload.local_tables(), cfg);
+        let mut payless = PayLess::over(serve, Mode::PayLess);
         for _ in 0..4 {
             payless.query(sql).expect("query runs");
         }

@@ -9,13 +9,13 @@
 
 use std::sync::Arc;
 
-use payless_core::{build_market, PayLess, PayLessConfig};
-use payless_workload::{Finance, FinanceConfig, QueryWorkload};
+use payless_core::{Mode, PayLess};
+use payless_workload::{build_market, Finance, FinanceConfig, QueryWorkload};
 
 fn main() {
     let workload = Finance::generate(&FinanceConfig::default());
     let market = Arc::new(build_market(&workload, 100));
-    let mut payless = PayLess::new(market.clone(), PayLessConfig::default());
+    let mut payless = PayLess::new(market.clone(), Mode::PayLess);
     for t in workload.local_tables() {
         payless.register_local(t.clone());
     }

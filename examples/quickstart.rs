@@ -8,8 +8,8 @@
 
 use std::sync::Arc;
 
-use payless_core::{build_market, PayLess, PayLessConfig};
-use payless_workload::{QueryWorkload, RealWorkload, WhwConfig};
+use payless_core::{Mode, PayLess};
+use payless_workload::{build_market, QueryWorkload, RealWorkload, WhwConfig};
 
 fn main() {
     // A synthetic Worldwide-Historical-Weather-like dataset: ~400 stations
@@ -27,7 +27,7 @@ fn main() {
         );
     }
 
-    let mut payless = PayLess::new(market.clone(), PayLessConfig::default());
+    let mut payless = PayLess::new(market.clone(), Mode::PayLess);
     for t in workload.local_tables() {
         payless.register_local(t.clone());
     }

@@ -5,8 +5,8 @@
 
 use std::sync::Arc;
 
-use payless_core::{build_market, Mode, PayLess, PayLessConfig};
-use payless_workload::{QueryWorkload, Tpch, TpchConfig};
+use payless_core::{Mode, PayLess};
+use payless_workload::{build_market, QueryWorkload, Tpch, TpchConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -31,7 +31,7 @@ fn main() {
         ("Download All", Mode::DownloadAll),
     ] {
         let market = Arc::new(build_market(&workload, 100));
-        let mut payless = PayLess::new(market.clone(), PayLessConfig::mode(mode));
+        let mut payless = PayLess::new(market.clone(), mode);
         for t in workload.local_tables() {
             payless.register_local(t.clone());
         }

@@ -5,8 +5,8 @@
 
 use std::sync::Arc;
 
-use payless_core::{build_market, Mode, PayLess, PayLessConfig};
-use payless_workload::{QueryWorkload, RealWorkload, WhwConfig};
+use payless_core::{Mode, PayLess};
+use payless_workload::{build_market, QueryWorkload, RealWorkload, WhwConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -14,7 +14,7 @@ const QUERIES: usize = 60;
 
 fn run(mode: Mode, workload: &RealWorkload, seed: u64) -> (u64, u64) {
     let market = Arc::new(build_market(workload, 100));
-    let mut payless = PayLess::new(market.clone(), PayLessConfig::mode(mode));
+    let mut payless = PayLess::new(market.clone(), mode);
     for t in workload.local_tables() {
         payless.register_local(t.clone());
     }

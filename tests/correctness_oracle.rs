@@ -8,14 +8,14 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use payless_core::{build_market, Mode, PayLess, PayLessConfig};
+use payless_core::{Mode, PayLess};
 use payless_sql::{
     analyze, AccessConstraint, AnalyzedQuery, MapCatalog, OutputItem, ResidualPred, TableLocation,
 };
 use payless_storage::{aggregate, cross_join, distinct, hash_join, project, sort_by, AggSpec};
 use payless_types::{Row, Value};
 use payless_workload::{
-    Finance, FinanceConfig, QueryWorkload, RealWorkload, Tpch, TpchConfig, WhwConfig,
+    build_market, Finance, FinanceConfig, QueryWorkload, RealWorkload, Tpch, TpchConfig, WhwConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -176,7 +176,7 @@ fn check_workload<W: QueryWorkload>(workload: &W, mode: Mode, seed: u64, n_insta
     }
 
     let market = Arc::new(build_market(workload, 100));
-    let mut pl = PayLess::new(market.clone(), PayLessConfig::mode(mode));
+    let mut pl = PayLess::new(market.clone(), mode);
     for t in workload.local_tables() {
         pl.register_local(t.clone());
     }
@@ -285,7 +285,7 @@ fn handcrafted_edge_queries_match_oracle() {
         catalog.add(t.schema.clone(), TableLocation::Local);
     }
     let market = Arc::new(build_market(&workload, 100));
-    let mut pl = PayLess::new(market.clone(), PayLessConfig::default());
+    let mut pl = PayLess::new(market.clone(), Mode::PayLess);
     for t in workload.local_tables() {
         pl.register_local(t.clone());
     }

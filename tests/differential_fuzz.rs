@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use payless_core::{DataMarket, Dataset, Mode, PayLess, PayLessConfig};
+use payless_core::{DataMarket, Dataset, Mode, PayLess};
 use payless_market::MarketTable;
 use payless_types::{Column, Domain, Row, Schema, Value};
 use rand::rngs::StdRng;
@@ -137,7 +137,7 @@ fn run_world(seed: u64) {
         // Fresh billing per mode: rebuild the market clone-free by reusing
         // the shared one (billing accumulates, which is fine — we only check
         // answers here).
-        let mut pl = PayLess::new(w.market.clone(), PayLessConfig::mode(mode));
+        let mut pl = PayLess::new(w.market.clone(), mode);
         for (sql, expected) in &queries {
             let out = pl
                 .query(sql)

@@ -21,7 +21,7 @@ use payless_semantic::{Consistency, SemanticStore, SharedSemanticStore, StoreCon
 use payless_serve::{Serve, ServeConfig};
 use payless_server::persist::{recover, scan_frames, DurableStore, PersistConfig};
 use payless_types::{row, Column, Domain, Row, Schema};
-use payless_workload::{QueryWorkload, RealWorkload, WhwConfig};
+use payless_workload::{build_market, QueryWorkload, RealWorkload, WhwConfig};
 
 fn space() -> QuerySpace {
     QuerySpace::of(&Schema::new(
@@ -217,7 +217,7 @@ mod props {
                 ranks: 100,
                 seed: 5,
             });
-            let market = Arc::new(payless_core::build_market(&w, 1));
+            let market = Arc::new(build_market(&w, 1));
             let cfg = ServeConfig {
                 store: StoreConfig {
                     max_views: 4,
@@ -227,7 +227,7 @@ mod props {
             };
             let build = |store| Serve::with_store(market.clone(), w.local_tables(), cfg, store);
             let (serve, durable) =
-                recover(&dir, PersistConfig::default(), &market, build, Serve::state).unwrap();
+                recover(&dir, PersistConfig::default(), &market, build).unwrap();
             for _ in 0..2 {
                 for &(country, lo, width) in &queries {
                     let sql = format!(

@@ -26,12 +26,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use payless_core::{
-    build_market, DataMarket, FaultInjector, FaultKind, FaultPlan, Mode, PayLess, PayLessConfig,
-    RetryPolicy,
+    DataMarket, FaultInjector, FaultKind, FaultPlan, Mode, PayLess, RetryPolicy, Serve, ServeConfig,
 };
 use payless_server::persist::{recover, PersistConfig};
 use payless_types::{PaylessError, Row};
-use payless_workload::{QueryWorkload, RealWorkload, WhwConfig};
+use payless_workload::{build_market, QueryWorkload, RealWorkload, WhwConfig};
 
 /// Three queries exercising the three market-call paths: a plain remainder
 /// fetch, an overlapping fetch (SQR remainders), and a bind join.
@@ -61,28 +60,20 @@ fn session_in(dir: Option<&Path>, mode: Mode, retry: RetryPolicy) -> (Arc<DataMa
         seed: 3,
     });
     let market = Arc::new(build_market(&workload, 100));
-    let cfg = PayLessConfig {
-        mode,
+    let cfg = ServeConfig {
         retry,
-        ..Default::default()
+        ..ServeConfig::one_client()
     };
-    let mut pl = match dir {
+    let locals = QueryWorkload::local_tables(&workload);
+    let serve = match dir {
         Some(dir) => {
-            let build = |store| PayLess::with_store(market.clone(), cfg, store);
-            let opened = recover(
-                dir,
-                PersistConfig::default(),
-                &market,
-                build,
-                PayLess::state,
-            );
+            let build = |store| Serve::with_store(market.clone(), locals, cfg, store);
+            let opened = recover(dir, PersistConfig::default(), &market, build);
             opened.expect("session directory opens").0
         }
-        None => PayLess::new(market.clone(), cfg),
+        None => Serve::new(market.clone(), locals, cfg),
     };
-    for t in QueryWorkload::local_tables(&workload) {
-        pl.register_local(t.clone());
-    }
+    let mut pl = PayLess::over(serve, mode);
     pl.enable_tracing(true);
     (market, pl)
 }

@@ -3,8 +3,8 @@
 
 use std::sync::Arc;
 
-use payless_core::{build_market, Consistency, Mode, PayLess, PayLessConfig};
-use payless_workload::{QueryWorkload, RealWorkload, Tpch, TpchConfig, WhwConfig};
+use payless_core::{Consistency, Mode, PayLess, Serve, ServeConfig};
+use payless_workload::{build_market, QueryWorkload, RealWorkload, Tpch, TpchConfig, WhwConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -22,7 +22,7 @@ fn whw() -> RealWorkload {
 
 fn session(mode: Mode, workload: &RealWorkload) -> (Arc<payless_core::DataMarket>, PayLess) {
     let market = Arc::new(build_market(workload, 100));
-    let mut pl = PayLess::new(market.clone(), PayLessConfig::mode(mode));
+    let mut pl = PayLess::new(market.clone(), mode);
     for t in workload.local_tables() {
         pl.register_local(t.clone());
     }
@@ -176,7 +176,7 @@ fn payless_beats_download_all_on_selective_workload() {
 fn tpch_queries_run_end_to_end() {
     let workload = Tpch::generate(&TpchConfig::uniform(0.0005));
     let market = Arc::new(build_market(&workload, 100));
-    let mut pl = PayLess::new(market.clone(), PayLessConfig::default());
+    let mut pl = PayLess::new(market.clone(), Mode::PayLess);
     for t in workload.local_tables() {
         pl.register_local(t.clone());
     }
@@ -200,7 +200,7 @@ fn tpch_skew_changes_distribution_but_not_correctness() {
     let skewed = Tpch::generate(&TpchConfig::skewed(0.0005));
     for workload in [&uniform, &skewed] {
         let market = Arc::new(build_market(workload, 100));
-        let mut pl = PayLess::new(market.clone(), PayLessConfig::default());
+        let mut pl = PayLess::new(market.clone(), Mode::PayLess);
         for t in workload.local_tables() {
             pl.register_local(t.clone());
         }
@@ -221,11 +221,11 @@ fn tpch_skew_changes_distribution_but_not_correctness() {
 fn window_consistency_interacts_with_sliding_queries() {
     let workload = whw();
     let market = Arc::new(build_market(&workload, 100));
-    let cfg = PayLessConfig {
+    let cfg = ServeConfig {
         consistency: Consistency::Window(3),
-        ..Default::default()
+        ..ServeConfig::one_client()
     };
-    let mut pl = PayLess::new(market.clone(), cfg);
+    let mut pl = PayLess::over(Serve::new(market.clone(), &[], cfg), Mode::PayLess);
     let sql = "SELECT * FROM Weather WHERE Weather.Country = 'Country0' AND \
                Weather.Date >= 1 AND Weather.Date <= 20";
     pl.query(sql).unwrap();
@@ -282,7 +282,7 @@ fn heterogeneous_datasets_use_their_own_page_sizes() {
             .with_page_size(10)
             .with_table(MarketTable::new(fine_schema, rows)),
     ]));
-    let mut pl = PayLess::new(market.clone(), PayLessConfig::default());
+    let mut pl = PayLess::new(market.clone(), Mode::PayLess);
     // Identical 300-row fetches cost 3 vs 30 transactions.
     pl.query("SELECT * FROM Coarse WHERE k >= 0 AND k <= 299")
         .unwrap();
@@ -327,7 +327,7 @@ fn query_outcome_reports_timings_and_counters() {
 fn order_by_on_grouped_output() {
     let workload = Tpch::generate(&TpchConfig::uniform(0.0005));
     let market = Arc::new(build_market(&workload, 100));
-    let mut pl = PayLess::new(market, PayLessConfig::default());
+    let mut pl = PayLess::new(market, Mode::PayLess);
     for t in workload.local_tables() {
         pl.register_local(t.clone());
     }

@@ -6,11 +6,13 @@
 use std::sync::Arc;
 
 use payless_core::{
-    build_market, ChromeTraceBuilder, DataMarket, FaultInjector, FaultPlan, Mode, PayLess,
-    PayLessConfig, RetryPolicy, StatsBackend,
+    ChromeTraceBuilder, DataMarket, FaultInjector, FaultPlan, Mode, PayLess, RetryPolicy, Serve,
+    ServeConfig, StatsBackend,
 };
 use payless_json::{Json, ToJson};
-use payless_workload::{Finance, FinanceConfig, QueryWorkload, RealWorkload, WhwConfig};
+use payless_workload::{
+    build_market, Finance, FinanceConfig, QueryWorkload, RealWorkload, WhwConfig,
+};
 
 /// The three market-call shapes: a plain remainder fetch, an overlapping
 /// fetch that exercises SQR remainders, and a join.
@@ -24,7 +26,7 @@ const QUERIES: [&str; 3] = [
      Weather.Date >= 1 AND Weather.Date <= 10",
 ];
 
-fn whw_session(cfg: PayLessConfig) -> (Arc<DataMarket>, PayLess) {
+fn whw_session(cfg: ServeConfig, mode: Mode) -> (Arc<DataMarket>, PayLess) {
     let workload = RealWorkload::generate(&WhwConfig {
         stations: 48,
         countries: 4,
@@ -35,10 +37,8 @@ fn whw_session(cfg: PayLessConfig) -> (Arc<DataMarket>, PayLess) {
         seed: 3,
     });
     let market = Arc::new(build_market(&workload, 100));
-    let mut pl = PayLess::new(market.clone(), cfg);
-    for t in QueryWorkload::local_tables(&workload) {
-        pl.register_local(t.clone());
-    }
+    let serve = Serve::new(market.clone(), QueryWorkload::local_tables(&workload), cfg);
+    let mut pl = PayLess::over(serve, mode);
     pl.enable_tracing(true);
     (market, pl)
 }
@@ -48,7 +48,7 @@ fn whw_session(cfg: PayLessConfig) -> (Arc<DataMarket>, PayLess) {
 fn finance_session() -> (Arc<DataMarket>, PayLess) {
     let workload = Finance::generate(&FinanceConfig::default());
     let market = Arc::new(build_market(&workload, 100));
-    let mut pl = PayLess::new(market.clone(), PayLessConfig::default());
+    let mut pl = PayLess::new(market.clone(), Mode::PayLess);
     for t in QueryWorkload::local_tables(&workload) {
         pl.register_local(t.clone());
     }
@@ -134,11 +134,11 @@ fn q_errors_are_scored_for_isomer_and_independence_estimators() {
         (StatsBackend::PerDimension, "per-dim"),
         (StatsBackend::MultiDim, "multi"),
     ] {
-        let cfg = PayLessConfig {
+        let cfg = ServeConfig {
             stats_backend: backend,
-            ..Default::default()
+            ..ServeConfig::one_client()
         };
-        let (_, mut pl) = whw_session(cfg);
+        let (_, mut pl) = whw_session(cfg, Mode::PayLess);
         let out = pl.query(QUERIES[0]).unwrap();
         let report = out.report.expect("tracing is on");
         assert!(
@@ -163,7 +163,7 @@ fn q_errors_are_scored_for_isomer_and_independence_estimators() {
 
 #[test]
 fn chrome_trace_export_round_trips_and_is_non_empty() {
-    let (_, mut pl) = whw_session(PayLessConfig::default());
+    let (_, mut pl) = whw_session(ServeConfig::one_client(), Mode::PayLess);
     let mut builder = ChromeTraceBuilder::new();
     for sql in QUERIES {
         let out = pl.query(sql).unwrap();
@@ -203,12 +203,11 @@ fn assert_ops_reconcile(mode: Mode, plan: Option<FaultPlan>) {
     } else {
         RetryPolicy::default()
     };
-    let cfg = PayLessConfig {
-        mode,
+    let cfg = ServeConfig {
         retry,
-        ..Default::default()
+        ..ServeConfig::one_client()
     };
-    let (market, mut pl) = whw_session(cfg);
+    let (market, mut pl) = whw_session(cfg, mode);
     if let Some(plan) = plan {
         market.attach_fault_injector(FaultInjector::new(plan));
     }

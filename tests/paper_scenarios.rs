@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use payless_core::{DataMarket, Dataset, Mode, PayLess, PayLessConfig};
+use payless_core::{DataMarket, Dataset, Mode, PayLess};
 use payless_market::MarketTable;
 use payless_types::{row, Column, Domain, Row, Schema};
 
@@ -63,7 +63,7 @@ const FIGURE1_SQL: &str = "SELECT Temperature FROM Station, Weather \
 #[test]
 fn figure1_payless_executes_plan_p2_for_sixteen_transactions() {
     let market = Arc::new(figure1_market());
-    let mut pl = PayLess::new(market.clone(), PayLessConfig::default());
+    let mut pl = PayLess::new(market.clone(), Mode::PayLess);
     let out = pl.query(FIGURE1_SQL).unwrap();
     // 15 Seattle stations x 30 days of temperatures.
     assert_eq!(out.result.rows.len(), 15 * 30);
@@ -78,7 +78,7 @@ fn figure1_payless_executes_plan_p2_for_sixteen_transactions() {
 #[test]
 fn figure1_min_calls_pays_238_transactions() {
     let market = Arc::new(figure1_market());
-    let mut pl = PayLess::new(market.clone(), PayLessConfig::mode(Mode::MinCalls));
+    let mut pl = PayLess::new(market.clone(), Mode::MinCalls);
     let out = pl.query(FIGURE1_SQL).unwrap();
     assert_eq!(out.result.rows.len(), 15 * 30);
     let bill = market.bill();
@@ -122,7 +122,7 @@ fn figure6_market() -> DataMarket {
 #[test]
 fn figure6_remainder_queries_cost_three_transactions() {
     let market = Arc::new(figure6_market());
-    let mut pl = PayLess::new(market.clone(), PayLessConfig::default());
+    let mut pl = PayLess::new(market.clone(), Mode::PayLess);
     // Store V1 = A[10,19] and V2 = A[30,59] (1 txn each: 28 and 91 tuples).
     pl.query("SELECT * FROM R WHERE A >= 10 AND A <= 19")
         .unwrap();
@@ -381,7 +381,7 @@ fn search_space_reduction_on_chain_queries() {
 #[test]
 fn theorem2_zero_price_relations_join_first() {
     let market = Arc::new(figure1_market());
-    let mut pl = PayLess::new(market.clone(), PayLessConfig::default());
+    let mut pl = PayLess::new(market.clone(), Mode::PayLess);
     // Download Station via a full scan.
     pl.query("SELECT * FROM Station").unwrap();
     let after_station = market.bill().transactions();

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use common::{build_market, prepared, tiny_workload};
 
-use payless_core::{Mode, PayLess, PayLessConfig};
+use payless_core::{Mode, PayLess};
 use payless_events::{provenance, render_provenance, Event, EventJournal, EventKind};
 use payless_exec::RetryPolicy;
 use payless_market::{FaultInjector, FaultKind, FaultPlan};
@@ -105,11 +105,14 @@ fn run_session_journaled(
         market.attach_fault_injector(FaultInjector::new(plan));
     }
     let journal = Arc::new(EventJournal::new(1 << 16));
-    let mut pl = PayLess::new(market, PayLessConfig::mode(mode));
-    for t in QueryWorkload::local_tables(w) {
-        pl.register_local(t.clone());
-    }
-    pl.attach_events(Arc::clone(&journal));
+    let cfg = ServeConfig {
+        events: Some(Arc::clone(&journal)),
+        ..ServeConfig::one_client()
+    };
+    let mut pl = PayLess::over(
+        Serve::new(market, QueryWorkload::local_tables(w), cfg),
+        mode,
+    );
     let templates: Vec<_> = QueryWorkload::templates(w)
         .iter()
         .map(|sql| pl.prepare(sql).expect("workload templates parse"))
@@ -121,7 +124,7 @@ fn run_session_journaled(
     (journal.snapshot(), pl.now())
 }
 
-/// A session's `query_done` must state what its call events sum to —
+/// Each query's `query_done` must state what its call events sum to —
 /// pages and waste. Returns the waste journaled by answered and by failed
 /// queries.
 fn assert_query_done_matches_provenance(events: &[Event], queries: u64) -> (u64, u64) {
@@ -267,6 +270,38 @@ fn provenance_is_exact_clean_and_chaos_serial_and_parallel() {
         );
         assert_waste_reachable_from_faults(&events);
     }
+}
+
+/// A served query that fails after spending journals what it spent: one
+/// attempt, billed in full and delivered short, is all the retry policy
+/// allows.
+#[test]
+fn failed_served_query_journals_its_spend() {
+    let w = tiny_workload(3);
+    let market = build_market(&w, 1);
+    market.attach_fault_injector(FaultInjector::new(
+        FaultPlan::none().at(0, FaultKind::Truncate),
+    ));
+    let journal = Arc::new(EventJournal::new(1 << 16));
+    let cfg = ServeConfig {
+        retry: RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        },
+        events: Some(Arc::clone(&journal)),
+        ..ServeConfig::one_client()
+    };
+    let serve = Serve::new(market, QueryWorkload::local_tables(&w), cfg);
+    let templates = prepared(&serve, &w);
+    let item = &serve_mix(&w, &TEMPLATES, 1, 1, CHAOS_SEED)[0];
+    let (query, outcome) = serve.run_query_traced(&templates[item.template], &item.params);
+    assert!(
+        outcome.is_err(),
+        "one truncated attempt must fail the query"
+    );
+    let events = journal.snapshot();
+    let (_, failed) = assert_query_done_matches_provenance(&events, query);
+    assert!(failed > 0, "the failed query journaled no spend");
 }
 
 #[test]

@@ -35,12 +35,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use payless_core::build_market;
 use payless_json::Json;
 use payless_serve::{digest_row_slice, Serve, ServeConfig};
 use payless_server::{Server, ServerConfig};
 use payless_workload::client::{drive_mix, get_text, shutdown, RemoteOutcome};
-use payless_workload::{serve_mix, MixItem, QueryWorkload, RealWorkload, WhwConfig};
+use payless_workload::{build_market, serve_mix, MixItem, QueryWorkload, RealWorkload, WhwConfig};
 
 /// Must match [`ServerConfig::default`]'s scale: oracle and server have to
 /// generate byte-identical WHW data for digest parity.

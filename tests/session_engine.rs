@@ -19,10 +19,11 @@
 //!   and is reopened from its directory renders the golden `payless` lines
 //!   byte for byte.
 //! * `session_equals_one_client_serve` runs the same stream through a
-//!   session at its defaults and through `Serve` with one thread and
-//!   coalescing off — both run Algorithm 1 — clean and under one chaos seed:
-//!   equal answers, equal pages per query, equal spend ledgers entry for
-//!   entry, and both ledgers sum to their market's meter.
+//!   session at its defaults and through `Serve::run_query` with one thread
+//!   and coalescing off, clean and under one chaos seed: equal answers,
+//!   equal pages per query, equal spend ledgers entry for entry, and both
+//!   ledgers sum to their market's meter. The session is a wrapper over
+//!   `Serve::run`; this guards its one-client configuration.
 
 mod common;
 
@@ -33,8 +34,8 @@ use std::sync::Arc;
 
 use common::{build_market, prepared};
 use payless_core::{
-    CallKind, DataMarket, FaultInjector, FaultPlan, Mode, PayLess, PayLessConfig, QueryOutcome,
-    RetryPolicy, TelemetrySnapshot,
+    CallKind, DataMarket, FaultInjector, FaultPlan, Mode, PayLess, QueryOutcome, RetryPolicy,
+    TelemetrySnapshot,
 };
 use payless_json::Json;
 use payless_serve::{digest_rows, Serve, ServeConfig};
@@ -70,27 +71,30 @@ fn stream(w: &RealWorkload) -> Vec<(usize, Vec<Value>)> {
     out
 }
 
-fn session(w: &RealWorkload, cfg: PayLessConfig) -> PayLess {
-    session_over(build_market(w, 100), w, cfg)
+fn session(w: &RealWorkload, mode: Mode) -> PayLess {
+    session_over(build_market(w, 100), w, ServeConfig::one_client(), mode)
 }
 
-fn session_over(market: Arc<DataMarket>, w: &RealWorkload, cfg: PayLessConfig) -> PayLess {
-    let mut pl = PayLess::new(market, cfg);
-    for t in QueryWorkload::local_tables(w) {
-        pl.register_local(t.clone());
-    }
-    pl
+fn session_over(
+    market: Arc<DataMarket>,
+    w: &RealWorkload,
+    cfg: ServeConfig,
+    mode: Mode,
+) -> PayLess {
+    PayLess::over(
+        Serve::new(market, QueryWorkload::local_tables(w), cfg),
+        mode,
+    )
 }
 
 /// A session at its defaults, kept in (and recovered from) `dir`.
 fn durable_session(market: &Arc<DataMarket>, w: &RealWorkload, dir: &Path) -> PayLess {
-    let build = |store| PayLess::with_store(Arc::clone(market), PayLessConfig::default(), store);
-    let (mut pl, _) = recover(dir, PersistConfig::default(), market, build, PayLess::state)
-        .expect("session directory opens");
-    for t in QueryWorkload::local_tables(w) {
-        pl.register_local(t.clone());
-    }
-    pl
+    let locals = QueryWorkload::local_tables(w);
+    let build =
+        |store| Serve::with_store(Arc::clone(market), locals, ServeConfig::one_client(), store);
+    let (serve, _) =
+        recover(dir, PersistConfig::default(), market, build).expect("session directory opens");
+    PayLess::over(serve, Mode::PayLess)
 }
 
 /// The whole stream.
@@ -174,11 +178,11 @@ fn session_stream_matches_golden() {
         ("download-all", Mode::DownloadAll),
         ("disable-all", Mode::DisableAll),
     ] {
-        let mut pl = session(&w, PayLessConfig::mode(mode));
+        let mut pl = session(&w, mode);
         render(name, &replay(&mut pl, &w, ALL), &mut actual);
     }
 
-    let mut pl = session(&w, PayLessConfig::default());
+    let mut pl = session(&w, Mode::PayLess);
     pl.enable_tracing(true);
     let traced = replay(&mut pl, &w, ALL);
     render("payless-traced", &traced, &mut actual);
@@ -275,10 +279,11 @@ fn session_equals_one_client_serve() {
         let mut pl = session_over(
             faulty(build_market(&w, 100)),
             &w,
-            PayLessConfig {
+            ServeConfig {
                 retry: RetryPolicy::unlimited(),
-                ..PayLessConfig::default()
+                ..ServeConfig::one_client()
             },
+            Mode::PayLess,
         );
         pl.enable_tracing(true);
         let session_runs = replay(&mut pl, &w, ALL);

@@ -3,8 +3,8 @@
 
 use std::sync::Arc;
 
-use payless_core::{build_market, Mode, PayLess, PayLessConfig};
-use payless_workload::{QueryWorkload, RealWorkload, WhwConfig};
+use payless_core::{Mode, PayLess};
+use payless_workload::{build_market, QueryWorkload, RealWorkload, WhwConfig};
 
 fn session(mode: Mode) -> (Arc<payless_core::DataMarket>, PayLess) {
     let workload = RealWorkload::generate(&WhwConfig {
@@ -17,7 +17,7 @@ fn session(mode: Mode) -> (Arc<payless_core::DataMarket>, PayLess) {
         seed: 3,
     });
     let market = Arc::new(build_market(&workload, 100));
-    let mut pl = PayLess::new(market.clone(), PayLessConfig::mode(mode));
+    let mut pl = PayLess::new(market.clone(), mode);
     for t in QueryWorkload::local_tables(&workload) {
         pl.register_local(t.clone());
     }
