@@ -592,7 +592,7 @@ mod tests {
             ..ServeConfig::one_client()
         };
         let warm = pl.state().store().snapshot();
-        let reopened = Serve::with_store(market.clone(), &[], cfg, warm);
+        let reopened = Serve::with_store(market.clone(), &[], cfg.clone(), warm);
         let mut reopened = PayLess::over(reopened, Mode::PayLess);
         assert_eq!(reopened.now(), 1, "the only view was bought at tick 1");
         reopened.advance_clock(10);
@@ -601,6 +601,35 @@ mod tests {
         let before = market.bill().transactions();
         reopened.query(sql).unwrap();
         assert!(market.bill().transactions() > before);
+
+        // A merge dates the merged view by its older half, so the clock
+        // must resume after the last purchase, not after the newest
+        // surviving view.
+        let mut pl = session_with(&market, Consistency::Window(3));
+        let later = "SELECT * FROM Weather WHERE Weather.Country = 'Country2' AND \
+                     Weather.Date >= 6 AND Weather.Date <= 10";
+        pl.query(sql).unwrap();
+        pl.advance_clock(10);
+        pl.query(later).unwrap();
+        assert_eq!(pl.now(), 12);
+        assert_eq!(
+            pl.state().store().view_count("Weather"),
+            1,
+            "the views merged"
+        );
+        let warm = pl.state().store().snapshot();
+        let mut reopened = PayLess::over(
+            Serve::with_store(market.clone(), &[], cfg, warm),
+            Mode::PayLess,
+        );
+        assert_eq!(reopened.now(), 12, "the last purchase was at tick 12");
+        // Date 1-5 was bought 12 ticks ago: both sessions must pay again.
+        let paid = |pl: &mut PayLess| {
+            let before = market.bill().transactions();
+            pl.query(sql).unwrap();
+            market.bill().transactions() - before
+        };
+        assert_eq!((paid(&mut pl), paid(&mut reopened)), (1, 1));
     }
 
     #[test]

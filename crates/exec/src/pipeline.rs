@@ -1,5 +1,5 @@
 //! The paper's Figure 3, written once: plan an analyzed query against
-//! point-in-time copies of the semantic store and the statistics, then
+//! point-in-time snapshots of the semantic store and the statistics, then
 //! execute the plan against the live [`SharedState`] — buying remainders,
 //! storing what arrives, refining the statistics, answering locally.
 //!
@@ -103,11 +103,13 @@ pub struct Ran {
     pub execute_nanos: u64,
 }
 
-/// Plan `query` without executing it: against a point-in-time copy of the
-/// store (reporting into `store_recorder`, if any) and of the statistics.
-/// The copies are deep — measured at 5× the plan search itself on a join
-/// mix — but they let the search run without holding a lock, and the
-/// executor re-rewrites against live state anyway.
+/// Plan `query` without executing it: against a point-in-time snapshot of
+/// the store (reporting into `store_recorder`, if any) and of the
+/// statistics. A snapshot shares each table's current version — one `Arc`
+/// clone per table — so the search runs without holding a lock, and the
+/// executor re-rewrites against live state anyway. Both snapshots are
+/// dropped when this returns, before execution writes: a write copies a
+/// table only while a snapshot still holds it.
 pub fn plan(
     env: &Env<'_>,
     query: &AnalyzedQuery,

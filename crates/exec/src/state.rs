@@ -4,8 +4,11 @@
 //! local DBMS mirror, the semantic store and the statistics registry — for
 //! every caller: the single-tenant session, the in-process mix and the
 //! socket server. The local mirror and the statistics registry each sit
-//! behind one reader-writer lock, and the semantic store is sharded per
-//! table ([`payless_semantic::SharedSemanticStore`]). A session is the
+//! behind one reader-writer lock, and the semantic store keeps one lock
+//! per table ([`payless_semantic::SharedSemanticStore`]). Both the store
+//! and the statistics hold each table's state as an `Arc`'d version, so a
+//! planning snapshot costs one pointer clone per table and a write copies
+//! a table only while a snapshot still holds it. A session is the
 //! uncontended case: one query at a time, no coalescer, no batcher.
 //!
 //! Lock discipline: every helper here holds **at most one of its own locks
@@ -122,8 +125,8 @@ impl SharedState {
         &self.store
     }
 
-    /// A point-in-time copy of the statistics registry (what the optimizer
-    /// plans against).
+    /// A point-in-time snapshot of the statistics registry (what the
+    /// optimizer plans against): one `Arc` clone per table model.
     pub fn stats_snapshot(&self) -> StatsRegistry {
         rd(&self.stats).clone()
     }

@@ -142,7 +142,7 @@ pub fn rewrite<V: Borrow<Region>>(
 
 /// As [`rewrite`], but with the remainder `Q ∖ ⋃Vᵢ` already computed — the
 /// entry point for the semantic store's incremental remainder cache
-/// ([`crate::SemanticStore::remainder_pieces`]). `pieces` must be disjoint
+/// ([`crate::SemanticStore::probe_rewrite`]). `pieces` must be disjoint
 /// boxes inside `query` exactly tiling the uncovered space; the subtraction
 /// sweep over the view set never runs here, which is what makes rewriting
 /// cheap at 10k+ stored views.

@@ -1,30 +1,30 @@
 //! Thread-safe sharing of the semantic store across concurrent sessions.
 //!
-//! A [`SharedSemanticStore`] wraps the per-table stores of a
-//! [`SemanticStore`] in one reader-writer lock *per table* (a sharded
-//! scheme): rewrites and cover probes of different tables never contend,
-//! and on one table many readers proceed in parallel while a delivery
-//! appending coverage takes the shard's write lock only briefly. The
-//! R-tree index and incremental remainder cache each shard keeps over its
-//! views (see [`crate::store`]) are updated under that same write lock, so
-//! readers always see a consistent view-set/index/cache triple —
-//! [`SharedSemanticStore::probe_rewrite`] reads all of them under one lock
-//! acquisition.
+//! A [`SharedSemanticStore`] holds each table's current version (an
+//! `Arc<TableStore>`, see [`crate::store`]) behind one reader-writer lock
+//! *per table*: rewrites and cover probes of different tables never
+//! contend, and on one table many readers proceed in parallel while a
+//! delivery appending coverage takes the shard's write lock only briefly.
+//! The R-tree index and incremental remainder cache of a version are
+//! updated under that same write lock, so readers always see a consistent
+//! view-set/index/cache triple — [`SharedSemanticStore::probe_rewrite_multi`]
+//! reads all of them under one lock acquisition.
 //!
 //! The optimizer still wants a plain `&SemanticStore`;
-//! [`SharedSemanticStore::snapshot`] reassembles one from the shards.
-//! Views are `Arc<Region>` handles, so a snapshot clones handles and
-//! bucket indexes, not geometry.
+//! [`SharedSemanticStore::snapshot`] clones one `Arc` per shard. A write
+//! goes through `Arc::make_mut`, so it copies its one table only while a
+//! snapshot still holds the version it replaces.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
+use payless_events::EventJournal;
 use payless_geometry::{QuerySpace, Region};
 use payless_metrics::MetricsHub;
 use payless_telemetry::Recorder;
 
-use crate::store::{Consistency, CoverClass, SemanticStore, StoreConfig};
+use crate::store::{Consistency, CoverClass, RewriteProbe, SemanticStore, TableStore};
 
 /// Callback invoked after every settled purchase lands in the store:
 /// `(table, region, now, spend)`. Durability layers hang a write-ahead-log
@@ -32,20 +32,21 @@ use crate::store::{Consistency, CoverClass, SemanticStore, StoreConfig};
 /// take its own locks (or do I/O) without ordering against shard guards.
 pub type SpendObserver = dyn Fn(&str, &Region, u64, u64) + Send + Sync;
 
-/// What one rewrite probe reads in a single consistent look at a shard:
-/// the overlapping usable views, plus the cached remainder pieces when the
-/// incremental cache could answer (`None` falls back to scratch
-/// subtraction).
-pub type RewriteProbe = (Vec<Arc<Region>>, Option<Vec<Region>>);
+/// One table's current version behind its lock.
+type Shard = RwLock<Arc<TableStore>>;
 
-/// A semantic store shareable across threads: per-table shards behind
+/// A semantic store shareable across threads: per-table versions behind
 /// reader-writer locks. All methods take `&self`; clone the containing
 /// `Arc` to hand the store to another session.
 #[derive(Default)]
 pub struct SharedSemanticStore {
-    shards: HashMap<Arc<str>, RwLock<SemanticStore>>,
-    /// Config handed to tables registered after construction.
-    cfg: StoreConfig,
+    shards: HashMap<Arc<str>, Shard>,
+    /// Store-level telemetry sink for probe timings, index hit/scan and
+    /// compaction/eviction counters. First attachment wins.
+    recorder: OnceLock<Arc<Recorder>>,
+    /// Flight recorder for store lifecycle events (inserts, compactions,
+    /// evictions); they carry no query id. First attachment wins.
+    events: OnceLock<Arc<EventJournal>>,
     /// Live instrumentation: hit/miss classification, record counts,
     /// per-table view gauges, and shard lock-wait times. `None` costs one
     /// `OnceLock` load per operation.
@@ -60,47 +61,38 @@ impl std::fmt::Debug for SharedSemanticStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedSemanticStore")
             .field("shards", &self.shards)
-            .field("cfg", &self.cfg)
+            .field("recorder", &self.recorder.get().is_some())
+            .field("events", &self.events.get().is_some())
             .field("metrics", &self.metrics.get().is_some())
             .field("observer", &self.observer.get().is_some())
             .finish()
     }
 }
 
-/// Read a poisoned lock anyway: shard state is only ever mutated through
-/// `SemanticStore` methods that keep it structurally consistent, so a
+/// Read a poisoned lock anyway: a version is only ever mutated through
+/// `TableStore` methods that keep it structurally consistent, so a
 /// panicking reader elsewhere cannot leave torn data behind.
-fn read(l: &RwLock<SemanticStore>) -> RwLockReadGuard<'_, SemanticStore> {
+fn read(l: &Shard) -> RwLockReadGuard<'_, Arc<TableStore>> {
     l.read().unwrap_or_else(|e| e.into_inner())
 }
 
-fn write(l: &RwLock<SemanticStore>) -> RwLockWriteGuard<'_, SemanticStore> {
+fn write(l: &Shard) -> RwLockWriteGuard<'_, Arc<TableStore>> {
     l.write().unwrap_or_else(|e| e.into_inner())
 }
 
 impl SharedSemanticStore {
-    /// Shard `store` per table — a fresh store, or a warm one replayed
-    /// from a durability log.
+    /// Share `store`'s tables — a fresh store, or a warm one replayed from a
+    /// durability log — keeping its recorder, if any. The table set is
+    /// fixed from here on.
     pub fn new(store: SemanticStore) -> Self {
-        let cfg = store.config();
         SharedSemanticStore {
             shards: store
-                .split_shards()
+                .tables
                 .into_iter()
-                .map(|(name, s)| (name, RwLock::new(s)))
+                .map(|(name, t)| (name, RwLock::new(t)))
                 .collect(),
-            cfg,
-            metrics: OnceLock::new(),
-            observer: OnceLock::new(),
-        }
-    }
-
-    /// Apply `cfg` to every shard and to tables registered later. Lowering
-    /// `max_views` evicts immediately (each shard under its write lock).
-    pub fn set_config(&mut self, cfg: StoreConfig) {
-        self.cfg = cfg;
-        for shard in self.shards.values() {
-            write(shard).set_config(cfg);
+            recorder: store.recorder.map(OnceLock::from).unwrap_or_default(),
+            ..Self::default()
         }
     }
 
@@ -120,8 +112,28 @@ impl SharedSemanticStore {
         let _ = self.observer.set(observer);
     }
 
+    /// Attach a store-level telemetry recorder (see
+    /// [`SemanticStore::attach_recorder`]). Index hit/scan counters are a
+    /// property of the shared store, not of any one session — see
+    /// DESIGN.md "Concurrent serving & call coalescing". First attachment
+    /// wins; later calls are ignored.
+    pub fn attach_recorder(&self, recorder: Arc<Recorder>) {
+        let _ = self.recorder.set(recorder);
+    }
+
+    /// Attach a flight-recorder journal: every later `record_spend`
+    /// journals `store_insert` / `store_compact` / `store_evict` events.
+    /// First attachment wins; later calls are ignored.
+    pub fn attach_events(&self, journal: Arc<EventJournal>) {
+        let _ = self.events.set(journal);
+    }
+
+    fn recorder(&self) -> Option<&Recorder> {
+        self.recorder.get().map(|r| &**r)
+    }
+
     /// Take a shard's read lock, reporting the wait into the hub.
-    fn timed_read<'a>(&self, l: &'a RwLock<SemanticStore>) -> RwLockReadGuard<'a, SemanticStore> {
+    fn timed_read<'a>(&self, l: &'a Shard) -> RwLockReadGuard<'a, Arc<TableStore>> {
         match self.metrics.get() {
             Some(hub) => {
                 let t0 = Instant::now();
@@ -135,7 +147,7 @@ impl SharedSemanticStore {
     }
 
     /// Take a shard's write lock, reporting the wait into the hub.
-    fn timed_write<'a>(&self, l: &'a RwLock<SemanticStore>) -> RwLockWriteGuard<'a, SemanticStore> {
+    fn timed_write<'a>(&self, l: &'a Shard) -> RwLockWriteGuard<'a, Arc<TableStore>> {
         match self.metrics.get() {
             Some(hub) => {
                 let t0 = Instant::now();
@@ -148,41 +160,25 @@ impl SharedSemanticStore {
         }
     }
 
-    /// Register a table's query space (idempotent). Takes `&mut self`:
-    /// adding tables is a setup-time operation, not a serving-time one.
-    pub fn register(&mut self, space: QuerySpace) {
-        let cfg = self.cfg;
-        self.shards.entry(space.table.clone()).or_insert_with(|| {
-            let mut s = SemanticStore::new();
-            s.set_config(cfg);
-            s.register(space);
-            RwLock::new(s)
-        });
+    /// Run a probe against `table`'s current version under its read lock
+    /// (the wait reported into the hub); `None` if `table` is unknown.
+    fn probe<R>(
+        &self,
+        table: &str,
+        f: impl FnOnce(&TableStore, Option<&Recorder>) -> R,
+    ) -> Option<R> {
+        let shard = self.shards.get(table)?;
+        Some(f(&self.timed_read(shard), self.recorder()))
     }
 
-    /// Attach a store-level telemetry recorder to every shard. Index
-    /// hit/scan counters are a property of the shared store, not of any one
-    /// session — see DESIGN.md "Concurrent serving & call coalescing".
-    pub fn attach_recorder(&self, recorder: Arc<Recorder>) {
-        for shard in self.shards.values() {
-            write(shard).attach_recorder(recorder.clone());
-        }
-    }
-
-    /// Attach a flight-recorder journal to every shard (store-level, like
-    /// [`SharedSemanticStore::attach_recorder`]: store lifecycle events
-    /// carry no query id).
-    pub fn attach_events(&self, journal: Arc<payless_events::EventJournal>) {
-        for shard in self.shards.values() {
-            write(shard).attach_events(journal.clone());
-        }
+    /// Read a counter of `table`'s current version; `None` if unknown.
+    fn peek<R>(&self, table: &str, f: impl FnOnce(&TableStore) -> R) -> Option<R> {
+        self.shards.get(table).map(|s| f(&read(s)))
     }
 
     /// The query space of `table`, if registered (cloned out of the shard).
     pub fn space(&self, table: &str) -> Option<QuerySpace> {
-        self.shards
-            .get(table)
-            .and_then(|s| read(s).space(table).cloned())
+        self.peek(table, |t| t.space().clone())
     }
 
     /// Record that `region` of `table` has been fully retrieved at `now`.
@@ -194,6 +190,8 @@ impl SharedSemanticStore {
 
     /// As [`SharedSemanticStore::record`], attributing the pages billed to
     /// retrieve the region — the weight the store's eviction policy uses.
+    /// The insert copies the table first only if a snapshot still holds its
+    /// current version.
     pub fn record_spend(&self, table: &str, region: Region, now: u64, spend: u64) {
         let shard = self
             .shards
@@ -205,17 +203,14 @@ impl SharedSemanticStore {
             .get()
             .map(|obs| (Arc::clone(obs), region.clone()));
         let mut guard = self.timed_write(shard);
-        guard.record_spend(table, region, now, spend);
+        let t = Arc::make_mut(&mut guard);
+        let journal = self.events.get().map(|j| &**j);
+        t.record(table, region, now, spend, self.recorder(), journal);
         if let Some(hub) = self.metrics.get() {
             hub.store_records.inc(1);
-            hub.table_views_gauge(table)
-                .set(guard.view_count(table) as u64);
-            // Cumulative totals, not pending deltas: the store may already
-            // have drained pending events into its telemetry recorder, and
-            // setting absolute values keeps the gauges idempotent.
-            hub.table_compactions_gauge(table)
-                .set(guard.compactions(table));
-            hub.table_evictions_gauge(table).set(guard.evictions(table));
+            hub.table_views_gauge(table).set(t.view_count() as u64);
+            hub.table_compactions_gauge(table).set(t.compactions());
+            hub.table_evictions_gauge(table).set(t.evictions());
         }
         // Release the shard before notifying: the observer may take its own
         // locks (e.g. a durability log mutex), and holding the write guard
@@ -226,28 +221,12 @@ impl SharedSemanticStore {
         }
     }
 
-    /// The usable views of `table` overlapping `probe` — a read-locked
-    /// passthrough to [`SemanticStore::views_overlapping`].
-    pub fn views_overlapping(
-        &self,
-        table: &str,
-        probe: &Region,
-        consistency: Consistency,
-        now: u64,
-    ) -> Vec<Arc<Region>> {
-        self.shards
-            .get(table)
-            .map(|s| {
-                self.timed_read(s)
-                    .views_overlapping(table, probe, consistency, now)
-            })
-            .unwrap_or_default()
-    }
-
     /// One consistent read of everything a rewrite needs — the overlapping
     /// usable views and (when the remainder cache is valid) the precomputed
     /// remainder pieces — under a **single** shard read-lock acquisition,
-    /// so the two can never disagree about an in-flight insert.
+    /// so the two can never disagree about an in-flight insert. Kept for
+    /// `benchmark/src/ledger.rs`; the workspace calls
+    /// [`SharedSemanticStore::probe_rewrite_multi`].
     pub fn probe_rewrite(
         &self,
         table: &str,
@@ -255,13 +234,10 @@ impl SharedSemanticStore {
         consistency: Consistency,
         now: u64,
     ) -> RewriteProbe {
-        self.shards
-            .get(table)
-            .map(|s| {
-                self.timed_read(s)
-                    .probe_rewrite(table, probe, consistency, now)
-            })
-            .unwrap_or((Vec::new(), None))
+        self.probe(table, |t, rec| {
+            t.probe_rewrite(probe, consistency, now, rec)
+        })
+        .unwrap_or((Vec::new(), None))
     }
 
     /// [`SharedSemanticStore::probe_rewrite`] over several probes of the
@@ -276,47 +252,23 @@ impl SharedSemanticStore {
         consistency: Consistency,
         now: u64,
     ) -> Vec<RewriteProbe> {
-        match self.shards.get(table) {
-            Some(s) => {
-                let guard = self.timed_read(s);
-                probes
-                    .iter()
-                    .map(|p| guard.probe_rewrite(table, p, consistency, now))
-                    .collect()
-            }
-            None => probes.iter().map(|_| (Vec::new(), None)).collect(),
-        }
-    }
-
-    /// The cached remainder pieces of `probe` over `table`, or `None` when
-    /// the cache cannot answer (see [`SemanticStore::remainder_pieces`]).
-    pub fn remainder_pieces(
-        &self,
-        table: &str,
-        probe: &Region,
-        consistency: Consistency,
-        now: u64,
-    ) -> Option<Vec<Region>> {
-        self.shards.get(table).and_then(|s| {
-            self.timed_read(s)
-                .remainder_pieces(table, probe, consistency, now)
+        self.probe(table, |t, rec| {
+            probes
+                .iter()
+                .map(|p| t.probe_rewrite(p, consistency, now, rec))
+                .collect()
         })
+        .unwrap_or_else(|| probes.iter().map(|_| (Vec::new(), None)).collect())
     }
 
     /// Total compaction events for `table` since creation.
     pub fn compactions(&self, table: &str) -> u64 {
-        self.shards
-            .get(table)
-            .map(|s| read(s).compactions(table))
-            .unwrap_or(0)
+        self.peek(table, TableStore::compactions).unwrap_or(0)
     }
 
     /// Total spend-weighted evictions for `table` since creation.
     pub fn evictions(&self, table: &str) -> u64 {
-        self.shards
-            .get(table)
-            .map(|s| read(s).evictions(table))
-            .unwrap_or(0)
+        self.peek(table, TableStore::evictions).unwrap_or(0)
     }
 
     /// Classify how much of `region` the usable views cover.
@@ -328,9 +280,7 @@ impl SharedSemanticStore {
         now: u64,
     ) -> CoverClass {
         let class = self
-            .shards
-            .get(table)
-            .map(|s| self.timed_read(s).classify(table, region, consistency, now))
+            .probe(table, |t, rec| t.classify(region, consistency, now, rec))
             .unwrap_or(CoverClass::Miss);
         if let Some(hub) = self.metrics.get() {
             match class {
@@ -344,38 +294,34 @@ impl SharedSemanticStore {
 
     /// `true` if `region` of `table` is fully covered by usable views.
     pub fn covers(&self, table: &str, region: &Region, consistency: Consistency, now: u64) -> bool {
-        self.shards
-            .get(table)
-            .map(|s| self.timed_read(s).covers(table, region, consistency, now))
+        self.probe(table, |t, rec| t.covers(region, consistency, now, rec))
             .unwrap_or(false)
     }
 
     /// Number of stored view boxes for `table` (after coalescing).
     pub fn view_count(&self, table: &str) -> usize {
-        self.shards
-            .get(table)
-            .map(|s| read(s).view_count(table))
-            .unwrap_or(0)
+        self.peek(table, TableStore::view_count).unwrap_or(0)
     }
 
     /// Fraction of `table`'s whole query space covered by stored views.
     pub fn coverage_fraction(&self, table: &str) -> f64 {
-        self.shards
-            .get(table)
-            .map(|s| read(s).coverage_fraction(table))
+        self.peek(table, TableStore::coverage_fraction)
             .unwrap_or(0.0)
     }
 
-    /// A point-in-time unshared copy: per-table consistent (each shard is
-    /// cloned under its read lock), cheap (views are `Arc<Region>` handles),
-    /// with no recorder or journal attached. This is what the optimizer
-    /// plans against.
+    /// A point-in-time copy that shares every table's current version — one
+    /// `Arc` clone per shard, each under its read lock — with no recorder
+    /// or journal attached. This is what the optimizer plans against; drop
+    /// it before writing, or the next write to a table copies it.
     pub fn snapshot(&self) -> SemanticStore {
-        let mut out = SemanticStore::new();
-        for shard in self.shards.values() {
-            out.absorb(read(shard).clone());
+        SemanticStore {
+            tables: self
+                .shards
+                .iter()
+                .map(|(name, s)| (name.clone(), Arc::clone(&read(s))))
+                .collect(),
+            ..SemanticStore::default()
         }
-        out
     }
 }
 
@@ -495,6 +441,145 @@ mod tests {
                 ("T".to_string(), 0)
             ]
         );
+    }
+
+    #[test]
+    fn snapshots_share_each_version_until_a_write_replaces_it() {
+        let mut base = SemanticStore::new();
+        base.register(space());
+        base.register(QuerySpace::of(&Schema::new(
+            "U",
+            vec![Column::free("A", Domain::int(0, 99))],
+        )));
+        let shared = SharedSemanticStore::new(base);
+        shared.record("T", r(0, 9), 1);
+        let a = shared.snapshot();
+        let b = shared.snapshot();
+        for t in ["T", "U"] {
+            assert!(Arc::ptr_eq(a.version(t).unwrap(), b.version(t).unwrap()));
+        }
+        // A write replaces the version of the table it wrote, and only it.
+        shared.record("T", r(50, 59), 2);
+        let c = shared.snapshot();
+        assert!(!Arc::ptr_eq(
+            a.version("T").unwrap(),
+            c.version("T").unwrap()
+        ));
+        assert!(Arc::ptr_eq(
+            a.version("U").unwrap(),
+            c.version("U").unwrap()
+        ));
+        assert!(!a.covers("T", &r(50, 59), Consistency::Weak, 3));
+        assert!(c.covers("T", &r(50, 59), Consistency::Weak, 3));
+        // With no snapshot holding it, a write updates the version in place.
+        let current = Arc::as_ptr(c.version("T").unwrap());
+        drop((a, b, c));
+        shared.record("T", r(70, 79), 3);
+        assert_eq!(
+            Arc::as_ptr(shared.snapshot().version("T").unwrap()),
+            current
+        );
+    }
+
+    mod property {
+        use super::*;
+        use crate::store::StoreConfig;
+        use proptest::prelude::*;
+
+        const TABLES: [&str; 2] = ["G", "H"];
+
+        fn store() -> SemanticStore {
+            let mut s = SemanticStore::new();
+            s.set_config(StoreConfig {
+                max_views: 4,
+                compaction: true,
+            });
+            for t in TABLES {
+                s.register(QuerySpace::of(&Schema::new(
+                    t,
+                    vec![
+                        Column::free("A", Domain::int(0, 23)),
+                        Column::free("B", Domain::int(0, 23)),
+                    ],
+                )));
+            }
+            s
+        }
+
+        /// One step of a schedule: a purchase `(table, box, now, spend)`,
+        /// or (one step in four) a snapshot.
+        fn arb_step() -> impl Strategy<Value = Option<(usize, Region, u64, u64)>> {
+            let side = || (0i64..24).prop_flat_map(|lo| (Just(lo), lo..24));
+            (0u8..4, 0..TABLES.len(), side(), side(), 0u64..16, 0u64..8).prop_map(
+                |(kind, t, (a0, a1), (b0, b1), now, spend)| {
+                    let region = Region::new(vec![Interval::new(a0, a1), Interval::new(b0, b1)]);
+                    (kind > 0).then_some((t, region, now, spend))
+                },
+            )
+        }
+
+        /// Every box whose sides are unions of the thirds of the domain.
+        fn probes() -> Vec<Region> {
+            let sides = [(0, 7), (8, 15), (16, 23), (0, 15), (8, 23), (0, 23)];
+            sides
+                .iter()
+                .flat_map(|&a| sides.iter().map(move |&b| (a, b)))
+                .map(|((a0, a1), (b0, b1))| {
+                    Region::new(vec![Interval::new(a0, a1), Interval::new(b0, b1)])
+                })
+                .collect()
+        }
+
+        proptest! {
+            /// A snapshot answers every read exactly as a private store fed
+            /// the purchases made before it, however many purchases (with
+            /// their merges and evictions) the live store took afterwards.
+            #[test]
+            fn snapshot_reads_equal_a_replay_of_its_prefix(
+                steps in proptest::collection::vec(arb_step(), 1..32),
+            ) {
+                let shared = SharedSemanticStore::new(store());
+                let mut snaps = Vec::new();
+                for (i, step) in steps.iter().enumerate() {
+                    match step {
+                        Some((t, region, now, spend)) => {
+                            shared.record_spend(TABLES[*t], region.clone(), *now, *spend)
+                        }
+                        None => snaps.push((i, shared.snapshot())),
+                    }
+                }
+                snaps.push((steps.len(), shared.snapshot()));
+                let probes = probes();
+                for (prefix, snap) in &snaps {
+                    let mut replay = store();
+                    for (t, region, now, spend) in steps[..*prefix].iter().flatten() {
+                        replay.record_spend(TABLES[*t], region.clone(), *now, *spend);
+                    }
+                    for t in TABLES {
+                        prop_assert_eq!(snap.view_count(t), replay.view_count(t));
+                        prop_assert_eq!(snap.compactions(t), replay.compactions(t));
+                        prop_assert_eq!(snap.evictions(t), replay.evictions(t));
+                        prop_assert_eq!(snap.coverage_fraction(t), replay.coverage_fraction(t));
+                        for c in [Consistency::Weak, Consistency::Window(4)] {
+                            for p in &probes {
+                                prop_assert_eq!(
+                                    snap.classify(t, p, c, 16),
+                                    replay.classify(t, p, c, 16)
+                                );
+                                prop_assert_eq!(
+                                    snap.covers(t, p, c, 16),
+                                    replay.covers(t, p, c, 16)
+                                );
+                                prop_assert_eq!(
+                                    snap.probe_rewrite(t, p, c, 16),
+                                    replay.probe_rewrite(t, p, c, 16)
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -24,11 +24,19 @@
 //! store evicts by spend-weighted utility — coverage is an optimization,
 //! never a correctness requirement, so evicted regions are simply
 //! re-purchasable.
+//!
+//! Each table's state is one **version**, an `Arc<TableStore>`. Cloning a
+//! [`SemanticStore`] — a planning snapshot — clones one pointer per table;
+//! a write goes through `Arc::make_mut`, so it copies the table only while
+//! a snapshot still holds the version it replaces. Every consistency-aware
+//! read is written once, on [`TableStore`]; the plain and the shared store
+//! look the table up and delegate.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
+use payless_events::{EventJournal, EventKind, Severity};
 use payless_geometry::{QuerySpace, RTree, Region};
 use payless_telemetry::Recorder;
 
@@ -114,11 +122,11 @@ const INDEX_MIN_VIEWS: usize = 8;
 /// ascending, which reproduces the slot-order linear scan exactly. The
 /// *gap* structures mirror this for the uncovered pieces.
 ///
-/// All mutation happens through [`TableStore::insert`] and eviction — one
-/// per market purchase — while probes happen for every candidate plan the
-/// optimizer costs, so reads stay `&self` and thread-safe.
+/// All mutation happens through [`TableStore::record`] — one per market
+/// purchase — while probes happen for every candidate plan the optimizer
+/// costs, so reads stay `&self` and thread-safe.
 #[derive(Debug, Clone)]
-struct TableStore {
+pub(crate) struct TableStore {
     space: QuerySpace,
     slots: Vec<Option<StoredView>>,
     free: Vec<u32>,
@@ -136,13 +144,13 @@ struct TableStore {
     /// remainder cache (see [`TableStore::remainder`]). `u64::MAX` when no
     /// view has ever been inserted.
     oldest: u64,
+    /// The highest `now` ever recorded; never lowered, although a merge
+    /// may date the view it landed in earlier and eviction may drop it. `0`
+    /// when nothing has been recorded.
+    newest: u64,
     cfg: StoreConfig,
     compactions: u64,
     evictions: u64,
-    /// Compaction/eviction events not yet drained into a metrics hub by the
-    /// shared layer.
-    pending_compactions: u64,
-    pending_evictions: u64,
 }
 
 impl TableStore {
@@ -162,11 +170,10 @@ impl TableStore {
             gap_tree,
             uncovered_volume,
             oldest: u64::MAX,
+            newest: 0,
             cfg,
             compactions: 0,
             evictions: 0,
-            pending_compactions: 0,
-            pending_evictions: 0,
         }
     }
 
@@ -240,6 +247,7 @@ impl TableStore {
     /// timestamps may be conservatively merged to the older one). Both
     /// steps consult only the views the R-tree finds near the new region.
     fn insert(&mut self, region: Region, now: u64, spend: u64) {
+        self.newest = self.newest.max(now);
         // Already fully covered by a newer-or-equal view: nothing to do.
         // (Inflate by 1 so the same candidate set also serves adjacency
         // coalescing below.)
@@ -265,7 +273,7 @@ impl TableStore {
                 if current.region.contains(&v.region) && v.stored_at <= now {
                     let absorbed = self.remove_view(id);
                     current.spend = current.spend.saturating_add(absorbed.spend);
-                    self.note_compaction();
+                    self.compactions += 1;
                 }
             }
             // Coalesce until fixpoint: each round re-queries around the
@@ -285,7 +293,7 @@ impl TableStore {
                             stored_at: old.stored_at.min(current.stored_at),
                             spend: old.spend.saturating_add(current.spend),
                         };
-                        self.note_compaction();
+                        self.compactions += 1;
                         merged = true;
                         break;
                     }
@@ -305,11 +313,6 @@ impl TableStore {
         if self.live > self.cfg.max_views {
             self.evict();
         }
-    }
-
-    fn note_compaction(&mut self) {
-        self.compactions += 1;
-        self.pending_compactions += 1;
     }
 
     /// Bound the view count: first drop views whose coverage the remaining
@@ -335,7 +338,7 @@ impl TableStore {
                     .collect();
                 if region.subtract_all(&others).is_empty() {
                     self.remove_view(id);
-                    self.note_compaction();
+                    self.compactions += 1;
                 }
             }
         }
@@ -367,7 +370,6 @@ impl TableStore {
             }
             let v = self.remove_view(id);
             self.evictions += 1;
-            self.pending_evictions += 1;
             // The evicted region may still be partly covered by surviving
             // views; only the truly uncovered part returns to the cache.
             // Gaps stay disjoint: existing gaps never intersect a view, and
@@ -455,14 +457,187 @@ impl TableStore {
         )
     }
 
-    /// Drain the not-yet-reported compaction/eviction event counts.
-    fn take_pending_events(&mut self) -> (u64, u64) {
+    /// Record that `region` (of the table named `table`) was retrieved at
+    /// `now`, billed `spend` pages, reporting what the insert compacted and
+    /// evicted into `rec` (`store.compactions` / `store.evictions`) and
+    /// `journal` (`store_insert` / `store_compact` / `store_evict`).
+    pub(crate) fn record(
+        &mut self,
+        table: &str,
+        region: Region,
+        now: u64,
+        spend: u64,
+        rec: Option<&Recorder>,
+        journal: Option<&EventJournal>,
+    ) {
+        let (c0, e0) = (self.compactions, self.evictions);
+        self.insert(region, now, spend);
+        let (c, e) = (self.compactions - c0, self.evictions - e0);
+        if let Some(rec) = rec.filter(|r| r.is_enabled()) {
+            if c > 0 {
+                rec.count("store.compactions", c);
+            }
+            if e > 0 {
+                rec.count("store.evictions", e);
+            }
+        }
+        if let Some(j) = journal.filter(|j| j.is_enabled()) {
+            let views = self.live as u64;
+            j.emit(None, Severity::Debug, || EventKind::StoreInsert {
+                table: table.to_string(),
+                spend_pages: spend,
+                views,
+            });
+            if c > 0 {
+                j.emit(None, Severity::Info, || EventKind::StoreCompact {
+                    table: table.to_string(),
+                    compactions: c,
+                });
+            }
+            if e > 0 {
+                j.emit(None, Severity::Info, || EventKind::StoreEvict {
+                    table: table.to_string(),
+                    evictions: e,
+                });
+            }
+        }
+    }
+
+    /// The usable views overlapping `probe`, reporting the probe's time,
+    /// path and result size into `rec`.
+    fn timed_probe(&self, probe: &Region, min: u64, rec: Option<&Recorder>) -> Vec<Arc<Region>> {
+        let rec = rec.filter(|r| r.is_enabled());
+        let t0 = rec.map(|_| Instant::now());
+        let (out, used_index) = self.probe(probe, min);
+        if let (Some(rec), Some(t0)) = (rec, t0) {
+            rec.record_duration("store.index_probe", t0.elapsed().as_nanos() as u64);
+            rec.count(
+                if used_index {
+                    "store.index_hits"
+                } else {
+                    "store.index_full_scans"
+                },
+                1,
+            );
+            rec.record_size("store.probe_views", out.len() as u64);
+        }
+        out
+    }
+
+    /// See [`SemanticStore::views_overlapping`].
+    pub(crate) fn views_overlapping(
+        &self,
+        probe: &Region,
+        consistency: Consistency,
+        now: u64,
+        rec: Option<&Recorder>,
+    ) -> Vec<Arc<Region>> {
+        match consistency.min_stored_at(now) {
+            Some(min) => self.timed_probe(probe, min, rec),
+            None => Vec::new(),
+        }
+    }
+
+    /// See [`SemanticStore::probe_rewrite`].
+    pub(crate) fn probe_rewrite(
+        &self,
+        probe: &Region,
+        consistency: Consistency,
+        now: u64,
+        rec: Option<&Recorder>,
+    ) -> RewriteProbe {
+        let Some(min) = consistency.min_stored_at(now) else {
+            return (Vec::new(), None);
+        };
         (
-            std::mem::take(&mut self.pending_compactions),
-            std::mem::take(&mut self.pending_evictions),
+            self.timed_probe(probe, min, rec),
+            self.remainder(probe, min),
         )
     }
+
+    /// See [`SemanticStore::covers`].
+    pub(crate) fn covers(
+        &self,
+        region: &Region,
+        consistency: Consistency,
+        now: u64,
+        rec: Option<&Recorder>,
+    ) -> bool {
+        let Some(min) = consistency.min_stored_at(now) else {
+            return false;
+        };
+        match self.remainder(region, min) {
+            Some(pieces) => pieces.is_empty(),
+            None => region
+                .subtract_all(&self.timed_probe(region, min, rec))
+                .is_empty(),
+        }
+    }
+
+    /// See [`SemanticStore::classify`].
+    pub(crate) fn classify(
+        &self,
+        region: &Region,
+        consistency: Consistency,
+        now: u64,
+        rec: Option<&Recorder>,
+    ) -> CoverClass {
+        // Probe for overlapping views only: anything disjoint from the
+        // region is a Miss regardless, which the empty-overlap check covers.
+        let Some(min) = consistency.min_stored_at(now) else {
+            return CoverClass::Miss;
+        };
+        let views = self.timed_probe(region, min, rec);
+        if views.is_empty() {
+            return CoverClass::Miss;
+        }
+        let fully = match self.remainder(region, min) {
+            Some(pieces) => pieces.is_empty(),
+            None => region.subtract_all(&views).is_empty(),
+        };
+        if fully {
+            CoverClass::Full
+        } else {
+            CoverClass::Partial
+        }
+    }
+
+    /// See [`SemanticStore::view_count`].
+    pub(crate) fn view_count(&self) -> usize {
+        self.live
+    }
+
+    /// See [`SemanticStore::compactions`].
+    pub(crate) fn compactions(&self) -> u64 {
+        self.compactions
+    }
+
+    /// See [`SemanticStore::evictions`].
+    pub(crate) fn evictions(&self) -> u64 {
+        self.evictions
+    }
+
+    /// See [`SemanticStore::coverage_fraction`].
+    pub(crate) fn coverage_fraction(&self) -> f64 {
+        let full = self.space.full_region().volume();
+        if full == 0 {
+            return 0.0;
+        }
+        let covered = full.saturating_sub(self.uncovered_volume);
+        (covered as f64 / full as f64).clamp(0.0, 1.0)
+    }
+
+    /// See [`SemanticStore::space`].
+    pub(crate) fn space(&self) -> &QuerySpace {
+        &self.space
+    }
 }
+
+/// What one rewrite probe reads in a single consistent look at a table:
+/// the overlapping usable views, plus the cached remainder pieces when the
+/// incremental cache could answer (`None` falls back to scratch
+/// subtraction).
+pub type RewriteProbe = (Vec<Arc<Region>>, Option<Vec<Region>>);
 
 /// The union of two regions if it is exactly one box, else `None`.
 ///
@@ -495,19 +670,16 @@ fn box_union(a: &Region, b: &Region) -> Option<Region> {
     Some(Region::new(dims))
 }
 
-/// Coverage for every market table PayLess has touched.
+/// Coverage for every market table PayLess has touched: one shared
+/// version per table, so a clone costs one pointer clone per table.
 #[derive(Debug, Clone, Default)]
 pub struct SemanticStore {
-    tables: HashMap<Arc<str>, TableStore>,
+    pub(crate) tables: HashMap<Arc<str>, Arc<TableStore>>,
     /// Telemetry sink for probe timings and index hit/fallback counters.
-    /// Shared, not serialized; a restored store starts unattached.
-    recorder: Option<Arc<Recorder>>,
-    /// Flight recorder for store lifecycle events (inserts, compactions,
-    /// evictions). Store-level, like `recorder`: events carry no query id.
-    events: Option<Arc<payless_events::EventJournal>>,
+    pub(crate) recorder: Option<Arc<Recorder>>,
     /// Config applied to tables registered from here on (existing tables
     /// keep theirs until [`SemanticStore::set_config`]).
-    cfg: StoreConfig,
+    pub(crate) cfg: StoreConfig,
 }
 
 impl SemanticStore {
@@ -529,21 +701,12 @@ impl SemanticStore {
         self.recorder = Some(recorder);
     }
 
-    /// Attach a flight-recorder journal; subsequent [`record_spend`]
-    /// calls journal `store_insert` / `store_compact` / `store_evict`
-    /// events. Store-level like [`SemanticStore::attach_recorder`]: the
-    /// store is shared across queries, so events carry no query id.
-    ///
-    /// [`record_spend`]: SemanticStore::record_spend
-    pub fn attach_events(&mut self, journal: Arc<payless_events::EventJournal>) {
-        self.events = Some(journal);
-    }
-
     /// Apply `cfg` to every registered table and to tables registered later.
     /// Lowering `max_views` evicts immediately.
     pub fn set_config(&mut self, cfg: StoreConfig) {
         self.cfg = cfg;
         for t in self.tables.values_mut() {
+            let t = Arc::make_mut(t);
             t.cfg = cfg;
             if t.live > t.cfg.max_views {
                 t.evict();
@@ -551,21 +714,12 @@ impl SemanticStore {
         }
     }
 
-    /// The store's current config (the one new tables receive).
-    pub fn config(&self) -> StoreConfig {
-        self.cfg
-    }
-
-    /// The newest `stored_at` of any view, `0` when there is none. A clock
-    /// resumed over a recovered store starts after it, so no view is dated
-    /// in the future.
+    /// The highest `now` ever recorded into any table, `0` when there is
+    /// none. A clock resumed over a recovered store starts after it, so no
+    /// purchase is dated in the future — whether or not a surviving view
+    /// still carries that timestamp.
     pub fn newest_stored_at(&self) -> u64 {
-        self.tables
-            .values()
-            .flat_map(|t| t.slots.iter().flatten())
-            .map(|v| v.stored_at)
-            .max()
-            .unwrap_or(0)
+        self.tables.values().map(|t| t.newest).max().unwrap_or(0)
     }
 
     /// Register a table's query space (idempotent).
@@ -573,45 +727,12 @@ impl SemanticStore {
         let cfg = self.cfg;
         self.tables
             .entry(space.table.clone())
-            .or_insert_with(|| TableStore::new(space, cfg));
-    }
-
-    /// Split the store into independent single-table stores — the building
-    /// block of [`crate::shared::SharedSemanticStore`]'s per-table shards.
-    /// The recorder handle (if any) is shared by every shard.
-    pub(crate) fn split_shards(self) -> Vec<(Arc<str>, SemanticStore)> {
-        let recorder = self.recorder;
-        let events = self.events;
-        let cfg = self.cfg;
-        self.tables
-            .into_iter()
-            .map(|(name, ts)| {
-                let mut tables = HashMap::new();
-                tables.insert(name.clone(), ts);
-                (
-                    name,
-                    SemanticStore {
-                        tables,
-                        recorder: recorder.clone(),
-                        events: events.clone(),
-                        cfg,
-                    },
-                )
-            })
-            .collect()
-    }
-
-    /// Move every table of `other` into `self`, replacing tables already
-    /// present — reassembles a point-in-time snapshot from shared shards.
-    pub(crate) fn absorb(&mut self, other: SemanticStore) {
-        for (name, ts) in other.tables {
-            self.tables.insert(name, ts);
-        }
+            .or_insert_with(|| Arc::new(TableStore::new(space, cfg)));
     }
 
     /// The query space of `table`, if registered.
     pub fn space(&self, table: &str) -> Option<&QuerySpace> {
-        self.tables.get(table).map(|t| &t.space)
+        self.tables.get(table).map(|t| t.space())
     }
 
     /// Record that `region` of `table` has been fully retrieved at time
@@ -623,46 +744,12 @@ impl SemanticStore {
     /// As [`SemanticStore::record`], attributing the pages billed to
     /// retrieve the region — the weight the eviction policy uses.
     pub fn record_spend(&mut self, table: &str, region: Region, now: u64, spend: u64) {
-        let entry = self
+        let t = self
             .tables
             .get_mut(table)
             .unwrap_or_else(|| panic!("table `{table}` not registered in semantic store"));
-        entry.insert(region, now, spend);
-        let rec = self.recorder.as_deref().filter(|r| r.is_enabled());
-        let journal = self.events.as_deref().filter(|j| j.is_enabled());
-        if rec.is_none() && journal.is_none() {
-            return;
-        }
-        let (c, e) = entry.take_pending_events();
-        if let Some(rec) = rec {
-            if c > 0 {
-                rec.count("store.compactions", c);
-            }
-            if e > 0 {
-                rec.count("store.evictions", e);
-            }
-        }
-        if let Some(j) = journal {
-            use payless_events::{EventKind, Severity};
-            let views = entry.live as u64;
-            j.emit(None, Severity::Debug, || EventKind::StoreInsert {
-                table: table.to_string(),
-                spend_pages: spend,
-                views,
-            });
-            if c > 0 {
-                j.emit(None, Severity::Info, || EventKind::StoreCompact {
-                    table: table.to_string(),
-                    compactions: c,
-                });
-            }
-            if e > 0 {
-                j.emit(None, Severity::Info, || EventKind::StoreEvict {
-                    table: table.to_string(),
-                    evictions: e,
-                });
-            }
-        }
+        let rec = self.recorder.as_deref();
+        Arc::make_mut(t).record(table, region, now, spend, rec, None);
     }
 
     /// The stored regions of `table` usable under `consistency` at `now`.
@@ -689,124 +776,82 @@ impl SemanticStore {
         consistency: Consistency,
         now: u64,
     ) -> Vec<Arc<Region>> {
-        let Some(min) = consistency.min_stored_at(now) else {
-            return Vec::new();
-        };
-        let Some(t) = self.tables.get(table) else {
-            return Vec::new();
-        };
-        self.timed_probe(t, probe, min).0
+        self.tables
+            .get(table)
+            .map(|t| t.views_overlapping(probe, consistency, now, self.recorder.as_deref()))
+            .unwrap_or_default()
     }
 
-    fn timed_probe(&self, t: &TableStore, probe: &Region, min: u64) -> (Vec<Arc<Region>>, bool) {
-        let timer = self
-            .recorder
-            .as_deref()
-            .filter(|r| r.is_enabled())
-            .map(|_| Instant::now());
-        let (out, used_index) = t.probe(probe, min);
-        if let (Some(rec), Some(t0)) = (self.recorder.as_deref(), timer) {
-            rec.record_duration("store.index_probe", t0.elapsed().as_nanos() as u64);
-            rec.count(
-                if used_index {
-                    "store.index_hits"
-                } else {
-                    "store.index_full_scans"
-                },
-                1,
-            );
-            rec.record_size("store.probe_views", out.len() as u64);
-        }
-        (out, used_index)
-    }
-
-    /// The cached remainder `probe ∖ ⋃ usable views` of `table` as disjoint
-    /// pieces clipped to `probe`, or `None` when the cache cannot answer —
-    /// under `Strong` consistency, for unregistered tables, or when a
-    /// `Window` excludes stored views (the cache tracks the complement of
-    /// *all* views; see [`TableStore::remainder`]). Callers fall back to
-    /// the subtraction sweep on `None`.
-    pub fn remainder_pieces(
-        &self,
-        table: &str,
-        probe: &Region,
-        consistency: Consistency,
-        now: u64,
-    ) -> Option<Vec<Region>> {
-        let min = consistency.min_stored_at(now)?;
-        self.tables.get(table)?.remainder(probe, min)
-    }
-
-    /// One consistent read of everything a rewrite needs: the overlapping
-    /// usable views and (when the cache is valid) the precomputed remainder
-    /// pieces. The shared store forwards this under a single shard read
-    /// lock, so views and pieces can never disagree about an in-flight
-    /// insert.
+    /// One consistent read of everything a rewrite needs: the usable views
+    /// of `table` overlapping `probe`, and the cached remainder `probe ∖ ⋃
+    /// usable views` as disjoint pieces clipped to `probe` — or `None` when
+    /// the cache cannot answer: under `Strong` consistency, for unregistered
+    /// tables, or when a `Window` excludes stored views (the cache tracks
+    /// the complement of *all* views; see [`TableStore::remainder`]).
+    /// Callers fall back to the subtraction sweep on `None`.
     pub fn probe_rewrite(
         &self,
         table: &str,
         probe: &Region,
         consistency: Consistency,
         now: u64,
-    ) -> (Vec<Arc<Region>>, Option<Vec<Region>>) {
-        let Some(min) = consistency.min_stored_at(now) else {
-            return (Vec::new(), None);
-        };
-        let Some(t) = self.tables.get(table) else {
-            return (Vec::new(), None);
-        };
-        let (views, _) = self.timed_probe(t, probe, min);
-        let pieces = t.remainder(probe, min);
-        (views, pieces)
+    ) -> RewriteProbe {
+        self.tables
+            .get(table)
+            .map(|t| t.probe_rewrite(probe, consistency, now, self.recorder.as_deref()))
+            .unwrap_or((Vec::new(), None))
     }
 
     /// Number of stored view boxes for `table` (after coalescing), read
     /// from the live counter — no scan.
     pub fn view_count(&self, table: &str) -> usize {
-        self.tables.get(table).map(|t| t.live).unwrap_or(0)
+        self.tables.get(table).map_or(0, |t| t.view_count())
     }
 
     /// Total compaction events (absorbed, coalesced, or redundancy-dropped
     /// views) for `table` since creation.
     pub fn compactions(&self, table: &str) -> u64 {
-        self.tables.get(table).map(|t| t.compactions).unwrap_or(0)
+        self.tables.get(table).map_or(0, |t| t.compactions())
     }
 
     /// Total spend-weighted utility evictions for `table` since creation.
     pub fn evictions(&self, table: &str) -> u64 {
-        self.tables.get(table).map(|t| t.evictions).unwrap_or(0)
+        self.tables.get(table).map_or(0, |t| t.evictions())
     }
 
     /// Fraction of `table`'s whole query space covered by stored views
     /// (freshness-agnostic), read from the remainder cache's running
     /// uncovered volume — no scan, no union sweep.
     pub fn coverage_fraction(&self, table: &str) -> f64 {
-        let Some(t) = self.tables.get(table) else {
-            return 0.0;
-        };
-        let full = t.space.full_region().volume();
-        if full == 0 {
-            return 0.0;
-        }
-        let covered = full.saturating_sub(t.uncovered_volume);
-        (covered as f64 / full as f64).clamp(0.0, 1.0)
+        self.tables
+            .get(table)
+            .map_or(0.0, |t| t.coverage_fraction())
     }
 
     /// `true` if `region` of `table` is fully covered by usable views.
     pub fn covers(&self, table: &str, region: &Region, consistency: Consistency, now: u64) -> bool {
-        let Some(min) = consistency.min_stored_at(now) else {
-            return false;
-        };
-        let Some(t) = self.tables.get(table) else {
-            return false;
-        };
-        match t.remainder(region, min) {
-            Some(pieces) => pieces.is_empty(),
-            None => {
-                let (views, _) = self.timed_probe(t, region, min);
-                region.subtract_all(&views).is_empty()
-            }
-        }
+        self.tables
+            .get(table)
+            .is_some_and(|t| t.covers(region, consistency, now, self.recorder.as_deref()))
+    }
+
+    /// Classify how much of `region` the usable views cover.
+    pub fn classify(
+        &self,
+        table: &str,
+        region: &Region,
+        consistency: Consistency,
+        now: u64,
+    ) -> CoverClass {
+        self.tables.get(table).map_or(CoverClass::Miss, |t| {
+            t.classify(region, consistency, now, self.recorder.as_deref())
+        })
+    }
+
+    /// The version `table` currently points at.
+    #[cfg(test)]
+    pub(crate) fn version(&self, table: &str) -> Option<&Arc<TableStore>> {
+        self.tables.get(table)
     }
 }
 
@@ -820,39 +865,6 @@ pub enum CoverClass {
     Partial,
     /// No usable coverage: the whole region must be purchased.
     Miss,
-}
-
-impl SemanticStore {
-    /// Classify how much of `region` the usable views cover.
-    pub fn classify(
-        &self,
-        table: &str,
-        region: &Region,
-        consistency: Consistency,
-        now: u64,
-    ) -> CoverClass {
-        // Probe for overlapping views only: anything disjoint from the
-        // region is a Miss regardless, which the empty-overlap check covers.
-        let Some(min) = consistency.min_stored_at(now) else {
-            return CoverClass::Miss;
-        };
-        let Some(t) = self.tables.get(table) else {
-            return CoverClass::Miss;
-        };
-        let (views, _) = self.timed_probe(t, region, min);
-        if views.is_empty() {
-            return CoverClass::Miss;
-        }
-        let fully = match t.remainder(region, min) {
-            Some(pieces) => pieces.is_empty(),
-            None => region.subtract_all(&views).is_empty(),
-        };
-        if fully {
-            CoverClass::Full
-        } else {
-            CoverClass::Partial
-        }
-    }
 }
 
 #[cfg(test)]
@@ -965,7 +977,8 @@ mod tests {
         assert_eq!(s.view_count("X"), 0);
         assert!(s.space("X").is_none());
         assert_eq!(
-            s.remainder_pieces("X", &region![(0, 1)], Consistency::Weak, 0),
+            s.probe_rewrite("X", &region![(0, 1)], Consistency::Weak, 0)
+                .1,
             None
         );
     }
@@ -994,7 +1007,8 @@ mod tests {
         let mut s = store_1d();
         s.record("R", region![(20, 40)], 1);
         let pieces = s
-            .remainder_pieces("R", &region![(10, 50)], Consistency::Weak, 2)
+            .probe_rewrite("R", &region![(10, 50)], Consistency::Weak, 2)
+            .1
             .expect("weak probes always use the cache");
         // Exactly the uncovered parts of the probe, disjoint.
         assert_eq!(
@@ -1007,12 +1021,14 @@ mod tests {
         }
         // Fully covered probe -> empty piece set, not None.
         assert_eq!(
-            s.remainder_pieces("R", &region![(25, 35)], Consistency::Weak, 2),
+            s.probe_rewrite("R", &region![(25, 35)], Consistency::Weak, 2)
+                .1,
             Some(Vec::new())
         );
         // Strong consistency cannot use the cache.
         assert_eq!(
-            s.remainder_pieces("R", &region![(10, 50)], Consistency::Strong, 2),
+            s.probe_rewrite("R", &region![(10, 50)], Consistency::Strong, 2)
+                .1,
             None
         );
     }
@@ -1024,12 +1040,14 @@ mod tests {
         s.record("R", region![(60, 80)], 10);
         // Window reaching both views: cache valid.
         assert!(s
-            .remainder_pieces("R", &region![(0, 100)], Consistency::Window(100), 11)
+            .probe_rewrite("R", &region![(0, 100)], Consistency::Window(100), 11)
+            .1
             .is_some());
         // Window excluding the t=1 view: cache invalid, caller must fall
         // back to the filtered subtraction sweep.
         assert!(s
-            .remainder_pieces("R", &region![(0, 100)], Consistency::Window(5), 11)
+            .probe_rewrite("R", &region![(0, 100)], Consistency::Window(5), 11)
+            .1
             .is_none());
         // The fallback paths (covers/classify) still answer correctly.
         assert!(!s.covers("R", &region![(0, 30)], Consistency::Window(5), 11));
@@ -1073,7 +1091,8 @@ mod tests {
         assert!(frac > 0.0 && frac < 12.0 * 7.0 / 101.0);
         // The remainder cache still exactly complements the views.
         let pieces = s
-            .remainder_pieces("R", &region![(0, 100)], Consistency::Weak, 100)
+            .probe_rewrite("R", &region![(0, 100)], Consistency::Weak, 100)
+            .1
             .unwrap();
         let views = s.views("R", Consistency::Weak, 100);
         let mut all: Vec<Region> = views.iter().map(|v| (**v).clone()).collect();
@@ -1252,7 +1271,7 @@ mod tests {
                 };
                 let views = s.views_overlapping("G", &probe, consistency, now);
                 let scratch = probe.subtract_all(&views);
-                match s.remainder_pieces("G", &probe, consistency, now) {
+                match s.probe_rewrite("G", &probe, consistency, now).1 {
                     None => {
                         // Only staleness may invalidate: under Weak the
                         // cache must always answer.
@@ -1304,7 +1323,8 @@ mod tests {
                 prop_assert!(s.view_count("G") <= 6);
                 let views = s.views("G", Consistency::Weak, 100);
                 let pieces = s
-                    .remainder_pieces("G", &probe, Consistency::Weak, 100)
+                    .probe_rewrite("G", &probe, Consistency::Weak, 100)
+            .1
                     .expect("weak probes always use the cache");
                 let scratch = probe.subtract_all(&views);
                 prop_assert_eq!(

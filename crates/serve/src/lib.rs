@@ -155,7 +155,9 @@ impl Serve {
     /// warm store recovered from disk, whose coverage the serving layer
     /// keeps honoring so already-purchased regions are never re-bought.
     /// Market tables missing from `store` are registered fresh, and the
-    /// clock resumes after the newest view, so none is dated in the future.
+    /// clock resumes after the last purchase `store` recorded
+    /// ([`SemanticStore::newest_stored_at`]) — not after the newest
+    /// surviving view, which a merge may have dated earlier.
     pub fn with_store(
         market: Arc<DataMarket>,
         locals: &[LocalTable],

@@ -618,7 +618,7 @@ impl DurableStore {
 /// routine, behind both `Server::start` and the REPL's `--session`. Opens
 /// and replays both logs ([`DurableStore::open`] over every table of
 /// `market`), hands the warm store to `build` (whose [`Serve::with_store`]
-/// resumes the clock after the newest view), then, in this order:
+/// resumes the clock after the last logged purchase), then, in this order:
 ///
 /// 1. seeds the serving state's mirror with the rows of `mirror.log`;
 /// 2. re-derives the statistics: for each replayed purchase, in log order,

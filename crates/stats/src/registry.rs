@@ -120,10 +120,12 @@ impl TableModel {
 ///
 /// Created from schemas + published cardinalities; refined through
 /// [`StatsRegistry::feedback`] as results arrive (step 5.4 of the paper's
-/// architecture diagram).
+/// architecture diagram). Each table's model is one shared version: a
+/// clone (the optimizer's snapshot) costs one pointer clone per table, and
+/// a write copies a model only while a clone still holds it.
 #[derive(Debug, Clone, Default)]
 pub struct StatsRegistry {
-    tables: HashMap<Arc<str>, TableModel>,
+    tables: HashMap<Arc<str>, Arc<TableModel>>,
     backend: StatsBackend,
 }
 
@@ -147,17 +149,17 @@ impl StatsRegistry {
             StatsBackend::PerDimension => TableModel::PerDim(PerDimStats::new(space, cardinality)),
             StatsBackend::Isomer => TableModel::Isomer(IsomerStats::new(space, cardinality)),
         };
-        self.tables.insert(schema.table.clone(), model);
+        self.tables.insert(schema.table.clone(), Arc::new(model));
     }
 
     /// Statistics for `table`, if registered.
     pub fn table(&self, table: &str) -> Option<&TableModel> {
-        self.tables.get(table)
+        self.tables.get(table).map(|t| &**t)
     }
 
     /// Mutable statistics for `table`, if registered.
     pub fn table_mut(&mut self, table: &str) -> Option<&mut TableModel> {
-        self.tables.get_mut(table)
+        self.tables.get_mut(table).map(Arc::make_mut)
     }
 
     /// Estimated tuples of `table` inside `region`; `None` if unregistered.
@@ -167,7 +169,7 @@ impl StatsRegistry {
 
     /// Record an observation for `table`.
     pub fn feedback(&mut self, table: &str, region: &Region, actual: u64) {
-        if let Some(t) = self.tables.get_mut(table) {
+        if let Some(t) = self.table_mut(table) {
             t.feedback(region, actual);
         }
     }
@@ -235,6 +237,20 @@ mod tests {
             assert_eq!(m.cardinality(), 100);
             assert_eq!(m.space().arity(), 1);
             assert!(m.distinct_in(&region![(0, 9)], 0) <= 10.0);
+
+            // A snapshot shares the model until the live registry learns,
+            // and keeps its estimate after.
+            let snap = reg.clone();
+            assert!(Arc::ptr_eq(&snap.tables["R"], &reg.tables["R"]));
+            let before = snap.estimate("R", &region![(0, 4)]).unwrap();
+            reg.feedback("R", &region![(0, 4)], 90);
+            assert!(!Arc::ptr_eq(&snap.tables["R"], &reg.tables["R"]));
+            assert_eq!(snap.estimate("R", &region![(0, 4)]).unwrap(), before);
+            let live = reg.estimate("R", &region![(0, 4)]).unwrap();
+            assert!(
+                (live - before).abs() > 1.0,
+                "{backend:?}: {before} -> {live}"
+            );
         }
     }
 }
