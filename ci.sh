@@ -6,10 +6,11 @@
 #
 # Usage: ./ci.sh [stage]
 #   fmt | clippy | tier1 | benchmark-smoke | results-check |
-#   nightly-chaos | smokes | all
+#   results-full | nightly-chaos | smokes | all
 # With no argument, `all` runs every stage in order — exactly what the
 # staged GitHub workflow (.github/workflows/ci.yml) runs job by job.
-# (`nightly-chaos` is not part of `all`; the scheduled workflow runs it.)
+# (`results-full` and `nightly-chaos` are not part of `all`; the scheduled
+# workflow runs them.)
 #
 # Every correctness invariant is a `#[test]` and runs in tier1; performance
 # is measured by benchmark/ (see benchmark/README.md), not gated here.
@@ -54,23 +55,50 @@ benchmark_smoke() {
     return "$_rc"
 }
 
+# Regenerate each named figure binary's output into $1 with the committed
+# defaults (the knobs that rescale the figures are cleared) and `diff -u` it
+# against results/. Every figure is regenerated even after a diff, so the
+# directory holds a full re-recording; the stage fails if any file differs.
+regen_results() {
+    RES_DIR="$PWD/target/$1"
+    shift
+    mkdir -p "$RES_DIR"
+    _bins=""
+    for _fig in "$@"; do
+        _bins="$_bins --bin $_fig"
+    done
+    # shellcheck disable=SC2086 # one word per --bin flag
+    cargo build -q --release -p payless-bench $_bins
+    _rc=0
+    for _fig in "$@"; do
+        env -u PAYLESS_REPS -u PAYLESS_JSON -u PAYLESS_Q_REAL -u PAYLESS_Q_TPCH \
+            -u PAYLESS_SCALE_REAL -u PAYLESS_SCALE_TPCH \
+            "./target/release/$_fig" >"$RES_DIR/$_fig.txt"
+        diff -u "results/$_fig.txt" "$RES_DIR/$_fig.txt" || _rc=1
+    done
+    return "$_rc"
+}
+
 results_check() {
     echo "== results check: planspace, ablation and fig10 reproduce results/ byte for byte =="
     # The figure binaries print transaction counts and plan counts, never
     # wall-clock time, so a `PayLess` session that plans or pays differently
     # in any of the four paper modes shows up as a diff here. planspace and
-    # ablation take 0.1 s each, fig10 about a minute; fig11-15 ride the same
-    # session code and are regenerated by hand (EXPERIMENTS.md). The knobs
-    # that rescale the figures are cleared so the committed defaults run.
-    RES_DIR="$PWD/target/results-check"
-    mkdir -p "$RES_DIR"
-    cargo build -q --release -p payless-bench --bin planspace --bin ablation --bin fig10
-    for _fig in planspace ablation fig10; do
-        env -u PAYLESS_REPS -u PAYLESS_JSON -u PAYLESS_Q_REAL -u PAYLESS_Q_TPCH \
-            -u PAYLESS_SCALE_REAL -u PAYLESS_SCALE_TPCH \
-            "./target/release/$_fig" >"$RES_DIR/$_fig.txt"
-        diff -u "results/$_fig.txt" "$RES_DIR/$_fig.txt"
-    done
+    # ablation take 0.1 s each, fig10 about a minute; fig11-15 and
+    # stats_accuracy ride the same session code and are checked by
+    # `results-full`.
+    regen_results results-check planspace ablation fig10
+}
+
+results_full() {
+    echo "== results full: every count-only figure reproduces results/ byte for byte =="
+    # All nine count-only outputs (`efficiency` prints wall-clock timings and
+    # never reproduces). Several minutes on two cores, so it stays out of
+    # `all`; the scheduled workflow runs it. To re-record results/ after a
+    # change that moves the money, run this stage and copy
+    # target/results-full/*.txt over results/.
+    regen_results results-full planspace ablation fig10 fig11 fig12 fig13 fig14 fig15 \
+        stats_accuracy
 }
 
 nightly_chaos() {
@@ -105,11 +133,12 @@ case "$stage" in
     tier1) tier1 ;;
     benchmark-smoke) benchmark_smoke ;;
     results-check) results_check ;;
+    results-full) results_full ;;
     nightly-chaos) nightly_chaos ;;
     smokes) smokes ;;
     all) all ;;
     *)
-        echo "ci.sh: unknown stage \`$stage\` (fmt|clippy|tier1|benchmark-smoke|results-check|nightly-chaos|smokes|all)" >&2
+        echo "ci.sh: unknown stage \`$stage\` (fmt|clippy|tier1|benchmark-smoke|results-check|results-full|nightly-chaos|smokes|all)" >&2
         exit 2
         ;;
 esac

@@ -9,7 +9,7 @@ use payless_market::{DataMarket, Request};
 use payless_metrics::MetricsHub;
 use payless_optimizer::cost::required_regions;
 use payless_optimizer::plan::{AccessMethod, PlanNode};
-use payless_semantic::{rewrite, rewrite_cached, Consistency, CoverClass, Rewrite, RewriteConfig};
+use payless_semantic::{rewrite, Consistency, CoverClass, Rewrite, RewriteConfig};
 use payless_sql::{AccessConstraint, AnalyzedQuery, OutputItem, ResidualPred, TableLocation};
 use payless_storage::{aggregate, distinct, hash_join, project, sort_by, AggSpec};
 use payless_telemetry::{CallKind, OperatorActual, Recorder, TransactionRecord};
@@ -399,10 +399,9 @@ impl<'a> Executor<'a> {
     /// statistics, returning per region the rewrite and how many candidate
     /// views shaped it. Only views overlapping a region can shape its
     /// rewrite, so the store's R-tree is probed instead of scanning every
-    /// view — and where the store's incremental remainder cache can answer,
-    /// the subtraction sweep is skipped. All regions are probed under one
-    /// shard lock: a batch leader re-validating its members' merged pieces
-    /// sees one consistent store state across all of them.
+    /// view. All regions are probed under one shard lock: a batch leader
+    /// re-validating its members' merged pieces sees one consistent store
+    /// state across all of them.
     fn rewrite_live(
         &self,
         tid: usize,
@@ -410,7 +409,7 @@ impl<'a> Executor<'a> {
         regions: &[Region],
     ) -> Result<Vec<(Rewrite, u64)>> {
         let t = &self.query.tables[tid];
-        let probes = self.state.store().probe_rewrite_multi(
+        let views = self.state.store().views_overlapping_multi(
             &t.name,
             regions,
             self.cfg.consistency,
@@ -420,12 +419,9 @@ impl<'a> Executor<'a> {
             .with_table_model(&t.name, |ts| {
                 regions
                     .iter()
-                    .zip(&probes)
-                    .map(|(region, (views, pieces))| {
-                        let rw = match pieces {
-                            Some(p) => rewrite_cached(ts, page, region, p, &self.cfg.rewrite),
-                            None => rewrite(ts, page, region, views, &self.cfg.rewrite),
-                        };
+                    .zip(&views)
+                    .map(|(region, views)| {
+                        let rw = rewrite(ts, page, region, views, &self.cfg.rewrite);
                         (rw, views.len() as u64)
                     })
                     .collect()

@@ -76,11 +76,8 @@ pub fn decompose<V: std::borrow::Borrow<Region>>(q: &Region, views: &[V]) -> Dec
 /// Decompose an already-computed remainder (a set of disjoint boxes tiling
 /// `Q ∖ ⋃Vᵢ`) into separator-aligned elementary boxes.
 ///
-/// This is the entry point for the semantic store's **incremental remainder
-/// cache**: the store maintains each table's uncovered region as a
-/// persistent set of disjoint pieces updated on insert, so a query's
-/// remainder is a clipped lookup — the subtraction sweep above never runs.
-/// The separator/re-grid guarantees are identical to [`decompose`]: any box
+/// The rewriter calls this on the fresh subtraction `Q ∖ ⋃Vᵢ`. The
+/// separator/re-grid guarantees are identical to [`decompose`]: any box
 /// whose extents come from the separator sets contains each elementary box
 /// entirely or not at all.
 pub fn decompose_pieces(arity: usize, remainder: Vec<Region>) -> Decomposition {

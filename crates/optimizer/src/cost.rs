@@ -12,7 +12,7 @@ use std::sync::{Arc, OnceLock};
 
 use payless_geometry::Region;
 use payless_semantic::rewrite::est_transactions;
-use payless_semantic::{rewrite, rewrite_cached, Consistency, RewriteConfig, SemanticStore};
+use payless_semantic::{rewrite, Consistency, RewriteConfig, SemanticStore};
 use payless_sql::{AccessConstraint, AnalyzedQuery, TableLocation};
 use payless_stats::StatsRegistry;
 use payless_types::{Constraint, PaylessError, Result};
@@ -270,24 +270,6 @@ impl<'a> CostCtx<'a> {
         )
     }
 
-    /// Overlapping views plus (when the store's remainder cache can answer)
-    /// the precomputed remainder pieces of `region` over table `tid`.
-    fn probe_rewrite(
-        &self,
-        tid: usize,
-        region: &Region,
-    ) -> (Vec<Arc<Region>>, Option<Vec<Region>>) {
-        if !self.sqr {
-            return (Vec::new(), None);
-        }
-        self.store.probe_rewrite(
-            &self.query.tables[tid].name,
-            region,
-            self.consistency,
-            self.now,
-        )
-    }
-
     /// Estimated tuples of table `tid` within its required regions.
     pub fn table_rows(&self, tid: usize) -> f64 {
         let ts = self
@@ -346,9 +328,6 @@ impl<'a> CostCtx<'a> {
         if !self.sqr {
             return false;
         }
-        // `covers` answers from the store's remainder cache when it can,
-        // falling back to the subtraction sweep only under tight staleness
-        // windows.
         self.regions[tid].iter().all(|r| {
             self.store
                 .covers(&self.query.tables[tid].name, r, self.consistency, self.now)
@@ -402,11 +381,8 @@ impl<'a> CostCtx<'a> {
         let mut records = 0.0;
         for region in &self.regions[tid] {
             if self.sqr {
-                let (views, pieces) = self.probe_rewrite(tid, region);
-                let rw = match &pieces {
-                    Some(p) => rewrite_cached(ts, page, region, p, &self.rewrite_cfg),
-                    None => rewrite(ts, page, region, &views, &self.rewrite_cfg),
-                };
+                let views = self.views_over(tid, region);
+                let rw = rewrite(ts, page, region, &views, &self.rewrite_cfg);
                 self.counters
                     .boxes_enumerated
                     .fetch_add(rw.boxes_enumerated, Ordering::Relaxed);

@@ -35,10 +35,11 @@ pub struct RewriteConfig {
     /// Cap on the candidate enumeration; beyond it the rewriter falls back
     /// to per-cell boxes plus the remainder hull.
     pub max_candidates: u64,
-    /// Cap on elementary cells. A store fragmented into more uncovered
-    /// pieces than this skips Algorithm 1 entirely and issues the raw
-    /// subtraction pieces as remainders (correct, possibly suboptimal) —
-    /// keeping rewriting linear in the fragmentation.
+    /// Cap on elementary cells, counted before and after categorical
+    /// splitting. A remainder with more cells skips Algorithm 1 and issues
+    /// the raw subtraction pieces, or the whole query in one call when that
+    /// is estimated no dearer (correct, possibly suboptimal) — keeping
+    /// rewriting linear in the fragmentation.
     pub max_cells: usize,
 }
 
@@ -140,16 +141,11 @@ pub fn rewrite<V: Borrow<Region>>(
     rewrite_cached(stats, page_size, query, &query.subtract_all(&clipped), cfg)
 }
 
-/// As [`rewrite`], but with the remainder `Q ∖ ⋃Vᵢ` already computed — the
-/// entry point for the semantic store's incremental remainder cache
-/// ([`crate::SemanticStore::probe_rewrite`]). `pieces` must be disjoint
-/// boxes inside `query` exactly tiling the uncovered space; the subtraction
-/// sweep over the view set never runs here, which is what makes rewriting
-/// cheap at 10k+ stored views.
-///
-/// The piece *boxes* may differ between a cached and a from-scratch call
-/// (decomposition order is not canonical), but they describe the same point
-/// set, so covers remain feasible.
+/// The back half of [`rewrite`]: Algorithm 1 over the remainder `Q ∖ ⋃Vᵢ`
+/// already subtracted. `pieces` must be disjoint boxes inside `query`
+/// exactly tiling the uncovered space. Every program rewrite goes through
+/// [`rewrite`]; this stays public because `benchmark/src/ledger.rs`
+/// imports it.
 pub fn rewrite_cached(
     stats: &dyn CardinalityModel,
     page_size: u64,
@@ -186,45 +182,7 @@ pub fn rewrite_cached(
         .as_ref()
         .is_none_or(|d| d.elementary.len() > cfg.max_cells);
     if fragmented {
-        let mut remainders = Vec::new();
-        for piece in pieces {
-            remainders.extend(space.expressible_cover(piece));
-        }
-        let pieces_cost: f64 = remainders
-            .iter()
-            .map(|r| est_transactions(stats.estimate(r), page_size))
-            .sum();
-        // The whole query region is itself always a valid remainder (overlap
-        // with stored views is allowed). When coverage has fragmented into a
-        // storm of slivers, one consolidated call is often cheaper in both
-        // transactions (ceil-per-call) and calls — and recording it heals
-        // the store's fragmentation.
-        let whole = space.expressible_cover(query);
-        let whole_cost: f64 = whole
-            .iter()
-            .map(|r| est_transactions(stats.estimate(r), page_size))
-            .sum();
-        let n = remainders.len() as u64;
-        if whole_cost <= pieces_cost || remainders.len() > 512 {
-            return Rewrite {
-                remainders: whole,
-                est_transactions: whole_cost,
-                fully_covered: false,
-                boxes_enumerated: n,
-                boxes_kept: 1,
-                cover_sets: 0,
-                cover_chosen: 0,
-            };
-        }
-        return Rewrite {
-            remainders,
-            est_transactions: pieces_cost,
-            fully_covered: false,
-            boxes_enumerated: n,
-            boxes_kept: n,
-            cover_sets: 0,
-            cover_chosen: 0,
-        };
+        return capped_rewrite(stats, page_size, query, pieces);
     }
 
     // --- Cells, with categorical dimensions split to expressible widths ---
@@ -298,22 +256,10 @@ pub fn rewrite_cached(
         extent_lists.push(extents);
     }
 
-    // Category splitting may have re-inflated the cell count; re-check.
+    // Category splitting may have re-inflated the cell count past the cap:
+    // the same exit as a fragmented remainder.
     if cells.len() > cfg.max_cells {
-        let est: f64 = cells
-            .iter()
-            .map(|r| est_transactions(stats.estimate(r), page_size))
-            .sum();
-        let n = cells.len() as u64;
-        return Rewrite {
-            remainders: cells,
-            est_transactions: est,
-            fully_covered: false,
-            boxes_enumerated: n,
-            boxes_kept: n,
-            cover_sets: 0,
-            cover_chosen: 0,
-        };
+        return capped_rewrite(stats, page_size, query, pieces);
     }
 
     // --- Enumeration size and fallback ---
@@ -401,6 +347,51 @@ pub fn rewrite_cached(
         boxes_kept,
         cover_sets: boxes_kept,
         cover_chosen,
+    }
+}
+
+/// The exit for a remainder with more cells than `RewriteConfig::max_cells`,
+/// before or after categorical splitting: issue the raw subtraction pieces
+/// (split per category where the interface demands it) — exact, just not
+/// cost-minimized — or the whole query as one call when that is estimated
+/// no dearer. The whole query region is always a valid remainder (overlap
+/// with stored views is allowed); when coverage has fragmented into a storm
+/// of slivers, one consolidated call is often cheaper in both transactions
+/// (ceil-per-call) and calls, and recording it heals the fragmentation.
+fn capped_rewrite(
+    stats: &dyn CardinalityModel,
+    page_size: u64,
+    query: &Region,
+    pieces: &[Region],
+) -> Rewrite {
+    let space = stats.space();
+    let cost = |rs: &[Region]| -> f64 {
+        rs.iter()
+            .map(|r| est_transactions(stats.estimate(r), page_size))
+            .sum()
+    };
+    let remainders: Vec<Region> = pieces
+        .iter()
+        .flat_map(|piece| space.expressible_cover(piece))
+        .collect();
+    let pieces_cost = cost(&remainders);
+    let whole = space.expressible_cover(query);
+    let whole_cost = cost(&whole);
+    let n = remainders.len() as u64;
+    let (remainders, est_transactions, boxes_kept) =
+        if whole_cost <= pieces_cost || remainders.len() > 512 {
+            (whole, whole_cost, 1)
+        } else {
+            (remainders, pieces_cost, n)
+        };
+    Rewrite {
+        remainders,
+        est_transactions,
+        fully_covered: false,
+        boxes_enumerated: n,
+        boxes_kept,
+        cover_sets: 0,
+        cover_chosen: 0,
     }
 }
 
@@ -579,26 +570,6 @@ mod tests {
         assert!(q.subtract_all(&all_views).is_empty());
     }
 
-    #[test]
-    fn cached_pieces_reproduce_from_scratch_rewrite() {
-        // `rewrite` is now a thin wrapper that subtracts and delegates, so a
-        // caller holding the store's cached remainder pieces must get the
-        // same plan from `rewrite_cached` — including counters.
-        let stats = figure6_stats();
-        let views = [region![(10, 19)], region![(30, 59)]];
-        let q = region![(0, 100)];
-        for cfg in [RewriteConfig::default(), RewriteConfig::no_pruning()] {
-            let scratch = rewrite(&stats, 100, &q, &views, &cfg);
-            let pieces = q.subtract_all(&views);
-            let cached = rewrite_cached(&stats, 100, &q, &pieces, &cfg);
-            assert_eq!(cached.remainders, scratch.remainders);
-            assert_eq!(cached.est_transactions, scratch.est_transactions);
-            assert_eq!(cached.boxes_enumerated, scratch.boxes_enumerated);
-            assert_eq!(cached.boxes_kept, scratch.boxes_kept);
-            assert_eq!(cached.cover_chosen, scratch.cover_chosen);
-        }
-    }
-
     /// 2-D space with one categorical dimension (Figure 8's setting).
     fn cat_stats() -> TableStats {
         let schema = Schema::new(
@@ -634,6 +605,31 @@ mod tests {
         let mut all = views.to_vec();
         all.extend(out.remainders.iter().cloned());
         assert!(q.subtract_all(&all).is_empty());
+    }
+
+    /// A remainder whose categorical split overflows `max_cells` takes the
+    /// same exit as one fragmented before the split: the raw pieces or the
+    /// whole query in one call, whichever is estimated cheaper — never one
+    /// call per split cell, which prices every sliver at a full page.
+    #[test]
+    fn overflow_after_category_split_weighs_the_whole_query() {
+        let stats = cat_stats();
+        let q = region![(0, 89), (0, 5)];
+        // Coverage on half the categories of a middle band: the remainder
+        // is 5 cells, 15 once the 3-category extents are split to points.
+        let views = [region![(30, 59), (0, 2)]];
+        let cfg = RewriteConfig {
+            max_cells: 8,
+            ..RewriteConfig::default()
+        };
+        // 5400 tuples over 90 x 6 points: one call for the whole query is
+        // 6 pages of 1000; the 15 split cells would be 15 calls of 300.
+        let out = rewrite(&stats, 1000, &q, &views, &cfg);
+        assert_eq!(out.remainders, vec![q.clone()]);
+        assert_eq!(out.est_transactions, 6.0);
+        // Below the cap Algorithm 1 runs and finds no dearer cover.
+        let full = rewrite(&stats, 1000, &q, &views, &RewriteConfig::default());
+        assert!(full.est_transactions <= out.est_transactions);
     }
 
     #[test]
@@ -904,22 +900,14 @@ mod tests {
             ..RewriteConfig::default()
         };
 
-        // Both production entry points: the store's cached remainder pieces
-        // and the from-scratch subtraction sweep.
-        let (views, pieces) = store.probe_rewrite("R", &q, Consistency::Weak, 0);
-        let pieces = pieces.expect("the gap cache answers a fresh store");
-        for (path, out) in [
-            ("cached", rewrite_cached(&stats, 100, &q, &pieces, &cfg)),
-            ("scratch", rewrite(&stats, 100, &q, &views, &cfg)),
-        ] {
-            let remainders: Vec<String> = out.remainders.iter().map(Region::to_string).collect();
-            assert_eq!(remainders.join(" "), GOLDEN_REMAINDERS, "{path}");
-            assert_eq!(out.est_transactions.to_bits(), GOLDEN_EST_BITS, "{path}");
-            assert_eq!(
-                (out.boxes_enumerated, out.boxes_kept, out.cover_chosen),
-                GOLDEN_BOXES,
-                "{path}"
-            );
-        }
+        let views = store.views_overlapping("R", &q, Consistency::Weak, 0);
+        let out = rewrite(&stats, 100, &q, &views, &cfg);
+        let remainders: Vec<String> = out.remainders.iter().map(Region::to_string).collect();
+        assert_eq!(remainders.join(" "), GOLDEN_REMAINDERS);
+        assert_eq!(out.est_transactions.to_bits(), GOLDEN_EST_BITS);
+        assert_eq!(
+            (out.boxes_enumerated, out.boxes_kept, out.cover_chosen),
+            GOLDEN_BOXES
+        );
     }
 }

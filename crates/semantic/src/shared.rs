@@ -5,10 +5,10 @@
 //! *per table*: rewrites and cover probes of different tables never
 //! contend, and on one table many readers proceed in parallel while a
 //! delivery appending coverage takes the shard's write lock only briefly.
-//! The R-tree index and incremental remainder cache of a version are
-//! updated under that same write lock, so readers always see a consistent
-//! view-set/index/cache triple — [`SharedSemanticStore::probe_rewrite_multi`]
-//! reads all of them under one lock acquisition.
+//! The R-tree index of a version is updated under that same write lock, so
+//! readers always see a consistent view-set/index pair —
+//! [`SharedSemanticStore::views_overlapping_multi`] probes several regions
+//! under one lock acquisition.
 //!
 //! The optimizer still wants a plain `&SemanticStore`;
 //! [`SharedSemanticStore::snapshot`] clones one `Arc` per shard. A write
@@ -183,7 +183,7 @@ impl SharedSemanticStore {
 
     /// Record that `region` of `table` has been fully retrieved at `now`.
     /// Takes the shard's write lock for the duration of the insert
-    /// (containment checks, compaction, index and remainder-cache update).
+    /// (containment checks, compaction, index update).
     pub fn record(&self, table: &str, region: Region, now: u64) {
         self.record_spend(table, region, now, 0);
     }
@@ -221,12 +221,11 @@ impl SharedSemanticStore {
         }
     }
 
-    /// One consistent read of everything a rewrite needs — the overlapping
-    /// usable views and (when the remainder cache is valid) the precomputed
-    /// remainder pieces — under a **single** shard read-lock acquisition,
-    /// so the two can never disagree about an in-flight insert. Kept for
-    /// `benchmark/src/ledger.rs`; the workspace calls
-    /// [`SharedSemanticStore::probe_rewrite_multi`].
+    /// The usable views of `table` overlapping `probe`, read under one
+    /// shard read lock. The second element is always `None`: the store
+    /// keeps no remainder pieces, so callers subtract (`rewrite`). Kept in
+    /// this shape for `benchmark/src/ledger.rs`; the workspace calls
+    /// [`SharedSemanticStore::views_overlapping_multi`].
     pub fn probe_rewrite(
         &self,
         table: &str,
@@ -234,31 +233,33 @@ impl SharedSemanticStore {
         consistency: Consistency,
         now: u64,
     ) -> RewriteProbe {
-        self.probe(table, |t, rec| {
-            t.probe_rewrite(probe, consistency, now, rec)
-        })
-        .unwrap_or((Vec::new(), None))
+        let views = self
+            .probe(table, |t, rec| {
+                t.views_overlapping(probe, consistency, now, rec)
+            })
+            .unwrap_or_default();
+        (views, None)
     }
 
-    /// [`SharedSemanticStore::probe_rewrite`] over several probes of the
-    /// same table under **one** shard read-lock acquisition: a batch
-    /// leader re-validating the merged remainder pieces of its members
-    /// sees one consistent store state across all of them, so no piece can
-    /// be probed against coverage another piece's probe did not see.
-    pub fn probe_rewrite_multi(
+    /// The usable views of `table` overlapping each of `probes`, all read
+    /// under **one** shard read-lock acquisition: a batch leader
+    /// re-validating the merged remainder pieces of its members sees one
+    /// consistent store state across all of them, so no piece can be
+    /// probed against coverage another piece's probe did not see.
+    pub fn views_overlapping_multi(
         &self,
         table: &str,
         probes: &[Region],
         consistency: Consistency,
         now: u64,
-    ) -> Vec<RewriteProbe> {
+    ) -> Vec<Vec<Arc<Region>>> {
         self.probe(table, |t, rec| {
             probes
                 .iter()
-                .map(|p| t.probe_rewrite(p, consistency, now, rec))
+                .map(|p| t.views_overlapping(p, consistency, now, rec))
                 .collect()
         })
-        .unwrap_or_else(|| probes.iter().map(|_| (Vec::new(), None)).collect())
+        .unwrap_or_else(|| vec![Vec::new(); probes.len()])
     }
 
     /// Total compaction events for `table` since creation.
@@ -571,8 +572,8 @@ mod tests {
                                     replay.covers(t, p, c, 16)
                                 );
                                 prop_assert_eq!(
-                                    snap.probe_rewrite(t, p, c, 16),
-                                    replay.probe_rewrite(t, p, c, 16)
+                                    snap.views_overlapping(t, p, c, 16),
+                                    replay.views_overlapping(t, p, c, 16)
                                 );
                             }
                         }

@@ -7,16 +7,12 @@
 //! plus a timestamp per region for the consistency levels of Section 4.3.
 //!
 //! Regions are stored behind `Arc` and handed out by handle, so the hot
-//! query path never deep-copies coverage geometry. Each table keeps two
-//! multidimensional R-trees (see [`TableStore`]):
-//!
-//! * a **view index** over the stored boxes, so probes for the views
-//!   overlapping one query region touch only the tree path the region
-//!   intersects instead of scanning every stored view; and
-//! * an **incremental remainder cache** — the table's *uncovered* space
-//!   maintained as disjoint gap boxes, updated on every insert — so a
-//!   query's remainder `Q ∖ ⋃Vᵢ` is a clipped tree lookup instead of a
-//!   from-scratch subtraction sweep over all views.
+//! query path never deep-copies coverage geometry. Each table keeps a
+//! multidimensional R-tree over its stored boxes (see [`TableStore`]), so
+//! probes for the views overlapping one query region touch only the tree
+//! path the region intersects instead of scanning every stored view. A
+//! query's remainder `Q ∖ ⋃Vᵢ` is always subtracted afresh from those
+//! views: one rewrite input, whatever the consistency level.
 //!
 //! Inserts also **compact**: contained views are absorbed, mergeable
 //! neighbours coalesce into single boxes (tree-assisted, so coalescing no
@@ -115,12 +111,11 @@ impl Default for StoreConfig {
 /// linear scan beats the tree walk.
 const INDEX_MIN_VIEWS: usize = 8;
 
-/// Per-table coverage plus the view index and the remainder cache.
+/// Per-table coverage plus the view index.
 ///
 /// Views live in stable slots (`slots[id]`, freed ids reused LIFO) so the
 /// R-tree can address them by `u32` id across removals; probes iterate ids
-/// ascending, which reproduces the slot-order linear scan exactly. The
-/// *gap* structures mirror this for the uncovered pieces.
+/// ascending, which reproduces the slot-order linear scan exactly.
 ///
 /// All mutation happens through [`TableStore::record`] — one per market
 /// purchase — while probes happen for every candidate plan the optimizer
@@ -132,18 +127,6 @@ pub(crate) struct TableStore {
     free: Vec<u32>,
     live: usize,
     tree: RTree,
-    /// Disjoint uncovered pieces exactly tiling `full ∖ ⋃ views`
-    /// (freshness-agnostic: the complement of *all* stored views).
-    gaps: Vec<Option<Region>>,
-    gap_free: Vec<u32>,
-    gap_tree: RTree,
-    /// Running Σ volume of the gap pieces (saturating).
-    uncovered_volume: u128,
-    /// Lower bound on the minimum `stored_at` among live views; never
-    /// raised on removal, so it stays a *sound* validity bound for the
-    /// remainder cache (see [`TableStore::remainder`]). `u64::MAX` when no
-    /// view has ever been inserted.
-    oldest: u64,
     /// The highest `now` ever recorded; never lowered, although a merge
     /// may date the view it landed in earlier and eviction may drop it. `0`
     /// when nothing has been recorded.
@@ -155,21 +138,12 @@ pub(crate) struct TableStore {
 
 impl TableStore {
     fn new(space: QuerySpace, cfg: StoreConfig) -> Self {
-        let full = space.full_region();
-        let mut gap_tree = RTree::new();
-        gap_tree.insert(full.clone(), 0);
-        let uncovered_volume = full.volume();
         TableStore {
             space,
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
             tree: RTree::new(),
-            gaps: vec![Some(full)],
-            gap_free: Vec::new(),
-            gap_tree,
-            uncovered_volume,
-            oldest: u64::MAX,
             newest: 0,
             cfg,
             compactions: 0,
@@ -204,42 +178,6 @@ impl TableStore {
         self.free.push(id);
         self.live -= 1;
         v
-    }
-
-    fn add_gap(&mut self, piece: Region) {
-        self.uncovered_volume = self.uncovered_volume.saturating_add(piece.volume());
-        let id = match self.gap_free.pop() {
-            Some(id) => {
-                self.gaps[id as usize] = Some(piece.clone());
-                id
-            }
-            None => {
-                self.gaps.push(Some(piece.clone()));
-                (self.gaps.len() - 1) as u32
-            }
-        };
-        self.gap_tree.insert(piece, id);
-    }
-
-    fn remove_gap(&mut self, id: u32) -> Region {
-        let g = self.gaps[id as usize].take().expect("live gap slot");
-        self.gap_tree.remove(&g, id);
-        self.gap_free.push(id);
-        self.uncovered_volume = self.uncovered_volume.saturating_sub(g.volume());
-        g
-    }
-
-    /// Update the remainder cache for newly covered `region`: every gap it
-    /// overlaps is replaced by `gap ∖ region`. Gap boxes are exact (leaf
-    /// entries are the pieces themselves), so every query hit truly
-    /// overlaps.
-    fn cover_gap(&mut self, region: &Region) {
-        for id in self.gap_tree.query(region) {
-            let g = self.remove_gap(id);
-            for piece in g.subtract(region) {
-                self.add_gap(piece);
-            }
-        }
     }
 
     /// Insert a region, dropping views it contains and coalescing mergeable
@@ -304,11 +242,6 @@ impl TableStore {
             }
         }
 
-        // The union of stored views grows by exactly the new `region`
-        // (absorptions and merges do not change the union), so the gap
-        // cache subtracts only that.
-        self.cover_gap(&region);
-        self.oldest = self.oldest.min(current.stored_at);
         self.add_view(current);
         if self.live > self.cfg.max_views {
             self.evict();
@@ -317,8 +250,8 @@ impl TableStore {
 
     /// Bound the view count: first drop views whose coverage the remaining
     /// views already provide (coverage-preserving), then evict by ascending
-    /// spend-weighted utility down to 3/4 of the cap, returning each
-    /// evicted view's now-uncovered part to the gap cache.
+    /// spend-weighted utility down to 3/4 of the cap. Evicted coverage is
+    /// simply uncovered again: the next rewrite re-buys what it needs.
     fn evict(&mut self) {
         // Pass 1 — redundancy drops (only meaningful with compaction on;
         // they are a compaction by another trigger).
@@ -368,22 +301,8 @@ impl TableStore {
             if self.live <= target {
                 break;
             }
-            let v = self.remove_view(id);
+            self.remove_view(id);
             self.evictions += 1;
-            // The evicted region may still be partly covered by surviving
-            // views; only the truly uncovered part returns to the cache.
-            // Gaps stay disjoint: existing gaps never intersect a view, and
-            // earlier add-backs in this pass excluded `v` (still a view at
-            // the time).
-            let survivors: Vec<Arc<Region>> = self
-                .tree
-                .query(&v.region)
-                .into_iter()
-                .map(|o| self.view(o).region.clone())
-                .collect();
-            for piece in v.region.subtract_all(&survivors) {
-                self.add_gap(piece);
-            }
         }
     }
 
@@ -428,33 +347,6 @@ impl TableStore {
             .map(|v| v.region.clone())
             .collect();
         (out, true)
-    }
-
-    /// The cached remainder `probe ∖ ⋃ views` as disjoint pieces clipped to
-    /// `probe`, or `None` when the cache is not valid at `min_stored_at`.
-    ///
-    /// The cache tracks the complement of *all* stored views. That is the
-    /// correct remainder exactly when every stored view is usable — i.e.
-    /// when `min_stored_at` reaches at least as far back as the oldest
-    /// view. Staler probes (tight `Consistency::Window`s) fall back to the
-    /// subtraction sweep over the filtered view set.
-    fn remainder(&self, probe: &Region, min_stored_at: u64) -> Option<Vec<Region>> {
-        if min_stored_at > self.oldest {
-            return None;
-        }
-        Some(
-            self.gap_tree
-                .query(probe)
-                .into_iter()
-                .map(|id| {
-                    self.gaps[id as usize]
-                        .as_ref()
-                        .expect("live gap slot")
-                        .intersect(probe)
-                        .expect("gap leaf entries are exact, so every hit overlaps")
-                })
-                .collect(),
-        )
     }
 
     /// Record that `region` (of the table named `table`) was retrieved at
@@ -538,23 +430,6 @@ impl TableStore {
         }
     }
 
-    /// See [`SemanticStore::probe_rewrite`].
-    pub(crate) fn probe_rewrite(
-        &self,
-        probe: &Region,
-        consistency: Consistency,
-        now: u64,
-        rec: Option<&Recorder>,
-    ) -> RewriteProbe {
-        let Some(min) = consistency.min_stored_at(now) else {
-            return (Vec::new(), None);
-        };
-        (
-            self.timed_probe(probe, min, rec),
-            self.remainder(probe, min),
-        )
-    }
-
     /// See [`SemanticStore::covers`].
     pub(crate) fn covers(
         &self,
@@ -566,12 +441,9 @@ impl TableStore {
         let Some(min) = consistency.min_stored_at(now) else {
             return false;
         };
-        match self.remainder(region, min) {
-            Some(pieces) => pieces.is_empty(),
-            None => region
-                .subtract_all(&self.timed_probe(region, min, rec))
-                .is_empty(),
-        }
+        region
+            .subtract_all(&self.timed_probe(region, min, rec))
+            .is_empty()
     }
 
     /// See [`SemanticStore::classify`].
@@ -591,11 +463,7 @@ impl TableStore {
         if views.is_empty() {
             return CoverClass::Miss;
         }
-        let fully = match self.remainder(region, min) {
-            Some(pieces) => pieces.is_empty(),
-            None => region.subtract_all(&views).is_empty(),
-        };
-        if fully {
+        if region.subtract_all(&views).is_empty() {
             CoverClass::Full
         } else {
             CoverClass::Partial
@@ -619,12 +487,17 @@ impl TableStore {
 
     /// See [`SemanticStore::coverage_fraction`].
     pub(crate) fn coverage_fraction(&self) -> f64 {
-        let full = self.space.full_region().volume();
-        if full == 0 {
+        let full = self.space.full_region();
+        let volume = full.volume();
+        if volume == 0 {
             return 0.0;
         }
-        let covered = full.saturating_sub(self.uncovered_volume);
-        (covered as f64 / full as f64).clamp(0.0, 1.0)
+        let uncovered: u128 = full
+            .subtract_all(&self.usable_views(0))
+            .iter()
+            .fold(0, |acc, piece| acc.saturating_add(piece.volume()));
+        let covered = volume.saturating_sub(uncovered);
+        (covered as f64 / volume as f64).clamp(0.0, 1.0)
     }
 
     /// See [`SemanticStore::space`].
@@ -633,10 +506,10 @@ impl TableStore {
     }
 }
 
-/// What one rewrite probe reads in a single consistent look at a table:
-/// the overlapping usable views, plus the cached remainder pieces when the
-/// incremental cache could answer (`None` falls back to scratch
-/// subtraction).
+/// What [`crate::SharedSemanticStore::probe_rewrite`] returns: the
+/// overlapping usable views, and an `Option` that is always `None` (the
+/// store keeps no remainder pieces; callers subtract). The shape is kept
+/// for `benchmark/src/ledger.rs`.
 pub type RewriteProbe = (Vec<Arc<Region>>, Option<Vec<Region>>);
 
 /// The union of two regions if it is exactly one box, else `None`.
@@ -782,26 +655,6 @@ impl SemanticStore {
             .unwrap_or_default()
     }
 
-    /// One consistent read of everything a rewrite needs: the usable views
-    /// of `table` overlapping `probe`, and the cached remainder `probe ∖ ⋃
-    /// usable views` as disjoint pieces clipped to `probe` — or `None` when
-    /// the cache cannot answer: under `Strong` consistency, for unregistered
-    /// tables, or when a `Window` excludes stored views (the cache tracks
-    /// the complement of *all* views; see [`TableStore::remainder`]).
-    /// Callers fall back to the subtraction sweep on `None`.
-    pub fn probe_rewrite(
-        &self,
-        table: &str,
-        probe: &Region,
-        consistency: Consistency,
-        now: u64,
-    ) -> RewriteProbe {
-        self.tables
-            .get(table)
-            .map(|t| t.probe_rewrite(probe, consistency, now, self.recorder.as_deref()))
-            .unwrap_or((Vec::new(), None))
-    }
-
     /// Number of stored view boxes for `table` (after coalescing), read
     /// from the live counter — no scan.
     pub fn view_count(&self, table: &str) -> usize {
@@ -820,8 +673,8 @@ impl SemanticStore {
     }
 
     /// Fraction of `table`'s whole query space covered by stored views
-    /// (freshness-agnostic), read from the remainder cache's running
-    /// uncovered volume — no scan, no union sweep.
+    /// (freshness-agnostic): `1 − vol(full ∖ ⋃ views) / vol(full)`,
+    /// subtracted on demand.
     pub fn coverage_fraction(&self, table: &str) -> f64 {
         self.tables
             .get(table)
@@ -976,11 +829,9 @@ mod tests {
         assert!(s.views("X", Consistency::Weak, 0).is_empty());
         assert_eq!(s.view_count("X"), 0);
         assert!(s.space("X").is_none());
-        assert_eq!(
-            s.probe_rewrite("X", &region![(0, 1)], Consistency::Weak, 0)
-                .1,
-            None
-        );
+        assert!(s
+            .views_overlapping("X", &region![(0, 1)], Consistency::Weak, 0)
+            .is_empty());
     }
 
     #[test]
@@ -1000,70 +851,6 @@ mod tests {
     fn recording_unregistered_table_panics() {
         let mut s = SemanticStore::new();
         s.record("X", region![(0, 1)], 0);
-    }
-
-    #[test]
-    fn remainder_pieces_clip_to_probe() {
-        let mut s = store_1d();
-        s.record("R", region![(20, 40)], 1);
-        let pieces = s
-            .probe_rewrite("R", &region![(10, 50)], Consistency::Weak, 2)
-            .1
-            .expect("weak probes always use the cache");
-        // Exactly the uncovered parts of the probe, disjoint.
-        assert_eq!(
-            payless_geometry::union_volume(&pieces),
-            region![(10, 19)].volume() + region![(41, 50)].volume()
-        );
-        for p in &pieces {
-            assert!(region![(10, 50)].contains(p));
-            assert!(!p.overlaps(&region![(20, 40)]));
-        }
-        // Fully covered probe -> empty piece set, not None.
-        assert_eq!(
-            s.probe_rewrite("R", &region![(25, 35)], Consistency::Weak, 2)
-                .1,
-            Some(Vec::new())
-        );
-        // Strong consistency cannot use the cache.
-        assert_eq!(
-            s.probe_rewrite("R", &region![(10, 50)], Consistency::Strong, 2)
-                .1,
-            None
-        );
-    }
-
-    #[test]
-    fn stale_window_invalidates_remainder_cache() {
-        let mut s = store_1d();
-        s.record("R", region![(0, 30)], 1);
-        s.record("R", region![(60, 80)], 10);
-        // Window reaching both views: cache valid.
-        assert!(s
-            .probe_rewrite("R", &region![(0, 100)], Consistency::Window(100), 11)
-            .1
-            .is_some());
-        // Window excluding the t=1 view: cache invalid, caller must fall
-        // back to the filtered subtraction sweep.
-        assert!(s
-            .probe_rewrite("R", &region![(0, 100)], Consistency::Window(5), 11)
-            .1
-            .is_none());
-        // The fallback paths (covers/classify) still answer correctly.
-        assert!(!s.covers("R", &region![(0, 30)], Consistency::Window(5), 11));
-        assert!(s.covers("R", &region![(60, 80)], Consistency::Window(5), 11));
-    }
-
-    #[test]
-    fn probe_rewrite_is_consistent() {
-        let mut s = store_1d();
-        s.record("R", region![(20, 40)], 1);
-        let (views, pieces) = s.probe_rewrite("R", &region![(0, 100)], Consistency::Weak, 2);
-        assert_eq!(views.len(), 1);
-        let pieces = pieces.expect("weak probes always use the cache");
-        let mut all: Vec<Region> = views.iter().map(|v| (**v).clone()).collect();
-        all.extend(pieces);
-        assert!(region![(0, 100)].subtract_all(&all).is_empty());
     }
 
     #[test]
@@ -1089,20 +876,6 @@ mod tests {
         // sliver coverage would give).
         let frac = s.coverage_fraction("R");
         assert!(frac > 0.0 && frac < 12.0 * 7.0 / 101.0);
-        // The remainder cache still exactly complements the views.
-        let pieces = s
-            .probe_rewrite("R", &region![(0, 100)], Consistency::Weak, 100)
-            .1
-            .unwrap();
-        let views = s.views("R", Consistency::Weak, 100);
-        let mut all: Vec<Region> = views.iter().map(|v| (**v).clone()).collect();
-        all.extend(pieces.iter().cloned());
-        assert!(region![(0, 100)].subtract_all(&all).is_empty());
-        for p in &pieces {
-            for v in &views {
-                assert!(!p.overlaps(v), "gap {p} overlaps stored view {v}");
-            }
-        }
     }
 
     #[test]
@@ -1240,99 +1013,6 @@ mod tests {
                     let slow = linear_probe(&s, "G", probe, consistency, now);
                     prop_assert_eq!(&fast, &slow, "probe {} diverged", probe);
                 }
-            }
-
-            /// After any insert sequence, the cached remainder of a random
-            /// probe is element-identical (as a point set) to the
-            /// from-scratch subtraction the decompose-based rewrite would
-            /// compute — clean, and under staleness-induced invalidation
-            /// the cache refuses instead of lying.
-            #[test]
-            fn cached_remainder_matches_from_scratch(
-                inserts in proptest::collection::vec((arb_box(24), 0u64..16), 0..16),
-                probe in arb_box(24),
-                window in 0u64..8,
-                now in 8u64..24,
-            ) {
-                let mut s = SemanticStore::new();
-                s.register(QuerySpace::of(&Schema::new(
-                    "G",
-                    vec![
-                        Column::free("A", Domain::int(0, 23)),
-                        Column::free("B", Domain::int(0, 23)),
-                    ],
-                )));
-                for (r, t) in &inserts {
-                    s.record("G", r.clone(), *t);
-                }
-                let consistency = match window {
-                    0 => Consistency::Weak,
-                    w => Consistency::Window(w),
-                };
-                let views = s.views_overlapping("G", &probe, consistency, now);
-                let scratch = probe.subtract_all(&views);
-                match s.probe_rewrite("G", &probe, consistency, now).1 {
-                    None => {
-                        // Only staleness may invalidate: under Weak the
-                        // cache must always answer.
-                        prop_assert!(matches!(consistency, Consistency::Window(_)));
-                    }
-                    Some(pieces) => {
-                        // Identical point sets: disjoint piece lists with
-                        // equal volume, each side covered by the other.
-                        let pv = payless_geometry::union_volume(&pieces);
-                        let sv = payless_geometry::union_volume(&scratch);
-                        prop_assert_eq!(pv, sv, "uncovered volumes differ");
-                        for p in &pieces {
-                            prop_assert!(p.subtract_all(&scratch).is_empty(),
-                                "cache piece {} outside scratch remainder", p);
-                        }
-                        for r in &scratch {
-                            prop_assert!(r.subtract_all(&pieces).is_empty(),
-                                "scratch piece {} outside cache remainder", r);
-                        }
-                        for (i, a) in pieces.iter().enumerate() {
-                            for b in &pieces[i + 1..] {
-                                prop_assert!(!a.overlaps(b), "cache pieces overlap");
-                            }
-                        }
-                    }
-                }
-            }
-
-            /// Eviction under a tight cap keeps every invariant: the view
-            /// count is bounded, gaps exactly complement the surviving
-            /// views, and covers() answers match a subtraction oracle.
-            #[test]
-            fn eviction_keeps_cache_exact(
-                inserts in proptest::collection::vec((arb_box(24), 0u64..16), 1..32),
-                probe in arb_box(24),
-            ) {
-                let mut s = SemanticStore::new();
-                s.register(QuerySpace::of(&Schema::new(
-                    "G",
-                    vec![
-                        Column::free("A", Domain::int(0, 23)),
-                        Column::free("B", Domain::int(0, 23)),
-                    ],
-                )));
-                s.set_config(StoreConfig { max_views: 6, compaction: true });
-                for (r, t) in &inserts {
-                    s.record("G", r.clone(), *t);
-                }
-                prop_assert!(s.view_count("G") <= 6);
-                let views = s.views("G", Consistency::Weak, 100);
-                let pieces = s
-                    .probe_rewrite("G", &probe, Consistency::Weak, 100)
-            .1
-                    .expect("weak probes always use the cache");
-                let scratch = probe.subtract_all(&views);
-                prop_assert_eq!(
-                    payless_geometry::union_volume(&pieces),
-                    payless_geometry::union_volume(&scratch)
-                );
-                let covered = s.covers("G", &probe, Consistency::Weak, 100);
-                prop_assert_eq!(covered, scratch.is_empty());
             }
         }
     }

@@ -148,25 +148,6 @@ impl ToJson for SpanRecord {
     }
 }
 
-/// A point-in-time event (no duration).
-#[derive(Debug, Clone)]
-pub struct EventRecord {
-    pub label: &'static str,
-    pub detail: String,
-    /// Nanoseconds since the recorder's epoch.
-    pub at_nanos: u64,
-}
-
-impl ToJson for EventRecord {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("label", Json::str(self.label)),
-            ("detail", self.detail.to_json()),
-            ("at_nanos", self.at_nanos.to_json()),
-        ])
-    }
-}
-
 /// One scored cardinality estimate: what the statistics layer predicted for
 /// a purchased region versus the records the market actually returned.
 ///
@@ -321,7 +302,6 @@ pub struct TelemetrySnapshot {
     pub ledger: Vec<TransactionRecord>,
     pub sqr: SqrStats,
     pub spans: Vec<SpanRecord>,
-    pub events: Vec<EventRecord>,
     /// Cardinality estimates scored against market actuals, in feedback
     /// order.
     pub qerrors: Vec<QErrorRecord>,
@@ -473,7 +453,6 @@ impl ToJson for TelemetrySnapshot {
             ("ledger", self.ledger.to_json()),
             ("sqr", self.sqr.to_json()),
             ("spans", self.spans.to_json()),
-            ("events", self.events.to_json()),
             ("q_errors", self.qerrors.to_json()),
             (
                 "counters",

@@ -1,7 +1,5 @@
 use crate::metrics::Histogram;
-use crate::{
-    CallKind, EventRecord, QErrorRecord, SpanRecord, SqrStats, TelemetrySnapshot, TransactionRecord,
-};
+use crate::{CallKind, QErrorRecord, SpanRecord, SqrStats, TelemetrySnapshot, TransactionRecord};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -31,7 +29,6 @@ struct Inner {
     sqr: SqrStats,
     spans: Vec<SpanRecord>,
     span_seq: u64,
-    events: Vec<EventRecord>,
     qerrors: Vec<QErrorRecord>,
     counters: BTreeMap<&'static str, u64>,
     durations: BTreeMap<&'static str, Histogram>,
@@ -49,7 +46,6 @@ impl Default for Inner {
             sqr: SqrStats::default(),
             spans: Vec::new(),
             span_seq: 0,
-            events: Vec::new(),
             qerrors: Vec::new(),
             counters: BTreeMap::new(),
             durations: BTreeMap::new(),
@@ -144,19 +140,6 @@ impl Recorder {
         self.with_inner(|inner| inner.sizes.entry(name).or_default().record(value));
     }
 
-    /// Emit a point event; `detail` runs only when recording is on.
-    pub fn event(&self, label: &'static str, detail: impl FnOnce() -> String) {
-        self.with_inner(|inner| {
-            let detail = detail();
-            let at_nanos = inner.epoch.elapsed().as_nanos() as u64;
-            inner.events.push(EventRecord {
-                label,
-                detail,
-                at_nanos,
-            });
-        });
-    }
-
     /// Open a timed span; the span records itself when the guard drops.
     /// `detail` runs only when recording is on.
     pub fn span(
@@ -217,7 +200,6 @@ impl Recorder {
             ledger: drained.ledger,
             sqr: drained.sqr,
             spans: drained.spans,
-            events: drained.events,
             qerrors: drained.qerrors,
             counters: drained.counters.into_iter().collect(),
             durations: drained
@@ -273,7 +255,6 @@ mod tests {
         rec.count("x", 1);
         rec.sqr_miss();
         rec.transaction(|| panic!("must not be built while disabled"));
-        rec.event("e", || panic!("must not be built while disabled"));
         {
             let _g = rec.span("s", || panic!("must not be built while disabled"));
         }
@@ -304,7 +285,6 @@ mod tests {
         rec.count("plans", 3);
         rec.record_duration("dp", 100);
         rec.record_size("rows", 10);
-        rec.event("note", || "hello".to_string());
         {
             let _g = rec.span("phase", || Some("outer".into()));
         }
@@ -315,7 +295,6 @@ mod tests {
         assert_eq!(snap.counters, vec![("plans", 5)]);
         assert_eq!(snap.durations[0].1.count, 1);
         assert_eq!(snap.sizes[0].1.sum, 10);
-        assert_eq!(snap.events[0].detail, "hello");
         assert_eq!(snap.spans.len(), 1);
         assert_eq!(snap.spans[0].detail.as_deref(), Some("outer"));
 
@@ -393,15 +372,13 @@ mod tests {
         let rec = Recorder::enabled();
         rec.begin_epoch();
         rec.transaction(dummy_tx);
-        rec.event("e", || "detail".into());
         {
             let _g = rec.span("s", || None);
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         let snap = rec.take();
         // Stamps are epoch-relative and ordered.
-        assert!(snap.ledger[0].at_nanos <= snap.events[0].at_nanos);
-        assert!(snap.spans[0].start_nanos >= snap.events[0].at_nanos);
+        assert!(snap.spans[0].start_nanos >= snap.ledger[0].at_nanos);
         assert!(snap.spans[0].nanos >= 1_000_000);
     }
 

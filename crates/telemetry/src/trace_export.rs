@@ -3,10 +3,10 @@
 //!
 //! Each query becomes one logical thread (`tid`) inside a single process,
 //! so a session's queries stack vertically in the viewer. Spans map to
-//! complete (`"ph": "X"`) events; ledger lines, point events, and q-error
-//! scores map to instant (`"ph": "i"`) events carrying their payload in
-//! `args`. Timestamps are the recorder's epoch-relative nanosecond stamps,
-//! converted to the microseconds the format requires.
+//! complete (`"ph": "X"`) events; ledger lines and q-error scores map to
+//! instant (`"ph": "i"`) events carrying their payload in `args`.
+//! Timestamps are the recorder's epoch-relative nanosecond stamps, converted
+//! to the microseconds the format requires.
 
 use crate::TelemetrySnapshot;
 use payless_json::{Json, ToJson};
@@ -75,16 +75,6 @@ impl ChromeTraceBuilder {
             fields.push(("cat", Json::str("ledger")));
             fields.push(("s", Json::str("t")));
             fields.push(("args", t.to_json()));
-            self.events.push(Json::obj(fields));
-        }
-        for e in &snap.events {
-            let mut fields = lane("i", e.label, us(e.at_nanos));
-            fields.push(("cat", Json::str("event")));
-            fields.push(("s", Json::str("t")));
-            fields.push((
-                "args",
-                Json::obj([("detail", Json::str(e.detail.as_str()))]),
-            ));
             self.events.push(Json::obj(fields));
         }
         for q in &snap.qerrors {

@@ -396,3 +396,54 @@ fn theorem2_zero_price_relations_join_first() {
     let added = market.bill().transactions() - after_station;
     assert_eq!(added, 15, "15 Seattle weather probes, one transaction each");
 }
+
+/// Figure 10a's first repetition (real data at scale 0.05, q = 40, seed
+/// 42), replayed through `PayLess` up to its first query whose pages
+/// depend on how the uncovered space is carved into boxes: Algorithm 1
+/// decomposes the fresh subtraction `q ∖ views`, and the 24th query pays
+/// 3 pages on it (4 on fragments kept from earlier inserts).
+#[test]
+fn figure10a_rep0_prefix_pays_the_pinned_pages() {
+    use payless_core::{Serve, ServeConfig};
+    use payless_workload::{build_market, QueryWorkload, RealWorkload, WhwConfig};
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+
+    const PAGES: [u64; 24] = [
+        1, 4, 6, 2, 8, 8, 3, 2, 1, 2, 4, 4, 2, 3, 6, 5, 3, 5, 0, 0, 3, 2, 3, 3,
+    ];
+    let workload = RealWorkload::generate(&WhwConfig::scaled(0.05));
+    // The figure harness's schedule for repetition 0: 40 instances per
+    // template, shuffled, from one seeded stream.
+    let mut rng = StdRng::seed_from_u64(42);
+    let mut schedule = Vec::new();
+    for t in 0..workload.templates().len() {
+        for _ in 0..40 {
+            schedule.push((t, workload.sample_params(t, &mut rng)));
+        }
+    }
+    schedule.shuffle(&mut rng);
+
+    let market = Arc::new(build_market(&workload, 100));
+    let serve = Serve::new(
+        market.clone(),
+        workload.local_tables(),
+        ServeConfig::one_client(),
+    );
+    let mut pl = PayLess::over(serve, Mode::PayLess);
+    let templates: Vec<_> = workload
+        .templates()
+        .iter()
+        .map(|t| pl.prepare(t).unwrap())
+        .collect();
+    let mut paid = Vec::new();
+    let mut before = 0;
+    for (t, params) in schedule.iter().take(PAGES.len()) {
+        pl.execute_template(&templates[*t], params).unwrap();
+        let now = market.bill().transactions();
+        paid.push(now - before);
+        before = now;
+    }
+    assert_eq!(paid, PAGES);
+}
