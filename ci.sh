@@ -6,11 +6,11 @@
 #
 # Usage: ./ci.sh [stage]
 #   fmt | clippy | tier1 | benchmark-smoke | results-check |
-#   results-full | nightly-chaos | smokes | all
+#   results-full | nightly-chaos | size | smokes | all
 # With no argument, `all` runs every stage in order — exactly what the
 # staged GitHub workflow (.github/workflows/ci.yml) runs job by job.
 # (`results-full` and `nightly-chaos` are not part of `all`; the scheduled
-# workflow runs them.)
+# workflow runs them. `size` is a report, not a gate.)
 #
 # Every correctness invariant is a `#[test]` and runs in tier1; performance
 # is measured by benchmark/ (see benchmark/README.md), not gated here.
@@ -114,6 +114,23 @@ nightly_chaos() {
     done
 }
 
+size() {
+    echo "== size: non-test lines per crate under crates/*/src =="
+    # Every line of each source file up to its first `#[cfg(test)]` (the
+    # whole file when it has none): the count a simplicity change quotes.
+    _total=0
+    for _src in crates/*/src; do
+        _crate="${_src#crates/}"
+        _crate="${_crate%/src}"
+        _n=$(find "$_src" -name '*.rs' -exec awk \
+            '/^[[:space:]]*#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n + 0 }' {} + |
+            awk '{ s += $1 } END { print s + 0 }')
+        printf '%-12s %6d\n' "$_crate" "$_n"
+        _total=$((_total + _n))
+    done
+    printf '%-12s %6d\n' total "$_total"
+}
+
 smokes() {
     benchmark_smoke
     results_check
@@ -135,10 +152,11 @@ case "$stage" in
     results-check) results_check ;;
     results-full) results_full ;;
     nightly-chaos) nightly_chaos ;;
+    size) size ;;
     smokes) smokes ;;
     all) all ;;
     *)
-        echo "ci.sh: unknown stage \`$stage\` (fmt|clippy|tier1|benchmark-smoke|results-check|results-full|nightly-chaos|smokes|all)" >&2
+        echo "ci.sh: unknown stage \`$stage\` (fmt|clippy|tier1|benchmark-smoke|results-check|results-full|nightly-chaos|size|smokes|all)" >&2
         exit 2
         ;;
 esac

@@ -163,8 +163,8 @@ Without SQL, an interactive shell starts. Shell commands:
                      estimated vs actual rows/pages/price per operator
     \\estimate <SQL>  plan + estimated cost without executing (free)
     \\why [query-id]  spend provenance: the calls, retries, faults, and
-                     batch shares that billed the query (default: the
-                     most recent journaled query)
+                     coalesced flights behind the query's bill (default:
+                     the most recent journaled query)
     \\quit            exit";
 
 /// Parse argv (excluding the program name).

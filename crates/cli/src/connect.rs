@@ -94,10 +94,6 @@ pub fn run_connect(args: &CliArgs) -> Result<String, String> {
             .get("coalesce")
             .and_then(|v| v.as_bool())
             .unwrap_or(true);
-        let batch = report_after
-            .get("batch")
-            .and_then(|v| v.as_bool())
-            .unwrap_or(false);
         let fault_seed = report_after
             .get_opt("fault_seed")
             .and_then(|v| v.as_u64().ok());
@@ -122,7 +118,6 @@ pub fn run_connect(args: &CliArgs) -> Result<String, String> {
             threads: threads as u64,
             page_size: server_page,
             coalesce,
-            batch,
             fault_seed,
             ..ServeReport::from_rows(
                 per_query,

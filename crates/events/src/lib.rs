@@ -4,13 +4,12 @@
 //! The metrics hub can say *that* attributed spend diverged from the billing
 //! meter; this crate records *why*. Every interesting step of a query's life
 //! — market call attempts, retries, truncated deliveries, billed faults,
-//! coalesced flights, batch parking/sealing/share-splits, store
-//! insert/compact/evict, and every reconciliation watchdog sample — is
-//! appended to a ring-buffered journal as a typed [`Event`] carrying stable
-//! causal ids (query / call / flight / batch). From the journal alone,
-//! [`provenance`] reconstructs the exact chain of events behind any query's
-//! bill, and [`EventJournal::dump_blackbox`] writes the last N events as
-//! JSONL when a run aborts or panics — the black box.
+//! coalesced flights, store insert/compact/evict, and every reconciliation
+//! watchdog sample — is appended to a ring-buffered journal as a typed
+//! [`Event`] carrying stable causal ids (query / call / flight). From the
+//! journal alone, [`provenance`] reconstructs the exact chain of events
+//! behind any query's bill, and [`EventJournal::dump_blackbox`] writes the
+//! last N events as JSONL when a run aborts or panics — the black box.
 //!
 //! # Design
 //!
@@ -67,10 +66,6 @@ pub struct CallId(pub u64);
 /// Stable id of one coalesced single-flight claim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlightId(pub u64);
-
-/// Stable id of one sealed purchase batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct BatchId(pub u64);
 
 static NEXT_CALL: AtomicU64 = AtomicU64::new(1);
 
@@ -148,10 +143,7 @@ pub enum EventKind {
         backoff_ms: u64,
     },
     /// The call delivered. `pages` is the clean delivery; `wasted_pages`
-    /// accumulates billed-but-useless pages from earlier attempts. A `batch`
-    /// id marks a purchase the leader made on behalf of a sealed batch —
-    /// its pages reach member ledgers through [`EventKind::BatchShare`]
-    /// events instead, so provenance must not double-count it.
+    /// accumulates billed-but-useless pages from earlier attempts.
     CallDelivered {
         call: u64,
         table: String,
@@ -159,7 +151,6 @@ pub enum EventKind {
         wasted_pages: u64,
         records: u64,
         attempts: u64,
-        batch: Option<u64>,
     },
     /// The call gave up. `billed` mirrors `CallOutcome::BilledAndFailed`
     /// (the wasted pages were charged) vs `FailedFree`.
@@ -170,53 +161,16 @@ pub enum EventKind {
         attempts: u64,
         billed: bool,
         error: String,
-        batch: Option<u64>,
     },
-    /// This query won the single-flight claim for a region set.
-    FlightClaimed {
-        flight: u64,
-        table: String,
-        regions: u64,
-    },
+    /// This query won the single-flight claim for a region.
+    FlightClaimed { flight: u64, table: String },
     /// This query lost the claim and waited for in-flight work to land.
-    /// `satisfied` means the contended regions were already a subset of
-    /// flights in progress.
+    /// `satisfied` means the contended region was already contained in a
+    /// flight in progress.
     FlightWait { table: String, satisfied: bool },
     /// After waiting, the re-probe found the store already covered what
     /// this query was about to buy — a double-buy averted.
     FlightRecomputeAverted { table: String, pages: u64 },
-    /// This query parked its uncovered remainder in an open batch.
-    BatchParked {
-        batch: u64,
-        table: String,
-        pieces: u64,
-    },
-    /// A batch sealed; `reason` is `cap`, `quiescence`, or `window`.
-    BatchSealed {
-        batch: u64,
-        table: String,
-        members: u64,
-        reason: String,
-    },
-    /// This query was elected leader and will purchase for the batch.
-    BatchLeader {
-        batch: u64,
-        table: String,
-        members: u64,
-    },
-    /// One member's exact page share of a sealed batch purchase (the
-    /// first-match row partition with largest-remainder rounding; shares
-    /// sum to the billed total).
-    BatchShare {
-        batch: u64,
-        table: String,
-        delivered_pages: u64,
-        wasted_pages: u64,
-        records: u64,
-        members: u64,
-        leader: bool,
-        failed: bool,
-    },
     /// The semantic store recorded a bought region.
     StoreInsert {
         table: String,
@@ -228,12 +182,11 @@ pub enum EventKind {
     /// Spend-weighted evictions ran to bound the view count.
     StoreEvict { table: String, evictions: u64 },
     /// One reconciliation watchdog sample (attributed ledger pages vs the
-    /// billing meter, with the batching deferred-pages register).
+    /// billing meter).
     WatchdogSample {
         sample: u64,
         attributed_pages: u64,
         meter_pages: u64,
-        deferred_pages: u64,
         /// The watchdog's serial check (zero drift at one thread) applied.
         exact: bool,
     },
@@ -258,10 +211,6 @@ impl EventKind {
             EventKind::FlightClaimed { .. } => "flight_claimed",
             EventKind::FlightWait { .. } => "flight_wait",
             EventKind::FlightRecomputeAverted { .. } => "flight_recompute_averted",
-            EventKind::BatchParked { .. } => "batch_parked",
-            EventKind::BatchSealed { .. } => "batch_sealed",
-            EventKind::BatchLeader { .. } => "batch_leader",
-            EventKind::BatchShare { .. } => "batch_share",
             EventKind::StoreInsert { .. } => "store_insert",
             EventKind::StoreCompact { .. } => "store_compact",
             EventKind::StoreEvict { .. } => "store_evict",
@@ -390,7 +339,6 @@ impl Event {
                 wasted_pages,
                 records,
                 attempts,
-                batch,
             } => {
                 num(&mut s, "call", *call);
                 txt(&mut s, "table", table);
@@ -398,9 +346,6 @@ impl Event {
                 num(&mut s, "wasted_pages", *wasted_pages);
                 num(&mut s, "records", *records);
                 num(&mut s, "attempts", *attempts);
-                if let Some(b) = batch {
-                    num(&mut s, "batch", *b);
-                }
             }
             EventKind::CallFailed {
                 call,
@@ -409,7 +354,6 @@ impl Event {
                 attempts,
                 billed,
                 error,
-                batch,
             } => {
                 num(&mut s, "call", *call);
                 txt(&mut s, "table", table);
@@ -417,18 +361,10 @@ impl Event {
                 num(&mut s, "attempts", *attempts);
                 flag(&mut s, "billed", *billed);
                 txt(&mut s, "error", error);
-                if let Some(b) = batch {
-                    num(&mut s, "batch", *b);
-                }
             }
-            EventKind::FlightClaimed {
-                flight,
-                table,
-                regions,
-            } => {
+            EventKind::FlightClaimed { flight, table } => {
                 num(&mut s, "flight", *flight);
                 txt(&mut s, "table", table);
-                num(&mut s, "regions", *regions);
             }
             EventKind::FlightWait { table, satisfied } => {
                 txt(&mut s, "table", table);
@@ -437,54 +373,6 @@ impl Event {
             EventKind::FlightRecomputeAverted { table, pages } => {
                 txt(&mut s, "table", table);
                 num(&mut s, "pages", *pages);
-            }
-            EventKind::BatchParked {
-                batch,
-                table,
-                pieces,
-            } => {
-                num(&mut s, "batch", *batch);
-                txt(&mut s, "table", table);
-                num(&mut s, "pieces", *pieces);
-            }
-            EventKind::BatchSealed {
-                batch,
-                table,
-                members,
-                reason,
-            } => {
-                num(&mut s, "batch", *batch);
-                txt(&mut s, "table", table);
-                num(&mut s, "members", *members);
-                txt(&mut s, "reason", reason);
-            }
-            EventKind::BatchLeader {
-                batch,
-                table,
-                members,
-            } => {
-                num(&mut s, "batch", *batch);
-                txt(&mut s, "table", table);
-                num(&mut s, "members", *members);
-            }
-            EventKind::BatchShare {
-                batch,
-                table,
-                delivered_pages,
-                wasted_pages,
-                records,
-                members,
-                leader,
-                failed,
-            } => {
-                num(&mut s, "batch", *batch);
-                txt(&mut s, "table", table);
-                num(&mut s, "delivered_pages", *delivered_pages);
-                num(&mut s, "wasted_pages", *wasted_pages);
-                num(&mut s, "records", *records);
-                num(&mut s, "members", *members);
-                flag(&mut s, "leader", *leader);
-                flag(&mut s, "failed", *failed);
             }
             EventKind::StoreInsert {
                 table,
@@ -507,13 +395,11 @@ impl Event {
                 sample,
                 attributed_pages,
                 meter_pages,
-                deferred_pages,
                 exact,
             } => {
                 num(&mut s, "sample", *sample);
                 num(&mut s, "attributed_pages", *attributed_pages);
                 num(&mut s, "meter_pages", *meter_pages);
-                num(&mut s, "deferred_pages", *deferred_pages);
                 flag(&mut s, "exact", *exact);
             }
             EventKind::WatchdogViolation { detail } => {
@@ -738,38 +624,18 @@ impl EventJournal {
 // Per-query emission scope
 // ---------------------------------------------------------------------------
 
-/// A journal handle bound to one query (and optionally one batch): what the
-/// executor threads through the call chokepoint so every event lands with
-/// the right causal ids.
+/// A journal handle bound to one query: what the executor threads through
+/// the call chokepoint so every event lands with the right causal ids.
 #[derive(Clone, Copy)]
 pub struct EventScope<'a> {
     journal: &'a EventJournal,
     query: u64,
-    batch: Option<u64>,
 }
 
 impl<'a> EventScope<'a> {
     /// Scope `journal` to `query`.
     pub fn new(journal: &'a EventJournal, query: u64) -> EventScope<'a> {
-        EventScope {
-            journal,
-            query,
-            batch: None,
-        }
-    }
-
-    /// The same scope, tagged with the batch the current purchase serves
-    /// (leader-side purchases; see [`EventKind::CallDelivered::batch`]).
-    pub fn with_batch(self, batch: u64) -> EventScope<'a> {
-        EventScope {
-            batch: Some(batch),
-            ..self
-        }
-    }
-
-    /// The batch tag, if any.
-    pub fn batch(&self) -> Option<u64> {
-        self.batch
+        EventScope { journal, query }
     }
 
     /// The query id this scope attributes to.
@@ -796,10 +662,9 @@ impl<'a> EventScope<'a> {
 ///
 /// `billed_pages == delivered_pages + wasted_pages` and, by construction of
 /// the instrumented seams, equals the query's ledger total and its share of
-/// the billing meter: non-batched calls contribute their delivered + billed
-/// waste, batch members contribute their exact split shares, and the
-/// leader's raw batch purchase (tagged with the batch id) is excluded so
-/// nothing is counted twice.
+/// the billing meter: the sum of its delivered calls' pages and waste plus
+/// the waste of its billed failed calls. A coalescing waiter bought nothing,
+/// so it has no call events and is billed nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Provenance {
     pub query: u64,
@@ -832,9 +697,8 @@ pub fn provenance(events: &[Event], query: u64) -> Provenance {
                 pages,
                 wasted_pages,
                 records,
-                batch,
                 ..
-            } if batch.is_none() => {
+            } => {
                 p.delivered_pages += pages;
                 p.wasted_pages += wasted_pages;
                 p.records += records;
@@ -842,20 +706,9 @@ pub fn provenance(events: &[Event], query: u64) -> Provenance {
             EventKind::CallFailed {
                 wasted_pages,
                 billed,
-                batch,
                 ..
-            } if batch.is_none() && *billed => {
+            } if *billed => {
                 p.wasted_pages += wasted_pages;
-            }
-            EventKind::BatchShare {
-                delivered_pages,
-                wasted_pages,
-                records,
-                ..
-            } => {
-                p.delivered_pages += delivered_pages;
-                p.wasted_pages += wasted_pages;
-                p.records += records;
             }
             _ => {}
         }
@@ -865,8 +718,7 @@ pub fn provenance(events: &[Event], query: u64) -> Provenance {
 }
 
 /// Render `query`'s provenance as a human-readable tree (the CLI `\why`
-/// view). Batch shares cross-reference the leader's purchase events by
-/// batch id, so the full slice (not just this query's events) is consulted.
+/// view).
 pub fn render_provenance(events: &[Event], query: u64) -> String {
     let p = provenance(events, query);
     let mut out = String::new();
@@ -939,16 +791,11 @@ pub fn render_provenance(events: &[Event], query: u64) -> String {
                 wasted_pages,
                 records,
                 attempts,
-                batch,
             } => {
-                let tag = match batch {
-                    Some(b) => format!(" [for batch {b}; pages split across members]"),
-                    None => String::new(),
-                };
                 nodes.push((
                     format!(
                         "call {call} on `{table}`: delivered {pages} pages \
-                         (+{wasted_pages} wasted) · {records} records · {attempts} attempt(s){tag}"
+                         (+{wasted_pages} wasted) · {records} records · {attempts} attempt(s)"
                     ),
                     call_detail.remove(call).unwrap_or_default(),
                 ));
@@ -960,12 +807,7 @@ pub fn render_provenance(events: &[Event], query: u64) -> String {
                 attempts,
                 billed,
                 error,
-                batch,
             } => {
-                let tag = match batch {
-                    Some(b) => format!(" [for batch {b}]"),
-                    None => String::new(),
-                };
                 let cost = if *billed {
                     format!("{wasted_pages} pages billed and wasted")
                 } else {
@@ -974,70 +816,17 @@ pub fn render_provenance(events: &[Event], query: u64) -> String {
                 nodes.push((
                     format!(
                         "call {call} on `{table}` FAILED after {attempts} attempt(s): \
-                         {error} — {cost}{tag}"
+                         {error} — {cost}"
                     ),
                     call_detail.remove(call).unwrap_or_default(),
                 ));
             }
-            EventKind::BatchShare {
-                batch,
-                table,
-                delivered_pages,
-                wasted_pages,
-                records,
-                members,
-                leader,
-                failed,
-            } => {
-                let role = if *leader { "as leader" } else { "as member" };
-                let mut sub = Vec::new();
-                // Cross-reference the leader's purchases for this batch.
-                for le in events {
-                    match &le.kind {
-                        EventKind::CallDelivered {
-                            call,
-                            pages,
-                            wasted_pages,
-                            batch: Some(b),
-                            ..
-                        } if b == batch => sub.push(format!(
-                            "leader call {call} (query {}) billed {} pages for the batch",
-                            le.query.map_or("?".to_string(), |q| q.to_string()),
-                            pages + wasted_pages
-                        )),
-                        EventKind::BatchSealed {
-                            batch: b,
-                            members,
-                            reason,
-                            ..
-                        } if b == batch => {
-                            sub.push(format!("batch sealed ({reason}) with {members} member(s)"))
-                        }
-                        _ => {}
-                    }
-                }
-                let state = if *failed { "FAILED share" } else { "share" };
-                nodes.push((
-                    format!(
-                        "batch {batch} {state} on `{table}` {role}: {delivered_pages} delivered \
-                         + {wasted_pages} wasted pages · {records} records · {members}-member split"
-                    ),
-                    sub,
-                ));
-            }
-            EventKind::FlightClaimed {
-                flight,
-                table,
-                regions,
-            } => {
-                nodes.push((
-                    format!("flight {flight} claimed on `{table}` ({regions} region(s))"),
-                    Vec::new(),
-                ));
+            EventKind::FlightClaimed { flight, table } => {
+                nodes.push((format!("flight {flight} claimed on `{table}`"), Vec::new()));
             }
             EventKind::FlightWait { table, satisfied } => {
                 let note = if *satisfied {
-                    "regions already covered by flights in progress"
+                    "region already covered by a flight in progress"
                 } else {
                     "waited for in-flight purchases to land"
                 };
@@ -1046,26 +835,6 @@ pub fn render_provenance(events: &[Event], query: u64) -> String {
             EventKind::FlightRecomputeAverted { table, pages } => {
                 nodes.push((
                     format!("double-buy averted on `{table}`: {pages} pages already stored"),
-                    Vec::new(),
-                ));
-            }
-            EventKind::BatchParked {
-                batch,
-                table,
-                pieces,
-            } => {
-                nodes.push((
-                    format!("parked {pieces} remainder piece(s) in batch {batch} on `{table}`"),
-                    Vec::new(),
-                ));
-            }
-            EventKind::BatchLeader {
-                batch,
-                table,
-                members,
-            } => {
-                nodes.push((
-                    format!("elected leader of batch {batch} on `{table}` ({members} member(s))"),
                     Vec::new(),
                 ));
             }
@@ -1109,7 +878,7 @@ pub fn known_queries(events: &[Event]) -> Vec<u64> {
 mod tests {
     use super::*;
 
-    fn call_delivered(call: u64, pages: u64, wasted: u64, batch: Option<u64>) -> EventKind {
+    fn call_delivered(call: u64, pages: u64, wasted: u64) -> EventKind {
         EventKind::CallDelivered {
             call,
             table: "T".into(),
@@ -1117,7 +886,6 @@ mod tests {
             wasted_pages: wasted,
             records: pages * 10,
             attempts: 1,
-            batch,
         }
     }
 
@@ -1195,36 +963,13 @@ mod tests {
     }
 
     #[test]
-    fn provenance_sums_calls_and_batch_shares_without_double_count() {
+    fn provenance_sums_delivered_calls_and_billed_failures() {
         let j = EventJournal::new(256);
-        // Query 1: a plain call (5 delivered + 2 wasted) and a batch share
-        // (3 + 1).
-        j.emit(Some(1), Severity::Info, || call_delivered(10, 5, 2, None));
-        j.emit(Some(1), Severity::Info, || EventKind::BatchShare {
-            batch: 9,
-            table: "T".into(),
-            delivered_pages: 3,
-            wasted_pages: 1,
-            records: 30,
-            members: 2,
-            leader: false,
-            failed: false,
-        });
-        // Query 2 is the leader: its raw batch purchase must not count
-        // toward query 2's own total.
-        j.emit(Some(2), Severity::Info, || {
-            call_delivered(11, 6, 0, Some(9))
-        });
-        j.emit(Some(2), Severity::Info, || EventKind::BatchShare {
-            batch: 9,
-            table: "T".into(),
-            delivered_pages: 3,
-            wasted_pages: 0,
-            records: 30,
-            members: 2,
-            leader: true,
-            failed: false,
-        });
+        // Query 1: two plain calls (5 delivered + 2 wasted, then 3 + 0).
+        j.emit(Some(1), Severity::Info, || call_delivered(10, 5, 2));
+        j.emit(Some(1), Severity::Info, || call_delivered(11, 3, 0));
+        // Query 2 buys on its own; none of it is query 1's.
+        j.emit(Some(2), Severity::Info, || call_delivered(14, 6, 0));
         // A billed failure charges its waste; a free failure does not.
         j.emit(Some(1), Severity::Error, || EventKind::CallFailed {
             call: 12,
@@ -1233,7 +978,6 @@ mod tests {
             attempts: 2,
             billed: true,
             error: "corrupt".into(),
-            batch: None,
         });
         j.emit(Some(1), Severity::Error, || EventKind::CallFailed {
             call: 13,
@@ -1242,18 +986,18 @@ mod tests {
             attempts: 1,
             billed: false,
             error: "unavailable".into(),
-            batch: None,
         });
         let snap = j.snapshot();
         let p1 = provenance(&snap, 1);
         assert_eq!(p1.delivered_pages, 8);
-        assert_eq!(p1.wasted_pages, 7);
-        assert_eq!(p1.billed_pages(), 15);
+        assert_eq!(p1.wasted_pages, 6);
+        assert_eq!(p1.billed_pages(), 14);
+        assert_eq!(p1.records, 80);
         let p2 = provenance(&snap, 2);
-        assert_eq!(p2.billed_pages(), 3);
+        assert_eq!(p2.billed_pages(), 6);
         let tree = render_provenance(&snap, 1);
-        assert!(tree.contains("billed 15 pages"));
-        assert!(tree.contains("batch 9"));
+        assert!(tree.contains("billed 14 pages"));
+        assert!(tree.contains("call 12 on `T` FAILED"));
         assert_eq!(known_queries(&snap), vec![1, 2]);
     }
 

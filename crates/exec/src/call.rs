@@ -205,7 +205,6 @@ pub fn resilient_get(
                 wasted_pages: *wasted_pages,
                 records: response.records(),
                 attempts: u64::from(*attempts),
-                batch: scope.batch(),
             }),
             CallOutcome::BilledAndFailed {
                 error, attempts, ..
@@ -218,7 +217,6 @@ pub fn resilient_get(
                     attempts: u64::from(*attempts),
                     billed: matches!(out, CallOutcome::BilledAndFailed { .. }),
                     error: error.to_string(),
-                    batch: scope.batch(),
                 })
             }
         }

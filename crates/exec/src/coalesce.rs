@@ -4,10 +4,10 @@
 //! same table, paying twice is pure waste: the first delivery lands in the
 //! shared semantic store, and the second query could have rewritten against
 //! it. The [`CallCoalescer`] is the serving layer's rendezvous for exactly
-//! that: before buying, a query **claims** its remainder regions. If no
-//! in-flight purchase overlaps them, the claim is granted and the query
-//! becomes the single flight for those regions (dropping the guard
-//! releases them). Otherwise the query **waits** for any in-flight
+//! that: before buying, a query **claims** the region it is about to buy
+//! from. If no in-flight purchase overlaps it, the claim is granted and
+//! the query becomes the single flight for that region (dropping the guard
+//! releases it). Otherwise the query **waits** for any in-flight
 //! purchase to complete, then re-rewrites against the freshly grown store
 //! and claims whatever is still uncovered — usually nothing.
 //!
@@ -35,12 +35,12 @@ use std::time::Instant;
 use payless_geometry::Region;
 use payless_metrics::MetricsHub;
 
-/// One in-flight purchase: the single flight for its regions.
+/// One in-flight purchase: the single flight for its region.
 #[derive(Debug)]
 struct Flight {
     id: u64,
     table: String,
-    regions: Vec<Region>,
+    region: Region,
 }
 
 #[derive(Debug, Default)]
@@ -65,20 +65,18 @@ pub struct CallCoalescer {
 
 /// Outcome of [`CallCoalescer::claim`].
 pub enum Claim<'a> {
-    /// No overlap: the caller is the single flight for its regions. Drop
+    /// No overlap: the caller is the single flight for its region. Drop
     /// the guard when the purchase (and its store bookkeeping) is done.
     Acquired(FlightGuard<'a>),
-    /// An in-flight purchase overlaps the requested regions. Pass `seen`
+    /// An in-flight purchase overlaps the requested region. Pass `seen`
     /// to [`CallCoalescer::wait_past`], then re-rewrite and re-claim.
     Contended {
         /// Completion count observed while detecting the overlap.
         seen: u64,
-        /// Every requested region is **contained** in one in-flight
-        /// purchase's region set (not merely overlapped): that flight's
+        /// The requested region is **contained** in one in-flight
+        /// purchase's region (not merely overlapped): that flight's
         /// delivery alone will satisfy this claim, so after the wait the
-        /// re-rewrite is expected to find nothing left to buy. Batch
-        /// leaders claim whole merged region sets, which is what makes
-        /// this subset case common.
+        /// re-rewrite is expected to find nothing left to buy.
         satisfied: bool,
     },
 }
@@ -130,27 +128,23 @@ impl CallCoalescer {
         self.board.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Try to become the single flight for `regions` of `table`. Never
+    /// Try to become the single flight for `region` of `table`. Never
     /// blocks; see [`Claim`] for the two outcomes.
-    pub fn claim<'a>(&'a self, table: &str, regions: &[Region]) -> Claim<'a> {
+    pub fn claim<'a>(&'a self, table: &str, region: &Region) -> Claim<'a> {
         let mut board = self.lock_board();
-        let contended = board.in_flight.iter().any(|f| {
-            f.table == table
-                && f.regions
-                    .iter()
-                    .any(|fr| regions.iter().any(|r| fr.overlaps(r)))
-        });
+        let contended = board
+            .in_flight
+            .iter()
+            .any(|f| f.table == table && f.region.overlaps(region));
         if contended {
-            // Subset satisfaction: some single flight's region set contains
-            // *every* requested region, so its delivery alone covers this
-            // claim. Checked under the same lock as the overlap, so the two
+            // Subset satisfaction: some single flight's region contains the
+            // requested one, so its delivery alone covers this claim.
+            // Checked under the same lock as the overlap, so the two
             // observations cannot disagree.
-            let satisfied = board.in_flight.iter().any(|f| {
-                f.table == table
-                    && regions
-                        .iter()
-                        .all(|r| f.regions.iter().any(|fr| fr.contains(r)))
-            });
+            let satisfied = board
+                .in_flight
+                .iter()
+                .any(|f| f.table == table && f.region.contains(region));
             if let Some(hub) = &self.metrics {
                 hub.coalesce_contended.inc(1);
                 if satisfied {
@@ -167,7 +161,7 @@ impl CallCoalescer {
         board.in_flight.push(Flight {
             id,
             table: table.to_string(),
-            regions: regions.to_vec(),
+            region: region.clone(),
         });
         if let Some(hub) = &self.metrics {
             hub.coalesce_acquired.inc(1);
@@ -216,12 +210,12 @@ mod tests {
     #[test]
     fn disjoint_regions_do_not_contend() {
         let c = CallCoalescer::new();
-        let g1 = match c.claim("T", &[r(0, 9)]) {
+        let g1 = match c.claim("T", &r(0, 9)) {
             Claim::Acquired(g) => g,
             Claim::Contended { .. } => panic!("first claim must win"),
         };
-        assert!(matches!(c.claim("T", &[r(20, 29)]), Claim::Acquired(_)));
-        assert!(matches!(c.claim("U", &[r(0, 9)]), Claim::Acquired(_)));
+        assert!(matches!(c.claim("T", &r(20, 29)), Claim::Acquired(_)));
+        assert!(matches!(c.claim("U", &r(0, 9)), Claim::Acquired(_)));
         drop(g1);
         assert_eq!(c.in_flight(), 0);
     }
@@ -229,11 +223,11 @@ mod tests {
     #[test]
     fn overlap_contends_until_guard_drops() {
         let c = CallCoalescer::new();
-        let g = match c.claim("T", &[r(0, 9)]) {
+        let g = match c.claim("T", &r(0, 9)) {
             Claim::Acquired(g) => g,
             Claim::Contended { .. } => panic!("first claim must win"),
         };
-        let seen = match c.claim("T", &[r(5, 14)]) {
+        let seen = match c.claim("T", &r(5, 14)) {
             Claim::Contended { seen, satisfied } => {
                 assert!(!satisfied, "partial overlap is not subset-satisfied");
                 seen
@@ -243,23 +237,23 @@ mod tests {
         drop(g);
         // Completion already happened: wait_past must not block.
         c.wait_past(seen);
-        assert!(matches!(c.claim("T", &[r(5, 14)]), Claim::Acquired(_)));
+        assert!(matches!(c.claim("T", &r(5, 14)), Claim::Acquired(_)));
     }
 
     #[test]
     fn containment_reports_subset_satisfaction() {
         let c = CallCoalescer::new();
-        let _g = match c.claim("T", &[r(0, 9), r(20, 29)]) {
+        let _g = match c.claim("T", &r(0, 29)) {
             Claim::Acquired(g) => g,
             Claim::Contended { .. } => panic!("first claim must win"),
         };
-        // Every requested region inside the in-flight set: satisfied.
-        match c.claim("T", &[r(2, 5), r(22, 29)]) {
+        // The requested region inside the in-flight one: satisfied.
+        match c.claim("T", &r(22, 29)) {
             Claim::Contended { satisfied, .. } => assert!(satisfied),
             Claim::Acquired(_) => panic!("overlap must contend"),
         }
-        // Sticking out of the flight's coverage: contended but not satisfied.
-        match c.claim("T", &[r(2, 12)]) {
+        // Sticking out of the flight's region: contended but not satisfied.
+        match c.claim("T", &r(25, 34)) {
             Claim::Contended { satisfied, .. } => assert!(!satisfied),
             Claim::Acquired(_) => panic!("overlap must contend"),
         };
@@ -272,11 +266,11 @@ mod tests {
         let c = Arc::new(CallCoalescer::new());
         let woke = Arc::new(AtomicU64::new(0));
         for _ in 0..50 {
-            let g = match c.claim("T", &[r(0, 9)]) {
+            let g = match c.claim("T", &r(0, 9)) {
                 Claim::Acquired(g) => g,
                 Claim::Contended { .. } => panic!("board must be empty"),
             };
-            let seen = match c.claim("T", &[r(0, 9)]) {
+            let seen = match c.claim("T", &r(0, 9)) {
                 Claim::Contended { seen, .. } => seen,
                 Claim::Acquired(_) => panic!("overlap must contend"),
             };

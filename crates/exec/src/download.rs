@@ -8,7 +8,7 @@ use payless_telemetry::CallKind;
 use payless_types::{Constraint, PaylessError, Result, Schema};
 
 use crate::call::{resilient_get, CallBudget};
-use crate::engine::{book_charge, request_for, Charge, ExecConfig};
+use crate::engine::{book_charge, request_for, ExecConfig};
 use crate::state::SharedState;
 
 /// Ensure `table` is fully downloaded into the local mirror.
@@ -76,7 +76,7 @@ pub(crate) fn ensure_downloaded(
             cfg.metrics.as_deref(),
             scope.as_ref(),
         );
-        book_charge(cfg, market, name, None, Charge::of(&outcome));
+        book_charge(cfg, market, name, None, &outcome);
         state.land_delivery(recorder, table, piece, outcome.into_result()?, true, now);
     }
     Ok(())

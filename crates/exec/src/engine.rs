@@ -15,7 +15,6 @@ use payless_storage::{aggregate, distinct, hash_join, project, sort_by, AggSpec}
 use payless_telemetry::{CallKind, OperatorActual, Recorder, TransactionRecord};
 use payless_types::{PaylessError, Result, Row, Schema, Value};
 
-use crate::batch::{split_pages, BatchPlanner, BatchRole, MemberShare, SealedBatch};
 use crate::call::{resilient_get, CallBudget, CallOutcome, RetryPolicy};
 use crate::coalesce::{CallCoalescer, Claim};
 use crate::state::SharedState;
@@ -47,9 +46,9 @@ pub struct ExecConfig {
     /// the double-buy-averted recompute counters. Unlike `recorder` (one
     /// per query), one hub aggregates across every query and client.
     pub metrics: Option<Arc<MetricsHub>>,
-    /// Optional flight recorder: every call attempt, fault, retry,
-    /// coalescer claim, and batch share this executor produces is
-    /// journaled with the query's causal id. `None` costs nothing.
+    /// Optional flight recorder: every call attempt, fault, retry and
+    /// coalescer claim this executor produces is journaled with the
+    /// query's causal id. `None` costs nothing.
     pub events: Option<Arc<EventJournal>>,
 }
 
@@ -87,13 +86,6 @@ pub struct Executor<'a> {
     /// Single-flight rendezvous shared with concurrently executing queries;
     /// `None` outside serve mode (and under `PAYLESS_COALESCE=0`).
     coalescer: Option<&'a CallCoalescer>,
-    /// Cross-query batching rendezvous: when attached, uncovered
-    /// remainders park here for shared purchasing instead of buying
-    /// immediately (see [`crate::batch`]). `None` outside serve mode and
-    /// under `PAYLESS_BATCH=0`. Whoever sets it must bracket the execution
-    /// with [`BatchPlanner::activity`] so the planner's quiescence seal
-    /// trigger sees the query.
-    pub(crate) batcher: Option<&'a BatchPlanner>,
     /// Per-query retry/waste accounting, shared by every call this query
     /// makes — the plan's and, before it, Download All's.
     pub(crate) budget: CallBudget,
@@ -127,7 +119,6 @@ impl<'a> Executor<'a> {
             cfg,
             now,
             coalescer,
-            batcher: None,
             budget: CallBudget::default(),
             ops: Vec::new(),
             cur_op: 0,
@@ -256,13 +247,14 @@ impl<'a> Executor<'a> {
     /// Make `region` of table `tid` locally complete: rewrite against the
     /// store, issue the remainder calls, and do all bookkeeping.
     ///
-    /// With a coalescer attached, the remainders are **claimed** before
-    /// buying: if another in-flight query is already purchasing an
+    /// This is the one purchase path: rewrite, claim, re-rewrite under the
+    /// guard, buy. With a coalescer attached, the region is **claimed**
+    /// before buying: if another in-flight query is already purchasing an
     /// overlapping region, this query waits for that delivery, re-rewrites
     /// against the freshly grown store, and only buys what is still
-    /// uncovered. The claim is held (at most one per executor, never
-    /// across a wait — so no deadlock) until the purchase and its store
-    /// bookkeeping complete.
+    /// uncovered — and pays only for that. The claim is held (at most one
+    /// per executor, never across a wait — so no deadlock) until the
+    /// purchase and its store bookkeeping complete.
     fn ensure_region(&mut self, tid: usize, space: &QuerySpace, region: &Region) -> Result<()> {
         let t = &self.query.tables[tid];
         let page = self
@@ -292,7 +284,7 @@ impl<'a> Executor<'a> {
                         }
                     }
                 }
-                let (rw, candidate_views) = self.rewrite_one(tid, page, region)?;
+                let (rw, candidate_views) = self.rewrite_live(tid, page, region)?;
                 if waits == 0 {
                     if let Some(rec) = &self.cfg.recorder {
                         rec.count("sqr.cover_sets", rw.cover_sets);
@@ -312,27 +304,17 @@ impl<'a> Executor<'a> {
                 self.note_coalesce(waits, initial_est, 0.0);
                 return Ok(());
             }
-            // Batched purchasing: park the uncovered remainders with the
-            // serve layer's planner instead of buying them here. The sealed
-            // batch's leader claims, re-rewrites, and buys the merged
-            // remainder once; this query then applies its exact share. With
-            // a batcher attached this executor never loops (the leader
-            // handles coalescer contention itself), so `waits == 0` here.
-            if let Some(planner) = self.batcher {
-                return self.batched_purchase(planner, tid, space, region, remainders, page);
-            }
             // Claim the whole base region, not just the remainders: every
             // remainder is a subset of it, so the guard soundly covers
             // whatever the under-guard recompute below decides to buy.
             let guard = match self.coalescer {
                 None => None,
-                Some(c) => match c.claim(&t.name, std::slice::from_ref(region)) {
+                Some(c) => match c.claim(&t.name, region) {
                     Claim::Acquired(g) => {
                         if let Some(scope) = self.scope() {
                             scope.emit(Severity::Debug, || EventKind::FlightClaimed {
                                 flight: g.flight_id(),
                                 table: t.name.to_string(),
-                                regions: 1,
                             });
                         }
                         Some(g)
@@ -361,7 +343,7 @@ impl<'a> Executor<'a> {
             // twice.
             let remainders = if guard.is_some() && self.cfg.sqr {
                 let pre_guard_est = final_est;
-                let (rw, _) = self.rewrite_one(tid, page, region)?;
+                let (rw, _) = self.rewrite_live(tid, page, region)?;
                 // A shrunken estimate means a flight landed between the
                 // pre-wait rewrite and this claim: the recompute just
                 // averted re-buying what that flight delivered.
@@ -395,44 +377,22 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Rewrite each of `regions` of table `tid` against the *live* store and
-    /// statistics, returning per region the rewrite and how many candidate
-    /// views shaped it. Only views overlapping a region can shape its
-    /// rewrite, so the store's R-tree is probed instead of scanning every
-    /// view. All regions are probed under one shard lock: a batch leader
-    /// re-validating its members' merged pieces sees one consistent store
-    /// state across all of them.
-    fn rewrite_live(
-        &self,
-        tid: usize,
-        page: u64,
-        regions: &[Region],
-    ) -> Result<Vec<(Rewrite, u64)>> {
+    /// Rewrite `region` of table `tid` against the *live* store and
+    /// statistics, returning the rewrite and how many candidate views
+    /// shaped it. Only views overlapping the region can shape its rewrite,
+    /// so the store's R-tree is probed instead of scanning every view.
+    fn rewrite_live(&self, tid: usize, page: u64, region: &Region) -> Result<(Rewrite, u64)> {
         let t = &self.query.tables[tid];
-        let views = self.state.store().views_overlapping_multi(
-            &t.name,
-            regions,
-            self.cfg.consistency,
-            self.now,
-        );
+        let views =
+            self.state
+                .store()
+                .views_overlapping(&t.name, region, self.cfg.consistency, self.now);
         self.state
             .with_table_model(&t.name, |ts| {
-                regions
-                    .iter()
-                    .zip(&views)
-                    .map(|(region, views)| {
-                        let rw = rewrite(ts, page, region, views, &self.cfg.rewrite);
-                        (rw, views.len() as u64)
-                    })
-                    .collect()
+                let rw = rewrite(ts, page, region, &views, &self.cfg.rewrite);
+                (rw, views.len() as u64)
             })
             .ok_or_else(|| PaylessError::Internal(format!("no stats for `{}`", t.name)))
-    }
-
-    /// [`Executor::rewrite_live`] for the one region `ensure_region` works on.
-    fn rewrite_one(&self, tid: usize, page: u64, region: &Region) -> Result<(Rewrite, u64)> {
-        let mut rewrites = self.rewrite_live(tid, page, std::slice::from_ref(region))?;
-        Ok(rewrites.pop().expect("one region in, one rewrite out"))
     }
 
     /// Book the pages a coalescing wait avoided: the estimated cost of the
@@ -477,269 +437,13 @@ impl<'a> Executor<'a> {
                 scope.as_ref(),
             );
             let slot = self.ops.get_mut(self.cur_op);
-            book_charge(self.cfg, self.market, &t.name, slot, Charge::of(&outcome));
+            book_charge(self.cfg, self.market, &t.name, slot, &outcome);
             let resp = outcome.into_result()?;
             let recorder = self.cfg.recorder.as_deref();
             self.state
                 .land_delivery(recorder, &t.schema, rem, resp, self.cfg.sqr, self.now);
         }
         Ok(())
-    }
-
-    /// Park `remainders` with the batch planner and resolve the query's
-    /// role: the member that seals the batch leads the merged purchase
-    /// ([`Executor::lead_batch`]); every other member blocks until its
-    /// settled share arrives and then applies it.
-    fn batched_purchase(
-        &mut self,
-        planner: &BatchPlanner,
-        tid: usize,
-        space: &QuerySpace,
-        region: &Region,
-        remainders: Vec<Region>,
-        page: u64,
-    ) -> Result<()> {
-        let table = self.query.tables[tid].name.clone();
-        let t0 = std::time::Instant::now();
-        let role = planner.join(&table, region.clone(), remainders, self.now);
-        if let Some(hub) = &self.cfg.metrics {
-            hub.batch_window_wait_nanos
-                .record(t0.elapsed().as_nanos() as u64);
-        }
-        match role {
-            BatchRole::Leader(batch) => self.lead_batch(planner, tid, space, page, batch),
-            BatchRole::Served(share) => self.apply_member_share(tid, share, false),
-        }
-    }
-
-    /// Purchase a sealed batch's merged remainder and settle every
-    /// member's exact share.
-    ///
-    /// The members' parked pieces are disjointified in join order
-    /// ([`payless_semantic::merge_remainders`]), the union of base regions
-    /// is claimed on the coalescer (the same TOCTOU guard as
-    /// [`Executor::ensure_region`]), each merged piece is re-rewritten
-    /// under the guard against one consistent store state, and the final
-    /// remainders are bought through the resilient chokepoint. Delivered
-    /// rows are partitioned **first-match in join order** across the
-    /// members' pieces; the per-member row counts are both the attributed
-    /// records and the [`split_pages`] weights, so every call's share
-    /// vector sums exactly to its billed pages. A failed call splits its
-    /// billed waste equally and fails every member.
-    fn lead_batch(
-        &mut self,
-        planner: &BatchPlanner,
-        tid: usize,
-        space: &QuerySpace,
-        page: u64,
-        batch: SealedBatch,
-    ) -> Result<()> {
-        let t = &self.query.tables[tid];
-        // Unwind safety: if anything below returns early or panics before
-        // the settle, the guard fails the other members instead of
-        // stranding them on the planner's condvar.
-        let mut settle_guard = planner.settle_guard(&batch);
-        let n = batch.members.len();
-        let merged =
-            payless_semantic::merge_remainders(batch.members.iter().map(|m| m.pieces.as_slice()));
-        let bases: Vec<Region> = batch.members.iter().map(|m| m.base.clone()).collect();
-        let scope = self.scope().map(|s| s.with_batch(batch.id));
-        let flight = loop {
-            match self.coalescer {
-                None => break None,
-                Some(c) => match c.claim(&t.name, &bases) {
-                    Claim::Acquired(g) => {
-                        if let Some(scope) = &scope {
-                            scope.emit(Severity::Debug, || EventKind::FlightClaimed {
-                                flight: g.flight_id(),
-                                table: t.name.to_string(),
-                                regions: bases.len() as u64,
-                            });
-                        }
-                        break Some(g);
-                    }
-                    Claim::Contended { seen, satisfied } => {
-                        if let Some(rec) = &self.cfg.recorder {
-                            rec.count("coalesce.waits", 1);
-                            if satisfied {
-                                rec.count("coalesce.subset_satisfied", 1);
-                            }
-                        }
-                        if let Some(scope) = &scope {
-                            scope.emit(Severity::Debug, || EventKind::FlightWait {
-                                table: t.name.to_string(),
-                                satisfied,
-                            });
-                        }
-                        c.wait_past(seen);
-                    }
-                },
-            }
-        };
-        // Re-validate the merged pieces under the guard: one multi-probe,
-        // one shard lock, one consistent store state across all of them.
-        let final_rems: Vec<Region> = if self.cfg.sqr {
-            self.rewrite_live(tid, page, &merged)?
-                .into_iter()
-                .flat_map(|(rw, _)| rw.remainders)
-                .collect()
-        } else {
-            merged
-        };
-        let mut delivered = vec![0u64; n];
-        let mut wasted = vec![0u64; n];
-        let mut records = vec![0u64; n];
-        let mut calls: u64 = 0;
-        let mut failure: Option<PaylessError> = None;
-        for rem in final_rems {
-            let req = request_for(&t.schema, space, &rem);
-            let outcome = resilient_get(
-                self.market,
-                &req,
-                &self.cfg.retry,
-                &mut self.budget,
-                self.cfg.recorder.as_deref(),
-                self.cfg.metrics.as_deref(),
-                scope.as_ref(),
-            );
-            calls += 1;
-            let billed_for_nothing = outcome.wasted_pages();
-            match outcome {
-                CallOutcome::Delivered { response, .. } => {
-                    // First-match partition in join order: each delivered
-                    // row is attributed to exactly one member, so Σ member
-                    // records == delivered records and the weights are the
-                    // members' exclusive row counts.
-                    let mut weights = vec![0u64; n];
-                    for row in &response.rows {
-                        if let Some(i) = batch
-                            .members
-                            .iter()
-                            .position(|m| m.pieces.iter().any(|p| row_in_region(space, row, p)))
-                        {
-                            weights[i] += 1;
-                        }
-                    }
-                    let dp = split_pages(response.transactions, &weights);
-                    let wp = split_pages(billed_for_nothing, &weights);
-                    delivered.iter_mut().zip(&dp).for_each(|(d, x)| *d += x);
-                    wasted.iter_mut().zip(&wp).for_each(|(w, x)| *w += x);
-                    records.iter_mut().zip(&weights).for_each(|(r, x)| *r += x);
-                    let recorder = self.cfg.recorder.as_deref();
-                    self.state.land_delivery(
-                        recorder,
-                        &t.schema,
-                        rem,
-                        response,
-                        self.cfg.sqr,
-                        self.now,
-                    );
-                }
-                CallOutcome::BilledAndFailed { error, .. }
-                | CallOutcome::FailedFree { error, .. } => {
-                    // No delivered rows to weight the split: a billed
-                    // failure's waste divides equally across the members.
-                    let wp = split_pages(billed_for_nothing, &vec![0u64; n]);
-                    wasted.iter_mut().zip(&wp).for_each(|(w, x)| *w += x);
-                    failure = Some(error);
-                    break;
-                }
-            }
-        }
-        drop(flight);
-        // Settle: calls are attributed to the leader; on failure every
-        // member's share (the leader's included) reverts to wasted-spend
-        // accounting and every member's query fails.
-        let err_msg = failure.as_ref().map(|e| e.to_string());
-        let shares: Vec<MemberShare> = batch
-            .members
-            .iter()
-            .enumerate()
-            .map(|(i, m)| MemberShare {
-                batch: batch.id,
-                delivered_pages: delivered[i],
-                wasted_pages: wasted[i],
-                records: records[i],
-                calls: if m.token == batch.leader { calls } else { 0 },
-                batch_members: n as u64,
-                error: err_msg.clone(),
-            })
-            .collect();
-        let leader_share = planner.settle(&batch, shares);
-        settle_guard.disarm();
-        let applied = self.apply_member_share(tid, leader_share, true);
-        // The leader reports the original market error, not the wrapper
-        // its own share carries.
-        match failure {
-            Some(e) => Err(e),
-            None => applied,
-        }
-    }
-
-    /// Apply one settled batch share to this query's accounting: booked
-    /// exactly like a solo call ([`book_charge`]; so Σ per-query ledgers
-    /// still reconcile with the meter after an N-way split), plus the batch
-    /// counters the serve report and watchdog consume. Errors when the
-    /// batch's purchase failed.
-    fn apply_member_share(&mut self, tid: usize, share: MemberShare, leader: bool) -> Result<()> {
-        let t = &self.query.tables[tid];
-        // The provenance event the flight recorder sums for batched spend:
-        // this query's exact slice of the merged purchase. The leader's raw
-        // calls are journaled batch-tagged and excluded from per-query
-        // totals, so shares never double-count.
-        if let Some(scope) = self.scope() {
-            scope.emit(Severity::Info, || EventKind::BatchShare {
-                batch: share.batch,
-                table: t.name.to_string(),
-                delivered_pages: share.delivered_pages,
-                wasted_pages: share.wasted_pages,
-                records: share.records,
-                members: share.batch_members,
-                leader,
-                failed: share.error.is_some(),
-            });
-        }
-        let charge = Charge {
-            calls: share.calls,
-            retries: 0,
-            wasted_pages: share.wasted_pages,
-            delivered: (share.delivered_pages > 0 || share.records > 0)
-                .then_some((share.delivered_pages, share.records)),
-        };
-        let slot = self.ops.get_mut(self.cur_op);
-        book_charge(self.cfg, self.market, &t.name, slot, charge);
-        if let Some(rec) = &self.cfg.recorder {
-            rec.count("batch.joins", 1);
-            if share.batch_members >= 2 && share.delivered_pages > 0 {
-                rec.count("batch.shared_pages", share.delivered_pages);
-            }
-            // Non-leader shares sit in the planner's deferred register
-            // until this query completes; the watchdog drains them off
-            // this counter.
-            if !leader && share.delivered_pages + share.wasted_pages > 0 {
-                rec.count(
-                    "batch.settled_pages",
-                    share.delivered_pages + share.wasted_pages,
-                );
-            }
-            if share.error.is_some() && share.wasted_pages > 0 {
-                rec.count("batch.wasted_share_pages", share.wasted_pages);
-            }
-        }
-        if let Some(hub) = &self.cfg.metrics {
-            if share.batch_members >= 2 && share.delivered_pages > 0 {
-                hub.batch_shared_pages.inc(share.delivered_pages);
-            }
-            if share.error.is_some() && share.wasted_pages > 0 {
-                hub.batch_wasted_share_pages.inc(share.wasted_pages);
-            }
-        }
-        match share.error {
-            Some(msg) => Err(PaylessError::Internal(format!(
-                "batch purchase failed: {msg}"
-            ))),
-            None => Ok(()),
-        }
     }
 
     /// Probe the market once per distinct binding combination and return the
@@ -1043,39 +747,14 @@ pub(crate) fn request_for(schema: &Schema, space: &QuerySpace, region: &Region) 
         })
 }
 
-/// What one settled purchase adds to a query's books: a solo call's
-/// [`CallOutcome`] or this query's share of a batch.
-pub(crate) struct Charge {
-    /// Market calls attributed to the query.
-    pub calls: u64,
-    /// Attempts beyond each call's first.
-    pub retries: u64,
-    /// Pages billed without a usable delivery.
-    pub wasted_pages: u64,
-    /// `(pages, records)` of the clean delivery, if there was one.
-    pub delivered: Option<(u64, u64)>,
-}
-
-impl Charge {
-    /// The charge of one resilient market call.
-    pub(crate) fn of(outcome: &CallOutcome) -> Charge {
-        Charge {
-            calls: 1,
-            retries: outcome.retries(),
-            wasted_pages: outcome.wasted_pages(),
-            delivered: outcome.delivered(),
-        }
-    }
-}
-
-/// Book one charge against `table`, for solo purchases, batch shares and
-/// Download All alike: into `slot`, the plan operator it ran under (Download
-/// All has none), and into the spend ledger, which has no other writer. The
-/// ledger gets one `wasted` entry when billed attempts produced no usable
-/// payload and one clean entry for the `(pages, records)` delivered. Pages
-/// and price always reconcile with the billing meter; wasted entries carry
-/// zero records (the meter counts a truncated attempt's full pre-truncation
-/// records, which the buyer never saw).
+/// Book one resilient call's charge against `table`, for remainder fetches
+/// and Download All alike: into `slot`, the plan operator it ran under
+/// (Download All has none), and into the spend ledger, which has no other
+/// writer. The ledger gets one `wasted` entry when billed attempts produced
+/// no usable payload and one clean entry for the `(pages, records)`
+/// delivered. Pages and price always reconcile with the billing meter;
+/// wasted entries carry zero records (the meter counts a truncated
+/// attempt's full pre-truncation records, which the buyer never saw).
 // `clippy.toml` bans `Recorder::transaction` everywhere but here.
 #[allow(clippy::disallowed_methods)]
 pub(crate) fn book_charge(
@@ -1083,14 +762,16 @@ pub(crate) fn book_charge(
     market: &DataMarket,
     table: &Arc<str>,
     slot: Option<&mut OperatorActual>,
-    charge: Charge,
+    outcome: &CallOutcome,
 ) {
-    let (pages, records) = charge.delivered.unwrap_or_default();
+    let delivered = outcome.delivered();
+    let wasted_pages = outcome.wasted_pages();
+    let (pages, records) = delivered.unwrap_or_default();
     if let Some(slot) = slot {
-        slot.calls += charge.calls;
-        slot.retries += charge.retries;
+        slot.calls += 1;
+        slot.retries += outcome.retries();
         slot.pages += pages;
-        slot.wasted_pages += charge.wasted_pages;
+        slot.wasted_pages += wasted_pages;
         slot.records += records;
     }
     if !cfg.synthesize_ledger {
@@ -1111,10 +792,10 @@ pub(crate) fn book_charge(
         wasted,
         at_nanos: 0, // stamped by the recorder
     };
-    if charge.wasted_pages > 0 {
-        rec.transaction(|| ledger_entry(charge.wasted_pages, 0, true));
+    if wasted_pages > 0 {
+        rec.transaction(|| ledger_entry(wasted_pages, 0, true));
     }
-    if charge.delivered.is_some() {
+    if delivered.is_some() {
         rec.transaction(|| ledger_entry(pages, records, false));
     }
 }

@@ -22,13 +22,12 @@
 //!
 //! Everything runs against one [`SharedState`] — local mirror, semantic
 //! store and statistics behind locks — whoever the caller is: the REPL
-//! session (a one-client serving layer: uncontended, no coalescer, no
-//! batcher), the in-process mix or the socket server. [`state`] states the lock
+//! session (a one-client serving layer: uncontended, no coalescer), the
+//! in-process mix or the socket server. [`state`] states the lock
 //! discipline.
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod call;
 pub mod coalesce;
 mod download;
@@ -36,7 +35,6 @@ pub mod engine;
 pub mod pipeline;
 pub mod state;
 
-pub use batch::{split_pages, BatchConfig, BatchPlanner, BatchRole, MemberShare, SealedBatch};
 pub use call::{resilient_get, CallBudget, CallOutcome, RetryPolicy};
 pub use coalesce::{CallCoalescer, Claim, FlightGuard};
 pub use engine::{ExecConfig, Executor, QueryResult};

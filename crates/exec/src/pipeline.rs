@@ -6,9 +6,8 @@
 //! Its one caller is `payless_serve::Serve::run`, behind the REPL session
 //! (a one-client `Serve`), the in-process mix and the socket server; they
 //! differ only in the [`Mode`] preset and in whether the [`Env`] carries a
-//! coalescer and a batch planner. [`plan`] is the same pipeline stopped
-//! before execution (`EXPLAIN`, the no-SQR counterfactual): it charges
-//! nothing.
+//! coalescer. [`plan`] is the same pipeline stopped before execution
+//! (`EXPLAIN`, the no-SQR counterfactual): it charges nothing.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -19,14 +18,13 @@ use payless_sql::{AnalyzedQuery, TableLocation};
 use payless_telemetry::{OperatorActual, Recorder};
 use payless_types::Result;
 
-use crate::batch::BatchPlanner;
 use crate::coalesce::CallCoalescer;
 use crate::download::ensure_downloaded;
 use crate::engine::{ExecConfig, Executor, QueryResult};
 use crate::state::SharedState;
 
 /// What a query runs against: the market, the buyer-side state, and the
-/// rendezvous points it shares with concurrently running queries.
+/// rendezvous point it shares with concurrently running queries.
 pub struct Env<'a> {
     /// The market remainders are bought from.
     pub market: &'a DataMarket,
@@ -35,9 +33,6 @@ pub struct Env<'a> {
     /// Single-flight coalescing of overlapping market calls; `None` for a
     /// single-tenant session (and under `PAYLESS_COALESCE=0`).
     pub coalescer: Option<&'a CallCoalescer>,
-    /// Cross-query batched purchasing; `None` for a single-tenant session
-    /// (and under `PAYLESS_BATCH=0`).
-    pub batcher: Option<&'a BatchPlanner>,
 }
 
 /// Which system variant a query runs — the four lines of the paper's
@@ -137,7 +132,6 @@ pub fn run_query(
 ) -> Result<Ran> {
     let mut executor =
         Executor::shared(query, env.market, env.state, &cfg.exec, now, env.coalescer);
-    executor.batcher = env.batcher;
     // Unsatisfiable queries cost nothing and need no plan.
     if query.unsatisfiable {
         return Ok(Ran {
@@ -175,10 +169,6 @@ pub fn run_query(
         .filter(|_| cfg.optimizer.introspect);
     let optimized = plan(env, query, &cfg.optimizer, store_recorder, now)?;
     let optimize_nanos = t0.elapsed().as_nanos() as u64;
-    // The activity bracket lets the planner's quiescence trigger see this
-    // query: when every active query is parked, batches seal immediately
-    // instead of waiting out the window.
-    let _activity = env.batcher.map(|b| b.activity());
     let t1 = Instant::now();
     let result = executor.execute(&optimized.plan)?;
     Ok(Ran {
@@ -203,7 +193,6 @@ mod tests {
     use payless_stats::StatsRegistry;
     use payless_types::{row, Column, Domain, Schema};
 
-    use crate::batch::BatchConfig;
     use crate::call::CallBudget;
 
     /// One market table `T(k, d, v)`, page size 2, skewed on its bound
@@ -254,7 +243,6 @@ mod tests {
                 market: &self.market,
                 state: &self.state,
                 coalescer: None,
-                batcher: None,
             }
         }
 
@@ -293,14 +281,11 @@ mod tests {
         #[derive(Debug, Clone, Copy, PartialEq)]
         enum Entry {
             Fetch,
-            BatchLeader,
             Download,
         }
         for (entry, sqr) in [
             (Entry::Fetch, true),
             (Entry::Fetch, false),
-            (Entry::BatchLeader, true),
-            (Entry::BatchLeader, false),
             (Entry::Download, true),
             (Entry::Download, false),
         ] {
@@ -330,23 +315,12 @@ mod tests {
             };
             let query = f.analyzed(Y_SLICE);
             let fetch = PlanNode::access(0, AccessMethod::Fetch);
-            let planner = BatchPlanner::new(BatchConfig {
-                window_ms: 0,
-                ..BatchConfig::default()
-            });
             // The slices each entry point is expected to buy, one call each.
             let bought: Vec<usize> = match entry {
                 Entry::Fetch => {
                     Executor::shared(&query, &f.market, &f.state, &cfg, 1, None)
                         .execute(&fetch)
                         .unwrap();
-                    vec![1]
-                }
-                Entry::BatchLeader => {
-                    let _active = planner.activity();
-                    let mut leader = Executor::shared(&query, &f.market, &f.state, &cfg, 1, None);
-                    leader.batcher = Some(&planner);
-                    leader.execute(&fetch).unwrap();
                     vec![1]
                 }
                 Entry::Download => {

@@ -9,7 +9,7 @@
 //! and the statistics hold each table's state as an `Arc`'d version, so a
 //! planning snapshot costs one pointer clone per table and a write copies
 //! a table only while a snapshot still holds it. A session is the
-//! uncontended case: one query at a time, no coalescer, no batcher.
+//! uncontended case: one query at a time, no coalescer.
 //!
 //! Lock discipline: every helper here holds **at most one of its own locks
 //! at a time** — `land_delivery` takes the mirror's, the statistics' and a
@@ -161,8 +161,8 @@ impl SharedState {
     }
 
     /// Land one verified delivery of `region` — the only place a purchase
-    /// touches the buyer's state, whoever bought (a remainder fetch, a batch
-    /// leader, Download All). The order is load-bearing: the rows enter the
+    /// touches the buyer's state, whoever bought (a remainder fetch or
+    /// Download All). The order is load-bearing: the rows enter the
     /// mirror (and reach the row observer) **before** the store records the
     /// spend (and notifies the spend observer), so a durability layer's row
     /// log never trails its spend log. In between, the statistics score the

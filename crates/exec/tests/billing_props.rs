@@ -112,7 +112,6 @@ fn run(calls: &[Call], recorder: &Arc<Recorder>) -> DataMarket {
         market: &market,
         state: &state,
         coalescer: None,
-        batcher: None,
     };
     let cfg = PipelineConfig {
         optimizer: OptimizerConfig::payless_no_sqr(),

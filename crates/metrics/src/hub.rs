@@ -139,21 +139,6 @@ pub struct MetricsHub {
     /// purchase (the flight alone will satisfy the claim).
     pub coalesce_subset_satisfied: Arc<Counter>,
 
-    /// Purchase batches sealed by the batch planner.
-    pub batch_batches: Arc<Counter>,
-    /// Queries that parked remainders in a batch (members across batches).
-    pub batch_members: Arc<Counter>,
-    /// Delivered pages attributed through a multi-member split.
-    pub batch_shared_pages: Arc<Counter>,
-    /// Pages whose attribution reverted to wasted spend because the
-    /// batch's purchase failed.
-    pub batch_wasted_share_pages: Arc<Counter>,
-    /// Pages settled onto members whose queries have not completed yet
-    /// (drained as the watchdog attributes each finished query).
-    pub batch_deferred_pages: Arc<Gauge>,
-    /// Time a query spent parked from join to leadership/settlement.
-    pub batch_window_wait_nanos: Arc<LogHistogram>,
-
     /// Store classifications answered entirely from purchased views.
     pub store_full_hits: Arc<Counter>,
     /// Store classifications partially covered by purchased views.
@@ -209,12 +194,6 @@ impl MetricsHub {
             registry.counter("payless_coalesce_recomputes_averted_total");
         let coalesce_averted_pages = registry.counter("payless_coalesce_averted_pages_total");
         let coalesce_subset_satisfied = registry.counter("payless_coalesce_subset_satisfied_total");
-        let batch_batches = registry.counter("payless_batch_batches_total");
-        let batch_members = registry.counter("payless_batch_members_total");
-        let batch_shared_pages = registry.counter("payless_batch_shared_pages_total");
-        let batch_wasted_share_pages = registry.counter("payless_batch_wasted_share_pages_total");
-        let batch_deferred_pages = registry.gauge("payless_batch_deferred_pages");
-        let batch_window_wait_nanos = registry.histogram("payless_batch_window_wait_nanos");
         let store_full_hits = registry.counter("payless_store_full_hits_total");
         let store_partial_hits = registry.counter("payless_store_partial_hits_total");
         let store_misses = registry.counter("payless_store_misses_total");
@@ -244,12 +223,6 @@ impl MetricsHub {
             coalesce_recomputes_averted,
             coalesce_averted_pages,
             coalesce_subset_satisfied,
-            batch_batches,
-            batch_members,
-            batch_shared_pages,
-            batch_wasted_share_pages,
-            batch_deferred_pages,
-            batch_window_wait_nanos,
             store_full_hits,
             store_partial_hits,
             store_misses,

@@ -93,26 +93,6 @@ pub struct Rewrite {
     pub cover_chosen: u64,
 }
 
-/// Disjoint union of several queries' remainder sets — the batched
-/// purchasing merge step. Each set's pieces are subtracted against
-/// everything already merged (in input order), so the output regions are
-/// pairwise disjoint and their union is exactly the union of the inputs:
-/// one pass of remainder purchasing over the output buys every input piece
-/// once, never twice. Input order is the batch's join order, which keeps
-/// the merge deterministic for a deterministic schedule.
-pub fn merge_remainders<'a, I>(sets: I) -> Vec<Region>
-where
-    I: IntoIterator<Item = &'a [Region]>,
-{
-    let mut merged: Vec<Region> = Vec::new();
-    for set in sets {
-        for piece in set {
-            merged.extend(piece.subtract_all(&merged));
-        }
-    }
-    merged
-}
-
 /// Estimated transactions for a call expected to return `est` tuples.
 pub fn est_transactions(est: f64, page_size: u64) -> f64 {
     if est <= 0.0 {
@@ -465,32 +445,6 @@ mod tests {
         s.feedback(&region![(30, 59)], 91);
         s.feedback(&region![(60, 100)], 123);
         s
-    }
-
-    #[test]
-    fn merge_remainders_is_a_disjoint_union() {
-        let a = vec![region![(0, 9)], region![(20, 29)]];
-        let b = vec![region![(5, 24)], region![(40, 49)]];
-        let merged = merge_remainders([a.as_slice(), b.as_slice()]);
-        // Pairwise disjoint...
-        for (i, x) in merged.iter().enumerate() {
-            for y in merged.iter().skip(i + 1) {
-                assert!(!x.overlaps(y), "{x:?} overlaps {y:?}");
-            }
-        }
-        // ...and volume-preserving: |[0,29]| + |[40,49]| = 40 points.
-        let vol: u128 = merged.iter().map(|r| r.volume()).sum();
-        assert_eq!(vol, 40);
-        // Deterministic in input order.
-        let again = merge_remainders([a.as_slice(), b.as_slice()]);
-        assert_eq!(merged, again);
-    }
-
-    #[test]
-    fn merge_remainders_of_nothing_is_empty() {
-        assert!(merge_remainders(std::iter::empty::<&[Region]>()).is_empty());
-        let empty: Vec<Region> = Vec::new();
-        assert!(merge_remainders([empty.as_slice(), empty.as_slice()]).is_empty());
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! delivery appending coverage takes the shard's write lock only briefly.
 //! The R-tree index of a version is updated under that same write lock, so
 //! readers always see a consistent view-set/index pair —
-//! [`SharedSemanticStore::views_overlapping_multi`] probes several regions
-//! under one lock acquisition.
+//! [`SharedSemanticStore::views_overlapping`] reads both under one lock
+//! acquisition.
 //!
 //! The optimizer still wants a plain `&SemanticStore`;
 //! [`SharedSemanticStore::snapshot`] clones one `Arc` per shard. A write
@@ -225,7 +225,7 @@ impl SharedSemanticStore {
     /// shard read lock. The second element is always `None`: the store
     /// keeps no remainder pieces, so callers subtract (`rewrite`). Kept in
     /// this shape for `benchmark/src/ledger.rs`; the workspace calls
-    /// [`SharedSemanticStore::views_overlapping_multi`].
+    /// [`SharedSemanticStore::views_overlapping`].
     pub fn probe_rewrite(
         &self,
         table: &str,
@@ -233,33 +233,22 @@ impl SharedSemanticStore {
         consistency: Consistency,
         now: u64,
     ) -> RewriteProbe {
-        let views = self
-            .probe(table, |t, rec| {
-                t.views_overlapping(probe, consistency, now, rec)
-            })
-            .unwrap_or_default();
-        (views, None)
+        (self.views_overlapping(table, probe, consistency, now), None)
     }
 
-    /// The usable views of `table` overlapping each of `probes`, all read
-    /// under **one** shard read-lock acquisition: a batch leader
-    /// re-validating the merged remainder pieces of its members sees one
-    /// consistent store state across all of them, so no piece can be
-    /// probed against coverage another piece's probe did not see.
-    pub fn views_overlapping_multi(
+    /// The usable views of `table` overlapping `probe`, read under one
+    /// shard read lock: only these can shape `probe`'s rewrite.
+    pub fn views_overlapping(
         &self,
         table: &str,
-        probes: &[Region],
+        probe: &Region,
         consistency: Consistency,
         now: u64,
-    ) -> Vec<Vec<Arc<Region>>> {
+    ) -> Vec<Arc<Region>> {
         self.probe(table, |t, rec| {
-            probes
-                .iter()
-                .map(|p| t.views_overlapping(p, consistency, now, rec))
-                .collect()
+            t.views_overlapping(probe, consistency, now, rec)
         })
-        .unwrap_or_else(|| vec![Vec::new(); probes.len()])
+        .unwrap_or_default()
     }
 
     /// Total compaction events for `table` since creation.

@@ -31,8 +31,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use payless_exec::{
-    pipeline, BatchPlanner, CallCoalescer, Env, ExecConfig, PipelineConfig, QueryResult, Ran,
-    RetryPolicy, SharedState,
+    pipeline, CallCoalescer, Env, ExecConfig, PipelineConfig, QueryResult, Ran, RetryPolicy,
+    SharedState,
 };
 use payless_market::DataMarket;
 use payless_metrics::MetricsHub;
@@ -47,14 +47,14 @@ use payless_workload::{drive, MixItem};
 
 use payless_events::{EventJournal, EventKind, Severity};
 
-pub use payless_exec::{BatchConfig, Mode};
+pub use payless_exec::Mode;
 pub use payless_workload::QuerySpend;
 pub use report::{query_spend, ClientSpend, QueryRow, ServeReport};
 pub use watchdog::{TableDrift, Watchdog, WatchdogReport};
 
 /// Serving-layer options. Everything is explicit — the library reads no
 /// environment variables. `payless --serve` and `payless-server` run the
-/// `Default` (the server's `PAYLESS_COALESCE` / `PAYLESS_BATCH` aside), the
+/// `Default` (the server's `PAYLESS_COALESCE` aside), the
 /// REPL session [`ServeConfig::one_client`]; the other values are set by
 /// `tests/`.
 #[derive(Debug, Clone)]
@@ -86,14 +86,9 @@ pub struct ServeConfig {
     /// Shared-store tuning: per-table view cap and compaction toggle.
     /// Applied to every table shard before the mix starts.
     pub store: StoreConfig,
-    /// Cross-query batched purchasing: queries arriving within the window
-    /// park their uncovered remainders with a shared [`BatchPlanner`]; one
-    /// leader buys the merged remainder and the cost splits exactly across
-    /// the members. `None` (the default) buys per query.
-    pub batch: Option<BatchConfig>,
     /// Flight recorder shared by every client session: query lifecycle,
-    /// call attempts/faults, coalescer claims, batch shares, store
-    /// lifecycle, and watchdog samples all journal here. `None` costs
+    /// call attempts/faults, coalescer claims, store lifecycle, and
+    /// watchdog samples all journal here. `None` costs
     /// nothing.
     pub events: Option<Arc<EventJournal>>,
 }
@@ -110,7 +105,6 @@ impl Default for ServeConfig {
             watchdog_every: 8,
             strict_reconcile: false,
             store: StoreConfig::default(),
-            batch: None,
             events: None,
         }
     }
@@ -135,8 +129,6 @@ pub struct Serve {
     catalog: MapCatalog,
     state: SharedState,
     coalescer: CallCoalescer,
-    /// Cross-query batching rendezvous; `Some` iff `cfg.batch` is set.
-    batcher: Option<BatchPlanner>,
     /// Logical clock: each query gets a distinct tick, which is also its
     /// causal id; X-week consistency windows are measured in ticks.
     clock: AtomicU64,
@@ -178,22 +170,11 @@ impl Serve {
         if let Some(j) = &cfg.events {
             state.store().attach_events(Arc::clone(j));
         }
-        let batcher = cfg.batch.map(|b| {
-            let planner = match &cfg.metrics {
-                Some(hub) => BatchPlanner::with_metrics(b, Arc::clone(hub)),
-                None => BatchPlanner::new(b),
-            };
-            match &cfg.events {
-                Some(j) => planner.with_events(Arc::clone(j)),
-                None => planner,
-            }
-        });
         let mut serve = Serve {
             market,
             catalog,
             state,
             coalescer,
-            batcher,
             clock,
             cfg,
         };
@@ -285,7 +266,6 @@ impl Serve {
             market: &self.market,
             state: &self.state,
             coalescer: self.cfg.coalesce.then_some(&self.coalescer),
-            batcher: self.batcher.as_ref(),
         }
     }
 
@@ -297,8 +277,8 @@ impl Serve {
     }
 
     /// Run one analyzed query through the paper's Figure 3
-    /// ([`payless_exec::pipeline`]) with this layer's coalescer and batch
-    /// planner attached: tick the clock, journal the query's start, run,
+    /// ([`payless_exec::pipeline`]) with this layer's coalescer attached:
+    /// tick the clock, journal the query's start, run,
     /// drain `recorder`, journal what the query spent — on the error path
     /// too — and time it into the metrics hub. `trace` turns on the
     /// optimizer's per-operator introspection, and with it the plan-time
@@ -444,12 +424,6 @@ pub fn run_mix(serve: &Serve, mix: &[MixItem], templates: &[SelectStmt]) -> Resu
         threads,
         serve.cfg.metrics.clone(),
     );
-    if let Some(b) = &serve.batcher {
-        // Batch settlements attribute pages to queries that have not
-        // completed yet; the watchdog's drift bound must allow exactly
-        // that much (see `watchdog.rs`).
-        dog = dog.with_deferred(b.deferred_handle());
-    }
     if let Some(j) = &serve.cfg.events {
         dog = dog.with_events(Arc::clone(j));
     }
@@ -498,7 +472,6 @@ pub fn run_mix(serve: &Serve, mix: &[MixItem], templates: &[SelectStmt]) -> Resu
     Ok(ServeReport {
         threads: threads as u64,
         coalesce: serve.cfg.coalesce,
-        batch: serve.cfg.batch.is_some(),
         watchdog_samples: dog_report.samples,
         watchdog_max_drift_pages: dog_report.max_drift_pages,
         watchdog_tables: dog_report.last_sample,

@@ -10,7 +10,7 @@ use payless_workload::QuerySpend;
 use crate::watchdog::TableDrift;
 
 /// What a query's private recorder says it spent: the ledger totals the
-/// call layer booked plus the coalescing and batching counters.
+/// call layer booked plus the coalescing counters.
 pub fn query_spend(snap: &TelemetrySnapshot) -> QuerySpend {
     QuerySpend {
         pages: snap.total_pages(),
@@ -19,8 +19,6 @@ pub fn query_spend(snap: &TelemetrySnapshot) -> QuerySpend {
         price: snap.total_price(),
         coalesce_waits: snap.counter("coalesce.waits"),
         saved_pages: snap.counter("coalesce.saved_pages"),
-        batch_joins: snap.counter("batch.joins"),
-        shared_pages: snap.counter("batch.shared_pages"),
     }
 }
 
@@ -139,8 +137,6 @@ pub struct ServeReport {
     pub page_size: u64,
     /// Was single-flight coalescing on?
     pub coalesce: bool,
-    /// Was batched cross-query purchasing on?
-    pub batch: bool,
     /// Fault-injection seed, if the market was fault-injected (caller).
     pub fault_seed: Option<u64>,
     /// Total result rows across queries.
@@ -157,10 +153,6 @@ pub struct ServeReport {
     pub coalesce_waits: u64,
     /// Estimated pages avoided by coalescing waits.
     pub saved_pages: u64,
-    /// Total batch joins across queries.
-    pub batch_joins: u64,
-    /// Σ per-query shared-batch attribution shares.
-    pub shared_pages: u64,
     /// Market calls in the meter delta.
     pub meter_calls: u64,
     /// Meter transaction (page) delta — the seller's view of the bill.
@@ -208,8 +200,6 @@ impl ServeReport {
             total_price: per_query.iter().fold(0.0, |a, q| a + q.spend.price),
             coalesce_waits: sum(|s| s.coalesce_waits),
             saved_pages: sum(|s| s.saved_pages),
-            batch_joins: sum(|s| s.batch_joins),
-            shared_pages: sum(|s| s.shared_pages),
             meter_calls: meter_delta.0,
             meter_transactions: meter_delta.1,
             meter_records: meter_delta.2,
@@ -237,7 +227,6 @@ impl ToJson for ServeReport {
             ("queries", self.queries.to_json()),
             ("page_size", self.page_size.to_json()),
             ("coalesce", Json::Bool(self.coalesce)),
-            ("batch", Json::Bool(self.batch)),
             (
                 "fault_seed",
                 match self.fault_seed {
@@ -252,8 +241,6 @@ impl ToJson for ServeReport {
             ("total_price", self.total_price.to_json()),
             ("coalesce_waits", self.coalesce_waits.to_json()),
             ("saved_pages", self.saved_pages.to_json()),
-            ("batch_joins", self.batch_joins.to_json()),
-            ("shared_pages", self.shared_pages.to_json()),
             ("meter_calls", self.meter_calls.to_json()),
             ("meter_transactions", self.meter_transactions.to_json()),
             ("meter_records", self.meter_records.to_json()),
@@ -300,7 +287,6 @@ mod tests {
             queries: 2,
             page_size: 1,
             coalesce: true,
-            batch: true,
             fault_seed: Some(7),
             total_rows: 10,
             total_pages: 12,
@@ -309,8 +295,6 @@ mod tests {
             total_price: 0.6,
             coalesce_waits: 1,
             saved_pages: 3,
-            batch_joins: 2,
-            shared_pages: 4,
             meter_calls: 5,
             meter_transactions: 12,
             meter_records: 14,
@@ -343,8 +327,6 @@ mod tests {
                     price: 0.3,
                     coalesce_waits: 1,
                     saved_pages: 3,
-                    batch_joins: 2,
-                    shared_pages: 4,
                 },
                 wall_nanos: 5_500,
             }],
@@ -360,7 +342,6 @@ mod tests {
                 "queries",
                 "page_size",
                 "coalesce",
-                "batch",
                 "fault_seed",
                 "total_rows",
                 "total_pages",
@@ -369,8 +350,6 @@ mod tests {
                 "total_price",
                 "coalesce_waits",
                 "saved_pages",
-                "batch_joins",
-                "shared_pages",
                 "meter_calls",
                 "meter_transactions",
                 "meter_records",
@@ -412,8 +391,6 @@ mod tests {
                 "price",
                 "coalesce_waits",
                 "saved_pages",
-                "batch_joins",
-                "shared_pages",
                 "wall_nanos",
             ]
         );

@@ -18,20 +18,9 @@
 //! strict mode a violation aborts the mix immediately instead of waiting
 //! for the exit reconciliation. With one worker thread there is no
 //! in-flight spend at sample time, so the *serial check* additionally
-//! requires zero drift at every sample.
-//!
-//! **Batched purchasing.** A batch leader charges the meter once and
-//! settles shares onto members whose queries have *not completed yet* —
-//! spend that is neither in flight nor attributed, and that would trip the
-//! serial check even single-threaded. The planner tracks
-//! exactly those pages in a deferred register
-//! ([`payless_exec::BatchPlanner::deferred_handle`], incremented *before*
-//! any member share becomes visible); [`Watchdog::with_deferred`] attaches
-//! it, the serial check then permits `drift ≤ deferred`, and
-//! [`Watchdog::note_query`] drains each completed member's settled pages
-//! (`batch.settled_pages`) back off the register. The over-attribution
-//! checks are untouched: a share is distributed only after its meter
-//! charge, so `attributed ≤ meter` still always holds.
+//! requires zero drift at every sample. Every page is attributed to the
+//! query that bought it (a coalescing waiter buys nothing and is billed
+//! nothing), so no spend outlives its query.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,7 +45,7 @@ pub struct TableDrift {
 }
 
 impl TableDrift {
-    /// Pages billed but not yet attributed (in-flight or deferred spend).
+    /// Pages billed but not yet attributed (in-flight spend).
     pub fn drift_pages(&self) -> u64 {
         self.meter_pages.saturating_sub(self.attributed_pages)
     }
@@ -112,9 +101,6 @@ pub struct Watchdog<'a> {
     completed: AtomicU64,
     samples: AtomicU64,
     max_drift: AtomicU64,
-    /// Pages settled onto batch members that have not completed yet —
-    /// drift the serial check must allow (see module docs).
-    deferred: Option<Arc<AtomicU64>>,
     hub: Option<Arc<MetricsHub>>,
     /// Flight recorder: every sample is journaled, and a violation becomes
     /// an error event before it aborts anything.
@@ -154,20 +140,10 @@ impl<'a> Watchdog<'a> {
             completed: AtomicU64::new(0),
             samples: AtomicU64::new(0),
             max_drift: AtomicU64::new(0),
-            deferred: None,
             hub,
             events: None,
             last_sample: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Attach a batch planner's deferred-pages register: spend settled
-    /// onto still-running batch members, which the serial drift check
-    /// must tolerate and which each completing member drains via its
-    /// `batch.settled_pages` counter.
-    pub fn with_deferred(mut self, deferred: Arc<AtomicU64>) -> Self {
-        self.deferred = Some(deferred);
-        self
     }
 
     /// Attach a flight-recorder journal: every reconciliation sample is
@@ -190,23 +166,6 @@ impl<'a> Watchdog<'a> {
         }
         self.attributed
             .fetch_add(snap.total_pages(), Ordering::SeqCst);
-        // A completing batch member's settled pages are attributed now, so
-        // they stop being deferred. The order matters: attribute first,
-        // then drain — a sample in between sees the pages double-counted
-        // on the tolerance side (drift ≤ deferred stays safe), never
-        // missing from both.
-        if let Some(deferred) = &self.deferred {
-            let settled = snap.counter("batch.settled_pages");
-            if settled > 0 {
-                let _ = deferred.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |d| {
-                    Some(d.saturating_sub(settled))
-                });
-                if let Some(hub) = &self.hub {
-                    hub.batch_deferred_pages
-                        .set(deferred.load(Ordering::SeqCst));
-                }
-            }
-        }
         let done = self.completed.fetch_add(1, Ordering::SeqCst) + 1;
         if done.is_multiple_of(self.every) {
             self.sample()?;
@@ -284,19 +243,10 @@ impl<'a> Watchdog<'a> {
             }
         }
         let drift = meter.saturating_sub(attributed);
-        // Pages settled onto batch members whose queries are still running
-        // are legitimately unattributed; only drift beyond that register is
-        // a violation under the serial check.
-        let deferred = self
-            .deferred
-            .as_ref()
-            .map(|d| d.load(Ordering::SeqCst))
-            .unwrap_or(0);
-        if violation.is_none() && self.serial && drift > deferred {
+        if violation.is_none() && self.serial && drift > 0 {
             violation = Some(format!(
-                "single-threaded run sampled drift beyond the batch-deferred register: \
-                 meter delta {meter}, attributed {attributed}, deferred {deferred} \
-                 ({})",
+                "single-threaded run sampled nonzero drift: \
+                 meter delta {meter}, attributed {attributed} ({})",
                 render_breakdown(&rows)
             ));
         }
@@ -306,7 +256,6 @@ impl<'a> Watchdog<'a> {
                 sample: sample_no,
                 attributed_pages: attributed,
                 meter_pages: meter,
-                deferred_pages: deferred,
                 exact: self.serial,
             });
             if let Some(v) = &violation {
@@ -397,9 +346,8 @@ mod tests {
         DataMarket::new(vec![Dataset::new("d")])
     }
 
-    /// A completed query's snapshot: `pages` attributed to table `T`, and
-    /// (for batch members) `settled` pages counted as `batch.settled_pages`.
-    fn snap(pages: u64, settled: u64) -> TelemetrySnapshot {
+    /// A completed query's snapshot: `pages` attributed to table `T`.
+    fn snap(pages: u64) -> TelemetrySnapshot {
         let mut s = TelemetrySnapshot::default();
         if pages > 0 {
             s.ledger.push(TransactionRecord {
@@ -415,56 +363,17 @@ mod tests {
                 at_nanos: 0,
             });
         }
-        if settled > 0 {
-            s.counters.push(("batch.settled_pages", settled));
-        }
         s
-    }
-
-    /// Regression (batched purchasing): a leader charges the meter for the
-    /// whole batch but members' shares are attributed only when *their*
-    /// queries complete. The strict serial check must tolerate exactly that much
-    /// drift — no more — and the register must drain as members finish.
-    #[test]
-    fn deferred_share_pages_are_tolerated_then_drained() {
-        let market = market();
-        let deferred = Arc::new(AtomicU64::new(0));
-        let dog = Watchdog::new(&market, 1, true, 1, None).with_deferred(deferred.clone());
-
-        // Leader buys 10 pages for the batch: 4 its own, 6 settled onto a
-        // still-running sibling (registered before any share is visible).
-        market.meter().charge(&"T".into(), 10, 10);
-        deferred.store(6, Ordering::SeqCst);
-        dog.note_query(&snap(4, 0))
-            .expect("drift equal to the deferred register must pass the serial check");
-
-        // The sibling completes, attributing its 6-page share and draining
-        // the register; drift returns to zero and the run reconciles.
-        dog.note_query(&snap(6, 6)).expect("drained sample");
-        assert_eq!(deferred.load(Ordering::SeqCst), 0);
-        let report = dog.finish();
-        assert_eq!(report.samples, 2);
-        assert_eq!(report.max_drift_pages, 6);
-    }
-
-    #[test]
-    fn drift_beyond_deferred_register_still_flags() {
-        let market = market();
-        let deferred = Arc::new(AtomicU64::new(2));
-        let dog = Watchdog::new(&market, 1, true, 1, None).with_deferred(deferred);
-        market.meter().charge(&"T".into(), 10, 10);
-        let err = dog.note_query(&snap(4, 0)).unwrap_err();
-        assert!(
-            err.to_string().contains("deferred"),
-            "the serial check must flag drift beyond the register: {err}"
-        );
     }
 
     #[test]
     fn serial_check_without_register_flags_any_drift() {
         let market = market();
         let dog = Watchdog::new(&market, 1, true, 1, None);
+        market.meter().charge(&"T".into(), 2, 2);
+        dog.note_query(&snap(2)).expect("zero drift passes");
         market.meter().charge(&"T".into(), 5, 5);
-        assert!(dog.note_query(&snap(2, 0)).is_err());
+        let err = dog.note_query(&snap(2)).unwrap_err();
+        assert!(err.to_string().contains("nonzero drift"), "{err}");
     }
 }

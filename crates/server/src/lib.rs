@@ -59,8 +59,6 @@ pub struct ServerConfig {
     pub coalesce: bool,
     /// Chaos-inject the market at this seed (retries become unlimited).
     pub fault_seed: Option<u64>,
-    /// Cross-query batch purchasing, if enabled.
-    pub batch: Option<payless_serve::BatchConfig>,
     /// Data directory for `wal.log` and `mirror.log`; `None` serves
     /// memory-only.
     pub data_dir: Option<PathBuf>,
@@ -76,7 +74,6 @@ impl Default for ServerConfig {
             scale: 0.02,
             coalesce: true,
             fault_seed: None,
-            batch: None,
             data_dir: None,
             persist: PersistConfig::default(),
         }
@@ -128,9 +125,6 @@ impl ServerConfig {
             .unwrap_or(d.scale),
             coalesce: switch("PAYLESS_COALESCE")?.unwrap_or(d.coalesce),
             fault_seed: int("PAYLESS_FAULT_SEED", 0)?,
-            batch: switch("PAYLESS_BATCH")?
-                .unwrap_or(false)
-                .then(payless_serve::BatchConfig::default),
             data_dir: get("PAYLESS_DATA_DIR").map(Into::into),
             persist: PersistConfig {
                 crash_after_appends: int("PAYLESS_CRASH_AFTER", 1)?,
@@ -183,7 +177,6 @@ impl Server {
             },
             metrics: Some(Arc::clone(&hub)),
             events: Some(Arc::clone(&journal)),
-            batch: cfg.batch,
             ..ServeConfig::default()
         };
         let build =
@@ -448,7 +441,6 @@ fn report(shared: &Arc<Shared>) -> Response {
     Response::json(&Json::obj([
         ("page_size", Json::Int(shared.cfg.page_size as i64)),
         ("coalesce", Json::Bool(shared.cfg.coalesce)),
-        ("batch", Json::Bool(shared.cfg.batch.is_some())),
         (
             "fault_seed",
             match shared.cfg.fault_seed {
@@ -542,12 +534,6 @@ mod tests {
             c
         };
         for (name, value, want) in [
-            (
-                "PAYLESS_BATCH",
-                "1",
-                with(|c| c.batch = Some(payless_serve::BatchConfig::default())),
-            ),
-            ("PAYLESS_BATCH", "0", with(|_| ())),
             ("PAYLESS_COALESCE", "0", with(|c| c.coalesce = false)),
             ("PAYLESS_COALESCE", "1", with(|_| ())),
             ("PAYLESS_FAULT_SEED", "0", with(|c| c.fault_seed = Some(0))),
@@ -573,7 +559,6 @@ mod tests {
             ("PAYLESS_FAULT_SEED", "seven"),
             ("PAYLESS_COALESCE", "false"),
             ("PAYLESS_COALESCE", "2"),
-            ("PAYLESS_BATCH", "on"),
         ] {
             let err = lookup(&[(name, value)]).expect_err(name);
             assert!(

@@ -12,7 +12,6 @@
 //! | `PAYLESS_PAGE`              | market page size in records (>= 1)       | 1              |
 //! | `PAYLESS_SCALE`             | WHW generator scale (finite, > 0)        | 0.02           |
 //! | `PAYLESS_COALESCE`          | `0` disables single-flight coalescing    | 1              |
-//! | `PAYLESS_BATCH`             | `1` enables cross-query batch purchasing (`BatchConfig::default()`) | 0 |
 //! | `PAYLESS_FAULT_SEED`        | chaos-inject the market at this seed     | unset          |
 //! | `PAYLESS_CRASH_AFTER`       | abort on the N-th WAL append, N >= 1 (tests) | unset      |
 

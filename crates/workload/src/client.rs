@@ -26,7 +26,7 @@ use crate::mix::{drive, MixItem};
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// What one query spent — the wire contract of `/v1/query`: the server
-/// writes these eight facts as `X-Payless-*` headers, the client parses
+/// writes these six facts as `X-Payless-*` headers, the client parses
 /// them back, and the serve report carries them per query under the same
 /// names as flat JSON keys. `QuerySpend::facts` is the one list of them.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -43,11 +43,6 @@ pub struct QuerySpend {
     pub coalesce_waits: u64,
     /// Estimated pages those waits avoided buying.
     pub saved_pages: u64,
-    /// Times this query parked a remainder in a purchase batch.
-    pub batch_joins: u64,
-    /// Pages of this query's spend that came from a shared (≥2-member)
-    /// batch purchase — its exact attribution share, not the batch total.
-    pub shared_pages: u64,
 }
 
 /// A spend fact's number: `u64` counts and `f64` dollars alike go on the
@@ -66,7 +61,7 @@ impl<T: ToString + ToJson + std::str::FromStr> Fact for T {
 impl QuerySpend {
     /// Every spend fact in wire order: header name, JSON key, the number.
     #[rustfmt::skip]
-    fn facts(&mut self) -> [(&'static str, &'static str, &mut dyn Fact); 8] {
+    fn facts(&mut self) -> [(&'static str, &'static str, &mut dyn Fact); 6] {
         [
             ("X-Payless-Pages",          "pages",          &mut self.pages),
             ("X-Payless-Wasted-Pages",   "wasted_pages",   &mut self.wasted_pages),
@@ -74,8 +69,6 @@ impl QuerySpend {
             ("X-Payless-Price",          "price",          &mut self.price),
             ("X-Payless-Coalesce-Waits", "coalesce_waits", &mut self.coalesce_waits),
             ("X-Payless-Saved-Pages",    "saved_pages",    &mut self.saved_pages),
-            ("X-Payless-Batch-Joins",    "batch_joins",    &mut self.batch_joins),
-            ("X-Payless-Shared-Pages",   "shared_pages",   &mut self.shared_pages),
         ]
     }
 
@@ -333,8 +326,6 @@ mod tests {
         price: 0.25,
         coalesce_waits: 2,
         saved_pages: 3,
-        batch_joins: 1,
-        shared_pages: 2,
     };
 
     /// What `payless-server` puts on a `/v1/query` answer that spent

@@ -71,7 +71,7 @@ pub fn serve_mix(
 }
 
 /// Build a mix whose clients hammer one shared hot pool — the shape that
-/// rewards batched cross-query purchasing.
+/// rewards sharing purchases across concurrent queries.
 ///
 /// Unlike [`serve_mix`], the schedule is parameterised by queries *per
 /// client*, and two properties hold by construction:
@@ -82,12 +82,12 @@ pub fn serve_mix(
 /// * every client draws from the same pool, so the union of regions the
 ///   mix touches saturates while total queries grow linearly with the
 ///   client count. Spend per query therefore falls as clients are added —
-///   the curve `tests/batch_purchasing.rs` pins
+///   the curve `tests/serve_concurrency.rs` pins
 ///   (`spend_per_query_falls_as_clients_share_the_hot_pool`).
 ///
 /// Items are round-robin interleaved into global submission order, so
-/// neighbouring queries belong to different clients and a batching window
-/// sees cross-client remainders together.
+/// neighbouring queries belong to different clients and overlapping
+/// purchases are in flight together, where the coalescer shares them.
 pub fn overlapping_mix(
     workload: &dyn QueryWorkload,
     templates: &[usize],

@@ -2,16 +2,16 @@
 //!
 //! The journal's per-query provenance must be *accounting-grade*: summing
 //! the billed pages over a query's reconstructed provenance tree
-//! (non-batch `call_delivered` + billed `call_failed` + `batch_share`
-//! events) must equal the query's spend-ledger total, and Σ over all
-//! queries must equal the billing meter's delta — clean and under the
-//! pinned chaos seed, serial and 4-thread, batch purchasing on and off.
+//! (`call_delivered` + billed `call_failed` events) must equal the query's
+//! spend-ledger total, and Σ over all queries must equal the billing
+//! meter's delta — clean and under the pinned chaos seed, serial and
+//! 4-thread.
 //!
 //! A second family of checks asserts causal closure of waste: every event
 //! that carries billed waste (a delivered call's truncation overhead, a
-//! billed failure, a batch member's wasted share) must be reachable from
-//! an explicit fault event (`call_fault` / `call_truncated`) through its
-//! call or batch id. No page of waste appears out of thin air.
+//! billed failure) must be reachable from an explicit fault event
+//! (`call_fault` / `call_truncated`) through its call id. No page of waste
+//! appears out of thin air.
 
 mod common;
 
@@ -23,7 +23,7 @@ use payless_core::{Mode, PayLess};
 use payless_events::{provenance, render_provenance, Event, EventJournal, EventKind};
 use payless_exec::RetryPolicy;
 use payless_market::{FaultInjector, FaultKind, FaultPlan};
-use payless_serve::{run_mix, BatchConfig, Serve, ServeConfig, ServeReport};
+use payless_serve::{run_mix, Serve, ServeConfig, ServeReport};
 use payless_workload::{serve_mix, MixItem, QueryWorkload, RealWorkload};
 
 /// Single-table WHW templates, as in `serve_concurrency.rs`.
@@ -39,7 +39,6 @@ fn run_journaled(
     w: &RealWorkload,
     mix: &[MixItem],
     threads: usize,
-    batch: Option<BatchConfig>,
     fault_seed: Option<u64>,
     retry: RetryPolicy,
 ) -> (Result<ServeReport, payless_types::PaylessError>, Vec<Event>) {
@@ -52,7 +51,6 @@ fn run_journaled(
     let cfg = ServeConfig {
         threads,
         retry,
-        batch,
         events: Some(Arc::clone(&journal)),
         ..ServeConfig::default()
     };
@@ -154,8 +152,7 @@ fn assert_query_done_matches_provenance(events: &[Event], queries: u64) -> (u64,
 }
 
 /// Causal closure of waste: every waste-carrying event must trace back to
-/// an explicit fault event through its call id (or, for batch shares,
-/// through a batch-tagged waste-carrying call).
+/// an explicit fault event through its call id.
 fn assert_waste_reachable_from_faults(events: &[Event]) {
     let has_fault_for_call = |call: u64| {
         events.iter().any(|e| {
@@ -187,35 +184,6 @@ fn assert_waste_reachable_from_faults(events: &[Event]) {
                     "call {call} billed-and-failed but journaled no fault"
                 );
             }
-            EventKind::BatchShare {
-                batch,
-                wasted_pages,
-                ..
-            } if *wasted_pages > 0 => {
-                // The share's waste is a split of some batch-tagged call's
-                // waste; that call must itself trace to a fault.
-                let source = events.iter().find_map(|s| match &s.kind {
-                    EventKind::CallDelivered {
-                        call,
-                        wasted_pages,
-                        batch: Some(b),
-                        ..
-                    } if *b == *batch && *wasted_pages > 0 => Some(*call),
-                    EventKind::CallFailed {
-                        call,
-                        billed: true,
-                        batch: Some(b),
-                        ..
-                    } if *b == *batch => Some(*call),
-                    _ => None,
-                });
-                let source = source
-                    .unwrap_or_else(|| panic!("batch {batch} share waste has no source call"));
-                assert!(
-                    has_fault_for_call(source),
-                    "batch {batch} waste source call {source} journaled no fault"
-                );
-            }
             _ => {}
         }
     }
@@ -226,24 +194,18 @@ fn provenance_is_exact_clean_and_chaos_serial_and_parallel() {
     let w = tiny_workload(3);
     let mix = serve_mix(&w, &TEMPLATES, 4, 16, CHAOS_SEED);
     for threads in [1usize, 4] {
-        for batch in [None, Some(BatchConfig::default())] {
-            for fault_seed in [None, Some(CHAOS_SEED)] {
-                let retry = if fault_seed.is_some() {
-                    RetryPolicy::unlimited()
-                } else {
-                    RetryPolicy::default()
-                };
-                let (out, events) = run_journaled(&w, &mix, threads, batch, fault_seed, retry);
-                let report = out.unwrap_or_else(|e| {
-                    panic!(
-                        "mix must succeed (threads {threads}, batch {}, \
-                         fault {fault_seed:?}): {e}",
-                        batch.is_some()
-                    )
-                });
-                assert_provenance_exact(&report, &events);
-                assert_waste_reachable_from_faults(&events);
-            }
+        for fault_seed in [None, Some(CHAOS_SEED)] {
+            let retry = if fault_seed.is_some() {
+                RetryPolicy::unlimited()
+            } else {
+                RetryPolicy::default()
+            };
+            let (out, events) = run_journaled(&w, &mix, threads, fault_seed, retry);
+            let report = out.unwrap_or_else(|e| {
+                panic!("mix must succeed (threads {threads}, fault {fault_seed:?}): {e}")
+            });
+            assert_provenance_exact(&report, &events);
+            assert_waste_reachable_from_faults(&events);
         }
     }
     // The single-tenant session runs the same pipeline, and Download All's
@@ -308,7 +270,7 @@ fn failed_served_query_journals_its_spend() {
 fn every_query_row_has_a_journaled_lifecycle() {
     let w = tiny_workload(3);
     let mix = serve_mix(&w, &TEMPLATES, 3, 12, 7);
-    let (out, events) = run_journaled(&w, &mix, 4, None, None, RetryPolicy::default());
+    let (out, events) = run_journaled(&w, &mix, 4, None, RetryPolicy::default());
     let report = out.expect("clean mix succeeds");
     for row in &report.per_query {
         assert!(row.query_id > 0, "run_mix must surface the causal id");
@@ -328,16 +290,15 @@ mod random_schedules {
     use proptest::prelude::*;
 
     proptest! {
-        /// Random K-client chaos schedules, batch on and off, limited
-        /// retries (so `BilledAndFailed` outcomes actually escape): every
-        /// waste share in the journal is reachable from a fault event, and
-        /// when the mix completes its provenance is exact.
+        /// Random K-client chaos schedules, some with limited retries (so
+        /// `BilledAndFailed` outcomes actually escape): all waste in the
+        /// journal is reachable from a fault event, and when the mix
+        /// completes its provenance is exact.
         #[test]
         fn any_schedule_keeps_waste_causally_closed(seed in any::<u64>()) {
             let w = tiny_workload(3);
             let clients = 2 + (seed % 3) as usize; // 2..=4
             let threads = 1 + ((seed >> 2) % 4) as usize; // 1..=4
-            let batch = (seed & 1 == 0).then(BatchConfig::default);
             let queries = 6 + (seed % 5) as usize; // 6..=10
             let mix = serve_mix(&w, &TEMPLATES, clients, queries, seed);
             let retry = if seed & 2 == 0 {
@@ -348,7 +309,7 @@ mod random_schedules {
                 RetryPolicy::default()
             };
             let (out, events) =
-                run_journaled(&w, &mix, threads, batch, Some(seed ^ 0xc0ffee), retry);
+                run_journaled(&w, &mix, threads, Some(seed ^ 0xc0ffee), retry);
             assert_waste_reachable_from_faults(&events);
             if let Ok(report) = out {
                 assert_provenance_exact(&report, &events);

@@ -16,8 +16,11 @@
 //! * the sum of the per-query spend ledgers reconciles exactly
 //!   with the market's billing meter ([`payless_serve::run_mix`] asserts
 //!   this internally on every run, clean and faulted);
+//! * the purchaser pays and waiters ride free: of identical concurrent
+//!   queries exactly one is billed, the rest cost 0 pages;
 //! * `coalesce.saved_pages` is only ever credited to queries that actually
-//!   waited on another query's flight.
+//!   waited on another query's flight;
+//! * spend per query falls as clients sharing one hot pool are added.
 
 mod common;
 
@@ -26,7 +29,7 @@ use common::{assert_same_answers, build_market, prepared, tiny_workload};
 use payless_exec::RetryPolicy;
 use payless_market::{FaultInjector, FaultPlan};
 use payless_serve::{run_mix, Serve, ServeConfig, ServeReport};
-use payless_workload::{serve_mix, MixItem, QueryWorkload, RealWorkload};
+use payless_workload::{overlapping_mix, serve_mix, MixItem, QueryWorkload, RealWorkload};
 
 /// Both single-table WHW templates: Weather country + date range, and the
 /// Pollution rank count. Bind-join templates are excluded on purpose: the
@@ -133,6 +136,39 @@ fn identical_queries_bill_a_coalesced_region_at_most_once() {
         "an identical concurrent query must never re-buy the coalesced region"
     );
     assert_savings_imply_waits(&parallel);
+    // The purchaser pays and the waiters ride free: one query carries the
+    // whole bill, every other one costs nothing, and the per-query bills
+    // add up to what the market delivered.
+    for report in [&serial, &parallel] {
+        let paying = report.per_query.iter().filter(|q| q.spend.pages > 0);
+        assert_eq!(paying.count(), 1, "exactly one query pays");
+        let billed: u64 = report.per_query.iter().map(|q| q.spend.pages).sum();
+        assert_eq!(billed, report.delivered_pages());
+    }
+}
+
+#[test]
+fn spend_per_query_falls_as_clients_share_the_hot_pool() {
+    let w = tiny_workload(3);
+    let per_client = 8;
+    let spend_per_query = |clients: usize| {
+        let mix = overlapping_mix(&w, &TEMPLATES, clients, per_client, 48879);
+        let report = run(&w, &mix, clients.min(4), true, None);
+        report.delivered_pages() as f64 / report.queries as f64
+    };
+    // Every client replays the same-length stream from one seed-pinned hot
+    // pool: queries grow linearly with clients while the union of purchased
+    // regions saturates, so each added client must lower the average.
+    let curve: Vec<(usize, f64)> = [1, 2, 4, 8]
+        .into_iter()
+        .map(|clients| (clients, spend_per_query(clients)))
+        .collect();
+    for pair in curve.windows(2) {
+        assert!(
+            pair[1].1 < pair[0].1,
+            "pages/query must strictly fall as clients share the hot pool: {curve:?}"
+        );
+    }
 }
 
 #[test]
