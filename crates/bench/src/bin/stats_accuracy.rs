@@ -6,12 +6,23 @@
 //! binary issues the real-data workload and, after every few queries, probes
 //! the Weather estimator with random regions, reporting the mean relative
 //! error against ground truth. The error should fall as coverage grows.
+//!
+//! The serving layer always runs the multidimensional statistic; the other
+//! two backends are this binary's comparison controls. It therefore builds
+//! the buyer side itself, over a [`StatsRegistry`] of the chosen backend,
+//! and runs each query through [`pipeline::run_query`] as full PayLess, one
+//! clock tick per query, exactly as `Serve::run` does for a one-client
+//! session.
 
 use std::sync::Arc;
 
 use payless_bench::{env_f64, env_usize};
-use payless_core::{Mode, PayLess, Serve, ServeConfig, StatsBackend};
+use payless_core::Mode;
+use payless_exec::{pipeline, Env, ExecConfig, PipelineConfig, SharedState};
 use payless_geometry::Region;
+use payless_semantic::SemanticStore;
+use payless_sql::{analyze, parse, TableLocation};
+use payless_stats::{StatsBackend, StatsRegistry};
 use payless_types::Value;
 use payless_workload::{build_market, QueryWorkload, RealWorkload, WhwConfig};
 use rand::rngs::StdRng;
@@ -32,16 +43,33 @@ fn main() {
 
 fn run_backend(workload: &RealWorkload, backend: StatsBackend, q: usize) {
     let market = Arc::new(build_market(workload, 100));
-    let cfg = ServeConfig {
-        stats_backend: backend,
-        ..ServeConfig::one_client()
+    let (mut catalog, state) = SharedState::for_market(
+        &market,
+        SemanticStore::new(),
+        StatsRegistry::new().with_backend(backend),
+    );
+    for t in workload.local_tables() {
+        catalog.add(t.schema.clone(), TableLocation::Local);
+        state.register_local(t.clone());
+    }
+    let env = Env {
+        market: &market,
+        state: &state,
+        coalescer: None,
     };
-    let serve = Serve::new(market.clone(), workload.local_tables(), cfg);
-    let mut pl = PayLess::over(serve, Mode::PayLess);
+    let (optimizer, download_all) = Mode::PayLess.preset();
+    let cfg = PipelineConfig {
+        exec: ExecConfig {
+            sqr: optimizer.sqr,
+            ..ExecConfig::default()
+        },
+        optimizer,
+        download_all,
+    };
     let templates: Vec<_> = workload
         .templates()
         .iter()
-        .map(|t| pl.prepare(t).unwrap())
+        .map(|t| parse(t).unwrap())
         .collect();
 
     // Ground truth for Weather: materialize the rows once.
@@ -50,8 +78,7 @@ fn run_backend(workload: &RealWorkload, backend: StatsBackend, q: usize) {
         .iter()
         .find(|t| &*t.schema.table == "Weather")
         .expect("weather table");
-    let space = pl
-        .state()
+    let space = state
         .store()
         .space("Weather")
         .expect("weather is a market table");
@@ -108,8 +135,8 @@ fn run_backend(workload: &RealWorkload, backend: StatsBackend, q: usize) {
         random_probes.push(Region::new(dims));
     }
 
-    let mean_error = |pl: &PayLess, probes: &[Region]| -> f64 {
-        let registry = pl.state().stats_snapshot();
+    let mean_error = |probes: &[Region]| -> f64 {
+        let registry = state.stats_snapshot();
         let stats = registry.table("Weather").unwrap();
         let mut total = 0.0;
         for p in probes {
@@ -128,25 +155,26 @@ fn run_backend(workload: &RealWorkload, backend: StatsBackend, q: usize) {
         "{:>8} {:>18} {:>14}",
         "#queries", "workload probes", "random probes"
     );
-    let report = |pl: &PayLess, issued: usize| {
+    let report = |issued: usize| {
         println!(
             "{:>8} {:>18.3} {:>14.3}",
             issued,
-            mean_error(pl, &workload_probes),
-            mean_error(pl, &random_probes)
+            mean_error(&workload_probes),
+            mean_error(&random_probes)
         );
     };
-    report(&pl, 0);
+    report(0);
     let mut rng = StdRng::seed_from_u64(7);
     let mut issued = 0usize;
     for _ in 0..q {
         for (t, template) in templates.iter().enumerate() {
             let params = workload.sample_params(t, &mut rng);
-            pl.execute_template(template, &params).unwrap();
+            let query = analyze(&template.bind(&params).unwrap(), &catalog).unwrap();
             issued += 1;
+            pipeline::run_query(&env, &query, &cfg, issued as u64).unwrap();
         }
         if issued % 25 < templates.len() {
-            report(&pl, issued);
+            report(issued);
         }
     }
     println!(

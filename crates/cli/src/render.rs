@@ -204,20 +204,13 @@ pub fn render_report(report: &QueryReport) -> String {
 ",
         ));
     }
-    // Estimate accuracy: one line per estimator backend and per table.
+    // Estimate accuracy: one line per table.
     if !report.telemetry.qerrors.is_empty() {
         s.push_str(&format!(
             "q-error: {} estimates scored
 ",
             report.telemetry.qerrors.len(),
         ));
-        for (name, q) in report.q_error_by_estimator() {
-            s.push_str(&format!(
-                "  estimator {:<8} n={} geo-mean {:.2} p50 {:.2} p95 {:.2} max {:.2}
-",
-                name, q.count, q.geo_mean, q.p50, q.p95, q.max,
-            ));
-        }
         for (name, q) in report.q_error_by_table() {
             s.push_str(&format!(
                 "  table {:<12} n={} geo-mean {:.2} p50 {:.2} p95 {:.2} max {:.2}

@@ -71,22 +71,6 @@ impl QueryReport {
         self.ops.iter().map(|o| o.actual.billed_pages()).sum()
     }
 
-    /// Q-error summaries grouped by estimator backend, first-seen order.
-    pub fn q_error_by_estimator(&self) -> Vec<(&'static str, QErrorSummary)> {
-        let mut groups: Vec<(&'static str, QErrorAccumulator)> = Vec::new();
-        for rec in &self.telemetry.qerrors {
-            match groups.iter_mut().find(|(k, _)| *k == rec.estimator) {
-                Some((_, acc)) => acc.record(rec.q),
-                None => {
-                    let mut acc = QErrorAccumulator::new();
-                    acc.record(rec.q);
-                    groups.push((rec.estimator, acc));
-                }
-            }
-        }
-        groups.into_iter().map(|(k, a)| (k, a.summary())).collect()
-    }
-
     /// Q-error summaries grouped by table, first-seen order.
     pub fn q_error_by_table(&self) -> Vec<(String, QErrorSummary)> {
         let mut groups: Vec<(String, QErrorAccumulator)> = Vec::new();
@@ -154,15 +138,6 @@ impl QueryReport {
                 "q_error",
                 Json::obj([
                     ("samples", (self.telemetry.qerrors.len() as u64).to_json()),
-                    (
-                        "by_estimator",
-                        Json::Arr(
-                            self.q_error_by_estimator()
-                                .into_iter()
-                                .map(|(k, s)| tagged_summary("estimator", k.to_string(), s))
-                                .collect(),
-                        ),
-                    ),
                     (
                         "by_table",
                         Json::Arr(

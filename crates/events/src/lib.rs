@@ -27,9 +27,8 @@
 //!   ever drops events older than that. Worst-case memory is
 //!   `SHARDS × cap` events; evictions are counted in
 //!   [`EventJournal::dropped`].
-//! * **Cheap when disabled.** A disabled journal costs one relaxed atomic
-//!   load per emission site; event payloads are built lazily behind that
-//!   check, so no strings or ids are materialized.
+//! * **Free when absent.** Every attach point holds an
+//!   `Option<Arc<EventJournal>>`; with `None` no payload is built.
 //!
 //! Libraries never read the environment: front ends pass an explicit
 //! [`EventsConfig`].
@@ -459,18 +458,16 @@ fn shard_index() -> usize {
     })
 }
 
-/// The flight recorder. Cheap to share (`Arc`), cheap when disabled (one
-/// relaxed atomic load per emission site), bounded in memory (see crate
-/// docs).
+/// The flight recorder. Cheap to share (`Arc`), bounded in memory (see
+/// crate docs).
 #[derive(Debug)]
 pub struct EventJournal {
-    enabled: AtomicBool,
     seq: AtomicU64,
     epoch: Instant,
     cap: usize,
     dropped: AtomicU64,
     shards: Vec<Mutex<VecDeque<Event>>>,
-    blackbox: Mutex<Option<String>>,
+    blackbox: Option<String>,
     dumped: AtomicBool,
 }
 
@@ -481,36 +478,25 @@ impl Default for EventJournal {
 }
 
 impl EventJournal {
-    /// An enabled journal retaining the newest `cap` events.
+    /// A journal retaining the newest `cap` events, with no black box.
     pub fn new(cap: usize) -> EventJournal {
         EventJournal {
-            enabled: AtomicBool::new(true),
             seq: AtomicU64::new(0),
             epoch: Instant::now(),
             cap: cap.max(1),
             dropped: AtomicU64::new(0),
             shards: (0..SHARDS).map(|_| Mutex::new(VecDeque::new())).collect(),
-            blackbox: Mutex::new(None),
+            blackbox: None,
             dumped: AtomicBool::new(false),
         }
     }
 
     /// Build a shared journal from an explicit config.
     pub fn from_config(cfg: &EventsConfig) -> Arc<EventJournal> {
-        let j = EventJournal::new(cfg.cap);
-        *j.blackbox.lock().unwrap_or_else(PoisonError::into_inner) = cfg.blackbox.clone();
-        Arc::new(j)
-    }
-
-    /// Turn recording on or off. Off, every emission site pays one relaxed
-    /// atomic load and builds nothing.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Is recording on?
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+        Arc::new(EventJournal {
+            blackbox: cfg.blackbox.clone(),
+            ..EventJournal::new(cfg.cap)
+        })
     }
 
     /// Ring capacity (events retained).
@@ -528,24 +514,8 @@ impl EventJournal {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Set (or clear) the black-box dump path.
-    pub fn set_blackbox(&self, path: Option<String>) {
-        *self.blackbox.lock().unwrap_or_else(PoisonError::into_inner) = path;
-    }
-
-    /// The configured black-box dump path, if any.
-    pub fn blackbox_path(&self) -> Option<String> {
-        self.blackbox
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    /// Append one event. `kind` is evaluated only when recording is on.
+    /// Append one event.
     pub fn emit(&self, query: Option<u64>, severity: Severity, kind: impl FnOnce() -> EventKind) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         let kind = kind();
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let at_nanos = self.epoch.elapsed().as_nanos() as u64;
@@ -600,7 +570,7 @@ impl EventJournal {
     /// configured, and a readable error instead of panicking on I/O
     /// failure — this runs on abort/panic paths.
     pub fn dump_blackbox(&self, reason: &str) -> Result<Option<String>, String> {
-        let Some(path) = self.blackbox_path() else {
+        let Some(path) = self.blackbox.clone() else {
             return Ok(None);
         };
         if self.dumped.swap(true, Ordering::SeqCst) {
@@ -931,20 +901,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_journal_records_nothing_and_skips_payload() {
-        let j = EventJournal::new(16);
-        j.set_enabled(false);
-        let mut built = false;
-        j.emit(None, Severity::Info, || {
-            built = true;
-            EventKind::QueryStart
-        });
-        assert!(!built);
-        assert!(j.snapshot().is_empty());
-        assert_eq!(j.recorded(), 0);
-    }
-
-    #[test]
     fn jsonl_lines_are_flat_objects() {
         let j = EventJournal::new(16);
         j.emit(Some(7), Severity::Warn, || EventKind::CallFault {
@@ -1006,8 +962,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("payless-events-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("nested/black.jsonl");
-        let j = EventJournal::new(16);
-        j.set_blackbox(Some(path.to_string_lossy().into_owned()));
+        let j = EventJournal::from_config(&EventsConfig {
+            cap: 16,
+            blackbox: Some(path.to_string_lossy().into_owned()),
+        });
         j.emit(Some(1), Severity::Info, || EventKind::QueryStart);
         let written = j.dump_blackbox("test abort").unwrap();
         assert!(written.is_some());

@@ -3,11 +3,13 @@
 //! execute the plan against the live [`SharedState`] — buying remainders,
 //! storing what arrives, refining the statistics, answering locally.
 //!
-//! Its one caller is `payless_serve::Serve::run`, behind the REPL session
-//! (a one-client `Serve`), the in-process mix and the socket server; they
-//! differ only in the [`Mode`] preset and in whether the [`Env`] carries a
-//! coalescer. [`plan`] is the same pipeline stopped before execution
-//! (`EXPLAIN`, the no-SQR counterfactual): it charges nothing.
+//! Its one serving caller is `payless_serve::Serve::run`, behind the REPL
+//! session (a one-client `Serve`), the in-process mix and the socket
+//! server; they differ only in the [`Mode`] preset and in whether the
+//! [`Env`] carries a coalescer. The `stats_accuracy` binary also calls it
+//! directly, over a statistics registry of its chosen backend. [`plan`] is
+//! the same pipeline stopped before execution (`EXPLAIN`, the no-SQR
+//! counterfactual): it charges nothing.
 
 use std::sync::Arc;
 use std::time::Instant;

@@ -192,10 +192,8 @@ impl SharedState {
         if let Some(ts) = wr(&self.stats).table_mut(table) {
             if let Some(rec) = recorder {
                 let estimate = ts.estimate(&region);
-                let estimator = ts.estimator_label();
                 rec.q_error(|| QErrorRecord {
                     table: table.clone(),
-                    estimator,
                     estimate,
                     actual: records,
                     q: payless_stats::q_error(estimate, records as f64),

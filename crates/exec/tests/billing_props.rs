@@ -182,12 +182,3 @@ proptest! {
         prop_assert!((snap.total_price() - expected_total).abs() < 1e-9);
     }
 }
-
-/// A disabled recorder must not change billing behaviour.
-#[test]
-fn disabled_recorder_leaves_ledger_empty() {
-    let recorder = Arc::new(Recorder::default()); // handed in but disabled
-    let market = run(&[Call::VisitRange(0, 98)], &recorder);
-    assert_eq!(market.bill().transactions(), 2);
-    assert!(recorder.take().ledger.is_empty());
-}

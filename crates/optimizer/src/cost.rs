@@ -6,9 +6,9 @@
 //! "Minimizing Calls" model of the Florescu-et-al. baseline by swapping the
 //! primary to RESTful-call count.
 
+use std::cell::{Cell, OnceCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use payless_geometry::Region;
 use payless_semantic::rewrite::est_transactions;
@@ -70,29 +70,6 @@ impl std::ops::AddAssign for PlanCounters {
         self.boxes_kept += o.boxes_kept;
         self.theorem2_hoisted += o.theorem2_hoisted;
         self.theorem3_composed += o.theorem3_composed;
-    }
-}
-
-/// [`PlanCounters`] as atomics, so counting works through the shared
-/// `&CostCtx` the DP hands to every cost call. All fields are sums.
-#[derive(Debug, Default)]
-struct AtomicPlanCounters {
-    plans_considered: AtomicU64,
-    boxes_enumerated: AtomicU64,
-    boxes_kept: AtomicU64,
-    theorem2_hoisted: AtomicU64,
-    theorem3_composed: AtomicU64,
-}
-
-impl AtomicPlanCounters {
-    fn snapshot(&self) -> PlanCounters {
-        PlanCounters {
-            plans_considered: self.plans_considered.load(Ordering::Relaxed),
-            boxes_enumerated: self.boxes_enumerated.load(Ordering::Relaxed),
-            boxes_kept: self.boxes_kept.load(Ordering::Relaxed),
-            theorem2_hoisted: self.theorem2_hoisted.load(Ordering::Relaxed),
-            theorem3_composed: self.theorem3_composed.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -166,12 +143,14 @@ pub struct CostCtx<'a> {
     /// Required regions per table (one per `AnyOf` alternative combination;
     /// empty for unconstrained... never: at least the full region).
     regions: Vec<Vec<Region>>,
-    counters: AtomicPlanCounters,
+    /// A `Cell` so counting works through the `&CostCtx` the DP hands to
+    /// every cost call.
+    counters: Cell<PlanCounters>,
     /// Per-table cache of the uncovered fraction of the required regions
     /// (the SQR adjustment in `bind_cost`); computing it involves region
     /// subtraction against every stored view, so it must not run once per
-    /// DP candidate. `OnceLock` so it fills through `&self`.
-    uncovered_frac: Vec<OnceLock<f64>>,
+    /// DP candidate. `OnceCell` so it fills through `&self`.
+    uncovered_frac: Vec<OnceCell<f64>>,
 }
 
 /// Cap on `AnyOf` alternative combinations per table.
@@ -219,8 +198,8 @@ impl<'a> CostCtx<'a> {
             model,
             pages,
             regions,
-            counters: AtomicPlanCounters::default(),
-            uncovered_frac: std::iter::repeat_with(OnceLock::new).take(n).collect(),
+            counters: Cell::default(),
+            uncovered_frac: std::iter::repeat_with(OnceCell::new).take(n).collect(),
         })
     }
 
@@ -229,30 +208,31 @@ impl<'a> CostCtx<'a> {
         self.pages[tid]
     }
 
+    /// Update the counters through `&self`.
+    fn bump(&self, f: impl FnOnce(&mut PlanCounters)) {
+        let mut c = self.counters.get();
+        f(&mut c);
+        self.counters.set(c);
+    }
+
     /// Count one candidate plan.
     pub fn count_plan(&self) {
-        self.counters
-            .plans_considered
-            .fetch_add(1, Ordering::Relaxed);
+        self.bump(|c| c.plans_considered += 1);
     }
 
     /// Count relations the Theorem 2 prefix removed from the enumeration.
     pub fn count_theorem2_hoisted(&self, n: u64) {
-        self.counters
-            .theorem2_hoisted
-            .fetch_add(n, Ordering::Relaxed);
+        self.bump(|c| c.theorem2_hoisted += n);
     }
 
     /// Count one subproblem composed via Theorem 3.
     pub fn count_theorem3_composed(&self) {
-        self.counters
-            .theorem3_composed
-            .fetch_add(1, Ordering::Relaxed);
+        self.bump(|c| c.theorem3_composed += 1);
     }
 
-    /// Snapshot of the counters.
+    /// The counters so far.
     pub fn counters(&self) -> PlanCounters {
-        self.counters.snapshot()
+        self.counters.get()
     }
 
     /// Usable stored views of table `tid` overlapping `region`, served from
@@ -383,12 +363,10 @@ impl<'a> CostCtx<'a> {
             if self.sqr {
                 let views = self.views_over(tid, region);
                 let rw = rewrite(ts, page, region, &views, &self.rewrite_cfg);
-                self.counters
-                    .boxes_enumerated
-                    .fetch_add(rw.boxes_enumerated, Ordering::Relaxed);
-                self.counters
-                    .boxes_kept
-                    .fetch_add(rw.boxes_kept, Ordering::Relaxed);
+                self.bump(|c| {
+                    c.boxes_enumerated += rw.boxes_enumerated;
+                    c.boxes_kept += rw.boxes_kept;
+                });
                 tx += rw.est_transactions;
                 calls += rw.remainders.len() as f64;
                 records += rw.remainders.iter().map(|r| ts.estimate(r)).sum::<f64>();

@@ -365,7 +365,7 @@ impl TableStore {
         let (c0, e0) = (self.compactions, self.evictions);
         self.insert(region, now, spend);
         let (c, e) = (self.compactions - c0, self.evictions - e0);
-        if let Some(rec) = rec.filter(|r| r.is_enabled()) {
+        if let Some(rec) = rec {
             if c > 0 {
                 rec.count("store.compactions", c);
             }
@@ -373,7 +373,7 @@ impl TableStore {
                 rec.count("store.evictions", e);
             }
         }
-        if let Some(j) = journal.filter(|j| j.is_enabled()) {
+        if let Some(j) = journal {
             let views = self.live as u64;
             j.emit(None, Severity::Debug, || EventKind::StoreInsert {
                 table: table.to_string(),
@@ -398,7 +398,6 @@ impl TableStore {
     /// The usable views overlapping `probe`, reporting the probe's time,
     /// path and result size into `rec`.
     fn timed_probe(&self, probe: &Region, min: u64, rec: Option<&Recorder>) -> Vec<Arc<Region>> {
-        let rec = rec.filter(|r| r.is_enabled());
         let t0 = rec.map(|_| Instant::now());
         let (out, used_index) = self.probe(probe, min);
         if let (Some(rec), Some(t0)) = (rec, t0) {

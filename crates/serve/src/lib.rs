@@ -37,9 +37,9 @@ use payless_exec::{
 use payless_market::DataMarket;
 use payless_metrics::MetricsHub;
 use payless_optimizer::{Optimized, OptimizerConfig};
-use payless_semantic::{Consistency, SemanticStore, SharedSemanticStore, StoreConfig};
+use payless_semantic::{Consistency, SemanticStore, SharedSemanticStore};
 use payless_sql::{analyze, parse, AnalyzedQuery, MapCatalog, SelectStmt, TableLocation};
-use payless_stats::{StatsBackend, StatsRegistry};
+use payless_stats::StatsRegistry;
 use payless_storage::LocalTable;
 use payless_telemetry::{Recorder, TelemetrySnapshot};
 use payless_types::{Result, Value};
@@ -66,9 +66,6 @@ pub struct ServeConfig {
     pub coalesce: bool,
     /// Store-freshness policy shared by every client.
     pub consistency: Consistency,
-    /// Which updatable statistic backs cardinality estimation (the paper's
-    /// "amenable for any updatable statistic" knob).
-    pub stats_backend: StatsBackend,
     /// Retry/backoff policy for market calls. Fault-injected runs should
     /// use [`RetryPolicy::unlimited`] so every query eventually answers
     /// and runs stay comparable across thread counts.
@@ -77,15 +74,6 @@ pub struct ServeConfig {
     /// call layer, coalescer, shared store, and serving driver all report
     /// into it.
     pub metrics: Option<Arc<MetricsHub>>,
-    /// The reconciliation watchdog samples the billing meter every this
-    /// many completed queries while the mix runs.
-    pub watchdog_every: u64,
-    /// Fail a mix the moment the watchdog sees a violation instead of
-    /// waiting for the exit reconciliation.
-    pub strict_reconcile: bool,
-    /// Shared-store tuning: per-table view cap and compaction toggle.
-    /// Applied to every table shard before the mix starts.
-    pub store: StoreConfig,
     /// Flight recorder shared by every client session: query lifecycle,
     /// call attempts/faults, coalescer claims, store lifecycle, and
     /// watchdog samples all journal here. `None` costs
@@ -99,12 +87,8 @@ impl Default for ServeConfig {
             threads: 1,
             coalesce: true,
             consistency: Consistency::Weak,
-            stats_backend: StatsBackend::default(),
             retry: RetryPolicy::default(),
             metrics: None,
-            watchdog_every: 8,
-            strict_reconcile: false,
-            store: StoreConfig::default(),
             events: None,
         }
     }
@@ -146,20 +130,19 @@ impl Serve {
     /// As [`Serve::new`], but seeding the shared store from `store` — a
     /// warm store recovered from disk, whose coverage the serving layer
     /// keeps honoring so already-purchased regions are never re-bought.
-    /// Market tables missing from `store` are registered fresh, and the
-    /// clock resumes after the last purchase `store` recorded
+    /// `store` keeps its own [`payless_semantic::StoreConfig`]. Market
+    /// tables missing from `store` are registered fresh, and the clock
+    /// resumes after the last purchase `store` recorded
     /// ([`SemanticStore::newest_stored_at`]) — not after the newest
     /// surviving view, which a merge may have dated earlier.
     pub fn with_store(
         market: Arc<DataMarket>,
         locals: &[LocalTable],
         cfg: ServeConfig,
-        mut store: SemanticStore,
+        store: SemanticStore,
     ) -> Self {
         let clock = AtomicU64::new(store.newest_stored_at());
-        store.set_config(cfg.store);
-        let stats = StatsRegistry::new().with_backend(cfg.stats_backend);
-        let (catalog, state) = SharedState::for_market(&market, store, stats);
+        let (catalog, state) = SharedState::for_market(&market, store, StatsRegistry::new());
         let coalescer = match &cfg.metrics {
             Some(hub) => {
                 state.store().attach_metrics(Arc::clone(hub));
@@ -410,20 +393,14 @@ impl Drop for BlackBoxOnPanic<'_> {
 /// injected faults. Panics on reconciliation failure (this is the driver
 /// the serve tests trust); query errors are returned.
 ///
-/// Post-mortem: when the journal has a black-box path configured, a strict
+/// Post-mortem: when the journal has a black-box path configured, a
 /// watchdog abort, a failed query, or a panicking reconciliation dumps the
 /// last events as JSONL before this function returns or unwinds.
 pub fn run_mix(serve: &Serve, mix: &[MixItem], templates: &[SelectStmt]) -> Result<ServeReport> {
     let threads = serve.cfg.threads.max(1);
     let _blackbox_guard = BlackBoxOnPanic(serve.cfg.events.as_deref());
     let meter_before = serve.market.bill();
-    let mut dog = Watchdog::new(
-        &serve.market,
-        serve.cfg.watchdog_every,
-        serve.cfg.strict_reconcile,
-        threads,
-        serve.cfg.metrics.clone(),
-    );
+    let mut dog = Watchdog::new(&serve.market, threads, serve.cfg.metrics.clone());
     if let Some(j) = &serve.cfg.events {
         dog = dog.with_events(Arc::clone(j));
     }
@@ -444,7 +421,7 @@ pub fn run_mix(serve: &Serve, mix: &[MixItem], templates: &[SelectStmt]) -> Resu
         })
     })
     .inspect_err(|e| {
-        // Post-mortem dump: a strict watchdog abort (or any failing query)
+        // Post-mortem dump: a watchdog abort (or any failing query)
         // leaves the journal's last events on disk for `\why`-style
         // analysis. First dump wins; errors writing it never mask `e`.
         if let Some(j) = &serve.cfg.events {

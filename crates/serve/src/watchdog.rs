@@ -1,10 +1,11 @@
 //! Continuous spend reconciliation while a mix is running.
 //!
-//! `run_mix` has always reconciled Σ per-query ledger pages against the
-//! billing meter — but only once, at exit. The [`Watchdog`] moves that
-//! cross-check into the run: every K completed queries it samples the
-//! meter and compares it against the pages attributed so far, globally and
-//! per table.
+//! `run_mix` reconciles Σ per-query ledger pages against the billing meter
+//! at exit. The [`Watchdog`] also cross-checks during the run: after every
+//! completed query it samples the meter and compares it against the pages
+//! attributed so far, globally and per table. A sample is one meter read
+//! and a clone of the per-table map, and the first violation aborts the
+//! mix.
 //!
 //! **Soundness under concurrency.** A sample reads the attributed totals
 //! *before* reading the meter. Every ledger entry corresponds to a meter
@@ -14,13 +15,11 @@
 //! meter` can never legitimately happen — it means double-counted ledger
 //! entries — and is flagged as a violation the moment it is seen.
 //!
-//! Drift is recorded into the metrics hub (`payless_watchdog_*`); under
-//! strict mode a violation aborts the mix immediately instead of waiting
-//! for the exit reconciliation. With one worker thread there is no
-//! in-flight spend at sample time, so the *serial check* additionally
-//! requires zero drift at every sample. Every page is attributed to the
-//! query that bought it (a coalescing waiter buys nothing and is billed
-//! nothing), so no spend outlives its query.
+//! Drift is recorded into the metrics hub (`payless_watchdog_*`). With one
+//! worker thread there is no in-flight spend at sample time, so the
+//! *serial check* additionally requires zero drift at every sample. Every
+//! page is attributed to the query that bought it (a coalescing waiter
+//! buys nothing and is billed nothing), so no spend outlives its query.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -86,11 +85,9 @@ pub struct WatchdogReport {
     pub last_sample: Vec<TableDrift>,
 }
 
-/// Samples `Σ attributed ledger pages == billing meter` every K queries.
+/// Samples `Σ attributed ledger pages == billing meter` after every query.
 pub struct Watchdog<'a> {
     market: &'a DataMarket,
-    every: u64,
-    strict: bool,
     /// One worker thread: no spend can be in flight at a sample, so any
     /// nonzero drift is itself a violation (the serial check).
     serial: bool,
@@ -98,7 +95,6 @@ pub struct Watchdog<'a> {
     base_by_table: HashMap<Arc<str>, u64>,
     attributed: AtomicU64,
     by_table: Mutex<HashMap<Arc<str>, u64>>,
-    completed: AtomicU64,
     samples: AtomicU64,
     max_drift: AtomicU64,
     hub: Option<Arc<MetricsHub>>,
@@ -120,24 +116,15 @@ fn table_pages(report: &payless_market::BillingReport) -> HashMap<Arc<str>, u64>
 
 impl<'a> Watchdog<'a> {
     /// Start watching `market` from its current meter state.
-    pub fn new(
-        market: &'a DataMarket,
-        every: u64,
-        strict: bool,
-        threads: usize,
-        hub: Option<Arc<MetricsHub>>,
-    ) -> Self {
+    pub fn new(market: &'a DataMarket, threads: usize, hub: Option<Arc<MetricsHub>>) -> Self {
         let base = market.bill();
         Watchdog {
             market,
-            every: every.max(1),
-            strict,
             serial: threads <= 1,
             base_pages: base.transactions(),
             base_by_table: table_pages(&base),
             attributed: AtomicU64::new(0),
             by_table: Mutex::new(HashMap::new()),
-            completed: AtomicU64::new(0),
             samples: AtomicU64::new(0),
             max_drift: AtomicU64::new(0),
             hub,
@@ -148,15 +135,15 @@ impl<'a> Watchdog<'a> {
 
     /// Attach a flight-recorder journal: every reconciliation sample is
     /// journaled (`watchdog_sample`), and any violation is journaled as an
-    /// error event before strict mode aborts or `finish` panics — so the
+    /// error event before the mix aborts or `finish` panics — so the
     /// black-box dump always covers the violating sample.
     pub fn with_events(mut self, journal: Arc<EventJournal>) -> Self {
         self.events = Some(journal);
         self
     }
 
-    /// Attribute one finished query's ledger; every K-th completion takes
-    /// a reconciliation sample. Errors only under strict mode.
+    /// Attribute one finished query's ledger, then take a reconciliation
+    /// sample. Errors at the first violation.
     pub fn note_query(&self, snap: &TelemetrySnapshot) -> Result<()> {
         {
             let mut per = self.by_table.lock().unwrap_or_else(|e| e.into_inner());
@@ -166,11 +153,7 @@ impl<'a> Watchdog<'a> {
         }
         self.attributed
             .fetch_add(snap.total_pages(), Ordering::SeqCst);
-        let done = self.completed.fetch_add(1, Ordering::SeqCst) + 1;
-        if done.is_multiple_of(self.every) {
-            self.sample()?;
-        }
-        Ok(())
+        self.sample()
     }
 
     /// Per-table breakdown of one sample: every table the meter or the
@@ -274,10 +257,10 @@ impl<'a> Watchdog<'a> {
             }
         }
         match violation {
-            Some(v) if self.strict => Err(PaylessError::Internal(format!(
-                "reconciliation watchdog (strict): {v}"
+            Some(v) => Err(PaylessError::Internal(format!(
+                "reconciliation watchdog: {v}"
             ))),
-            _ => Ok(()),
+            None => Ok(()),
         }
     }
 
@@ -369,7 +352,7 @@ mod tests {
     #[test]
     fn serial_check_without_register_flags_any_drift() {
         let market = market();
-        let dog = Watchdog::new(&market, 1, true, 1, None);
+        let dog = Watchdog::new(&market, 1, None);
         market.meter().charge(&"T".into(), 2, 2);
         dog.note_query(&snap(2)).expect("zero drift passes");
         market.meter().charge(&"T".into(), 5, 5);

@@ -1,9 +1,10 @@
-//! Per-table statistics registry, with a pluggable backend.
+//! Per-table statistics registry, with a choice of backend.
 //!
 //! The paper (Section 3): "PayLess is indeed amenable for any updatable
 //! statistic. As our focus … is to give a proof-of-concept first solution,
 //! we will test other updatable statistics in place of ISOMER in the next
-//! version." Three backends are provided:
+//! version." Three backends are provided; serving always runs the default,
+//! and the other two are the `stats_accuracy` binary's comparison controls:
 //!
 //! * [`StatsBackend::MultiDim`] — STHoles-style multidimensional buckets
 //!   ([`TableStats`]): exactly consistent with the newest observation,
@@ -91,17 +92,6 @@ impl TableModel {
             TableModel::Multi(m) => m.feedback(region, actual),
             TableModel::PerDim(m) => m.feedback(region, actual),
             TableModel::Isomer(m) => m.feedback(region, actual),
-        }
-    }
-
-    /// Short label naming the estimator backend, matching the registry's
-    /// JSON encoding ("multi" / "per-dim" / "isomer"); used to attribute
-    /// q-error scores to the model that produced the estimate.
-    pub fn estimator_label(&self) -> &'static str {
-        match self {
-            TableModel::Multi(_) => "multi",
-            TableModel::PerDim(_) => "per-dim",
-            TableModel::Isomer(_) => "isomer",
         }
     }
 

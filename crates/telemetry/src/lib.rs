@@ -8,10 +8,10 @@
 //! Design constraints:
 //! - no external dependencies (`std::sync::Mutex`, no `tracing`), so the
 //!   offline build keeps working;
-//! - a disabled [`Recorder`] does **no allocation and takes no lock**: every
-//!   entry point checks one relaxed atomic load and bails;
+//! - a caller that records nothing holds no [`Recorder`] (every attach
+//!   point is an `Option`), so it pays nothing;
 //! - all payload strings are either `&'static str` labels or built lazily
-//!   via closures that only run when recording is on.
+//!   via closures that only run when a recorder is attached.
 
 mod metrics;
 mod recorder;
@@ -158,9 +158,6 @@ impl ToJson for SpanRecord {
 pub struct QErrorRecord {
     /// Table the estimate was for.
     pub table: Arc<str>,
-    /// Statistics backend that produced the estimate ("multi", "per-dim",
-    /// "isomer").
-    pub estimator: &'static str,
     /// Predicted cardinality.
     pub estimate: f64,
     /// Records the market actually delivered.
@@ -174,7 +171,6 @@ impl ToJson for QErrorRecord {
     fn to_json(&self) -> Json {
         Json::obj([
             ("table", self.table.to_json()),
-            ("estimator", Json::str(self.estimator)),
             ("estimate", self.estimate.to_json()),
             ("actual", self.actual.to_json()),
             ("q", self.q.to_json()),

@@ -1,26 +1,20 @@
 use crate::metrics::Histogram;
 use crate::{CallKind, QErrorRecord, SpanRecord, SqrStats, TelemetrySnapshot, TransactionRecord};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Thread-safe telemetry sink shared by every layer of the pipeline.
 ///
-/// A recorder starts disabled. While disabled, every entry point returns
-/// after a single relaxed atomic load — no lock, no allocation — so leaving
-/// a recorder attached costs nearly nothing. Detail strings and transaction
-/// records are built inside closures that only run when enabled.
+/// A recorder always records; a caller that wants no telemetry holds none
+/// (every attach point is an `Option`).
 pub struct Recorder {
-    enabled: AtomicBool,
     inner: Mutex<Inner>,
 }
 
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Recorder")
-            .field("enabled", &self.is_enabled())
-            .finish_non_exhaustive()
+        f.debug_struct("Recorder").finish_non_exhaustive()
     }
 }
 
@@ -56,36 +50,17 @@ impl Default for Inner {
     }
 }
 
-impl Default for Recorder {
-    fn default() -> Self {
-        Recorder {
-            enabled: AtomicBool::new(false),
-            inner: Mutex::new(Inner::default()),
-        }
-    }
-}
-
 impl Recorder {
-    /// A recorder that is already enabled.
+    /// A fresh, empty recorder. (The name predates the removed off-switch;
+    /// `benchmark/` imports it.)
     pub fn enabled() -> Arc<Recorder> {
-        let rec = Recorder::default();
-        rec.set_enabled(true);
-        Arc::new(rec)
+        Arc::new(Recorder {
+            inner: Mutex::new(Inner::default()),
+        })
     }
 
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    fn with_inner<R>(&self, f: impl FnOnce(&mut Inner) -> R) -> Option<R> {
-        if !self.is_enabled() {
-            return None;
-        }
-        Some(f(&mut self.inner.lock().expect("telemetry poisoned")))
+    fn with_inner<R>(&self, f: impl FnOnce(&mut Inner) -> R) -> R {
+        f(&mut self.inner.lock().expect("telemetry poisoned"))
     }
 
     /// Append a market transaction to the spend ledger. The record is built
@@ -141,40 +116,29 @@ impl Recorder {
     }
 
     /// Open a timed span; the span records itself when the guard drops.
-    /// `detail` runs only when recording is on.
     pub fn span(
         self: &Arc<Self>,
         label: &'static str,
         detail: impl FnOnce() -> Option<String>,
     ) -> SpanGuard {
-        match self.with_inner(|inner| {
+        let (start_seq, start_nanos) = self.with_inner(|inner| {
             let seq = inner.span_seq;
             inner.span_seq += 1;
             (seq, inner.epoch.elapsed().as_nanos() as u64)
-        }) {
-            Some((seq, start_nanos)) => SpanGuard {
-                recorder: Some(self.clone()),
-                label,
-                detail: detail(),
-                start_seq: seq,
-                start_nanos,
-                start: Instant::now(),
-            },
-            None => SpanGuard {
-                recorder: None,
-                label,
-                detail: None,
-                start_seq: 0,
-                start_nanos: 0,
-                start: Instant::now(),
-            },
+        });
+        SpanGuard {
+            recorder: Arc::clone(self),
+            label,
+            detail: detail(),
+            start_seq,
+            start_nanos,
+            start: Instant::now(),
         }
     }
 
     /// Start a fresh per-query epoch: drop everything recorded so far and
-    /// reset the timestamp origin. Unlike [`Recorder::take`] this drains
-    /// **even while disabled**, so records left behind by an aborted or
-    /// untraced query can never leak into the next query's snapshot (the
+    /// reset the timestamp origin, so records left behind by an aborted
+    /// query can never leak into the next query's snapshot (the
     /// wasted/delivered page partition must be per-query). The call-kind
     /// context survives.
     pub fn begin_epoch(&self) {
@@ -185,17 +149,12 @@ impl Recorder {
     }
 
     /// Drain everything recorded so far, resetting for the next query.
-    /// The current call-kind context survives the drain. Draining happens
-    /// even while disabled (discarding any leftovers); the returned snapshot
-    /// is only populated when enabled.
+    /// The current call-kind context survives the drain.
     pub fn take(&self) -> TelemetrySnapshot {
         let mut inner = self.inner.lock().expect("telemetry poisoned");
         let kind = inner.call_kind;
         let drained = std::mem::take(&mut *inner);
         inner.call_kind = kind;
-        if !self.is_enabled() {
-            return TelemetrySnapshot::default();
-        }
         TelemetrySnapshot {
             ledger: drained.ledger,
             sqr: drained.sqr,
@@ -218,7 +177,7 @@ impl Recorder {
 
 /// Drop guard returned by [`Recorder::span`].
 pub struct SpanGuard {
-    recorder: Option<Arc<Recorder>>,
+    recorder: Arc<Recorder>,
     label: &'static str,
     detail: Option<String>,
     start_seq: u64,
@@ -228,18 +187,16 @@ pub struct SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some(rec) = self.recorder.take() {
-            let nanos = self.start.elapsed().as_nanos() as u64;
-            rec.with_inner(|inner| {
-                inner.spans.push(SpanRecord {
-                    start_seq: self.start_seq,
-                    label: self.label,
-                    detail: self.detail.take(),
-                    start_nanos: self.start_nanos,
-                    nanos,
-                });
+        let nanos = self.start.elapsed().as_nanos() as u64;
+        self.recorder.with_inner(|inner| {
+            inner.spans.push(SpanRecord {
+                start_seq: self.start_seq,
+                label: self.label,
+                detail: self.detail.take(),
+                start_nanos: self.start_nanos,
+                nanos,
             });
-        }
+        });
     }
 }
 
@@ -248,22 +205,6 @@ impl Drop for SpanGuard {
 #[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn disabled_recorder_records_nothing() {
-        let rec = Arc::new(Recorder::default());
-        rec.count("x", 1);
-        rec.sqr_miss();
-        rec.transaction(|| panic!("must not be built while disabled"));
-        {
-            let _g = rec.span("s", || panic!("must not be built while disabled"));
-        }
-        let snap = rec.take();
-        assert!(snap.ledger.is_empty());
-        assert!(snap.spans.is_empty());
-        assert!(snap.counters.is_empty());
-        assert_eq!(snap.sqr, SqrStats::default());
-    }
 
     #[test]
     fn enabled_recorder_captures_and_drains() {
@@ -332,18 +273,15 @@ mod tests {
     }
 
     #[test]
-    fn begin_epoch_discards_leftovers_even_while_disabled() {
-        // A traced query that aborts mid-flight leaves its records in the
-        // buffer; toggling tracing off must not preserve them for the next
-        // traced query.
+    fn begin_epoch_discards_leftovers() {
+        // A query that aborts mid-flight leaves its records in the buffer;
+        // the next query's epoch must not carry them.
         let rec = Recorder::enabled();
         rec.set_call_kind(CallKind::Download);
         rec.transaction(dummy_tx);
         rec.count("stale", 1);
-        rec.set_enabled(false);
 
-        rec.begin_epoch(); // what every query start does, traced or not
-        rec.set_enabled(true);
+        rec.begin_epoch(); // what every query start does
         let snap = rec.take();
         assert!(snap.ledger.is_empty(), "stale ledger entry leaked");
         assert!(snap.counters.is_empty(), "stale counter leaked");
@@ -352,19 +290,6 @@ mod tests {
         // The call-kind context survives an epoch boundary.
         rec.transaction(dummy_tx);
         assert_eq!(rec.take().ledger[0].kind, CallKind::Download);
-    }
-
-    #[test]
-    fn take_drains_even_while_disabled() {
-        let rec = Recorder::enabled();
-        rec.transaction(dummy_tx);
-        rec.set_enabled(false);
-        assert!(rec.take().ledger.is_empty());
-        rec.set_enabled(true);
-        assert!(
-            rec.take().ledger.is_empty(),
-            "disabled take must still drain"
-        );
     }
 
     #[test]
@@ -387,19 +312,14 @@ mod tests {
         let rec = Recorder::enabled();
         rec.q_error(|| QErrorRecord {
             table: Arc::from("T"),
-            estimator: "per-dim",
             estimate: 50.0,
             actual: 100,
             q: 2.0,
         });
         let snap = rec.take();
         assert_eq!(snap.qerrors.len(), 1);
-        assert_eq!(snap.qerrors[0].estimator, "per-dim");
+        assert_eq!(snap.qerrors[0].q, 2.0);
         assert!(rec.take().qerrors.is_empty());
-
-        // Disabled recorders never build the record.
-        rec.set_enabled(false);
-        rec.q_error(|| panic!("must not be built while disabled"));
     }
 
     #[test]

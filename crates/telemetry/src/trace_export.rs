@@ -78,7 +78,7 @@ impl ChromeTraceBuilder {
             self.events.push(Json::obj(fields));
         }
         for q in &snap.qerrors {
-            let label = format!("q-error {} ({})", q.table, q.estimator);
+            let label = format!("q-error {}", q.table);
             // q-errors carry no stamp of their own; anchor them at the lane
             // end so they read as post-hoc scores.
             let at = snap.ledger.last().map(|t| t.at_nanos).unwrap_or_default();
@@ -129,7 +129,6 @@ mod tests {
             }],
             qerrors: vec![QErrorRecord {
                 table: Arc::from("Weather"),
-                estimator: "multi",
                 estimate: 200.0,
                 actual: 250,
                 q: 1.25,

@@ -218,14 +218,13 @@ mod props {
                 seed: 5,
             });
             let market = Arc::new(build_market(&w, 1));
-            let cfg = ServeConfig {
-                store: StoreConfig {
+            let build = |mut store: SemanticStore| {
+                store.set_config(StoreConfig {
                     max_views: 4,
                     compaction: true,
-                },
-                ..ServeConfig::default()
+                });
+                Serve::with_store(market.clone(), w.local_tables(), ServeConfig::default(), store)
             };
-            let build = |store| Serve::with_store(market.clone(), w.local_tables(), cfg, store);
             let (serve, durable) =
                 recover(&dir, PersistConfig::default(), &market, build).unwrap();
             for _ in 0..2 {

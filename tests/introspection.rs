@@ -1,5 +1,5 @@
 //! Plan-introspection acceptance suite: estimate-vs-actual operator traces,
-//! q-error scoring across statistics backends, Chrome-trace export, and the
+//! q-error scoring, Chrome-trace export, and the
 //! page-attribution invariant (Σ per-operator billed pages == the query's
 //! telemetry ledger total), including under injected market faults.
 
@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use payless_core::{
     ChromeTraceBuilder, DataMarket, FaultInjector, FaultPlan, Mode, PayLess, RetryPolicy, Serve,
-    ServeConfig, StatsBackend,
+    ServeConfig,
 };
 use payless_json::{Json, ToJson};
 use payless_workload::{
@@ -120,40 +120,6 @@ fn explain_analyze_mixes_bind_join_sqr_and_local_scan() {
     );
     for q in &report.telemetry.qerrors {
         assert!(q.q >= 1.0 && q.q.is_finite(), "bad q-error {q:?}");
-    }
-}
-
-// ----------------------------------------------------------------------
-// q-error is attributed to whichever estimator produced the estimate.
-// ----------------------------------------------------------------------
-
-#[test]
-fn q_errors_are_scored_for_isomer_and_independence_estimators() {
-    for (backend, label) in [
-        (StatsBackend::Isomer, "isomer"),
-        (StatsBackend::PerDimension, "per-dim"),
-        (StatsBackend::MultiDim, "multi"),
-    ] {
-        let cfg = ServeConfig {
-            stats_backend: backend,
-            ..ServeConfig::one_client()
-        };
-        let (_, mut pl) = whw_session(cfg, Mode::PayLess);
-        let out = pl.query(QUERIES[0]).unwrap();
-        let report = out.report.expect("tracing is on");
-        assert!(
-            !report.telemetry.qerrors.is_empty(),
-            "{label}: no q-error records"
-        );
-        for q in &report.telemetry.qerrors {
-            assert_eq!(q.estimator, label, "wrong estimator attribution");
-            assert!(q.q >= 1.0 && q.q.is_finite());
-        }
-        // The per-estimator rollup groups under the same label.
-        let by_est = report.q_error_by_estimator();
-        assert_eq!(by_est.len(), 1);
-        assert_eq!(by_est[0].0, label);
-        assert!(by_est[0].1.count > 0);
     }
 }
 

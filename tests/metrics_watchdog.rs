@@ -7,16 +7,16 @@
 //! delivered records — see DESIGN.md "Live metrics & the reconciliation
 //! watchdog"):
 //!
-//! * the watchdog samples mid-run (`watchdog_samples > 0`) and never
-//!   observes attributed spend ahead of the meter, clean or faulted —
-//!   strict mode would abort the mix otherwise;
+//! * the watchdog samples after every query and never observes attributed
+//!   spend ahead of the meter, clean or faulted — it would abort the mix
+//!   otherwise;
 //! * at quiescence the cumulative `payless_market_pages_billed_total`
 //!   counter equals the billing meter's transaction delta exactly;
 //! * per-query wall-clock latencies surface as non-zero row timings and
 //!   monotone per-client percentiles;
 //! * the registry stays exact under concurrent hammering from many
 //!   threads (no lost increments, histogram count == total records);
-//! * a charge on the meter that no query's ledger explains aborts a strict
+//! * a charge on the meter that no query's ledger explains aborts the
 //!   mix and leaves a well-formed black-box dump naming the violation.
 
 mod common;
@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use common::{build_market, prepared, tiny_workload};
 
-use payless_events::EventJournal;
+use payless_events::{EventJournal, EventsConfig};
 use payless_exec::RetryPolicy;
 use payless_market::{FaultInjector, FaultKind, FaultPlan};
 use payless_metrics::{MetricsConfig, MetricsHub, Registry};
@@ -37,14 +37,13 @@ const TEMPLATES: [usize; 2] = [0, 1];
 
 const CHAOS_SEED: u64 = 48879;
 
-/// Replay `mix` with a fresh hub attached, the watchdog sampling every
-/// `every` completions, and strict reconciliation on (any mid-run
-/// over-attribution aborts the whole mix instead of passing silently).
+/// Replay `mix` with a fresh hub attached; the watchdog samples after
+/// every query, and any mid-run over-attribution aborts the whole mix
+/// instead of passing silently.
 fn run_with_hub(
     w: &RealWorkload,
     mix: &[MixItem],
     threads: usize,
-    every: u64,
     faults: Option<FaultPlan>,
 ) -> (ServeReport, Arc<MetricsHub>, u64) {
     let market = build_market(w, 1);
@@ -62,15 +61,12 @@ fn run_with_hub(
             RetryPolicy::default()
         },
         metrics: Some(Arc::clone(&hub)),
-        watchdog_every: every,
-        strict_reconcile: true,
         ..ServeConfig::default()
     };
     let meter_before = market.bill().transactions();
     let serve = Serve::new(Arc::clone(&market), QueryWorkload::local_tables(w), cfg);
     let templates = prepared(&serve, w);
-    let report =
-        run_mix(&serve, mix, &templates).expect("serve mix succeeds under strict watchdog");
+    let report = run_mix(&serve, mix, &templates).expect("serve mix succeeds under the watchdog");
     let meter_delta = market.bill().transactions() - meter_before;
     (report, hub, meter_delta)
 }
@@ -136,10 +132,14 @@ fn assert_latencies(report: &ServeReport) {
 fn clean_serial_mix_reconciles_with_zero_drift() {
     let w = tiny_workload(3);
     let mix = serve_mix(&w, &TEMPLATES, 4, 18, CHAOS_SEED);
-    let (report, hub, meter_delta) = run_with_hub(&w, &mix, 1, 4, None);
+    let (report, hub, meter_delta) = run_with_hub(&w, &mix, 1, None);
 
     assert_hub_reconciles(&report, &hub, meter_delta);
     assert_latencies(&report);
+    assert_eq!(
+        report.watchdog_samples, report.queries,
+        "the watchdog samples once per completed query"
+    );
     // One thread means no in-flight spend at any sample point, so the
     // watchdog's running maximum is zero too, not merely the final gauge.
     assert_eq!(
@@ -152,7 +152,7 @@ fn clean_serial_mix_reconciles_with_zero_drift() {
 fn clean_parallel_mix_reconciles_with_zero_final_drift() {
     let w = tiny_workload(3);
     let mix = serve_mix(&w, &TEMPLATES, 4, 18, 7);
-    let (report, hub, meter_delta) = run_with_hub(&w, &mix, 4, 2, None);
+    let (report, hub, meter_delta) = run_with_hub(&w, &mix, 4, None);
     assert_hub_reconciles(&report, &hub, meter_delta);
     assert_latencies(&report);
 }
@@ -165,7 +165,7 @@ fn chaos_serial_mix_keeps_the_watchdog_clean() {
     // guaranteed outage onto the first market call: at least one retry is
     // then certain, and its accounting must stay visible and reconciled.
     let plan = FaultPlan::chaos(CHAOS_SEED).at(0, FaultKind::Unavailable);
-    let (report, hub, meter_delta) = run_with_hub(&w, &mix, 1, 3, Some(plan));
+    let (report, hub, meter_delta) = run_with_hub(&w, &mix, 1, Some(plan));
 
     assert_hub_reconciles(&report, &hub, meter_delta);
     assert_eq!(report.watchdog_max_drift_pages, 0);
@@ -187,7 +187,7 @@ fn chaos_parallel_mix_keeps_the_watchdog_clean() {
     let w = tiny_workload(3);
     let mix = serve_mix(&w, &TEMPLATES, 4, 16, CHAOS_SEED);
     let plan = FaultPlan::chaos(CHAOS_SEED).at(0, FaultKind::Unavailable);
-    let (report, hub, meter_delta) = run_with_hub(&w, &mix, 4, 3, Some(plan));
+    let (report, hub, meter_delta) = run_with_hub(&w, &mix, 4, Some(plan));
     assert_hub_reconciles(&report, &hub, meter_delta);
     assert_latencies(&report);
 }
@@ -196,7 +196,7 @@ fn chaos_parallel_mix_keeps_the_watchdog_clean() {
 fn windowed_series_deltas_sum_to_the_cumulative_counters() {
     let w = tiny_workload(3);
     let mix = serve_mix(&w, &TEMPLATES, 3, 15, 11);
-    let (report, hub, meter_delta) = run_with_hub(&w, &mix, 2, 4, None);
+    let (report, hub, meter_delta) = run_with_hub(&w, &mix, 2, None);
     hub.roll();
 
     let windows = hub.windows();
@@ -323,8 +323,8 @@ fn journal_kinds(dump: &str) -> Vec<String> {
 }
 
 /// The post-mortem path: one unattributed charge lands on the billing meter
-/// mid-run — spend no query's ledger can account for. Under the strict
-/// watchdog sampling after every query the mix must abort, and the
+/// mid-run — spend no query's ledger can account for. Under the watchdog,
+/// which samples after every query, the mix must abort, and the
 /// journal's black box must land with the violation in it.
 #[test]
 fn strict_watchdog_aborts_a_sabotaged_meter_and_dumps_the_black_box() {
@@ -335,13 +335,13 @@ fn strict_watchdog_aborts_a_sabotaged_meter_and_dumps_the_black_box() {
     let w = tiny_workload(3);
     let market = build_market(&w, 1);
     market.attach_fault_injector(FaultInjector::new(FaultPlan::chaos(CHAOS_SEED)));
-    let journal = Arc::new(EventJournal::new(1 << 14));
-    journal.set_blackbox(Some(blackbox.to_string_lossy().into_owned()));
+    let journal = EventJournal::from_config(&EventsConfig {
+        cap: 1 << 14,
+        blackbox: Some(blackbox.to_string_lossy().into_owned()),
+    });
     let cfg = ServeConfig {
         threads: 1,
         retry: RetryPolicy::unlimited(),
-        strict_reconcile: true,
-        watchdog_every: 1,
         events: Some(Arc::clone(&journal)),
         ..ServeConfig::default()
     };
@@ -360,7 +360,7 @@ fn strict_watchdog_aborts_a_sabotaged_meter_and_dumps_the_black_box() {
             }
             market.meter().charge(&table, 97, 97);
         });
-        // The violation normally surfaces as a mid-run strict `Err`; if the
+        // The violation normally surfaces as a mid-run `Err`; if the
         // charge lands after the last sample, the finish-time
         // reconciliation panics instead. Both dump the black box first.
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

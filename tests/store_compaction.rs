@@ -23,7 +23,7 @@ use common::{assert_same_answers, build_market, prepared, tiny_workload};
 
 use payless_exec::RetryPolicy;
 use payless_market::{FaultInjector, FaultPlan};
-use payless_semantic::StoreConfig;
+use payless_semantic::{SemanticStore, StoreConfig};
 use payless_serve::{run_mix, Serve, ServeConfig, ServeReport};
 use payless_workload::{serve_mix, MixItem, QueryWorkload, RealWorkload};
 
@@ -50,10 +50,11 @@ fn run(
         } else {
             RetryPolicy::default()
         },
-        store,
         ..ServeConfig::default()
     };
-    let serve = Serve::new(market, QueryWorkload::local_tables(w), cfg);
+    let mut tuned = SemanticStore::new();
+    tuned.set_config(store);
+    let serve = Serve::with_store(market, QueryWorkload::local_tables(w), cfg, tuned);
     let templates = prepared(&serve, w);
     run_mix(&serve, mix, &templates).expect("serve mix succeeds")
 }
