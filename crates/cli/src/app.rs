@@ -47,7 +47,7 @@ pub struct App {
     regret_da: f64,
     /// Live metrics hub (`\metrics`, `--metrics-out`).
     metrics: Arc<MetricsHub>,
-    /// Destination for the metrics exposition (+ `.jsonl` series) on exit.
+    /// Destination for the metrics exposition on exit.
     metrics_out: Option<String>,
     /// Flight recorder (`None` unless `--events-out` asked for one).
     events: Option<Arc<EventJournal>>,
@@ -79,14 +79,10 @@ fn build_journal(events_out: &Option<String>) -> Option<Arc<EventJournal>> {
     })
 }
 
-/// Write the exposition to `path` and the windowed series to
-/// `<path>.jsonl`, closing the tail window first.
+/// Write the exposition to `path`.
 fn dump_metrics(hub: &MetricsHub, path: &str) -> Result<String, String> {
-    hub.roll();
     write_artifact(path, &hub.exposition())?;
-    let series_path = format!("{path}.jsonl");
-    write_artifact(&series_path, &hub.series_jsonl())?;
-    Ok(format!("metrics -> {path}, series -> {series_path}"))
+    Ok(format!("metrics -> {path}"))
 }
 
 impl App {
@@ -162,7 +158,7 @@ impl App {
     }
 
     /// Flush end-of-session artifacts (the `--trace-out` document, the
-    /// `--metrics-out` exposition + series, and the `--events-out` event
+    /// `--metrics-out` exposition, and the `--events-out` event
     /// journal). Returns a message to print, if anything was written.
     pub fn finish(&mut self) -> Option<String> {
         let mut messages: Vec<String> = Vec::new();
@@ -369,10 +365,7 @@ impl App {
                         }
                     ))
                 }
-                "metrics" => {
-                    self.metrics.roll();
-                    Reply::Text(self.metrics.exposition())
-                }
+                "metrics" => Reply::Text(self.metrics.exposition()),
                 "why" => match &self.events {
                     Some(journal) => {
                         let events = journal.snapshot();
@@ -711,6 +704,7 @@ mod tests {
 
     #[test]
     fn metrics_out_writes_exposition_and_series_on_finish() {
+        // The hub keeps no time series: the exposition is the only file.
         let dir = std::env::temp_dir().join(format!("payless-metrics-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("metrics.txt");
@@ -725,11 +719,10 @@ mod tests {
         assert!(msg.contains("metrics ->"), "{msg}");
         let exposition = std::fs::read_to_string(&path).unwrap();
         assert!(exposition.contains("payless_market_calls_total"));
-        let series = std::fs::read_to_string(dir.join("metrics.txt.jsonl")).unwrap();
-        for line in series.lines() {
-            payless_json::parse(line).expect("every series line is JSON");
-        }
-        assert!(!series.trim().is_empty(), "rolled tail window is dumped");
+        assert!(
+            !dir.join("metrics.txt.jsonl").exists(),
+            "no series file is written"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

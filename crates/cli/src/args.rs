@@ -59,8 +59,8 @@ pub struct CliArgs {
     pub probe: bool,
     /// Connect mode: POST `/v1/shutdown` after the drive (or probe).
     pub shutdown_after: bool,
-    /// Write Prometheus-style metrics exposition to this file on exit
-    /// (plus a `<file>.jsonl` windowed time-series).
+    /// Write the Prometheus-style metrics exposition (cumulative counters,
+    /// gauges and histograms) to this file on exit.
     pub metrics_out: Option<String>,
     /// Write the flight recorder's JSONL event journal to this file on
     /// exit (the same path doubles as the black-box dump target on abort
@@ -144,9 +144,8 @@ OPTIONS:
                                       /v1/store without running queries
     --shutdown-after                  connect mode: gracefully shut the
                                       server down afterwards
-    --metrics-out <file>              write Prometheus-style metrics to
-                                      <file> and the windowed time-series
-                                      to <file>.jsonl on exit
+    --metrics-out <file>              write the Prometheus-style metrics
+                                      exposition to <file> on exit
     --events-out <file>               write the flight recorder's JSONL
                                       event journal to <file> on exit;
                                       black-box dumps on abort/panic land

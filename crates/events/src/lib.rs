@@ -1,5 +1,5 @@
-//! Flight recorder for PayLess: a lock-cheap, bounded, structured event
-//! journal with end-to-end spend provenance.
+//! Flight recorder for PayLess: a bounded, structured event journal with
+//! end-to-end spend provenance.
 //!
 //! The metrics hub can say *that* attributed spend diverged from the billing
 //! meter; this crate records *why*. Every interesting step of a query's life
@@ -13,20 +13,14 @@
 //!
 //! # Design
 //!
-//! * **Std-only, zero dependencies.** JSONL emission is hand-rolled so the
-//!   crate can sit below every other PayLess crate.
-//! * **Lock-cheap.** Threads append to one of [`SHARDS`] mutex-protected
-//!   rings chosen per-thread (round-robin at first use), so unrelated
-//!   threads rarely contend. A global atomic sequence counter gives every
-//!   event a total order; [`EventJournal::snapshot`] merges the shards by
-//!   sequence number.
-//! * **Bounded.** Each shard ring holds at most `cap` events. Because an
-//!   event among the globally newest `cap` has fewer than `cap` newer
-//!   events in *any* shard, the merged snapshot (truncated to the newest
-//!   `cap`) is exactly the globally newest `cap` events — overflow only
-//!   ever drops events older than that. Worst-case memory is
-//!   `SHARDS × cap` events; evictions are counted in
-//!   [`EventJournal::dropped`].
+//! * **One dependency.** JSONL lines are [`payless_json`] objects; that
+//!   crate depends on nothing, so this one can sit below every other
+//!   PayLess crate.
+//! * **One ring.** A single mutex guards the next sequence number and the
+//!   ring, so the ring is always in sequence order and
+//!   [`EventJournal::snapshot`] is a plain copy.
+//! * **Bounded.** The ring holds the newest `cap` events; evictions are
+//!   counted in [`EventJournal::dropped`].
 //! * **Free when absent.** Every attach point holds an
 //!   `Option<Arc<EventJournal>>`; with `None` no payload is built.
 //!
@@ -35,17 +29,14 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-/// Number of per-thread ring shards. A small power of two: enough to keep
-/// an 8-way serve mix from contending, small enough that a full snapshot
-/// merge stays trivial.
-pub const SHARDS: usize = 8;
+use payless_json::{Json, ToJson};
 
-/// Default ring capacity (events retained per shard, and the size of the
-/// merged black-box dump).
+/// Default ring capacity (events retained, and the size of a black-box
+/// dump).
 pub const DEFAULT_CAP: usize = 8192;
 
 // ---------------------------------------------------------------------------
@@ -224,7 +215,7 @@ impl EventKind {
 /// [`EventKind`] attributed to at most one query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
-    /// Position in the journal's total order (global atomic counter).
+    /// Position in the journal's total order (assigned under the ring lock).
     pub seq: u64,
     /// Nanoseconds since the journal was created.
     pub at_nanos: u64,
@@ -235,102 +226,56 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// `(name, value)` JSON fields named after the bindings that hold them.
+macro_rules! fields {
+    ($($field:ident),*) => {
+        vec![$((stringify!($field), $field.to_json())),*]
+    };
 }
 
 impl Event {
     /// Render as one flat JSON object (one JSONL line, no trailing newline).
     /// The `kind` field is the discriminator; variant payload fields are
-    /// inlined beside it.
+    /// inlined beside it in declaration order.
     pub fn to_json_line(&self) -> String {
-        let mut s = String::with_capacity(128);
-        let _ = write!(
-            s,
-            "{{\"seq\":{},\"at_nanos\":{},\"severity\":\"{}\"",
-            self.seq,
-            self.at_nanos,
-            self.severity.as_str()
-        );
+        let mut line = vec![
+            ("seq", self.seq.to_json()),
+            ("at_nanos", self.at_nanos.to_json()),
+            ("severity", Json::str(self.severity.as_str())),
+        ];
         if let Some(q) = self.query {
-            let _ = write!(s, ",\"query\":{q}");
+            line.push(("query", q.to_json()));
         }
-        let _ = write!(s, ",\"kind\":\"{}\"", self.kind.name());
-        let num = |s: &mut String, k: &str, v: u64| {
-            let _ = write!(s, ",\"{k}\":{v}");
-        };
-        let txt = |s: &mut String, k: &str, v: &str| {
-            let _ = write!(s, ",\"{k}\":");
-            push_json_str(s, v);
-        };
-        let flag = |s: &mut String, k: &str, v: bool| {
-            let _ = write!(s, ",\"{k}\":{v}");
-        };
-        match &self.kind {
-            EventKind::QueryStart => {}
+        line.push(("kind", Json::str(self.kind.name())));
+        line.extend(match &self.kind {
+            EventKind::QueryStart => vec![],
             EventKind::QueryDone {
                 ok,
                 pages,
                 wasted_pages,
-            } => {
-                flag(&mut s, "ok", *ok);
-                num(&mut s, "pages", *pages);
-                num(&mut s, "wasted_pages", *wasted_pages);
-            }
+            } => fields!(ok, pages, wasted_pages),
             EventKind::CallAttempt {
                 call,
                 table,
                 attempt,
-            } => {
-                num(&mut s, "call", *call);
-                txt(&mut s, "table", table);
-                num(&mut s, "attempt", *attempt);
-            }
+            } => fields!(call, table, attempt),
             EventKind::CallTruncated {
                 call,
                 table,
                 wasted_pages,
-            } => {
-                num(&mut s, "call", *call);
-                txt(&mut s, "table", table);
-                num(&mut s, "wasted_pages", *wasted_pages);
-            }
+            } => fields!(call, table, wasted_pages),
             EventKind::CallFault {
                 call,
                 table,
                 billed_pages,
                 error,
-            } => {
-                num(&mut s, "call", *call);
-                txt(&mut s, "table", table);
-                num(&mut s, "billed_pages", *billed_pages);
-                txt(&mut s, "error", error);
-            }
+            } => fields!(call, table, billed_pages, error),
             EventKind::CallRetry {
                 call,
                 table,
                 next_attempt,
                 backoff_ms,
-            } => {
-                num(&mut s, "call", *call);
-                txt(&mut s, "table", table);
-                num(&mut s, "next_attempt", *next_attempt);
-                num(&mut s, "backoff_ms", *backoff_ms);
-            }
+            } => fields!(call, table, next_attempt, backoff_ms),
             EventKind::CallDelivered {
                 call,
                 table,
@@ -338,14 +283,7 @@ impl Event {
                 wasted_pages,
                 records,
                 attempts,
-            } => {
-                num(&mut s, "call", *call);
-                txt(&mut s, "table", table);
-                num(&mut s, "pages", *pages);
-                num(&mut s, "wasted_pages", *wasted_pages);
-                num(&mut s, "records", *records);
-                num(&mut s, "attempts", *attempts);
-            }
+            } => fields!(call, table, pages, wasted_pages, records, attempts),
             EventKind::CallFailed {
                 call,
                 table,
@@ -353,63 +291,27 @@ impl Event {
                 attempts,
                 billed,
                 error,
-            } => {
-                num(&mut s, "call", *call);
-                txt(&mut s, "table", table);
-                num(&mut s, "wasted_pages", *wasted_pages);
-                num(&mut s, "attempts", *attempts);
-                flag(&mut s, "billed", *billed);
-                txt(&mut s, "error", error);
-            }
-            EventKind::FlightClaimed { flight, table } => {
-                num(&mut s, "flight", *flight);
-                txt(&mut s, "table", table);
-            }
-            EventKind::FlightWait { table, satisfied } => {
-                txt(&mut s, "table", table);
-                flag(&mut s, "satisfied", *satisfied);
-            }
-            EventKind::FlightRecomputeAverted { table, pages } => {
-                txt(&mut s, "table", table);
-                num(&mut s, "pages", *pages);
-            }
+            } => fields!(call, table, wasted_pages, attempts, billed, error),
+            EventKind::FlightClaimed { flight, table } => fields!(flight, table),
+            EventKind::FlightWait { table, satisfied } => fields!(table, satisfied),
+            EventKind::FlightRecomputeAverted { table, pages } => fields!(table, pages),
             EventKind::StoreInsert {
                 table,
                 spend_pages,
                 views,
-            } => {
-                txt(&mut s, "table", table);
-                num(&mut s, "spend_pages", *spend_pages);
-                num(&mut s, "views", *views);
-            }
-            EventKind::StoreCompact { table, compactions } => {
-                txt(&mut s, "table", table);
-                num(&mut s, "compactions", *compactions);
-            }
-            EventKind::StoreEvict { table, evictions } => {
-                txt(&mut s, "table", table);
-                num(&mut s, "evictions", *evictions);
-            }
+            } => fields!(table, spend_pages, views),
+            EventKind::StoreCompact { table, compactions } => fields!(table, compactions),
+            EventKind::StoreEvict { table, evictions } => fields!(table, evictions),
             EventKind::WatchdogSample {
                 sample,
                 attributed_pages,
                 meter_pages,
                 exact,
-            } => {
-                num(&mut s, "sample", *sample);
-                num(&mut s, "attributed_pages", *attributed_pages);
-                num(&mut s, "meter_pages", *meter_pages);
-                flag(&mut s, "exact", *exact);
-            }
-            EventKind::WatchdogViolation { detail } => {
-                txt(&mut s, "detail", detail);
-            }
-            EventKind::BlackBox { reason } => {
-                txt(&mut s, "reason", reason);
-            }
-        }
-        s.push('}');
-        s
+            } => fields!(sample, attributed_pages, meter_pages, exact),
+            EventKind::WatchdogViolation { detail } => fields!(detail),
+            EventKind::BlackBox { reason } => fields!(reason),
+        });
+        Json::obj(line).to_string_compact()
     }
 }
 
@@ -421,8 +323,7 @@ impl Event {
 /// sets `blackbox` from `--events-out`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventsConfig {
-    /// Ring capacity: events retained per shard and the size of a
-    /// black-box dump.
+    /// Ring capacity: events retained and the size of a black-box dump.
     pub cap: usize,
     /// Where [`EventJournal::dump_blackbox`] writes its JSONL dump, if
     /// anywhere.
@@ -442,31 +343,21 @@ impl Default for EventsConfig {
 // Journal
 // ---------------------------------------------------------------------------
 
-fn shard_index() -> usize {
-    use std::cell::Cell;
-    static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    SHARD.with(|c| {
-        let mut v = c.get();
-        if v == usize::MAX {
-            v = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
-            c.set(v);
-        }
-        v
-    })
+/// The ring and the next sequence number, under one lock: the ring is in
+/// sequence order, and every event emitted and not evicted is in it.
+#[derive(Debug, Default)]
+struct Ring {
+    next_seq: u64,
+    events: VecDeque<Event>,
 }
 
 /// The flight recorder. Cheap to share (`Arc`), bounded in memory (see
 /// crate docs).
 #[derive(Debug)]
 pub struct EventJournal {
-    seq: AtomicU64,
     epoch: Instant,
     cap: usize,
-    dropped: AtomicU64,
-    shards: Vec<Mutex<VecDeque<Event>>>,
+    ring: Mutex<Ring>,
     blackbox: Option<String>,
     dumped: AtomicBool,
 }
@@ -481,11 +372,9 @@ impl EventJournal {
     /// A journal retaining the newest `cap` events, with no black box.
     pub fn new(cap: usize) -> EventJournal {
         EventJournal {
-            seq: AtomicU64::new(0),
             epoch: Instant::now(),
             cap: cap.max(1),
-            dropped: AtomicU64::new(0),
-            shards: (0..SHARDS).map(|_| Mutex::new(VecDeque::new())).collect(),
+            ring: Mutex::default(),
             blackbox: None,
             dumped: AtomicBool::new(false),
         }
@@ -499,6 +388,10 @@ impl EventJournal {
         })
     }
 
+    fn lock(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Ring capacity (events retained).
     pub fn cap(&self) -> usize {
         self.cap
@@ -506,27 +399,26 @@ impl EventJournal {
 
     /// Total events ever emitted (including those since rotated out).
     pub fn recorded(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
+        self.lock().next_seq
     }
 
     /// Events lost to ring overflow.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        let ring = self.lock();
+        ring.next_seq - ring.events.len() as u64
     }
 
     /// Append one event.
     pub fn emit(&self, query: Option<u64>, severity: Severity, kind: impl FnOnce() -> EventKind) {
         let kind = kind();
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let at_nanos = self.epoch.elapsed().as_nanos() as u64;
-        let mut ring = self.shards[shard_index()]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if ring.len() >= self.cap {
-            ring.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+        let mut ring = self.lock();
+        if ring.events.len() >= self.cap {
+            ring.events.pop_front();
         }
-        ring.push_back(Event {
+        let seq = ring.next_seq;
+        ring.next_seq += 1;
+        ring.events.push_back(Event {
             seq,
             at_nanos,
             severity,
@@ -535,20 +427,9 @@ impl EventJournal {
         });
     }
 
-    /// The newest `cap` events in sequence order (see crate docs for why
-    /// the per-shard rings make this exact).
+    /// The newest `cap` events in sequence order.
     pub fn snapshot(&self) -> Vec<Event> {
-        let mut all: Vec<Event> = Vec::new();
-        for shard in &self.shards {
-            let ring = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            all.extend(ring.iter().cloned());
-        }
-        all.sort_by_key(|e| e.seq);
-        if all.len() > self.cap {
-            let cut = all.len() - self.cap;
-            all.drain(..cut);
-        }
-        all
+        self.lock().events.iter().cloned().collect()
     }
 
     /// The whole journal as JSONL (one event per line, newline-terminated).
@@ -860,7 +741,7 @@ mod tests {
     }
 
     #[test]
-    fn seq_orders_events_across_shards() {
+    fn seq_orders_events_across_threads() {
         let j = Arc::new(EventJournal::new(1024));
         let threads: Vec<_> = (0..4)
             .map(|t| {
@@ -894,28 +775,147 @@ mod tests {
         }
         let snap = j.snapshot();
         assert_eq!(snap.len(), 16);
-        // Single-threaded: one shard, so the newest 16 survive exactly.
         assert_eq!(snap[0].seq, 84);
         assert_eq!(snap.last().unwrap().seq, 99);
-        assert!(j.dropped() > 0);
+        assert_eq!(j.dropped(), 84);
     }
 
+    /// One event of every [`EventKind`] variant; the strings carry a quote,
+    /// a backslash, a newline and a `\u{1}` control character.
+    fn every_kind() -> Vec<Event> {
+        let nasty = "a\"b\\c\nd\u{1}e".to_string();
+        let kinds = vec![
+            EventKind::QueryStart,
+            EventKind::QueryDone {
+                ok: true,
+                pages: 12,
+                wasted_pages: 3,
+            },
+            EventKind::CallAttempt {
+                call: 4,
+                table: "Weather".into(),
+                attempt: 2,
+            },
+            EventKind::CallTruncated {
+                call: 4,
+                table: nasty.clone(),
+                wasted_pages: 5,
+            },
+            EventKind::CallFault {
+                call: 5,
+                table: "Weather \"W\"".into(),
+                billed_pages: 2,
+                error: "corrupt\nbody\\".into(),
+            },
+            EventKind::CallRetry {
+                call: 5,
+                table: "T".into(),
+                next_attempt: 3,
+                backoff_ms: 40,
+            },
+            EventKind::CallDelivered {
+                call: 6,
+                table: "Station".into(),
+                pages: 7,
+                wasted_pages: 1,
+                records: 700,
+                attempts: 2,
+            },
+            EventKind::CallFailed {
+                call: 7,
+                table: "T".into(),
+                wasted_pages: 4,
+                attempts: 3,
+                billed: false,
+                error: nasty.clone(),
+            },
+            EventKind::FlightClaimed {
+                flight: 9,
+                table: "T".into(),
+            },
+            EventKind::FlightWait {
+                table: "T".into(),
+                satisfied: true,
+            },
+            EventKind::FlightRecomputeAverted {
+                table: "T".into(),
+                pages: 6,
+            },
+            EventKind::StoreInsert {
+                table: "T".into(),
+                spend_pages: 8,
+                views: 3,
+            },
+            EventKind::StoreCompact {
+                table: "T".into(),
+                compactions: 2,
+            },
+            EventKind::StoreEvict {
+                table: "T".into(),
+                evictions: 1,
+            },
+            EventKind::WatchdogSample {
+                sample: 11,
+                attributed_pages: 90,
+                meter_pages: 91,
+                exact: false,
+            },
+            EventKind::WatchdogViolation {
+                detail: nasty.clone(),
+            },
+            EventKind::BlackBox {
+                reason: "panic: \"x\"\n".into(),
+            },
+        ];
+        let severities = [
+            Severity::Debug,
+            Severity::Info,
+            Severity::Warn,
+            Severity::Error,
+        ];
+        kinds
+            .into_iter()
+            .enumerate()
+            .map(|(i, kind)| Event {
+                seq: i as u64,
+                at_nanos: 1_000 * i as u64 + 17,
+                severity: severities[i % severities.len()],
+                query: (i % 3 != 0).then_some(100 + i as u64),
+                kind,
+            })
+            .collect()
+    }
+
+    /// Every variant renders to the exact bytes the journal has always
+    /// written: flat objects, keys in declaration order, strings escaped.
     #[test]
     fn jsonl_lines_are_flat_objects() {
-        let j = EventJournal::new(16);
-        j.emit(Some(7), Severity::Warn, || EventKind::CallFault {
-            call: 3,
-            table: "Weather \"W\"".into(),
-            billed_pages: 2,
-            error: "corrupt\nbody".into(),
-        });
-        let dump = j.dump_jsonl();
-        let line = dump.lines().next().unwrap();
-        assert!(line.starts_with('{') && line.ends_with('}'));
-        assert!(line.contains("\"kind\":\"call_fault\""));
-        assert!(line.contains("\"query\":7"));
-        assert!(line.contains("\\\"W\\\""));
-        assert!(line.contains("corrupt\\nbody"));
+        let expected = [
+            "{\"seq\":0,\"at_nanos\":17,\"severity\":\"debug\",\"kind\":\"query_start\"}",
+            "{\"seq\":1,\"at_nanos\":1017,\"severity\":\"info\",\"query\":101,\"kind\":\"query_done\",\"ok\":true,\"pages\":12,\"wasted_pages\":3}",
+            "{\"seq\":2,\"at_nanos\":2017,\"severity\":\"warn\",\"query\":102,\"kind\":\"call_attempt\",\"call\":4,\"table\":\"Weather\",\"attempt\":2}",
+            "{\"seq\":3,\"at_nanos\":3017,\"severity\":\"error\",\"kind\":\"call_truncated\",\"call\":4,\"table\":\"a\\\"b\\\\c\\nd\\u0001e\",\"wasted_pages\":5}",
+            "{\"seq\":4,\"at_nanos\":4017,\"severity\":\"debug\",\"query\":104,\"kind\":\"call_fault\",\"call\":5,\"table\":\"Weather \\\"W\\\"\",\"billed_pages\":2,\"error\":\"corrupt\\nbody\\\\\"}",
+            "{\"seq\":5,\"at_nanos\":5017,\"severity\":\"info\",\"query\":105,\"kind\":\"call_retry\",\"call\":5,\"table\":\"T\",\"next_attempt\":3,\"backoff_ms\":40}",
+            "{\"seq\":6,\"at_nanos\":6017,\"severity\":\"warn\",\"kind\":\"call_delivered\",\"call\":6,\"table\":\"Station\",\"pages\":7,\"wasted_pages\":1,\"records\":700,\"attempts\":2}",
+            "{\"seq\":7,\"at_nanos\":7017,\"severity\":\"error\",\"query\":107,\"kind\":\"call_failed\",\"call\":7,\"table\":\"T\",\"wasted_pages\":4,\"attempts\":3,\"billed\":false,\"error\":\"a\\\"b\\\\c\\nd\\u0001e\"}",
+            "{\"seq\":8,\"at_nanos\":8017,\"severity\":\"debug\",\"query\":108,\"kind\":\"flight_claimed\",\"flight\":9,\"table\":\"T\"}",
+            "{\"seq\":9,\"at_nanos\":9017,\"severity\":\"info\",\"kind\":\"flight_wait\",\"table\":\"T\",\"satisfied\":true}",
+            "{\"seq\":10,\"at_nanos\":10017,\"severity\":\"warn\",\"query\":110,\"kind\":\"flight_recompute_averted\",\"table\":\"T\",\"pages\":6}",
+            "{\"seq\":11,\"at_nanos\":11017,\"severity\":\"error\",\"query\":111,\"kind\":\"store_insert\",\"table\":\"T\",\"spend_pages\":8,\"views\":3}",
+            "{\"seq\":12,\"at_nanos\":12017,\"severity\":\"debug\",\"kind\":\"store_compact\",\"table\":\"T\",\"compactions\":2}",
+            "{\"seq\":13,\"at_nanos\":13017,\"severity\":\"info\",\"query\":113,\"kind\":\"store_evict\",\"table\":\"T\",\"evictions\":1}",
+            "{\"seq\":14,\"at_nanos\":14017,\"severity\":\"warn\",\"query\":114,\"kind\":\"watchdog_sample\",\"sample\":11,\"attributed_pages\":90,\"meter_pages\":91,\"exact\":false}",
+            "{\"seq\":15,\"at_nanos\":15017,\"severity\":\"error\",\"kind\":\"watchdog_violation\",\"detail\":\"a\\\"b\\\\c\\nd\\u0001e\"}",
+            "{\"seq\":16,\"at_nanos\":16017,\"severity\":\"debug\",\"query\":116,\"kind\":\"blackbox\",\"reason\":\"panic: \\\"x\\\"\\n\"}",
+        ];
+        let events = every_kind();
+        assert_eq!(events.len(), expected.len());
+        for (e, want) in events.iter().zip(expected) {
+            assert_eq!(e.to_json_line(), want, "{:?}", e.kind);
+            let parsed = payless_json::parse(want).expect("line parses");
+            assert_eq!(parsed.get("kind").unwrap().as_str().unwrap(), e.kind.name());
+        }
     }
 
     #[test]

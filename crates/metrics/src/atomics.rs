@@ -112,14 +112,14 @@ impl LogHistogram {
     }
 }
 
-/// Immutable digest of a [`LogHistogram`] (or of one window's delta).
+/// Immutable digest of a [`LogHistogram`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistSnapshot {
     /// Total observations (always `Σ` of the bucket counts below).
     pub count: u64,
     /// Sum of observed values.
     pub sum: u64,
-    /// Largest value ever observed (cumulative even in window deltas).
+    /// Largest value ever observed.
     pub max: u64,
     /// Nonzero buckets as `(inclusive_upper_bound, count)`, ascending.
     pub buckets: Vec<(u64, u64)>,
@@ -141,33 +141,6 @@ impl HistSnapshot {
             }
         }
         self.max
-    }
-
-    /// This snapshot minus an `earlier` one of the same histogram: per-
-    /// bucket and total count deltas (`max` stays cumulative — a window
-    /// cannot un-see the all-time maximum).
-    pub fn delta(&self, earlier: &HistSnapshot) -> HistSnapshot {
-        let mut buckets = Vec::new();
-        let mut ei = 0usize;
-        for &(le, c) in &self.buckets {
-            let prev = loop {
-                match earlier.buckets.get(ei) {
-                    Some(&(ple, _)) if ple < le => ei += 1,
-                    Some(&(ple, pc)) if ple == le => break pc,
-                    _ => break 0,
-                }
-            };
-            let d = c.saturating_sub(prev);
-            if d > 0 {
-                buckets.push((le, d));
-            }
-        }
-        HistSnapshot {
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.saturating_sub(earlier.sum),
-            max: self.max,
-            buckets,
-        }
     }
 }
 
@@ -212,26 +185,6 @@ mod tests {
             );
         }
         assert_eq!(s.quantile(1.0), 1000);
-    }
-
-    #[test]
-    fn delta_subtracts_per_bucket() {
-        let h = LogHistogram::default();
-        for v in [1u64, 2, 100] {
-            h.record(v);
-        }
-        let early = h.snapshot();
-        for v in [2u64, 3, 100, 5000] {
-            h.record(v);
-        }
-        let late = h.snapshot();
-        let d = late.delta(&early);
-        assert_eq!(d.count, 4);
-        assert_eq!(d.sum, 5105);
-        assert_eq!(d.count, d.buckets.iter().map(|(_, c)| c).sum::<u64>());
-        // The window only saw one observation at value 2's bucket.
-        let two = d.buckets.iter().find(|(le, _)| *le == 2).unwrap();
-        assert_eq!(two.1, 1);
     }
 
     /// Satellite: concurrent writers against one snapshot reader lose no

@@ -1,12 +1,9 @@
-//! Exporters: Prometheus-style text exposition and JSONL time series.
+//! Exporter: Prometheus-style text exposition.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-use payless_json::Json;
-
-use crate::atomics::HistSnapshot;
-use crate::hub::{CumSnapshot, WindowSnapshot};
+use crate::hub::CumSnapshot;
 
 /// Base metric name: the part before any `{label="…"}` suffix.
 fn base(name: &str) -> &str {
@@ -56,71 +53,12 @@ pub fn exposition(cum: &CumSnapshot) -> String {
     out
 }
 
-fn hist_json(h: &HistSnapshot) -> Json {
-    Json::obj([
-        ("count", Json::Int(h.count as i64)),
-        ("sum", Json::Int(h.sum as i64)),
-        ("max", Json::Int(h.max as i64)),
-        (
-            "buckets",
-            Json::Arr(
-                h.buckets
-                    .iter()
-                    .map(|&(le, c)| Json::Arr(vec![Json::Int(le as i64), Json::Int(c as i64)]))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn named_ints(pairs: &[(String, u64)]) -> Json {
-    Json::Obj(
-        pairs
-            .iter()
-            .map(|(k, v)| (k.clone(), Json::Int(*v as i64)))
-            .collect(),
-    )
-}
-
-/// One JSON line per window, oldest first:
-/// `{"window":i,"span_nanos":n,"counters":{…},"gauges":{…},"histograms":{…}}`.
-///
-/// Counters and histograms hold the window's *deltas*; gauges hold the
-/// value at window close. Zero-delta counters are kept so consumers can
-/// distinguish "idle window" from "metric missing".
-pub fn series_jsonl(windows: &[WindowSnapshot]) -> String {
-    let mut out = String::new();
-    for w in windows {
-        let line = Json::obj([
-            ("window", Json::Int(w.index as i64)),
-            ("span_nanos", Json::Int(w.span_nanos as i64)),
-            ("counters", named_ints(&w.counters)),
-            ("gauges", named_ints(&w.gauges)),
-            (
-                "histograms",
-                Json::Obj(
-                    w.histograms
-                        .iter()
-                        .map(|(k, h)| (k.clone(), hist_json(h)))
-                        .collect(),
-                ),
-            ),
-        ]);
-        out.push_str(&line.to_string_compact());
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use crate::hub::{MetricsConfig, MetricsHub};
 
     fn busy_hub() -> MetricsHub {
-        let hub = MetricsHub::new(MetricsConfig {
-            window_ms: 1,
-            capacity: 16,
-        });
+        let hub = MetricsHub::new(MetricsConfig::default());
         hub.market_calls.inc(3);
         hub.pages_billed.inc(120);
         hub.coalesce_waiters.set(2);
@@ -128,7 +66,6 @@ mod tests {
         for v in [10u64, 20, 30, 40, 1000] {
             hub.market_call_nanos.record(v);
         }
-        hub.roll();
         hub
     }
 
@@ -163,35 +100,5 @@ mod tests {
             }
         }
         assert_eq!(inf, Some(5));
-    }
-
-    #[test]
-    fn series_lines_parse_and_carry_deltas() {
-        let hub = busy_hub();
-        hub.market_calls.inc(4);
-        hub.roll();
-        let dump = hub.series_jsonl();
-        let lines: Vec<&str> = dump.lines().collect();
-        assert_eq!(lines.len(), 2);
-        let mut total = 0u64;
-        for (i, line) in lines.iter().enumerate() {
-            let j = payless_json::parse(line).expect("series line parses");
-            assert_eq!(j.get("window").unwrap().as_u64().unwrap(), i as u64);
-            assert!(j.get("span_nanos").is_ok());
-            total += j
-                .get("counters")
-                .unwrap()
-                .get("payless_market_calls_total")
-                .unwrap()
-                .as_u64()
-                .unwrap();
-            assert!(j.get("histograms").is_ok());
-            assert!(j.get("gauges").is_ok());
-        }
-        assert_eq!(
-            total,
-            hub.cumulative().counter("payless_market_calls_total"),
-            "window deltas must sum to the cumulative total"
-        );
     }
 }

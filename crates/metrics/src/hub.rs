@@ -1,30 +1,15 @@
 //! The process-wide metrics hub: pre-registered handles for every hot-seam
-//! metric, plus the windowed time-series ring.
+//! metric.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 use crate::atomics::{Counter, Gauge, HistSnapshot, LogHistogram};
 use crate::registry::Registry;
 
-/// Sizing and cadence of the window ring.
-#[derive(Debug, Clone)]
-pub struct MetricsConfig {
-    /// Window length in milliseconds (roll cadence for `maybe_roll`).
-    pub window_ms: u64,
-    /// Ring capacity: how many closed windows are retained.
-    pub capacity: usize,
-}
-
-impl Default for MetricsConfig {
-    fn default() -> Self {
-        MetricsConfig {
-            window_ms: 1000,
-            capacity: 1024,
-        }
-    }
-}
+/// Nothing to configure: the hub keeps cumulative totals only. Kept so the
+/// benchmark harness's `MetricsHub::new(MetricsConfig::default())` builds.
+#[derive(Debug, Clone, Default)]
+pub struct MetricsConfig {}
 
 /// Point-in-time digest of every registered metric (names sorted).
 #[derive(Debug, Clone, Default)]
@@ -59,39 +44,6 @@ fn lookup<'a, V>(sorted: &'a [(String, V)], name: &str) -> Option<&'a V> {
         .binary_search_by(|(k, _)| k.as_str().cmp(name))
         .ok()
         .map(|i| &sorted[i].1)
-}
-
-/// One closed window of the time series.
-#[derive(Debug, Clone)]
-pub struct WindowSnapshot {
-    /// Zero-based window number since the hub was created.
-    pub index: u64,
-    /// Actual wall-clock span of the window in nanoseconds.
-    pub span_nanos: u64,
-    /// Counter *deltas* over the window.
-    pub counters: Vec<(String, u64)>,
-    /// Gauge values at window close (last-value-wins).
-    pub gauges: Vec<(String, u64)>,
-    /// Histogram *deltas* over the window (`max` stays cumulative).
-    pub histograms: Vec<(String, HistSnapshot)>,
-}
-
-impl WindowSnapshot {
-    /// Counter delta by exact name (0 if absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        lookup(&self.counters, name).copied().unwrap_or(0)
-    }
-}
-
-#[derive(Debug)]
-struct WindowState {
-    opened: Instant,
-    last: CumSnapshot,
-    ring: VecDeque<WindowSnapshot>,
-    next_index: u64,
-    /// Windows evicted because the ring was full — nonzero means the
-    /// retained series no longer sums to the cumulative totals.
-    dropped: u64,
 }
 
 /// Shared handle bundle for all PayLess hot-seam metrics.
@@ -164,19 +116,11 @@ pub struct MetricsHub {
     /// Reconciliation violations detected (over-attribution, drift at one
     /// thread).
     pub watchdog_violations: Arc<Counter>,
-
-    window: Duration,
-    cap: usize,
-    windows: Mutex<WindowState>,
-}
-
-fn lock_windows(m: &Mutex<WindowState>) -> MutexGuard<'_, WindowState> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl MetricsHub {
     /// Build a hub with every hot-seam metric pre-registered.
-    pub fn new(cfg: MetricsConfig) -> MetricsHub {
+    pub fn new(_cfg: MetricsConfig) -> MetricsHub {
         let registry = Registry::default();
         let market_calls = registry.counter("payless_market_calls_total");
         let market_call_nanos = registry.histogram("payless_market_call_nanos");
@@ -205,7 +149,6 @@ impl MetricsHub {
         let watchdog_drift_pages = registry.gauge("payless_watchdog_drift_pages");
         let watchdog_max_drift_pages = registry.gauge("payless_watchdog_max_drift_pages");
         let watchdog_violations = registry.counter("payless_watchdog_violations_total");
-        let last = registry.snapshot();
         MetricsHub {
             registry,
             market_calls,
@@ -234,15 +177,6 @@ impl MetricsHub {
             watchdog_drift_pages,
             watchdog_max_drift_pages,
             watchdog_violations,
-            window: Duration::from_millis(cfg.window_ms.max(1)),
-            cap: cfg.capacity.max(1),
-            windows: Mutex::new(WindowState {
-                opened: Instant::now(),
-                last,
-                ring: VecDeque::new(),
-                next_index: 0,
-                dropped: 0,
-            }),
         }
     }
 
@@ -271,229 +205,13 @@ impl MetricsHub {
         self.registry.snapshot()
     }
 
-    /// Close the current window unconditionally and start a new one.
-    pub fn roll(&self) {
-        let mut state = lock_windows(&self.windows);
-        self.roll_locked(&mut state);
-    }
-
-    /// Close the current window if it has run at least the configured
-    /// window length. Cheap when it has not: one mutex lock and one
-    /// `Instant` read. Instrumented layers call this once per query.
-    pub fn maybe_roll(&self) {
-        let mut state = lock_windows(&self.windows);
-        if state.opened.elapsed() >= self.window {
-            self.roll_locked(&mut state);
-        }
-    }
-
-    fn roll_locked(&self, state: &mut WindowState) {
-        let now = Instant::now();
-        let span = now.duration_since(state.opened);
-        let cum = self.registry.snapshot();
-        let counters = cum
-            .counters
-            .iter()
-            .map(|(name, v)| {
-                let prev = lookup(&state.last.counters, name).copied().unwrap_or(0);
-                (name.clone(), v.saturating_sub(prev))
-            })
-            .collect();
-        let gauges = cum.gauges.clone();
-        let histograms = cum
-            .histograms
-            .iter()
-            .map(|(name, h)| {
-                let d = match lookup(&state.last.histograms, name) {
-                    Some(prev) => h.delta(prev),
-                    None => h.clone(),
-                };
-                (name.clone(), d)
-            })
-            .collect();
-        let snap = WindowSnapshot {
-            index: state.next_index,
-            span_nanos: span.as_nanos() as u64,
-            counters,
-            gauges,
-            histograms,
-        };
-        state.next_index += 1;
-        state.last = cum;
-        state.opened = now;
-        // Capacity bound: evict the oldest window. `dropped` records that
-        // the retained series no longer starts at window 0.
-        while state.ring.len() >= self.cap {
-            state.ring.pop_front();
-            state.dropped += 1;
-        }
-        state.ring.push_back(snap);
-    }
-
-    /// Retained windows, oldest first.
-    pub fn windows(&self) -> Vec<WindowSnapshot> {
-        lock_windows(&self.windows).ring.iter().cloned().collect()
-    }
-
-    /// Windows evicted due to the capacity bound (0 means the retained
-    /// series is complete and its sums reconcile with cumulative totals).
-    pub fn dropped_windows(&self) -> u64 {
-        lock_windows(&self.windows).dropped
-    }
+    /// Does nothing: the hub keeps cumulative totals only, and a scraper of
+    /// [`MetricsHub::exposition`] derives rates from them. Kept because the
+    /// benchmark harness calls it once per query.
+    pub fn maybe_roll(&self) {}
 
     /// Prometheus-style text exposition of the cumulative state.
     pub fn exposition(&self) -> String {
         crate::export::exposition(&self.cumulative())
-    }
-
-    /// JSONL dump of the retained window ring (one line per window).
-    /// Call [`MetricsHub::roll`] first to close the tail window.
-    pub fn series_jsonl(&self) -> String {
-        crate::export::series_jsonl(&self.windows())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn window_deltas_sum_to_cumulative_totals() {
-        let hub = MetricsHub::new(MetricsConfig {
-            window_ms: 1,
-            capacity: 64,
-        });
-        for round in 0..5u64 {
-            hub.market_calls.inc(round + 1);
-            hub.pages_billed.inc(10 * (round + 1));
-            hub.serve_query_nanos.record(100 * (round + 1));
-            hub.roll();
-        }
-        let windows = hub.windows();
-        assert_eq!(windows.len(), 5);
-        assert_eq!(hub.dropped_windows(), 0);
-        let cum = hub.cumulative();
-        for name in [
-            "payless_market_calls_total",
-            "payless_market_pages_billed_total",
-        ] {
-            let summed: u64 = windows.iter().map(|w| w.counter(name)).sum();
-            assert_eq!(summed, cum.counter(name), "{name} window sums diverge");
-        }
-        let hist_sum: u64 = windows
-            .iter()
-            .filter_map(|w| lookup(&w.histograms, "payless_serve_query_nanos"))
-            .map(|h| h.count)
-            .sum();
-        assert_eq!(
-            hist_sum,
-            cum.histogram("payless_serve_query_nanos").unwrap().count
-        );
-        // Per-bucket deltas also reconcile.
-        let mut folded: std::collections::BTreeMap<u64, u64> = Default::default();
-        for w in &windows {
-            if let Some(h) = lookup(&w.histograms, "payless_serve_query_nanos") {
-                for &(le, c) in &h.buckets {
-                    *folded.entry(le).or_default() += c;
-                }
-            }
-        }
-        let cum_buckets: std::collections::BTreeMap<u64, u64> = cum
-            .histogram("payless_serve_query_nanos")
-            .unwrap()
-            .buckets
-            .iter()
-            .copied()
-            .collect();
-        assert_eq!(folded, cum_buckets);
-    }
-
-    #[test]
-    fn ring_capacity_evicts_oldest_and_counts_drops() {
-        let hub = MetricsHub::new(MetricsConfig {
-            window_ms: 1,
-            capacity: 3,
-        });
-        for i in 0..5u64 {
-            hub.market_calls.inc(i + 1);
-            hub.roll();
-        }
-        let windows = hub.windows();
-        assert_eq!(windows.len(), 3);
-        assert_eq!(hub.dropped_windows(), 2);
-        assert_eq!(windows[0].index, 2, "oldest retained window is #2");
-        assert_eq!(windows[2].index, 4);
-    }
-
-    #[test]
-    fn maybe_roll_respects_the_window_length() {
-        let hub = MetricsHub::new(MetricsConfig {
-            window_ms: 60_000,
-            capacity: 8,
-        });
-        hub.market_calls.inc(1);
-        hub.maybe_roll();
-        assert!(
-            hub.windows().is_empty(),
-            "a fresh 60s window must not close immediately"
-        );
-        hub.roll();
-        assert_eq!(hub.windows().len(), 1, "roll() always closes");
-    }
-
-    #[test]
-    fn concurrent_writers_and_rolls_lose_nothing() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-
-        const WRITERS: usize = 4;
-        const PER_WRITER: u64 = 10_000;
-        let hub = Arc::new(MetricsHub::new(MetricsConfig {
-            window_ms: 1,
-            capacity: 1 << 20,
-        }));
-        let stop = Arc::new(AtomicBool::new(false));
-        let roller = {
-            let (hub, stop) = (hub.clone(), stop.clone());
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    hub.roll();
-                    std::thread::yield_now();
-                }
-            })
-        };
-        let writers: Vec<_> = (0..WRITERS)
-            .map(|_| {
-                let hub = hub.clone();
-                std::thread::spawn(move || {
-                    for i in 0..PER_WRITER {
-                        hub.serve_queries.inc(1);
-                        hub.serve_query_nanos.record(i % 512 + 1);
-                    }
-                })
-            })
-            .collect();
-        for t in writers {
-            t.join().unwrap();
-        }
-        stop.store(true, Ordering::Relaxed);
-        roller.join().unwrap();
-        hub.roll(); // close the tail so the ring covers everything
-
-        let total = WRITERS as u64 * PER_WRITER;
-        let cum = hub.cumulative();
-        assert_eq!(cum.counter("payless_serve_queries_total"), total);
-        assert_eq!(hub.dropped_windows(), 0);
-        let windows = hub.windows();
-        let counted: u64 = windows
-            .iter()
-            .map(|w| w.counter("payless_serve_queries_total"))
-            .sum();
-        assert_eq!(counted, total, "window counter deltas lost updates");
-        let hist: u64 = windows
-            .iter()
-            .filter_map(|w| lookup(&w.histograms, "payless_serve_query_nanos"))
-            .map(|h| h.count)
-            .sum();
-        assert_eq!(hist, total, "window histogram deltas lost updates");
     }
 }

@@ -1,8 +1,8 @@
 //! Lock-cheap live metrics for the PayLess serving layer.
 //!
 //! Per-query telemetry ([`payless-telemetry`]) describes one finished
-//! query; this crate aggregates across queries, clients, and time while a
-//! mix is still running. Three layers:
+//! query; this crate aggregates across queries and clients while a mix is
+//! still running. Two layers:
 //!
 //! * **Primitives** — [`Counter`], [`Gauge`], and [`LogHistogram`]: plain
 //!   atomics on the write path (one relaxed `fetch_add` per counter hit,
@@ -13,13 +13,10 @@
 //! * **Registry** — a name → metric map ([`Registry`]) so exporters can
 //!   walk everything that exists; registration is idempotent and returns
 //!   the same `Arc` for the same name.
-//! * **Windows** — [`MetricsHub`] keeps a ring buffer of per-interval
-//!   snapshots (counter deltas, gauge last-values, histogram deltas), so
-//!   spend rate, pages/s, queries/s, and latency percentiles are queryable
-//!   over the last N windows, not just cumulatively.
 //!
-//! Exporters: [`MetricsHub::exposition`] writes Prometheus-style text,
-//! [`MetricsHub::series_jsonl`] dumps the window ring as JSON lines.
+//! Every value is cumulative since the hub was built.
+//! [`MetricsHub::exposition`] writes it as Prometheus-style text; a scraper
+//! that wants rates (spend, pages/s, queries/s) differences two scrapes.
 //!
 //! Libraries take an `Option<&MetricsHub>`/`Option<Arc<MetricsHub>>` and
 //! never read the environment; every front end builds the hub from
@@ -35,5 +32,5 @@ mod registry;
 
 pub use atomics::{Counter, Gauge, HistSnapshot, LogHistogram};
 pub use buckets::{bucket_index, bucket_le, BUCKETS};
-pub use hub::{CumSnapshot, MetricsConfig, MetricsHub, WindowSnapshot};
+pub use hub::{CumSnapshot, MetricsConfig, MetricsHub};
 pub use registry::Registry;

@@ -313,7 +313,6 @@ impl Serve {
         if let (Some(hub), Some(t0)) = (&self.cfg.metrics, started) {
             hub.serve_queries.inc(1);
             hub.serve_query_nanos.record(t0.elapsed().as_nanos() as u64);
-            hub.maybe_roll();
         }
         (now, ran, snap)
     }

@@ -350,10 +350,7 @@ fn route(shared: &Arc<Shared>, req: &Request) -> Response {
         ("GET", "/v1/health") => Response::text(200, "OK", "ok\n"),
         ("POST", "/v1/query") => run_query(shared, req),
         ("GET", "/v1/report") => report(shared),
-        ("GET", "/v1/metrics") => {
-            shared.hub.roll();
-            Response::text(200, "OK", shared.hub.exposition())
-        }
+        ("GET", "/v1/metrics") => Response::text(200, "OK", shared.hub.exposition()),
         ("GET", "/v1/why") => why(shared, req),
         ("GET", "/v1/store") => store_status(shared),
         ("POST", "/v1/shutdown") => Response::text(200, "OK", "shutting down\n"),

@@ -193,41 +193,6 @@ fn chaos_parallel_mix_keeps_the_watchdog_clean() {
 }
 
 #[test]
-fn windowed_series_deltas_sum_to_the_cumulative_counters() {
-    let w = tiny_workload(3);
-    let mix = serve_mix(&w, &TEMPLATES, 3, 15, 11);
-    let (report, hub, meter_delta) = run_with_hub(&w, &mix, 2, None);
-    hub.roll();
-
-    let windows = hub.windows();
-    assert!(
-        !windows.is_empty(),
-        "rolling must close at least one window"
-    );
-    for (i, win) in windows.iter().enumerate() {
-        assert_eq!(win.index, i as u64, "window indexes must be sequential");
-    }
-    let billed: u64 = windows
-        .iter()
-        .map(|w| w.counter("payless_market_pages_billed_total"))
-        .sum();
-    assert_eq!(
-        billed, meter_delta,
-        "per-window billed-page deltas must sum to the cumulative meter delta"
-    );
-    let queries: u64 = windows
-        .iter()
-        .map(|w| w.counter("payless_serve_queries_total"))
-        .sum();
-    assert_eq!(queries, report.queries);
-    assert_eq!(
-        hub.dropped_windows(),
-        0,
-        "ring must not evict this few windows"
-    );
-}
-
-#[test]
 fn registry_is_exact_under_concurrent_hammering() {
     const THREADS: usize = 8;
     const PER_THREAD: u64 = 10_000;
