@@ -42,10 +42,14 @@ benchmark_smoke() {
     # benchmark pipeline. Building without --locked lets cargo rewrite
     # benchmark/Cargo.lock on disk when the crate graph changed; the
     # committed copy is put back so the stage leaves the tree clean.
-    # (PR 24 dropped the payless-market -> payless-telemetry edge, so the
-    # committed lock is one line stale: cargo rewrites it on the fly here
-    # and in the benchmark pipeline, this stage restores it, and nothing
-    # under benchmark/ is committed outside a benchmark PR.)
+    # The committed lock lags the workspace's crate graph by more than a
+    # line: it still lists the deleted payless-par crate and dependency
+    # edges since removed (payless-market, payless-semantic ->
+    # payless-telemetry; payless-metrics -> payless-json) and lacks newer
+    # ones (payless-events -> payless-json). benchmark/run.sh builds
+    # --offline, not --locked, so cargo rewrites the lock on the fly here
+    # and in the benchmark pipeline; this stage restores it, and nothing
+    # under benchmark/ changes outside a change to the benchmark itself.
     _lock="$PWD/target/benchmark-Cargo.lock.orig"
     mkdir -p "$PWD/target"
     cp benchmark/Cargo.lock "$_lock"

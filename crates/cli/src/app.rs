@@ -420,10 +420,9 @@ impl App {
 
 /// Clip a string for one-line display.
 fn truncate(s: &str, max: usize) -> String {
-    if s.len() <= max {
-        s.to_string()
-    } else {
-        format!("{}…", &s[..max])
+    match s.char_indices().nth(max) {
+        Some((cut, _)) => format!("{}…", &s[..cut]),
+        None => s.to_string(),
     }
 }
 
@@ -548,6 +547,29 @@ mod tests {
             ..CliArgs::default()
         })
         .unwrap()
+    }
+
+    #[test]
+    fn truncate_cuts_at_a_character_boundary() {
+        assert_eq!(truncate("abc", 3), "abc");
+        assert_eq!(truncate("abcd", 3), "abc…");
+        // The third character starts at byte 2 and ends at byte 4.
+        assert_eq!(truncate("aüb", 2), "aü…");
+        assert_eq!(truncate("aübc", 3), "aüb…");
+        assert_eq!(truncate("üüüü", 4), "üüüü");
+    }
+
+    #[test]
+    fn history_echoes_non_ascii_sql() {
+        let mut a = app();
+        // 73 characters; byte 70 falls inside a `ü`.
+        let sql = "SELECT COUNT(*) FROM Station WHERE City = 'Zürich' AND Country = 'üüüüüü'";
+        assert!(matches!(a.handle(sql), Reply::Text(_)));
+        let cut: String = sql.chars().take(70).collect();
+        match a.handle("\\history") {
+            Reply::Text(s) => assert!(s.contains(&format!("  {cut}…\n")), "{s}"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -136,40 +136,6 @@ pub fn render_report(report: &QueryReport) -> String {
         c.boxes_enumerated,
         c.boxes_kept,
     ));
-    // Semantic-store index effectiveness (absent unless the store recorded
-    // probes this query). These counters belong to the *store's* recorder,
-    // not the query's: when several sessions share one store (serve mode),
-    // they aggregate every session's probes — tagged "store-level" so a
-    // per-query report is never misread as per-query numbers.
-    let counter = |name: &str| {
-        report
-            .telemetry
-            .counters
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| *v)
-    };
-    let hits = counter("store.index_hits");
-    let scans = counter("store.index_full_scans");
-    if hits.is_some() || scans.is_some() {
-        s.push_str(&format!(
-            "store index (store-level, shared across sessions): \
-             {} indexed probes, {} full scans
-",
-            hits.unwrap_or(0),
-            scans.unwrap_or(0),
-        ));
-    }
-    for (name, h) in &report.telemetry.durations {
-        s.push_str(&format!(
-            "{name}: n={} p50={} p95={} max={}
-",
-            h.count,
-            fmt_ns(h.p50),
-            fmt_ns(h.p95),
-            fmt_ns(h.max),
-        ));
-    }
     let sqr = report.sqr();
     s.push_str(&format!(
         "SQR: {} full hits, {} partial, {} misses
@@ -198,7 +164,13 @@ pub fn render_report(report: &QueryReport) -> String {
         ));
     }
     // Retry count (absent on clean runs).
-    if let Some(retries) = counter("resilience.retries") {
+    let retries = report
+        .telemetry
+        .counters
+        .iter()
+        .find(|(n, _)| *n == "resilience.retries")
+        .map(|(_, v)| *v);
+    if let Some(retries) = retries {
         s.push_str(&format!(
             "retries: {retries}
 ",
@@ -337,7 +309,6 @@ mod tests {
                 theorem3_composed: 3,
             },
             telemetry: TelemetrySnapshot {
-                counters: vec![("store.index_full_scans", 2), ("store.index_hits", 31)],
                 ledger: vec![TransactionRecord {
                     seq: 0,
                     dataset: "WHW".into(),
@@ -370,13 +341,6 @@ mod tests {
         assert!(s.contains("$7.00 for 7 pages / 612 records"), "{s}");
         assert!(s.contains("WHW"), "{s}");
         assert!(s.contains("remainder"), "{s}");
-        assert!(
-            s.contains(
-                "store index (store-level, shared across sessions): \
-                 31 indexed probes, 2 full scans"
-            ),
-            "{s}"
-        );
         // A clean run reports neither wasted spend nor retries.
         assert!(!s.contains("wasted spend"), "{s}");
         assert!(!s.contains("retries:"), "{s}");

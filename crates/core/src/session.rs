@@ -13,7 +13,7 @@ use payless_optimizer::PlanCounters;
 use payless_serve::{Mode, Serve, ServeConfig};
 use payless_sql::{parse, AnalyzedQuery, SelectStmt, TableLocation};
 use payless_storage::LocalTable;
-use payless_telemetry::{Recorder, TelemetrySnapshot};
+use payless_telemetry::TelemetrySnapshot;
 use payless_types::{Result, Value};
 
 use crate::report::QueryReport;
@@ -56,14 +56,11 @@ pub struct HistoryEntry {
 }
 
 /// A PayLess installation at one data buyer: a one-client [`Serve`] plus
-/// the mode it runs, its history and whether it traces.
+/// the mode it runs, its history and whether it traces. Each query records
+/// into its own recorder inside [`Serve::run`], traced or not.
 pub struct PayLess {
     serve: Serve,
     mode: Mode,
-    /// Telemetry sink of the live store and of every query. Always on, so
-    /// what each query spent is known (and journaled) whether or not it is
-    /// traced.
-    recorder: Arc<Recorder>,
     /// Introspect plans and build a [`QueryReport`] per query.
     tracing: bool,
     /// Per-query log (not persisted).
@@ -82,12 +79,9 @@ impl PayLess {
     /// directory (`payless_server::persist::recover`, behind the CLI's
     /// `--session`).
     pub fn over(serve: Serve, mode: Mode) -> Self {
-        let recorder = Recorder::enabled();
-        serve.state().store().attach_recorder(Arc::clone(&recorder));
         PayLess {
             serve,
             mode,
-            recorder,
             tracing: false,
             history: Vec::new(),
         }
@@ -194,9 +188,7 @@ impl PayLess {
         // Billed pages from the meter delta, which the report's ledger must
         // reconcile with: nothing else charges this session's market.
         let paid_before = self.bill().transactions();
-        let (at, ran, telemetry) = self
-            .serve
-            .run(&query, self.mode, &self.recorder, self.tracing);
+        let (at, ran, telemetry) = self.serve.run(&query, self.mode, self.tracing);
         let paid = self.bill().transactions() - paid_before;
         let out = self.outcome(&query, ran?, telemetry, paid, analyze_nanos);
         self.history.push(HistoryEntry {

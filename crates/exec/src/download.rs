@@ -44,9 +44,6 @@ pub(crate) fn ensure_downloaded(
     }
 
     let recorder = cfg.recorder.as_deref();
-    if let Some(rec) = recorder {
-        rec.set_call_kind(CallKind::Download);
-    }
     let scope = cfg.events.as_deref().map(|j| EventScope::new(j, now));
     // One call per combination of mandatory-bound attribute values.
     let mandatory: Vec<usize> = table.mandatory_bindings().collect();
@@ -76,7 +73,7 @@ pub(crate) fn ensure_downloaded(
             cfg.metrics.as_deref(),
             scope.as_ref(),
         );
-        book_charge(cfg, market, name, None, &outcome);
+        book_charge(cfg, market, name, CallKind::Download, None, &outcome);
         state.land_delivery(recorder, table, piece, outcome.into_result()?, true, now);
     }
     Ok(())

@@ -31,8 +31,8 @@ pub struct ExecConfig {
     pub rewrite: RewriteConfig,
     /// Store-freshness policy.
     pub consistency: Consistency,
-    /// Optional telemetry sink: operator spans, SQR hit/miss counts, and
-    /// the call-kind context stamped onto ledger entries.
+    /// Optional telemetry sink of this one query: operator spans, SQR
+    /// hit/miss counts, and the spend ledger.
     pub recorder: Option<Arc<Recorder>>,
     /// Retry/backoff/budget policy for every market call the plan issues.
     pub retry: RetryPolicy,
@@ -232,11 +232,8 @@ impl<'a> Executor<'a> {
             AccessMethod::Fetch => {
                 let space = self.space_of(tid)?;
                 let regions = required_regions(&space, &t.access)?;
-                if let Some(rec) = &self.cfg.recorder {
-                    rec.set_call_kind(CallKind::Remainder);
-                }
                 for region in &regions {
-                    self.ensure_region(tid, &space, region)?;
+                    self.ensure_region(tid, &space, region, CallKind::Remainder)?;
                 }
                 let rows = self.mirror_rows_in(tid, &space, &regions)?;
                 Ok((rows, vec![tid]))
@@ -245,7 +242,8 @@ impl<'a> Executor<'a> {
     }
 
     /// Make `region` of table `tid` locally complete: rewrite against the
-    /// store, issue the remainder calls, and do all bookkeeping.
+    /// store, issue the remainder calls (booked as `kind`), and do all
+    /// bookkeeping.
     ///
     /// This is the one purchase path: rewrite, claim, re-rewrite under the
     /// guard, buy. With a coalescer attached, the region is **claimed**
@@ -255,7 +253,13 @@ impl<'a> Executor<'a> {
     /// uncovered — and pays only for that. The claim is held (at most one
     /// per executor, never across a wait — so no deadlock) until the
     /// purchase and its store bookkeeping complete.
-    fn ensure_region(&mut self, tid: usize, space: &QuerySpace, region: &Region) -> Result<()> {
+    fn ensure_region(
+        &mut self,
+        tid: usize,
+        space: &QuerySpace,
+        region: &Region,
+        kind: CallKind,
+    ) -> Result<()> {
         let t = &self.query.tables[tid];
         let page = self
             .market
@@ -371,7 +375,7 @@ impl<'a> Executor<'a> {
                 return Ok(());
             }
             self.note_coalesce(waits, initial_est, final_est);
-            let bought = self.buy_remainders(tid, space, remainders);
+            let bought = self.buy_remainders(tid, space, remainders, kind);
             drop(guard);
             return bought;
         }
@@ -409,14 +413,15 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Issue the market calls for `remainders` and do all per-delivery
-    /// bookkeeping: operator actuals, the local mirror, statistics
-    /// feedback (q-error scored first), and store coverage.
+    /// Issue the market calls for `remainders`, booked as `kind`, and do
+    /// all per-delivery bookkeeping: operator actuals, the local mirror,
+    /// statistics feedback (q-error scored first), and store coverage.
     fn buy_remainders(
         &mut self,
         tid: usize,
         space: &QuerySpace,
         remainders: Vec<Region>,
+        kind: CallKind,
     ) -> Result<()> {
         let t = &self.query.tables[tid];
         for rem in remainders {
@@ -437,7 +442,7 @@ impl<'a> Executor<'a> {
                 scope.as_ref(),
             );
             let slot = self.ops.get_mut(self.cur_op);
-            book_charge(self.cfg, self.market, &t.name, slot, &outcome);
+            book_charge(self.cfg, self.market, &t.name, kind, slot, &outcome);
             let resp = outcome.into_result()?;
             let recorder = self.cfg.recorder.as_deref();
             self.state
@@ -484,7 +489,6 @@ impl<'a> Executor<'a> {
             }
         }
         if let Some(rec) = &self.cfg.recorder {
-            rec.set_call_kind(CallKind::BindProbe);
             rec.record_size("bind.distinct_combos", combos.len() as u64);
         }
 
@@ -519,7 +523,7 @@ impl<'a> Executor<'a> {
                     continue;
                 }
                 let probe = Region::new(dims);
-                self.ensure_region(tid, &space, &probe)?;
+                self.ensure_region(tid, &space, &probe, CallKind::BindProbe)?;
             }
         }
 
@@ -747,10 +751,10 @@ pub(crate) fn request_for(schema: &Schema, space: &QuerySpace, region: &Region) 
         })
 }
 
-/// Book one resilient call's charge against `table`, for remainder fetches
-/// and Download All alike: into `slot`, the plan operator it ran under
-/// (Download All has none), and into the spend ledger, which has no other
-/// writer. The ledger gets one `wasted` entry when billed attempts produced
+/// Book one resilient call's charge against `table` as a call of `kind`
+/// (remainder fetch, bind probe or Download All piece): into `slot`, the
+/// plan operator it ran under (Download All has none), and into the spend
+/// ledger, which has no other writer. The ledger gets one `wasted` entry when billed attempts produced
 /// no usable payload and one clean entry for the `(pages, records)`
 /// delivered. Pages and price always reconcile with the billing meter;
 /// wasted entries carry zero records (the meter counts a truncated
@@ -761,6 +765,7 @@ pub(crate) fn book_charge(
     cfg: &ExecConfig,
     market: &DataMarket,
     table: &Arc<str>,
+    kind: CallKind,
     slot: Option<&mut OperatorActual>,
     outcome: &CallOutcome,
 ) {
@@ -784,7 +789,7 @@ pub(crate) fn book_charge(
         seq: 0, // assigned by the recorder
         dataset: ds.name.clone(),
         table: table.clone(),
-        kind: Default::default(), // stamped from the recorder's call context
+        kind,
         records,
         page_size: ds.page_size,
         pages,

@@ -11,13 +11,12 @@
 //! the same pipeline stopped before execution (`EXPLAIN`, the no-SQR
 //! counterfactual): it charges nothing.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use payless_market::DataMarket;
 use payless_optimizer::{optimize, Optimized, OptimizerConfig};
 use payless_sql::{AnalyzedQuery, TableLocation};
-use payless_telemetry::{OperatorActual, Recorder};
+use payless_telemetry::OperatorActual;
 use payless_types::Result;
 
 use crate::coalesce::CallCoalescer;
@@ -71,9 +70,7 @@ impl Mode {
 /// How one query is planned and executed.
 #[derive(Debug)]
 pub struct PipelineConfig {
-    /// Plan-search configuration (a [`Mode`] preset). With `introspect`
-    /// set, the plan-time store copy reports its probe counters (`store.*`)
-    /// into `exec.recorder` too.
+    /// Plan-search configuration (a [`Mode`] preset).
     pub optimizer: OptimizerConfig,
     /// Execution-time configuration.
     pub exec: ExecConfig,
@@ -100,24 +97,19 @@ pub struct Ran {
     pub execute_nanos: u64,
 }
 
-/// Plan `query` without executing it: against a point-in-time snapshot of
-/// the store (reporting into `store_recorder`, if any) and of the
-/// statistics. A snapshot shares each table's current version — one `Arc`
-/// clone per table — so the search runs without holding a lock, and the
-/// executor re-rewrites against live state anyway. Both snapshots are
+/// Plan `query` without executing it: against point-in-time snapshots of
+/// the store and of the statistics. A snapshot shares each table's current
+/// version — one `Arc` clone per table — so the search runs without holding
+/// a lock, and the executor re-rewrites against live state anyway. Both snapshots are
 /// dropped when this returns, before execution writes: a write copies a
 /// table only while a snapshot still holds it.
 pub fn plan(
     env: &Env<'_>,
     query: &AnalyzedQuery,
     cfg: &OptimizerConfig,
-    store_recorder: Option<&Arc<Recorder>>,
     now: u64,
 ) -> Result<Optimized> {
-    let mut store = env.state.store().snapshot();
-    if let Some(rec) = store_recorder {
-        store.attach_recorder(Arc::clone(rec));
-    }
+    let store = env.state.store().snapshot();
     let stats = env.state.stats_snapshot();
     optimize(query, &stats, &store, env.market, cfg, now)
 }
@@ -164,12 +156,7 @@ pub fn run_query(
         }
     }
     let t0 = Instant::now();
-    let store_recorder = cfg
-        .exec
-        .recorder
-        .as_ref()
-        .filter(|_| cfg.optimizer.introspect);
-    let optimized = plan(env, query, &cfg.optimizer, store_recorder, now)?;
+    let optimized = plan(env, query, &cfg.optimizer, now)?;
     let optimize_nanos = t0.elapsed().as_nanos() as u64;
     let t1 = Instant::now();
     let result = executor.execute(&optimized.plan)?;
@@ -185,7 +172,7 @@ pub fn run_query(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
+    use std::sync::{Arc, Mutex};
 
     use payless_geometry::{Interval, Region};
     use payless_market::{Dataset, FaultInjector, FaultKind, FaultPlan, MarketTable};
@@ -193,6 +180,7 @@ mod tests {
     use payless_semantic::{Consistency, SemanticStore};
     use payless_sql::{analyze, parse, MapCatalog};
     use payless_stats::StatsRegistry;
+    use payless_telemetry::Recorder;
     use payless_types::{row, Column, Domain, Schema};
 
     use crate::call::CallBudget;
@@ -426,7 +414,6 @@ mod tests {
             &f.env(),
             &f.analyzed(Y_SLICE),
             &OptimizerConfig::payless(),
-            None,
             1,
         )
         .unwrap();

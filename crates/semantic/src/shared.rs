@@ -22,7 +22,6 @@ use std::time::Instant;
 use payless_events::EventJournal;
 use payless_geometry::{QuerySpace, Region};
 use payless_metrics::MetricsHub;
-use payless_telemetry::Recorder;
 
 use crate::store::{Consistency, CoverClass, RewriteProbe, SemanticStore, TableStore};
 
@@ -37,13 +36,12 @@ type Shard = RwLock<Arc<TableStore>>;
 
 /// A semantic store shareable across threads: per-table versions behind
 /// reader-writer locks. All methods take `&self`; clone the containing
-/// `Arc` to hand the store to another session.
+/// `Arc` to hand the store to another session. Its instrumentation is
+/// cumulative and shared — the metrics hub and the event journal — never
+/// a query's recorder.
 #[derive(Default)]
 pub struct SharedSemanticStore {
     shards: HashMap<Arc<str>, Shard>,
-    /// Store-level telemetry sink for probe timings, index hit/scan and
-    /// compaction/eviction counters. First attachment wins.
-    recorder: OnceLock<Arc<Recorder>>,
     /// Flight recorder for store lifecycle events (inserts, compactions,
     /// evictions); they carry no query id. First attachment wins.
     events: OnceLock<Arc<EventJournal>>,
@@ -61,7 +59,6 @@ impl std::fmt::Debug for SharedSemanticStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedSemanticStore")
             .field("shards", &self.shards)
-            .field("recorder", &self.recorder.get().is_some())
             .field("events", &self.events.get().is_some())
             .field("metrics", &self.metrics.get().is_some())
             .field("observer", &self.observer.get().is_some())
@@ -82,8 +79,7 @@ fn write(l: &Shard) -> RwLockWriteGuard<'_, Arc<TableStore>> {
 
 impl SharedSemanticStore {
     /// Share `store`'s tables — a fresh store, or a warm one replayed from a
-    /// durability log — keeping its recorder, if any. The table set is
-    /// fixed from here on.
+    /// durability log. The table set is fixed from here on.
     pub fn new(store: SemanticStore) -> Self {
         SharedSemanticStore {
             shards: store
@@ -91,7 +87,6 @@ impl SharedSemanticStore {
                 .into_iter()
                 .map(|(name, t)| (name, RwLock::new(t)))
                 .collect(),
-            recorder: store.recorder.map(OnceLock::from).unwrap_or_default(),
             ..Self::default()
         }
     }
@@ -112,24 +107,11 @@ impl SharedSemanticStore {
         let _ = self.observer.set(observer);
     }
 
-    /// Attach a store-level telemetry recorder (see
-    /// [`SemanticStore::attach_recorder`]). Index hit/scan counters are a
-    /// property of the shared store, not of any one session — see
-    /// DESIGN.md "Concurrent serving & call coalescing". First attachment
-    /// wins; later calls are ignored.
-    pub fn attach_recorder(&self, recorder: Arc<Recorder>) {
-        let _ = self.recorder.set(recorder);
-    }
-
     /// Attach a flight-recorder journal: every later `record_spend`
     /// journals `store_insert` / `store_compact` / `store_evict` events.
     /// First attachment wins; later calls are ignored.
     pub fn attach_events(&self, journal: Arc<EventJournal>) {
         let _ = self.events.set(journal);
-    }
-
-    fn recorder(&self) -> Option<&Recorder> {
-        self.recorder.get().map(|r| &**r)
     }
 
     /// Take a shard's read lock, reporting the wait into the hub.
@@ -162,13 +144,9 @@ impl SharedSemanticStore {
 
     /// Run a probe against `table`'s current version under its read lock
     /// (the wait reported into the hub); `None` if `table` is unknown.
-    fn probe<R>(
-        &self,
-        table: &str,
-        f: impl FnOnce(&TableStore, Option<&Recorder>) -> R,
-    ) -> Option<R> {
+    fn probe<R>(&self, table: &str, f: impl FnOnce(&TableStore) -> R) -> Option<R> {
         let shard = self.shards.get(table)?;
-        Some(f(&self.timed_read(shard), self.recorder()))
+        Some(f(&self.timed_read(shard)))
     }
 
     /// Read a counter of `table`'s current version; `None` if unknown.
@@ -205,7 +183,7 @@ impl SharedSemanticStore {
         let mut guard = self.timed_write(shard);
         let t = Arc::make_mut(&mut guard);
         let journal = self.events.get().map(|j| &**j);
-        t.record(table, region, now, spend, self.recorder(), journal);
+        t.record(table, region, now, spend, journal);
         if let Some(hub) = self.metrics.get() {
             hub.store_records.inc(1);
             hub.table_views_gauge(table).set(t.view_count() as u64);
@@ -245,10 +223,8 @@ impl SharedSemanticStore {
         consistency: Consistency,
         now: u64,
     ) -> Vec<Arc<Region>> {
-        self.probe(table, |t, rec| {
-            t.views_overlapping(probe, consistency, now, rec)
-        })
-        .unwrap_or_default()
+        self.probe(table, |t| t.views_overlapping(probe, consistency, now))
+            .unwrap_or_default()
     }
 
     /// Total compaction events for `table` since creation.
@@ -270,7 +246,7 @@ impl SharedSemanticStore {
         now: u64,
     ) -> CoverClass {
         let class = self
-            .probe(table, |t, rec| t.classify(region, consistency, now, rec))
+            .probe(table, |t| t.classify(region, consistency, now))
             .unwrap_or(CoverClass::Miss);
         if let Some(hub) = self.metrics.get() {
             match class {
@@ -284,7 +260,7 @@ impl SharedSemanticStore {
 
     /// `true` if `region` of `table` is fully covered by usable views.
     pub fn covers(&self, table: &str, region: &Region, consistency: Consistency, now: u64) -> bool {
-        self.probe(table, |t, rec| t.covers(region, consistency, now, rec))
+        self.probe(table, |t| t.covers(region, consistency, now))
             .unwrap_or(false)
     }
 
@@ -300,9 +276,9 @@ impl SharedSemanticStore {
     }
 
     /// A point-in-time copy that shares every table's current version — one
-    /// `Arc` clone per shard, each under its read lock — with no recorder
-    /// or journal attached. This is what the optimizer plans against; drop
-    /// it before writing, or the next write to a table copies it.
+    /// `Arc` clone per shard, each under its read lock — with no journal
+    /// attached. This is what the optimizer plans against; drop it before
+    /// writing, or the next write to a table copies it.
     pub fn snapshot(&self) -> SemanticStore {
         SemanticStore {
             tables: self

@@ -30,11 +30,9 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 use payless_events::{EventJournal, EventKind, Severity};
 use payless_geometry::{QuerySpace, RTree, Region};
-use payless_telemetry::Recorder;
 
 /// Result-freshness policy (Section 4.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -323,56 +321,43 @@ impl TableStore {
 
     /// The usable views overlapping `probe`, via the R-tree when the table
     /// is big enough for the walk to pay off. Returns views in slot order
-    /// (identical to the linear scan) and reports whether the index was
-    /// used.
-    fn probe(&self, probe: &Region, min_stored_at: u64) -> (Vec<Arc<Region>>, bool) {
+    /// (identical to the linear scan).
+    fn probe(&self, probe: &Region, min_stored_at: u64) -> Vec<Arc<Region>> {
         if self.live < INDEX_MIN_VIEWS {
-            let out = self
+            return self
                 .slots
                 .iter()
                 .flatten()
                 .filter(|v| v.stored_at >= min_stored_at && v.region.overlaps(probe))
                 .map(|v| v.region.clone())
                 .collect();
-            return (out, false);
         }
         // Leaf entries are the exact stored boxes, so every id returned
         // truly overlaps; ascending-id iteration reproduces slot order.
-        let out = self
-            .tree
+        self.tree
             .query(probe)
             .into_iter()
             .map(|id| self.view(id))
             .filter(|v| v.stored_at >= min_stored_at)
             .map(|v| v.region.clone())
-            .collect();
-        (out, true)
+            .collect()
     }
 
     /// Record that `region` (of the table named `table`) was retrieved at
-    /// `now`, billed `spend` pages, reporting what the insert compacted and
-    /// evicted into `rec` (`store.compactions` / `store.evictions`) and
-    /// `journal` (`store_insert` / `store_compact` / `store_evict`).
+    /// `now`, billed `spend` pages, journaling what the insert compacted and
+    /// evicted into `journal` (`store_insert` / `store_compact` /
+    /// `store_evict`).
     pub(crate) fn record(
         &mut self,
         table: &str,
         region: Region,
         now: u64,
         spend: u64,
-        rec: Option<&Recorder>,
         journal: Option<&EventJournal>,
     ) {
         let (c0, e0) = (self.compactions, self.evictions);
         self.insert(region, now, spend);
         let (c, e) = (self.compactions - c0, self.evictions - e0);
-        if let Some(rec) = rec {
-            if c > 0 {
-                rec.count("store.compactions", c);
-            }
-            if e > 0 {
-                rec.count("store.evictions", e);
-            }
-        }
         if let Some(j) = journal {
             let views = self.live as u64;
             j.emit(None, Severity::Debug, || EventKind::StoreInsert {
@@ -395,54 +380,25 @@ impl TableStore {
         }
     }
 
-    /// The usable views overlapping `probe`, reporting the probe's time,
-    /// path and result size into `rec`.
-    fn timed_probe(&self, probe: &Region, min: u64, rec: Option<&Recorder>) -> Vec<Arc<Region>> {
-        let t0 = rec.map(|_| Instant::now());
-        let (out, used_index) = self.probe(probe, min);
-        if let (Some(rec), Some(t0)) = (rec, t0) {
-            rec.record_duration("store.index_probe", t0.elapsed().as_nanos() as u64);
-            rec.count(
-                if used_index {
-                    "store.index_hits"
-                } else {
-                    "store.index_full_scans"
-                },
-                1,
-            );
-            rec.record_size("store.probe_views", out.len() as u64);
-        }
-        out
-    }
-
     /// See [`SemanticStore::views_overlapping`].
     pub(crate) fn views_overlapping(
         &self,
         probe: &Region,
         consistency: Consistency,
         now: u64,
-        rec: Option<&Recorder>,
     ) -> Vec<Arc<Region>> {
         match consistency.min_stored_at(now) {
-            Some(min) => self.timed_probe(probe, min, rec),
+            Some(min) => self.probe(probe, min),
             None => Vec::new(),
         }
     }
 
     /// See [`SemanticStore::covers`].
-    pub(crate) fn covers(
-        &self,
-        region: &Region,
-        consistency: Consistency,
-        now: u64,
-        rec: Option<&Recorder>,
-    ) -> bool {
+    pub(crate) fn covers(&self, region: &Region, consistency: Consistency, now: u64) -> bool {
         let Some(min) = consistency.min_stored_at(now) else {
             return false;
         };
-        region
-            .subtract_all(&self.timed_probe(region, min, rec))
-            .is_empty()
+        region.subtract_all(&self.probe(region, min)).is_empty()
     }
 
     /// See [`SemanticStore::classify`].
@@ -451,14 +407,13 @@ impl TableStore {
         region: &Region,
         consistency: Consistency,
         now: u64,
-        rec: Option<&Recorder>,
     ) -> CoverClass {
         // Probe for overlapping views only: anything disjoint from the
         // region is a Miss regardless, which the empty-overlap check covers.
         let Some(min) = consistency.min_stored_at(now) else {
             return CoverClass::Miss;
         };
-        let views = self.timed_probe(region, min, rec);
+        let views = self.probe(region, min);
         if views.is_empty() {
             return CoverClass::Miss;
         }
@@ -543,12 +498,12 @@ fn box_union(a: &Region, b: &Region) -> Option<Region> {
 }
 
 /// Coverage for every market table PayLess has touched: one shared
-/// version per table, so a clone costs one pointer clone per table.
+/// version per table, so a clone costs one pointer clone per table. It
+/// records into no query's telemetry; the [`crate::SharedSemanticStore`]
+/// over it reports to the metrics hub and the event journal.
 #[derive(Debug, Clone, Default)]
 pub struct SemanticStore {
     pub(crate) tables: HashMap<Arc<str>, Arc<TableStore>>,
-    /// Telemetry sink for probe timings and index hit/fallback counters.
-    pub(crate) recorder: Option<Arc<Recorder>>,
     /// Config applied to tables registered from here on (existing tables
     /// keep theirs until [`SemanticStore::set_config`]).
     pub(crate) cfg: StoreConfig,
@@ -558,19 +513,6 @@ impl SemanticStore {
     /// An empty store with the default [`StoreConfig`].
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Attach a telemetry recorder; subsequent probes report
-    /// `store.index_probe` durations and `store.index_hits` /
-    /// `store.index_full_scans` counters into it.
-    ///
-    /// These counters are a property of the *store*, not of any one query:
-    /// when the store is shared across sessions (the serving layer), every
-    /// session's probes land in this recorder, so per-query recorders must
-    /// never be attached here. The `\report` renderer tags them
-    /// "store-level" for the same reason.
-    pub fn attach_recorder(&mut self, recorder: Arc<Recorder>) {
-        self.recorder = Some(recorder);
     }
 
     /// Apply `cfg` to every registered table and to tables registered later.
@@ -620,8 +562,7 @@ impl SemanticStore {
             .tables
             .get_mut(table)
             .unwrap_or_else(|| panic!("table `{table}` not registered in semantic store"));
-        let rec = self.recorder.as_deref();
-        Arc::make_mut(t).record(table, region, now, spend, rec, None);
+        Arc::make_mut(t).record(table, region, now, spend, None);
     }
 
     /// The stored regions of `table` usable under `consistency` at `now`.
@@ -650,7 +591,7 @@ impl SemanticStore {
     ) -> Vec<Arc<Region>> {
         self.tables
             .get(table)
-            .map(|t| t.views_overlapping(probe, consistency, now, self.recorder.as_deref()))
+            .map(|t| t.views_overlapping(probe, consistency, now))
             .unwrap_or_default()
     }
 
@@ -684,7 +625,7 @@ impl SemanticStore {
     pub fn covers(&self, table: &str, region: &Region, consistency: Consistency, now: u64) -> bool {
         self.tables
             .get(table)
-            .is_some_and(|t| t.covers(region, consistency, now, self.recorder.as_deref()))
+            .is_some_and(|t| t.covers(region, consistency, now))
     }
 
     /// Classify how much of `region` the usable views cover.
@@ -695,9 +636,9 @@ impl SemanticStore {
         consistency: Consistency,
         now: u64,
     ) -> CoverClass {
-        self.tables.get(table).map_or(CoverClass::Miss, |t| {
-            t.classify(region, consistency, now, self.recorder.as_deref())
-        })
+        self.tables
+            .get(table)
+            .map_or(CoverClass::Miss, |t| t.classify(region, consistency, now))
     }
 
     /// The version `table` currently points at.

@@ -8,9 +8,9 @@
 //! other client's purchases. [`Serve::run`] is the one place a query runs:
 //! the REPL session (`payless_core::PayLess`, a one-client `Serve`), the
 //! in-process mix and the socket server all go through it, differing only in
-//! the [`Mode`] preset, the recorder and whether plan introspection is on.
+//! the [`Mode`] preset and whether plan introspection is on.
 //! Overlapping in-flight purchases coalesce to a single flight
-//! ([`payless_exec::CallCoalescer`]), and each query's recorder gets the
+//! ([`payless_exec::CallCoalescer`]), and each query's own recorder gets the
 //! spend ledger the call layer writes — attributing every shared purchase to
 //! the query that triggered it.
 //!
@@ -256,22 +256,20 @@ impl Serve {
     /// it: `EXPLAIN`, and the no-SQR counterfactual. Charges nothing.
     pub fn plan(&self, query: &AnalyzedQuery, mode: Mode) -> Result<Optimized> {
         let (optimizer, _) = self.preset(mode);
-        pipeline::plan(&self.env(), query, &optimizer, None, self.now())
+        pipeline::plan(&self.env(), query, &optimizer, self.now())
     }
 
     /// Run one analyzed query through the paper's Figure 3
     /// ([`payless_exec::pipeline`]) with this layer's coalescer attached:
-    /// tick the clock, journal the query's start, run,
-    /// drain `recorder`, journal what the query spent — on the error path
-    /// too — and time it into the metrics hub. `trace` turns on the
-    /// optimizer's per-operator introspection, and with it the plan-time
-    /// store copy's probe counters. Returns the query's causal id (its
-    /// tick), the run, and the telemetry `recorder` held for it.
+    /// tick the clock, journal the query's start, run it into a fresh
+    /// recorder of its own, journal what the query spent — on the error
+    /// path too — and time it into the metrics hub. `trace` turns on the
+    /// optimizer's per-operator introspection. Returns the query's causal
+    /// id (its tick), the run, and its recorder's telemetry.
     pub fn run(
         &self,
         query: &AnalyzedQuery,
         mode: Mode,
-        recorder: &Arc<Recorder>,
         trace: bool,
     ) -> (u64, Result<Ran>, TelemetrySnapshot) {
         let started = self.cfg.metrics.as_ref().map(|_| Instant::now());
@@ -279,17 +277,14 @@ impl Serve {
         if let Some(j) = &self.cfg.events {
             j.emit(Some(now), Severity::Info, || EventKind::QueryStart);
         }
-        // A recorder may outlive the query (the session's does): start its
-        // timestamps here, and keep anything recorded between queries out
-        // of this query's snapshot.
-        recorder.begin_epoch();
+        let recorder = Recorder::enabled();
         let (mut optimizer, download_all) = self.preset(mode);
         optimizer.introspect = trace;
         let cfg = PipelineConfig {
             exec: ExecConfig {
                 sqr: optimizer.sqr,
                 consistency: self.cfg.consistency,
-                recorder: Some(Arc::clone(recorder)),
+                recorder: Some(Arc::clone(&recorder)),
                 retry: self.cfg.retry.clone(),
                 synthesize_ledger: true,
                 metrics: self.cfg.metrics.clone(),
@@ -318,8 +313,8 @@ impl Serve {
     }
 
     /// Run one client query: bind, analyze, then [`Serve::run`] as full
-    /// PayLess with a private recorder. Returns the query's result rows
-    /// together with that recorder's telemetry (ledger, coalesce counters).
+    /// PayLess. Returns the query's result rows together with its
+    /// recorder's telemetry (ledger, coalesce counters).
     pub fn run_query(
         &self,
         template: &SelectStmt,
@@ -341,7 +336,7 @@ impl Serve {
             Ok(query) => query,
             Err(e) => return (0, Err(e)),
         };
-        let (id, ran, snap) = self.run(&query, Mode::PayLess, &Recorder::enabled(), false);
+        let (id, ran, snap) = self.run(&query, Mode::PayLess, false);
         (id, ran.map(|ran| (ran.result, snap)))
     }
 }

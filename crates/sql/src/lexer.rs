@@ -157,29 +157,24 @@ pub fn lex(sql: &str) -> Result<Vec<Token>> {
                 i += 2;
             }
             b'\'' => {
+                // Copy the literal in `&str` runs between quotes: `'` is
+                // ASCII, so it never matches inside a multi-byte character.
                 let mut s = String::new();
                 i += 1;
                 loop {
-                    match bytes.get(i) {
-                        Some(b'\'') if bytes.get(i + 1) == Some(&b'\'') => {
-                            s.push('\'');
-                            i += 2;
-                        }
-                        Some(b'\'') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(&b) => {
-                            s.push(b as char);
-                            i += 1;
-                        }
-                        None => {
-                            return Err(PaylessError::Parse {
-                                position: pos,
-                                message: "unterminated string literal".into(),
-                            })
-                        }
+                    let Some(run) = sql[i..].find('\'') else {
+                        return Err(PaylessError::Parse {
+                            position: pos,
+                            message: "unterminated string literal".into(),
+                        });
+                    };
+                    s.push_str(&sql[i..i + run]);
+                    i += run + 1;
+                    if bytes.get(i) != Some(&b'\'') {
+                        break;
                     }
+                    s.push('\'');
+                    i += 1;
                 }
                 tokens.push(Token {
                     kind: TokenKind::Str(s),
@@ -276,6 +271,23 @@ mod tests {
                 TokenKind::Eof
             ]
         );
+    }
+
+    #[test]
+    fn lexes_non_ascii_strings_verbatim() {
+        assert_eq!(
+            kinds("'Zürich' 'It''s ü' '𝄞'"),
+            vec![
+                TokenKind::Str("Zürich".into()),
+                TokenKind::Str("It's ü".into()),
+                TokenKind::Str("𝄞".into()),
+                TokenKind::Eof
+            ]
+        );
+        assert!(matches!(
+            lex("'Zürich"),
+            Err(PaylessError::Parse { position: 0, .. })
+        ));
     }
 
     #[test]

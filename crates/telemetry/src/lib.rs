@@ -25,14 +25,13 @@ use payless_json::{Json, ToJson};
 use std::sync::Arc;
 
 /// Why the market was called: the three call shapes PayLess issues.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CallKind {
     /// Point probe issued per binding combination of a bind join.
     BindProbe,
     /// Bulk download of a table (or the bound slices of one).
     Download,
     /// Remainder query left after subtracting SQR-covered regions.
-    #[default]
     Remainder,
 }
 
@@ -53,7 +52,7 @@ impl CallKind {
 /// provider charged for those pages.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransactionRecord {
-    /// Position in the ledger (0-based, per recorder lifetime).
+    /// Position in the query's ledger (0-based).
     pub seq: u64,
     /// Dataset (provider) the table belongs to.
     pub dataset: Arc<str>,
@@ -303,8 +302,6 @@ pub struct TelemetrySnapshot {
     pub qerrors: Vec<QErrorRecord>,
     /// Monotonic counters, sorted by name.
     pub counters: Vec<(&'static str, u64)>,
-    /// Duration histograms (nanoseconds), sorted by name.
-    pub durations: Vec<(&'static str, HistogramSummary)>,
     /// Size histograms (bytes or tuples), sorted by name.
     pub sizes: Vec<(&'static str, HistogramSummary)>,
 }
@@ -454,15 +451,6 @@ impl ToJson for TelemetrySnapshot {
                 "counters",
                 Json::Obj(
                     self.counters
-                        .iter()
-                        .map(|(k, v)| (k.to_string(), v.to_json()))
-                        .collect(),
-                ),
-            ),
-            (
-                "durations",
-                Json::Obj(
-                    self.durations
                         .iter()
                         .map(|(k, v)| (k.to_string(), v.to_json()))
                         .collect(),

@@ -1,6 +1,6 @@
 use payless_json::{Json, ToJson};
 
-/// Sample-keeping histogram for durations and sizes.
+/// Sample-keeping histogram for size samples.
 ///
 /// Queries touch at most a few thousand market calls, so keeping raw
 /// samples (8 bytes each) and sorting on demand is cheaper and more exact

@@ -1,10 +1,11 @@
 use crate::metrics::Histogram;
-use crate::{CallKind, QErrorRecord, SpanRecord, SqrStats, TelemetrySnapshot, TransactionRecord};
+use crate::{QErrorRecord, SpanRecord, SqrStats, TelemetrySnapshot, TransactionRecord};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Thread-safe telemetry sink shared by every layer of the pipeline.
+/// Thread-safe telemetry sink of one query, shared by every layer of that
+/// query's pipeline. Its epoch is its creation.
 ///
 /// A recorder always records; a caller that wants no telemetry holds none
 /// (every attach point is an `Option`).
@@ -25,11 +26,8 @@ struct Inner {
     span_seq: u64,
     qerrors: Vec<QErrorRecord>,
     counters: BTreeMap<&'static str, u64>,
-    durations: BTreeMap<&'static str, Histogram>,
     sizes: BTreeMap<&'static str, Histogram>,
-    call_kind: CallKind,
-    /// Time origin all records are stamped against; reset by
-    /// [`Recorder::begin_epoch`] so timestamps are per-query.
+    /// Time origin all records are stamped against.
     epoch: Instant,
 }
 
@@ -42,9 +40,7 @@ impl Default for Inner {
             span_seq: 0,
             qerrors: Vec::new(),
             counters: BTreeMap::new(),
-            durations: BTreeMap::new(),
             sizes: BTreeMap::new(),
-            call_kind: CallKind::default(),
             epoch: Instant::now(),
         }
     }
@@ -64,13 +60,12 @@ impl Recorder {
     }
 
     /// Append a market transaction to the spend ledger. The record is built
-    /// lazily; `seq`, call kind, and the epoch-relative timestamp are filled
-    /// in by the recorder.
+    /// lazily; `seq` and the epoch-relative timestamp are filled in by the
+    /// recorder.
     pub fn transaction(&self, build: impl FnOnce() -> TransactionRecord) {
         self.with_inner(|inner| {
             let mut record = build();
             record.seq = inner.ledger.len() as u64;
-            record.kind = inner.call_kind;
             record.at_nanos = inner.epoch.elapsed().as_nanos() as u64;
             inner.ledger.push(record);
         });
@@ -80,12 +75,6 @@ impl Recorder {
     /// built lazily, like [`Recorder::transaction`].
     pub fn q_error(&self, build: impl FnOnce() -> QErrorRecord) {
         self.with_inner(|inner| inner.qerrors.push(build()));
-    }
-
-    /// Set the call shape for subsequent [`Recorder::transaction`] calls.
-    /// The executor sets this before issuing market requests.
-    pub fn set_call_kind(&self, kind: CallKind) {
-        self.with_inner(|inner| inner.call_kind = kind);
     }
 
     pub fn sqr_full_hit(&self) {
@@ -103,11 +92,6 @@ impl Recorder {
     /// Increment a monotonic counter.
     pub fn count(&self, name: &'static str, delta: u64) {
         self.with_inner(|inner| *inner.counters.entry(name).or_insert(0) += delta);
-    }
-
-    /// Record one duration sample (nanoseconds).
-    pub fn record_duration(&self, name: &'static str, nanos: u64) {
-        self.with_inner(|inner| inner.durations.entry(name).or_default().record(nanos));
     }
 
     /// Record one size sample (bytes, tuples, pages, ...).
@@ -136,36 +120,15 @@ impl Recorder {
         }
     }
 
-    /// Start a fresh per-query epoch: drop everything recorded so far and
-    /// reset the timestamp origin, so records left behind by an aborted
-    /// query can never leak into the next query's snapshot (the
-    /// wasted/delivered page partition must be per-query). The call-kind
-    /// context survives.
-    pub fn begin_epoch(&self) {
-        let mut inner = self.inner.lock().expect("telemetry poisoned");
-        let kind = inner.call_kind;
-        *inner = Inner::default();
-        inner.call_kind = kind;
-    }
-
-    /// Drain everything recorded so far, resetting for the next query.
-    /// The current call-kind context survives the drain.
+    /// Drain everything recorded so far.
     pub fn take(&self) -> TelemetrySnapshot {
-        let mut inner = self.inner.lock().expect("telemetry poisoned");
-        let kind = inner.call_kind;
-        let drained = std::mem::take(&mut *inner);
-        inner.call_kind = kind;
+        let drained = std::mem::take(&mut *self.inner.lock().expect("telemetry poisoned"));
         TelemetrySnapshot {
             ledger: drained.ledger,
             sqr: drained.sqr,
             spans: drained.spans,
             qerrors: drained.qerrors,
             counters: drained.counters.into_iter().collect(),
-            durations: drained
-                .durations
-                .into_iter()
-                .map(|(k, h)| (k, h.summary()))
-                .collect(),
             sizes: drained
                 .sizes
                 .into_iter()
@@ -205,16 +168,16 @@ impl Drop for SpanGuard {
 #[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
+    use crate::CallKind;
 
     #[test]
     fn enabled_recorder_captures_and_drains() {
         let rec = Recorder::enabled();
-        rec.set_call_kind(CallKind::Download);
         rec.transaction(|| TransactionRecord {
             seq: 999, // overwritten
             dataset: Arc::from("d"),
             table: Arc::from("T"),
-            kind: CallKind::Remainder, // overwritten by context
+            kind: CallKind::Download,
             records: 10,
             page_size: 3,
             pages: 4,
@@ -224,7 +187,6 @@ mod tests {
         });
         rec.count("plans", 2);
         rec.count("plans", 3);
-        rec.record_duration("dp", 100);
         rec.record_size("rows", 10);
         {
             let _g = rec.span("phase", || Some("outer".into()));
@@ -234,27 +196,12 @@ mod tests {
         assert_eq!(snap.ledger[0].seq, 0);
         assert_eq!(snap.ledger[0].kind, CallKind::Download);
         assert_eq!(snap.counters, vec![("plans", 5)]);
-        assert_eq!(snap.durations[0].1.count, 1);
         assert_eq!(snap.sizes[0].1.sum, 10);
         assert_eq!(snap.spans.len(), 1);
         assert_eq!(snap.spans[0].detail.as_deref(), Some("outer"));
 
-        // Drained: a second take is empty, but context persists.
-        let snap2 = rec.take();
-        assert!(snap2.ledger.is_empty());
-        rec.transaction(|| TransactionRecord {
-            seq: 0,
-            dataset: Arc::from("d"),
-            table: Arc::from("T"),
-            kind: CallKind::Remainder,
-            records: 0,
-            page_size: 3,
-            pages: 0,
-            price: 0.0,
-            wasted: false,
-            at_nanos: 0,
-        });
-        assert_eq!(rec.take().ledger[0].kind, CallKind::Download);
+        // Drained: a second take is empty.
+        assert!(rec.take().ledger.is_empty());
     }
 
     fn dummy_tx() -> TransactionRecord {
@@ -273,29 +220,8 @@ mod tests {
     }
 
     #[test]
-    fn begin_epoch_discards_leftovers() {
-        // A query that aborts mid-flight leaves its records in the buffer;
-        // the next query's epoch must not carry them.
-        let rec = Recorder::enabled();
-        rec.set_call_kind(CallKind::Download);
-        rec.transaction(dummy_tx);
-        rec.count("stale", 1);
-
-        rec.begin_epoch(); // what every query start does
-        let snap = rec.take();
-        assert!(snap.ledger.is_empty(), "stale ledger entry leaked");
-        assert!(snap.counters.is_empty(), "stale counter leaked");
-        assert_eq!(snap.wasted_pages(), 0);
-
-        // The call-kind context survives an epoch boundary.
-        rec.transaction(dummy_tx);
-        assert_eq!(rec.take().ledger[0].kind, CallKind::Download);
-    }
-
-    #[test]
     fn records_are_stamped_against_the_epoch() {
         let rec = Recorder::enabled();
-        rec.begin_epoch();
         rec.transaction(dummy_tx);
         {
             let _g = rec.span("s", || None);

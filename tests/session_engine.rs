@@ -9,7 +9,7 @@
 //!   paid, the answer digest and `plans_considered` against
 //!   `tests/golden/session_stream.txt` — plus, for a traced `PayLess` run,
 //!   the report of the first partial-hit query with every wall-clock field
-//!   scrubbed (ledger, `sqr.*` / `store.*` counters, operator estimates and
+//!   scrubbed (ledger, `sqr.*` counters, operator estimates and
 //!   actuals). The file was recorded at commit 598c77d, before the session
 //!   moved onto `SharedState`; a mismatch writes the new text next to the
 //!   test binary's scratch directory so it can be diffed.
@@ -140,26 +140,14 @@ fn render(name: &str, runs: &[(usize, QueryOutcome, u64)], into: &mut String) {
     }
 }
 
-/// Drop every wall-clock field of a report; a duration histogram keeps
-/// only how many samples it saw.
+/// Drop every wall-clock field of a report.
 fn scrub(j: &Json) -> Json {
     match j {
         Json::Obj(fields) => Json::Obj(
             fields
                 .iter()
                 .filter(|(k, _)| k != "phases" && !k.contains("nanos"))
-                .map(|(k, v)| match (k.as_str(), v) {
-                    ("durations", Json::Obj(hists)) => (
-                        k.clone(),
-                        Json::Obj(
-                            hists
-                                .iter()
-                                .map(|(name, h)| (name.clone(), h.get("count").unwrap().clone()))
-                                .collect(),
-                        ),
-                    ),
-                    _ => (k.clone(), scrub(v)),
-                })
+                .map(|(k, v)| (k.clone(), scrub(v)))
                 .collect(),
         ),
         Json::Arr(items) => Json::Arr(items.iter().map(scrub).collect()),
