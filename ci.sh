@@ -88,17 +88,17 @@ results_check() {
     # The figure binaries print transaction counts and plan counts, never
     # wall-clock time, so a `PayLess` session that plans or pays differently
     # in any of the four paper modes shows up as a diff here. planspace and
-    # ablation take 0.1 s each, fig10 about a minute; stats_accuracy (about
-    # 15 s) is the one check on the two statistics backends serving does
-    # not run. fig11-15 ride the same session code and are checked by
-    # `results-full`.
+    # ablation take 0.1 s each, fig10 about a minute and a half (86-93 s on
+    # a 2-core VM); stats_accuracy (about 10 s) is the one check on the two
+    # statistics backends serving does not run. fig11-15 ride the same
+    # session code and are checked by `results-full`.
     regen_results results-check planspace ablation fig10 stats_accuracy
 }
 
 results_full() {
     echo "== results full: every count-only figure reproduces results/ byte for byte =="
     # All nine count-only outputs (`efficiency` prints wall-clock timings and
-    # never reproduces). Several minutes on two cores, so it stays out of
+    # never reproduces). About ten minutes on two cores, so it stays out of
     # `all`; the scheduled workflow runs it. To re-record results/ after a
     # change that moves the money, run this stage and copy
     # target/results-full/*.txt over results/.

@@ -4,7 +4,7 @@
 //! The metrics hub can say *that* attributed spend diverged from the billing
 //! meter; this crate records *why*. Every interesting step of a query's life
 //! — market call attempts, retries, truncated deliveries, billed faults,
-//! coalesced flights, store insert/compact/evict, and every reconciliation
+//! coalesced flights, store insert/compact, and every reconciliation
 //! watchdog sample — is appended to a ring-buffered journal as a typed
 //! [`Event`] carrying stable causal ids (query / call / flight). From the
 //! journal alone, [`provenance`] reconstructs the exact chain of events
@@ -19,8 +19,8 @@
 //! * **One ring.** A single mutex guards the next sequence number and the
 //!   ring, so the ring is always in sequence order and
 //!   [`EventJournal::snapshot`] is a plain copy.
-//! * **Bounded.** The ring holds the newest `cap` events; evictions are
-//!   counted in [`EventJournal::dropped`].
+//! * **Bounded.** The ring holds the newest `cap` events; the older ones
+//!   it drops are counted in [`EventJournal::dropped`].
 //! * **Free when absent.** Every attach point holds an
 //!   `Option<Arc<EventJournal>>`; with `None` no payload is built.
 //!
@@ -167,10 +167,8 @@ pub enum EventKind {
         spend_pages: u64,
         views: u64,
     },
-    /// Views were absorbed/coalesced/redundancy-dropped during an insert.
+    /// Views were absorbed/coalesced during an insert.
     StoreCompact { table: String, compactions: u64 },
-    /// Spend-weighted evictions ran to bound the view count.
-    StoreEvict { table: String, evictions: u64 },
     /// One reconciliation watchdog sample (attributed ledger pages vs the
     /// billing meter).
     WatchdogSample {
@@ -203,7 +201,6 @@ impl EventKind {
             EventKind::FlightRecomputeAverted { .. } => "flight_recompute_averted",
             EventKind::StoreInsert { .. } => "store_insert",
             EventKind::StoreCompact { .. } => "store_compact",
-            EventKind::StoreEvict { .. } => "store_evict",
             EventKind::WatchdogSample { .. } => "watchdog_sample",
             EventKind::WatchdogViolation { .. } => "watchdog_violation",
             EventKind::BlackBox { .. } => "blackbox",
@@ -301,7 +298,6 @@ impl Event {
                 views,
             } => fields!(table, spend_pages, views),
             EventKind::StoreCompact { table, compactions } => fields!(table, compactions),
-            EventKind::StoreEvict { table, evictions } => fields!(table, evictions),
             EventKind::WatchdogSample {
                 sample,
                 attributed_pages,
@@ -850,10 +846,6 @@ mod tests {
                 table: "T".into(),
                 compactions: 2,
             },
-            EventKind::StoreEvict {
-                table: "T".into(),
-                evictions: 1,
-            },
             EventKind::WatchdogSample {
                 sample: 11,
                 attributed_pages: 90,
@@ -904,10 +896,9 @@ mod tests {
             "{\"seq\":10,\"at_nanos\":10017,\"severity\":\"warn\",\"query\":110,\"kind\":\"flight_recompute_averted\",\"table\":\"T\",\"pages\":6}",
             "{\"seq\":11,\"at_nanos\":11017,\"severity\":\"error\",\"query\":111,\"kind\":\"store_insert\",\"table\":\"T\",\"spend_pages\":8,\"views\":3}",
             "{\"seq\":12,\"at_nanos\":12017,\"severity\":\"debug\",\"kind\":\"store_compact\",\"table\":\"T\",\"compactions\":2}",
-            "{\"seq\":13,\"at_nanos\":13017,\"severity\":\"info\",\"query\":113,\"kind\":\"store_evict\",\"table\":\"T\",\"evictions\":1}",
-            "{\"seq\":14,\"at_nanos\":14017,\"severity\":\"warn\",\"query\":114,\"kind\":\"watchdog_sample\",\"sample\":11,\"attributed_pages\":90,\"meter_pages\":91,\"exact\":false}",
-            "{\"seq\":15,\"at_nanos\":15017,\"severity\":\"error\",\"kind\":\"watchdog_violation\",\"detail\":\"a\\\"b\\\\c\\nd\\u0001e\"}",
-            "{\"seq\":16,\"at_nanos\":16017,\"severity\":\"debug\",\"query\":116,\"kind\":\"blackbox\",\"reason\":\"panic: \\\"x\\\"\\n\"}",
+            "{\"seq\":13,\"at_nanos\":13017,\"severity\":\"info\",\"query\":113,\"kind\":\"watchdog_sample\",\"sample\":11,\"attributed_pages\":90,\"meter_pages\":91,\"exact\":false}",
+            "{\"seq\":14,\"at_nanos\":14017,\"severity\":\"warn\",\"query\":114,\"kind\":\"watchdog_violation\",\"detail\":\"a\\\"b\\\\c\\nd\\u0001e\"}",
+            "{\"seq\":15,\"at_nanos\":15017,\"severity\":\"error\",\"kind\":\"blackbox\",\"reason\":\"panic: \\\"x\\\"\\n\"}",
         ];
         let events = every_kind();
         assert_eq!(events.len(), expected.len());

@@ -171,9 +171,8 @@ impl SharedState {
     ///
     /// `coverage` is off only when rewriting is: coverage is only ever
     /// *read* by SQR, and without it the store would grow unboundedly (one
-    /// region per bind probe) for nothing. The pages billed become the
-    /// view's eviction weight: under cap pressure the store keeps what was
-    /// expensive to buy.
+    /// region per bind probe) for nothing. The pages billed ride along to
+    /// the journal and the spend observer (the write-ahead log).
     pub(crate) fn land_delivery(
         &self,
         recorder: Option<&Recorder>,
@@ -267,9 +266,10 @@ mod tests {
 
     use super::*;
 
-    /// A re-bought delivery (an eviction re-buy, or a remainder that
-    /// overlaps stored coverage on purpose) adds nothing to the mirror, so
-    /// the row observer — `mirror.log`'s writer — sees none of it again.
+    /// A re-bought delivery (a remainder that overlaps stored coverage on
+    /// purpose, or a purchase made under a freshness window) adds nothing
+    /// to the mirror, so the row observer — `mirror.log`'s writer — sees
+    /// none of it again.
     #[test]
     fn row_observer_sees_each_distinct_row_once() {
         let schema = Schema::new("T", vec![Column::free("a", Domain::int(0, 9))]);

@@ -218,7 +218,7 @@ impl RTree {
 
     /// Remove item `id` whose bounding box is `bbox`. Returns `true` when
     /// the item was found. Nodes are pruned when emptied but never
-    /// rebalanced — deletions here are rare (compaction/eviction), and an
+    /// rebalanced — deletions here are rare (compaction only), and an
     /// under-full node only costs a little probe selectivity.
     pub fn remove(&mut self, bbox: &Region, id: u32) -> bool {
         let Some(root) = self.root else {

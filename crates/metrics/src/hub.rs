@@ -186,18 +186,11 @@ impl MetricsHub {
             .gauge(&format!("payless_store_views{{table=\"{table}\"}}"))
     }
 
-    /// Per-table cumulative compaction events — views absorbed, coalesced,
-    /// or dropped as redundant (`payless_store_compactions{table="…"}`).
+    /// Per-table cumulative compaction events — views absorbed or coalesced
+    /// (`payless_store_compactions{table="…"}`).
     pub fn table_compactions_gauge(&self, table: &str) -> Arc<Gauge> {
         self.registry
             .gauge(&format!("payless_store_compactions{{table=\"{table}\"}}"))
-    }
-
-    /// Per-table cumulative spend-weighted evictions
-    /// (`payless_store_evictions{table="…"}`).
-    pub fn table_evictions_gauge(&self, table: &str) -> Arc<Gauge> {
-        self.registry
-            .gauge(&format!("payless_store_evictions{{table=\"{table}\"}}"))
     }
 
     /// Cumulative digest of every registered metric.

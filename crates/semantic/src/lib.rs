@@ -27,4 +27,4 @@ pub mod store;
 pub use cover::{greedy_cover, CoverSet};
 pub use rewrite::{rewrite, rewrite_cached, Rewrite, RewriteConfig};
 pub use shared::{SharedSemanticStore, SpendObserver};
-pub use store::{Consistency, CoverClass, RewriteProbe, SemanticStore, StoreConfig, StoredView};
+pub use store::{Consistency, CoverClass, RewriteProbe, SemanticStore, StoreConfig};

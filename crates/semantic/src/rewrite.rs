@@ -780,7 +780,7 @@ mod tests {
     /// to 256 buckets: 4096 take over a minute to train in a debug build.
     #[test]
     fn golden_rewrite_is_unchanged() {
-        use crate::{Consistency, SemanticStore, StoreConfig};
+        use crate::{Consistency, SemanticStore};
         const GOLDEN_EST_BITS: u64 = 0x40b7_9900_0000_0000;
         const GOLDEN_BOXES: (u64, u64, u64) = (6084, 534, 108);
         const GOLDEN_REMAINDERS: &str = "\
@@ -837,10 +837,6 @@ mod tests {
             stats.feedback(&region![(lo0, lo0 + 59), (lo1, lo1 + 59)], 600);
         }
         let mut store = SemanticStore::new();
-        store.set_config(StoreConfig {
-            max_views: 512,
-            compaction: true,
-        });
         store.register(QuerySpace::of(&schema));
         for gx in 0..15 {
             for gy in 0..15 {

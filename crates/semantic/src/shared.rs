@@ -42,8 +42,8 @@ type Shard = RwLock<Arc<TableStore>>;
 #[derive(Default)]
 pub struct SharedSemanticStore {
     shards: HashMap<Arc<str>, Shard>,
-    /// Flight recorder for store lifecycle events (inserts, compactions,
-    /// evictions); they carry no query id. First attachment wins.
+    /// Flight recorder for store lifecycle events (inserts and
+    /// compactions); they carry no query id. First attachment wins.
     events: OnceLock<Arc<EventJournal>>,
     /// Live instrumentation: hit/miss classification, record counts,
     /// per-table view gauges, and shard lock-wait times. `None` costs one
@@ -108,7 +108,7 @@ impl SharedSemanticStore {
     }
 
     /// Attach a flight-recorder journal: every later `record_spend`
-    /// journals `store_insert` / `store_compact` / `store_evict` events.
+    /// journals `store_insert` / `store_compact` events.
     /// First attachment wins; later calls are ignored.
     pub fn attach_events(&self, journal: Arc<EventJournal>) {
         let _ = self.events.set(journal);
@@ -167,9 +167,9 @@ impl SharedSemanticStore {
     }
 
     /// As [`SharedSemanticStore::record`], attributing the pages billed to
-    /// retrieve the region — the weight the store's eviction policy uses.
-    /// The insert copies the table first only if a snapshot still holds its
-    /// current version.
+    /// retrieve the region: the journal's `store_insert` event and the spend
+    /// observer (the write-ahead log) carry them. The insert copies the
+    /// table first only if a snapshot still holds its current version.
     pub fn record_spend(&self, table: &str, region: Region, now: u64, spend: u64) {
         let shard = self
             .shards
@@ -188,7 +188,6 @@ impl SharedSemanticStore {
             hub.store_records.inc(1);
             hub.table_views_gauge(table).set(t.view_count() as u64);
             hub.table_compactions_gauge(table).set(t.compactions());
-            hub.table_evictions_gauge(table).set(t.evictions());
         }
         // Release the shard before notifying: the observer may take its own
         // locks (e.g. a durability log mutex), and holding the write guard
@@ -232,9 +231,10 @@ impl SharedSemanticStore {
         self.peek(table, TableStore::compactions).unwrap_or(0)
     }
 
-    /// Total spend-weighted evictions for `table` since creation.
-    pub fn evictions(&self, table: &str) -> u64 {
-        self.peek(table, TableStore::evictions).unwrap_or(0)
+    /// Always `0`: the store keeps every purchase and evicts nothing. Kept
+    /// for `benchmark/src/ledger.rs`, which still reports the count.
+    pub fn evictions(&self, _table: &str) -> u64 {
+        0
     }
 
     /// Classify how much of `region` the usable views cover.
@@ -449,17 +449,12 @@ mod tests {
 
     mod property {
         use super::*;
-        use crate::store::StoreConfig;
         use proptest::prelude::*;
 
         const TABLES: [&str; 2] = ["G", "H"];
 
         fn store() -> SemanticStore {
             let mut s = SemanticStore::new();
-            s.set_config(StoreConfig {
-                max_views: 4,
-                compaction: true,
-            });
             for t in TABLES {
                 s.register(QuerySpace::of(&Schema::new(
                     t,
@@ -499,7 +494,7 @@ mod tests {
         proptest! {
             /// A snapshot answers every read exactly as a private store fed
             /// the purchases made before it, however many purchases (with
-            /// their merges and evictions) the live store took afterwards.
+            /// their merges) the live store took afterwards.
             #[test]
             fn snapshot_reads_equal_a_replay_of_its_prefix(
                 steps in proptest::collection::vec(arb_step(), 1..32),
@@ -518,13 +513,12 @@ mod tests {
                 let probes = probes();
                 for (prefix, snap) in &snaps {
                     let mut replay = store();
-                    for (t, region, now, spend) in steps[..*prefix].iter().flatten() {
-                        replay.record_spend(TABLES[*t], region.clone(), *now, *spend);
+                    for (t, region, now, _) in steps[..*prefix].iter().flatten() {
+                        replay.record(TABLES[*t], region.clone(), *now);
                     }
                     for t in TABLES {
                         prop_assert_eq!(snap.view_count(t), replay.view_count(t));
                         prop_assert_eq!(snap.compactions(t), replay.compactions(t));
-                        prop_assert_eq!(snap.evictions(t), replay.evictions(t));
                         prop_assert_eq!(snap.coverage_fraction(t), replay.coverage_fraction(t));
                         for c in [Consistency::Weak, Consistency::Window(4)] {
                             for p in &probes {

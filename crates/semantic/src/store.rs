@@ -14,12 +14,12 @@
 //! query's remainder `Q ∖ ⋃Vᵢ` is always subtracted afresh from those
 //! views: one rewrite input, whatever the consistency level.
 //!
-//! Inserts also **compact**: contained views are absorbed, mergeable
-//! neighbours coalesce into single boxes (tree-assisted, so coalescing no
-//! longer scans the whole table), and past the configured view cap the
-//! store evicts by spend-weighted utility — coverage is an optimization,
-//! never a correctness requirement, so evicted regions are simply
-//! re-purchasable.
+//! Inserts also **compact**: contained views are absorbed and mergeable
+//! neighbours coalesce into single boxes (tree-assisted, so coalescing
+//! never scans the whole table). Nothing else ever removes a view: the
+//! store keeps every purchase, so a region bought once is never bought
+//! again. The view count is bounded by the purchase log — at most one view
+//! per logged purchase — as the mirror's rows and the logs already are.
 //!
 //! Each table's state is one **version**, an `Arc<TableStore>`. Cloning a
 //! [`SemanticStore`] — a planning snapshot — clones one pointer per table;
@@ -61,47 +61,30 @@ impl Consistency {
     }
 }
 
-/// One stored view: a retrieved region, when it was retrieved, and what it
-/// cost.
+/// One stored view: a retrieved region and when it was retrieved.
 ///
 /// The region sits behind an `Arc` so probes can hand out handles without
 /// copying the geometry.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StoredView {
+pub(crate) struct StoredView {
     /// The covered region of the table's query space.
-    pub region: Arc<Region>,
+    region: Arc<Region>,
     /// Logical retrieval time.
-    pub stored_at: u64,
-    /// Pages billed to retrieve this coverage (0 when unknown). Merges and
-    /// absorptions accumulate spend, so the eviction policy can weigh how
-    /// expensive a view would be to re-buy.
-    pub spend: u64,
+    stored_at: u64,
 }
-
-/// Default cap on stored view boxes per table (see [`StoreConfig`]).
-pub const MAX_VIEWS_PER_TABLE: usize = 256;
 
 /// Tuning knobs of the per-table store.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreConfig {
-    /// Cap on stored view boxes per table. Coverage is an optimization, not
-    /// a correctness requirement: past the cap the store first drops
-    /// redundant views (fully covered by the others), then evicts by
-    /// spend-weighted utility down to 3/4 of the cap.
-    pub max_views: usize,
     /// Compaction on insert: absorb contained views and coalesce mergeable
     /// neighbours into single boxes. Disabling it keeps every purchased box
-    /// verbatim (useful for debugging coverage); the cap still bounds the
-    /// view count through eviction.
+    /// verbatim: the reference the compaction tests compare against.
     pub compaction: bool,
 }
 
 impl Default for StoreConfig {
     fn default() -> Self {
-        StoreConfig {
-            max_views: MAX_VIEWS_PER_TABLE,
-            compaction: true,
-        }
+        StoreConfig { compaction: true }
     }
 }
 
@@ -126,12 +109,11 @@ pub(crate) struct TableStore {
     live: usize,
     tree: RTree,
     /// The highest `now` ever recorded; never lowered, although a merge
-    /// may date the view it landed in earlier and eviction may drop it. `0`
-    /// when nothing has been recorded.
+    /// may date the view it landed in earlier. `0` when nothing has been
+    /// recorded.
     newest: u64,
     cfg: StoreConfig,
     compactions: u64,
-    evictions: u64,
 }
 
 impl TableStore {
@@ -145,7 +127,6 @@ impl TableStore {
             newest: 0,
             cfg,
             compactions: 0,
-            evictions: 0,
         }
     }
 
@@ -182,7 +163,7 @@ impl TableStore {
     /// neighbours (two views whose union is a single box and whose
     /// timestamps may be conservatively merged to the older one). Both
     /// steps consult only the views the R-tree finds near the new region.
-    fn insert(&mut self, region: Region, now: u64, spend: u64) {
+    fn insert(&mut self, region: Region, now: u64) {
         self.newest = self.newest.max(now);
         // Already fully covered by a newer-or-equal view: nothing to do.
         // (Inflate by 1 so the same candidate set also serves adjacency
@@ -198,17 +179,15 @@ impl TableStore {
         let mut current = StoredView {
             region: Arc::new(region.clone()),
             stored_at: now,
-            spend,
         };
 
         if self.cfg.compaction {
-            // Drop older views the new region swallows; their coverage (and
-            // spend) is absorbed by `current`.
+            // Drop older views the new region swallows; their coverage is
+            // absorbed by `current`.
             for &id in &near {
                 let v = self.view(id);
                 if current.region.contains(&v.region) && v.stored_at <= now {
-                    let absorbed = self.remove_view(id);
-                    current.spend = current.spend.saturating_add(absorbed.spend);
+                    self.remove_view(id);
                     self.compactions += 1;
                 }
             }
@@ -227,7 +206,6 @@ impl TableStore {
                             // Conservative freshness: the union is only as
                             // fresh as its stalest part.
                             stored_at: old.stored_at.min(current.stored_at),
-                            spend: old.spend.saturating_add(current.spend),
                         };
                         self.compactions += 1;
                         merged = true;
@@ -241,73 +219,6 @@ impl TableStore {
         }
 
         self.add_view(current);
-        if self.live > self.cfg.max_views {
-            self.evict();
-        }
-    }
-
-    /// Bound the view count: first drop views whose coverage the remaining
-    /// views already provide (coverage-preserving), then evict by ascending
-    /// spend-weighted utility down to 3/4 of the cap. Evicted coverage is
-    /// simply uncovered again: the next rewrite re-buys what it needs.
-    fn evict(&mut self) {
-        // Pass 1 — redundancy drops (only meaningful with compaction on;
-        // they are a compaction by another trigger).
-        if self.cfg.compaction {
-            let ids: Vec<u32> = self.live_ids();
-            for id in ids {
-                if self.live <= self.cfg.max_views {
-                    return;
-                }
-                let region = self.view(id).region.clone();
-                let others: Vec<Arc<Region>> = self
-                    .tree
-                    .query(&region)
-                    .into_iter()
-                    .filter(|&o| o != id)
-                    .map(|o| self.view(o).region.clone())
-                    .collect();
-                if region.subtract_all(&others).is_empty() {
-                    self.remove_view(id);
-                    self.compactions += 1;
-                }
-            }
-        }
-        if self.live <= self.cfg.max_views {
-            return;
-        }
-        // Pass 2 — lossy eviction. Utility = spend (pages it would cost to
-        // re-buy; volume stands in when spend was never reported) weighted
-        // by recency, so the cheap-and-stale go first. Ties break on slot
-        // id for determinism.
-        let target = (self.cfg.max_views * 3 / 4).max(1);
-        let mut order: Vec<(u128, u32)> = self
-            .live_ids()
-            .into_iter()
-            .map(|id| {
-                let v = self.view(id);
-                let worth = if v.spend > 0 {
-                    v.spend as u128
-                } else {
-                    v.region.volume().max(1)
-                };
-                (worth.saturating_mul(v.stored_at as u128 + 1), id)
-            })
-            .collect();
-        order.sort_unstable();
-        for (_, id) in order {
-            if self.live <= target {
-                break;
-            }
-            self.remove_view(id);
-            self.evictions += 1;
-        }
-    }
-
-    fn live_ids(&self) -> Vec<u32> {
-        (0..self.slots.len() as u32)
-            .filter(|&id| self.slots[id as usize].is_some())
-            .collect()
     }
 
     fn usable_views(&self, min_stored_at: u64) -> Vec<Arc<Region>> {
@@ -344,9 +255,8 @@ impl TableStore {
     }
 
     /// Record that `region` (of the table named `table`) was retrieved at
-    /// `now`, billed `spend` pages, journaling what the insert compacted and
-    /// evicted into `journal` (`store_insert` / `store_compact` /
-    /// `store_evict`).
+    /// `now`, billed `spend` pages, journaling the insert and what it
+    /// compacted into `journal` (`store_insert` / `store_compact`).
     pub(crate) fn record(
         &mut self,
         table: &str,
@@ -355,9 +265,9 @@ impl TableStore {
         spend: u64,
         journal: Option<&EventJournal>,
     ) {
-        let (c0, e0) = (self.compactions, self.evictions);
-        self.insert(region, now, spend);
-        let (c, e) = (self.compactions - c0, self.evictions - e0);
+        let c0 = self.compactions;
+        self.insert(region, now);
+        let c = self.compactions - c0;
         if let Some(j) = journal {
             let views = self.live as u64;
             j.emit(None, Severity::Debug, || EventKind::StoreInsert {
@@ -369,12 +279,6 @@ impl TableStore {
                 j.emit(None, Severity::Info, || EventKind::StoreCompact {
                     table: table.to_string(),
                     compactions: c,
-                });
-            }
-            if e > 0 {
-                j.emit(None, Severity::Info, || EventKind::StoreEvict {
-                    table: table.to_string(),
-                    evictions: e,
                 });
             }
         }
@@ -432,11 +336,6 @@ impl TableStore {
     /// See [`SemanticStore::compactions`].
     pub(crate) fn compactions(&self) -> u64 {
         self.compactions
-    }
-
-    /// See [`SemanticStore::evictions`].
-    pub(crate) fn evictions(&self) -> u64 {
-        self.evictions
     }
 
     /// See [`SemanticStore::coverage_fraction`].
@@ -516,15 +415,10 @@ impl SemanticStore {
     }
 
     /// Apply `cfg` to every registered table and to tables registered later.
-    /// Lowering `max_views` evicts immediately.
     pub fn set_config(&mut self, cfg: StoreConfig) {
         self.cfg = cfg;
         for t in self.tables.values_mut() {
-            let t = Arc::make_mut(t);
-            t.cfg = cfg;
-            if t.live > t.cfg.max_views {
-                t.evict();
-            }
+            Arc::make_mut(t).cfg = cfg;
         }
     }
 
@@ -552,17 +446,11 @@ impl SemanticStore {
     /// Record that `region` of `table` has been fully retrieved at time
     /// `now`.
     pub fn record(&mut self, table: &str, region: Region, now: u64) {
-        self.record_spend(table, region, now, 0);
-    }
-
-    /// As [`SemanticStore::record`], attributing the pages billed to
-    /// retrieve the region — the weight the eviction policy uses.
-    pub fn record_spend(&mut self, table: &str, region: Region, now: u64, spend: u64) {
         let t = self
             .tables
             .get_mut(table)
             .unwrap_or_else(|| panic!("table `{table}` not registered in semantic store"));
-        Arc::make_mut(t).record(table, region, now, spend, None);
+        Arc::make_mut(t).record(table, region, now, 0, None);
     }
 
     /// The stored regions of `table` usable under `consistency` at `now`.
@@ -601,15 +489,10 @@ impl SemanticStore {
         self.tables.get(table).map_or(0, |t| t.view_count())
     }
 
-    /// Total compaction events (absorbed, coalesced, or redundancy-dropped
-    /// views) for `table` since creation.
+    /// Total compaction events (absorbed or coalesced views) for `table`
+    /// since creation.
     pub fn compactions(&self, table: &str) -> u64 {
         self.tables.get(table).map_or(0, |t| t.compactions())
-    }
-
-    /// Total spend-weighted utility evictions for `table` since creation.
-    pub fn evictions(&self, table: &str) -> u64 {
-        self.tables.get(table).map_or(0, |t| t.evictions())
     }
 
     /// Fraction of `table`'s whole query space covered by stored views
@@ -793,58 +676,31 @@ mod tests {
         s.record("X", region![(0, 1)], 0);
     }
 
+    /// Every purchase stays: 300 disjoint slivers (one point apart, so
+    /// nothing coalesces) are all still covered, one view each.
     #[test]
-    fn eviction_bounds_views_and_returns_coverage_to_gaps() {
+    fn every_purchase_is_kept() {
         let mut s = SemanticStore::new();
-        s.register(space_1d());
-        s.set_config(StoreConfig {
-            max_views: 8,
-            compaction: true,
-        });
-        // 12 disjoint slivers (gap 1 apart so nothing coalesces).
-        for i in 0..12i64 {
-            s.record("R", region![(i * 8, i * 8 + 6)], i as u64);
+        s.register(QuerySpace::of(&Schema::new(
+            "R",
+            vec![Column::free("A", Domain::int(0, 1000))],
+        )));
+        for i in 0..300i64 {
+            s.record("R", region![(i * 3, i * 3 + 1)], i as u64);
         }
-        assert!(s.view_count("R") <= 8, "cap enforced");
-        assert!(s.evictions("R") > 0, "lossy evictions happened");
-        // Evicted coverage is honestly reported as uncovered again: every
-        // *stored* view is still covered, and covers() never lies.
-        for v in s.views("R", Consistency::Weak, 100) {
-            assert!(s.covers("R", &v, Consistency::Weak, 100));
+        assert_eq!(s.view_count("R"), 300);
+        for i in 0..300i64 {
+            let sliver = region![(i * 3, i * 3 + 1)];
+            assert!(s.covers("R", &sliver, Consistency::Weak, 300), "{sliver}");
         }
-        // coverage_fraction reflects the evictions (less than the 12/8 full
-        // sliver coverage would give).
-        let frac = s.coverage_fraction("R");
-        assert!(frac > 0.0 && frac < 12.0 * 7.0 / 101.0);
-    }
-
-    #[test]
-    fn spend_weighted_eviction_prefers_cheap_views() {
-        let mut s = SemanticStore::new();
-        s.register(space_1d());
-        s.set_config(StoreConfig {
-            max_views: 4,
-            compaction: false,
-        });
-        // Same timestamps; one expensive view among cheap ones.
-        s.record_spend("R", region![(0, 4)], 1, 1);
-        s.record_spend("R", region![(10, 14)], 1, 1000);
-        s.record_spend("R", region![(20, 24)], 1, 1);
-        s.record_spend("R", region![(30, 34)], 1, 1);
-        s.record_spend("R", region![(40, 44)], 1, 1);
-        assert!(s.view_count("R") <= 4);
-        // The expensive view survives the eviction pass.
-        assert!(s.covers("R", &region![(10, 14)], Consistency::Weak, 2));
+        assert!((s.coverage_fraction("R") - 600.0 / 1001.0).abs() < 1e-9);
     }
 
     #[test]
     fn compaction_toggle_keeps_views_verbatim() {
         let mut s = SemanticStore::new();
         s.register(space_1d());
-        s.set_config(StoreConfig {
-            max_views: MAX_VIEWS_PER_TABLE,
-            compaction: false,
-        });
+        s.set_config(StoreConfig { compaction: false });
         s.record("R", region![(0, 9)], 1);
         s.record("R", region![(10, 19)], 2);
         assert_eq!(s.view_count("R"), 2, "no coalescing with compaction off");

@@ -29,7 +29,7 @@
 //! **Recovery** is [`recover`], for the server and the REPL alike.
 //! [`DurableStore::open`] replays the WAL front to back (length bound, CRC,
 //! record shape, strictly increasing sequence, a registered table, a region
-//! inside that table's query space) through `record_spend` into a warm
+//! inside that table's query space) through `record` into a warm
 //! [`SemanticStore`], and decodes every mirror frame. The first invalid
 //! frame of either log — a torn tail from a crash mid-append — cuts that log
 //! there; a frame whose CRC holds but whose payload lies fails recovery with
@@ -464,7 +464,7 @@ impl DurableStore {
                 ));
             }
             meter.insert(rec.table.clone(), rec.meter);
-            store.record_spend(&rec.table, rec.region.clone(), rec.at, rec.spend);
+            store.record(&rec.table, rec.region.clone(), rec.at);
             replayed.push((rec.table, rec.region));
         }
 

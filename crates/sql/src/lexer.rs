@@ -206,11 +206,14 @@ pub fn lex(sql: &str) -> Result<Vec<Token>> {
                     pos,
                 });
             }
-            other => {
+            _ => {
+                // Every arm above consumes whole characters, so `i` sits on
+                // a char boundary: name the character, not its first byte.
+                let c = sql[i..].chars().next().unwrap_or_default();
                 return Err(PaylessError::Parse {
                     position: pos,
-                    message: format!("unexpected character `{}`", other as char),
-                })
+                    message: format!("unexpected character `{c}`"),
+                });
             }
         }
     }
@@ -319,6 +322,28 @@ mod tests {
     fn unexpected_character_errors_with_position() {
         match lex("a @ b") {
             Err(PaylessError::Parse { position, .. }) => assert_eq!(position, 2),
+            other => panic!("expected parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unexpected_non_ascii_character_is_named_whole() {
+        let sql = "SELECT * FROM Städte";
+        match lex(sql) {
+            Err(PaylessError::Parse { position, message }) => {
+                assert_eq!(position, 16);
+                assert!(sql.is_char_boundary(position));
+                assert_eq!(message, "unexpected character `ä`");
+            }
+            other => panic!("expected parse error, got {other:?}"),
+        }
+        match lex("a 𝄞") {
+            Err(PaylessError::Parse { position, message }) => {
+                assert_eq!(
+                    (position, message.as_str()),
+                    (2, "unexpected character `𝄞`")
+                );
+            }
             other => panic!("expected parse error, got {other:?}"),
         }
     }
