@@ -29,9 +29,11 @@ clippy() {
 }
 
 tier1() {
-    echo "== tier-1: cargo build --release && cargo test -q =="
+    echo "== tier-1: cargo build --release && cargo test -q --no-fail-fast =="
     cargo build --release
-    cargo test -q
+    # --no-fail-fast: one failing test binary must not hide the failures
+    # of the binaries after it; the stage still fails if any test does.
+    cargo test -q --no-fail-fast
 }
 
 benchmark_smoke() {

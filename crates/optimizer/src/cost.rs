@@ -1,10 +1,20 @@
-//! Cost estimation: the money a plan is expected to cost.
+//! Cost estimation: the money a plan is expected to cost, then the local
+//! work it causes.
 //!
-//! The primary cost is the paper's metric — estimated data-market
-//! transactions (Eq. (1)) — with estimated retrieved records as a
-//! deterministic tiebreak. The same machinery also evaluates the
+//! [`Cost`] is compared lexicographically on three keys:
+//! 1. the paper's metric — estimated data-market transactions (Eq. (1));
+//! 2. estimated retrieved records;
+//! 3. estimated local work, C_out: the sum of the estimated rows of every
+//!    prefix of the left-deep spine ([`CostCtx::est_join_rows`]), the
+//!    zero-price prefix included.
+//!
+//! Money decides first; C_out only orders plans that pay the same, which
+//! is every order of the Theorem-2 prefix and of equally priced fetches.
+//! The left-deep engine emits the zero-price prefix itself in a connected
+//! greedy order (smallest table first, then the linked table that keeps
+//! the prefix smallest). The same machinery also evaluates the
 //! "Minimizing Calls" model of the Florescu-et-al. baseline by swapping the
-//! primary to RESTful-call count.
+//! primary to RESTful-call count; the bushy engine leaves C_out at 0.
 
 use std::cell::{Cell, OnceCell};
 use std::collections::HashMap;
@@ -73,13 +83,17 @@ impl std::ops::AddAssign for PlanCounters {
     }
 }
 
-/// A plan cost: primary objective plus a records tiebreak.
+/// A plan cost: the primary objective, a records tiebreak, and the local
+/// work tiebreak.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cost {
     /// Transactions or calls, depending on the model.
     pub primary: f64,
-    /// Estimated retrieved records (tiebreak).
+    /// Estimated retrieved records (first tiebreak).
     pub secondary: f64,
+    /// Estimated local work (second tiebreak): C_out, the summed estimated
+    /// rows of every prefix of the left-deep spine. 0 in the bushy engine.
+    pub local: f64,
 }
 
 impl Cost {
@@ -87,6 +101,7 @@ impl Cost {
     pub const ZERO: Cost = Cost {
         primary: 0.0,
         secondary: 0.0,
+        local: 0.0,
     };
 
     /// Component-wise sum.
@@ -94,11 +109,15 @@ impl Cost {
         Cost {
             primary: self.primary + o.primary,
             secondary: self.secondary + o.secondary,
+            local: self.local + o.local,
         }
     }
 
-    /// Strictly better: smaller primary, or equal primary and smaller
-    /// secondary (with an epsilon so float noise cannot flip decisions).
+    /// Strictly better: smaller primary; or equal primary and smaller
+    /// secondary; or both equal and smaller local work. Equality is within
+    /// an epsilon so float noise cannot flip decisions — absolute on the
+    /// money keys, relative on C_out, whose intermediate row counts reach
+    /// billions.
     pub fn better_than(&self, o: &Cost) -> bool {
         const EPS: f64 = 1e-9;
         if self.primary < o.primary - EPS {
@@ -107,7 +126,13 @@ impl Cost {
         if self.primary > o.primary + EPS {
             return false;
         }
-        self.secondary < o.secondary - EPS
+        if self.secondary < o.secondary - EPS {
+            return true;
+        }
+        if self.secondary > o.secondary + EPS {
+            return false;
+        }
+        self.local < o.local - EPS * o.local.abs().max(1.0)
     }
 }
 
@@ -151,6 +176,9 @@ pub struct CostCtx<'a> {
     /// subtraction against every stored view, so it must not run once per
     /// DP candidate. `OnceCell` so it fills through `&self`.
     uncovered_frac: Vec<OnceCell<f64>>,
+    /// Per-table cache of [`CostCtx::table_rows`]: one histogram estimate
+    /// per required region, read by every join-size and bind estimate.
+    rows: Vec<OnceCell<f64>>,
 }
 
 /// Cap on `AnyOf` alternative combinations per table.
@@ -200,6 +228,7 @@ impl<'a> CostCtx<'a> {
             regions,
             counters: Cell::default(),
             uncovered_frac: std::iter::repeat_with(OnceCell::new).take(n).collect(),
+            rows: std::iter::repeat_with(OnceCell::new).take(n).collect(),
         })
     }
 
@@ -250,13 +279,16 @@ impl<'a> CostCtx<'a> {
         )
     }
 
-    /// Estimated tuples of table `tid` within its required regions.
+    /// Estimated tuples of table `tid` within its required regions, cached
+    /// per table.
     pub fn table_rows(&self, tid: usize) -> f64 {
-        let ts = self
-            .stats
-            .table(&self.query.tables[tid].name)
-            .expect("validated in new()");
-        self.regions[tid].iter().map(|r| ts.estimate(r)).sum()
+        *self.rows[tid].get_or_init(|| {
+            let ts = self
+                .stats
+                .table(&self.query.tables[tid].name)
+                .expect("validated in new()");
+            self.regions[tid].iter().map(|r| ts.estimate(r)).sum()
+        })
     }
 
     /// Estimated distinct values of column `col` of table `tid` within its
@@ -527,7 +559,7 @@ impl<'a> CostCtx<'a> {
         // Semantic rewriting: probes into covered parts of the region are
         // free. Scale the expected retrieval by the uncovered fraction.
         if self.sqr && matched > 0.0 {
-            matched *= self.uncovered_fraction(tid, total_rows);
+            matched *= self.uncovered_fraction(tid);
         }
         let per_call = if paying > 0.0 { matched / paying } else { 0.0 };
         let tx = if matched <= 0.0 {
@@ -553,13 +585,14 @@ impl<'a> CostCtx<'a> {
         if !self.sqr {
             return 1.0;
         }
-        self.uncovered_fraction(tid, self.table_rows(tid))
+        self.uncovered_fraction(tid)
     }
 
     /// Fraction of `tid`'s required regions not covered by stored views
     /// (1.0 when nothing is stored), cached per table.
-    fn uncovered_fraction(&self, tid: usize, total_rows: f64) -> f64 {
+    fn uncovered_fraction(&self, tid: usize) -> f64 {
         *self.uncovered_frac[tid].get_or_init(|| {
+            let total_rows = self.table_rows(tid);
             if total_rows <= 0.0 {
                 return 1.0;
             }
@@ -590,6 +623,7 @@ impl<'a> CostCtx<'a> {
             CostModel::Transactions => Cost {
                 primary: tx,
                 secondary: records,
+                local: 0.0,
             },
             // The calls-minimizing baseline is *indifferent* to retrieved
             // volume — that blindness is exactly the paper's critique of
@@ -598,6 +632,7 @@ impl<'a> CostCtx<'a> {
             CostModel::Calls => Cost {
                 primary: calls,
                 secondary: 0.0,
+                local: 0.0,
             },
         }
     }

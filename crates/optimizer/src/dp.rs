@@ -5,7 +5,9 @@
 //! * [`SearchStrategy::LeftDeep`] — PayLess proper. Zero-price relations are
 //!   joined first in one leftmost prefix (Theorem 2); only left-deep
 //!   extensions are enumerated (Theorem 1); join-disconnected subsets are
-//!   composed from their components' best plans (Theorem 3).
+//!   composed from their components' best plans (Theorem 3). Among plans
+//!   that pay the same, the smallest estimated local work (C_out, see
+//!   [`crate::cost`]) wins, and the prefix is emitted in a connected order.
 //! * [`SearchStrategy::Bushy`] — the exhaustive engine: every subset split,
 //!   bushy shapes included. Used for the paper's "Disable All" ablation and
 //!   (with [`CostModel::Calls`]) for the "Minimizing Calls" baseline.
@@ -178,6 +180,15 @@ enum Step {
     Bind(usize, Vec<BindPair>),
 }
 
+impl Step {
+    /// The table this step joins.
+    fn table(&self) -> usize {
+        match self {
+            Step::Fetch(t) | Step::Bind(t, _) => *t,
+        }
+    }
+}
+
 /// A persistent (shared-tail) list of steps, newest first. The 2^m DP
 /// entries mostly share spine prefixes, so extending a spine is one `Arc`
 /// allocation instead of cloning the whole step vector per candidate.
@@ -224,6 +235,9 @@ fn left_deep(ctx: &CostCtx<'_>, cfg: &OptimizerConfig) -> Result<Optimized> {
         Vec::new()
     };
     ctx.count_theorem2_hoisted(zero.len() as u64);
+    // The DP treats the prefix as a set (`zero`, index order); only the
+    // plan tree and the C_out key see the order it is joined in.
+    let prefix = prefix_order(ctx, &zero);
     let market: Vec<usize> = (0..n).filter(|t| !zero.contains(t)).collect();
     let m = market.len();
 
@@ -239,7 +253,10 @@ fn left_deep(ctx: &CostCtx<'_>, cfg: &OptimizerConfig) -> Result<Optimized> {
 
     let mut best: Vec<Option<LdEntry>> = vec![None; 1usize << m];
     best[0] = Some(LdEntry {
-        cost: Cost::ZERO,
+        cost: Cost {
+            local: c_out(ctx, &[], prefix.iter().copied()),
+            ..Cost::ZERO
+        },
         steps: None,
     });
 
@@ -254,7 +271,7 @@ fn left_deep(ctx: &CostCtx<'_>, cfg: &OptimizerConfig) -> Result<Optimized> {
     let entry = best[full].take().ok_or_else(|| {
         PaylessError::Infeasible("some bound attribute can never be supplied".into())
     })?;
-    let plan = materialize(ctx, &zero, &chain_steps(&entry.steps))?;
+    let plan = materialize(ctx, &prefix, &chain_steps(&entry.steps))?;
     Ok(Optimized {
         plan,
         cost: entry.cost,
@@ -290,6 +307,11 @@ fn ld_entry(
                 cost = cost.plus(e.cost);
                 steps.extend(chain_steps(&e.steps));
             }
+            // Money adds up across components, local work does not: every
+            // step after the first component joins a larger left side (a
+            // Cartesian one), so C_out is that of the concatenated spine.
+            let prefix_local = best[0].as_ref().map_or(0.0, |e| e.cost.local);
+            cost.local = prefix_local + c_out(ctx, zero, steps.iter().map(Step::table));
             let chain = steps.into_iter().fold(None, |acc, s| chain_push(&acc, s));
             return Some(LdEntry { cost, steps: chain });
         }
@@ -304,6 +326,13 @@ fn ld_entry(
     let mut set_tables: Vec<usize> = zero.to_vec();
     set_tables.extend(subset.iter().map(|&i| market[i]));
     let connected = tables_connected(ctx, &set_tables);
+    // Every extension of this mask builds the same set, so it adds the same
+    // intermediate rows to C_out.
+    let rows = ctx.est_join_rows(&set_tables);
+    let extend = |left: &Cost, step: Cost| Cost {
+        local: left.local + rows,
+        ..left.plus(step)
+    };
 
     let mut entry: Option<LdEntry> = None;
     for &i in &subset {
@@ -323,7 +352,7 @@ fn ld_entry(
         // Option A: direct fetch (the "regular join" of Algorithm 2).
         if let Some(fc) = fetch_costs[i] {
             ctx.count_plan();
-            let cost = left.cost.plus(fc);
+            let cost = extend(&left.cost, fc);
             if entry.as_ref().is_none_or(|e| cost.better_than(&e.cost)) {
                 entry = Some(LdEntry {
                     cost,
@@ -338,7 +367,7 @@ fn ld_entry(
             let lrows = ctx.est_join_rows(&left_tables);
             for binds in options {
                 ctx.count_plan();
-                let cost = left.cost.plus(ctx.bind_cost(t, &binds, lrows));
+                let cost = extend(&left.cost, ctx.bind_cost(t, &binds, lrows));
                 if entry.as_ref().is_none_or(|e| cost.better_than(&e.cost)) {
                     entry = Some(LdEntry {
                         cost,
@@ -351,10 +380,55 @@ fn ld_entry(
     entry
 }
 
-/// Build the plan tree: zero-price prefix first, then the steps, left-deep.
-fn materialize(ctx: &CostCtx<'_>, zero: &[usize], steps: &[Step]) -> Result<PlanNode> {
+/// C_out of joining `order` one table at a time onto `base`: the estimated
+/// rows of each successive left side, summed.
+fn c_out(ctx: &CostCtx<'_>, base: &[usize], order: impl IntoIterator<Item = usize>) -> f64 {
+    let mut set = base.to_vec();
+    order
+        .into_iter()
+        .map(|t| {
+            set.push(t);
+            ctx.est_join_rows(&set)
+        })
+        .sum()
+}
+
+/// The order the zero-price prefix is joined in: the table with the fewest
+/// estimated rows first, then repeatedly the table with a join edge into
+/// the prefix that keeps it smallest, or — when none has an edge — the
+/// smallest remaining table. Ties go to the lower table index. Every order
+/// of the prefix pays nothing, so this only decides local work.
+fn prefix_order(ctx: &CostCtx<'_>, zero: &[usize]) -> Vec<usize> {
+    let mut rest = zero.to_vec();
+    let mut order = Vec::with_capacity(rest.len());
+    while !rest.is_empty() {
+        let linked = rest.iter().any(|&t| has_edge(ctx, &[t], &order));
+        let mut pick = None::<(usize, f64)>;
+        for (i, &t) in rest.iter().enumerate() {
+            let rows = if !linked {
+                ctx.table_rows(t)
+            } else if has_edge(ctx, &[t], &order) {
+                let mut set = order.clone();
+                set.push(t);
+                ctx.est_join_rows(&set)
+            } else {
+                continue;
+            };
+            if pick.is_none_or(|(_, best)| rows < best) {
+                pick = Some((i, rows));
+            }
+        }
+        let (i, _) = pick.expect("rest is non-empty");
+        order.push(rest.remove(i));
+    }
+    order
+}
+
+/// Build the plan tree: zero-price prefix first (in `prefix` order), then
+/// the steps, left-deep.
+fn materialize(ctx: &CostCtx<'_>, prefix: &[usize], steps: &[Step]) -> Result<PlanNode> {
     let mut node: Option<PlanNode> = None;
-    for &t in zero {
+    for &t in prefix {
         let method = if ctx.query.tables[t].location == payless_sql::TableLocation::Local {
             AccessMethod::Local
         } else {
@@ -617,7 +691,8 @@ mod tests {
     use std::collections::HashMap;
 
     /// Figure 1's WHW setting: Station (3,962 rows; 788 US stations) and
-    /// Weather (one row per station per day).
+    /// Weather (one row per station per day), plus Table 1's Pollution
+    /// (44,210 zip codes) and the local ZipMap for Q5.
     struct Fixture {
         catalog: MapCatalog,
         stats: StatsRegistry,
@@ -633,7 +708,7 @@ mod tests {
             vec![
                 Column::free("Country", countries.clone()),
                 Column::free("StationID", Domain::int(1, 4000)),
-                Column::free("City", Domain::categorical(cities)),
+                Column::free("City", Domain::categorical(cities.clone())),
             ],
         );
         let weather = Schema::new(
@@ -645,18 +720,40 @@ mod tests {
                 Column::output("Temperature", Domain::int(-60, 60)),
             ],
         );
+        let zips = Domain::int(10_000, 54_209);
+        let pollution = Schema::new(
+            "Pollution",
+            vec![
+                Column::free("ZipCode", zips.clone()),
+                Column::free("Rank", Domain::int(1, 100)),
+                Column::output("Latitude", Domain::int(-90, 90)),
+            ],
+        );
+        let zipmap = Schema::new(
+            "ZipMap",
+            vec![
+                Column::free("ZipCode", zips),
+                Column::free("City", Domain::categorical(cities)),
+            ],
+        );
         let catalog = MapCatalog::new()
             .with(station.clone(), TableLocation::Market)
-            .with(weather.clone(), TableLocation::Market);
+            .with(weather.clone(), TableLocation::Market)
+            .with(pollution.clone(), TableLocation::Market)
+            .with(zipmap.clone(), TableLocation::Local);
         let mut stats = StatsRegistry::new();
         stats.register(&station, 3962);
         stats.register(&weather, 3962 * 30);
+        stats.register(&pollution, 44_210);
+        stats.register(&zipmap, 44_210);
         let mut store = SemanticStore::new();
         store.register(QuerySpace::of(&station));
         store.register(QuerySpace::of(&weather));
+        store.register(QuerySpace::of(&pollution));
         let mut meta = HashMap::new();
         meta.insert("Station".to_string(), 100u64);
         meta.insert("Weather".to_string(), 100u64);
+        meta.insert("Pollution".to_string(), 100u64);
         Fixture {
             catalog,
             stats,
@@ -674,6 +771,96 @@ mod tests {
         )
         .unwrap();
         analyze(&stmt, &f.catalog).unwrap()
+    }
+
+    /// Table 1's Q5: four tables, ZipMap local, joined in a chain
+    /// Pollution – ZipMap – Station – Weather.
+    fn q5(f: &Fixture) -> AnalyzedQuery {
+        let stmt = parse(
+            "SELECT * FROM Pollution, Station, Weather, ZipMap WHERE \
+             Station.Country = Weather.Country = 'United States' AND \
+             Weather.Date >= 20140601 AND Weather.Date <= 20140610 AND \
+             Pollution.Rank >= 40 AND Pollution.Rank <= 45 AND \
+             Pollution.ZipCode = ZipMap.ZipCode AND ZipMap.City = Station.City AND \
+             Station.StationID = Weather.StationID",
+        )
+        .unwrap();
+        analyze(&stmt, &f.catalog).unwrap()
+    }
+
+    /// Every join of a left-deep spine either has a join edge into its left
+    /// side or is a bind join (whose bindings name the attributes joined):
+    /// no join multiplies two unrelated inputs.
+    fn assert_spine_connected(q: &AnalyzedQuery, plan: &PlanNode) {
+        let edge = |a: &[usize], b: &[usize]| {
+            q.joins.iter().any(|e| {
+                (a.contains(&e.left.0) && b.contains(&e.right.0))
+                    || (a.contains(&e.right.0) && b.contains(&e.left.0))
+            })
+        };
+        match plan {
+            PlanNode::Access { .. } => {}
+            PlanNode::Join { left, right } => {
+                assert!(
+                    edge(&left.tables(), &right.tables()),
+                    "cross product in {plan}"
+                );
+                assert_spine_connected(q, left);
+            }
+            PlanNode::BindJoin { left, binds, .. } => {
+                assert!(!binds.is_empty(), "bind join without bindings in {plan}");
+                assert_spine_connected(q, left);
+            }
+        }
+    }
+
+    #[test]
+    fn q5_buying_plan_joins_only_related_tables() {
+        let f = whw_fixture();
+        let q = q5(&f);
+        let out = optimize(
+            &q,
+            &f.stats,
+            &f.store,
+            &f.meta,
+            &OptimizerConfig::payless(),
+            0,
+        )
+        .unwrap();
+        assert!(out.plan.is_left_deep());
+        assert_spine_connected(&q, &out.plan);
+        // Local work only breaks ties: the plan is estimated to pay what
+        // the first-enumerated order paid, bit for bit (pinned from commit
+        // 3c7f612).
+        let bits = (out.cost.primary.to_bits(), out.cost.secondary.to_bits());
+        assert_eq!(bits, (0x406e_c000_0000_0000, 0x40d7_dee6_6666_6666));
+    }
+
+    #[test]
+    fn q5_covered_plan_joins_only_related_tables() {
+        let f = whw_fixture();
+        let mut store = f.store.clone();
+        for table in ["Station", "Weather", "Pollution"] {
+            let space = store.space(table).unwrap().clone();
+            store.record(table, space.full_region(), 0);
+        }
+        let q = q5(&f);
+        let out = optimize(
+            &q,
+            &f.stats,
+            &store,
+            &f.meta,
+            &OptimizerConfig::payless(),
+            1,
+        )
+        .unwrap();
+        assert_eq!(out.counters.theorem2_hoisted, 4, "every table is free");
+        assert!(out.plan.is_left_deep());
+        assert_spine_connected(&q, &out.plan);
+        assert_eq!(
+            (out.cost.primary.to_bits(), out.cost.secondary.to_bits()),
+            (0, 0)
+        );
     }
 
     #[test]
@@ -1194,9 +1381,12 @@ mod tests {
 
     /// Plans, cost bits and search effort pinned from commit bd3e241 (the
     /// popcount-level DP). A reordering of the mask walk that changes a plan,
-    /// flips a tie-break (every table of the chain costs the same, so the
-    /// join order below is decided by ties alone) or costs a different number
-    /// of candidates fails here.
+    /// flips a tie-break or costs a different number of candidates fails
+    /// here. Every table of the chain costs the same money, and every
+    /// connected order builds intermediates of the same estimated size, so
+    /// C_out rules out only the orders through a Cartesian product (e.g. a
+    /// Theorem-3 composition of two chain pieces); among the connected
+    /// orders left, the first enumerated wins.
     #[test]
     fn golden_plans_are_unchanged() {
         // (tables, config, plan, (primary, secondary) cost bits, plans considered)

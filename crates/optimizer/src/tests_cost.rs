@@ -73,29 +73,34 @@ fn ctx<'a>(r: &'a Rig, q: &'a payless_sql::AnalyzedQuery, sqr: bool) -> CostCtx<
 
 #[test]
 fn cost_ordering_lexicographic() {
-    let a = Cost {
-        primary: 1.0,
-        secondary: 100.0,
+    let cost = |primary: f64, secondary: f64, local: f64| Cost {
+        primary,
+        secondary,
+        local,
     };
-    let b = Cost {
-        primary: 2.0,
-        secondary: 1.0,
-    };
+    let a = cost(1.0, 100.0, 0.0);
+    let b = cost(2.0, 1.0, 0.0);
     assert!(a.better_than(&b));
     assert!(!b.better_than(&a));
-    let c = Cost {
-        primary: 1.0,
-        secondary: 50.0,
-    };
+    let c = cost(1.0, 50.0, 0.0);
     assert!(c.better_than(&a));
     assert!(!a.better_than(&c));
     // Epsilon: float noise on primary does not flip a secondary win.
-    let d = Cost {
-        primary: 1.0 + 1e-12,
-        secondary: 50.0,
-    };
+    let d = cost(1.0 + 1e-12, 50.0, 0.0);
     assert!(d.better_than(&a));
     assert_eq!(Cost::ZERO.plus(a).primary, 1.0);
+    // Local work is consulted only when both money keys tie.
+    let lean = cost(1.0, 50.0, 10.0);
+    let heavy = cost(1.0, 50.0, 1e9);
+    assert!(lean.better_than(&heavy));
+    assert!(!heavy.better_than(&lean));
+    assert!(cost(1.0, 49.0, 1e9).better_than(&lean));
+    assert!(cost(0.5, 99.0, 1e9).better_than(&lean));
+    // Relative epsilon: rounding noise on a large C_out is a tie.
+    let big = cost(1.0, 50.0, 3e9);
+    assert!(!cost(1.0, 50.0, 3e9 - 1e-3).better_than(&big));
+    assert!(cost(1.0, 50.0, 3e9 - 10.0).better_than(&big));
+    assert_eq!(lean.plus(heavy).local, 1e9 + 10.0);
 }
 
 #[test]

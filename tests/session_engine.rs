@@ -11,8 +11,11 @@
 //!   the report of the first partial-hit query with every wall-clock field
 //!   scrubbed (ledger, `sqr.*` counters, operator estimates and
 //!   actuals). The file was recorded at commit 598c77d, before the session
-//!   moved onto `SharedState`; a mismatch writes the new text next to the
-//!   test binary's scratch directory so it can be diffed.
+//!   moved onto `SharedState`; its `plan=` fields were re-recorded when the
+//!   left-deep DP began breaking money ties by estimated local work (72
+//!   lines, join order only: estimates, pages, digests and plan counts
+//!   kept their bits). A mismatch writes the new text next to the test
+//!   binary's scratch directory so it can be diffed.
 //! * `session_restarted_after_any_query_matches_golden`: the session's
 //!   data directory (`wal.log` + `mirror.log`) is its whole state. For
 //!   every k, a durable session that runs the first k queries, is dropped
