@@ -235,7 +235,7 @@ impl<'a> Executor<'a> {
                 for region in &regions {
                     self.ensure_region(tid, &space, region, CallKind::Remainder)?;
                 }
-                let rows = self.mirror_rows_in(tid, &space, &regions)?;
+                let rows = self.mirror_rows_in(tid, &space, &regions);
                 Ok((rows, vec![tid]))
             }
         }
@@ -527,28 +527,28 @@ impl<'a> Executor<'a> {
             }
         }
 
-        // Matching rows: bind values among the probed combos, inside a base
-        // region.
+        // Matching rows: inside a base region, bind values among the probed
+        // combos.
         let bind_cols: Vec<usize> = binds.iter().map(|b| b.right_col).collect();
-        let out = self.state.mirror_rows(&t.name, |row| {
-            let combo: Vec<Value> = bind_cols.iter().map(|&c| row.get(c).clone()).collect();
-            seen.contains(&combo) && base_regions.iter().any(|r| row_in_region(&space, row, r))
-        });
+        let mut out = Vec::new();
+        self.state
+            .visit_rows_in(&t.name, &space, &base_regions, |row| {
+                let combo: Vec<Value> = bind_cols.iter().map(|&c| row.get(c).clone()).collect();
+                if seen.contains(&combo) {
+                    out.push(row.clone());
+                }
+            });
         Ok(out)
     }
 
     /// Rows of the table mirror inside any of `regions`.
-    fn mirror_rows_in(
-        &self,
-        tid: usize,
-        space: &QuerySpace,
-        regions: &[Region],
-    ) -> Result<Vec<Row>> {
-        let t = &self.query.tables[tid];
-        // Missing mirror == nothing fetched (e.g. empty remainder).
-        Ok(self.state.mirror_rows(&t.name, |row| {
-            regions.iter().any(|r| row_in_region(space, row, r))
-        }))
+    fn mirror_rows_in(&self, tid: usize, space: &QuerySpace, regions: &[Region]) -> Vec<Row> {
+        let mut out = Vec::new();
+        self.state
+            .visit_rows_in(&self.query.tables[tid].name, space, regions, |row| {
+                out.push(row.clone())
+            });
+        out
     }
 
     fn space_of(&self, tid: usize) -> Result<QuerySpace> {

@@ -11,6 +11,17 @@
 //! a table only while a snapshot still holds it. A session is the
 //! uncontended case: one query at a time, no coalescer.
 //!
+//! The mirror is indexed by purchase. Beside each market table's rows it
+//! keeps an append-only list of blocks, one per delivery that added rows:
+//! the delivery's new rows (a contiguous range, since the mirror only
+//! appends) and the region it bought, recorded only when every one of those
+//! rows was checked to lie inside it. A region read walks the blocks in
+//! mirror order: a block whose region overlaps no query region is skipped,
+//! one that a query region contains is taken whole, and every other row —
+//! a partly overlapping block, a delivery that failed the check, recovered
+//! rows and a local table's rows — is tested row by row. The blocks live
+//! under the mirror's own lock, so they can never disagree with the rows.
+//!
 //! Lock discipline: every helper here holds **at most one of its own locks
 //! at a time** — `land_delivery` takes the mirror's, the statistics' and a
 //! store shard's one after another, never nested — and no method calls back
@@ -20,6 +31,8 @@
 //! passed to the `with_*` helpers run under a lock; they are pure
 //! computations (rewriting, estimation) and must not touch shared state.
 
+use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock, RwLock};
 
 use payless_geometry::{QuerySpace, Region};
@@ -39,9 +52,25 @@ use crate::engine::row_in_region;
 /// durability layer appending the rows to its log).
 pub type RowObserver = dyn Fn(&str, &[Row]) + Send + Sync;
 
+/// The local mirror: the buyer's tables and, per market table, the blocks
+/// its deliveries appended (in mirror order).
+#[derive(Debug)]
+struct Mirror {
+    db: Database,
+    blocks: HashMap<Arc<str>, Vec<Block>>,
+}
+
+/// Rows of a market table's mirror that one delivery appended, every one of
+/// them inside `region`, the region that delivery bought.
+#[derive(Debug)]
+struct Block {
+    rows: Range<usize>,
+    region: Region,
+}
+
 /// Buyer-side state shared by every in-flight query.
 pub struct SharedState {
-    db: RwLock<Database>,
+    mirror: RwLock<Mirror>,
     store: SharedSemanticStore,
     stats: RwLock<StatsRegistry>,
     row_observer: OnceLock<Arc<RowObserver>>,
@@ -50,7 +79,7 @@ pub struct SharedState {
 impl std::fmt::Debug for SharedState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedState")
-            .field("db", &self.db)
+            .field("mirror", &self.mirror)
             .field("store", &self.store)
             .field("stats", &self.stats)
             .field("row_observer", &self.row_observer.get().is_some())
@@ -70,7 +99,10 @@ impl SharedState {
     /// Wrap already-populated state.
     pub fn new(db: Database, store: SharedSemanticStore, stats: StatsRegistry) -> Self {
         SharedState {
-            db: RwLock::new(db),
+            mirror: RwLock::new(Mirror {
+                db,
+                blocks: HashMap::new(),
+            }),
             store,
             stats: RwLock::new(stats),
             row_observer: OnceLock::new(),
@@ -103,7 +135,10 @@ impl SharedState {
     /// its cardinality in the statistics.
     pub fn register_local(&self, table: LocalTable) {
         wr(&self.stats).register(&table.schema, table.len() as u64);
-        wr(&self.db).register(table);
+        let mut mirror = wr(&self.mirror);
+        // A replaced table's blocks would index rows it no longer holds.
+        mirror.blocks.remove(&table.schema.table);
+        mirror.db.register(table);
     }
 
     /// Attach the delivered-rows observer. First caller wins; later calls
@@ -115,9 +150,10 @@ impl SharedState {
 
     /// Insert a market delivery into the mirror directly (recovery seeding
     /// and the serving layer's own inserts). The observer is **not**
-    /// notified — recovered rows are already durable.
+    /// notified — recovered rows are already durable. They join no block:
+    /// the log does not say which purchase delivered them.
     pub fn seed_mirror(&self, schema: &Schema, rows: Vec<Row>) {
-        wr(&self.db).table_or_create(schema).insert_all(rows);
+        wr(&self.mirror).db.table_or_create(schema).insert_all(rows);
     }
 
     /// The shared semantic store.
@@ -133,7 +169,7 @@ impl SharedState {
 
     /// Run `f` against the local mirror under the read lock.
     pub fn with_db<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
-        f(&rd(&self.db))
+        f(&rd(&self.mirror).db)
     }
 
     /// Rows of `table` passing `pred` (cloned out). Errors if the table is
@@ -154,10 +190,42 @@ impl SharedState {
         })
     }
 
-    /// Rows of `table` passing `pred`; empty if the table has no mirror yet
-    /// (e.g. every remainder was empty).
-    pub(crate) fn mirror_rows(&self, table: &str, pred: impl Fn(&Row) -> bool) -> Vec<Row> {
-        self.filtered_rows(table, pred).unwrap_or_default()
+    /// Visit, in mirror order, every row of `table` inside some of
+    /// `regions` of its query `space` — exactly the rows a [`row_in_region`]
+    /// scan of the whole mirror passes, read through the delivery blocks
+    /// (see the module doc). Visits nothing if the table has no mirror yet
+    /// (e.g. every remainder was empty). `visit` runs under the mirror's
+    /// read lock and must be a pure computation.
+    pub(crate) fn visit_rows_in(
+        &self,
+        table: &str,
+        space: &QuerySpace,
+        regions: &[Region],
+        mut visit: impl FnMut(&Row),
+    ) {
+        let mirror = rd(&self.mirror);
+        let Ok(t) = mirror.db.table(table) else {
+            return;
+        };
+        let rows = t.rows();
+        let wanted = |row: &&Row| regions.iter().any(|r| row_in_region(space, row, r));
+        let mut next = 0;
+        for block in mirror.blocks.get(table).into_iter().flatten() {
+            rows[next..block.rows.start]
+                .iter()
+                .filter(wanted)
+                .for_each(&mut visit);
+            next = block.rows.end;
+            if !regions.iter().any(|r| r.overlaps(&block.region)) {
+                continue;
+            }
+            let whole = regions.iter().any(|r| r.contains(&block.region));
+            rows[block.rows.clone()]
+                .iter()
+                .filter(|row| whole || wanted(row))
+                .for_each(&mut visit);
+        }
+        rows[next..].iter().filter(wanted).for_each(&mut visit);
     }
 
     /// Land one verified delivery of `region` — the only place a purchase
@@ -187,7 +255,8 @@ impl SharedState {
         if let Some(rec) = recorder {
             rec.record_size("market.records_per_call", records);
         }
-        self.insert_rows(schema, response.rows);
+        let space = self.store.space(table);
+        self.insert_rows(schema, response.rows, space.as_ref().map(|s| (s, &region)));
         if let Some(ts) = wr(&self.stats).table_mut(table) {
             if let Some(rec) = recorder {
                 let estimate = ts.estimate(&region);
@@ -211,21 +280,19 @@ impl SharedState {
     /// [`SharedState::land_delivery`] made when it landed, with `records`
     /// counted from the mirror rows inside `region`. A delivery carries
     /// every row of its region, so once the recovered mirror is seeded that
-    /// count is the delivery's.
+    /// count is the delivery's. It counts through the same block walk as a
+    /// query's read, which skips nothing here: seeded rows join no block,
+    /// so every recovered row is tested against `region`.
     pub fn replay_feedback(&self, table: &str, region: &Region) {
         let Some(space) = self.store.space(table) else {
             return;
         };
-        let records = self.with_db(|db| {
-            db.table(table).map_or(0, |t| {
-                t.rows()
-                    .iter()
-                    .filter(|row| row_in_region(&space, row, region))
-                    .count()
-            })
+        let mut records = 0u64;
+        self.visit_rows_in(table, &space, std::slice::from_ref(region), |_| {
+            records += 1;
         });
         if let Some(ts) = wr(&self.stats).table_mut(table) {
-            ts.feedback(region, records as u64);
+            ts.feedback(region, records);
         }
     }
 
@@ -236,13 +303,27 @@ impl SharedState {
     /// mirror write lock is released: a concurrent delivery that finds a
     /// row already present goes on to record its spend, and by then that
     /// row's log frame is written.
-    fn insert_rows(&self, schema: &Schema, rows: Vec<Row>) {
-        let mut db = wr(&self.db);
+    ///
+    /// `bought` is the delivery's query space and region: the appended rows
+    /// become a block of that region if every one of them lies inside it.
+    fn insert_rows(&self, schema: &Schema, rows: Vec<Row>, bought: Option<(&QuerySpace, &Region)>) {
+        let mut mirror = wr(&self.mirror);
+        let Mirror { db, blocks } = &mut *mirror;
         let table = db.table_or_create(schema);
         let before = table.len();
         table.insert_all(rows);
+        let added = &table.rows()[before..];
         if let Some(obs) = self.row_observer.get() {
-            obs(&schema.table, &table.rows()[before..]);
+            obs(&schema.table, added);
+        }
+        let Some((space, region)) = bought else {
+            return;
+        };
+        if !added.is_empty() && added.iter().all(|row| row_in_region(space, row, region)) {
+            blocks.entry(schema.table.clone()).or_default().push(Block {
+                rows: before..table.len(),
+                region: region.clone(),
+            });
         }
     }
 
@@ -337,6 +418,234 @@ mod tests {
                 replayed.stats_snapshot().estimate("T", &region(lo, hi)),
                 "estimate of [{lo}, {hi}]"
             );
+        }
+    }
+
+    /// `T(a ∈ 0..=19, c ∈ {x, y, z})`, with its query space registered in
+    /// the store (the space a delivery's rows are checked against).
+    fn block_fixture() -> (Schema, QuerySpace, SharedState) {
+        let schema = Schema::new(
+            "T",
+            vec![
+                Column::free("a", Domain::int(0, 19)),
+                Column::free("c", Domain::categorical(CATS)),
+            ],
+        );
+        let space = QuerySpace::of(&schema);
+        let mut store = SemanticStore::new();
+        store.register(space.clone());
+        let state = SharedState::new(
+            Database::new(),
+            SharedSemanticStore::new(store),
+            StatsRegistry::new(),
+        );
+        (schema, space, state)
+    }
+
+    const CATS: [&str; 3] = ["x", "y", "z"];
+
+    /// The box `a ∈ [a.0, a.1]`, `c ∈ [c.0, c.1]` (category indices).
+    fn boxed(a: (i64, i64), c: (i64, i64)) -> Region {
+        Region::new(vec![Interval::new(a.0, a.1), Interval::new(c.0, c.1)])
+    }
+
+    fn everywhere() -> Region {
+        boxed((0, 19), (0, 2))
+    }
+
+    /// The market's rows in `region`: every `(a, c)` with `a + c` even, so
+    /// a small box may hold none.
+    fn market_rows(region: &Region) -> Vec<Row> {
+        let (a, c) = (region.dim(0), region.dim(1));
+        (a.lo..=a.hi)
+            .flat_map(|a| (c.lo..=c.hi).map(move |c| (a, c)))
+            .filter(|(a, c)| (a + c) % 2 == 0)
+            .map(|(a, c)| row!(a, CATS[c as usize]))
+            .collect()
+    }
+
+    fn deliver(state: &SharedState, schema: &Schema, region: Region, rows: Vec<Row>) {
+        let delivery = Response {
+            rows,
+            transactions: 1,
+        };
+        state.land_delivery(None, schema, region, delivery, false, 0);
+    }
+
+    /// The block walk's answer for `regions`.
+    fn read(state: &SharedState, space: &QuerySpace, regions: &[Region]) -> Vec<Row> {
+        let mut out = Vec::new();
+        state.visit_rows_in("T", space, regions, |row| out.push(row.clone()));
+        out
+    }
+
+    /// What the block walk must return: a `row_in_region` scan of the
+    /// whole mirror.
+    fn full_scan(state: &SharedState, space: &QuerySpace, regions: &[Region]) -> Vec<Row> {
+        state
+            .filtered_rows("T", |row| {
+                regions.iter().any(|r| row_in_region(space, row, r))
+            })
+            .unwrap_or_default()
+    }
+
+    fn blocks(state: &SharedState) -> usize {
+        rd(&state.mirror).blocks.get("T").map_or(0, Vec::len)
+    }
+
+    /// A delivery holding a row outside the region it was bought for
+    /// forms no block, and the stray row is still found.
+    #[test]
+    fn a_delivery_with_a_row_outside_its_region_forms_no_block() {
+        let (schema, space, state) = block_fixture();
+        let bought = boxed((0, 4), (0, 2));
+        let mut rows = market_rows(&bought);
+        rows.push(row!(9i64, "y"));
+        deliver(&state, &schema, bought, rows);
+        assert_eq!(blocks(&state), 0);
+        let beyond = [boxed((5, 19), (0, 2))];
+        assert_eq!(read(&state, &space, &beyond), vec![row!(9i64, "y")]);
+        assert_eq!(
+            read(&state, &space, &[everywhere()]),
+            full_scan(&state, &space, &[everywhere()])
+        );
+        // A clean delivery after it forms a block of its own.
+        let bought = boxed((10, 14), (0, 2));
+        deliver(&state, &schema, bought.clone(), market_rows(&bought));
+        assert_eq!(blocks(&state), 1);
+        assert_eq!(
+            read(&state, &space, &beyond).len(),
+            1 + market_rows(&bought).len()
+        );
+    }
+
+    /// Recovered rows join no block; deliveries between and after them do,
+    /// and every row is found wherever it sits.
+    #[test]
+    fn seeded_and_delivered_rows_interleaved_are_all_found() {
+        let (schema, space, state) = block_fixture();
+        state.seed_mirror(&schema, market_rows(&boxed((0, 4), (0, 2))));
+        let first = boxed((3, 9), (0, 2));
+        deliver(&state, &schema, first.clone(), market_rows(&first));
+        state.seed_mirror(&schema, market_rows(&boxed((15, 19), (0, 2))));
+        let second = boxed((8, 14), (1, 2));
+        deliver(&state, &schema, second.clone(), market_rows(&second));
+        assert_eq!(blocks(&state), 2);
+        let all = read(&state, &space, &[everywhere()]);
+        assert_eq!(
+            all,
+            state.with_db(|db| db.table("T").unwrap().rows().to_vec())
+        );
+        for regions in [
+            vec![boxed((0, 2), (0, 2))],
+            vec![boxed((4, 16), (1, 1))],
+            vec![first.clone(), boxed((17, 19), (2, 2))],
+            vec![second.clone(), boxed((0, 0), (0, 0))],
+        ] {
+            assert_eq!(
+                read(&state, &space, &regions),
+                full_scan(&state, &space, &regions),
+                "{regions:?}"
+            );
+        }
+    }
+
+    /// A query region that contains a block takes it whole, one that
+    /// overlaps it filters it, and one that misses it skips it.
+    #[test]
+    fn a_query_region_containing_overlapping_or_missing_a_block_reads_correctly() {
+        let (schema, space, state) = block_fixture();
+        let bought = boxed((5, 9), (0, 2));
+        let delivered = market_rows(&bought);
+        deliver(&state, &schema, bought.clone(), delivered.clone());
+        assert_eq!(blocks(&state), 1);
+        assert_eq!(read(&state, &space, &[bought]), delivered);
+        assert_eq!(read(&state, &space, &[everywhere()]), delivered);
+        let partly = [boxed((7, 12), (0, 1))];
+        let expected: Vec<Row> = delivered
+            .iter()
+            .filter(|row| row_in_region(&space, row, &partly[0]))
+            .cloned()
+            .collect();
+        assert!(!expected.is_empty() && expected.len() < delivered.len());
+        assert_eq!(read(&state, &space, &partly), expected);
+        assert!(read(&state, &space, &[boxed((10, 19), (0, 2))]).is_empty());
+        // Two query regions that together, but neither alone, contain it.
+        let halves = [boxed((0, 7), (0, 2)), boxed((8, 19), (0, 2))];
+        assert_eq!(read(&state, &space, &halves), delivered);
+    }
+
+    mod property {
+        use proptest::prelude::*;
+
+        use super::*;
+
+        /// One step of a mirror's life.
+        #[derive(Debug, Clone)]
+        enum Step {
+            /// The market's rows in `region`, plus one row outside it when
+            /// `stray` (a delivery the block check must refuse).
+            Deliver { region: Region, stray: bool },
+            /// Recovered rows of a region, seeded without a block.
+            Seed(Region),
+        }
+
+        fn any_box() -> impl Strategy<Value = Region> {
+            (0..20i64, 0..8i64, 0..3i64, 0..3i64)
+                .prop_map(|(a, wa, c, wc)| boxed((a, (a + wa).min(19)), (c, (c + wc).min(2))))
+        }
+
+        /// Random boxes (overlapping, re-bought, often empty), Download
+        /// All's whole space and its per-category pieces.
+        fn any_bought() -> impl Strategy<Value = Region> {
+            prop_oneof![
+                any_box(),
+                Just(everywhere()),
+                (0..3i64).prop_map(|c| boxed((0, 19), (c, c))),
+            ]
+        }
+
+        fn any_step() -> impl Strategy<Value = Step> {
+            prop_oneof![
+                (any_bought(), any::<bool>())
+                    .prop_map(|(region, stray)| Step::Deliver { region, stray }),
+                (any_bought(), Just(false))
+                    .prop_map(|(region, stray)| Step::Deliver { region, stray }),
+                any_box().prop_map(Step::Seed),
+            ]
+        }
+
+        proptest! {
+            /// After every step, the block walk returns exactly the rows of
+            /// a full `row_in_region` scan, in mirror order.
+            #[test]
+            fn block_reads_equal_a_full_scan(
+                steps in proptest::collection::vec(any_step(), 0..16),
+                queries in proptest::collection::vec(any_bought(), 1..4),
+            ) {
+                let (schema, space, state) = block_fixture();
+                for step in &steps {
+                    match step {
+                        Step::Deliver { region, stray } => {
+                            let mut rows = market_rows(region);
+                            if *stray {
+                                let outside = market_rows(&everywhere())
+                                    .into_iter()
+                                    .find(|row| !row_in_region(&space, row, region));
+                                rows.extend(outside);
+                            }
+                            deliver(&state, &schema, region.clone(), rows);
+                        }
+                        Step::Seed(region) => state.seed_mirror(&schema, market_rows(region)),
+                    }
+                    prop_assert_eq!(
+                        read(&state, &space, &queries),
+                        full_scan(&state, &space, &queries)
+                    );
+                }
+                let rows = state.with_db(|db| db.table("T").map_or(0, |t| t.len()));
+                prop_assert!(blocks(&state) <= rows);
+            }
         }
     }
 }

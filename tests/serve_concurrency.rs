@@ -20,7 +20,9 @@
 //!   queries exactly one is billed, the rest cost 0 pages;
 //! * `coalesce.saved_pages` is only ever credited to queries that actually
 //!   waited on another query's flight;
-//! * spend per query falls as clients sharing one hot pool are added.
+//! * spend per query falls as clients sharing one hot pool are added;
+//! * region reads through the mirror's delivery blocks stay exact while
+//!   concurrent deliveries append blocks (this case runs at page size 100).
 
 mod common;
 
@@ -201,6 +203,33 @@ fn chaos_runs_match_the_clean_serial_oracle() {
         clean_serial.delivered_pages()
     );
     assert_savings_imply_waits(&faulted_parallel);
+}
+
+/// Q1 and Q3 over overlapping date windows at page size 100: each Weather
+/// delivery appends a block to the mirror while other workers' reads walk
+/// the blocks already there. With coalescing on and off, every answer
+/// equals the serial oracle's and Σ ledger equals the meter.
+#[test]
+fn block_reads_under_concurrent_deliveries_match_the_serial_oracle() {
+    let w = tiny_workload(3);
+    let mix = overlapping_mix(&w, &[0, 2], 4, 12, 48879);
+    let replay = |threads: usize, coalesce: bool| {
+        let cfg = ServeConfig {
+            threads,
+            coalesce,
+            ..ServeConfig::default()
+        };
+        let serve = Serve::new(build_market(&w, 100), QueryWorkload::local_tables(&w), cfg);
+        let templates = prepared(&serve, &w);
+        run_mix(&serve, &mix, &templates).expect("serve mix succeeds")
+    };
+    let serial = replay(1, true);
+    for coalesce in [true, false] {
+        let parallel = replay(4, coalesce);
+        assert_same_answers(&parallel, &serial);
+        assert_eq!(parallel.total_pages, parallel.meter_transactions);
+    }
+    assert_eq!(serial.total_pages, serial.meter_transactions);
 }
 
 mod random_schedules {
