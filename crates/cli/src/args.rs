@@ -26,7 +26,7 @@ pub struct CliArgs {
     pub page_size: u64,
     /// System variant.
     pub mode: Mode,
-    /// Data directory the session lives in (`wal.log` + `mirror.log`):
+    /// Data directory the session lives in (its log, `wal.log`):
     /// replayed on start, appended to by every purchase.
     pub session_dir: Option<String>,
     /// Per-query tracing: print an `EXPLAIN ANALYZE`-style report (spend

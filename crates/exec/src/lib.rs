@@ -39,4 +39,4 @@ pub use call::{resilient_get, CallBudget, CallOutcome, RetryPolicy};
 pub use coalesce::{CallCoalescer, Claim, FlightGuard};
 pub use engine::{ExecConfig, Executor, QueryResult};
 pub use pipeline::{Env, Mode, PipelineConfig, Ran};
-pub use state::{RowObserver, SharedState};
+pub use state::{Purchase, PurchaseLog, RowObserver, SharedState};

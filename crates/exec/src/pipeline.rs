@@ -184,6 +184,7 @@ mod tests {
     use payless_types::{row, Column, Domain, Schema};
 
     use crate::call::CallBudget;
+    use crate::state::{Purchase, PurchaseLog};
 
     /// One market table `T(k, d, v)`, page size 2, skewed on its bound
     /// categorical `k` — x: 1 row, y: 4 rows, z: 1 row — so the uniform
@@ -259,13 +260,31 @@ mod tests {
 
     const Y_SLICE: &str = "SELECT v FROM T WHERE k = 'y'";
 
-    /// What the two observers a durability layer attaches saw, in order.
+    /// What a durability layer's log saw of one landed delivery.
     #[derive(Debug, PartialEq)]
-    enum Seen {
-        Rows(u64),
-        Spend(Region),
+    struct Seen {
+        region: Region,
+        rows: u64,
+        records: u64,
+        coverage: bool,
     }
 
+    #[derive(Debug)]
+    struct SeenLog(Mutex<Vec<Seen>>);
+
+    impl PurchaseLog for SeenLog {
+        fn append_purchase(&self, p: &Purchase<'_>) {
+            self.0.lock().unwrap().push(Seen {
+                region: p.region.clone(),
+                rows: p.rows.len() as u64,
+                records: p.records,
+                coverage: p.coverage,
+            });
+        }
+    }
+
+    /// Both entry points land each delivery the same way: rows, feedback
+    /// scored against the planned estimate, one log frame, then coverage.
     #[test]
     fn every_entry_point_lands_rows_then_feedback_then_spend() {
         #[derive(Debug, Clone, Copy, PartialEq)]
@@ -281,17 +300,8 @@ mod tests {
         ] {
             let case = format!("{entry:?}, sqr {sqr}");
             let f = fixture();
-            let seen: Arc<Mutex<Vec<Seen>>> = Arc::default();
-            let log = Arc::clone(&seen);
-            f.state.attach_row_observer(Arc::new(move |_, rows| {
-                log.lock().unwrap().push(Seen::Rows(rows.len() as u64));
-            }));
-            let log = Arc::clone(&seen);
-            f.state
-                .store()
-                .attach_observer(Arc::new(move |_, region, _, _| {
-                    log.lock().unwrap().push(Seen::Spend(region.clone()));
-                }));
+            let log = Arc::new(SeenLog(Mutex::default()));
+            f.state.attach_log(log.clone());
             assert!(
                 (f.estimate(&f.slice(1)) - 4.0).abs() > 0.5,
                 "the prior must be wrong for the feedback check to mean anything"
@@ -321,17 +331,19 @@ mod tests {
                 }
             };
 
-            // Rows reach the mirror (and its observer) before the store
-            // records the spend; coverage iff SQR, always for a download.
+            // One frame per delivery, carrying its rows and its coverage
+            // bit: coverage iff SQR, always for a download.
             let coverage = sqr || entry == Entry::Download;
             let expected: Vec<Seen> = bought
                 .iter()
-                .flat_map(|&i| {
-                    let spend = coverage.then(|| Seen::Spend(f.slice(i)));
-                    std::iter::once(Seen::Rows(SLICES[i].1)).chain(spend)
+                .map(|&i| Seen {
+                    region: f.slice(i),
+                    rows: SLICES[i].1,
+                    records: SLICES[i].1,
+                    coverage,
                 })
                 .collect();
-            assert_eq!(*seen.lock().unwrap(), expected, "{case}");
+            assert_eq!(*log.0.lock().unwrap(), expected, "{case}");
             for &i in &bought {
                 let covered = f
                     .state

@@ -3,13 +3,13 @@
 //! One [`SharedState`] is the buyer side of the paper's Figure 3 — the
 //! local DBMS mirror, the semantic store and the statistics registry — for
 //! every caller: the single-tenant session, the in-process mix and the
-//! socket server. The local mirror and the statistics registry each sit
-//! behind one reader-writer lock, and the semantic store keeps one lock
-//! per table ([`payless_semantic::SharedSemanticStore`]). Both the store
-//! and the statistics hold each table's state as an `Arc`'d version, so a
-//! planning snapshot costs one pointer clone per table and a write copies
-//! a table only while a snapshot still holds it. A session is the
-//! uncontended case: one query at a time, no coalescer.
+//! socket server. The local mirror and the statistics registry sit together
+//! behind one reader-writer lock, and the semantic store keeps one lock per
+//! table ([`payless_semantic::SharedSemanticStore`]). Both the store and the
+//! statistics hold each table's state as an `Arc`'d version, so a planning
+//! snapshot costs one pointer clone per table and a write copies a table
+//! only while a snapshot still holds it. A session is the uncontended case:
+//! one query at a time, no coalescer.
 //!
 //! The mirror is indexed by purchase. Beside each market table's rows it
 //! keeps an append-only list of blocks, one per delivery that added rows:
@@ -18,22 +18,24 @@
 //! rows was checked to lie inside it. A region read walks the blocks in
 //! mirror order: a block whose region overlaps no query region is skipped,
 //! one that a query region contains is taken whole, and every other row —
-//! a partly overlapping block, a delivery that failed the check, recovered
-//! rows and a local table's rows — is tested row by row. The blocks live
-//! under the mirror's own lock, so they can never disagree with the rows.
+//! a partly overlapping block, a delivery that failed the check and a local
+//! table's rows — is tested row by row. The blocks live under the mirror's
+//! own lock, so they can never disagree with the rows.
 //!
-//! Lock discipline: every helper here holds **at most one of its own locks
-//! at a time** — `land_delivery` takes the mirror's, the statistics' and a
-//! store shard's one after another, never nested — and no method calls back
-//! into another locked structure, so no lock-order cycles exist by
-//! construction. The one nesting is the [`RowObserver`], which runs under
-//! the mirror lock and may take its owner's lock inside it. The closures
-//! passed to the `with_*` helpers run under a lock; they are pure
-//! computations (rewriting, estimation) and must not touch shared state.
+//! Lock discipline: a delivery lands under the mirror's write lock — rows,
+//! then the statistics' feedback, then one frame in the attached
+//! [`PurchaseLog`] — so the log's order is the order deliveries changed the
+//! mirror and the statistics, for any number of clients. The store's
+//! coverage insert follows under its shard lock, after the mirror lock is
+//! released. The log's own lock is the only one ever taken inside another;
+//! nothing here calls back into a locked structure, so no lock-order cycle
+//! exists. The closures passed to the `with_*` helpers run under a lock;
+//! they are pure computations (rewriting, estimation) and must not touch
+//! shared state.
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 
 use payless_geometry::{QuerySpace, Region};
 use payless_market::{DataMarket, Response};
@@ -46,18 +48,46 @@ use payless_types::{Result, Row, Schema};
 
 use crate::engine::row_in_region;
 
-/// Observer invoked after a market delivery lands in the shared mirror:
-/// `(table, rows the delivery added)`. Runs under the mirror's write lock,
-/// so it must not touch this state; it may take its own lock and do I/O (a
-/// durability layer appending the rows to its log).
+/// The signature of the old delivered-rows hook. Kept for `benchmark/`
+/// only, with [`SharedState::attach_row_observer`]; nothing calls one.
 pub type RowObserver = dyn Fn(&str, &[Row]) + Send + Sync;
 
-/// The local mirror: the buyer's tables and, per market table, the blocks
-/// its deliveries appended (in mirror order).
+/// One landed delivery, as the purchase log records it.
+#[derive(Debug)]
+pub struct Purchase<'a> {
+    /// Market table the delivery is of.
+    pub table: &'a str,
+    /// Logical tick of the query that bought it.
+    pub at: u64,
+    /// Pages the market billed for it.
+    pub pages: u64,
+    /// The region bought.
+    pub region: &'a Region,
+    /// Rows the market delivered: the statistics' feedback.
+    pub records: u64,
+    /// Whether the semantic store records `region` as covered.
+    pub coverage: bool,
+    /// The delivered rows the mirror did not hold yet, in mirror order.
+    pub rows: &'a [Row],
+}
+
+/// Where landed deliveries are logged: a durability layer.
+pub trait PurchaseLog: std::fmt::Debug + Send + Sync {
+    /// Log one delivery. Runs under the mirror's write lock, after the
+    /// delivery's rows and feedback are in, so it must not touch the
+    /// [`SharedState`]; it may take its own lock and do I/O.
+    fn append_purchase(&self, purchase: &Purchase<'_>);
+}
+
+/// What deliveries change, under one lock: the buyer's tables and, per
+/// market table, the blocks its deliveries appended (in mirror order); the
+/// statistics refined from every delivery; and the log they are written to.
 #[derive(Debug)]
 struct Mirror {
     db: Database,
     blocks: HashMap<Arc<str>, Vec<Block>>,
+    stats: StatsRegistry,
+    log: Option<Arc<dyn PurchaseLog>>,
 }
 
 /// Rows of a market table's mirror that one delivery appended, every one of
@@ -68,23 +98,68 @@ struct Block {
     region: Region,
 }
 
+impl Mirror {
+    /// Insert `rows` into `schema`'s mirror table, creating it if needed,
+    /// and return the range the set insert appended (a re-bought row the
+    /// mirror already holds is not new). `bought` is the delivery's query
+    /// space and region: the appended rows become a block of that region if
+    /// every one of them lies inside it.
+    fn insert_rows(
+        &mut self,
+        schema: &Schema,
+        rows: Vec<Row>,
+        bought: Option<(&QuerySpace, &Region)>,
+    ) -> Range<usize> {
+        let table = self.db.table_or_create(schema);
+        let before = table.len();
+        table.insert_all(rows);
+        let added = before..table.len();
+        let Some((space, region)) = bought else {
+            return added;
+        };
+        let rows = &table.rows()[added.clone()];
+        if !rows.is_empty() && rows.iter().all(|row| row_in_region(space, row, region)) {
+            self.blocks
+                .entry(schema.table.clone())
+                .or_default()
+                .push(Block {
+                    rows: added.clone(),
+                    region: region.clone(),
+                });
+        }
+        added
+    }
+
+    /// Teach `table`'s statistics that `region` holds `records` rows,
+    /// scoring the estimate it had first into `recorder`.
+    fn feedback(
+        &mut self,
+        recorder: Option<&Recorder>,
+        table: &Arc<str>,
+        region: &Region,
+        records: u64,
+    ) {
+        let Some(ts) = self.stats.table_mut(table) else {
+            return;
+        };
+        if let Some(rec) = recorder {
+            let estimate = ts.estimate(region);
+            rec.q_error(|| QErrorRecord {
+                table: table.clone(),
+                estimate,
+                actual: records,
+                q: payless_stats::q_error(estimate, records as f64),
+            });
+        }
+        ts.feedback(region, records);
+    }
+}
+
 /// Buyer-side state shared by every in-flight query.
+#[derive(Debug)]
 pub struct SharedState {
     mirror: RwLock<Mirror>,
     store: SharedSemanticStore,
-    stats: RwLock<StatsRegistry>,
-    row_observer: OnceLock<Arc<RowObserver>>,
-}
-
-impl std::fmt::Debug for SharedState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedState")
-            .field("mirror", &self.mirror)
-            .field("store", &self.store)
-            .field("stats", &self.stats)
-            .field("row_observer", &self.row_observer.get().is_some())
-            .finish()
-    }
 }
 
 fn rd<T>(l: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
@@ -102,10 +177,10 @@ impl SharedState {
             mirror: RwLock::new(Mirror {
                 db,
                 blocks: HashMap::new(),
+                stats,
+                log: None,
             }),
             store,
-            stats: RwLock::new(stats),
-            row_observer: OnceLock::new(),
         }
     }
 
@@ -134,27 +209,22 @@ impl SharedState {
     /// Register a table of the buyer's own DBMS: its rows in the mirror,
     /// its cardinality in the statistics.
     pub fn register_local(&self, table: LocalTable) {
-        wr(&self.stats).register(&table.schema, table.len() as u64);
         let mut mirror = wr(&self.mirror);
+        mirror.stats.register(&table.schema, table.len() as u64);
         // A replaced table's blocks would index rows it no longer holds.
         mirror.blocks.remove(&table.schema.table);
         mirror.db.register(table);
     }
 
-    /// Attach the delivered-rows observer. First caller wins; later calls
-    /// are ignored, mirroring
-    /// [`SharedSemanticStore::attach_observer`](payless_semantic::SharedSemanticStore).
-    pub fn attach_row_observer(&self, observer: Arc<RowObserver>) {
-        let _ = self.row_observer.set(observer);
+    /// Log every later delivery to `log`. First caller wins; later calls
+    /// are ignored.
+    pub fn attach_log(&self, log: Arc<dyn PurchaseLog>) {
+        wr(&self.mirror).log.get_or_insert(log);
     }
 
-    /// Insert a market delivery into the mirror directly (recovery seeding
-    /// and the serving layer's own inserts). The observer is **not**
-    /// notified — recovered rows are already durable. They join no block:
-    /// the log does not say which purchase delivered them.
-    pub fn seed_mirror(&self, schema: &Schema, rows: Vec<Row>) {
-        wr(&self.mirror).db.table_or_create(schema).insert_all(rows);
-    }
+    /// Does nothing: deliveries are logged through
+    /// [`SharedState::attach_log`]. Kept for `benchmark/` only.
+    pub fn attach_row_observer(&self, _observer: Arc<RowObserver>) {}
 
     /// The shared semantic store.
     pub fn store(&self) -> &SharedSemanticStore {
@@ -164,7 +234,7 @@ impl SharedState {
     /// A point-in-time snapshot of the statistics registry (what the
     /// optimizer plans against): one `Arc` clone per table model.
     pub fn stats_snapshot(&self) -> StatsRegistry {
-        rd(&self.stats).clone()
+        rd(&self.mirror).stats.clone()
     }
 
     /// Run `f` against the local mirror under the read lock.
@@ -230,17 +300,16 @@ impl SharedState {
 
     /// Land one verified delivery of `region` — the only place a purchase
     /// touches the buyer's state, whoever bought (a remainder fetch or
-    /// Download All). The order is load-bearing: the rows enter the
-    /// mirror (and reach the row observer) **before** the store records the
-    /// spend (and notifies the spend observer), so a durability layer's row
-    /// log never trails its spend log. In between, the statistics score the
-    /// estimate the optimizer planned with and only then repair it —
-    /// afterwards it would always be exact.
+    /// Download All). Under the mirror's write lock, the rows enter the
+    /// mirror, the statistics score the estimate the optimizer planned with
+    /// and only then repair it (afterwards it would always be exact), and
+    /// the attached [`PurchaseLog`] gets one frame of it all. The store
+    /// records the coverage after the lock is released.
     ///
     /// `coverage` is off only when rewriting is: coverage is only ever
     /// *read* by SQR, and without it the store would grow unboundedly (one
     /// region per bind probe) for nothing. The pages billed ride along to
-    /// the journal and the spend observer (the write-ahead log).
+    /// the log and the journal.
     pub(crate) fn land_delivery(
         &self,
         recorder: Option<&Recorder>,
@@ -256,18 +325,23 @@ impl SharedState {
             rec.record_size("market.records_per_call", records);
         }
         let space = self.store.space(table);
-        self.insert_rows(schema, response.rows, space.as_ref().map(|s| (s, &region)));
-        if let Some(ts) = wr(&self.stats).table_mut(table) {
-            if let Some(rec) = recorder {
-                let estimate = ts.estimate(&region);
-                rec.q_error(|| QErrorRecord {
-                    table: table.clone(),
-                    estimate,
-                    actual: records,
-                    q: payless_stats::q_error(estimate, records as f64),
+        {
+            let mut mirror = wr(&self.mirror);
+            let added =
+                mirror.insert_rows(schema, response.rows, space.as_ref().map(|s| (s, &region)));
+            mirror.feedback(recorder, table, &region, records);
+            if let Some(log) = &mirror.log {
+                let rows = mirror.db.table(table).expect("just inserted").rows();
+                log.append_purchase(&Purchase {
+                    table,
+                    at: now,
+                    pages: response.transactions,
+                    region: &region,
+                    records,
+                    coverage,
+                    rows: &rows[added],
                 });
             }
-            ts.feedback(&region, records);
         }
         if coverage {
             self.store
@@ -275,56 +349,16 @@ impl SharedState {
         }
     }
 
-    /// Re-derive what one recovered purchase of `region` taught the
-    /// statistics: the `feedback(region, records)` call
-    /// [`SharedState::land_delivery`] made when it landed, with `records`
-    /// counted from the mirror rows inside `region`. A delivery carries
-    /// every row of its region, so once the recovered mirror is seeded that
-    /// count is the delivery's. It counts through the same block walk as a
-    /// query's read, which skips nothing here: seeded rows join no block,
-    /// so every recovered row is tested against `region`.
-    pub fn replay_feedback(&self, table: &str, region: &Region) {
-        let Some(space) = self.store.space(table) else {
-            return;
-        };
-        let mut records = 0u64;
-        self.visit_rows_in(table, &space, std::slice::from_ref(region), |_| {
-            records += 1;
-        });
-        if let Some(ts) = wr(&self.stats).table_mut(table) {
-            ts.feedback(region, records);
-        }
-    }
-
-    /// Insert `rows` into `schema`'s mirror table, creating it if needed.
-    /// An attached [`RowObserver`] then sees only the rows the set insert
-    /// appended (a re-bought row the mirror already holds is not new), so a
-    /// durability layer logs each distinct row once. It runs before the
-    /// mirror write lock is released: a concurrent delivery that finds a
-    /// row already present goes on to record its spend, and by then that
-    /// row's log frame is written.
-    ///
-    /// `bought` is the delivery's query space and region: the appended rows
-    /// become a block of that region if every one of them lies inside it.
-    fn insert_rows(&self, schema: &Schema, rows: Vec<Row>, bought: Option<(&QuerySpace, &Region)>) {
+    /// Land one logged purchase again (recovery): its rows, which the
+    /// mirror held none of when it was logged, and the statistics'
+    /// `feedback(region, records)`, exactly as [`SharedState::land_delivery`]
+    /// applied them. Replayed in log order, the rows form the same blocks
+    /// and the statistics end where the logged deliveries left them.
+    pub fn replay(&self, schema: &Schema, region: &Region, rows: Vec<Row>, records: u64) {
+        let space = self.store.space(&schema.table);
         let mut mirror = wr(&self.mirror);
-        let Mirror { db, blocks } = &mut *mirror;
-        let table = db.table_or_create(schema);
-        let before = table.len();
-        table.insert_all(rows);
-        let added = &table.rows()[before..];
-        if let Some(obs) = self.row_observer.get() {
-            obs(&schema.table, added);
-        }
-        let Some((space, region)) = bought else {
-            return;
-        };
-        if !added.is_empty() && added.iter().all(|row| row_in_region(space, row, region)) {
-            blocks.entry(schema.table.clone()).or_default().push(Block {
-                rows: before..table.len(),
-                region: region.clone(),
-            });
-        }
+        mirror.insert_rows(schema, rows, space.as_ref().map(|s| (s, region)));
+        mirror.feedback(None, &schema.table, region, records);
     }
 
     /// Run `f` against `table`'s statistics model under the read lock. `f`
@@ -334,7 +368,7 @@ impl SharedState {
         table: &str,
         f: impl FnOnce(&TableModel) -> R,
     ) -> Option<R> {
-        rd(&self.stats).table(table).map(f)
+        rd(&self.mirror).stats.table(table).map(f)
     }
 }
 
@@ -347,23 +381,49 @@ mod tests {
 
     use super::*;
 
+    /// One logged purchase, owned: what a log hands recovery back.
+    #[derive(Debug, Clone)]
+    struct Logged {
+        region: Region,
+        records: u64,
+        coverage: bool,
+        rows: Vec<Row>,
+    }
+
+    /// A log that keeps every purchase in memory.
+    #[derive(Debug, Default)]
+    struct MemLog(Mutex<Vec<Logged>>);
+
+    impl PurchaseLog for MemLog {
+        fn append_purchase(&self, p: &Purchase<'_>) {
+            self.0.lock().unwrap().push(Logged {
+                region: p.region.clone(),
+                records: p.records,
+                coverage: p.coverage,
+                rows: p.rows.to_vec(),
+            });
+        }
+    }
+
+    fn logged(state: &SharedState) -> Arc<MemLog> {
+        let log = Arc::new(MemLog::default());
+        state.attach_log(log.clone());
+        log
+    }
+
     /// A re-bought delivery (a remainder that overlaps stored coverage on
     /// purpose, or a purchase made under a freshness window) adds nothing
-    /// to the mirror, so the row observer — `mirror.log`'s writer — sees
-    /// none of it again.
+    /// to the mirror, so its frame carries none of its rows again — only
+    /// what it taught the statistics.
     #[test]
-    fn row_observer_sees_each_distinct_row_once() {
+    fn the_log_sees_each_distinct_row_once() {
         let schema = Schema::new("T", vec![Column::free("a", Domain::int(0, 9))]);
         let state = SharedState::new(
             Database::new(),
             SharedSemanticStore::new(SemanticStore::new()),
             StatsRegistry::new(),
         );
-        let seen: Arc<Mutex<Vec<usize>>> = Arc::default();
-        let log = Arc::clone(&seen);
-        state.attach_row_observer(Arc::new(move |_, rows| {
-            log.lock().unwrap().push(rows.len());
-        }));
+        let log = logged(&state);
         let delivery = Response {
             rows: (0..3i64).map(|a| row!(a)).collect(),
             transactions: 1,
@@ -372,15 +432,19 @@ mod tests {
         for now in [1, 2] {
             state.land_delivery(None, &schema, region.clone(), delivery.clone(), false, now);
         }
-        assert_eq!(*seen.lock().unwrap(), [3, 0]);
+        let frames = log.0.lock().unwrap();
+        let rows: Vec<usize> = frames.iter().map(|f| f.rows.len()).collect();
+        assert_eq!(rows, [3, 0]);
+        assert!(frames.iter().all(|f| f.records == 3 && !f.coverage));
         assert_eq!(state.with_db(|db| db.table("T").unwrap().len()), 3);
     }
 
-    /// Recovery's `replay_feedback`, run over the recovered mirror in log
-    /// order, leaves the statistics exactly where the live deliveries left
-    /// them — overlapping deliveries included.
+    /// Replaying the logged purchases, in log order, into a fresh state
+    /// rebuilds the live mirror row for row, the same delivery blocks, and
+    /// statistics that estimate every region to the same bits —
+    /// overlapping and re-bought deliveries included.
     #[test]
-    fn replay_feedback_repeats_the_live_feedback() {
+    fn replayed_purchases_form_the_live_blocks_and_statistics() {
         let schema = Schema::new("T", vec![Column::free("a", Domain::int(0, 99))]);
         let fresh = || {
             let mut store = SemanticStore::new();
@@ -395,9 +459,9 @@ mod tests {
         let market = |lo: i64, hi: i64| -> Vec<Row> {
             (lo..=hi).filter(|a| a % 3 == 0).map(|a| row!(a)).collect()
         };
-        let purchases = [(0, 9), (20, 49), (5, 24)];
         let live = fresh();
-        for (now, &(lo, hi)) in purchases.iter().enumerate() {
+        let log = logged(&live);
+        for (now, &(lo, hi)) in [(0, 9), (20, 49), (5, 24), (0, 9)].iter().enumerate() {
             let delivery = Response {
                 rows: market(lo, hi),
                 transactions: 1,
@@ -405,19 +469,26 @@ mod tests {
             live.land_delivery(None, &schema, region(lo, hi), delivery, true, now as u64);
         }
         let replayed = fresh();
-        replayed.seed_mirror(
-            &schema,
-            live.with_db(|db| db.table("T").unwrap().rows().to_vec()),
-        );
-        for &(lo, hi) in &purchases {
-            replayed.replay_feedback("T", &region(lo, hi));
+        for f in log.0.lock().unwrap().iter() {
+            replayed.replay(&schema, &f.region, f.rows.clone(), f.records);
         }
+        let mirror = |s: &SharedState| s.with_db(|db| db.table("T").unwrap().rows().to_vec());
+        assert_eq!(mirror(&replayed), mirror(&live));
+        let spans = |s: &SharedState| -> Vec<(Range<usize>, Region)> {
+            rd(&s.mirror).blocks["T"]
+                .iter()
+                .map(|b| (b.rows.clone(), b.region.clone()))
+                .collect()
+        };
+        assert_eq!(spans(&replayed).len(), 3, "the re-buy added no rows");
+        assert_eq!(spans(&replayed), spans(&live));
         for (lo, hi) in [(0, 99), (0, 9), (5, 24), (7, 30), (50, 99)] {
-            assert_eq!(
-                live.stats_snapshot().estimate("T", &region(lo, hi)),
-                replayed.stats_snapshot().estimate("T", &region(lo, hi)),
-                "estimate of [{lo}, {hi}]"
-            );
+            let bits = |s: &SharedState| {
+                s.stats_snapshot()
+                    .estimate("T", &region(lo, hi))
+                    .map(f64::to_bits)
+            };
+            assert_eq!(bits(&live), bits(&replayed), "estimate of [{lo}, {hi}]");
         }
     }
 
@@ -519,18 +590,23 @@ mod tests {
         );
     }
 
-    /// Recovered rows join no block; deliveries between and after them do,
-    /// and every row is found wherever it sits.
+    /// Rows seeded by recovery's replay and rows delivered live,
+    /// interleaved — some in blocks, some (a purchase with a row outside its
+    /// region) in none — are all found wherever they sit.
     #[test]
     fn seeded_and_delivered_rows_interleaved_are_all_found() {
         let (schema, space, state) = block_fixture();
-        state.seed_mirror(&schema, market_rows(&boxed((0, 4), (0, 2))));
+        let seeded = boxed((0, 4), (0, 2));
+        let mut stray = market_rows(&seeded);
+        stray.push(row!(18i64, "x"));
+        state.replay(&schema, &seeded, stray, 0);
         let first = boxed((3, 9), (0, 2));
         deliver(&state, &schema, first.clone(), market_rows(&first));
-        state.seed_mirror(&schema, market_rows(&boxed((15, 19), (0, 2))));
+        let seeded = boxed((15, 17), (0, 2));
+        state.replay(&schema, &seeded, market_rows(&seeded), 0);
         let second = boxed((8, 14), (1, 2));
         deliver(&state, &schema, second.clone(), market_rows(&second));
-        assert_eq!(blocks(&state), 2);
+        assert_eq!(blocks(&state), 3);
         let all = read(&state, &space, &[everywhere()]);
         assert_eq!(
             all,
@@ -540,7 +616,7 @@ mod tests {
             vec![boxed((0, 2), (0, 2))],
             vec![boxed((4, 16), (1, 1))],
             vec![first.clone(), boxed((17, 19), (2, 2))],
-            vec![second.clone(), boxed((0, 0), (0, 0))],
+            vec![second.clone(), boxed((18, 18), (0, 0))],
         ] {
             assert_eq!(
                 read(&state, &space, &regions),
@@ -580,14 +656,14 @@ mod tests {
 
         use super::*;
 
-        /// One step of a mirror's life.
+        /// One step of a mirror's life: the market's rows in `region`,
+        /// plus one row outside it when `stray` (a delivery the block check
+        /// must refuse), delivered live or replayed by recovery.
         #[derive(Debug, Clone)]
-        enum Step {
-            /// The market's rows in `region`, plus one row outside it when
-            /// `stray` (a delivery the block check must refuse).
-            Deliver { region: Region, stray: bool },
-            /// Recovered rows of a region, seeded without a block.
-            Seed(Region),
+        struct Step {
+            region: Region,
+            stray: bool,
+            replayed: bool,
         }
 
         fn any_box() -> impl Strategy<Value = Region> {
@@ -606,37 +682,36 @@ mod tests {
         }
 
         fn any_step() -> impl Strategy<Value = Step> {
-            prop_oneof![
-                (any_bought(), any::<bool>())
-                    .prop_map(|(region, stray)| Step::Deliver { region, stray }),
-                (any_bought(), Just(false))
-                    .prop_map(|(region, stray)| Step::Deliver { region, stray }),
-                any_box().prop_map(Step::Seed),
-            ]
+            let stray = prop_oneof![any::<bool>(), Just(false)];
+            (any_bought(), stray, any::<bool>()).prop_map(|(region, stray, replayed)| Step {
+                region,
+                stray,
+                replayed,
+            })
         }
 
         proptest! {
-            /// After every step, the block walk returns exactly the rows of
-            /// a full `row_in_region` scan, in mirror order.
+            /// After every step, live or recovered, the block walk returns
+            /// exactly the rows of a full `row_in_region` scan, in mirror
+            /// order.
             #[test]
             fn block_reads_equal_a_full_scan(
                 steps in proptest::collection::vec(any_step(), 0..16),
                 queries in proptest::collection::vec(any_bought(), 1..4),
             ) {
                 let (schema, space, state) = block_fixture();
-                for step in &steps {
-                    match step {
-                        Step::Deliver { region, stray } => {
-                            let mut rows = market_rows(region);
-                            if *stray {
-                                let outside = market_rows(&everywhere())
-                                    .into_iter()
-                                    .find(|row| !row_in_region(&space, row, region));
-                                rows.extend(outside);
-                            }
-                            deliver(&state, &schema, region.clone(), rows);
-                        }
-                        Step::Seed(region) => state.seed_mirror(&schema, market_rows(region)),
+                for Step { region, stray, replayed } in &steps {
+                    let mut rows = market_rows(region);
+                    if *stray {
+                        let outside = market_rows(&everywhere())
+                            .into_iter()
+                            .find(|row| !row_in_region(&space, row, region));
+                        rows.extend(outside);
+                    }
+                    if *replayed {
+                        state.replay(&schema, region, rows, 0);
+                    } else {
+                        deliver(&state, &schema, region.clone(), rows);
                     }
                     prop_assert_eq!(
                         read(&state, &space, &queries),

@@ -25,12 +25,6 @@ use payless_metrics::MetricsHub;
 
 use crate::store::{Consistency, CoverClass, RewriteProbe, SemanticStore, TableStore};
 
-/// Callback invoked after every settled purchase lands in the store:
-/// `(table, region, now, spend)`. Durability layers hang a write-ahead-log
-/// appender here; the hook runs *outside* the shard's write lock so it may
-/// take its own locks (or do I/O) without ordering against shard guards.
-pub type SpendObserver = dyn Fn(&str, &Region, u64, u64) + Send + Sync;
-
 /// One table's current version behind its lock.
 type Shard = RwLock<Arc<TableStore>>;
 
@@ -49,10 +43,6 @@ pub struct SharedSemanticStore {
     /// per-table view gauges, and shard lock-wait times. `None` costs one
     /// `OnceLock` load per operation.
     metrics: OnceLock<Arc<MetricsHub>>,
-    /// Spend observer notified after every `record_spend`, outside the
-    /// shard write lock — so the store is momentarily ahead of a durability
-    /// log, never behind it.
-    observer: OnceLock<Arc<SpendObserver>>,
 }
 
 impl std::fmt::Debug for SharedSemanticStore {
@@ -61,7 +51,6 @@ impl std::fmt::Debug for SharedSemanticStore {
             .field("shards", &self.shards)
             .field("events", &self.events.get().is_some())
             .field("metrics", &self.metrics.get().is_some())
-            .field("observer", &self.observer.get().is_some())
             .finish()
     }
 }
@@ -99,13 +88,10 @@ impl SharedSemanticStore {
         let _ = self.metrics.set(hub);
     }
 
-    /// Attach a spend observer, notified after every settled purchase is
-    /// inserted (see [`SpendObserver`]). First attachment wins; later calls
-    /// are ignored. The observer runs with no shard lock held, in the
-    /// thread that recorded the spend.
-    pub fn attach_observer(&self, observer: Arc<SpendObserver>) {
-        let _ = self.observer.set(observer);
-    }
+    /// Does nothing: purchases are logged where their delivery lands
+    /// (`payless_exec::PurchaseLog`). Kept for `benchmark/` only.
+    #[allow(clippy::type_complexity)]
+    pub fn attach_observer(&self, _observer: Arc<dyn Fn(&str, &Region, u64, u64) + Send + Sync>) {}
 
     /// Attach a flight-recorder journal: every later `record_spend`
     /// journals `store_insert` / `store_compact` events.
@@ -167,19 +153,14 @@ impl SharedSemanticStore {
     }
 
     /// As [`SharedSemanticStore::record`], attributing the pages billed to
-    /// retrieve the region: the journal's `store_insert` event and the spend
-    /// observer (the write-ahead log) carry them. The insert copies the
-    /// table first only if a snapshot still holds its current version.
+    /// retrieve the region: the journal's `store_insert` event carries them.
+    /// The insert copies the table first only if a snapshot still holds its
+    /// current version.
     pub fn record_spend(&self, table: &str, region: Region, now: u64, spend: u64) {
         let shard = self
             .shards
             .get(table)
             .unwrap_or_else(|| panic!("table `{table}` not registered in semantic store"));
-        // Clone only when someone is listening: the insert consumes `region`.
-        let observed = self
-            .observer
-            .get()
-            .map(|obs| (Arc::clone(obs), region.clone()));
         let mut guard = self.timed_write(shard);
         let t = Arc::make_mut(&mut guard);
         let journal = self.events.get().map(|j| &**j);
@@ -188,13 +169,6 @@ impl SharedSemanticStore {
             hub.store_records.inc(1);
             hub.table_views_gauge(table).set(t.view_count() as u64);
             hub.table_compactions_gauge(table).set(t.compactions());
-        }
-        // Release the shard before notifying: the observer may take its own
-        // locks (e.g. a durability log mutex), and holding the write guard
-        // across it would order them inside every shard lock.
-        drop(guard);
-        if let Some((obs, region)) = observed {
-            obs(table, &region, now, spend);
         }
     }
 
@@ -373,39 +347,6 @@ mod tests {
         assert!(
             hub.store_lock_wait_nanos.snapshot().count >= 4,
             "every instrumented lock acquisition reports a wait sample"
-        );
-    }
-
-    #[test]
-    fn observer_sees_every_spend_outside_the_shard_lock() {
-        use std::sync::Mutex;
-        let mut base = SemanticStore::new();
-        base.register(space());
-        let shared = Arc::new(SharedSemanticStore::new(base));
-        let seen: Arc<Mutex<Vec<(String, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-        {
-            let seen = Arc::clone(&seen);
-            let probe = Arc::clone(&shared);
-            shared.attach_observer(Arc::new(move |table: &str, region, now, spend| {
-                // Re-entering the store here would deadlock if the shard
-                // write lock were still held when the observer fires.
-                assert!(probe.covers(table, region, Consistency::Weak, now));
-                seen.lock().unwrap().push((table.to_string(), spend));
-            }));
-        }
-        shared.record_spend("T", r(0, 9), 1, 10);
-        shared.record_spend("T", r(20, 29), 2, 7);
-        // Second attachment is ignored (first wins), so counts stay exact.
-        shared.attach_observer(Arc::new(|_, _, _, _| panic!("must never fire")));
-        shared.record("T", r(40, 49), 3);
-        let seen = seen.lock().unwrap();
-        assert_eq!(
-            *seen,
-            vec![
-                ("T".to_string(), 10),
-                ("T".to_string(), 7),
-                ("T".to_string(), 0)
-            ]
         );
     }
 

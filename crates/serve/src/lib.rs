@@ -179,7 +179,7 @@ impl Serve {
     }
 
     /// The buyer-side state every client shares: local mirror, semantic
-    /// store and statistics — what recovery seeds and observes.
+    /// store and statistics — what recovery replays the log into.
     pub fn state(&self) -> &SharedState {
         &self.state
     }
@@ -202,17 +202,13 @@ impl Serve {
         self.state.store()
     }
 
-    /// Attach an observer for market deliveries landing in the local
-    /// mirror ([`payless_exec::RowObserver`]). First caller wins, like every
-    /// other attach hook. No program caller since recovery goes through
-    /// [`Serve::state`]; it stays for `benchmark/src/ledger.rs`.
-    pub fn attach_row_observer(&self, observer: Arc<payless_exec::RowObserver>) {
-        self.state.attach_row_observer(observer);
-    }
+    /// Does nothing: deliveries are logged through
+    /// [`SharedState::attach_log`]. Kept for `benchmark/` only.
+    pub fn attach_row_observer(&self, _observer: Arc<payless_exec::RowObserver>) {}
 
     /// A point-in-time copy of every market table's mirror rows. No program
-    /// caller since `mirror.log` became the durable mirror; it stays for
-    /// `benchmark/src/ledger.rs` and goes with the next benchmark PR.
+    /// caller since the purchase log became the durable mirror; it stays
+    /// for `benchmark/src/ledger.rs` and goes with the next benchmark PR.
     pub fn mirror_dump(&self) -> Vec<(String, Vec<payless_types::Row>)> {
         self.state.with_db(|db| {
             self.market

@@ -17,7 +17,7 @@
 //! Query results ride the existing market wire codec
 //! ([`payless_market::encode_rows`]); spend telemetry rides response
 //! headers, so a driver can reconcile Σ ledger == meter without a second
-//! round trip. Every settled purchase is appended to the write-ahead log
+//! round trip. Every landed purchase is appended to the purchase log
 //! before the server answers more traffic (see [`persist`]).
 
 #![warn(missing_docs)]
@@ -59,7 +59,7 @@ pub struct ServerConfig {
     pub coalesce: bool,
     /// Chaos-inject the market at this seed (retries become unlimited).
     pub fault_seed: Option<u64>,
-    /// Data directory for `wal.log` and `mirror.log`; `None` serves
+    /// Data directory for the purchase log `wal.log`; `None` serves
     /// memory-only.
     pub data_dir: Option<PathBuf>,
     /// Crash injection (ignored without `data_dir`).
@@ -228,7 +228,7 @@ impl Server {
     /// Accept and serve connections until `POST /v1/shutdown` (one thread
     /// per connection; the serve layer is built for exactly this kind of
     /// concurrency), then drain in-flight connections. Every purchase is
-    /// already in the logs, so there is nothing left to write.
+    /// already in the log, so there is nothing left to write.
     pub fn run(self) -> Result<(), String> {
         let mut workers = Vec::new();
         for conn in self.listener.incoming() {

@@ -1,30 +1,34 @@
-//! Durability suite for the server's two append-only logs: `wal.log`
-//! (spend records) and `mirror.log` (the purchased rows).
+//! Durability suite for the server's one append-only log, `wal.log`: one
+//! frame per landed purchase, carrying its spend, its coverage bit, what it
+//! taught the statistics and the rows it added to the mirror.
 //!
-//! The central property: **any byte-prefix truncation** of the write-ahead
-//! log — a crash can tear the tail anywhere, not just on a frame boundary —
-//! recovers to a store whose summed ledger reconciles with the recorded
-//! absolute meter, covering exactly the purchases whose frames survived.
-//! The same holds frame-wise for the mirror log. Across a crash torn
-//! anywhere inside the last purchase, every region the recovered store
-//! covers has all its rows. And since neither log is ever compacted, both
-//! stay bounded by what was bought: under re-buys of stored rows
-//! `mirror.log` holds each distinct row once and `wal.log` one frame per
-//! spend record. The store keeps every purchase too, so its view index is
-//! bounded the same way: at most one view per logged purchase.
+//! The central property: **any byte-prefix truncation** of the log — a crash
+//! can tear the tail anywhere, not just on a frame boundary — recovers to a
+//! store whose summed ledger reconciles with the recorded absolute meter,
+//! covering exactly the purchases whose frames survived and holding exactly
+//! their rows. Across a crash torn anywhere inside the last purchase, every
+//! region the recovered store covers has all its rows. And since the log is
+//! never compacted, it stays bounded by what was bought: under re-buys of
+//! stored rows it holds each distinct row once and one frame per `seq`. The
+//! store keeps every purchase too, so its view index is bounded the same
+//! way: at most one view per logged purchase.
 //!
 //! Restart: four clients buy through a durable `Serve`; the server
-//! recovered from its two logs covers exactly what the stopped one covered
-//! and holds exactly its mirror rows. Coverage is the union of every
-//! logged region, whatever order concurrent clients appended them in.
+//! recovered from its log covers exactly what the stopped one covered,
+//! holds exactly its mirror rows and estimates every probe to the same
+//! bits, on 64 seeds. A one-client session that records no coverage (no
+//! SQR, or the calls-minimizing baseline) recovers its statistics and its
+//! spend the same way.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use payless_exec::{Purchase, PurchaseLog};
 use payless_geometry::{Interval, QuerySpace, Region};
-use payless_semantic::{Consistency, CoverClass, SemanticStore, SharedSemanticStore};
-use payless_serve::{run_mix, Serve, ServeConfig};
+use payless_market::{DataMarket, Dataset, MarketTable};
+use payless_semantic::{Consistency, CoverClass};
+use payless_serve::{run_mix, Mode, Serve, ServeConfig};
 use payless_server::persist::{recover, scan_frames, DurableStore, PersistConfig};
 use payless_types::{row, Column, Domain, Row, Schema};
 use payless_workload::{build_market, serve_mix, QueryWorkload, RealWorkload, WhwConfig};
@@ -56,14 +60,53 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// Log a covered purchase of `region` of `T` that added `rows`.
+fn buy(durable: &DurableStore, region: &Region, at: u64, pages: u64, rows: &[Row]) {
+    durable.append_purchase(&Purchase {
+        table: "T",
+        at,
+        pages,
+        region,
+        records: rows.len() as u64,
+        coverage: true,
+        rows,
+    });
+}
+
+/// A market hosting `T` alone, to recover a hand-written log over.
+fn t_market() -> Arc<DataMarket> {
+    let schema = Schema::new("T", vec![Column::free("A", Domain::int(0, 9_999))]);
+    let table = MarketTable::new(schema, Vec::new());
+    Arc::new(DataMarket::new(vec![Dataset::new("DS").with_table(table)]))
+}
+
+/// Recover `dir` over [`t_market`].
+fn open_t(dir: &std::path::Path) -> (Serve, Arc<DurableStore>) {
+    open_serve(dir, &t_market(), None, ServeConfig::default())
+}
+
+/// The recovered mirror rows of `T`, in mirror order.
+fn t_rows(serve: &Serve) -> Vec<Row> {
+    serve
+        .state()
+        .with_db(|db| db.table("T").map(|t| t.rows().to_vec()))
+        .unwrap_or_default()
+}
+
+/// The rows of the i-th purchase, all inside `r(i)`.
+fn rows_of(i: usize, n: usize) -> Vec<Row> {
+    (0..n).map(|j| row!(10 * i as i64 + j as i64)).collect()
+}
+
 mod props {
     use super::*;
     use proptest::prelude::*;
 
     proptest! {
-        /// Chop the WAL at an arbitrary byte and recover: the store must
-        /// reconcile, replay exactly the fully-framed prefix, and cover
-        /// exactly those purchases — never a region whose record was lost.
+        /// Chop the log at an arbitrary byte and recover: the store must
+        /// reconcile, replay exactly the fully-framed prefix, cover exactly
+        /// those purchases — never a region whose frame was lost — and hold
+        /// exactly their rows, in append order.
         #[test]
         fn any_wal_prefix_truncation_recovers_reconciling(
             appends in 1usize..10,
@@ -77,7 +120,7 @@ mod props {
                 for i in 0..appends {
                     let spend = (i as u64 % 7) + 1;
                     spends.push(spend);
-                    durable.append("T", &r(i), i as u64 + 1, spend);
+                    buy(&durable, &r(i), i as u64 + 1, spend, &rows_of(i, 2));
                 }
             }
             let path = dir.join("wal.log");
@@ -86,14 +129,18 @@ mod props {
             std::fs::write(&path, &bytes[..cut]).unwrap();
             let surviving = scan_frames(&bytes[..cut]).0.len();
 
-            let (durable, store, _) = DurableStore::open(&dir, cfg, &[space()]).unwrap();
+            let (serve, durable) = open_t(&dir);
             let status = durable.status();
             prop_assert!(status.reconciles());
             prop_assert_eq!(status.recovery.replayed, surviving as u64);
+            prop_assert_eq!(status.recovery.rows, 2 * surviving as u64);
+            let torn = cut - scan_frames(&bytes[..cut]).1;
+            prop_assert_eq!(status.recovery.truncated_bytes, torn as u64);
             let expected: u64 = spends[..surviving].iter().sum();
             let total: u64 = status.tables.iter().map(|t| t.ledger_pages).sum();
             prop_assert_eq!(total, expected);
             let now = appends as u64 + 1;
+            let store = serve.state().store();
             for i in 0..appends {
                 prop_assert_eq!(
                     store.covers("T", &r(i), Consistency::Weak, now),
@@ -103,47 +150,16 @@ mod props {
                     cut
                 );
             }
+            let logged: Vec<Row> = (0..surviving).flat_map(|i| rows_of(i, 2)).collect();
+            prop_assert_eq!(t_rows(&serve), logged);
             let _ = std::fs::remove_dir_all(&dir);
         }
 
-        /// Same property for the mirror log: recovery yields exactly the
-        /// rows of the fully-framed prefix, in append order.
-        #[test]
-        fn any_mirror_prefix_truncation_recovers_surviving_frames(
-            frames in 1usize..8,
-            frac in 0.0f64..1.0,
-        ) {
-            let dir = tmpdir("mirror-prefix");
-            let cfg = PersistConfig::default();
-            let frame_rows: Vec<Vec<Row>> = (0..frames)
-                .map(|i| vec![row!(10 * i as i64), row!(10 * i as i64 + 1)])
-                .collect();
-            {
-                let (durable, _, _) = DurableStore::open(&dir, cfg, &[space()]).unwrap();
-                for rows in &frame_rows {
-                    durable.append_rows("T", rows);
-                }
-            }
-            let path = dir.join("mirror.log");
-            let bytes = std::fs::read(&path).unwrap();
-            let cut = (bytes.len() as f64 * frac) as usize;
-            std::fs::write(&path, &bytes[..cut]).unwrap();
-            let surviving = scan_frames(&bytes[..cut]).0.len();
-
-            let (durable, _, recovered) = DurableStore::open(&dir, cfg, &[space()]).unwrap();
-            let expected: Vec<Row> = frame_rows[..surviving].concat();
-            let got: Vec<Row> = recovered.into_iter().flat_map(|(_, rows)| rows).collect();
-            prop_assert_eq!(got, expected);
-            prop_assert_eq!(durable.recovery().mirror_rows, 2 * surviving as u64);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-
-        /// Disjoint purchases written the way `land_delivery` writes them
-        /// (rows, then the spend through the attached store) and a crash torn
-        /// at any byte of the last purchase's writes: the ledger reconciles,
-        /// every earlier purchase is covered, the last one only if its spend
-        /// record survived whole, and every covered purchase has all its
-        /// rows.
+        /// Disjoint purchases logged the way `land_delivery` logs them (one
+        /// frame each, rows and coverage together) and a crash torn at any
+        /// byte of the last purchase's frame: the ledger reconciles, every
+        /// earlier purchase is covered, the last one only if its frame
+        /// survived whole, and every covered purchase has all its rows.
         #[test]
         fn covered_purchases_keep_their_rows_across_crashes(
             purchases in proptest::collection::vec(1usize..6, 1..8),
@@ -152,46 +168,32 @@ mod props {
             let dir = tmpdir("coverage-rows");
             let cfg = PersistConfig::default();
             let wal = dir.join("wal.log");
-            let mirror = dir.join("mirror.log");
             let len = |p: &std::path::Path| std::fs::metadata(p).unwrap().len();
-            let rows_of = |i: usize, n: usize| -> Vec<Row> {
-                (0..n).map(|j| row!(10 * i as i64 + j as i64)).collect()
-            };
             let last = purchases.len() - 1;
             let (before, after) = {
                 let (durable, _, _) = DurableStore::open(&dir, cfg, &[space()]).unwrap();
-                let durable = Arc::new(durable);
-                let mut base = SemanticStore::new();
-                base.register(space());
-                let shared = SharedSemanticStore::new(base);
-                durable.attach(&shared);
                 for (i, &n) in purchases[..last].iter().enumerate() {
-                    durable.append_rows("T", &rows_of(i, n));
-                    shared.record_spend("T", r(i), i as u64 + 1, n as u64);
+                    buy(&durable, &r(i), i as u64 + 1, n as u64, &rows_of(i, n));
                 }
-                let before = (len(&mirror), len(&wal));
-                durable.append_rows("T", &rows_of(last, purchases[last]));
-                shared.record_spend("T", r(last), last as u64 + 1, purchases[last] as u64);
-                (before, (len(&mirror), len(&wal)))
+                let before = len(&wal);
+                let n = purchases[last];
+                buy(&durable, &r(last), last as u64 + 1, n as u64, &rows_of(last, n));
+                (before, len(&wal))
             };
-            // The last purchase wrote its mirror frame, then its WAL frame;
-            // keep the first `cut` of those bytes (all of them included).
-            let (mirror_n, wal_n) = (after.0 - before.0, after.1 - before.1);
-            let cut = ((mirror_n + wal_n + 1) as f64 * frac) as u64;
-            let keep_mirror = before.0 + cut.min(mirror_n);
-            let keep_wal = before.1 + cut.saturating_sub(mirror_n);
-            for (path, keep) in [(&mirror, keep_mirror), (&wal, keep_wal)] {
-                let bytes = std::fs::read(path).unwrap();
-                std::fs::write(path, &bytes[..keep as usize]).unwrap();
-            }
+            // Keep the first `cut` bytes of the last frame (all of them
+            // included).
+            let cut = ((after - before + 1) as f64 * frac) as u64;
+            let keep = before + cut.min(after - before);
+            let bytes = std::fs::read(&wal).unwrap();
+            std::fs::write(&wal, &bytes[..keep as usize]).unwrap();
 
-            let (durable, store, recovered) = DurableStore::open(&dir, cfg, &[space()]).unwrap();
+            let (serve, durable) = open_t(&dir);
             prop_assert!(durable.status().reconciles());
-            let rows: HashSet<Row> = recovered.into_iter().flat_map(|(_, rows)| rows).collect();
+            let rows: HashSet<Row> = t_rows(&serve).into_iter().collect();
             let now = purchases.len() as u64 + 1;
             for (i, &n) in purchases.iter().enumerate() {
-                let covered = store.covers("T", &r(i), Consistency::Weak, now);
-                prop_assert_eq!(covered, i < last || keep_wal == after.1, "purchase {}", i);
+                let covered = serve.state().store().covers("T", &r(i), Consistency::Weak, now);
+                prop_assert_eq!(covered, i < last || keep == after, "purchase {}", i);
                 if covered {
                     prop_assert!(
                         rows_of(i, n).iter().all(|row| rows.contains(row)),
@@ -204,12 +206,11 @@ mod props {
         }
 
         /// Random overlapping Weather purchases through a durable `Serve`:
-        /// a remainder may re-buy rows the mirror holds, yet `mirror.log`
-        /// holds each distinct row once — at most Σ distinct rows × the
-        /// largest encoded row, plus one frame's overhead per delivery that
-        /// added rows — and `wal.log` holds exactly `last_seq` frames, at
-        /// least one per stored view. The same statements run a second time
-        /// buy nothing.
+        /// a remainder may re-buy rows the mirror holds, yet the log holds
+        /// each distinct row once — at most Σ distinct rows × the largest
+        /// encoded row, plus one frame's fixed fields per purchase — and
+        /// exactly `last_seq` frames, at least one per stored view. The
+        /// same statements run a second time buy nothing.
         #[test]
         fn logs_stay_bounded_under_rebuys(
             queries in proptest::collection::vec((0usize..4, 1i64..20, 0i64..6), 1..12),
@@ -225,11 +226,7 @@ mod props {
                 seed: 5,
             });
             let market = Arc::new(build_market(&w, 1));
-            let build = |store| {
-                Serve::with_store(market.clone(), w.local_tables(), ServeConfig::default(), store)
-            };
-            let (serve, durable) =
-                recover(&dir, PersistConfig::default(), &market, build).unwrap();
+            let (serve, durable) = open_serve(&dir, &market, Some(&w), ServeConfig::default());
             let mut seqs = Vec::new();
             for _ in 0..2 {
                 for &(country, lo, width) in &queries {
@@ -244,24 +241,21 @@ mod props {
                 seqs.push(durable.status().last_seq);
             }
             prop_assert_eq!(seqs[0], seqs[1], "the second pass bought again");
-
-            let wal = std::fs::read(dir.join("wal.log")).unwrap();
-            let (wal_frames, _) = scan_frames(&wal);
-            prop_assert_eq!(wal_frames.len() as u64, durable.status().last_seq);
             let views = serve.state().store().view_count("Weather") as u64;
             prop_assert!(views <= durable.status().last_seq, "{} views", views);
-
             drop((serve, durable));
-            let mirror = std::fs::read(dir.join("mirror.log")).unwrap();
-            let (mirror_frames, _) = scan_frames(&mirror);
-            let spaces: Vec<QuerySpace> = market
-                .table_names()
+
+            // Each frame ends in the rows it added, after a header of seq,
+            // the table, four counters, the coverage byte and the region.
+            let wal = std::fs::read(dir.join("wal.log")).unwrap();
+            let (frames, _) = scan_frames(&wal);
+            let arity = QuerySpace::of(market.schema("Weather").unwrap()).arity();
+            let header = 8 + 2 + "Weather".len() + 4 * 8 + 1 + 2 + 16 * arity;
+            let rows: Vec<Row> = frames
                 .iter()
-                .map(|name| QuerySpace::of(market.schema(name).unwrap()))
+                .flat_map(|payload| payless_market::decode_rows(&payload[header..]).unwrap())
                 .collect();
-            let (_, _, recovered) =
-                DurableStore::open(&dir, PersistConfig::default(), &spaces).unwrap();
-            let rows: Vec<Row> = recovered.into_iter().flat_map(|(_, rows)| rows).collect();
+            prop_assert_eq!(frames.len() as u64, seqs[1]);
             let distinct: HashSet<&Row> = rows.iter().collect();
             prop_assert_eq!(distinct.len(), rows.len(), "a row was logged twice");
             let empty = payless_market::encode_rows(&[]).len();
@@ -270,18 +264,36 @@ mod props {
                 .map(|row| payless_market::encode_rows(std::slice::from_ref(row)).len() - empty)
                 .max()
                 .unwrap_or(0);
-            let frame_overhead = 8 + 2 + "Weather".len() + empty;
-            prop_assert!(mirror_frames.len() <= wal_frames.len());
+            // Length and CRC, the header, and an empty row body.
+            let fixed = 8 + header + empty;
             prop_assert!(
-                mirror.len() <= distinct.len() * widest + mirror_frames.len() * frame_overhead,
-                "mirror.log is {} bytes for {} distinct rows in {} frames",
-                mirror.len(),
+                wal.len() <= distinct.len() * widest + frames.len() * fixed,
+                "wal.log is {} bytes for {} distinct rows in {} frames",
+                wal.len(),
                 distinct.len(),
-                mirror_frames.len()
+                frames.len()
             );
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
+}
+
+/// A frame whose rows are not rows of its table — here an empty row, which
+/// the block check would index past — fails recovery naming the log.
+#[test]
+fn a_frame_row_of_the_wrong_width_fails_recovery() {
+    let dir = tmpdir("width");
+    {
+        let (durable, _, _) =
+            DurableStore::open(&dir, PersistConfig::default(), &[space()]).unwrap();
+        buy(&durable, &r(0), 1, 1, &[Row::new(Vec::new())]);
+    }
+    let market = t_market();
+    let build = |store| Serve::with_store(market.clone(), &[], ServeConfig::default(), store);
+    let recovered = recover(&dir, PersistConfig::default(), &market, build).map(|_| ());
+    let err = recovered.expect_err("a row of the wrong width");
+    assert!(err.contains("wal.log seq 1"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Every box whose sides are a quarter of the dimension or the whole of
@@ -313,11 +325,13 @@ fn probe_grid(space: &QuerySpace) -> Vec<Region> {
 }
 
 /// What a restart must preserve of one market table: the cover and class
-/// of every probe under `Weak`, the covered fraction, and the mirror rows.
-type TableState = (Vec<(bool, CoverClass)>, f64, HashSet<Row>);
+/// of every probe under `Weak`, the covered fraction, the mirror rows, and
+/// the bits of the statistics' estimate of every probe.
+type TableState = (Vec<(bool, CoverClass)>, f64, HashSet<Row>, Vec<u64>);
 
 fn table_states(serve: &Serve) -> Vec<(String, TableState)> {
     let store = serve.state().store();
+    let stats = serve.state().stats_snapshot();
     let now = serve.now() + 1;
     serve
         .market()
@@ -325,7 +339,8 @@ fn table_states(serve: &Serve) -> Vec<(String, TableState)> {
         .into_iter()
         .map(|name| {
             let space = store.space(&name).expect("market table registered");
-            let probes = probe_grid(&space)
+            let grid = probe_grid(&space);
+            let probes = grid
                 .iter()
                 .map(|p| {
                     (
@@ -339,18 +354,24 @@ fn table_states(serve: &Serve) -> Vec<(String, TableState)> {
                     .map(|t| t.rows().iter().cloned().collect())
                     .unwrap_or_default()
             });
-            let state = (probes, store.coverage_fraction(&name), rows);
+            let estimates = grid
+                .iter()
+                .map(|p| {
+                    stats
+                        .estimate(&name, p)
+                        .expect("market table modelled")
+                        .to_bits()
+                })
+                .collect();
+            let state = (probes, store.coverage_fraction(&name), rows, estimates);
             (name.to_string(), state)
         })
         .collect()
 }
 
-/// Four clients run a seeded mix of all five WHW templates through a
-/// durable `Serve`; the server recovered from its logs answers every
-/// coverage probe as the stopped one did and holds the same mirror rows.
-#[test]
-fn four_client_restart_recovers_the_stopped_coverage_and_mirror() {
-    let w = RealWorkload::generate(&WhwConfig {
+/// The WHW fixture both restart tests buy from.
+fn restart_workload() -> RealWorkload {
+    RealWorkload::generate(&WhwConfig {
         stations: 24,
         countries: 4,
         cities_per_country: 3,
@@ -358,22 +379,39 @@ fn four_client_restart_recovers_the_stopped_coverage_and_mirror() {
         zips: 40,
         ranks: 100,
         seed: 11,
-    });
+    })
+}
+
+/// Recover `dir` into a `Serve` over `market` (and the local tables of `w`,
+/// if any) configured by `cfg`.
+fn open_serve(
+    dir: &std::path::Path,
+    market: &Arc<DataMarket>,
+    w: Option<&RealWorkload>,
+    cfg: ServeConfig,
+) -> (Serve, Arc<DurableStore>) {
+    let locals = w.map(RealWorkload::local_tables).unwrap_or_default();
+    let build = |store| Serve::with_store(market.clone(), locals, cfg, store);
+    recover(dir, PersistConfig::default(), market, build).unwrap()
+}
+
+/// Four clients run a seeded mix of all five WHW templates through a
+/// durable `Serve`; the server recovered from its log answers every
+/// coverage probe as the stopped one did, holds the same mirror rows, and
+/// estimates every probe to the same bits — on every seed, whatever order
+/// the clients' purchases landed in.
+#[test]
+fn four_client_restart_recovers_the_stopped_coverage_and_mirror() {
+    let w = restart_workload();
     let market = Arc::new(build_market(&w, 10));
     let templates: Vec<usize> = (0..QueryWorkload::templates(&w).len()).collect();
-    for seed in [48879u64, 7, 20177, 31337] {
+    let cfg = ServeConfig {
+        threads: 4,
+        ..ServeConfig::default()
+    };
+    for seed in 0..64u64 {
         let dir = tmpdir("restart");
-        let open = || {
-            let build = |store| {
-                let cfg = ServeConfig {
-                    threads: 4,
-                    ..ServeConfig::default()
-                };
-                Serve::with_store(market.clone(), w.local_tables(), cfg, store)
-            };
-            recover(&dir, PersistConfig::default(), &market, build).unwrap()
-        };
-        let (serve, durable) = open();
+        let (serve, durable) = open_serve(&dir, &market, Some(&w), cfg.clone());
         let mix = serve_mix(&w, &templates, 4, 32, seed);
         let stmts: Vec<_> = QueryWorkload::templates(&w)
             .iter()
@@ -384,10 +422,56 @@ fn four_client_restart_recovers_the_stopped_coverage_and_mirror() {
         let stopped = table_states(&serve);
         drop((serve, durable));
 
-        let (serve, durable) = open();
+        let (serve, durable) = open_serve(&dir, &market, Some(&w), cfg.clone());
         assert!(durable.status().reconciles(), "seed {seed}");
-        assert_eq!(table_states(&serve), stopped, "seed {seed}");
+        assert!(
+            table_states(&serve) == stopped,
+            "seed {seed}: state differs"
+        );
         drop((serve, durable));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// One client runs a 32-query mix in a mode that records no coverage (no
+/// SQR, and the calls-minimizing baseline): every delivery is still logged,
+/// so the recovered statistics are bit-equal to the stopped session's and
+/// the recovered ledger holds every page the queries paid.
+#[test]
+fn one_client_non_sqr_restart_recovers_the_statistics_and_the_spend() {
+    let w = restart_workload();
+    let templates: Vec<usize> = (0..QueryWorkload::templates(&w).len()).collect();
+    for mode in [Mode::PayLessNoSqr, Mode::MinCalls] {
+        for seed in [1u64, 2] {
+            let market = Arc::new(build_market(&w, 10));
+            let dir = tmpdir("non-sqr");
+            let (serve, durable) = open_serve(&dir, &market, Some(&w), ServeConfig::one_client());
+            let stmts: Vec<_> = QueryWorkload::templates(&w)
+                .iter()
+                .map(|sql| serve.prepare(sql).unwrap())
+                .collect();
+            let mut paid = 0;
+            for item in serve_mix(&w, &templates, 1, 32, seed) {
+                let bound = stmts[item.template].bind(&item.params).unwrap();
+                let (_, ran, snap) = serve.run(&serve.analyze(&bound).unwrap(), mode, false);
+                ran.expect("query answers");
+                paid += snap.total_pages();
+            }
+            assert!(paid > 0, "{mode:?} seed {seed}: nothing bought");
+            let stopped = table_states(&serve);
+            drop((serve, durable));
+
+            let (serve, durable) = open_serve(&dir, &market, Some(&w), ServeConfig::one_client());
+            let status = durable.status();
+            assert!(status.reconciles(), "{mode:?} seed {seed}");
+            let logged: u64 = status.tables.iter().map(|t| t.ledger_pages).sum();
+            assert_eq!(logged, paid, "{mode:?} seed {seed}: pages logged");
+            assert!(
+                table_states(&serve) == stopped,
+                "{mode:?} seed {seed}: state differs"
+            );
+            drop((serve, durable));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

@@ -16,8 +16,8 @@
 //!   billing are byte-identical to a session with no injector at all.
 //!
 //! Where two sessions must end in the same *state*, both run durable and
-//! their `wal.log` and `mirror.log` are compared byte for byte: coverage,
-//! mirror and refined statistics are functions of those two logs.
+//! their `wal.log` files are compared byte for byte: coverage, mirror and
+//! refined statistics are functions of that one log.
 //!
 //! The pinned chaos seed can be overridden with `PAYLESS_FAULT_SEED`.
 
@@ -91,13 +91,12 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A durable session's whole state: its two logs, byte for byte.
-fn logs(dir: &Path) -> (Vec<u8>, Vec<u8>) {
-    let read = |name: &str| std::fs::read(dir.join(name)).expect("log exists");
-    let state = (read("wal.log"), read("mirror.log"));
+/// A durable session's whole state: its log, byte for byte.
+fn logs(dir: &Path) -> Vec<u8> {
+    let state = std::fs::read(dir.join("wal.log")).expect("log exists");
     assert!(
-        !state.0.is_empty() && !state.1.is_empty(),
-        "the session bought nothing, so comparing its logs proves nothing"
+        !state.is_empty(),
+        "the session bought nothing, so comparing its log proves nothing"
     );
     state
 }

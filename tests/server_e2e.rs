@@ -231,9 +231,9 @@ fn durable_restart_recovers_store_and_rebuys_nothing() {
     let status = store_json(&addr);
     let recovered_rows = status
         .get("recovery")
-        .and_then(|r| r.get("mirror_rows"))
+        .and_then(|r| r.get("rows"))
         .and_then(|v| v.as_u64())
-        .expect("recovery.mirror_rows");
+        .expect("recovery.rows");
     assert!(recovered_rows > 0, "restart must recover the mirror rows");
     assert_eq!(reconciled_ledger_pages(&status), oracle.total_pages);
 
@@ -252,9 +252,9 @@ fn durable_restart_recovers_store_and_rebuys_nothing() {
 /// One client at page size 100 runs a seeded mix of all five templates:
 /// once on an uninterrupted server, and once on a durable server that shuts
 /// down gracefully halfway and restarts on its data directory. The restart
-/// replays `wal.log` and `mirror.log` into coverage, mirror and statistics,
-/// so every query pays the same pages (`X-Payless-Pages`) and returns the
-/// same rows as without it.
+/// replays `wal.log` into coverage, mirror and statistics, so every query
+/// pays the same pages (`X-Payless-Pages`) and returns the same rows as
+/// without it.
 #[test]
 fn restarted_server_pays_and_answers_like_an_uninterrupted_one() {
     let w = RealWorkload::generate(&WhwConfig::scaled(SCALE));

@@ -17,7 +17,7 @@
 //!   kept their bits). A mismatch writes the new text next to the test
 //!   binary's scratch directory so it can be diffed.
 //! * `session_restarted_after_any_query_matches_golden`: the session's
-//!   data directory (`wal.log` + `mirror.log`) is its whole state. For
+//!   data directory (its one log, `wal.log`) is its whole state. For
 //!   every k, a durable session that runs the first k queries, is dropped
 //!   and is reopened from its directory renders the golden `payless` lines
 //!   byte for byte.
