@@ -89,18 +89,20 @@ results_check() {
     echo "== results check: planspace, ablation, fig10 and stats_accuracy reproduce results/ byte for byte =="
     # The figure binaries print transaction counts and plan counts, never
     # wall-clock time, so a `PayLess` session that plans or pays differently
-    # in any of the four paper modes shows up as a diff here. planspace and
-    # ablation take 0.1 s each, fig10 about a minute and a half (86-93 s on
-    # a 2-core VM); stats_accuracy (about 10 s) is the one check on the two
-    # statistics backends serving does not run. fig11-15 ride the same
-    # session code and are checked by `results-full`.
+    # in any of the four paper modes shows up as a diff here. On a 2-core
+    # VM planspace and ablation take under 0.01 s each, fig10 about 36 s,
+    # and the whole stage about 45 s with a warm build. stats_accuracy
+    # (about 1.3 s) checks the statistic's learning curve: Weather's
+    # estimation error, read from a one-client `Serve` as the real-data
+    # workload runs through it. fig11-15 ride the same session code and
+    # are checked by `results-full`.
     regen_results results-check planspace ablation fig10 stats_accuracy
 }
 
 results_full() {
     echo "== results full: every count-only figure reproduces results/ byte for byte =="
     # All nine count-only outputs (`efficiency` prints wall-clock timings and
-    # never reproduces). About ten minutes on two cores, so it stays out of
+    # never reproduces). About five minutes on two cores, so it stays out of
     # `all`; the scheduled workflow runs it. To re-record results/ after a
     # change that moves the money, run this stage and copy
     # target/results-full/*.txt over results/.
@@ -123,14 +125,22 @@ nightly_chaos() {
 
 size() {
     echo "== size: non-test lines per crate under crates/*/src =="
-    # Every line of each source file up to its first `#[cfg(test)]` (the
-    # whole file when it has none): the count a simplicity change quotes.
+    # Every line of each source file up to the `#[cfg(test)]` that opens
+    # its test module (the whole file when it has none): the count a
+    # simplicity change quotes. A `#[cfg(test)]` on anything but a `mod`
+    # (a test-only import or method) is counted with the lines after it.
     _total=0
     for _src in crates/*/src; do
         _crate="${_src#crates/}"
         _crate="${_crate%/src}"
-        _n=$(find "$_src" -name '*.rs' -exec awk \
-            '/^[[:space:]]*#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n + 0 }' {} + |
+        _n=$(find "$_src" -name '*.rs' -exec awk '
+            FNR == 1 { held = 0 }
+            /^[[:space:]]*#\[cfg\(test\)\]/ { held++; next }
+            held && /^[[:space:]]*(#\[|\/\/)/ { held++; next }
+            held && /^[[:space:]]*(pub(\([a-z]+\))? )?mod / { nextfile }
+            held { n += held; held = 0 }
+            { n++ }
+            END { print n + 0 }' {} + |
             awk '{ s += $1 } END { print s + 0 }')
         printf '%-12s %6d\n' "$_crate" "$_n"
         _total=$((_total + _n))

@@ -3,26 +3,17 @@
 //!
 //! PayLess starts with nothing but cardinality + domains (pure uniformity)
 //! and refines from every retrieval — the LEO-style loop of Section 1. This
-//! binary issues the real-data workload and, after every few queries, probes
-//! the Weather estimator with random regions, reporting the mean relative
-//! error against ground truth. The error should fall as coverage grows.
-//!
-//! The serving layer always runs the multidimensional statistic; the other
-//! two backends are this binary's comparison controls. It therefore builds
-//! the buyer side itself, over a [`StatsRegistry`] of the chosen backend,
-//! and runs each query through [`pipeline::run_query`] as full PayLess, one
-//! clock tick per query, exactly as `Serve::run` does for a one-client
-//! session.
+//! binary issues the real-data workload through a one-client [`Serve`] as
+//! full PayLess and, after every few queries, probes the Weather estimator
+//! in the serving layer's statistics with random regions, reporting the
+//! mean relative error against ground truth. The error should fall as
+//! coverage grows.
 
 use std::sync::Arc;
 
 use payless_bench::{env_f64, env_usize};
-use payless_core::Mode;
-use payless_exec::{pipeline, Env, ExecConfig, PipelineConfig, SharedState};
+use payless_core::{Serve, ServeConfig};
 use payless_geometry::Region;
-use payless_semantic::SemanticStore;
-use payless_sql::{analyze, parse, TableLocation};
-use payless_stats::{StatsBackend, StatsRegistry};
 use payless_types::Value;
 use payless_workload::{build_market, QueryWorkload, RealWorkload, WhwConfig};
 use rand::rngs::StdRng;
@@ -32,44 +23,15 @@ fn main() {
     let scale = env_f64("PAYLESS_SCALE_REAL", 0.05);
     let q = env_usize("PAYLESS_Q_REAL", 30);
     let workload = RealWorkload::generate(&WhwConfig::scaled(scale));
-    for backend in [
-        StatsBackend::MultiDim,
-        StatsBackend::Isomer,
-        StatsBackend::PerDimension,
-    ] {
-        run_backend(&workload, backend, q);
-    }
-}
-
-fn run_backend(workload: &RealWorkload, backend: StatsBackend, q: usize) {
-    let market = Arc::new(build_market(workload, 100));
-    let (mut catalog, state) = SharedState::for_market(
-        &market,
-        SemanticStore::new(),
-        StatsRegistry::new().with_backend(backend),
+    let serve = Serve::new(
+        Arc::new(build_market(&workload, 100)),
+        workload.local_tables(),
+        ServeConfig::one_client(),
     );
-    for t in workload.local_tables() {
-        catalog.add(t.schema.clone(), TableLocation::Local);
-        state.register_local(t.clone());
-    }
-    let env = Env {
-        market: &market,
-        state: &state,
-        coalescer: None,
-    };
-    let (optimizer, download_all) = Mode::PayLess.preset();
-    let cfg = PipelineConfig {
-        exec: ExecConfig {
-            sqr: optimizer.sqr,
-            ..ExecConfig::default()
-        },
-        optimizer,
-        download_all,
-    };
     let templates: Vec<_> = workload
         .templates()
         .iter()
-        .map(|t| parse(t).unwrap())
+        .map(|t| serve.prepare(t).unwrap())
         .collect();
 
     // Ground truth for Weather: materialize the rows once.
@@ -78,7 +40,8 @@ fn run_backend(workload: &RealWorkload, backend: StatsBackend, q: usize) {
         .iter()
         .find(|t| &*t.schema.table == "Weather")
         .expect("weather table");
-    let space = state
+    let space = serve
+        .state()
         .store()
         .space("Weather")
         .expect("weather is a market table");
@@ -136,7 +99,7 @@ fn run_backend(workload: &RealWorkload, backend: StatsBackend, q: usize) {
     }
 
     let mean_error = |probes: &[Region]| -> f64 {
-        let registry = state.stats_snapshot();
+        let registry = serve.state().stats_snapshot();
         let stats = registry.table("Weather").unwrap();
         let mut total = 0.0;
         for p in probes {
@@ -148,7 +111,7 @@ fn run_backend(workload: &RealWorkload, backend: StatsBackend, q: usize) {
         total / probes.len() as f64
     };
 
-    println!("\n== backend: {backend:?} ==");
+    println!("\n== backend: MultiDim ==");
     println!("Estimator accuracy on Weather as the workload runs");
     println!("(mean symmetric relative error over 50 probes per family):\n");
     println!(
@@ -169,9 +132,8 @@ fn run_backend(workload: &RealWorkload, backend: StatsBackend, q: usize) {
     for _ in 0..q {
         for (t, template) in templates.iter().enumerate() {
             let params = workload.sample_params(t, &mut rng);
-            let query = analyze(&template.bind(&params).unwrap(), &catalog).unwrap();
+            serve.run_query(template, &params).unwrap();
             issued += 1;
-            pipeline::run_query(&env, &query, &cfg, issued as u64).unwrap();
         }
         if issued % 25 < templates.len() {
             report(issued);
@@ -179,27 +141,12 @@ fn run_backend(workload: &RealWorkload, backend: StatsBackend, q: usize) {
     }
     println!(
         "\nTotal paid: {} transactions.",
-        market.bill().transactions()
+        serve.market().bill().transactions()
     );
-    match backend {
-        StatsBackend::MultiDim => println!(
-            "MultiDim (ISOMER-style): error on workload-shaped regions falls\n\
-             as feedback accumulates; error on never-observed random regions\n\
-             persists — the statistic learns exactly what the workload\n\
-             exercises."
-        ),
-        StatsBackend::Isomer => println!(
-            "Isomer (retained constraints + iterative fitting): like MultiDim\n\
-             but durably consistent with recent history; compare its curve\n\
-             with MultiDim's to see what constraint retention buys."
-        ),
-        StatsBackend::PerDimension => println!(
-            "PerDimension (independence back-out): *degrades* under this\n\
-             workload — bind-join probes observe correlated\n\
-             (country, station) combinations, and backing those joints out\n\
-             to independent marginals poisons the histograms. This is the\n\
-             failure mode that motivates the paper's use of a\n\
-             feedback-consistent multidimensional statistic (ISOMER)."
-        ),
-    }
+    println!(
+        "MultiDim (ISOMER-style): error on workload-shaped regions falls\n\
+         as feedback accumulates; error on never-observed random regions\n\
+         persists — the statistic learns exactly what the workload\n\
+         exercises."
+    );
 }

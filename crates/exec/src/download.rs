@@ -36,7 +36,7 @@ pub(crate) fn ensure_downloaded(
 ) -> Result<()> {
     let name = &table.table;
     let space = state
-        .with_table_model(name, |s| s.space().clone())
+        .with_table_stats(name, |s| s.space().clone())
         .ok_or_else(|| PaylessError::Internal(format!("no stats for `{name}`")))?;
     let full = space.full_region();
     if state.store().covers(name, &full, Consistency::Weak, now) {

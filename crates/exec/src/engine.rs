@@ -392,7 +392,7 @@ impl<'a> Executor<'a> {
                 .store()
                 .views_overlapping(&t.name, region, self.cfg.consistency, self.now);
         self.state
-            .with_table_model(&t.name, |ts| {
+            .with_table_stats(&t.name, |ts| {
                 let rw = rewrite(ts, page, region, &views, &self.cfg.rewrite);
                 (rw, views.len() as u64)
             })
@@ -554,7 +554,7 @@ impl<'a> Executor<'a> {
     fn space_of(&self, tid: usize) -> Result<QuerySpace> {
         let t = &self.query.tables[tid];
         self.state
-            .with_table_model(&t.name, |s| s.space().clone())
+            .with_table_stats(&t.name, |s| s.space().clone())
             .ok_or_else(|| PaylessError::Internal(format!("no stats for `{}`", t.name)))
     }
 

@@ -6,10 +6,9 @@
 //! Its one serving caller is `payless_serve::Serve::run`, behind the REPL
 //! session (a one-client `Serve`), the in-process mix and the socket
 //! server; they differ only in the [`Mode`] preset and in whether the
-//! [`Env`] carries a coalescer. The `stats_accuracy` binary also calls it
-//! directly, over a statistics registry of its chosen backend. [`plan`] is
-//! the same pipeline stopped before execution (`EXPLAIN`, the no-SQR
-//! counterfactual): it charges nothing.
+//! [`Env`] carries a coalescer. [`plan`] is the same pipeline stopped
+//! before execution (`EXPLAIN`, the no-SQR counterfactual): it charges
+//! nothing.
 
 use std::time::Instant;
 
@@ -248,7 +247,7 @@ mod tests {
 
         fn estimate(&self, region: &Region) -> f64 {
             self.state
-                .with_table_model("T", |ts| ts.estimate(region))
+                .with_table_stats("T", |ts| ts.estimate(region))
                 .unwrap()
         }
 

@@ -41,7 +41,7 @@ use payless_geometry::{QuerySpace, Region};
 use payless_market::{DataMarket, Response};
 use payless_semantic::{SemanticStore, SharedSemanticStore};
 use payless_sql::{MapCatalog, TableLocation};
-use payless_stats::{StatsRegistry, TableModel};
+use payless_stats::{StatsRegistry, TableStats};
 use payless_storage::{Database, LocalTable};
 use payless_telemetry::{QErrorRecord, Recorder};
 use payless_types::{Result, Row, Schema};
@@ -363,10 +363,10 @@ impl SharedState {
 
     /// Run `f` against `table`'s statistics model under the read lock. `f`
     /// must be a pure computation.
-    pub(crate) fn with_table_model<R>(
+    pub(crate) fn with_table_stats<R>(
         &self,
         table: &str,
-        f: impl FnOnce(&TableModel) -> R,
+        f: impl FnOnce(&TableStats) -> R,
     ) -> Option<R> {
         rd(&self.mirror).stats.table(table).map(f)
     }

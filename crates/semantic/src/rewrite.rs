@@ -18,8 +18,6 @@
 use std::borrow::Borrow;
 
 use payless_geometry::{decompose_pieces, Interval, QuerySpace, Region};
-use payless_stats::CardinalityModel;
-#[cfg(test)]
 use payless_stats::TableStats;
 
 use crate::cover::{greedy_cover, CoverSet};
@@ -108,7 +106,7 @@ pub fn est_transactions(est: f64, page_size: u64) -> f64 {
 /// Views may be passed by value or as `Arc<Region>` handles straight out of
 /// the semantic store's index.
 pub fn rewrite<V: Borrow<Region>>(
-    stats: &dyn CardinalityModel,
+    stats: &TableStats,
     page_size: u64,
     query: &Region,
     views: &[V],
@@ -127,7 +125,7 @@ pub fn rewrite<V: Borrow<Region>>(
 /// [`rewrite`]; this stays public because `benchmark/src/ledger.rs`
 /// imports it.
 pub fn rewrite_cached(
-    stats: &dyn CardinalityModel,
+    stats: &TableStats,
     page_size: u64,
     query: &Region,
     pieces: &[Region],
@@ -339,7 +337,7 @@ pub fn rewrite_cached(
 /// of slivers, one consolidated call is often cheaper in both transactions
 /// (ceil-per-call) and calls, and recording it heals the fragmentation.
 fn capped_rewrite(
-    stats: &dyn CardinalityModel,
+    stats: &TableStats,
     page_size: u64,
     query: &Region,
     pieces: &[Region],

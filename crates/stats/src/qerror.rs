@@ -148,12 +148,11 @@ mod tests {
         assert_eq!(j.get("count").unwrap().as_u64().unwrap(), 3);
     }
 
-    /// Satellite: after feedback has made a single-dimension estimate
-    /// perfect (see `independence::single_dimension_feedback_is_exact`),
-    /// the scored q-error is exactly 1.0.
+    /// After feedback on a region, the multidimensional model's estimate of
+    /// that region is exact, so the scored q-error is exactly 1.0.
     #[test]
     fn feedback_perfect_estimate_has_q_error_one() {
-        use crate::independence::PerDimStats;
+        use crate::TableStats;
         use payless_geometry::{region, QuerySpace};
         use payless_types::{Column, Domain, Schema};
 
@@ -164,7 +163,7 @@ mod tests {
                 Column::free("b", Domain::int(0, 99)),
             ],
         );
-        let mut stats = PerDimStats::new(QuerySpace::of(&schema), 10_000);
+        let mut stats = TableStats::new(QuerySpace::of(&schema), 10_000);
         let observed = region![(0, 9), (0, 99)];
         stats.feedback(&observed, 5000);
         let est = stats.estimate(&observed);

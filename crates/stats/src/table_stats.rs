@@ -353,6 +353,26 @@ mod tests {
     }
 
     #[test]
+    fn diagonal_feedback_leaves_off_diagonal_empty() {
+        // Perfectly correlated mass on the diagonal: once both diagonal
+        // boxes are observed to hold every row, the model knows the
+        // off-diagonal boxes are empty. Independent per-dimension
+        // marginals would still predict a quarter of the table there.
+        let schema = Schema::new(
+            "R",
+            vec![
+                Column::free("a", Domain::int(0, 99)),
+                Column::free("b", Domain::int(0, 99)),
+            ],
+        );
+        let mut s = TableStats::new(QuerySpace::of(&schema), 10_000);
+        s.feedback(&region![(0, 49), (0, 49)], 5_000);
+        s.feedback(&region![(50, 99), (50, 99)], 5_000);
+        assert_eq!(s.estimate(&region![(0, 49), (50, 99)]), 0.0);
+        assert_eq!(s.estimate(&region![(50, 99), (0, 49)]), 0.0);
+    }
+
+    #[test]
     fn repeated_identical_feedback_is_stable() {
         let mut s = stats_1d();
         for _ in 0..5 {
